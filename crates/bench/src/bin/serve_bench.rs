@@ -95,10 +95,10 @@ fn json(rows: &[RunRow]) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let executor = std::env::var("SNET_EXECUTOR").unwrap_or_else(|_| "threads".into());
-    let workers = std::env::var("SNET_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
+    // What the nets above ran on.
+    let default = snet_runtime::sched::default_executor();
+    let executor = default.kind();
+    let workers = default.os_thread_bound();
     let fused = std::env::var("SNET_FUSE").map(|v| v != "0").unwrap_or(true);
     let bound = RunCfg::from_env().bound;
     let epoch_secs = std::time::SystemTime::now()

@@ -14,10 +14,10 @@
 //! # Executor indirection
 //!
 //! Components are spawned as futures through the context's
-//! [`Executor`] (see [`crate::sched`]): one OS thread each under
-//! [`crate::sched::ThreadPerComponent`] (the default), cooperative
-//! tasks over a bounded worker set under
-//! [`crate::sched::WorkStealingPool`]. Completion and panic
+//! [`Executor`] (see [`crate::sched`]): cooperative tasks over one
+//! worker per core under [`crate::sched::WorkStealingPool`] (the
+//! default), one OS thread each under
+//! [`crate::sched::ThreadPerComponent`]. Completion and panic
 //! accounting goes through a [`Tracker`] instead of `JoinHandle`s, so
 //! [`Ctx::join_all`] works identically under both backends — including
 //! for components spawned transitively at runtime by the replicators.
@@ -133,7 +133,8 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Context on the process-default executor (`SNET_EXECUTOR`).
+    /// Context on the process-default executor (the shared pool; see
+    /// [`crate::sched`], *Selection*).
     pub fn new(metrics: Arc<Metrics>, observers: Vec<Observer>) -> Arc<Ctx> {
         Ctx::with_executor(metrics, observers, default_executor())
     }

@@ -30,11 +30,14 @@
 //! each stage forwarding them in turn — so fused output is
 //! byte-identical, sort records included.
 //!
-//! **Fairness.** On a shared-worker executor the unfused chain's
-//! components each process at most a poll budget of messages per
-//! scheduling step; the fused component keeps that invariant rather
-//! than running an entire (possibly multi-emission-amplified)
-//! cascade in one poll. When the executor bounds its OS threads
+//! **Fairness.** On the pool — the default executor — the unfused
+//! chain's components each process at most a poll budget of messages
+//! per scheduling step; the fused component keeps that invariant
+//! rather than running an entire (possibly multi-emission-amplified)
+//! cascade in one poll. How many messages the head takes off the input
+//! per poll is the worker's measured time slice (see [`crate::sched`]:
+//! one frame at a time where a stage costs 400 µs, 128 sensor
+//! readings). When the executor bounds its OS threads
 //! (`os_thread_bound()` is `Some`), each [`Pipeline::step`] spends
 //! at most [`RECV_BATCH`] stage-message units — deepest non-empty
 //! stage first, so finished work drains to the output with minimal
@@ -42,10 +45,12 @@
 //! chain of k-emission stages costs many steps, not one unbounded
 //! poll, and pool workers round-robin it against their other
 //! components exactly as they would the unfused topology. Under
-//! thread-per-component the OS preempts the dedicated thread, so the
-//! step runs unbudgeted (a cooperative yield there would be a pure
+//! thread-per-component (no longer the default, kept for the paper's
+//! literal model) the OS preempts the dedicated thread, so the step
+//! runs unbudgeted (a cooperative yield there would be a pure
 //! park/unpark round-trip tax), matching the unfused components'
-//! blocking loops.
+//! blocking loops — the `fair` split below goes when that executor
+//! does (ROADMAP item 2(iii)).
 //!
 //! **Observability.** Each stage registers its own
 //! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes the

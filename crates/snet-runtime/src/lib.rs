@@ -3,13 +3,13 @@
 //! The execution engine of the reproduction of Grelck, Scholz &
 //! Shafarenko, *Coordinating Data Parallel SAC Programs with S-Net*
 //! (IPPS 2007). Networks compiled from `snet-lang` ASTs run as graphs
-//! of asynchronous components connected by channels — one OS thread
-//! per component under the default [`sched::ThreadPerComponent`]
-//! executor (the paper's model), or cooperatively scheduled tasks
-//! over a bounded worker set under [`sched::WorkStealingPool`]:
+//! of asynchronous components connected by channels — cooperatively
+//! scheduled tasks on the default [`sched::WorkStealingPool`] (one
+//! shared pool, one worker per core), or one OS thread per component
+//! under [`sched::ThreadPerComponent`] (the paper's literal model):
 //!
 //! * every **box** is "an asynchronously executed, stateless
-//!   stream-processing component" — one thread applying the bound
+//!   stream-processing component" — one task applying the bound
 //!   computational function to each record, with subtype acceptance
 //!   and flow inheritance handled by the wrapper ([`boxfn`]);
 //! * **filters** run the pure semantics of `snet-lang` ([`filter_exec`]);

@@ -291,7 +291,7 @@ pub mod keys {
     /// [`crate::CallError::Faulted`] because a component fault
     /// dropped one of their records.
     pub const SERVE_FAULTED: &str = "serve/faulted";
-    /// Counter (full key): panics of the serve demux thread itself
+    /// Counter (full key): panics of the serve demux task itself
     /// (each fails all open slots with `ServiceStopped` — callers are
     /// never stranded).
     pub const SERVE_DEMUX_PANICS: &str = "serve/demux_panics";

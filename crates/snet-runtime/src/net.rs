@@ -28,7 +28,7 @@ use crate::memo::TypeMemo;
 use crate::metrics::{keys, Metrics};
 use crate::path::CompPath;
 use crate::plan::{Bindings, CompileError, Plan};
-use crate::sched::Executor;
+use crate::sched::{ConfigError, Executor};
 use crate::stream::chan::TryFeedError;
 use crate::stream::{Msg, Observer, Receiver, Sender};
 use parking_lot::RwLock;
@@ -46,6 +46,9 @@ pub enum BuildError {
     Compile(CompileError),
     Type(snet_types::TypeError),
     UnknownNet(String),
+    /// The environment selects an executor that does not exist
+    /// (`SNET_EXECUTOR` / `SNET_WORKERS`; see [`crate::sched`]).
+    Config(ConfigError),
 }
 
 impl fmt::Display for BuildError {
@@ -55,6 +58,7 @@ impl fmt::Display for BuildError {
             BuildError::Compile(e) => write!(f, "{e}"),
             BuildError::Type(e) => write!(f, "{e}"),
             BuildError::UnknownNet(n) => write!(f, "program declares no net '{n}'"),
+            BuildError::Config(e) => write!(f, "{e}"),
         }
     }
 }
@@ -76,6 +80,12 @@ impl From<CompileError> for BuildError {
 impl From<snet_types::TypeError> for BuildError {
     fn from(e: snet_types::TypeError) -> Self {
         BuildError::Type(e)
+    }
+}
+
+impl From<ConfigError> for BuildError {
+    fn from(e: ConfigError) -> Self {
+        BuildError::Config(e)
     }
 }
 
@@ -144,8 +154,10 @@ impl NetBuilder {
     }
 
     /// Selects the executor the network's components run on. Default:
-    /// the process-default executor (`SNET_EXECUTOR`; see
-    /// [`crate::sched`]).
+    /// the process-default executor — the shared work-stealing pool,
+    /// one worker per core, unless `SNET_EXECUTOR` / `SNET_WORKERS`
+    /// say otherwise (see [`crate::sched`]); an invalid value there
+    /// fails `build*` with [`BuildError::Config`].
     pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
         self.executor = Some(executor);
         self
@@ -318,7 +330,10 @@ impl NetBuilder {
     fn build_ast(self, env: &Env, ast: &NetAst) -> Result<Net, BuildError> {
         let fuse = self.fuse.unwrap_or_else(crate::plan::fuse_default);
         let plan = crate::plan::compile_cfg(ast, env, &self.bindings, fuse)?;
-        let executor = self.executor.unwrap_or_else(crate::sched::default_executor);
+        let executor = match self.executor {
+            Some(executor) => executor,
+            None => crate::sched::try_default_executor()?,
+        };
         let cfg = RunCfg {
             // Per-net setting beats the process default; an explicit
             // `unbounded()` is stored as `Some(0)` and resolves to no

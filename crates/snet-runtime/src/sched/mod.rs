@@ -1,30 +1,88 @@
 //! The executor subsystem: *where* components run.
 //!
 //! The paper's operational model gives every box, guard, dispatcher
-//! and merger its own thread of control. The seed runtime mirrored
-//! that literally — one OS thread per component — which is faithful
-//! but does not scale: Fig. 2-style unfolding already instantiates
-//! ~729 boxes plus guards and mergers, and star/split unfolding under
-//! real load means thousands of replicas, which one-OS-thread-each
-//! cannot sustain.
+//! and merger its own thread of control, and the seed runtime took
+//! that literally — one OS thread per component. It is faithful and it
+//! is the wrong default: Fig. 2 unfolds toward 81 × 9 boxes plus
+//! guards and mergers, every record hop between two of them is a
+//! kernel hand-off, and on `batch-sudoku9` a third of a puzzle's round
+//! trip (two hand-offs at each of 43 star levels) and 371 OS threads
+//! went to something that is neither box code nor coordination logic.
+//! (S-Net's own later runtime made the same move, from a pthread per
+//! entity to user-level tasks on one worker per core.)
 //!
-//! This module makes the mapping *pluggable*. Components are written
-//! as `async` state machines over pollable streams (see
-//! [`crate::stream`]); an [`Executor`] decides how those state
-//! machines map onto OS threads:
+//! Components are written as `async` state machines over pollable
+//! streams (see [`crate::stream`]); an [`Executor`] decides how those
+//! state machines map onto OS threads:
 //!
-//! * [`ThreadPerComponent`] — the paper's model and the default: each
-//!   component future runs to completion on its own named OS thread
-//!   via a park/unpark `block_on`. A component awaiting an empty
-//!   stream parks its thread, exactly like the seed's blocking
-//!   `recv()`.
-//! * [`WorkStealingPool`] — N worker threads with one lock-free
-//!   Chase–Lev deque each plus a shared injector; idle workers steal
-//!   the oldest entry from their siblings' deques. A component
-//!   awaiting an empty stream returns `Pending` and *yields its
-//!   worker* to the next runnable component; the stream's send path
-//!   wakes it back onto a run queue. Thousands of components share
-//!   `N ≈ num_cpus` threads.
+//! * [`WorkStealingPool`] — **the default**: one shared pool per
+//!   process, exactly one worker thread per core the process may run
+//!   on, one lock-free Chase–Lev deque per worker plus a shared
+//!   injector; idle workers steal the oldest entry from their siblings'
+//!   deques. A component awaiting an empty stream returns `Pending` and
+//!   *yields its worker* to the next runnable component; the stream's
+//!   send path wakes it back onto a run queue. A record hop is a queue
+//!   push and a task switch in user space, and thousands of components
+//!   share `num_cpus` threads.
+//! * [`ThreadPerComponent`] — the paper's model, kept for the literal
+//!   reading (`tests/figures.rs`): each component future runs to
+//!   completion on its own named OS thread via a park/unpark
+//!   `block_on`. A component awaiting an empty stream parks its thread,
+//!   exactly like the seed's blocking `recv()`.
+//!
+//! What the flip bought and what it had to hold, from the repo's
+//! benchmark (`crates/bench/src/bin/perf`: one CPU, every number at
+//! nominal host speed). "threads" and "pool, slice" are three 20-second
+//! runs each of the parent commit and of this one, taken in pairs;
+//! "pool, flat" is the pool with the flat 128-message poll budget it
+//! had before (8-second sizing runs):
+//!
+//! | workload | metric | threads | pool, flat | pool, slice |
+//! |---|---|---|---|---|
+//! | `batch-sudoku9` | ops/s | 856–863 | 1226 | **1204–1228** |
+//! | `batch-sudoku9` | p50 µs / setup s / RSS MB | 1240 / 0.0100 / 9.5 | 807 / 0.0024 / 6.5 | 850 / 0.0025 / 6.3 |
+//! | `serve-sensor` | ops/s / p50 µs | 156–158 k / 21.4 | 157 k / 11.2 | 157–158 k / 11.3 |
+//! | `serve-sudoku` | ops/s / p50 µs | 9650–9860 / 104 | 10228 / 100 | 10330–10400 / 98 |
+//! | `fifo-sensor-det` | ops/s / p50 µs | 199–205 k / 20.9 | 188–194 k / 14.5 | 192–196 k / 17 |
+//! | `array-frames` | ops/s / RSS MB | 972–978 / 8.7 | 884 / **11.9** | 961–974 / 7.6 |
+//!
+//! A record hop that is not a context switch: the traced
+//! `batch-sudoku9` run spends 68 µs of a puzzle's round trip in the
+//! `star`, `stream` and `fused` rows (the 86 hand-offs of 43 star
+//! levels) where thread-per-component spent 232 µs — 0.8 µs a hop
+//! against 2.7 µs.
+//!
+//! The pool is sized to the cores, not to `max(2, cores)`: two workers
+//! time-sliced on one CPU are what made the pool lose to threads on
+//! `serve-sensor` and `array-frames` before. The one soft spot is
+//! `fifo-sensor-det` throughput (−3 %): its lone worker is always
+//! running, so the loader and receiver threads it shares the CPU with
+//! preempt it where they used to find the CPU free between component
+//! threads (`sched.icsw_per_op` 0.01 → 0.05).
+//!
+//! # Fairness: a time slice, measured
+//!
+//! A worker grants each task a message budget per poll
+//! ([`crate::stream::set_poll_budget`]); a component with an
+//! always-full input is forced to yield after spending it — and a
+//! forced yield re-queues through the *global injector*, not the
+//! worker's own LIFO deque, so its siblings run first even with a
+//! single worker and no stealers (`SNET_WORKERS=1` starvation freedom;
+//! see [`pool`]).
+//!
+//! The budget is not a constant, because the unit of fairness is
+//! *time* and a message is not a unit of time: 128 messages are
+//! 130 µs of sensor readings and 50 ms of 192 × 192 frames. Under a
+//! flat 128 a frame stage ran all 16 in-flight frames before its
+//! consumer got the worker (the `array-frames` column above: RSS
+//! +37 %, throughput −9 %); a flat 1 fixes the frames and costs the
+//! sensor nets a quarter of their throughput (120 k ops/s). So the
+//! worker times every poll — two clock reads per poll, nothing per
+//! message — divides by the messages the poll consumed, and grants the
+//! next poll what would fill a fixed slice of about 200 µs, between 1
+//! and 128: a new task starts at 1, the budget at most doubles per
+//! poll, and it falls to the measured fit as soon as two polls in a
+//! row agree (one alone may be a preemption). There is no knob.
 //!
 //! # Why cooperative parking cannot deadlock the runtime
 //!
@@ -95,15 +153,6 @@
 //! genuinely no credit (see [`crate::stream::chan`], *why a parked
 //! producer cannot be lost*).
 //!
-//! Fairness is budget-based, as in production async runtimes: a
-//! worker grants each task a fixed message budget per poll
-//! ([`crate::stream::set_poll_budget`]); a component with an
-//! always-full input is forced to yield after spending it — and a
-//! forced yield re-queues through the *global injector*, not the
-//! worker's own LIFO deque, so its siblings run first even with a
-//! single worker and no stealers (`SNET_WORKERS=1` starvation
-//! freedom; see [`pool`]).
-//!
 //! # Determinism
 //!
 //! The sort-record protocol ([`crate::merge`]) encodes ordering in the
@@ -116,11 +165,19 @@
 //!
 //! # Selection
 //!
-//! [`default_executor`] reads `SNET_EXECUTOR`: unset or `threads` →
-//! [`ThreadPerComponent`]; `pool` → a process-wide shared
-//! [`WorkStealingPool`] with `SNET_WORKERS` (default
-//! `max(2, num_cpus)`) workers. `Ctx::with_executor` /
-//! `NetBuilder::executor` select per network.
+//! [`default_executor`] is the process-wide shared
+//! [`WorkStealingPool`] with one worker per core
+//! (`available_parallelism()`, which honours the process's CPU
+//! affinity), created on first use. Two environment variables change
+//! that, read in one place ([`try_default_executor`]):
+//! `SNET_EXECUTOR=threads` selects [`ThreadPerComponent`] (`pool`
+//! names the default), and `SNET_WORKERS=n` sizes the shared pool.
+//! Anything else — `SNET_EXECUTOR=pol`, `SNET_WORKERS=0`, `=two` — is
+//! a [`ConfigError`], never a silent fallback: `NetBuilder::build*`
+//! returns it as `BuildError::Config`, and the entry points that have
+//! no error channel ([`default_executor`], `Ctx::new`, `Net::spawn`)
+//! panic with its message. `Ctx::with_executor` /
+//! `NetBuilder::executor` select per network and read no variable.
 //!
 //! # Failure model
 //!
@@ -323,36 +380,105 @@ impl Drop for Completion {
     }
 }
 
-/// The process-default executor, selected by `SNET_EXECUTOR` (see
-/// module docs).
-pub fn default_executor() -> Arc<dyn Executor> {
-    match std::env::var("SNET_EXECUTOR") {
-        Ok(v) if v == "pool" => shared_pool(),
-        _ => Arc::new(ThreadPerComponent),
+/// Why the executor selection in the environment was rejected (see
+/// *Selection*). Surfaces from every `NetBuilder::build*` as
+/// [`crate::BuildError::Config`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `SNET_EXECUTOR` is neither `threads` nor `pool`.
+    Executor(String),
+    /// `SNET_WORKERS` is not a positive integer.
+    Workers(String),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Executor(v) => {
+                write!(f, "SNET_EXECUTOR={v:?}: expected `threads` or `pool`")
+            }
+            ConfigError::Workers(v) => {
+                write!(f, "SNET_WORKERS={v:?}: expected a positive integer")
+            }
+        }
     }
 }
 
-/// The process-wide shared [`WorkStealingPool`] (created on first
-/// use). All networks selecting the pool backend share its workers —
-/// that is the point: component count no longer dictates thread
-/// count.
-pub fn shared_pool() -> Arc<dyn Executor> {
-    static POOL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Arc::new(WorkStealingPool::new(default_workers())));
-    Arc::clone(pool) as Arc<dyn Executor>
+impl std::error::Error for ConfigError {}
+
+/// What `SNET_EXECUTOR` / `SNET_WORKERS` select, parsed in one place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct EnvSelection {
+    threads: bool,
+    workers: Option<usize>,
 }
 
-fn default_workers() -> usize {
-    std::env::var("SNET_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
+/// Parses the two variables' values (`None` = unset). Both are
+/// validated whichever executor is selected: a typo must never read
+/// as "default".
+fn parse_selection(
+    executor: Option<&str>,
+    workers: Option<&str>,
+) -> Result<EnvSelection, ConfigError> {
+    let threads = match executor {
+        None | Some("pool") => false,
+        Some("threads") => true,
+        Some(other) => return Err(ConfigError::Executor(other.to_string())),
+    };
+    let workers = match workers {
+        None => None,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Some(n),
+            _ => return Err(ConfigError::Workers(v.to_string())),
+        },
+    };
+    Ok(EnvSelection { threads, workers })
+}
+
+fn selection_from_env() -> Result<EnvSelection, ConfigError> {
+    let var = |name| std::env::var(name).ok();
+    let (executor, workers) = (var("SNET_EXECUTOR"), var("SNET_WORKERS"));
+    parse_selection(executor.as_deref(), workers.as_deref())
+}
+
+/// The process-default executor (see *Selection*), or the typed reason
+/// the environment's selection is invalid.
+pub fn try_default_executor() -> Result<Arc<dyn Executor>, ConfigError> {
+    let sel = selection_from_env()?;
+    Ok(if sel.threads {
+        Arc::new(ThreadPerComponent)
+    } else {
+        shared_pool(sel.workers)
+    })
+}
+
+/// [`try_default_executor`] for callers with no error channel
+/// (`Ctx::new`, `Net::spawn`, benches): panics with the
+/// [`ConfigError`] message on an invalid selection — loud, never a
+/// silent fallback. `NetBuilder::build*` returns the typed error
+/// instead.
+pub fn default_executor() -> Arc<dyn Executor> {
+    try_default_executor().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The process-wide shared [`WorkStealingPool`]. All networks on the
+/// default executor share its workers — that is the point: component
+/// count no longer dictates thread count. Sized on first use:
+/// `workers` if given, else exactly one worker per core this process
+/// may run on. Not `max(2, cores)`: on one CPU a second worker only
+/// time-slices against the first (PR 12's `sched.pool.*` rows lost to
+/// threads on `serve-sensor` and `array-frames` for that reason).
+fn shared_pool(workers: Option<usize>) -> Arc<dyn Executor> {
+    static POOL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
+    let pool = POOL.get_or_init(|| {
+        let n = workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-                .max(2)
-        })
+        });
+        Arc::new(WorkStealingPool::new(n))
+    });
+    Arc::clone(pool) as Arc<dyn Executor>
 }
 
 #[cfg(test)]
@@ -477,6 +603,42 @@ mod tests {
                 "executor {name}"
             );
         }
+    }
+
+    #[test]
+    fn selection_rejects_typos_instead_of_defaulting() {
+        let pool = |workers| EnvSelection {
+            threads: false,
+            workers,
+        };
+        assert_eq!(parse_selection(None, None), Ok(pool(None)));
+        assert_eq!(parse_selection(Some("pool"), Some("3")), Ok(pool(Some(3))));
+        assert_eq!(
+            parse_selection(Some("threads"), None),
+            Ok(EnvSelection {
+                threads: true,
+                workers: None
+            })
+        );
+        for bad in ["pol", "", "Pool", "thread"] {
+            assert_eq!(
+                parse_selection(Some(bad), None),
+                Err(ConfigError::Executor(bad.into()))
+            );
+        }
+        // Checked whichever executor is selected.
+        for bad in ["0", "two", "-1", "", "1.5"] {
+            for executor in [None, Some("pool"), Some("threads")] {
+                assert_eq!(
+                    parse_selection(executor, Some(bad)),
+                    Err(ConfigError::Workers(bad.into()))
+                );
+            }
+        }
+        assert_eq!(
+            ConfigError::Executor("pol".into()).to_string(),
+            "SNET_EXECUTOR=\"pol\": expected `threads` or `pool`"
+        );
     }
 
     #[test]

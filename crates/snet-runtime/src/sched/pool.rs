@@ -46,10 +46,66 @@ use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
 
-/// Messages a task may consume per poll before it is forced to yield
-/// its worker (see [`crate::stream::set_poll_budget`]).
+/// Cap on the messages a task may consume per poll before it is forced
+/// to yield its worker (see [`crate::stream::set_poll_budget`]). The
+/// grant itself is measured per task — see [`Slice`].
 const TASK_POLL_BUDGET: u32 = 128;
+
+/// The time one poll should fill. Fairness between tasks sharing a
+/// worker is a matter of *time*: 128 messages are 130 µs of sensor
+/// records and 50 ms of 192×192 frames, and under a flat message budget
+/// a frame stage ran every in-flight frame before its consumer saw the
+/// worker (`array-frames` peak RSS +37 %). Well above a wake and two
+/// clock reads (the per-poll overhead it amortises), well below a
+/// millisecond-scale request.
+const SLICE: Duration = Duration::from_micros(200);
+
+/// A task's message budget, measured by the worker: two clock reads per
+/// *poll*, nothing per message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slice {
+    /// Messages the next poll may consume; never 0.
+    budget: u32,
+    /// What the previous poll alone would have granted.
+    fit: u32,
+}
+
+impl Slice {
+    /// A new task is priced before it is trusted: its first poll gets
+    /// one message.
+    const START: Slice = Slice { budget: 1, fit: 1 };
+
+    /// The slice after a poll that consumed `spent` messages in
+    /// `elapsed`. The poll's *fit* is the grant that would have filled
+    /// [`SLICE`] at its cost per message, within
+    /// `1..=TASK_POLL_BUDGET`; the next budget is the larger of this
+    /// poll's fit and the previous one's — one poll the OS preempted
+    /// reads slow without being slow, and must not collapse the budget
+    /// (on `fifo-sensor-det`, where loader and receiver threads share
+    /// the worker's CPU, trusting every sample left 42 % of polls under
+    /// the cap and cost 6 % throughput), while a task whose messages
+    /// *are* slow says so twice in a row and drops straight to its fit.
+    /// Growth is at most a doubling per poll, so one cheap poll cannot
+    /// unleash 128 expensive messages. A poll that consumed nothing (a
+    /// wake with nothing to read, stage work between cooperative
+    /// yields) prices no message: it may lower the budget, never raise
+    /// it.
+    fn after_poll(self, spent: u32, elapsed: Duration) -> Slice {
+        let per_message = (elapsed.as_nanos() as u64 / u64::from(spent.max(1))).max(1);
+        let fit = SLICE.as_nanos() as u64 / per_message;
+        let fit = fit.clamp(1, u64::from(TASK_POLL_BUDGET)) as u32;
+        let ceiling = match spent {
+            0 => self.budget,
+            _ => self.budget.saturating_mul(2),
+        };
+        Slice {
+            budget: fit.max(self.fit).min(ceiling),
+            fit,
+        }
+    }
+}
 
 // Task wake states.
 const IDLE: u8 = 0; // parked, not queued; a wake must schedule it
@@ -61,6 +117,7 @@ const DONE: u8 = 4; // completed (or panicked); wakes are no-ops
 struct TaskSlot {
     fut: Option<TaskFuture>,
     done: Option<Completion>,
+    slice: Slice,
 }
 
 struct Task {
@@ -114,6 +171,13 @@ struct Shared {
     /// module docs). The only mutexed queue left in the scheduler —
     /// per ISSUE/ROADMAP the locals are lock-free Chase–Lev deques.
     injector: Mutex<VecDeque<Arc<Task>>>,
+    /// `injector.len()`, readable without the lock: a worker between
+    /// tasks (`find_task`) and a worker about to sleep (`has_work`)
+    /// look at the injector once per poll, and it is nearly always
+    /// empty — wakes a worker delivers go to its own deque. Written
+    /// under the lock, before the pusher's `notify_one` fence, so the
+    /// sleep protocol's re-check sees it as it saw the queue itself.
+    injected: AtomicUsize,
     locals: Vec<Deque<Task>>,
     sleep: Mutex<SleepState>,
     cv: Condvar,
@@ -152,16 +216,32 @@ impl Shared {
             }
         });
         if let Some(t) = task {
-            self.injector.lock().push_back(t);
+            self.inject(t);
         }
         self.notify_one();
+    }
+
+    fn inject(&self, task: Arc<Task>) {
+        let mut q = self.injector.lock();
+        q.push_back(task);
+        self.injected.store(q.len(), Ordering::Release);
+    }
+
+    fn take_injected(&self) -> Option<Arc<Task>> {
+        if self.injected.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut q = self.injector.lock();
+        let task = q.pop_front();
+        self.injected.store(q.len(), Ordering::Release);
+        task
     }
 
     /// Queues a forced-yield reschedule on the global injector — never
     /// the local deque, whose LIFO owner end would hand the same task
     /// straight back (see module docs on queue discipline).
     fn push_yield(self: &Arc<Self>, task: Arc<Task>) {
-        self.injector.lock().push_back(task);
+        self.inject(task);
         self.notify_one();
     }
 
@@ -188,7 +268,7 @@ impl Shared {
         if let Some(t) = unsafe { self.locals[idx].pop() } {
             return Some(t);
         }
-        if let Some(t) = self.injector.lock().pop_front() {
+        if let Some(t) = self.take_injected() {
             return Some(t);
         }
         let n = self.locals.len();
@@ -208,7 +288,7 @@ impl Shared {
     }
 
     fn has_work(&self) -> bool {
-        if !self.injector.lock().is_empty() {
+        if self.injected.load(Ordering::Acquire) > 0 {
             return true;
         }
         self.locals.iter().any(|d| !d.is_empty())
@@ -250,15 +330,22 @@ fn run_task(task: Arc<Task>) {
     task.state.store(RUNNING, Ordering::Release);
     let waker = Waker::from(Arc::clone(&task));
     let mut cx = Context::from_waker(&waker);
-    crate::stream::set_poll_budget(TASK_POLL_BUDGET);
-    let poll = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let poll = {
         let mut slot = task.slot.lock();
-        match slot.fut.as_mut() {
-            Some(f) => f.as_mut().poll(&mut cx),
-            None => Poll::Ready(()),
-        }
-    }));
-    crate::stream::set_poll_budget(u32::MAX);
+        let granted = slot.slice.budget;
+        crate::stream::set_poll_budget(granted);
+        let start = Instant::now();
+        let poll =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match slot.fut.as_mut() {
+                Some(f) => f.as_mut().poll(&mut cx),
+                None => Poll::Ready(()),
+            }));
+        let elapsed = start.elapsed();
+        let spent = granted.saturating_sub(crate::stream::poll_budget());
+        crate::stream::set_poll_budget(u32::MAX);
+        slot.slice = slot.slice.after_poll(spent, elapsed);
+        poll
+    };
     match poll {
         Ok(Poll::Pending) => {
             // Park, unless a wake arrived during the poll.
@@ -315,6 +402,7 @@ impl WorkStealingPool {
         assert!(workers >= 1, "a pool needs at least one worker");
         let shared = Arc::new(Shared {
             injector: Mutex::new(VecDeque::new()),
+            injected: AtomicUsize::new(0),
             locals: (0..workers).map(|_| Deque::new()).collect(),
             sleep: Mutex::new(SleepState { shutdown: false }),
             cv: Condvar::new(),
@@ -357,6 +445,7 @@ impl Executor for WorkStealingPool {
             slot: Mutex::new(TaskSlot {
                 fut: Some(fut),
                 done: Some(done),
+                slice: Slice::START,
             }),
             shared: Arc::clone(&self.shared),
         });
@@ -393,5 +482,104 @@ impl Drop for WorkStealingPool {
             // SAFETY: all workers are joined; this is the only thread.
             unsafe { d.drain() };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::Tracker;
+    use crate::stream::chan::{channel, Receiver};
+    use std::future::Future;
+    use std::pin::Pin;
+
+    #[test]
+    fn slice_arithmetic() {
+        let us = Duration::from_micros;
+        // A new task gets one message; a millisecond message keeps it
+        // there.
+        assert_eq!(Slice::START.budget, 1);
+        assert_eq!(Slice::START.after_poll(1, us(1000)), Slice::START);
+        // Cheap messages: at most a doubling per poll, up to the cap.
+        let mut s = Slice::START;
+        for want in [2, 4, 8, 16, 32, 64, 128, 128] {
+            s = s.after_poll(s.budget, us(1));
+            assert_eq!(s.budget, want);
+        }
+        // One slow poll (a preemption) does not collapse the budget,
+        // two in a row drop it straight to their fit.
+        let slow = us(128 * 50);
+        let once = s.after_poll(128, slow);
+        assert_eq!((once.budget, once.fit), (128, 4));
+        assert_eq!(once.after_poll(128, slow).budget, 4);
+        assert_eq!(once.after_poll(128, us(128)).budget, 128);
+        // A poll that consumed nothing never raises the budget and may
+        // lower it.
+        let low = Slice { budget: 8, fit: 8 };
+        assert_eq!(low.after_poll(0, us(1)).budget, 8);
+        assert_eq!(low.after_poll(0, us(100)).after_poll(0, us(100)).budget, 2);
+        // Never 0, whatever the clock said.
+        assert_eq!(low.after_poll(1, Duration::from_secs(9)).budget, 8);
+        assert_eq!(Slice::START.after_poll(1, Duration::from_secs(9)).budget, 1);
+        assert_eq!(Slice::START.after_poll(1, Duration::ZERO).budget, 2);
+    }
+
+    /// Drains a channel of spin times, spinning for each, and records
+    /// the budget every poll was granted.
+    struct Drain {
+        rx: Receiver<Duration>,
+        grants: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Future for Drain {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.grants.lock().push(crate::stream::poll_budget());
+            let mut spin = |d: Duration| {
+                let t = Instant::now();
+                while t.elapsed() < d {
+                    std::hint::spin_loop();
+                }
+            };
+            loop {
+                match self.rx.poll_recv_each(cx, usize::MAX, &mut spin) {
+                    Poll::Ready(0) => return Poll::Ready(()),
+                    Poll::Ready(_) => continue,
+                    Poll::Pending => return Poll::Pending,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budget_follows_the_cost_of_a_message() {
+        const HEAVY: usize = 12;
+        let (tx, rx) = channel();
+        for _ in 0..HEAVY {
+            tx.send(Duration::from_millis(1)).unwrap();
+        }
+        for _ in 0..20_000 {
+            tx.send(Duration::ZERO).unwrap();
+        }
+        drop(tx);
+        let grants = Arc::new(Mutex::new(Vec::new()));
+        let tracker = Tracker::new();
+        let pool = WorkStealingPool::new(1);
+        pool.spawn(
+            "drain".into(),
+            Box::pin(Drain {
+                rx,
+                grants: Arc::clone(&grants),
+            }),
+            tracker.register("drain"),
+        );
+        tracker.wait_quiescent();
+        let grants = grants.lock();
+        // Millisecond messages: one per poll, from the first poll on
+        // (the poll after the last of them was still granted one).
+        assert_eq!(grants[..=HEAVY], [1; HEAVY + 1], "{grants:?}");
+        // No-op messages: the budget climbs back to the cap.
+        assert_eq!(grants.iter().max(), Some(&TASK_POLL_BUDGET), "{grants:?}");
+        assert!(grants.iter().all(|&g| g >= 1), "{grants:?}");
     }
 }

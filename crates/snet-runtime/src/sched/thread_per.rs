@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 
-/// One OS thread per component (the default executor).
+/// One OS thread per component: the paper's literal model, selected
+/// with `SNET_EXECUTOR=threads` or `NetBuilder::executor`.
 pub struct ThreadPerComponent;
 
 impl Executor for ThreadPerComponent {

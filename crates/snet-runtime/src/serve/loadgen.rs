@@ -11,7 +11,7 @@
 //!   `Block` stall, a scheduler hiccup) the time a real client would
 //!   have spent waiting is charged to the request instead of silently
 //!   dropped — the standard fix for coordinated omission.
-//! - **Completion is timestamped by the demux thread**
+//! - **Completion is timestamped by the demux**
 //!   ([`Response::completed_at`]), so callers can harvest handles
 //!   lazily after the send phase without inflating the tail.
 //!

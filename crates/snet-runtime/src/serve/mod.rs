@@ -13,8 +13,9 @@
 //! ```
 //!
 //! [`Service::call`] stamps the record with a fresh request id, the
-//! net transforms it, and a demux thread routes each output record
-//! back to the issuing caller's completion slot. [`CallHandle`] is
+//! net transforms it, and the demux — one more component task on the
+//! net's executor — routes each output record back to the issuing
+//! caller's completion slot, waking callers once per batch it drains. [`CallHandle`] is
 //! both a [`std::future::Future`] resolving to the [`Response`] and a
 //! blocking handle ([`CallHandle::wait`] /
 //! [`CallHandle::wait_deadline`]) for thread-based callers. Ingress
@@ -93,10 +94,12 @@
 //!   cascades to the egress, the demux exits, and *every* open
 //!   request fails with [`CallError::ServiceStopped`];
 //!   [`Service::shutdown`] re-raises the panic from `join_all`.
-//! - **Demux death.** The demux thread is itself guarded: if it
+//! - **Demux death.** The demux task is itself guarded: if it
 //!   panics (`serve/demux_panics`), every open slot is failed with
 //!   [`CallError::ServiceStopped`] on the way out — callers are never
-//!   stranded on a slot nobody will complete.
+//!   stranded on a slot nobody will complete. The panic is caught
+//!   inside the task, so it never reaches the task boundary and does
+//!   not fail the net.
 //! - **Stray records.** Rid-less, late, or post-fault records are
 //!   dropped and counted (`serve/stray`) *and* reported to stream
 //!   observers at the `serve/stray` path, so drops are attributable.

@@ -3,7 +3,7 @@
 
 use crate::metrics::{keys, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected, ServeParts};
-use crate::stream::{Msg, Receiver, Sender};
+use crate::stream::{Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
 use std::collections::HashMap;
 use std::fmt;
@@ -96,7 +96,7 @@ pub struct DrainReport {
 }
 
 /// Per-request completion state, owned jointly by the caller's
-/// [`CallHandle`] and the demux thread. Lock order: the pending map's
+/// [`CallHandle`] and the demux task. Lock order: the pending map's
 /// lock is never taken while a slot lock is held.
 struct SlotState {
     /// Records collected so far (response order = net emission order).
@@ -138,22 +138,30 @@ impl Slot {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Marks the slot finished and wakes both kinds of waiters. Must
-    /// be called with no other slot/pending lock held.
-    fn finish(&self, outcome: Result<(), CallError>) {
+    /// Sets the terminal outcome and its timestamp (first caller
+    /// wins). Waiters are not woken: [`Slot::wake`] must follow.
+    fn resolve(&self, outcome: Result<(), CallError>) {
         let mut st = self.state();
         if st.done.is_none() {
             st.done = Some(outcome);
             st.completed_at = Some(Instant::now());
-            if let Some(w) = st.waker.take() {
-                drop(st);
-                self.cv.notify_all();
-                w.wake();
-                return;
-            }
         }
-        drop(st);
+    }
+
+    /// Wakes both kinds of waiters of a resolved slot.
+    fn wake(&self) {
+        let waker = self.state().waker.take();
         self.cv.notify_all();
+        if let Some(w) = waker {
+            w.wake();
+        }
+    }
+
+    /// Marks the slot finished and wakes its waiters. Must be called
+    /// with no other slot/pending lock held.
+    fn finish(&self, outcome: Result<(), CallError>) {
+        self.resolve(outcome);
+        self.wake();
     }
 }
 
@@ -162,7 +170,7 @@ impl Slot {
 /// without letting an idle service pin memory.
 const FREE_LIST_CAP: usize = 64;
 
-/// Everything the demux thread and the call handles share.
+/// Everything the demux task and the call handles share.
 struct Inner {
     /// Ingress sender; `None` after [`Service::shutdown`] began. Calls
     /// clone the sender out under this lock (an `Arc` bump) so the
@@ -271,20 +279,21 @@ impl Default for CallOpts {
 /// `Service` turns the SISO stream pair of a [`Net`] into a
 /// many-caller front door: each [`Service::call`] stamps the record
 /// with a fresh [`RESERVED_RID`] tag, flow inheritance carries the tag
-/// through every box and filter untouched, and a demux thread strips
+/// through every box and filter untouched, and a demux task strips
 /// it off the output edge to complete the caller's [`CallHandle`].
 /// Ingress backpressure (PR 6's bounded edges) surfaces per call via
 /// [`OverloadPolicy`].
 pub struct Service {
     inner: Arc<Inner>,
-    /// Demux thread handle; taken by [`Service::shutdown`].
-    demux: Option<std::thread::JoinHandle<()>>,
+    /// The net's context; its tracker also covers the demux task.
     ctx: Arc<crate::ctx::Ctx>,
 }
 
 impl Service {
     /// Starts serving requests over `net`. The net's output edge is
-    /// consumed by the service's demux thread from now on.
+    /// consumed by the service's demux from now on — a component task
+    /// on the net's executor, joined by [`Service::shutdown`] with the
+    /// rest of the net.
     ///
     /// The service subscribes to the net's fault channel: when a
     /// contained fault drops a record carrying a request id, the
@@ -332,31 +341,40 @@ impl Service {
                 }
             }));
         }
-        let demux = {
+        {
+            // The demux is a component like any other: on the pool the
+            // net's last stage wakes it on the worker it ran on, and
+            // the response reaches the caller with one OS-level wake
+            // (demux → caller) instead of two (egress → demux thread →
+            // caller).
             let inner = Arc::clone(&inner);
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name("snet-serve-demux".into())
-                .spawn(move || {
-                    // The demux is the only thing standing between the
-                    // net's output and every open slot: if it dies,
-                    // callers must not be stranded. Catch its panic,
-                    // count it, and fail whatever is still pending.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        demux_loop(&inner, &ctx, &output)
+            let ctx2 = Arc::clone(&ctx);
+            ctx.spawn("snet-serve-demux", async move {
+                // The demux is the only thing standing between the
+                // net's output and every open slot: if it dies,
+                // callers must not be stranded. Catch its panic at
+                // every poll — it must not reach the task boundary,
+                // where it would fail the net — count it, and fail
+                // whatever is still pending.
+                let mut demux = std::pin::pin!(demux_loop(&inner, &ctx2, &output));
+                let died = std::future::poll_fn(|cx| {
+                    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        demux.as_mut().poll(cx)
                     }));
-                    if r.is_err() {
-                        inner.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1);
+                    match polled {
+                        Ok(Poll::Pending) => Poll::Pending,
+                        Ok(Poll::Ready(())) => Poll::Ready(false),
+                        Err(_) => Poll::Ready(true),
                     }
-                    fail_pending(&inner);
                 })
-                .expect("spawn demux thread")
-        };
-        Service {
-            inner,
-            demux: Some(demux),
-            ctx,
+                .await;
+                if died {
+                    inner.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1);
+                }
+                fail_pending(&inner);
+            });
         }
+        Service { inner, ctx }
     }
 
     /// Issues a request expecting a single response record, under the
@@ -435,11 +453,10 @@ impl Service {
     /// flight complete normally if the net answers them during the
     /// drain; any left unanswered fail with
     /// [`CallError::ServiceStopped`].
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.begin_shutdown();
-        if let Some(h) = self.demux.take() {
-            let _ = h.join();
-        }
+        // Joins the demux task too: it fails the stragglers on
+        // end-of-stream before it completes.
         self.ctx.join_all();
     }
 
@@ -450,16 +467,13 @@ impl Service {
     /// complete normally; whatever is still open afterwards fails
     /// with [`CallError::ServiceStopped`] when the demux sees
     /// end-of-stream. Returns the outcome tally.
-    pub fn drain(mut self, grace: std::time::Duration) -> DrainReport {
+    pub fn drain(self, grace: std::time::Duration) -> DrainReport {
         self.begin_shutdown();
         let deadline = Instant::now() + grace;
         while self.inflight() > 0 && Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let stranded = self.inflight();
-        if let Some(h) = self.demux.take() {
-            let _ = h.join();
-        }
         self.ctx.join_all();
         DrainReport {
             completed: self.inner.metrics.get(keys::SERVE_COMPLETED),
@@ -503,7 +517,7 @@ impl fmt::Debug for Service {
 /// after its caller gave up — are dropped, counted under
 /// `serve/stray`, and reported to stream observers at the
 /// `serve/stray` path so the drop is attributable, not silent.
-fn demux_loop(inner: &Inner, ctx: &crate::ctx::Ctx, output: &Receiver) {
+async fn demux_loop(inner: &Inner, ctx: &crate::ctx::Ctx, output: &Receiver) {
     let completed = inner.metrics.handle(keys::SERVE_COMPLETED);
     let stray = inner.metrics.handle(keys::SERVE_STRAY);
     let observing = ctx.has_observers();
@@ -514,48 +528,79 @@ fn demux_loop(inner: &Inner, ctx: &crate::ctx::Ctx, output: &Receiver) {
             ctx.observe(stray_path, crate::stream::Dir::In, rec);
         }
     };
-    loop {
-        match output.recv() {
-            Ok(Msg::Rec(mut rec)) => {
-                let rid = match rec.tag(RESERVED_RID) {
-                    Some(v) => v as u64,
-                    None => {
-                        drop_stray(&rec);
-                        continue;
-                    }
-                };
-                rec.remove(Label::tag(RESERVED_RID));
-                // Bind the lookup to a variable so the map guard drops
-                // here — observers (via `drop_stray`) and slot locks
-                // must never run under the pending lock.
-                let slot = inner.pending().get(&rid).map(Arc::clone);
-                let Some(slot) = slot else {
-                    // Completed, abandoned at a deadline, faulted,
-                    // or forged upstream: nobody is waiting.
-                    drop_stray(&rec);
-                    continue;
-                };
-                let finished = {
-                    let mut st = slot.state();
-                    st.got.push(rec);
-                    st.got.len() >= st.expect
-                };
-                if finished {
-                    // Remove-then-finish, honouring the pending→slot
-                    // lock order.
-                    if inner.pending().remove(&rid).is_some() {
-                        inner.inflight.fetch_sub(1, Ordering::Relaxed);
-                        completed.inc(1);
-                        slot.finish(Ok(()));
-                        inner.park_slot(slot);
-                    }
-                }
-            }
-            // Sort records are net-internal; a well-formed net never
-            // leaks them, skip defensively (same as `Net::recv`).
-            Ok(Msg::Sort { .. }) => continue,
-            Err(_) => break,
+    let mut resolved = Resolved {
+        inner,
+        slots: Vec::new(),
+    };
+    let route = |msg: Msg, resolved: &mut Resolved<'_>| {
+        // Sort records are net-internal; a well-formed net never
+        // leaks them, skip defensively (same as `Net::recv`).
+        let Msg::Rec(mut rec) = msg else { return };
+        let Some(rid) = rec.tag(RESERVED_RID) else {
+            drop_stray(&rec);
+            return;
+        };
+        let rid = rid as u64;
+        rec.remove(Label::tag(RESERVED_RID));
+        // Bind the lookup to a variable so the map guard drops
+        // here — observers (via `drop_stray`) and slot locks
+        // must never run under the pending lock.
+        let slot = inner.pending().get(&rid).map(Arc::clone);
+        let Some(slot) = slot else {
+            // Completed, abandoned at a deadline, faulted,
+            // or forged upstream: nobody is waiting.
+            drop_stray(&rec);
+            return;
+        };
+        let finished = {
+            let mut st = slot.state();
+            st.got.push(rec);
+            st.got.len() >= st.expect
+        };
+        // Remove-then-resolve, honouring the pending→slot lock order.
+        if finished && inner.pending().remove(&rid).is_some() {
+            inner.inflight.fetch_sub(1, Ordering::Relaxed);
+            completed.inc(1);
+            slot.resolve(Ok(()));
+            resolved.slots.push(slot);
         }
+    };
+    // One batch per wake, callers woken after it: the completion stamp
+    // is taken record by record, the wake-ups (a futex call each, and
+    // on a busy CPU a preemption by the woken caller) once the batch
+    // is through — a lone request is a batch of one and waits for
+    // nothing, and the executor's time slice bounds a long batch.
+    loop {
+        let n = output
+            .recv_each(RECV_BATCH, &mut |msg| route(msg, &mut resolved))
+            .await;
+        resolved.wake_all();
+        if n == 0 {
+            break;
+        }
+    }
+}
+
+/// Requests the demux resolved in its current batch whose callers are
+/// still to be woken. Wakes them on drop too, so a demux that dies
+/// mid-batch strands nobody it had already answered.
+struct Resolved<'a> {
+    inner: &'a Inner,
+    slots: Vec<Arc<Slot>>,
+}
+
+impl Resolved<'_> {
+    fn wake_all(&mut self) {
+        for slot in self.slots.drain(..) {
+            slot.wake();
+            self.inner.park_slot(slot);
+        }
+    }
+}
+
+impl Drop for Resolved<'_> {
+    fn drop(&mut self) {
+        self.wake_all();
     }
 }
 

@@ -71,8 +71,10 @@
 //! The per-thread poll budget that used to live in the vendored shim
 //! moved here (the executor layer is its only customer, and real
 //! crossbeam has no pollable surface — ROADMAP already called for
-//! this). A work-stealing worker grants each task [`set_poll_budget`]
-//! messages per poll; `poll_*` consumption spends it, and at zero the
+//! this). A work-stealing worker grants each task a budget of
+//! messages per poll ([`set_poll_budget`] — sized from the task's
+//! measured cost per message, read back with [`poll_budget`]; see
+//! [`crate::sched`]); `poll_*` consumption spends it, and at zero the
 //! channel reports `Pending` with an immediate self-wake so the task
 //! is rescheduled behind its siblings instead of monopolising the
 //! worker.
@@ -134,8 +136,8 @@ use std::task::{Context, Poll, Wake, Waker};
 const SEG_SIZE: usize = 32;
 
 /// Messages a component may drain per batch — deliberately equal to
-/// the executor's per-poll budget so one batch is exactly one fair
-/// timeslice (see [`crate::sched`]).
+/// the cap of the pool's per-poll budget, so one batch is at most one
+/// fair timeslice (see [`crate::sched`]).
 pub const RECV_BATCH: usize = 128;
 
 thread_local! {
@@ -149,6 +151,12 @@ thread_local! {
 /// to.
 pub fn set_poll_budget(n: u32) {
     POLL_BUDGET.with(|b| b.set(n));
+}
+
+/// What is left of the current thread's poll budget: an executor reads
+/// it after a poll to learn how many messages the poll consumed.
+pub fn poll_budget() -> u32 {
+    POLL_BUDGET.with(|b| b.get())
 }
 
 /// Spends one unit of budget. Returns `false` when exhausted (the

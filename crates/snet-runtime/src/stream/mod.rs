@@ -42,10 +42,12 @@
 //! * **Consumers drain batches.** Component loops await
 //!   [`chan::Receiver::recv_batch`], which resolves with up to
 //!   [`RECV_BATCH`] queued messages per wake instead of paying one
-//!   waker round-trip per record. The batch size equals the
-//!   executor's per-poll budget, so a batch is exactly one fair
-//!   timeslice; a component that drains a full batch is rescheduled
-//!   behind its worker's siblings before it may drain the next.
+//!   waker round-trip per record. The batch size equals the cap of
+//!   the pool's per-poll budget, so a batch is at most one fair
+//!   timeslice (less where messages are expensive: the budget is a
+//!   measured time slice, see [`crate::sched`]); a component that
+//!   spends its budget is rescheduled behind its worker's siblings
+//!   before it may drain more.
 //!
 //! Per-stream FIFO order and the components' fixed drain order are
 //! untouched by batching — a batch is just a prefix of the stream —
@@ -58,14 +60,15 @@
 //!
 //! Component bodies never call the blocking `recv()`; they await
 //! batches (or, for multi-input components, [`SelectReady`]).
-//! Under the default [`crate::sched::ThreadPerComponent`] executor the
-//! await parks the component's dedicated OS thread — the seed's
-//! behaviour, bit for bit. Under a
-//! [`crate::sched::WorkStealingPool`] the await *yields the worker*:
-//! the component's state machine suspends, the stream registers the
-//! task's waker, and the send path reschedules the component when data
-//! (or end-of-stream) arrives. This is what lets thousands of
-//! dynamically unfolded components share a handful of OS threads.
+//! Under the default [`crate::sched::WorkStealingPool`] executor the
+//! await *yields the worker*: the component's state machine suspends,
+//! the stream registers the task's waker, and the send path
+//! reschedules the component when data (or end-of-stream) arrives.
+//! This is what lets thousands of dynamically unfolded components
+//! share one OS thread per core. Under
+//! [`crate::sched::ThreadPerComponent`] the await parks the
+//! component's dedicated OS thread — the seed's behaviour, bit for
+//! bit.
 //! Senders on unbounded edges never wait; on bounded edges a *data*
 //! producer may additionally park awaiting credit — but every edge a
 //! merger drains from is exempt from bounding, so the deterministic
@@ -74,7 +77,7 @@
 
 pub mod chan;
 
-pub use chan::{set_poll_budget, RECV_BATCH};
+pub use chan::{poll_budget, set_poll_budget, RECV_BATCH};
 
 use snet_types::Record;
 use std::future::Future;

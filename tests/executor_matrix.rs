@@ -251,3 +251,78 @@ fn deterministic_split_stress_under_pool() {
         .collect();
     assert_eq!(xs, (0..N).collect::<Vec<_>>());
 }
+
+// ---------------------------------------------------------------------------
+// The pool's fairness unit is time, not messages.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn expensive_stages_interleave_on_one_worker() {
+    // A three-stage pipeline whose stages cost ~300 µs a record, 16
+    // records queued before the first one is touched, one worker. With
+    // a flat budget of 128 *messages* per poll the first stage ran all
+    // 16 records before its consumer got the worker — 16 intermediate
+    // payloads alive at once, which is what `array-frames` paid for in
+    // peak RSS. The worker now measures each task's cost per message
+    // and grants a time slice: a record is through all three stages
+    // before the next few are started.
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+    use std::time::{Duration, Instant};
+
+    #[derive(Default)]
+    struct Live {
+        now: AtomicI64,
+        high_water: AtomicI64,
+        all_sent: AtomicBool,
+    }
+    fn work() {
+        let t = Instant::now();
+        while t.elapsed() < Duration::from_micros(300) {
+            std::hint::spin_loop();
+        }
+    }
+
+    for fuse in [true, false] {
+        let live = Arc::new(Live::default());
+        let (a, c) = (Arc::clone(&live), Arc::clone(&live));
+        let net = NetBuilder::from_source(
+            "box a (x) -> (x); box b (x) -> (x); box c (x) -> (x);
+             net main = a .. b .. c;",
+        )
+        .unwrap()
+        .bind("a", move |rec, em| {
+            // Hold the only worker until every record is queued.
+            while !a.all_sent.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            work();
+            let n = a.now.fetch_add(1, Ordering::SeqCst) + 1;
+            a.high_water.fetch_max(n, Ordering::SeqCst);
+            em.emit(rec.clone());
+        })
+        .bind("b", |rec, em| {
+            // One intermediate consumed, one produced.
+            work();
+            em.emit(rec.clone());
+        })
+        .bind("c", move |rec, em| {
+            work();
+            c.now.fetch_sub(1, Ordering::SeqCst);
+            em.emit(rec.clone());
+        })
+        .fuse(fuse)
+        .executor(Arc::new(WorkStealingPool::new(1)))
+        .build("main")
+        .unwrap();
+        for x in 0..16i64 {
+            net.send(Record::build().field("x", x).finish()).unwrap();
+        }
+        live.all_sent.store(true, Ordering::Release);
+        assert_eq!(net.finish().len(), 16);
+        let high_water = live.high_water.load(Ordering::SeqCst);
+        assert!(
+            (1..=4).contains(&high_water),
+            "fuse={fuse}: {high_water} intermediate payloads alive at once"
+        );
+    }
+}
