@@ -267,7 +267,9 @@ fn bench_star_traversal(c: &mut Criterion) {
 /// vs handle shape (the PR 1 tentpole). The seed paid a `format!` heap
 /// allocation plus a `Mutex<BTreeMap>` round-trip per record; the
 /// handle is one relaxed atomic add resolved at spawn time. The
-/// acceptance bar is handle ≥ 10× faster than the string-keyed path.
+/// acceptance bar is handle ≥ 10× faster than looking the key up. The
+/// registry no longer has a count-by-key call, so the seed row spells
+/// the lookup out.
 fn bench_metrics_inc(c: &mut Criterion) {
     let mut g = c.benchmark_group("RT_metrics_inc");
     g.measurement_time(std::time::Duration::from_secs(1));
@@ -281,7 +283,7 @@ fn bench_metrics_inc(c: &mut Criterion) {
         // The seed's exact per-record pattern: format a fresh key,
         // then take the registry lock.
         let m = Metrics::new();
-        b.iter(|| m.inc(format!("{path}/records_in"), 1));
+        b.iter(|| m.handle(format!("{path}/records_in")).inc(1));
     });
 
     g.bench_function("handle", |b| {
@@ -540,6 +542,40 @@ fn bench_stream_send(c: &mut Criterion) {
     g.finish();
 }
 
+/// door — what request correlation costs on top of the stream pair it
+/// fronts: the one-box `id` net at a window of 128 from one driver
+/// thread, FIFO door vs `Service` door (`snet_bench::door`). The
+/// difference of the two rows is the door tax; both come from one run.
+fn bench_door(c: &mut Criterion) {
+    use snet_bench::door;
+    let mut g = c.benchmark_group("door");
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(400));
+    g.throughput(Throughput::Elements(N_RECORDS));
+    g.sample_size(10);
+
+    let net = door::id_net();
+    let mut next = 0;
+    g.bench_function("fifo_w128", |b| {
+        b.iter(|| {
+            assert_eq!(door::fifo(&net, next, N_RECORDS), 0, "lost or reordered");
+            next += N_RECORDS;
+        })
+    });
+    let _ = net.finish();
+
+    let svc = snet_runtime::Service::start(door::id_net());
+    g.bench_function("service_w128", |b| {
+        b.iter(|| {
+            assert_eq!(door::service(&svc, next, N_RECORDS), 0, "lost or misrouted");
+            next += N_RECORDS;
+        })
+    });
+    assert_eq!(svc.metrics().get("serve/stray"), 0);
+    svc.shutdown();
+    g.finish();
+}
+
 fn bench_net_construction(c: &mut Criterion) {
     // Parse + infer + compile + spawn + teardown (no records) — the
     // fixed cost of bringing a network up. This is where the executor
@@ -576,6 +612,7 @@ criterion_group!(
     bench_stream_send,
     bench_record_hop,
     bench_throughput,
+    bench_door,
     bench_box_chain,
     bench_fused_chain,
     bench_fused_fan,

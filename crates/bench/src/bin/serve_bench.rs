@@ -14,7 +14,9 @@
 //!   criterion) and writes the JSON artifact.
 //! * `--smoke`: a short fixed-rate burst per workload for CI — same
 //!   zero-loss assertions plus a generous p99 sanity ceiling, no
-//!   artifact.
+//!   artifact. Also times the door pair (`snet_bench::door`: the same
+//!   one-box net behind the FIFO door and behind the `Service` door)
+//!   and prints the door tax, failing on any stray or lost request.
 //!
 //! `--chaos` (composable with either mode) enables seeded fault
 //! injection for the run: 1 % of records panic at a box boundary
@@ -29,6 +31,7 @@
 //! `snet_runtime::serve` ([`run_open_loop`]); this binary only picks
 //! rates, formats JSON and enforces the assertions.
 
+use snet_bench::door;
 use snet_bench::workloads::{sensor_workload, sudoku_workload, ServeWorkload};
 use snet_runtime::ctx::RunCfg;
 use snet_runtime::{run_open_loop, CallError, LoadReport, OpenLoopCfg, Service};
@@ -191,6 +194,50 @@ fn print_row(row: &RunRow) {
     );
 }
 
+/// Times the door pair and prints what a request through the
+/// `Service` door costs over one through the FIFO door of the same
+/// net. A lost, misrouted or stray request is a failure; the timings
+/// are for the log.
+fn door_tax(failures: &mut Vec<String>) {
+    const WARM: u64 = 20_000;
+    const OPS: u64 = 200_000;
+    let per_op = |t: Instant| t.elapsed().as_nanos() as f64 / OPS as f64;
+
+    let net = door::id_net();
+    let mut bad = door::fifo(&net, 0, WARM);
+    let t = Instant::now();
+    bad += door::fifo(&net, WARM, OPS);
+    let fifo_ns = per_op(t);
+    bad += net.finish().len() as u64;
+
+    let svc = Service::start(door::id_net());
+    bad += door::service(&svc, 0, WARM);
+    let t = Instant::now();
+    bad += door::service(&svc, WARM, OPS);
+    let service_ns = per_op(t);
+    let m = std::sync::Arc::clone(svc.metrics());
+    svc.shutdown();
+
+    println!(
+        "door/fifo_w128 {fifo_ns:.0} ns/op  door/service_w128 {service_ns:.0} ns/op  \
+         door tax {:.0} ns/op  (slot reuse {} of {})",
+        service_ns - fifo_ns,
+        m.get("serve/slot_reuse"),
+        m.get("serve/requests"),
+    );
+    if bad != 0 {
+        failures.push(format!("door: {bad} lost or misrouted requests"));
+    }
+    if m.get("serve/stray") != 0 || m.get("serve/completed") != WARM + OPS {
+        failures.push(format!(
+            "door: {} stray records, {} of {} requests completed",
+            m.get("serve/stray"),
+            m.get("serve/completed"),
+            WARM + OPS
+        ));
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let chaos = std::env::args().any(|a| a == "--chaos");
@@ -313,6 +360,11 @@ fn main() {
             ));
         }
         rows.push(row);
+    }
+
+    // Chaos would fault door requests on purpose.
+    if smoke && !chaos {
+        door_tax(&mut failures);
     }
 
     if !smoke {

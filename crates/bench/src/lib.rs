@@ -16,6 +16,7 @@
 //!   table recorded in EXPERIMENTS.md and asserting the paper's
 //!   bounds; machine-readable rows go to `experiments.json`.
 
+pub mod door;
 pub mod workloads;
 
 use std::time::{Duration, Instant};

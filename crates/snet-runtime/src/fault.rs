@@ -266,10 +266,11 @@ impl FaultHub {
     /// appends to the bounded fault log.
     pub(crate) fn raise(&self, fault: Fault) {
         self.component_panics.inc(1);
-        // Cold path: faults are exceptional, the string-keyed registry
-        // API is fine here.
+        // Cold path: faults are exceptional, a registry lookup per
+        // incident is fine here.
         self.metrics
-            .inc(format!("{}/{}", fault.component, keys::PANICS), 1);
+            .handle(format!("{}/{}", fault.component, keys::PANICS))
+            .inc(1);
         let subs = self.subscribers.lock().clone();
         for s in &subs {
             s(&fault);

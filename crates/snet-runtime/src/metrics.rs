@@ -34,10 +34,9 @@
 //!   spawn components dynamically), because registration inserts into
 //!   the same map queries iterate.
 //!
-//! The string-keyed [`Metrics::inc`]/[`Metrics::max`] API is kept for
-//! call sites outside the record loop (and as the comparison baseline
-//! in the `runtime_primitives` bench); it pays the registry lock per
-//! call and allocates on first use of a key.
+//! There is no way to count by key: a caller that wants to count
+//! holds a [`Counter`], so nothing on a per-record or per-request path
+//! can pay the registry lock and a string hash without saying so.
 //!
 //! # Sharding
 //!
@@ -139,18 +138,6 @@ impl Metrics {
     /// [`Metrics::handle`] under the conventional `{path}/{name}` key.
     pub fn handle_at(&self, path: CompPath, name: &str) -> Counter {
         self.handle(format!("{path}/{name}"))
-    }
-
-    /// Adds `delta` to a counter by key (legacy string-keyed path:
-    /// takes the registry lock per call).
-    pub fn inc(&self, key: impl AsRef<str>, delta: u64) {
-        self.handle(key).inc(delta);
-    }
-
-    /// Raises a counter to at least `v` by key (legacy string-keyed
-    /// path).
-    pub fn max(&self, key: impl AsRef<str>, v: u64) {
-        self.handle(key).max(v);
     }
 
     /// Reads one counter (0 when absent).
@@ -308,28 +295,18 @@ mod tests {
     #[test]
     fn inc_get_roundtrip() {
         let m = Metrics::new();
-        m.inc("a/b", 1);
-        m.inc("a/b", 2);
+        m.handle("a/b").inc(1);
+        m.handle("a/b").inc(2);
         assert_eq!(m.get("a/b"), 3);
         assert_eq!(m.get("missing"), 0);
     }
 
     #[test]
-    fn max_is_high_water_mark() {
-        let m = Metrics::new();
-        m.max("depth", 5);
-        m.max("depth", 3);
-        assert_eq!(m.get("depth"), 5);
-        m.max("depth", 9);
-        assert_eq!(m.get("depth"), 9);
-    }
-
-    #[test]
     fn matching_aggregates() {
         let m = Metrics::new();
-        m.inc("net/stage0/box:solve/records_in", 4);
-        m.inc("net/stage1/box:solve/records_in", 6);
-        m.inc("net/stage1/box:other/records_in", 100);
+        m.handle("net/stage0/box:solve/records_in").inc(4);
+        m.handle("net/stage1/box:solve/records_in").inc(6);
+        m.handle("net/stage1/box:other/records_in").inc(100);
         assert_eq!(m.sum_matching("box:solve/"), 10);
         assert_eq!(m.max_matching("box:solve/"), 6);
         assert_eq!(m.count_matching("box:solve/"), 2);
@@ -338,14 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_increments_are_consistent() {
+    fn concurrent_registrations_of_one_key_are_consistent() {
         let m = Metrics::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let m = Arc::clone(&m);
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        m.inc("hot", 1);
+                        m.handle("hot").inc(1);
                     }
                 });
             }
@@ -356,25 +333,23 @@ mod tests {
     #[test]
     fn snapshot_is_stable_copy() {
         let m = Metrics::new();
-        m.inc("x", 1);
+        m.handle("x").inc(1);
         let snap = m.snapshot();
-        m.inc("x", 1);
+        m.handle("x").inc(1);
         assert_eq!(snap.get("x"), Some(&1));
         assert_eq!(m.get("x"), 2);
     }
 
     #[test]
-    fn handle_and_string_key_share_one_cell() {
+    fn handles_of_one_key_share_one_cell() {
         let m = Metrics::new();
         let h = m.handle("net/box:f/records_in");
         h.inc(3);
-        m.inc("net/box:f/records_in", 2);
-        assert_eq!(m.get("net/box:f/records_in"), 5);
-        assert_eq!(h.get(), 5);
         // A second handle for the same key attaches to the same cell.
         let h2 = m.handle("net/box:f/records_in");
-        h2.inc(1);
-        assert_eq!(h.get(), 6);
+        h2.inc(2);
+        assert_eq!(m.get("net/box:f/records_in"), 5);
+        assert_eq!(h.get(), 5);
     }
 
     #[test]
@@ -448,7 +423,7 @@ mod tests {
     fn snapshot_is_key_sorted_across_shards() {
         let m = Metrics::new();
         for k in ["z/one", "a/two", "m/three", "a/zzz"] {
-            m.inc(k, 1);
+            m.handle(k).inc(1);
         }
         let keys: Vec<String> = m.snapshot().into_keys().collect();
         let mut sorted = keys.clone();

@@ -15,13 +15,48 @@
 //! [`Service::call`] stamps the record with a fresh request id, the
 //! net transforms it, and the demux — one more component task on the
 //! net's executor — routes each output record back to the issuing
-//! caller's completion slot, waking callers once per batch it drains. [`CallHandle`] is
-//! both a [`std::future::Future`] resolving to the [`Response`] and a
-//! blocking handle ([`CallHandle::wait`] /
-//! [`CallHandle::wait_deadline`]) for thread-based callers. Ingress
+//! caller's completion slot, waking callers once per batch it drains.
+//! [`CallHandle`] is a [`std::future::Future`] resolving to the
+//! [`Response`]; [`CallHandle::wait`] / [`CallHandle::wait_deadline`]
+//! poll it from a thread that parks in between, so threads and tasks
+//! are woken the same way, and only if they registered. Ingress
 //! overload (PR 6's bounded edges) surfaces per call through
 //! [`crate::OverloadPolicy`] — park, shed, or give up after a
 //! deadline.
+//!
+//! # Correlation: one table, addressed by the request id
+//!
+//! The request id is the address of the request's completion slot:
+//! `#rid = generation ‖ index`, index in the low 24 bits. A slot's
+//! generation is bumped when a request opens on it and again when that
+//! request closes — completed, faulted, abandoned (a passed deadline,
+//! a dropped handle), failed at shutdown — so it is odd while a
+//! request is open, and a record's id matches its slot's generation
+//! exactly while *its* request is. The demux goes from the tag to the
+//! slot by shift and mask: no hash, no lock shared with callers; the
+//! fault subscription and the shutdown sweep use the same table.
+//! **A generation mismatch is the stray case**, whatever the cause —
+//! the record is late, its request was abandoned or faulted, its slot
+//! has been reissued since (the new owner opened under another
+//! generation, so it can never receive it), or its id was never
+//! issued. A stray record is dropped, counted (`serve/stray`) and shown
+//! to stream observers at the `serve/stray` path: attributable, not
+//! silent, and never delivered to the wrong caller.
+//!
+//! *Memory.* A slot belongs to its request's [`CallHandle`] until the
+//! handle is harvested or dropped and is then reissued, last freed
+//! first. The table grows to the peak number of live handles — what
+//! the ingress bound admits plus what callers have yet to harvest —
+//! in segments of doubling size that never move (8 slots at first,
+//! 128 bytes each) and is reused from then on; it never shrinks.
+//! Past 2^24 live handles a call is refused as `Overloaded`.
+//!
+//! *Locks.* Two, both leaves, never held together nor across user
+//! code (observers, wakers): a slot's lock (one request's records and
+//! outcome; its caller and whoever delivers to or fails it) and the
+//! free-list lock (twice per request, callers only — the one lock
+//! callers can contend on). Whether and when a request resolved is
+//! readable without either ([`CallHandle::completed_at`]).
 //!
 //! # The reserved-tag invariant
 //!
@@ -50,9 +85,7 @@
 //! - **The Rust surface rejects it.** [`Service::call`] refuses
 //!   records that already carry a `#rid` label
 //!   ([`CallError::ReservedTag`]), and the demux strips the tag before
-//!   a [`Response`] reaches the caller. Records that arrive at the
-//!   egress without a rid (or with an unknown one) are counted under
-//!   `serve/stray` and dropped, never delivered to the wrong caller.
+//!   a [`Response`] reaches the caller.
 //!
 //! Synchrocells merge two records into one; both carry a rid and the
 //! merge keeps one record's labels, so a net whose synchrocells join
@@ -66,11 +99,8 @@
 //! # Measurement
 //!
 //! [`run_open_loop`] drives a `Service` at a fixed arrival rate (open
-//! loop, so queueing delay is observable) and reports
-//! p50/p99/p999/max latency from an HDR-style [`hist::Histogram`]
-//! plus sustained steady-state RPS — the numbers behind
-//! `BENCH_PR7.json` and the default stream bound
-//! ([`crate::ctx::DEFAULT_STREAM_BOUND`]).
+//! loop, so queueing delay shows) and reports tail latency from an
+//! HDR-style [`hist::Histogram`] plus sustained RPS: `BENCH_PR7.json`.
 //!
 //! # Failure model
 //!
@@ -88,21 +118,16 @@
 //!   stays alive and keeps serving them. Responses that would need
 //!   the dropped record can never arrive, so nothing leaks; any
 //!   sibling records of a faulted multi-record request that do reach
-//!   the egress count as stray (their slot is gone).
+//!   the egress count as stray (their generation is over).
 //! - **Box/filter panic, policy `FailNet` (default).** Today's
 //!   semantics: the panic unwinds the component, end-of-stream
 //!   cascades to the egress, the demux exits, and *every* open
 //!   request fails with [`CallError::ServiceStopped`];
 //!   [`Service::shutdown`] re-raises the panic from `join_all`.
 //! - **Demux death.** The demux task is itself guarded: if it
-//!   panics (`serve/demux_panics`), every open slot is failed with
-//!   [`CallError::ServiceStopped`] on the way out — callers are never
-//!   stranded on a slot nobody will complete. The panic is caught
-//!   inside the task, so it never reaches the task boundary and does
-//!   not fail the net.
-//! - **Stray records.** Rid-less, late, or post-fault records are
-//!   dropped and counted (`serve/stray`) *and* reported to stream
-//!   observers at the `serve/stray` path, so drops are attributable.
+//!   panics (`serve/demux_panics`), every open request is failed with
+//!   [`CallError::ServiceStopped`] on the way out. The panic is caught
+//!   inside the task, so it does not fail the net.
 //!
 //! Containment does not disturb deterministic merging (sort records
 //! never enter the guarded cores — see [`crate::sched`]), so a

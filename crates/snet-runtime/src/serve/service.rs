@@ -1,28 +1,23 @@
 //! The request/response front door: [`Service`], [`CallHandle`] and
 //! the demultiplexer that routes net output back to callers.
 
-use crate::metrics::{keys, Metrics};
+use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected, ServeParts};
 use crate::stream::{Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
-use std::collections::HashMap;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::task::{Context, Poll, Waker};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The reserved request-id tag. The leading `#` puts it outside the
-/// identifier alphabet of the `.snet` language (`[A-Za-z0-9_]+`), so
-/// no user program can name it: it cannot appear in a box signature
-/// (so flow inheritance always splits it off before the box function
-/// runs and re-attaches it on every emit), in a filter expression, or
-/// in a type annotation. At the Rust surface, [`Service::call`]
-/// rejects records that already carry any `#rid` label, and the demux
-/// strips the tag before a response reaches the caller — user code can
-/// neither forge nor observe it.
+/// identifier alphabet of the `.snet` language, [`Service::call`]
+/// rejects records that already carry it and the demux strips it —
+/// user code can neither forge nor observe it (*The reserved-tag
+/// invariant* in [`crate::serve`]).
 pub const RESERVED_RID: &str = "#rid";
 
 /// Why a call failed — at the ingress edge (returned synchronously by
@@ -95,163 +90,203 @@ pub struct DrainReport {
     pub stranded: u64,
 }
 
-/// Per-request completion state, owned jointly by the caller's
-/// [`CallHandle`] and the demux task. Lock order: the pending map's
-/// lock is never taken while a slot lock is held.
+/// Low bits of a request id: the slot's index in the table. The rest
+/// is the slot's generation when the request opened.
+const IDX_BITS: u32 = 24;
+const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
+/// Slots in the table's first segment; each further one doubles.
+const SEG0: usize = 8;
+const SEGS: usize = (IDX_BITS - SEG0.ilog2()) as usize + 1;
+
+/// Completion stamps count nanoseconds from here, plus one.
+static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
+
+/// What the slot lock guards.
+#[derive(Default)]
 struct SlotState {
     /// Records collected so far (response order = net emission order).
     got: Vec<Record>,
     /// How many records complete the request.
     expect: usize,
-    /// Set exactly once: the terminal outcome.
-    done: Option<Result<(), CallError>>,
-    /// When the final record arrived (for latency measurement that
-    /// excludes the caller's own wakeup delay).
-    completed_at: Option<Instant>,
-    /// Caller parked via the `Future` impl, if any.
-    waker: Option<Waker>,
+    /// Why the request failed; `None` under a stamp: it completed.
+    failed: Option<CallError>,
+    /// Whoever polled the handle and found no outcome yet.
+    waiter: Option<Waker>,
 }
 
+/// One entry of the correlation table (*Correlation* in
+/// [`crate::serve`]), owned by its request's handle until that is
+/// harvested or dropped.
+#[derive(Default)]
 struct Slot {
+    /// Bumped when a request opens here and when it closes: odd while
+    /// open, and equal to the generation in that request's id only
+    /// until it closes. Written under `state` only (`Release`); a read
+    /// outside it (`Acquire`) is a hint, confirmed under the lock.
+    gen: AtomicU64,
+    /// When the outcome was set, ns since `EPOCH` plus one; 0 while
+    /// there is none. Stored under `state` (`Release`), readable
+    /// without it (`Acquire`).
+    stamp: AtomicU64,
     state: Mutex<SlotState>,
-    cv: Condvar,
 }
 
 impl Slot {
-    fn new(expect: usize) -> Arc<Slot> {
-        Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                got: Vec::new(),
-                expect,
-                done: None,
-                completed_at: None,
-                waker: None,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// The slot state, recovering from poison: if the demux died while
-    /// touching a slot, the caller must still observe its terminal
-    /// outcome (set by `fail_pending`) rather than panic in `wait`.
+    /// The slot state, recovering from poison: no user code runs under
+    /// this lock and every update leaves it valid, so a caller still
+    /// reaches its outcome after another thread died here.
     fn state(&self) -> MutexGuard<'_, SlotState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Sets the terminal outcome and its timestamp (first caller
-    /// wins). Waiters are not woken: [`Slot::wake`] must follow.
-    fn resolve(&self, outcome: Result<(), CallError>) {
-        let mut st = self.state();
-        if st.done.is_none() {
-            st.done = Some(outcome);
-            st.completed_at = Some(Instant::now());
-        }
-    }
-
-    /// Wakes both kinds of waiters of a resolved slot.
-    fn wake(&self) {
-        let waker = self.state().waker.take();
-        self.cv.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    /// Marks the slot finished and wakes its waiters. Must be called
-    /// with no other slot/pending lock held.
-    fn finish(&self, outcome: Result<(), CallError>) {
-        self.resolve(outcome);
-        self.wake();
+    /// Opens or closes the slot. A plain load and store: every writer
+    /// holds the slot lock.
+    fn bump(&self) -> u64 {
+        let gen = self.gen.load(Ordering::Relaxed) + 1;
+        self.gen.store(gen, Ordering::Release);
+        gen
     }
 }
 
-/// Completion slots kept for reuse once their request has fully
-/// resolved — enough for a deep pipeline of sequential callers
-/// without letting an idle service pin memory.
-const FREE_LIST_CAP: usize = 64;
-
-/// Everything the demux task and the call handles share.
-struct Inner {
-    /// Ingress sender; `None` after [`Service::shutdown`] began. Calls
-    /// clone the sender out under this lock (an `Arc` bump) so the
-    /// potentially-blocking send itself happens lockless.
-    input: Mutex<Option<Sender>>,
-    /// In-flight requests by rid. A request leaves the map when it
-    /// completes, is abandoned at a deadline, or fails at shutdown.
-    pending: Mutex<HashMap<u64, Arc<Slot>>>,
-    /// Completed slots parked for reuse. The demux parks a slot when
-    /// it finishes a request; `call_with` pops one and recycles it
-    /// only if the caller's handle is gone too (`Arc::get_mut`
-    /// proves unique ownership), so a slot is never reset while
-    /// anything can still read it.
-    free: Mutex<Vec<Arc<Slot>>>,
-    boundary: Boundary,
-    overload: OverloadPolicy,
-    metrics: Arc<Metrics>,
-    next_rid: AtomicU64,
+/// The one correlation structure, shared by the service, its demux,
+/// its fault subscription and every call handle. A slot lock and the
+/// free-list lock are both leaves, never held together.
+#[derive(Default)]
+struct Table {
+    /// Segment `k` holds `SEG0 << k` slots and never moves once
+    /// allocated, so a slot is reached from its index without a lock.
+    segs: [OnceLock<Box<[Slot]>>; SEGS],
+    /// Indexes whose handle is gone (last freed, first reissued) and
+    /// the next index never used. The one lock callers share.
+    free: Mutex<(Vec<usize>, usize)>,
     inflight: AtomicU64,
 }
 
-impl Inner {
-    /// The pending map, recovering from poison: a panic on the demux
-    /// thread (e.g. a faulty observer) must not cascade into every
-    /// caller's `wait`/`abandon` path — the map's state is a plain
-    /// rid→slot registry, valid regardless of where the writer died.
-    fn pending(&self) -> MutexGuard<'_, HashMap<u64, Arc<Slot>>> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+impl Table {
+    fn place(idx: usize) -> (usize, usize) {
+        let n = idx + SEG0;
+        let k = (n.ilog2() - SEG0.ilog2()) as usize;
+        (k, n - (SEG0 << k))
     }
 
-    /// Removes a request from the pending map (deadline abandonment);
-    /// returns whether it was still there.
-    fn abandon(&self, rid: u64) -> bool {
-        let removed = self.pending().remove(&rid).is_some();
-        if removed {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+    /// The slot an issued request id names.
+    fn slot(&self, rid: u64) -> Option<&Slot> {
+        let (k, off) = Table::place((rid & IDX_MASK) as usize);
+        self.segs[k].get()?.get(off)
     }
 
-    fn free(&self) -> MutexGuard<'_, Vec<Arc<Slot>>> {
-        self.free.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Parks a completed slot for reuse (bounded; excess slots just
-    /// drop). Only called for slots whose terminal outcome is set —
-    /// a parked slot can still be *read* by its caller, never
-    /// written; the uniqueness check in [`Inner::take_free`] defers
-    /// the actual reset until the caller is gone.
-    fn park_slot(&self, slot: Arc<Slot>) {
-        let mut free = self.free();
-        if free.len() < FREE_LIST_CAP {
-            free.push(slot);
-        }
-    }
-
-    /// Pops a parked slot and resets it for `expect` records, if its
-    /// previous caller has dropped every reference. A slot that is
-    /// still shared (its caller has not harvested the handle yet) is
-    /// discarded rather than re-queued — the demux will park fresh
-    /// ones as requests complete.
-    fn take_free(&self, expect: usize) -> Option<Arc<Slot>> {
-        let mut slot = self.free().pop()?;
-        let unique = Arc::get_mut(&mut slot).is_some();
-        if !unique {
+    /// The slot `rid` is open on, locked — `None` for a stray id:
+    /// completed, abandoned, faulted, stopped or never issued.
+    fn open_slot(&self, rid: u64) -> Option<(&Slot, MutexGuard<'_, SlotState>)> {
+        let slot = self.slot(rid)?;
+        let open = || slot.gen.load(Ordering::Acquire) << IDX_BITS == rid & !IDX_MASK;
+        if !open() {
             return None;
         }
-        // Re-borrow: the borrow above must end before we move `slot`.
-        let st = Arc::get_mut(&mut slot)
-            .expect("uniqueness just verified")
-            .state
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        st.got.clear();
+        let st = slot.state();
+        open().then_some((slot, st))
+    }
+
+    /// Opens a request for `expect` records on a free slot, growing
+    /// the table when there is none: the request id and whether the
+    /// slot was used before, `None` with `1 << IDX_BITS` handles alive.
+    fn open(&self, expect: usize) -> Option<(u64, bool)> {
+        let (idx, reused) = {
+            let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+            match free.0.pop() {
+                Some(idx) => (idx, true),
+                None if free.1 as u64 > IDX_MASK => return None,
+                None => {
+                    free.1 += 1;
+                    (free.1 - 1, false)
+                }
+            }
+        };
+        let (k, off) = Table::place(idx);
+        let seg = self.segs[k].get_or_init(|| (0..SEG0 << k).map(|_| Slot::default()).collect());
+        let mut st = seg[off].state();
         st.expect = expect;
-        st.done = None;
-        st.completed_at = None;
-        st.waker = None;
-        Some(slot)
+        self.inflight.fetch_add(1, Ordering::Relaxed);
+        Some((seg[off].bump() << IDX_BITS | idx as u64, reused))
+    }
+
+    /// Ends the request open on `slot` without an outcome. The caller
+    /// holds the slot lock and found the request open under it.
+    fn close(&self, slot: &Slot) {
+        slot.bump();
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// [`Table::close`] with an outcome; returns who to wake.
+    fn resolve(&self, slot: &Slot, st: &mut SlotState, err: Option<CallError>) -> Option<Waker> {
+        st.failed = err;
+        let stamp = EPOCH.elapsed().as_nanos() as u64 + 1;
+        slot.stamp.store(stamp, Ordering::Release);
+        self.close(slot);
+        st.waiter.take()
+    }
+
+    /// Adds a record to the request `rid` is open on, else hands the
+    /// stray back. `Ok(Some(w))`: it completed the request, wake `w`.
+    fn deliver(&self, rid: u64, rec: Record) -> Result<Option<Option<Waker>>, Record> {
+        let Some((slot, mut st)) = self.open_slot(rid) else {
+            return Err(rec);
+        };
+        st.got.push(rec);
+        let done = st.got.len() >= st.expect;
+        Ok(done.then(|| self.resolve(slot, &mut st, None)))
+    }
+
+    /// Fails the request open on `slot` and wakes its caller.
+    fn fail(&self, slot: &Slot, mut st: MutexGuard<'_, SlotState>, err: CallError) {
+        let waiter = self.resolve(slot, &mut st, Some(err));
+        drop(st);
+        if let Some(waiter) = waiter {
+            waiter.wake();
+        }
+    }
+
+    /// Fails every open request with [`CallError::ServiceStopped`]:
+    /// the demux's last act, on end-of-stream *or* after its panic.
+    fn fail_all(&self) {
+        for seg in self.segs.iter().filter_map(OnceLock::get) {
+            for slot in seg.iter() {
+                let st = slot.state();
+                if slot.gen.load(Ordering::Relaxed) & 1 == 1 {
+                    self.fail(slot, st, CallError::ServiceStopped);
+                }
+            }
+        }
+    }
+
+    /// A handle's end, under its slot's lock: takes the outcome, or
+    /// abandons the request if it has none yet (late records then go
+    /// stray), and frees the slot for reissue.
+    fn release(&self, rid: u64, slot: &Slot, mut st: MutexGuard<'_, SlotState>) -> CallResult {
+        let stamp = slot.stamp.load(Ordering::Relaxed);
+        slot.stamp.store(0, Ordering::Relaxed);
+        let out = match st.failed.take() {
+            Some(err) => Err(err),
+            None if stamp == 0 => {
+                self.close(slot);
+                Err(CallError::Deadline)
+            }
+            None => Ok(Response {
+                records: std::mem::take(&mut st.got),
+                completed_at: *EPOCH + Duration::from_nanos(stamp - 1),
+            }),
+        };
+        st.got.clear();
+        let stale = st.waiter.take();
+        drop(st);
+        drop(stale);
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        free.0.push((rid & IDX_MASK) as usize);
+        out
     }
 }
+
+type CallResult = Result<Response, CallError>;
 
 /// Per-call options for [`Service::call_with`].
 #[derive(Clone, Copy, Debug)]
@@ -274,17 +309,23 @@ impl Default for CallOpts {
     }
 }
 
-/// A request/response session over one running network.
-///
-/// `Service` turns the SISO stream pair of a [`Net`] into a
-/// many-caller front door: each [`Service::call`] stamps the record
-/// with a fresh [`RESERVED_RID`] tag, flow inheritance carries the tag
-/// through every box and filter untouched, and a demux task strips
-/// it off the output edge to complete the caller's [`CallHandle`].
-/// Ingress backpressure (PR 6's bounded edges) surfaces per call via
-/// [`OverloadPolicy`].
+/// A request/response session over one running network: the SISO
+/// stream pair of a [`Net`] turned into a many-caller front door (see
+/// [`crate::serve`]).
 pub struct Service {
-    inner: Arc<Inner>,
+    table: Arc<Table>,
+    /// Ingress sender, shared by every caller; taken when shutdown
+    /// begins (by value, so no call sees `None`). A plain drop drops it
+    /// too: the net winds down on its own, only `shutdown()` joins.
+    input: Option<Sender>,
+    boundary: Boundary,
+    overload: OverloadPolicy,
+    /// The reserved label, both kinds, interned once.
+    rid_tag: Label,
+    rid_field: Label,
+    requests: Counter,
+    slot_reuse: Counter,
+    inflight_max: Counter,
     /// The net's context; its tracker also covers the demux task.
     ctx: Arc<crate::ctx::Ctx>,
 }
@@ -293,12 +334,9 @@ impl Service {
     /// Starts serving requests over `net`. The net's output edge is
     /// consumed by the service's demux from now on — a component task
     /// on the net's executor, joined by [`Service::shutdown`] with the
-    /// rest of the net.
-    ///
-    /// The service subscribes to the net's fault channel: when a
-    /// contained fault drops a record carrying a request id, the
-    /// owning request resolves promptly as [`CallError::Faulted`]
-    /// instead of hanging to its deadline (see *Failure model* in
+    /// rest of the net. The service also subscribes to the net's fault
+    /// channel, so a request whose record a contained fault dropped
+    /// resolves as [`CallError::Faulted`] at once (*Failure model* in
     /// [`crate::serve`]).
     pub fn start(net: Net) -> Service {
         let ServeParts {
@@ -308,36 +346,25 @@ impl Service {
             boundary,
             overload,
         } = net.into_serve_parts();
-        let inner = Arc::new(Inner {
-            input: Mutex::new(Some(input)),
-            pending: Mutex::new(HashMap::new()),
-            free: Mutex::new(Vec::new()),
-            boundary,
-            overload,
-            metrics: Arc::clone(&ctx.metrics),
-            next_rid: AtomicU64::new(1),
-            inflight: AtomicU64::new(0),
-        });
+        let metrics = &ctx.metrics;
+        let table = Arc::new(Table::default());
+        let rid_tag = Label::tag(RESERVED_RID);
         {
-            // `Inner` holds no Ctx, so this subscription creates no
+            // The table holds no Ctx, so this subscription creates no
             // reference cycle. Called from the faulting component's
-            // thread: pending-map lock then slot lock, the demux's own
-            // lock order.
-            let inner = Arc::clone(&inner);
-            let faulted = ctx.metrics.handle(keys::SERVE_FAULTED);
+            // thread.
+            let table = Arc::clone(&table);
+            let faulted = metrics.handle(keys::SERVE_FAULTED);
             ctx.on_fault(Arc::new(move |fault: &crate::fault::Fault| {
-                let Some(rec) = &fault.dropped else { return };
-                let Some(rid) = rec.tag(RESERVED_RID) else {
-                    return;
+                let rid = fault.dropped.as_ref().and_then(|r| r.tag_label(rid_tag));
+                let Some(rid) = rid else { return };
+                let err = CallError::Faulted {
+                    component: fault.component.clone(),
+                    msg: fault.msg.clone(),
                 };
-                let slot = inner.pending().remove(&(rid as u64));
-                if let Some(slot) = slot {
-                    inner.inflight.fetch_sub(1, Ordering::Relaxed);
+                if let Some((slot, st)) = table.open_slot(rid as u64) {
+                    table.fail(slot, st, err);
                     faulted.inc(1);
-                    slot.finish(Err(CallError::Faulted {
-                        component: fault.component.clone(),
-                        msg: fault.msg.clone(),
-                    }));
                 }
             }));
         }
@@ -347,16 +374,14 @@ impl Service {
             // the response reaches the caller with one OS-level wake
             // (demux → caller) instead of two (egress → demux thread →
             // caller).
-            let inner = Arc::clone(&inner);
+            let table = Arc::clone(&table);
             let ctx2 = Arc::clone(&ctx);
             ctx.spawn("snet-serve-demux", async move {
-                // The demux is the only thing standing between the
-                // net's output and every open slot: if it dies,
-                // callers must not be stranded. Catch its panic at
-                // every poll — it must not reach the task boundary,
-                // where it would fail the net — count it, and fail
-                // whatever is still pending.
-                let mut demux = std::pin::pin!(demux_loop(&inner, &ctx2, &output));
+                // If the demux dies, callers must not be stranded.
+                // Catch its panic at every poll — at the task boundary
+                // it would fail the net — count it, and fail whatever
+                // is still open.
+                let mut demux = std::pin::pin!(demux_loop(&table, &ctx2, &output, rid_tag));
                 let died = std::future::poll_fn(|cx| {
                     let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         demux.as_mut().poll(cx)
@@ -369,12 +394,23 @@ impl Service {
                 })
                 .await;
                 if died {
-                    inner.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1);
+                    ctx2.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1);
                 }
-                fail_pending(&inner);
+                table.fail_all();
             });
         }
-        Service { inner, ctx }
+        Service {
+            table,
+            input: Some(input),
+            boundary,
+            overload,
+            rid_tag,
+            rid_field: Label::field(RESERVED_RID),
+            requests: metrics.handle(keys::SERVE_REQUESTS),
+            slot_reuse: metrics.handle(keys::SERVE_SLOT_REUSE),
+            inflight_max: metrics.handle(keys::SERVE_INFLIGHT),
+            ctx,
+        }
     }
 
     /// Issues a request expecting a single response record, under the
@@ -389,58 +425,54 @@ impl Service {
     /// deadline, closed) surface synchronously; the returned handle
     /// resolves when `opts.expect` response records have arrived.
     pub fn call_with(&self, mut rec: Record, opts: CallOpts) -> Result<CallHandle, CallError> {
-        if rec.has(Label::tag(RESERVED_RID)) || rec.has(Label::field(RESERVED_RID)) {
+        if rec.has(self.rid_tag) || rec.has(self.rid_field) {
             return Err(CallError::ReservedTag);
         }
-        if !self.inner.boundary.accepts(&rec) {
-            return Err(CallError::Rejected(self.inner.boundary.mismatch(&rec)));
+        if !self.boundary.accepts(&rec) {
+            return Err(CallError::Rejected(self.boundary.mismatch(&rec)));
         }
-        let tx = match &*self.inner.input.lock().unwrap() {
-            Some(tx) => tx.clone(),
-            None => return Err(CallError::Rejected(SendRejected::Closed)),
+        let Some(tx) = &self.input else {
+            return Err(CallError::Rejected(SendRejected::Closed));
         };
-        let rid = self.inner.next_rid.fetch_add(1, Ordering::Relaxed);
-        rec.set_tag(RESERVED_RID, rid as i64);
-        let expect = opts.expect.max(1);
-        let slot = match self.inner.take_free(expect) {
-            Some(slot) => {
-                self.inner.metrics.handle(keys::SERVE_SLOT_REUSE).inc(1);
-                slot
-            }
-            None => Slot::new(expect),
-        };
-        // Register before sending: on a fast net the response can
-        // reach the demux before `call_with` returns.
-        self.inner.pending().insert(rid, Arc::clone(&slot));
-        let inflight = self.inner.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner
-            .metrics
-            .handle(keys::SERVE_INFLIGHT)
-            .max(inflight);
-        let policy = opts.policy.unwrap_or(self.inner.overload);
-        if let Err(e) = send_policy(&tx, rec, policy) {
-            self.inner.abandon(rid);
-            return Err(CallError::Rejected(e));
+        // A full table is an overload like a full ingress edge.
+        let (rid, reused) = self
+            .table
+            .open(opts.expect.max(1))
+            .ok_or(CallError::Rejected(SendRejected::Overloaded))?;
+        if reused {
+            self.slot_reuse.inc(1);
         }
-        self.inner.metrics.handle(keys::SERVE_REQUESTS).inc(1);
-        Ok(CallHandle {
+        // A load on the usual path: `max` is a locked operation even
+        // when it changes nothing.
+        let inflight = self.inflight();
+        if inflight > self.inflight_max.get() {
+            self.inflight_max.max(inflight);
+        }
+        rec.set_tag_label(self.rid_tag, rid as i64);
+        // The handle owns the slot before the record leaves: the answer
+        // can reach the demux before this returns, and a rejected (or
+        // panicking) send drops the handle, which frees the slot.
+        let handle = CallHandle {
             rid,
             issued_at: Instant::now(),
-            slot,
-            inner: Arc::clone(&self.inner),
-        })
+            table: Arc::clone(&self.table),
+            live: true,
+        };
+        send_policy(tx, rec, opts.policy.unwrap_or(self.overload)).map_err(CallError::Rejected)?;
+        self.requests.inc(1);
+        Ok(handle)
     }
 
     /// The service's metrics registry (shared with the underlying
     /// net's components).
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.inner.metrics
+        &self.ctx.metrics
     }
 
     /// Requests currently in flight (issued, not yet completed or
     /// abandoned).
     pub fn inflight(&self) -> u64 {
-        self.inner.inflight.load(Ordering::Relaxed)
+        self.table.inflight.load(Ordering::Relaxed)
     }
 
     /// The executor the underlying network runs on.
@@ -453,48 +485,32 @@ impl Service {
     /// flight complete normally if the net answers them during the
     /// drain; any left unanswered fail with
     /// [`CallError::ServiceStopped`].
-    pub fn shutdown(self) {
-        self.begin_shutdown();
-        // Joins the demux task too: it fails the stragglers on
-        // end-of-stream before it completes.
+    pub fn shutdown(mut self) {
+        // Closing ingress ends the net's input; the join covers the
+        // demux too, which fails the stragglers before it completes.
+        self.input.take();
         self.ctx.join_all();
     }
 
     /// Graceful drain: stop intake immediately, give in-flight
     /// requests up to `grace` to flush through the net, then shut
-    /// down. New calls are rejected (`Closed`) from the moment drain
-    /// begins; requests the net answers within the grace window
+    /// down. Requests the net answers within the grace window
     /// complete normally; whatever is still open afterwards fails
     /// with [`CallError::ServiceStopped`] when the demux sees
     /// end-of-stream. Returns the outcome tally.
-    pub fn drain(self, grace: std::time::Duration) -> DrainReport {
-        self.begin_shutdown();
+    pub fn drain(mut self, grace: Duration) -> DrainReport {
+        self.input.take();
         let deadline = Instant::now() + grace;
         while self.inflight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
         let stranded = self.inflight();
         self.ctx.join_all();
         DrainReport {
-            completed: self.inner.metrics.get(keys::SERVE_COMPLETED),
-            faulted: self.inner.metrics.get(keys::SERVE_FAULTED),
+            completed: self.ctx.metrics.get(keys::SERVE_COMPLETED),
+            faulted: self.ctx.metrics.get(keys::SERVE_FAULTED),
             stranded,
         }
-    }
-
-    /// Drops the ingress sender so the net sees end-of-stream once
-    /// in-flight `call_with` clones finish.
-    fn begin_shutdown(&self) {
-        self.inner.input.lock().unwrap().take();
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Best effort: close ingress so the net and demux wind down on
-        // their own. Explicit `shutdown()` joins and propagates panics;
-        // a plain drop must not block the caller.
-        self.begin_shutdown();
     }
 }
 
@@ -503,66 +519,47 @@ impl fmt::Debug for Service {
         write!(
             f,
             "Service {{ sig: {} -> {}, inflight: {} }}",
-            self.inner.boundary.sig().input_type(),
-            self.inner.boundary.sig().output_type(),
+            self.boundary.sig().input_type(),
+            self.boundary.sig().output_type(),
             self.inflight()
         )
     }
 }
 
 /// The demux loop: pops the net's output edge, strips the reserved
-/// tag and completes the owning request's slot. Records with no (or an
-/// unknown) request id — possible only if a user program sent records
-/// into the service's net by other means, or if a record arrived
-/// after its caller gave up — are dropped, counted under
-/// `serve/stray`, and reported to stream observers at the
-/// `serve/stray` path so the drop is attributable, not silent.
-async fn demux_loop(inner: &Inner, ctx: &crate::ctx::Ctx, output: &Receiver) {
-    let completed = inner.metrics.handle(keys::SERVE_COMPLETED);
-    let stray = inner.metrics.handle(keys::SERVE_STRAY);
+/// tag and completes the owning request's slot. Records with no (or a
+/// stale) request id — sent into the service's net by other means, or
+/// arriving after their request closed — are dropped, counted under
+/// `serve/stray` and shown to stream observers at that path.
+async fn demux_loop(table: &Table, ctx: &crate::ctx::Ctx, output: &Receiver, rid_tag: Label) {
+    let completed = ctx.metrics.handle(keys::SERVE_COMPLETED);
+    let stray = ctx.metrics.handle(keys::SERVE_STRAY);
     let observing = ctx.has_observers();
     let stray_path = crate::path::CompPath::root("serve").child("stray");
+    // Observers run under no lock.
     let drop_stray = |rec: &Record| {
         stray.inc(1);
         if observing {
             ctx.observe(stray_path, crate::stream::Dir::In, rec);
         }
     };
-    let mut resolved = Resolved {
-        inner,
-        slots: Vec::new(),
-    };
-    let route = |msg: Msg, resolved: &mut Resolved<'_>| {
+    let mut wakes = Wakes(Vec::new());
+    let route = |msg: Msg, wakes: &mut Wakes| {
         // Sort records are net-internal; a well-formed net never
         // leaks them, skip defensively (same as `Net::recv`).
         let Msg::Rec(mut rec) = msg else { return };
-        let Some(rid) = rec.tag(RESERVED_RID) else {
+        let Some(rid) = rec.tag_label(rid_tag) else {
             drop_stray(&rec);
             return;
         };
-        let rid = rid as u64;
-        rec.remove(Label::tag(RESERVED_RID));
-        // Bind the lookup to a variable so the map guard drops
-        // here — observers (via `drop_stray`) and slot locks
-        // must never run under the pending lock.
-        let slot = inner.pending().get(&rid).map(Arc::clone);
-        let Some(slot) = slot else {
-            // Completed, abandoned at a deadline, faulted,
-            // or forged upstream: nobody is waiting.
-            drop_stray(&rec);
-            return;
-        };
-        let finished = {
-            let mut st = slot.state();
-            st.got.push(rec);
-            st.got.len() >= st.expect
-        };
-        // Remove-then-resolve, honouring the pending→slot lock order.
-        if finished && inner.pending().remove(&rid).is_some() {
-            inner.inflight.fetch_sub(1, Ordering::Relaxed);
-            completed.inc(1);
-            slot.resolve(Ok(()));
-            resolved.slots.push(slot);
+        rec.remove(rid_tag);
+        match table.deliver(rid as u64, rec) {
+            Err(rec) => drop_stray(&rec),
+            Ok(None) => {}
+            Ok(Some(waiter)) => {
+                completed.inc(1);
+                wakes.0.extend(waiter);
+            }
         }
     };
     // One batch per wake, callers woken after it: the completion stamp
@@ -572,66 +569,50 @@ async fn demux_loop(inner: &Inner, ctx: &crate::ctx::Ctx, output: &Receiver) {
     // nothing, and the executor's time slice bounds a long batch.
     loop {
         let n = output
-            .recv_each(RECV_BATCH, &mut |msg| route(msg, &mut resolved))
+            .recv_each(RECV_BATCH, &mut |msg| route(msg, &mut wakes))
             .await;
-        resolved.wake_all();
+        wakes.flush();
         if n == 0 {
             break;
         }
     }
 }
 
-/// Requests the demux resolved in its current batch whose callers are
-/// still to be woken. Wakes them on drop too, so a demux that dies
-/// mid-batch strands nobody it had already answered.
-struct Resolved<'a> {
-    inner: &'a Inner,
-    slots: Vec<Arc<Slot>>,
-}
+/// Callers the demux answered in its current batch and has yet to
+/// wake. Wakes them on drop too, so a demux that dies mid-batch
+/// strands nobody it had already answered.
+struct Wakes(Vec<Waker>);
 
-impl Resolved<'_> {
-    fn wake_all(&mut self) {
-        for slot in self.slots.drain(..) {
-            slot.wake();
-            self.inner.park_slot(slot);
-        }
+impl Wakes {
+    fn flush(&mut self) {
+        self.0.drain(..).for_each(Waker::wake);
     }
 }
 
-impl Drop for Resolved<'_> {
+impl Drop for Wakes {
     fn drop(&mut self) {
-        self.wake_all();
-    }
-}
-
-/// Fails every request still pending with
-/// [`CallError::ServiceStopped`]. Runs when the demux exits — on
-/// end-of-stream *or* after a demux panic — so no caller is ever
-/// stranded on an open slot.
-fn fail_pending(inner: &Inner) {
-    let stranded: Vec<Arc<Slot>> = {
-        let mut pending = inner.pending();
-        let slots = pending.values().map(Arc::clone).collect();
-        pending.clear();
-        slots
-    };
-    for slot in &stranded {
-        inner.inflight.fetch_sub(1, Ordering::Relaxed);
-        slot.finish(Err(CallError::ServiceStopped));
+        self.flush();
     }
 }
 
 /// A pending request: a [`Future`] resolving to the response records,
 /// with blocking companions ([`CallHandle::wait`],
-/// [`CallHandle::wait_deadline`]) for thread-based callers.
+/// [`CallHandle::wait_deadline`]) for thread-based callers. Dropping
+/// an unresolved handle abandons the request like a passed deadline
+/// does: its late records count as stray.
 pub struct CallHandle {
     rid: u64,
     issued_at: Instant,
-    slot: Arc<Slot>,
-    inner: Arc<Inner>,
+    table: Arc<Table>,
+    /// Still owns its slot: neither harvested nor abandoned yet.
+    live: bool,
 }
 
 impl CallHandle {
+    fn slot(&self) -> &Slot {
+        self.table.slot(self.rid).expect("a handle's slot exists")
+    }
+
     /// The request id assigned to this call (diagnostic only — the tag
     /// itself never appears in responses).
     pub fn rid(&self) -> u64 {
@@ -645,73 +626,48 @@ impl CallHandle {
 
     /// Blocks until the response is complete.
     pub fn wait(self) -> Result<Response, CallError> {
-        let mut st = self.slot.state();
-        while st.done.is_none() {
-            st = self
-                .slot
-                .cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        Self::take(&mut st)
+        self.wait_until(None)
     }
 
     /// Like [`CallHandle::wait`] with a deadline: past it the request
     /// is abandoned ([`CallError::Deadline`]) and any late response
     /// records count as stray.
     pub fn wait_deadline(self, deadline: Instant) -> Result<Response, CallError> {
-        {
-            let mut st = self.slot.state();
-            while st.done.is_none() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = self
-                    .slot
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-            }
-            if st.done.is_some() {
-                return Self::take(&mut st);
+        self.wait_until(Some(deadline))
+    }
+
+    /// Polls the handle from this thread, parked in between. An
+    /// unpark that arrives before the park is kept, and a stray one
+    /// only costs a poll.
+    fn wait_until(mut self, deadline: Option<Instant>) -> Result<Response, CallError> {
+        struct Unpark(std::thread::Thread);
+        impl std::task::Wake for Unpark {
+            fn wake(self: Arc<Self>) {
+                self.0.unpark();
             }
         }
-        // Timed out: withdraw from the pending map, then re-check —
-        // the demux may have completed the request in the window
-        // between the wait and the removal.
-        self.inner.abandon(self.rid);
-        let mut st = self.slot.state();
-        match st.done {
-            Some(_) => Self::take(&mut st),
-            None => Err(CallError::Deadline),
+        // A resolved request needs nobody to wake it.
+        let pending = self.completed_at().is_none();
+        let unpark = pending.then(|| Waker::from(Arc::new(Unpark(std::thread::current()))));
+        let mut cx = Context::from_waker(unpark.as_ref().unwrap_or(Waker::noop()));
+        loop {
+            if let Poll::Ready(out) = Pin::new(&mut self).poll(&mut cx) {
+                return out;
+            }
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => std::thread::park(),
+                // Dropping the handle abandons the request.
+                Some(Duration::ZERO) => return Err(CallError::Deadline),
+                Some(left) => std::thread::park_timeout(left),
+            }
         }
     }
 
     /// Completion timestamp (demux-side, excludes caller wakeup
     /// latency); `None` until the request completes.
     pub fn completed_at(&self) -> Option<Instant> {
-        self.slot.state().completed_at
-    }
-
-    fn take(st: &mut SlotState) -> Result<Response, CallError> {
-        match st.done.as_ref().expect("call outcome set") {
-            Ok(()) => Ok(Response {
-                records: std::mem::take(&mut st.got),
-                completed_at: st.completed_at.unwrap_or_else(Instant::now),
-            }),
-            Err(CallError::ServiceStopped) => Err(CallError::ServiceStopped),
-            Err(CallError::Deadline) => Err(CallError::Deadline),
-            Err(CallError::ReservedTag) => Err(CallError::ReservedTag),
-            Err(CallError::Faulted { component, msg }) => Err(CallError::Faulted {
-                component: component.clone(),
-                msg: msg.clone(),
-            }),
-            // `Rejected` never reaches a slot (it surfaces from
-            // `call_with` synchronously).
-            Err(CallError::Rejected(_)) => Err(CallError::ServiceStopped),
-        }
+        let stamp = self.slot().stamp.load(Ordering::Acquire);
+        (self.live && stamp != 0).then(|| *EPOCH + Duration::from_nanos(stamp - 1))
     }
 }
 
@@ -719,12 +675,29 @@ impl Future for CallHandle {
     type Output = Result<Response, CallError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.slot.state();
-        if st.done.is_some() {
-            return Poll::Ready(Self::take(&mut st));
+        let this = self.get_mut();
+        // The slot may be another request's by now.
+        assert!(this.live, "CallHandle polled after it resolved");
+        let slot = this.slot();
+        let mut st = slot.state();
+        if slot.stamp.load(Ordering::Acquire) == 0 {
+            // Registered under the lock the demux resolves under: it
+            // either sees the waiter or has already set the stamp.
+            st.waiter = Some(cx.waker().clone());
+            return Poll::Pending;
         }
-        st.waker = Some(cx.waker().clone());
-        Poll::Pending
+        let out = this.table.release(this.rid, slot, st);
+        this.live = false;
+        Poll::Ready(out)
+    }
+}
+
+impl Drop for CallHandle {
+    fn drop(&mut self) {
+        if self.live {
+            let slot = self.slot();
+            let _ = self.table.release(self.rid, slot, slot.state());
+        }
     }
 }
 

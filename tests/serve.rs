@@ -10,13 +10,16 @@
 //! the `Service::call` boundary, and deterministic combinators keep
 //! their byte-identity guarantee behind the front door.
 
+use snet_runtime::sched::{Completion, TaskFuture};
 use snet_runtime::{
-    CallError, CallOpts, Executor, Net, NetBuilder, OverloadPolicy, SendRejected, Service,
-    ThreadPerComponent, WorkStealingPool,
+    CallError, CallOpts, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder,
+    OverloadPolicy, SendRejected, Service, ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::{Label, Record};
 use std::future::Future;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 /// The {threads, pool(2)} × {fused, unfused} matrix every correlation
@@ -193,7 +196,6 @@ fn hundred_plus_concurrent_callers_each_get_their_own_response() {
 /// are observable at the call surface without racing the box.
 #[test]
 fn shed_and_timeout_surface_at_call() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let gate = Arc::new(AtomicBool::new(false));
     let started = Arc::new(AtomicBool::new(false));
     let (gate_box, started_box) = (Arc::clone(&gate), Arc::clone(&started));
@@ -511,7 +513,6 @@ fn unanswered_requests_fail_typed_not_hang() {
 #[test]
 fn call_handle_is_a_future() {
     use std::sync::mpsc;
-    use std::task::{Context, Poll, Wake, Waker};
 
     struct Notify(mpsc::Sender<()>);
     impl Wake for Notify {
@@ -544,4 +545,366 @@ fn call_handle_is_a_future() {
     };
     assert_eq!(resp.records[0].field("x").unwrap().as_int(), Some(5));
     svc.shutdown();
+}
+
+/// A caller that dies between `call` and `wait` takes nothing with
+/// it: no lock of the door is held across user code, unwinding drops
+/// the handle, and a dropped handle abandons its request and frees its
+/// slot — the next caller is issued that very slot and must still get
+/// only its own answer.
+#[test]
+fn a_caller_panicking_mid_call_neither_poisons_the_door_nor_leaks_its_slot() {
+    // The net holds request 1 back until the test lets go, so its
+    // answer is late by construction, not by a sleep.
+    let go = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&go);
+    let net = NetBuilder::from_source("box echo (x) -> (x); net main = echo;")
+        .unwrap()
+        .bind("echo", move |rec, em| {
+            while rec.field("x").unwrap().as_int() == Some(1) && !gate.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            em.emit(rec.clone())
+        })
+        .build("main")
+        .unwrap();
+    let svc = Service::start(net);
+    let x = |x: i64| Record::build().field("x", x).finish();
+    let died = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _open = svc.call(x(1)).unwrap();
+            panic!("caller bug (expected by this test)");
+        })
+        .join()
+    });
+    assert!(died.is_err());
+    assert_eq!(
+        svc.inflight(),
+        0,
+        "the unwinding caller's request is closed"
+    );
+    go.store(true, Ordering::Release);
+    let resp = svc.call(x(2)).unwrap().wait().unwrap();
+    assert_eq!(resp.records[0].field("x").unwrap().as_int(), Some(2));
+    let m = Arc::clone(svc.metrics());
+    svc.shutdown();
+    assert_eq!(
+        m.get("serve/slot_reuse"),
+        1,
+        "the dead caller's slot was reissued"
+    );
+    assert_eq!(m.get("serve/stray"), 1, "its late answer reached nobody");
+    assert_eq!(m.get("serve/completed"), 1);
+}
+
+/// Emits `<n>` records `r = 10 * id + j` for the request payload `id`
+/// under `field`: a response names the request it belongs to.
+fn emit_n(field: &str, rec: &Record, em: &mut Emitter) {
+    let id = rec.field(field).unwrap().as_int().unwrap();
+    for j in 0..rec.tag("n").unwrap() {
+        em.emit(Record::build().field("r", id * 10 + j).finish());
+    }
+}
+
+fn rs(records: &[Record]) -> Vec<i64> {
+    let r = |rec: &Record| rec.field("r").unwrap().as_int().unwrap();
+    records.iter().map(r).collect()
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Slot reuse is the door's ABA risk: a slot abandoned at a deadline
+/// is reissued at once (last freed, first reissued) while the old
+/// request's records are still inside the net. Eight callers mix one-
+/// and three-record requests over the slow‖fast net, give up on some
+/// after a deadline shorter than `slow`, drop some handles unwaited,
+/// and lose some records to seeded `SkipRecord` chaos. Every answer
+/// that arrives must be exactly its own request's, every late one must
+/// count as stray, and nothing may stay in flight.
+#[test]
+fn reissued_slots_never_receive_their_previous_requests_records() {
+    const CALLERS: u64 = 8;
+    const PER_CALLER: u64 = 150;
+    // CI pins SNET_CHAOS_SEED; locally the default replays the same run.
+    let seed: u64 = std::env::var("SNET_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0x51075);
+    let net = NetBuilder::from_source(
+        "box slow (a, <n>) -> (r);
+         box fast (b, <n>) -> (r);
+         net main = slow || fast;",
+    )
+    .unwrap()
+    .fuse_fan(false)
+    .bind("slow", |rec, em| {
+        std::thread::sleep(Duration::from_micros(400));
+        emit_n("a", rec, em)
+    })
+    .bind("fast", |rec, em| emit_n("b", rec, em))
+    .fault_policy(FaultPolicy::SkipRecord)
+    .chaos(ChaosConfig::new(seed, 0.02))
+    .build("main")
+    .unwrap();
+    let svc = Service::start(net);
+
+    // What the callers saw: [completed, abandoned, faulted], and every
+    // request id issued.
+    let (seen, mut rids): ([u64; 3], Vec<u64>) = std::thread::scope(|s| {
+        let svc = &svc;
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut rng = seed ^ (t + 1).wrapping_mul(0xA076_1D64_78BD_642F);
+                    let (mut ok, mut abandoned, mut faulted) = (0u64, 0u64, 0u64);
+                    let mut rids = Vec::new();
+                    for i in 0..PER_CALLER {
+                        let id = (t * PER_CALLER + i) as i64;
+                        let r = splitmix(&mut rng);
+                        let expect = if r & 1 == 0 { 1 } else { 3 };
+                        let field = if r & 2 == 0 { "a" } else { "b" };
+                        let req = Record::build().field(field, id).tag("n", expect).finish();
+                        let opts = CallOpts {
+                            expect: expect as usize,
+                            policy: None,
+                        };
+                        let h = svc.call_with(req, opts).unwrap();
+                        rids.push(h.rid());
+                        let patience = match (r >> 2) % 4 {
+                            0 => {
+                                drop(h);
+                                abandoned += 1;
+                                continue;
+                            }
+                            1 => Duration::from_micros((r >> 8) % 1_500),
+                            // A wait that must end: a minute means a hang.
+                            _ => Duration::from_secs(60),
+                        };
+                        match h.wait_deadline(Instant::now() + patience) {
+                            Ok(resp) => {
+                                let want: Vec<i64> = (0..expect).map(|j| id * 10 + j).collect();
+                                assert_eq!(rs(&resp.records), want, "request {id} misrouted");
+                                ok += 1;
+                            }
+                            Err(CallError::Deadline) => {
+                                assert!(patience < Duration::from_secs(1), "request {id} hung");
+                                abandoned += 1;
+                            }
+                            Err(CallError::Faulted { .. }) => faulted += 1,
+                            Err(e) => panic!("request {id}: {e}"),
+                        }
+                    }
+                    ([ok, abandoned, faulted], rids)
+                })
+            })
+            .collect();
+        let mut all = ([0; 3], Vec::new());
+        for caller in callers {
+            let (seen, rids) = caller.join().unwrap();
+            (0..3).for_each(|k| all.0[k] += seen[k]);
+            all.1.extend(rids);
+        }
+        all
+    });
+    assert_eq!(svc.inflight(), 0, "every request was closed by someone");
+    let m = Arc::clone(svc.metrics());
+    // Shutdown drains the net: every late record has met the demux.
+    svc.shutdown();
+
+    let [ok, abandoned, faulted] = seen;
+    assert_eq!(ok + abandoned + faulted, CALLERS * PER_CALLER);
+    rids.sort_unstable();
+    rids.dedup();
+    assert_eq!(
+        rids.len() as u64,
+        CALLERS * PER_CALLER,
+        "a request id was issued twice"
+    );
+    assert_eq!(m.get("serve/requests"), CALLERS * PER_CALLER);
+    assert!(
+        abandoned > 0 && faulted > 0,
+        "{abandoned} abandoned, {faulted} faulted"
+    );
+    assert!(m.get("serve/slot_reuse") >= CALLERS * (PER_CALLER - 1));
+    // A request resolved after its caller last looked is completed (or
+    // faulted) to the service and abandoned to the caller.
+    assert!(m.get("serve/completed") >= ok);
+    assert!(m.get("serve/faulted") >= faulted);
+    let stray = m.get("serve/stray");
+    assert!(stray > 0, "no abandoned request was answered late");
+    assert!(
+        stray <= 3 * abandoned,
+        "{stray} stray from {abandoned} abandoned"
+    );
+}
+
+/// A hand-cranked executor: tasks run only inside [`Crank::turn`], on
+/// the calling thread, so a test decides when the net and the demux
+/// make progress.
+#[derive(Default)]
+struct Crank {
+    tasks: Mutex<Vec<(TaskFuture, Completion, Arc<Woken>)>>,
+}
+
+struct Woken(AtomicBool);
+
+impl Wake for Woken {
+    fn wake(self: Arc<Self>) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Executor for Crank {
+    fn spawn(&self, _name: String, fut: TaskFuture, done: Completion) {
+        let woken = Arc::new(Woken(AtomicBool::new(true)));
+        self.tasks.lock().unwrap().push((fut, done, woken));
+    }
+    fn kind(&self) -> &'static str {
+        "crank"
+    }
+    fn os_thread_bound(&self) -> Option<usize> {
+        Some(0)
+    }
+}
+
+impl Crank {
+    /// Polls every woken task until none is.
+    fn turn(&self) {
+        loop {
+            let tasks = std::mem::take(&mut *self.tasks.lock().unwrap());
+            let mut ran = false;
+            for (mut fut, done, woken) in tasks {
+                let mut finished = false;
+                if woken.0.swap(false, Ordering::SeqCst) {
+                    ran = true;
+                    let waker = Waker::from(Arc::clone(&woken));
+                    finished = fut
+                        .as_mut()
+                        .poll(&mut Context::from_waker(&waker))
+                        .is_ready();
+                }
+                if finished {
+                    done.complete(Ok(()));
+                } else {
+                    self.tasks.lock().unwrap().push((fut, done, woken));
+                }
+            }
+            if !ran {
+                return;
+            }
+        }
+    }
+}
+
+/// One slot's life, every way round, against a model. With at most
+/// one handle alive the table has one slot, so a sequence of requests
+/// is a sequence of generations of it: issued → partial → done →
+/// harvested or abandoned → reissued. An episode issues a request the
+/// net answers with `emit` records while the caller expects `expect`,
+/// optionally turns the crank (so the answer arrives before the
+/// caller's end rather than after it), and ends the handle by a
+/// harvest or a drop. Every pair of episodes, then a plain request on
+/// the twice-used slot; the model says what each step must observe.
+#[test]
+fn one_slot_through_every_sequence_of_generations_matches_the_model() {
+    #[derive(Clone, Copy, Debug)]
+    struct Episode {
+        emit: i64,
+        expect: usize,
+        turn: bool,
+        harvest: bool,
+    }
+    let mut kinds = Vec::new();
+    for (emit, expect) in [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)] {
+        for (turn, harvest) in [(false, false), (false, true), (true, false), (true, true)] {
+            kinds.push(Episode {
+                emit,
+                expect,
+                turn,
+                harvest,
+            });
+        }
+    }
+    let probe = Episode {
+        emit: 1,
+        expect: 1,
+        turn: true,
+        harvest: true,
+    };
+    for first in &kinds {
+        for second in &kinds {
+            let crank = Arc::new(Crank::default());
+            let net = NetBuilder::from_source("box f (x, <n>) -> (r); net main = f;")
+                .unwrap()
+                .bind("f", |rec, em| emit_n("x", rec, em))
+                .executor(Arc::clone(&crank) as Arc<dyn Executor>)
+                .build("main")
+                .unwrap();
+            let svc = Service::start(net);
+            let m = Arc::clone(svc.metrics());
+            let seq = [*first, *second, probe];
+            // The model: counters, and records still inside the net
+            // whose request is already closed.
+            let (mut completed, mut stray, mut ghosts) = (0u64, 0u64, 0u64);
+            for (id, ep) in seq.iter().enumerate() {
+                let ctx = format!("{seq:?} at {id}");
+                let req = Record::build()
+                    .field("x", id as i64)
+                    .tag("n", ep.emit)
+                    .finish();
+                let opts = CallOpts {
+                    expect: ep.expect,
+                    policy: None,
+                };
+                let h = svc.call_with(req, opts).unwrap();
+                assert_eq!(svc.inflight(), 1, "{ctx}");
+                let mut done = false;
+                if ep.turn {
+                    crank.turn();
+                    stray += ghosts;
+                    ghosts = 0;
+                    if ep.emit as usize >= ep.expect {
+                        done = true;
+                        completed += 1;
+                        stray += ep.emit as u64 - ep.expect as u64;
+                    }
+                } else {
+                    ghosts += ep.emit as u64;
+                }
+                assert_eq!(h.completed_at().is_some(), done, "{ctx}");
+                assert_eq!(svc.inflight(), u64::from(!done), "{ctx}");
+                if ep.harvest {
+                    // A deadline of now never parks.
+                    match h.wait_deadline(Instant::now()) {
+                        Ok(resp) => {
+                            let want: Vec<i64> =
+                                (0..ep.expect).map(|j| (id * 10 + j) as i64).collect();
+                            assert!(done, "{ctx}: answered before the net ran");
+                            assert_eq!(rs(&resp.records), want, "{ctx}");
+                        }
+                        Err(CallError::Deadline) => assert!(!done, "{ctx}: lost its answer"),
+                        Err(e) => panic!("{ctx}: {e}"),
+                    }
+                } else {
+                    drop(h);
+                }
+                assert_eq!(svc.inflight(), 0, "{ctx}");
+                assert_eq!(m.get("serve/completed"), completed, "{ctx}");
+                assert_eq!(m.get("serve/stray"), stray, "{ctx}");
+            }
+            crank.turn();
+            assert_eq!(m.get("serve/stray"), stray + ghosts, "{seq:?}");
+            assert_eq!(m.get("serve/requests"), 3);
+            assert_eq!(
+                m.get("serve/slot_reuse"),
+                2,
+                "{seq:?}: one slot, three generations"
+            );
+        }
+    }
 }
