@@ -29,18 +29,18 @@
 //! handed a view of the incoming record itself and the emit path
 //! skips inheritance entirely, so the hop copies nothing at all.
 //!
-//! The per-record half of all this — subtype split, function
-//! application, flow inheritance, metrics, observation — lives in
-//! [`BoxCore`], separate from the stream loop, so the same core runs
-//! both as a standalone component ([`spawn_box`]) and as one stage of
-//! a fused pipeline ([`crate::fused`]) where emissions cascade into
-//! the next stage instead of a channel.
+//! All of this — subtype split, function application, flow
+//! inheritance, metrics, observation — is [`BoxCore`], the per-record
+//! half of a box. The stream half is [`crate::fused`]'s stage-run
+//! driver: a box is one stage of a run, whose emissions go to the next
+//! stage or, from the last (or only) one, to the run's output edge.
 
 use crate::ctx::Ctx;
+use crate::fused::{spawn_stage_run, StageCore};
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
-use crate::stream::{feed_batch, for_each_msg, Dir, Msg, Receiver};
+use crate::stream::{Dir, Receiver};
 use snet_types::{BoxSig, Record, RecordType, Shape};
 use std::sync::Arc;
 
@@ -52,8 +52,7 @@ pub type BoxImpl = Arc<dyn Fn(&Record, &mut Emitter) + Send + Sync>;
 /// The `snet_out` interface handed to a box function. Records emitted
 /// here are extended by flow inheritance and handed downstream
 /// immediately ("output records ... are immediately sent to the output
-/// stream") — to the component's output channel, or, inside a fused
-/// pipeline, straight into the next stage.
+/// stream") — the next stage of the run, or its output edge.
 pub struct Emitter<'a> {
     sink: &'a mut dyn FnMut(Record),
     excess: &'a Record,
@@ -149,8 +148,7 @@ pub(crate) struct BoxCore {
 
 impl BoxCore {
     /// Registers the stage under `parent/box:{name}` and resolves its
-    /// counters — the same spawn-time bookkeeping whether the core
-    /// runs as its own component or as a fused stage.
+    /// counters.
     pub(crate) fn new(
         ctx: &Ctx,
         parent: CompPath,
@@ -180,28 +178,20 @@ impl BoxCore {
         self.path
     }
 
-    /// Runs one record through the box: split, apply, inherit. Every
-    /// output record is handed to `sink` in emission order.
-    pub(crate) fn process(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) {
-        self.records_in.inc(1);
-        let emitted = self.process_uncounted(ctx, rec, sink);
-        self.records_out.inc(emitted);
-    }
-
     /// Settles a run's worth of counter updates in two delta adds —
-    /// the fused driver pairs this with [`BoxCore::process_uncounted`]
-    /// so a run of records costs two atomic RMWs, not two per record.
+    /// the driver pairs this with [`BoxCore::process_uncounted`] so a
+    /// run of records costs two atomic RMWs, not two per record.
     pub(crate) fn add_counts(&self, records_in: u64, records_out: u64) {
         self.records_in.inc(records_in);
         self.records_out.inc(records_out);
     }
 
-    /// The counter-free core of [`BoxCore::process`]; returns the
-    /// emission count for the caller's `records_out` accounting.
-    /// Runs under the net's fault boundary when one is configured —
-    /// a panic in the box function (or a chaos injection) is
-    /// contained per the [`crate::FaultPolicy`], identically for
-    /// standalone and fused stages.
+    /// Runs one record through the box: split, apply, inherit. Every
+    /// output record is handed to `sink` in emission order; the
+    /// emission count is returned for [`BoxCore::add_counts`]. Runs
+    /// under the net's fault boundary when one is configured — a panic
+    /// in the box function (or a chaos injection) is contained per the
+    /// [`crate::FaultPolicy`].
     pub(crate) fn process_uncounted(
         &mut self,
         ctx: &Ctx,
@@ -263,8 +253,8 @@ impl BoxCore {
     }
 }
 
-/// Spawns a box component: a task applying `imp` to every incoming
-/// record. Returns the box's output stream.
+/// Spawns a box component — a stage run of length 1 — applying `imp`
+/// to every incoming record. Returns the box's output stream.
 pub fn spawn_box(
     ctx: &Arc<Ctx>,
     path: impl Into<CompPath>,
@@ -273,67 +263,15 @@ pub fn spawn_box(
     imp: BoxImpl,
     input: Receiver,
 ) -> Receiver {
-    let mut core = BoxCore::new(ctx, path.into(), name, sig, imp);
-    let (tx, rx) = ctx.data_stream(core.path(), "out");
-    let ctx2 = Arc::clone(ctx);
-    ctx.spawn(core.path().as_str(), async move {
-        if !tx.is_bounded() {
-            // Unbounded output (the default): batched delivery via
-            // for_each_msg (see crate::stream) — one wake drains a
-            // whole batch instead of paying a waker round-trip per
-            // record; messages arrive in stream order.
-            for_each_msg(input, |msg| match msg {
-                Msg::Rec(rec) => {
-                    // A send failure means the downstream component is
-                    // gone, which only happens during teardown; the
-                    // record is simply dropped.
-                    core.process(&ctx2, &rec, &mut |r| {
-                        let _ = tx.send(Msg::Rec(r));
-                    });
-                }
-                // Sort records pass through unchanged, behind any data
-                // already emitted for earlier records (guaranteed by
-                // the in-order delivery).
-                sort @ Msg::Sort { .. } => {
-                    let _ = tx.send(sort);
-                }
-            })
-            .await;
-            return;
-            // Input disconnected: dropping `tx` propagates
-            // end-of-stream.
-        }
-        // Bounded output: one input record at a time, its emissions
-        // published through the credit gate before the next input is
-        // consumed — transient memory is one record's amplification,
-        // not a batch's. Sort records take the ungated path so a
-        // deterministic round boundary is never held up by a full
-        // edge (see crate::stream).
-        let mut buf: Vec<Msg> = Vec::new();
-        while let Ok(msg) = input.recv_async().await {
-            match msg {
-                Msg::Rec(rec) => {
-                    core.process(&ctx2, &rec, &mut |r| buf.push(Msg::Rec(r)));
-                    if feed_batch(&tx, &mut buf).await.is_err() {
-                        return; // downstream gone: teardown
-                    }
-                }
-                sort @ Msg::Sort { .. } => {
-                    if tx.send(sort).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-    });
-    rx
+    let core = BoxCore::new(ctx, path.into(), name, sig, imp);
+    spawn_stage_run(ctx, core.path(), vec![StageCore::Box(core)], input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Metrics;
-    use crate::stream::stream;
+    use crate::stream::{stream, Msg};
     use snet_types::{Label, Value};
 
     fn test_ctx() -> Arc<Ctx> {

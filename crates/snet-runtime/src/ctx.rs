@@ -320,8 +320,7 @@ impl Ctx {
     }
 
     /// Number of components spawned so far (tasks, not OS threads —
-    /// under a pool executor many components share few threads; see
-    /// [`crate::sched::Executor::os_thread_bound`]).
+    /// under a pool executor many components share few threads).
     pub fn threads_spawned(&self) -> usize {
         self.tracker.tasks_spawned()
     }

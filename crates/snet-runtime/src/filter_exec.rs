@@ -1,8 +1,9 @@
 //! Filter execution: wraps the pure [`FilterDef::apply`] semantics of
-//! `snet-lang` in a stream component. Filters are the "housekeeping"
+//! `snet-lang` in a stage core. Filters are the "housekeeping"
 //! boxes of the coordination layer — renaming, duplication, elimination
 //! and tag arithmetic — and run exactly like boxes, minus a
-//! computational payload.
+//! computational payload: [`FilterCore`] is the per-record half, the
+//! stream half is [`crate::fused`]'s stage-run driver.
 //!
 //! Like boxes, filters resolve their per-record type work through
 //! compiled shape plans (see `snet_types::shape`): the pattern's
@@ -15,19 +16,18 @@
 //! construction, so the check cannot conflate them.
 
 use crate::ctx::Ctx;
+use crate::fused::{spawn_stage_run, StageCore};
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
-use crate::stream::{feed_batch, for_each_msg, Dir, Msg, Receiver};
+use crate::stream::{Dir, Receiver};
 use snet_lang::FilterDef;
 use snet_types::{Record, Shape};
 use std::sync::Arc;
 
 /// The per-record execution core of one filter instance — everything
-/// except the stream loop, so the same core runs standalone
-/// ([`spawn_filter`]) or as one stage of a fused pipeline
-/// ([`crate::fused`]). Path interning and counter registration happen
-/// at construction, once; processing is allocation-free on the
+/// except the stream loop. Path interning and counter registration
+/// happen at construction, once; processing is allocation-free on the
 /// bookkeeping side and memoizes the pattern check per record shape.
 pub(crate) struct FilterCore {
     def: FilterDef,
@@ -65,14 +65,6 @@ impl FilterCore {
         self.path
     }
 
-    /// Runs one record through the filter; every output record is
-    /// handed to `sink` in specifier order.
-    pub(crate) fn process(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) {
-        self.records_in.inc(1);
-        let emitted = self.process_uncounted(ctx, rec, sink);
-        self.records_out.inc(emitted);
-    }
-
     /// Settles a run's worth of counter updates in two delta adds
     /// (see `BoxCore::add_counts`).
     pub(crate) fn add_counts(&self, records_in: u64, records_out: u64) {
@@ -80,12 +72,12 @@ impl FilterCore {
         self.records_out.inc(records_out);
     }
 
-    /// The counter-free core of [`FilterCore::process`]; returns the
-    /// output count for the caller's `records_out` accounting. Runs
-    /// under the net's fault boundary when one is configured —
-    /// pattern-mismatch and tag-expression panics (and chaos
-    /// injections) are contained per the [`crate::FaultPolicy`],
-    /// identically for standalone and fused stages.
+    /// Runs one record through the filter; every output record is
+    /// handed to `sink` in specifier order, and the output count is
+    /// returned for [`FilterCore::add_counts`]. Runs under the net's
+    /// fault boundary when one is configured — pattern-mismatch and
+    /// tag-expression panics (and chaos injections) are contained per
+    /// the [`crate::FaultPolicy`].
     pub(crate) fn process_uncounted(
         &mut self,
         ctx: &Ctx,
@@ -132,58 +124,23 @@ impl FilterCore {
     }
 }
 
-/// Spawns a filter component applying `def` to every incoming record.
+/// Spawns a filter component — a stage run of length 1 — applying
+/// `def` to every incoming record.
 pub fn spawn_filter(
     ctx: &Arc<Ctx>,
     path: impl Into<CompPath>,
     def: FilterDef,
     input: Receiver,
 ) -> Receiver {
-    let mut core = FilterCore::new(ctx, path.into(), def);
-    let (tx, rx) = ctx.data_stream(core.path(), "out");
-    let ctx2 = Arc::clone(ctx);
-    ctx.spawn(core.path().as_str(), async move {
-        if !tx.is_bounded() {
-            for_each_msg(input, |msg| match msg {
-                Msg::Rec(rec) => {
-                    core.process(&ctx2, &rec, &mut |r| {
-                        let _ = tx.send(Msg::Rec(r));
-                    });
-                }
-                sort @ Msg::Sort { .. } => {
-                    let _ = tx.send(sort);
-                }
-            })
-            .await;
-            return;
-        }
-        // Bounded output: per-record processing with credit-gated
-        // publication (see spawn_box for the memory argument).
-        let mut buf: Vec<Msg> = Vec::new();
-        while let Ok(msg) = input.recv_async().await {
-            match msg {
-                Msg::Rec(rec) => {
-                    core.process(&ctx2, &rec, &mut |r| buf.push(Msg::Rec(r)));
-                    if feed_batch(&tx, &mut buf).await.is_err() {
-                        return;
-                    }
-                }
-                sort @ Msg::Sort { .. } => {
-                    if tx.send(sort).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-    });
-    rx
+    let core = FilterCore::new(ctx, path.into(), def);
+    spawn_stage_run(ctx, core.path(), vec![StageCore::Filter(core)], input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Metrics;
-    use crate::stream::stream;
+    use crate::stream::{stream, Msg};
     use snet_lang::parse_filter;
     use snet_types::Record;
 

@@ -1,5 +1,6 @@
-//! The fused pipeline driver: one component running a whole chain of
-//! SISO stages.
+//! The stage-run driver: one component running a chain of SISO stages.
+//! It is the only record loop boxes and filters have — a lone box or
+//! filter is a run of length 1 ([`spawn_stage_run`]).
 //!
 //! A [`crate::plan::PNode::Fused`] node is a maximal `Serial` run of
 //! boxes and filters collapsed by the fusion pass (see
@@ -30,27 +31,21 @@
 //! each stage forwarding them in turn — so fused output is
 //! byte-identical, sort records included.
 //!
-//! **Fairness.** On the pool — the default executor — the unfused
-//! chain's components each process at most a poll budget of messages
-//! per scheduling step; the fused component keeps that invariant
-//! rather than running an entire (possibly multi-emission-amplified)
-//! cascade in one poll. How many messages the head takes off the input
-//! per poll is the worker's measured time slice (see [`crate::sched`]:
-//! one frame at a time where a stage costs 400 µs, 128 sensor
-//! readings). When the executor bounds its OS threads
-//! (`os_thread_bound()` is `Some`), each [`Pipeline::step`] spends
-//! at most [`RECV_BATCH`] stage-message units — deepest non-empty
-//! stage first, so finished work drains to the output with minimal
-//! latency — and the driver cooperatively yields between steps: a
-//! chain of k-emission stages costs many steps, not one unbounded
-//! poll, and pool workers round-robin it against their other
-//! components exactly as they would the unfused topology. Under
-//! thread-per-component (no longer the default, kept for the paper's
-//! literal model) the OS preempts the dedicated thread, so the step
-//! runs unbudgeted (a cooperative yield there would be a pure
-//! park/unpark round-trip tax), matching the unfused components'
-//! blocking loops — the `fair` split below goes when that executor
-//! does (ROADMAP item 2(iii)).
+//! **Fairness.** One rule, stated here and nowhere else: **a drain is
+//! bounded by the poll budget, and the poll budget is the measured time
+//! slice** ([`crate::sched`], on every executor). The head takes at
+//! most one budget's worth of messages off the input per poll — one
+//! frame at a time where a stage costs 400 µs, 128 sensor readings — so
+//! a stage run holds at most one budget's worth beyond its input edge,
+//! a constant independent of load, and a slow or stalled stage, whose
+//! budget is 1, publishes per record. What the drain cascades into is
+//! worked off in [`Pipeline::step`]s of at most [`RECV_BATCH`]
+//! stage-message units, deepest non-empty stage first so finished work
+//! reaches the output first; each step's tail output is published
+//! through the credit gate ([`feed_batch`] — a full edge parks the run,
+//! an unbounded one never waits) and the driver yields between steps,
+//! so a chain of k-emission stages costs many steps, not one unbounded
+//! poll.
 //!
 //! **Observability.** Each stage registers its own
 //! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes the
@@ -61,16 +56,14 @@
 //! [`crate::Net::threads_spawned`] (components, not stage paths)
 //! reveals the difference: an n-stage fused chain is one component.
 //!
-//! The per-stage execution cores live with their standalone
-//! components ([`crate::boxfn::BoxCore`],
-//! [`crate::filter_exec::FilterCore`]); per-stage split plans resolve
-//! through each core's spawn-local `PlanCache` keyed by record shape,
-//! exactly as standalone.
+//! The per-stage execution cores are [`crate::boxfn::BoxCore`] and
+//! [`crate::filter_exec::FilterCore`]; per-stage split plans resolve
+//! through each core's spawn-local `PlanCache` keyed by record shape.
 //!
 //! **Faults.** The fault boundary lives *inside* the cores
-//! (`process_uncounted`; see [`crate::fault`]), so a fused stage and
-//! its unfused twin contain panics — and receive chaos injections —
-//! identically: a skipped record at stage *k* simply contributes
+//! (`process_uncounted`; see [`crate::fault`]), so a stage contains
+//! panics — and receives chaos injections — the same way wherever the
+//! plan put it: a skipped record at stage *k* simply contributes
 //! nothing to stage *k+1*'s queue, and the decision stream is keyed
 //! by the stage's own path, which fusion preserves.
 
@@ -89,8 +82,8 @@ use snet_types::Record;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// One stage's execution core inside a fused component.
-enum StageCore {
+/// One stage's execution core inside a stage run.
+pub(crate) enum StageCore {
     Box(BoxCore),
     Filter(FilterCore),
 }
@@ -223,12 +216,10 @@ impl Pipeline {
     }
 }
 
-/// The dedicated-thread fast path's stage-major pass: runs a
-/// contiguous record batch through every stage in order, leaving the
-/// tail's output in `batch`. No budget, no inter-stage queues — the
-/// OS preempts the component's own thread, so there is nothing to
-/// timeslice against (see module docs: fairness). Sort records never
-/// enter `batch`; the caller flushes at each one.
+/// One record's stage-major pass through a fan lane: runs `batch`
+/// through every stage in order, leaving the tail's output in `batch`.
+/// No inter-stage queues — the fan driver budgets per input record (see
+/// [`spawn_fused_fan`]), and sort records never enter a lane.
 fn run_stages(
     cores: &mut [StageCore],
     ctx: &Ctx,
@@ -247,40 +238,6 @@ fn run_stages(
     }
 }
 
-/// [`run_stages`] + one batched publish straight off `batch` — the
-/// unbounded dedicated-thread path, where nothing gates the send and
-/// the extra hop through an out-buffer would be pure per-record tax.
-fn flush_send(
-    cores: &mut [StageCore],
-    ctx: &Ctx,
-    tx: &crate::stream::Sender,
-    batch: &mut Vec<Record>,
-    scratch: &mut Vec<Record>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    run_stages(cores, ctx, batch, scratch);
-    let _ = tx.send_each(batch.drain(..).map(Msg::Rec));
-}
-
-/// [`run_stages`] collecting into `out` for the caller to publish —
-/// the bounded path, where publication must go through the credit
-/// gate (an async wait the stage pass cannot inline).
-fn flush(
-    cores: &mut [StageCore],
-    ctx: &Ctx,
-    batch: &mut Vec<Record>,
-    scratch: &mut Vec<Record>,
-    out: &mut Vec<Msg>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    run_stages(cores, ctx, batch, scratch);
-    out.extend(batch.drain(..).map(Msg::Rec));
-}
-
 /// Spawns a fused pipeline as a single component. Each stage's
 /// sub-path is registered here, at spawn, so metrics and observers
 /// match the unfused topology exactly.
@@ -291,124 +248,57 @@ pub fn spawn_fused(
     input: Receiver,
 ) -> Receiver {
     let path = path.into();
-    let (tx, rx) = ctx.data_stream(path, "out");
-    let cores: Vec<StageCore> = stages
+    let cores = stages
         .iter()
         .map(|stage| stage_core(ctx, path.descend(&stage.suffix), &stage.kind))
         .collect();
+    spawn_stage_run(ctx, path, cores, input)
+}
+
+/// The stage-run driver: **the** record loop of every box and filter,
+/// on every executor and every edge. One component runs `cores` in
+/// order between `input` and a data edge `{owner}/out`; a lone box or
+/// filter ([`crate::boxfn::spawn_box`],
+/// [`crate::filter_exec::spawn_filter`]) is a run of length 1.
+pub(crate) fn spawn_stage_run(
+    ctx: &Arc<Ctx>,
+    owner: CompPath,
+    cores: Vec<StageCore>,
+    input: Receiver,
+) -> Receiver {
+    let (tx, rx) = ctx.data_stream(owner, "out");
     // The component is named after its head stage — unique even when
     // several fused runs of one Chain share the chain-root path.
-    let task_name = cores
-        .first()
-        .map(|c| c.path().as_str())
-        .unwrap_or_else(|| path.as_str());
-    // Cooperative budgeting only matters on shared workers: a pool
-    // (bounded OS threads) must timeslice this component against its
-    // siblings — budgeted steps with a yield between them. Under
-    // thread-per-component the OS preempts the dedicated thread (a
-    // cooperative yield there is a pure park/unpark round-trip tax),
-    // so the contiguous unbudgeted flush runs instead, exactly like
-    // the unfused components' blocking loops.
-    let fair = ctx.executor().os_thread_bound().is_some();
+    let task_name = cores.first().map_or(owner, StageCore::path).as_str();
     let ctx2 = Arc::clone(ctx);
-    if fair {
-        ctx.spawn(task_name, async move {
-            let mut pipe = Pipeline::new(cores);
-            let mut out: Vec<Msg> = Vec::new();
-            let bounded = tx.is_bounded();
-            // One recv_each drain per wake (the fair timeslice, as in
-            // for_each_msg); messages land in the head stage's queue
-            // and budgeted steps push them through the stages,
-            // yielding the worker between steps (see module docs:
-            // fairness). Each step's tail output publishes as one
-            // batch — through the credit gate when the edge is
-            // bounded, so a full edge parks this component between
-            // steps instead of growing the queue. The final drain
-            // after disconnection reuses the same loop; dropping `tx`
-            // propagates end-of-stream.
+    ctx.spawn(task_name, async move {
+        let mut pipe = Pipeline::new(cores);
+        let mut out: Vec<Msg> = Vec::new();
+        // One drain per wake, at most the poll budget (module docs:
+        // fairness); the messages land in the head stage's queue and
+        // budgeted steps push them through the stages, each step's tail
+        // output published as one credit-gated batch. The final drain
+        // after disconnection reuses the same loop; dropping `tx`
+        // propagates end-of-stream.
+        loop {
+            let n = input
+                .recv_each(RECV_BATCH, &mut |msg| pipe.queues[0].push_back(msg))
+                .await;
             loop {
-                let n = input
-                    .recv_each(RECV_BATCH, &mut |msg| pipe.queues[0].push_back(msg))
-                    .await;
-                loop {
-                    let more = pipe.step(&ctx2, &mut out, RECV_BATCH);
-                    if bounded {
-                        if feed_batch(&tx, &mut out).await.is_err() {
-                            return; // downstream gone: teardown
-                        }
-                    } else {
-                        // A send failure means downstream is gone
-                        // (teardown); records are dropped, as in
-                        // every component.
-                        let _ = tx.send_each(out.drain(..));
-                    }
-                    if !more {
-                        break;
-                    }
-                    yield_now().await;
+                let more = pipe.step(&ctx2, &mut out, RECV_BATCH);
+                if feed_batch(&tx, &mut out).await.is_err() {
+                    return; // downstream gone: teardown
                 }
-                if n == 0 {
+                if !more {
                     break;
                 }
+                yield_now().await;
             }
-        });
-    } else if tx.is_bounded() {
-        ctx.spawn(task_name, async move {
-            let mut cores = cores;
-            let mut batch = Vec::new();
-            let mut scratch = Vec::new();
-            let mut out: Vec<Msg> = Vec::new();
-            // Bounded output on a dedicated thread: one input record
-            // flushes through the whole chain and publishes through
-            // the credit gate before the next is consumed, so
-            // transient memory is one record's cascade, not a
-            // batch's. Sorts take the ungated send path behind the
-            // data already published.
-            while let Ok(msg) = input.recv_async().await {
-                match msg {
-                    Msg::Rec(rec) => {
-                        batch.push(rec);
-                        flush(&mut cores, &ctx2, &mut batch, &mut scratch, &mut out);
-                        if feed_batch(&tx, &mut out).await.is_err() {
-                            return;
-                        }
-                    }
-                    sort @ Msg::Sort { .. } => {
-                        if tx.send(sort).is_err() {
-                            return;
-                        }
-                    }
-                }
+            if n == 0 {
+                break;
             }
-        });
-    } else {
-        ctx.spawn(task_name, async move {
-            let mut cores = cores;
-            let mut batch = Vec::new();
-            let mut scratch = Vec::new();
-            // Records buffer up and flush stage-major at the end of
-            // each drain — and at every sort record, which must stay
-            // behind all data ahead of it (one tail forward is then
-            // equivalent to each stage forwarding in turn).
-            loop {
-                let n = input
-                    .recv_each(RECV_BATCH, &mut |msg| match msg {
-                        Msg::Rec(rec) => batch.push(rec),
-                        sort @ Msg::Sort { .. } => {
-                            flush_send(&mut cores, &ctx2, &tx, &mut batch, &mut scratch);
-                            let _ = tx.send(sort);
-                        }
-                    })
-                    .await;
-                flush_send(&mut cores, &ctx2, &tx, &mut batch, &mut scratch);
-                if n == 0 {
-                    break;
-                }
-            }
-            // Input disconnected: dropping `tx` propagates
-            // end-of-stream.
-        });
-    }
+        }
+    });
     rx
 }
 
@@ -677,13 +567,6 @@ pub fn spawn_fused_fan(
         }
     };
     let (tx, rx) = ctx.data_stream(comb, "merge");
-    // The same fairness split as spawn_fused: budgeted processing
-    // with cooperative yields on a shared-worker pool; on a dedicated
-    // thread, per-record publication when the output edge is bounded
-    // (transient memory is one record's cascade) and batched
-    // publication per input drain otherwise.
-    let fair = ctx.executor().os_thread_bound().is_some();
-    let per_record_flush = !fair && tx.is_bounded();
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(format!("{comb}/dispatch"), async move {
         let mut tail = FusedTail::new(tx);
@@ -691,6 +574,9 @@ pub fn spawn_fused_fan(
         let mut scratch: Vec<Record> = Vec::new();
         let mut pending: VecDeque<Msg> = VecDeque::new();
         let mut units = 0usize;
+        // The chain driver's shape (module docs: fairness): one drain
+        // per wake, then records run through their lanes with a publish
+        // and a yield every RECV_BATCH stage-message units.
         loop {
             let n = input
                 .recv_each(RECV_BATCH, &mut |msg| pending.push_back(msg))
@@ -706,14 +592,10 @@ pub fn spawn_fused_fan(
                     // is already in the tail buffer ahead of them.
                     Msg::Sort { level, counter } => tail.push_sort(level, counter),
                 }
-                if per_record_flush {
-                    if tail.flush().await.is_err() {
-                        return; // downstream gone: teardown
-                    }
-                } else if fair && units >= RECV_BATCH {
+                if units >= RECV_BATCH {
                     units = 0;
                     if tail.flush().await.is_err() {
-                        return;
+                        return; // downstream gone: teardown
                     }
                     yield_now().await;
                 }

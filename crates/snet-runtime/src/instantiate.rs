@@ -5,6 +5,11 @@
 //! into [`instantiate`] to unfold replicas on demand, cloning subtree
 //! handles from the plan.
 //!
+//! Boxes and filters have one driver: a `Box`, a `Filter` and a `Fused`
+//! node all become a stage run ([`crate::fused`]) — of length 1 for the
+//! first two — so what the fusion pass decides is how many stages share
+//! a component, never which record loop runs them.
+//!
 //! Instantiation is also where component paths come into existence:
 //! every spawn site derives its [`CompPath`] here, once, so nothing
 //! downstream ever formats a path per record (see [`crate::ctx`] for

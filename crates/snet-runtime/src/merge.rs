@@ -100,16 +100,13 @@ impl BranchSpec {
 pub(crate) struct FusedTail {
     out: Sender,
     buf: Vec<Msg>,
-    gated: bool,
 }
 
 impl FusedTail {
     pub(crate) fn new(out: Sender) -> FusedTail {
-        let gated = out.is_bounded();
         FusedTail {
             out,
             buf: Vec::new(),
-            gated,
         }
     }
 
@@ -131,17 +128,7 @@ impl FusedTail {
     /// merger), sorts stay ungated. `Err` means downstream
     /// disconnected — teardown, like every component's send failure.
     pub(crate) async fn flush(&mut self) -> Result<(), ()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        if self.gated {
-            feed_batch(&self.out, &mut self.buf).await.map_err(|_| ())
-        } else {
-            self.out
-                .send_each(self.buf.drain(..))
-                .map(|_| ())
-                .map_err(|_| ())
-        }
+        feed_batch(&self.out, &mut self.buf).await.map_err(|_| ())
     }
 }
 

@@ -46,8 +46,8 @@ pub enum BuildError {
     Compile(CompileError),
     Type(snet_types::TypeError),
     UnknownNet(String),
-    /// The environment selects an executor that does not exist
-    /// (`SNET_EXECUTOR` / `SNET_WORKERS`; see [`crate::sched`]).
+    /// The environment sizes the default executor's pool with something
+    /// that is not a worker count (`SNET_WORKERS`; see [`crate::sched`]).
     Config(ConfigError),
 }
 
@@ -155,9 +155,9 @@ impl NetBuilder {
 
     /// Selects the executor the network's components run on. Default:
     /// the process-default executor — the shared work-stealing pool,
-    /// one worker per core, unless `SNET_EXECUTOR` / `SNET_WORKERS`
-    /// say otherwise (see [`crate::sched`]); an invalid value there
-    /// fails `build*` with [`BuildError::Config`].
+    /// one worker per core unless `SNET_WORKERS` says otherwise (see
+    /// [`crate::sched`]); an invalid value there fails `build*` with
+    /// [`BuildError::Config`].
     pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
         self.executor = Some(executor);
         self

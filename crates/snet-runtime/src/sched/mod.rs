@@ -62,13 +62,16 @@
 //!
 //! # Fairness: a time slice, measured
 //!
-//! A worker grants each task a message budget per poll
+//! Whoever polls a task — a pool worker, or the component's own thread
+//! under [`ThreadPerComponent`] — grants it a message budget per poll
 //! ([`crate::stream::set_poll_budget`]); a component with an
-//! always-full input is forced to yield after spending it — and a
-//! forced yield re-queues through the *global injector*, not the
+//! always-full input is forced to yield after spending it. On the pool
+//! a forced yield re-queues through the *global injector*, not the
 //! worker's own LIFO deque, so its siblings run first even with a
 //! single worker and no stealers (`SNET_WORKERS=1` starvation freedom;
-//! see [`pool`]).
+//! see [`pool`]); on a thread of its own the task is simply polled
+//! again — there the budget buys no fairness (the OS preempts), only
+//! the same bound on how much one poll takes off its input.
 //!
 //! The budget is not a constant, because the unit of fairness is
 //! *time* and a message is not a unit of time: 128 messages are
@@ -76,13 +79,14 @@
 //! flat 128 a frame stage ran all 16 in-flight frames before its
 //! consumer got the worker (the `array-frames` column above: RSS
 //! +37 %, throughput −9 %); a flat 1 fixes the frames and costs the
-//! sensor nets a quarter of their throughput (120 k ops/s). So the
-//! worker times every poll — two clock reads per poll, nothing per
-//! message — divides by the messages the poll consumed, and grants the
-//! next poll what would fill a fixed slice of about 200 µs, between 1
-//! and 128: a new task starts at 1, the budget at most doubles per
-//! poll, and it falls to the measured fit as soon as two polls in a
-//! row agree (one alone may be a preemption). There is no knob.
+//! sensor nets a quarter of their throughput (120 k ops/s). So every
+//! poll is timed (`Slice::poll`: two clock reads per poll, nothing per
+//! message), the time divided by the messages the poll consumed, and
+//! the next poll granted what would fill a fixed slice of about 200 µs,
+//! between 1 and 128: a new task starts at 1, the budget at most
+//! doubles per poll, and it falls to the measured fit as soon as two
+//! polls in a row agree (one alone may be a preemption). There is no
+//! knob.
 //!
 //! # Why cooperative parking cannot deadlock the runtime
 //!
@@ -168,16 +172,18 @@
 //! [`default_executor`] is the process-wide shared
 //! [`WorkStealingPool`] with one worker per core
 //! (`available_parallelism()`, which honours the process's CPU
-//! affinity), created on first use. Two environment variables change
-//! that, read in one place ([`try_default_executor`]):
-//! `SNET_EXECUTOR=threads` selects [`ThreadPerComponent`] (`pool`
-//! names the default), and `SNET_WORKERS=n` sizes the shared pool.
-//! Anything else — `SNET_EXECUTOR=pol`, `SNET_WORKERS=0`, `=two` — is
-//! a [`ConfigError`], never a silent fallback: `NetBuilder::build*`
-//! returns it as `BuildError::Config`, and the entry points that have
-//! no error channel ([`default_executor`], `Ctx::new`, `Net::spawn`)
-//! panic with its message. `Ctx::with_executor` /
-//! `NetBuilder::executor` select per network and read no variable.
+//! affinity), created on first use. One environment variable changes
+//! that, read in one place ([`try_default_executor`]): `SNET_WORKERS=n`
+//! sizes the shared pool. Anything but a positive integer —
+//! `SNET_WORKERS=0`, `=two` — is a [`ConfigError`], never a silent
+//! fallback: `NetBuilder::build*` returns it as `BuildError::Config`,
+//! and the entry points that have no error channel
+//! ([`default_executor`], `Ctx::new`, `Net::spawn`) panic with its
+//! message. `Ctx::with_executor` / `NetBuilder::executor` select per
+//! network and read no variable — the only way onto
+//! [`ThreadPerComponent`]. No record loop asks which executor it runs
+//! on: an [`Executor`] decides where a component's polls happen,
+//! nothing else.
 //!
 //! # Failure model
 //!
@@ -229,6 +235,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A component body: a boxed, type-erased state machine. `async`
 /// blocks in the spawn functions compile down to exactly the
@@ -249,8 +256,85 @@ pub trait Executor: Send + Sync {
     fn kind(&self) -> &'static str;
 
     /// Upper bound on OS threads this executor uses for components;
-    /// `None` means one thread per component (unbounded).
+    /// `None` means one thread per component (unbounded). A diagnostic:
+    /// `serve_bench` prints it and `tests/executor_env.rs` asserts the
+    /// default pool's size through it; nothing in the runtime reads it.
     fn os_thread_bound(&self) -> Option<usize>;
+}
+
+/// Cap on the messages a task may consume per poll before it is forced
+/// to yield (see [`crate::stream::set_poll_budget`]). The grant itself
+/// is measured per task — see [`Slice`].
+const TASK_POLL_BUDGET: u32 = 128;
+
+/// The time one poll should fill. Fairness between tasks sharing a
+/// worker is a matter of *time*: 128 messages are 130 µs of sensor
+/// records and 50 ms of 192×192 frames, and under a flat message budget
+/// a frame stage ran every in-flight frame before its consumer saw the
+/// worker (`array-frames` peak RSS +37 %). Well above a wake and two
+/// clock reads (the per-poll overhead it amortises), well below a
+/// millisecond-scale request.
+const SLICE: Duration = Duration::from_micros(200);
+
+/// A task's message budget, measured by whoever polls it — a pool
+/// worker's `run_task` or a component thread's [`block_on`], both
+/// through [`Slice::poll`]: two clock reads per *poll*, nothing per
+/// message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slice {
+    /// Messages the next poll may consume; never 0.
+    budget: u32,
+    /// What the previous poll alone would have granted.
+    fit: u32,
+}
+
+impl Slice {
+    /// A new task is priced before it is trusted: its first poll gets
+    /// one message.
+    const START: Slice = Slice { budget: 1, fit: 1 };
+
+    /// Runs one poll of a task under this slice's budget, times it, and
+    /// prices the next one by what it consumed.
+    fn poll<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let granted = self.budget;
+        crate::stream::set_poll_budget(granted);
+        let start = Instant::now();
+        let polled = f();
+        let elapsed = start.elapsed();
+        let spent = granted.saturating_sub(crate::stream::poll_budget());
+        crate::stream::set_poll_budget(u32::MAX);
+        *self = self.after_poll(spent, elapsed);
+        polled
+    }
+
+    /// The slice after a poll that consumed `spent` messages in
+    /// `elapsed`. The poll's *fit* is the grant that would have filled
+    /// [`SLICE`] at its cost per message, within
+    /// `1..=TASK_POLL_BUDGET`; the next budget is the larger of this
+    /// poll's fit and the previous one's — one poll the OS preempted
+    /// reads slow without being slow, and must not collapse the budget
+    /// (on `fifo-sensor-det`, where loader and receiver threads share
+    /// the worker's CPU, trusting every sample left 42 % of polls under
+    /// the cap and cost 6 % throughput), while a task whose messages
+    /// *are* slow says so twice in a row and drops straight to its fit.
+    /// Growth is at most a doubling per poll, so one cheap poll cannot
+    /// unleash 128 expensive messages. A poll that consumed nothing (a
+    /// wake with nothing to read, stage work between cooperative
+    /// yields) prices no message: it may lower the budget, never raise
+    /// it.
+    fn after_poll(self, spent: u32, elapsed: Duration) -> Slice {
+        let per_message = (elapsed.as_nanos() as u64 / u64::from(spent.max(1))).max(1);
+        let fit = SLICE.as_nanos() as u64 / per_message;
+        let fit = fit.clamp(1, u64::from(TASK_POLL_BUDGET)) as u32;
+        let ceiling = match spent {
+            0 => self.budget,
+            _ => self.budget.saturating_mul(2),
+        };
+        Slice {
+            budget: fit.max(self.fit).min(ceiling),
+            fit,
+        }
+    }
 }
 
 struct TrackerState {
@@ -380,13 +464,11 @@ impl Drop for Completion {
     }
 }
 
-/// Why the executor selection in the environment was rejected (see
+/// Why the executor configuration in the environment was rejected (see
 /// *Selection*). Surfaces from every `NetBuilder::build*` as
 /// [`crate::BuildError::Config`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `SNET_EXECUTOR` is neither `threads` nor `pool`.
-    Executor(String),
     /// `SNET_WORKERS` is not a positive integer.
     Workers(String),
 }
@@ -394,9 +476,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::Executor(v) => {
-                write!(f, "SNET_EXECUTOR={v:?}: expected `threads` or `pool`")
-            }
             ConfigError::Workers(v) => {
                 write!(f, "SNET_WORKERS={v:?}: expected a positive integer")
             }
@@ -406,50 +485,23 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// What `SNET_EXECUTOR` / `SNET_WORKERS` select, parsed in one place.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EnvSelection {
-    threads: bool,
-    workers: Option<usize>,
-}
-
-/// Parses the two variables' values (`None` = unset). Both are
-/// validated whichever executor is selected: a typo must never read
-/// as "default".
-fn parse_selection(
-    executor: Option<&str>,
-    workers: Option<&str>,
-) -> Result<EnvSelection, ConfigError> {
-    let threads = match executor {
-        None | Some("pool") => false,
-        Some("threads") => true,
-        Some(other) => return Err(ConfigError::Executor(other.to_string())),
-    };
-    let workers = match workers {
-        None => None,
+/// Parses `SNET_WORKERS`' value (`None` = unset): a typo must never
+/// read as "default".
+fn parse_workers(workers: Option<&str>) -> Result<Option<usize>, ConfigError> {
+    match workers {
+        None => Ok(None),
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => return Err(ConfigError::Workers(v.to_string())),
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(ConfigError::Workers(v.to_string())),
         },
-    };
-    Ok(EnvSelection { threads, workers })
-}
-
-fn selection_from_env() -> Result<EnvSelection, ConfigError> {
-    let var = |name| std::env::var(name).ok();
-    let (executor, workers) = (var("SNET_EXECUTOR"), var("SNET_WORKERS"));
-    parse_selection(executor.as_deref(), workers.as_deref())
+    }
 }
 
 /// The process-default executor (see *Selection*), or the typed reason
-/// the environment's selection is invalid.
+/// the environment's configuration of it is invalid.
 pub fn try_default_executor() -> Result<Arc<dyn Executor>, ConfigError> {
-    let sel = selection_from_env()?;
-    Ok(if sel.threads {
-        Arc::new(ThreadPerComponent)
-    } else {
-        shared_pool(sel.workers)
-    })
+    let workers = std::env::var("SNET_WORKERS").ok();
+    Ok(shared_pool(parse_workers(workers.as_deref())?))
 }
 
 /// [`try_default_executor`] for callers with no error channel
@@ -492,6 +544,37 @@ mod tests {
             ("pool1", Arc::new(WorkStealingPool::new(1)) as _),
             ("pool4", Arc::new(WorkStealingPool::new(4)) as _),
         ]
+    }
+
+    #[test]
+    fn slice_arithmetic() {
+        let us = Duration::from_micros;
+        // A new task gets one message; a millisecond message keeps it
+        // there.
+        assert_eq!(Slice::START.budget, 1);
+        assert_eq!(Slice::START.after_poll(1, us(1000)), Slice::START);
+        // Cheap messages: at most a doubling per poll, up to the cap.
+        let mut s = Slice::START;
+        for want in [2, 4, 8, 16, 32, 64, 128, 128] {
+            s = s.after_poll(s.budget, us(1));
+            assert_eq!(s.budget, want);
+        }
+        // One slow poll (a preemption) does not collapse the budget,
+        // two in a row drop it straight to their fit.
+        let slow = us(128 * 50);
+        let once = s.after_poll(128, slow);
+        assert_eq!((once.budget, once.fit), (128, 4));
+        assert_eq!(once.after_poll(128, slow).budget, 4);
+        assert_eq!(once.after_poll(128, us(128)).budget, 128);
+        // A poll that consumed nothing never raises the budget and may
+        // lower it.
+        let low = Slice { budget: 8, fit: 8 };
+        assert_eq!(low.after_poll(0, us(1)).budget, 8);
+        assert_eq!(low.after_poll(0, us(100)).after_poll(0, us(100)).budget, 2);
+        // Never 0, whatever the clock said.
+        assert_eq!(low.after_poll(1, Duration::from_secs(9)).budget, 8);
+        assert_eq!(Slice::START.after_poll(1, Duration::from_secs(9)).budget, 1);
+        assert_eq!(Slice::START.after_poll(1, Duration::ZERO).budget, 2);
     }
 
     #[test]
@@ -606,38 +689,18 @@ mod tests {
     }
 
     #[test]
-    fn selection_rejects_typos_instead_of_defaulting() {
-        let pool = |workers| EnvSelection {
-            threads: false,
-            workers,
-        };
-        assert_eq!(parse_selection(None, None), Ok(pool(None)));
-        assert_eq!(parse_selection(Some("pool"), Some("3")), Ok(pool(Some(3))));
-        assert_eq!(
-            parse_selection(Some("threads"), None),
-            Ok(EnvSelection {
-                threads: true,
-                workers: None
-            })
-        );
-        for bad in ["pol", "", "Pool", "thread"] {
+    fn worker_count_rejects_typos_instead_of_defaulting() {
+        assert_eq!(parse_workers(None), Ok(None));
+        assert_eq!(parse_workers(Some("3")), Ok(Some(3)));
+        for bad in ["0", "two", "-1", "", "1.5"] {
             assert_eq!(
-                parse_selection(Some(bad), None),
-                Err(ConfigError::Executor(bad.into()))
+                parse_workers(Some(bad)),
+                Err(ConfigError::Workers(bad.into()))
             );
         }
-        // Checked whichever executor is selected.
-        for bad in ["0", "two", "-1", "", "1.5"] {
-            for executor in [None, Some("pool"), Some("threads")] {
-                assert_eq!(
-                    parse_selection(executor, Some(bad)),
-                    Err(ConfigError::Workers(bad.into()))
-                );
-            }
-        }
         assert_eq!(
-            ConfigError::Executor("pol".into()).to_string(),
-            "SNET_EXECUTOR=\"pol\": expected `threads` or `pool`"
+            ConfigError::Workers("two".into()).to_string(),
+            "SNET_WORKERS=\"two\": expected a positive integer"
         );
     }
 

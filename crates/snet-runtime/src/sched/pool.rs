@@ -39,73 +39,13 @@
 //! [`super::Tracker`]. The worker thread itself survives.
 
 use super::deque::{Deque, Steal};
-use super::{Completion, Executor, TaskFuture};
+use super::{Completion, Executor, Slice, TaskFuture};
 use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::{Duration, Instant};
-
-/// Cap on the messages a task may consume per poll before it is forced
-/// to yield its worker (see [`crate::stream::set_poll_budget`]). The
-/// grant itself is measured per task — see [`Slice`].
-const TASK_POLL_BUDGET: u32 = 128;
-
-/// The time one poll should fill. Fairness between tasks sharing a
-/// worker is a matter of *time*: 128 messages are 130 µs of sensor
-/// records and 50 ms of 192×192 frames, and under a flat message budget
-/// a frame stage ran every in-flight frame before its consumer saw the
-/// worker (`array-frames` peak RSS +37 %). Well above a wake and two
-/// clock reads (the per-poll overhead it amortises), well below a
-/// millisecond-scale request.
-const SLICE: Duration = Duration::from_micros(200);
-
-/// A task's message budget, measured by the worker: two clock reads per
-/// *poll*, nothing per message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Slice {
-    /// Messages the next poll may consume; never 0.
-    budget: u32,
-    /// What the previous poll alone would have granted.
-    fit: u32,
-}
-
-impl Slice {
-    /// A new task is priced before it is trusted: its first poll gets
-    /// one message.
-    const START: Slice = Slice { budget: 1, fit: 1 };
-
-    /// The slice after a poll that consumed `spent` messages in
-    /// `elapsed`. The poll's *fit* is the grant that would have filled
-    /// [`SLICE`] at its cost per message, within
-    /// `1..=TASK_POLL_BUDGET`; the next budget is the larger of this
-    /// poll's fit and the previous one's — one poll the OS preempted
-    /// reads slow without being slow, and must not collapse the budget
-    /// (on `fifo-sensor-det`, where loader and receiver threads share
-    /// the worker's CPU, trusting every sample left 42 % of polls under
-    /// the cap and cost 6 % throughput), while a task whose messages
-    /// *are* slow says so twice in a row and drops straight to its fit.
-    /// Growth is at most a doubling per poll, so one cheap poll cannot
-    /// unleash 128 expensive messages. A poll that consumed nothing (a
-    /// wake with nothing to read, stage work between cooperative
-    /// yields) prices no message: it may lower the budget, never raise
-    /// it.
-    fn after_poll(self, spent: u32, elapsed: Duration) -> Slice {
-        let per_message = (elapsed.as_nanos() as u64 / u64::from(spent.max(1))).max(1);
-        let fit = SLICE.as_nanos() as u64 / per_message;
-        let fit = fit.clamp(1, u64::from(TASK_POLL_BUDGET)) as u32;
-        let ceiling = match spent {
-            0 => self.budget,
-            _ => self.budget.saturating_mul(2),
-        };
-        Slice {
-            budget: fit.max(self.fit).min(ceiling),
-            fit,
-        }
-    }
-}
 
 // Task wake states.
 const IDLE: u8 = 0; // parked, not queued; a wake must schedule it
@@ -332,19 +272,13 @@ fn run_task(task: Arc<Task>) {
     let mut cx = Context::from_waker(&waker);
     let poll = {
         let mut slot = task.slot.lock();
-        let granted = slot.slice.budget;
-        crate::stream::set_poll_budget(granted);
-        let start = Instant::now();
-        let poll =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match slot.fut.as_mut() {
+        let TaskSlot { fut, slice, .. } = &mut *slot;
+        slice.poll(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match fut.as_mut() {
                 Some(f) => f.as_mut().poll(&mut cx),
                 None => Poll::Ready(()),
-            }));
-        let elapsed = start.elapsed();
-        let spent = granted.saturating_sub(crate::stream::poll_budget());
-        crate::stream::set_poll_budget(u32::MAX);
-        slot.slice = slot.slice.after_poll(spent, elapsed);
-        poll
+            }))
+        })
     };
     match poll {
         Ok(Poll::Pending) => {
@@ -488,41 +422,11 @@ impl Drop for WorkStealingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Tracker;
+    use crate::sched::{Tracker, TASK_POLL_BUDGET};
     use crate::stream::chan::{channel, Receiver};
     use std::future::Future;
     use std::pin::Pin;
-
-    #[test]
-    fn slice_arithmetic() {
-        let us = Duration::from_micros;
-        // A new task gets one message; a millisecond message keeps it
-        // there.
-        assert_eq!(Slice::START.budget, 1);
-        assert_eq!(Slice::START.after_poll(1, us(1000)), Slice::START);
-        // Cheap messages: at most a doubling per poll, up to the cap.
-        let mut s = Slice::START;
-        for want in [2, 4, 8, 16, 32, 64, 128, 128] {
-            s = s.after_poll(s.budget, us(1));
-            assert_eq!(s.budget, want);
-        }
-        // One slow poll (a preemption) does not collapse the budget,
-        // two in a row drop it straight to their fit.
-        let slow = us(128 * 50);
-        let once = s.after_poll(128, slow);
-        assert_eq!((once.budget, once.fit), (128, 4));
-        assert_eq!(once.after_poll(128, slow).budget, 4);
-        assert_eq!(once.after_poll(128, us(128)).budget, 128);
-        // A poll that consumed nothing never raises the budget and may
-        // lower it.
-        let low = Slice { budget: 8, fit: 8 };
-        assert_eq!(low.after_poll(0, us(1)).budget, 8);
-        assert_eq!(low.after_poll(0, us(100)).after_poll(0, us(100)).budget, 2);
-        // Never 0, whatever the clock said.
-        assert_eq!(low.after_poll(1, Duration::from_secs(9)).budget, 8);
-        assert_eq!(Slice::START.after_poll(1, Duration::from_secs(9)).budget, 1);
-        assert_eq!(Slice::START.after_poll(1, Duration::ZERO).budget, 2);
-    }
+    use std::time::{Duration, Instant};
 
     /// Drains a channel of spin times, spinning for each, and records
     /// the budget every poll was granted.

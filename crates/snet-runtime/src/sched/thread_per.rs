@@ -2,18 +2,15 @@
 //!
 //! Each component future gets a dedicated, named thread and runs under
 //! a park/unpark [`block_on`]. Awaiting an empty stream parks the
-//! thread — observable behaviour is identical to the seed's blocking
-//! `recv()` loop, including thread names in panic messages and
-//! debugger output.
+//! thread, like the seed's blocking `recv()` loop; thread names show in
+//! panic messages and debugger output.
 
-use super::{Completion, Executor, TaskFuture};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
-use std::thread::Thread;
+use super::{Completion, Executor, Slice, TaskFuture};
+use crate::stream::chan::with_parker;
+use std::task::Context;
 
 /// One OS thread per component: the paper's literal model, selected
-/// with `SNET_EXECUTOR=threads` or `NetBuilder::executor`.
+/// with `NetBuilder::executor`.
 pub struct ThreadPerComponent;
 
 impl Executor for ThreadPerComponent {
@@ -37,46 +34,19 @@ impl Executor for ThreadPerComponent {
     }
 }
 
-/// Park/unpark waker: `wake` flags the notification and unparks the
-/// component's thread.
-struct ThreadWaker {
-    thread: Thread,
-    notified: AtomicBool,
-}
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.notified.store(true, Ordering::Release);
-        self.thread.unpark();
-    }
-}
-
 /// Drives a future to completion on the current thread, parking
-/// between polls. This is what makes the async component bodies
-/// behave exactly like the seed's blocking loops under
-/// [`ThreadPerComponent`].
+/// between polls. Each poll runs under the task's measured time slice
+/// ([`Slice`]), exactly as on a pool worker: a poll that spends its
+/// budget returns `Pending` with its own wake already flagged, so the
+/// loop goes straight round without parking.
 pub fn block_on(mut fut: TaskFuture) {
-    let inner = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&inner));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => return,
-            Poll::Pending => {
-                // `park` may return spuriously; loop on the flag.
-                while !inner.notified.swap(false, Ordering::Acquire) {
-                    std::thread::park();
-                }
-            }
+    let mut slice = Slice::START;
+    with_parker(|parker, waker| {
+        let mut cx = Context::from_waker(waker);
+        while slice.poll(|| fut.as_mut().poll(&mut cx)).is_pending() {
+            parker.park(None);
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -85,7 +55,8 @@ mod tests {
 
     #[test]
     fn block_on_drives_channel_waits() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
         let (tx, rx) = crate::stream::chan::channel::<u32>();
         let sum = Arc::new(AtomicU32::new(0));
         let sum2 = Arc::clone(&sum);

@@ -3,6 +3,7 @@
 
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected, ServeParts};
+use crate::stream::chan::with_parker;
 use crate::stream::{Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
 use std::fmt;
@@ -636,31 +637,20 @@ impl CallHandle {
         self.wait_until(Some(deadline))
     }
 
-    /// Polls the handle from this thread, parked in between. An
-    /// unpark that arrives before the park is kept, and a stray one
-    /// only costs a poll.
+    /// Polls the handle from this thread, parked in between.
     fn wait_until(mut self, deadline: Option<Instant>) -> Result<Response, CallError> {
-        struct Unpark(std::thread::Thread);
-        impl std::task::Wake for Unpark {
-            fn wake(self: Arc<Self>) {
-                self.0.unpark();
-            }
-        }
-        // A resolved request needs nobody to wake it.
-        let pending = self.completed_at().is_none();
-        let unpark = pending.then(|| Waker::from(Arc::new(Unpark(std::thread::current()))));
-        let mut cx = Context::from_waker(unpark.as_ref().unwrap_or(Waker::noop()));
-        loop {
-            if let Poll::Ready(out) = Pin::new(&mut self).poll(&mut cx) {
-                return out;
-            }
-            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => std::thread::park(),
+        with_parker(|parker, waker| {
+            let mut cx = Context::from_waker(waker);
+            loop {
+                if let Poll::Ready(out) = Pin::new(&mut self).poll(&mut cx) {
+                    return out;
+                }
                 // Dropping the handle abandons the request.
-                Some(Duration::ZERO) => return Err(CallError::Deadline),
-                Some(left) => std::thread::park_timeout(left),
+                if !parker.park(deadline) {
+                    return Err(CallError::Deadline);
+                }
             }
-        }
+        })
     }
 
     /// Completion timestamp (demux-side, excludes caller wakeup

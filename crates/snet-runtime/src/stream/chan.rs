@@ -92,9 +92,9 @@
 //!   a CAS raising `depth` below `cap` — and park the producer when
 //!   the edge is full. Every pop returns a credit and wakes parked
 //!   producers. Data records travel this way on bounded edges.
-//! * The plain [`Sender::send`] / [`Sender::send_each`] paths count
-//!   depth but **never wait**. Sort records and control traffic go
-//!   this way: a deterministic dispatcher's sort broadcast, or a
+//! * The plain [`Sender::send`] path counts depth but **never
+//!   waits**. Sort records and control traffic go this way: a
+//!   deterministic dispatcher's sort broadcast, or a
 //!   merger forwarding a sort mid-drain, must not gate on a full
 //!   edge, or the fixed-order drain could deadlock (the system-level
 //!   no-deadlock argument is in [`crate::sched`]). Depth may
@@ -721,8 +721,8 @@ pub enum TryRecvError {
 
 /// RAII holder of the producer role: releases the spinlock on drop,
 /// so a panic inside the critical section (e.g. a caller-supplied
-/// `send_each` iterator) unwinds cleanly instead of wedging every
-/// later sender in the acquisition spin loop.
+/// `send_each_reserved` iterator) unwinds cleanly instead of wedging
+/// every later sender in the acquisition spin loop.
 struct ProdGuard<'a, T> {
     chan: &'a Chan<T>,
 }
@@ -766,53 +766,24 @@ impl<T: Send> Sender<T> {
         Ok(())
     }
 
-    /// Delivers a run of messages with **one** producer-role
+    /// Delivers a run of messages **whose credits are already held**
+    /// (one [`Sender::acquire`]d credit per message; an unbounded
+    /// channel grants any number) with **one** producer-role
     /// acquisition, one fence and one park-state check for the whole
-    /// run — the batch analogue of [`Sender::send`], for producers
-    /// that already hold their output in order (the fused pipeline's
-    /// tail). The no-lost-wake argument is unchanged: the run is a
-    /// single publish, fully ordered before the single check, so a
-    /// consumer that parked at any point during it is observed and
-    /// woken. The producer role is held across the iterator (a panic
-    /// in it releases the role cleanly via the guard, dropping the
-    /// unsent remainder), so other senders of a *cloned* sender stall
-    /// until the run completes; data edges are single-producer, and
-    /// buffer drains — the intended callers — never run user code.
+    /// run — the batch analogue of [`Sender::send`], for producers that
+    /// already hold their output in order ([`crate::stream::feed_batch`]).
+    /// The no-lost-wake argument is unchanged: the run is a single
+    /// publish, fully ordered before the single check, so a consumer
+    /// that parked at any point during it is observed and woken. The
+    /// producer role is held across the iterator (a panic in it
+    /// releases the role cleanly via the guard, dropping the unsent
+    /// remainder), so other senders of a *cloned* sender stall until
+    /// the run completes; data edges are single-producer, and buffer
+    /// drains — the intended callers — never run user code.
     ///
     /// Returns how many messages were delivered (0 with `Err` when
     /// the receiver is gone — the messages are dropped, matching the
     /// teardown semantics every component applies to `send` results).
-    pub fn send_each(&self, values: impl IntoIterator<Item = T>) -> Result<usize, SendError<()>> {
-        let chan = &*self.chan;
-        if !chan.rx_alive.load(Ordering::Acquire) {
-            return Err(SendError(()));
-        }
-        let guard = chan.lock_prod();
-        let mut n = 0;
-        // `bounded` is immutable, so the depth accounting hoists out
-        // of the loop for the common unbounded edge.
-        // SAFETY: the guard is the producer role.
-        if chan.bounded {
-            for v in values {
-                chan.count_ungated(1);
-                unsafe { chan.push(v) };
-                n += 1;
-            }
-        } else {
-            for v in values {
-                unsafe { chan.push(v) };
-                n += 1;
-            }
-        }
-        drop(guard);
-        fence(Ordering::SeqCst);
-        chan.maybe_wake();
-        Ok(n)
-    }
-
-    /// [`Sender::send_each`] for credits already held: pushes without
-    /// touching the credit word. Callers must have [`Sender::acquire`]d
-    /// one credit per message.
     pub fn send_each_reserved(
         &self,
         values: impl IntoIterator<Item = T>,
@@ -897,28 +868,15 @@ impl<T: Send> Sender<T> {
                     s.note_stall();
                 }
             }
-            let expired = PARKER.with(|p| {
-                let waker = Waker::from(Arc::clone(p));
-                chan.park_producer(&waker);
+            let expired = with_parker(|parker, waker| {
+                chan.park_producer(waker);
                 fence(Ordering::SeqCst);
                 // Re-check before sleeping (no lost wake): if a credit
                 // appeared or the receiver died, loop around instead.
                 if chan.has_credit() || !chan.rx_alive.load(Ordering::SeqCst) {
                     return false;
                 }
-                while !p.notified.swap(false, Ordering::Acquire) {
-                    match deadline {
-                        None => std::thread::park(),
-                        Some(d) => {
-                            let now = std::time::Instant::now();
-                            if now >= d {
-                                return true;
-                            }
-                            std::thread::park_timeout(d - now);
-                        }
-                    }
-                }
-                false
+                !parker.park(deadline)
             });
             if expired {
                 return Err(TryFeedError::Full(value));
@@ -1195,13 +1153,9 @@ impl<T: Send> Receiver<T> {
                 Err(TryRecvError::Disconnected) => return Err(RecvError),
                 Err(TryRecvError::Empty) => {}
             }
-            PARKER.with(|p| {
-                let waker = Waker::from(Arc::clone(p));
-                let mut cx = Context::from_waker(&waker);
-                if !self.chan.register(&mut cx) {
-                    while !p.notified.swap(false, Ordering::Acquire) {
-                        std::thread::park();
-                    }
+            with_parker(|parker, waker| {
+                if !self.chan.register(&mut Context::from_waker(waker)) {
+                    parker.park(None);
                 }
             });
         }
@@ -1246,9 +1200,13 @@ impl<T> Drop for Receiver<T> {
     }
 }
 
-/// Thread-parking waker backing the blocking [`Receiver::recv`];
-/// cached per thread so repeated blocking receives allocate nothing.
-struct ThreadParker {
+/// The crate's one thread-parking waker: `wake` flags the notification
+/// and unparks the thread. Everything that waits for a future from a
+/// plain OS thread goes through it — the blocking [`Receiver::recv`] and
+/// [`Sender::feed_blocking`], [`crate::sched::block_on`] and
+/// `CallHandle::wait` — via [`with_parker`], which caches one per
+/// thread so a blocking wait allocates nothing.
+pub(crate) struct ThreadParker {
     thread: std::thread::Thread,
     notified: AtomicBool,
 }
@@ -1264,11 +1222,41 @@ impl Wake for ThreadParker {
     }
 }
 
-thread_local! {
-    static PARKER: Arc<ThreadParker> = Arc::new(ThreadParker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
+impl ThreadParker {
+    /// Parks the thread until a wake arrives (`true`) or `deadline`
+    /// passes (`false`). A wake that arrived before the call is kept by
+    /// the flag; `park` returning for no reason is not mistaken for one.
+    pub(crate) fn park(&self, deadline: Option<std::time::Instant>) -> bool {
+        while !self.notified.swap(false, Ordering::Acquire) {
+            match deadline {
+                None => std::thread::park(),
+                Some(d) => {
+                    let now = std::time::Instant::now();
+                    if now >= d {
+                        return false;
+                    }
+                    std::thread::park_timeout(d - now);
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Runs `f` with the current thread's [`ThreadParker`] and a waker over
+/// it. Waits nest (a box function blocking on another net inside
+/// `block_on`), and the inner wait may consume a wake addressed to the
+/// outer future — but never one the outer wait depends on: those answer
+/// the registration the outer poll makes as it returns `Pending`, after
+/// the inner wait is over.
+pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
+    thread_local! {
+        static PARKER: Arc<ThreadParker> = Arc::new(ThreadParker {
+            thread: std::thread::current(),
+            notified: AtomicBool::new(false),
+        });
+    }
+    PARKER.with(|p| f(p, &Waker::from(Arc::clone(p))))
 }
 
 /// Future returned by [`Sender::feed`].
@@ -1431,13 +1419,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn send_each_preserves_fifo_and_wakes_parked_consumer() {
+    fn send_each_reserved_preserves_fifo_and_wakes_parked_consumer() {
         // FIFO across batch boundaries (incl. segment crossings: the
         // batch is larger than one segment)...
         let (tx, rx) = channel::<u32>();
-        assert_eq!(tx.send_each(0..100).unwrap(), 100);
+        assert_eq!(tx.send_each_reserved(0..100).unwrap(), 100);
         tx.send(100).unwrap();
-        assert_eq!(tx.send_each(101..110).unwrap(), 9);
+        assert_eq!(tx.send_each_reserved(101..110).unwrap(), 9);
         for i in 0..110 {
             assert_eq!(rx.try_recv().unwrap(), i);
         }
@@ -1452,13 +1440,13 @@ mod tests {
             got
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(tx.send_each(0..5).unwrap(), 5);
+        assert_eq!(tx.send_each_reserved(0..5).unwrap(), 5);
         drop(tx);
         assert_eq!(h.join().unwrap(), vec![0, 1, 2, 3, 4]);
         // A dead receiver drops the run.
         let (tx, rx) = channel::<u32>();
         drop(rx);
-        assert!(tx.send_each(0..5).is_err());
+        assert!(tx.send_each_reserved(0..5).is_err());
     }
 
     #[test]

@@ -122,40 +122,48 @@ pub fn stream_bounded(cap: usize, stats: Option<chan::EdgeStats>) -> (Sender, Re
 /// det-merge exemption, so a sort broadcast never waits behind a full
 /// edge. Each maximal run of records is published with one credit
 /// acquisition and one producer-role lock per grant
-/// ([`chan::Sender::acquire`] + [`chan::Sender::send_each_reserved`]),
-/// keeping the bounded path batched like the unbounded one.
+/// ([`chan::Sender::acquire`] + [`chan::Sender::send_each_reserved`]).
+/// An unbounded edge grants every acquisition at once, so the same call
+/// is the unbounded batch publish: nothing here ever waits on one.
 ///
 /// On a disconnected receiver the remainder is dropped and `Err` is
 /// returned, matching the `let _ = tx.send(..)` teardown idiom of the
 /// component loops.
 pub async fn feed_batch(tx: &Sender, buf: &mut Vec<Msg>) -> Result<(), chan::SendError<()>> {
-    while !buf.is_empty() {
-        if matches!(buf[0], Msg::Sort { .. }) {
-            let sort = buf.remove(0);
-            if tx.send(sort).is_err() {
-                buf.clear();
-                return Err(chan::SendError(()));
+    // One pass, front to back: a message is moved out of its slot,
+    // which is left holding a sort token (it owns nothing), and the
+    // buffer is cleared once at the end — removing from the front per
+    // sort or per credit grant would shift the whole remainder each time.
+    const MOVED: Msg = Msg::Sort {
+        level: 0,
+        counter: 0,
+    };
+    let take = |m: &mut Msg| std::mem::replace(m, MOVED);
+    let sent = async {
+        let mut pos = 0;
+        while pos < buf.len() {
+            if matches!(buf[pos], Msg::Sort { .. }) {
+                tx.send(take(&mut buf[pos]))
+                    .map_err(|_| chan::SendError(()))?;
+                pos += 1;
+                continue;
             }
-            continue;
-        }
-        let run = buf.iter().take_while(|m| matches!(m, Msg::Rec(_))).count();
-        let mut sent = 0;
-        while sent < run {
-            let got = match tx.acquire(run - sent).await {
-                Ok(n) => n,
-                Err(_) => {
-                    buf.clear();
-                    return Err(chan::SendError(()));
-                }
-            };
-            if tx.send_each_reserved(buf.drain(..got)).is_err() {
-                buf.clear();
-                return Err(chan::SendError(()));
+            let run = buf[pos..]
+                .iter()
+                .take_while(|m| matches!(m, Msg::Rec(_)))
+                .count();
+            let end = pos + run;
+            while pos < end {
+                let got = tx.acquire(end - pos).await?;
+                tx.send_each_reserved(buf[pos..pos + got].iter_mut().map(take))?;
+                pos += got;
             }
-            sent += got;
         }
+        Ok(())
     }
-    Ok(())
+    .await;
+    buf.clear();
+    sent
 }
 
 /// Direction of an observed record relative to the observed component.
@@ -208,8 +216,9 @@ impl Future for SelectReady<'_> {
     }
 }
 
-/// The record loop shared by every single-input component (boxes,
-/// filters, dispatchers, guards, stampers): drains batches from
+/// The record loop shared by the single-input coordination components
+/// (dispatchers, guards, stampers; boxes and filters run on
+/// [`crate::fused`]'s stage-run driver): drains batches from
 /// `input` — up to [`RECV_BATCH`] messages per wake, one fair
 /// timeslice — and applies `f` to each message in stream order, until
 /// end-of-stream. Batched delivery lives here so its semantics
@@ -288,6 +297,28 @@ mod tests {
         );
         // Disconnection is end-of-stream.
         assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn feed_batch_walks_a_sort_dense_buffer_through_a_one_credit_edge() {
+        // The worst case for a publish that removes from the front:
+        // every record is its own run, every run is its own credit wait.
+        const N: u64 = 4096;
+        let (tx, rx) = stream_bounded(1, None);
+        let consumer = std::thread::spawn(move || rx.iter().collect::<Vec<Msg>>());
+        let rec = |i: u64| Msg::Rec(Record::build().tag("i", i as i64).finish());
+        let sort = |i: u64| Msg::Sort {
+            level: 0,
+            counter: i,
+        };
+        let mut buf: Vec<Msg> = (0..N).flat_map(|i| [rec(i), sort(i)]).collect();
+        crate::sched::block_on(Box::pin(async move {
+            feed_batch(&tx, &mut buf).await.expect("consumer alive");
+            assert!(buf.is_empty());
+        }));
+        let got = consumer.join().unwrap();
+        let want: Vec<Msg> = (0..N).flat_map(|i| [rec(i), sort(i)]).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -55,6 +55,17 @@ impl Latch {
     }
 }
 
+/// The executors a stage-run scenario runs on: a thread per component
+/// and shared workers (one, where every component of the net takes
+/// turns on it, and two).
+fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
+    vec![
+        ("threads", Arc::new(ThreadPerComponent)),
+        ("pool(1)", Arc::new(WorkStealingPool::new(1))),
+        ("pool(2)", Arc::new(WorkStealingPool::new(2))),
+    ]
+}
+
 fn ints(records: &[Record], field: &str) -> Vec<i64> {
     records
         .iter()
@@ -135,87 +146,94 @@ fn stalled_consumer_caps_every_queue_at_the_bound() {
 fn slow_stage_holds_depth_at_bound_for_whole_run() {
     const BOUND: usize = 16;
     const N: i64 = 600;
-    let net = NetBuilder::from_source(
-        "box fast (x) -> (x);
-         box slow (x) -> (x);
-         net main = fast .. slow .. fast;",
-    )
-    .unwrap()
-    .bind("fast", |r, e| e.emit(r.clone()))
-    .bind("slow", |r, e| {
-        std::thread::sleep(Duration::from_micros(200));
-        e.emit(r.clone());
-    })
-    .executor(Arc::new(ThreadPerComponent))
-    .fuse(false)
-    .bound(BOUND)
-    .build("main")
-    .unwrap();
+    for (name, exec) in executors() {
+        let net = NetBuilder::from_source(
+            "box fast (x) -> (x);
+             box slow (x) -> (x);
+             net main = fast .. slow .. fast;",
+        )
+        .unwrap()
+        .bind("fast", |r, e| e.emit(r.clone()))
+        .bind("slow", |r, e| {
+            std::thread::sleep(Duration::from_micros(200));
+            e.emit(r.clone());
+        })
+        .executor(exec)
+        .fuse(false)
+        .bound(BOUND)
+        .build("main")
+        .unwrap();
 
-    std::thread::scope(|s| {
-        let driver = s.spawn(|| {
-            for i in 0..N {
-                net.send(Record::build().field("x", i).finish()).unwrap();
+        std::thread::scope(|s| {
+            let driver = s.spawn(|| {
+                for i in 0..N {
+                    net.send(Record::build().field("x", i).finish()).unwrap();
+                }
+            });
+            // Probe repeatedly *during* the run: a bound that only holds
+            // at quiescence would pass a single end-of-run check.
+            for _ in 0..20 {
+                std::thread::sleep(Duration::from_millis(5));
+                let d = net.metrics().max_matching("stream_depth");
+                assert!(
+                    d as usize <= BOUND,
+                    "{name}: depth {d} exceeded bound {BOUND}"
+                );
             }
+            driver.join().unwrap();
         });
-        // Probe repeatedly *during* the run: a bound that only holds
-        // at quiescence would pass a single end-of-run check.
-        for _ in 0..20 {
-            std::thread::sleep(Duration::from_millis(5));
-            let d = net.metrics().max_matching("stream_depth");
-            assert!(d as usize <= BOUND, "depth {d} exceeded bound {BOUND}");
-        }
-        driver.join().unwrap();
-    });
-    let metrics = Arc::clone(net.metrics());
-    let out = net.finish();
-    assert_eq!(ints(&out, "x"), (0..N).collect::<Vec<_>>());
-    assert!(metrics.max_matching("stream_depth") as usize <= BOUND);
-    // The slow edge stalled its producer many times — the counter is
-    // the observability contract for diagnosing this in production.
-    assert!(
-        metrics.get("runtime/credit_stalls") > 0,
-        "a 200µs/record stage behind a fast producer must stall credits"
-    );
+        let metrics = Arc::clone(net.metrics());
+        let out = net.finish();
+        assert_eq!(ints(&out, "x"), (0..N).collect::<Vec<_>>(), "{name}");
+        assert!(metrics.max_matching("stream_depth") as usize <= BOUND);
+        // The slow edge stalled its producer many times — the counter is
+        // the observability contract for diagnosing this in production.
+        assert!(
+            metrics.get("runtime/credit_stalls") > 0,
+            "{name}: a 200µs/record stage behind a fast producer must stall credits"
+        );
+    }
 }
 
 #[test]
 fn amplifying_chain_fan_729_stays_bounded() {
     const BOUND: usize = 32;
     const N: i64 = 24; // 24 × 3^6 = 17,496 output records.
-    let net = NetBuilder::from_source(
-        "box amp (x) -> (x);
-         net main = amp .. amp .. amp .. amp .. amp .. amp;",
-    )
-    .unwrap()
-    .bind("amp", |r, e| {
-        let x = r.field("x").unwrap().as_int().unwrap();
-        for i in 0..3i64 {
-            e.emit(Record::build().field("x", x * 3 + i).finish());
+    for (name, exec) in executors() {
+        let net = NetBuilder::from_source(
+            "box amp (x) -> (x);
+             net main = amp .. amp .. amp .. amp .. amp .. amp;",
+        )
+        .unwrap()
+        .bind("amp", |r, e| {
+            let x = r.field("x").unwrap().as_int().unwrap();
+            for i in 0..3i64 {
+                e.emit(Record::build().field("x", x * 3 + i).finish());
+            }
+        })
+        .executor(exec)
+        .fuse(false)
+        .bound(BOUND)
+        .build("main")
+        .unwrap();
+
+        for i in 0..N {
+            net.send(Record::build().field("x", i).finish()).unwrap();
         }
-    })
-    .executor(Arc::new(ThreadPerComponent))
-    .fuse(false)
-    .bound(BOUND)
-    .build("main")
-    .unwrap();
+        let metrics = Arc::clone(net.metrics());
+        let out = net.finish();
+        assert_eq!(out.len(), (N as usize) * 729, "{name}");
 
-    for i in 0..N {
-        net.send(Record::build().field("x", i).finish()).unwrap();
+        // Interior queues never held more than the bound, even while each
+        // stage was emitting three records per input. Unbounded, the final
+        // edges would see thousands in flight.
+        let high_water = metrics.max_matching("stream_depth");
+        assert!(
+            high_water as usize <= BOUND,
+            "{name}: amplified depth {high_water} exceeded bound {BOUND}"
+        );
+        assert!(metrics.get("runtime/stream_depth") > 0);
     }
-    let metrics = Arc::clone(net.metrics());
-    let out = net.finish();
-    assert_eq!(out.len(), (N as usize) * 729);
-
-    // Interior queues never held more than the bound, even while each
-    // stage was emitting three records per input. Unbounded, the final
-    // edges would see thousands in flight.
-    let high_water = metrics.max_matching("stream_depth");
-    assert!(
-        high_water as usize <= BOUND,
-        "amplified depth {high_water} exceeded bound {BOUND}"
-    );
-    assert!(metrics.get("runtime/stream_depth") > 0);
 }
 
 /// The determinism contract: bounding is invisible in the output.

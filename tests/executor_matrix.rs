@@ -326,3 +326,65 @@ fn expensive_stages_interleave_on_one_worker() {
         );
     }
 }
+
+#[test]
+fn a_slow_lone_box_publishes_before_it_works_off_its_backlog() {
+    // A lone 5 ms box with 64 records queued behind the one it is on:
+    // how often has it been entered when its first output reaches the
+    // consumer? A stage run drains at most its poll budget, and a
+    // 5 ms message prices the budget at 1 on every executor — a driver
+    // that published once per drained batch (or drained without a
+    // budget) would have run all 64 first. Counts, not clocks.
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
+    const BACKLOG: i64 = 64;
+
+    let pools: [fn() -> Arc<dyn Executor>; 3] = [
+        || Arc::new(ThreadPerComponent),
+        || Arc::new(WorkStealingPool::new(1)),
+        || Arc::new(WorkStealingPool::new(2)),
+    ];
+    for (mk, fuse) in pools.iter().flat_map(|mk| [(mk, true), (mk, false)]) {
+        let exec = mk();
+        let name = format!("{} {:?} fuse={fuse}", exec.kind(), exec.os_thread_bound());
+        let entered = Arc::new(AtomicUsize::new(0));
+        let all_sent = Arc::new(AtomicBool::new(false));
+        let net = NetBuilder::from_source("box slow (x) -> (x); net main = slow;")
+            .unwrap()
+            .bind("slow", {
+                let (entered, all_sent) = (Arc::clone(&entered), Arc::clone(&all_sent));
+                move |rec, em| {
+                    if rec.field("x").unwrap().as_int() == Some(-1) {
+                        // The primer: hold the box until the backlog is
+                        // queued, and put nothing on the output.
+                        while !all_sent.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        return;
+                    }
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(5));
+                    em.emit(rec.clone());
+                }
+            })
+            .fuse(fuse)
+            .executor(exec)
+            // Room for the whole backlog: the sends below must not wait
+            // on a box that is waiting for them.
+            .bound(BACKLOG as usize + 1)
+            .build("main")
+            .unwrap();
+        for x in -1..BACKLOG {
+            net.send(Record::build().field("x", x).finish()).unwrap();
+        }
+        all_sent.store(true, Ordering::Release);
+        let first = net.recv().expect("the box emits every record");
+        let at_first_output = entered.load(Ordering::SeqCst);
+        assert_eq!(first.field("x").unwrap().as_int(), Some(0), "{name}");
+        assert!(
+            (1..=4).contains(&at_first_output),
+            "{name}: entered {at_first_output} times before its first output arrived"
+        );
+        assert_eq!(net.finish().len(), BACKLOG as usize - 1, "{name}");
+    }
+}

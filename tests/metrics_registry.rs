@@ -147,3 +147,105 @@ fn repeated_instantiation_accumulates_under_identical_keys() {
     };
     assert_eq!(values(&a), values(&b));
 }
+
+/// One of each driver: a lone box (`a`), a fused fan (`(b .. c) ! <k>`),
+/// a lone filter, a second fused fan (`l | r`) and a fused chain
+/// (`d .. e`). Fusion and the bound are pinned, so the key set does not
+/// follow `SNET_FUSE` / `SNET_STREAM_BOUND`.
+fn one_of_each_driver() -> snet_runtime::Net {
+    let fwd = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
+    NetBuilder::from_source(
+        "box a (x) -> (x, <k>);\n\
+         box b (x) -> (x);\n\
+         box c (x) -> (x);\n\
+         box l (x) -> (x);\n\
+         box r (x, <odd>) -> (x);\n\
+         box d (x) -> (x);\n\
+         box e (x) -> (x);\n\
+         net main = a .. ((b .. c) ! <k>) .. [{<k>} -> {<odd>=<k>}] .. (l | r) .. d .. e;",
+    )
+    .unwrap()
+    .bind("a", |r, e| {
+        let x = r.field("x").unwrap().as_int().unwrap();
+        e.emit(Record::build().field("x", x).tag("k", x % 2).finish());
+    })
+    .bind("b", fwd)
+    .bind("c", fwd)
+    .bind("l", fwd)
+    .bind("r", fwd)
+    .bind("d", fwd)
+    .bind("e", fwd)
+    .fuse(true)
+    .fuse_fan(true)
+    .bound(128)
+    .build("main")
+    .unwrap()
+}
+
+#[test]
+fn key_set_of_every_stage_driver_is_pinned() {
+    let net = one_of_each_driver();
+    assert_eq!(net.threads_spawned(), 5, "one component per driver");
+    for x in 0..8i64 {
+        net.send(Record::build().field("x", x).finish()).unwrap();
+    }
+    let metrics = std::sync::Arc::clone(net.metrics());
+    assert_eq!(net.finish().len(), 8);
+    let snap = metrics.snapshot();
+    let keys: Vec<&str> = snap.keys().map(String::as_str).collect();
+    assert_eq!(keys, PINNED_KEYS);
+}
+
+/// `one_of_each_driver`'s metric keys, generated at the commit before
+/// boxes and filters moved onto the stage-run driver (7426e96).
+const PINNED_KEYS: [&str; 49] = [
+    "net/credit_stalls",
+    "net/s0/s0/s0/s0/s0/box:a/credit_stalls",
+    "net/s0/s0/s0/s0/s0/box:a/records_in",
+    "net/s0/s0/s0/s0/s0/box:a/records_out",
+    "net/s0/s0/s0/s0/s0/box:a/spawned",
+    "net/s0/s0/s0/s0/s0/box:a/stream_depth",
+    "net/s0/s0/s0/s0/s1/split/branch0/s0/box:b/records_in",
+    "net/s0/s0/s0/s0/s1/split/branch0/s0/box:b/records_out",
+    "net/s0/s0/s0/s0/s1/split/branch0/s0/box:b/spawned",
+    "net/s0/s0/s0/s0/s1/split/branch0/s1/box:c/records_in",
+    "net/s0/s0/s0/s0/s1/split/branch0/s1/box:c/records_out",
+    "net/s0/s0/s0/s0/s1/split/branch0/s1/box:c/spawned",
+    "net/s0/s0/s0/s0/s1/split/branch1/s0/box:b/records_in",
+    "net/s0/s0/s0/s0/s1/split/branch1/s0/box:b/records_out",
+    "net/s0/s0/s0/s0/s1/split/branch1/s0/box:b/spawned",
+    "net/s0/s0/s0/s0/s1/split/branch1/s1/box:c/records_in",
+    "net/s0/s0/s0/s0/s1/split/branch1/s1/box:c/records_out",
+    "net/s0/s0/s0/s0/s1/split/branch1/s1/box:c/spawned",
+    "net/s0/s0/s0/s0/s1/split/branches",
+    "net/s0/s0/s0/s0/s1/split/credit_stalls",
+    "net/s0/s0/s0/s0/s1/split/records_in",
+    "net/s0/s0/s0/s0/s1/split/stream_depth",
+    "net/s0/s0/s0/s1/filter/credit_stalls",
+    "net/s0/s0/s0/s1/filter/records_in",
+    "net/s0/s0/s0/s1/filter/records_out",
+    "net/s0/s0/s0/s1/filter/spawned",
+    "net/s0/s0/s0/s1/filter/stream_depth",
+    "net/s0/s0/s1/par/L/box:l/records_in",
+    "net/s0/s0/s1/par/L/box:l/records_out",
+    "net/s0/s0/s1/par/L/box:l/spawned",
+    "net/s0/s0/s1/par/R/box:r/records_in",
+    "net/s0/s0/s1/par/R/box:r/records_out",
+    "net/s0/s0/s1/par/R/box:r/spawned",
+    "net/s0/s0/s1/par/credit_stalls",
+    "net/s0/s0/s1/par/records_in",
+    "net/s0/s0/s1/par/routed_left",
+    "net/s0/s0/s1/par/routed_right",
+    "net/s0/s0/s1/par/stream_depth",
+    "net/s0/s1/box:d/records_in",
+    "net/s0/s1/box:d/records_out",
+    "net/s0/s1/box:d/spawned",
+    "net/s1/box:e/records_in",
+    "net/s1/box:e/records_out",
+    "net/s1/box:e/spawned",
+    "net/stream_depth",
+    "runtime/component_panics",
+    "runtime/credit_stalls",
+    "runtime/interner_paths",
+    "runtime/stream_depth",
+];
