@@ -3,7 +3,7 @@
 //! Drives both service workloads (sudoku Fig. 1, sensor fusion)
 //! through the `snet-runtime::serve` front door at a fixed arrival
 //! rate and reports sustained RPS + p50/p99/p999 tail latency at
-//! steady state, written to `BENCH_PR7.json`.
+//! steady state, printed as JSON.
 //!
 //! Two modes:
 //!
@@ -11,10 +11,10 @@
 //!   closed-loop burst, then run the open loop at ~60 % of measured
 //!   capacity for 12 000 requests across 8 concurrent callers.
 //!   Asserts zero lost/misrouted responses (the PR's correctness
-//!   criterion) and writes the JSON artifact.
+//!   criterion) and prints the JSON report to stdout.
 //! * `--smoke`: a short fixed-rate burst per workload for CI — same
 //!   zero-loss assertions plus a generous p99 sanity ceiling, no
-//!   artifact. Also times the door pair (`snet_bench::door`: the same
+//!   JSON. Also times the door pair (`snet_bench::door`: the same
 //!   one-box net behind the FIFO door and behind the `Service` door)
 //!   and prints the door tax, failing on any stray or lost request.
 //!
@@ -368,8 +368,7 @@ fn main() {
     }
 
     if !smoke {
-        std::fs::write("BENCH_PR7.json", json(&rows)).expect("write BENCH_PR7.json");
-        println!("wrote BENCH_PR7.json");
+        println!("{}", json(&rows));
     }
 
     if failures.is_empty() {

@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// `SNET_STREAM_BOUND` nor a per-net `NetBuilder::bound`/`unbounded`
 /// overrides it. **Backpressure is on by default** since PR 7, with
 /// the value picked from the open-loop serve harness
-/// (`crates/bench/src/bin/serve_bench.rs`, BENCH_PR7.json): at
+/// (`crates/bench/src/bin/serve_bench.rs`, PR 7's run): at
 /// moderate load (300 req/s smoke) steady-state depth high-water is
 /// single-digit on both service workloads, so 128 is an order of
 /// magnitude above anything a stable system queues; at 60 % of
@@ -75,16 +75,12 @@ pub struct RunCfg {
     /// Per-replicator lane bounds keyed by routing-tag name; a tag's
     /// entry wins over the net-global `split_lanes`.
     pub split_lanes_by_tag: HashMap<String, u32>,
-    /// Per-combinator escape hatch for replica fusion (see
-    /// [`crate::plan`], *fan fusion*): `None` = fuse (the default),
-    /// `Some(false)` = keep every fan unfused at runtime even when
-    /// the plan carries `FusedFan` nodes. `SNET_FUSE=0` disables the
-    /// whole fusion pass at compile time instead.
+    /// Escape hatch for replica fusion (see [`crate::plan`], *fan
+    /// fusion*): `None` = fuse (the default), `Some(false)` = run
+    /// every fan on its own dispatcher even where the plan marked it
+    /// `fused`. `SNET_FUSE=0` disables the whole fusion pass at
+    /// compile time instead.
     pub fan_fuse: Option<bool>,
-    /// Per-replicator fan-fusion overrides keyed by routing-tag name
-    /// (indexed splits only — parallel and star have no tag to key
-    /// on); a tag's entry wins over the net-global `fan_fuse`.
-    pub fan_fuse_by_tag: HashMap<String, bool>,
     /// What a box/filter panic does to the net (see
     /// [`crate::fault`]): fail it (default), skip the poison record,
     /// or restart the stage with backoff.
@@ -196,18 +192,15 @@ impl Ctx {
             .or(self.cfg.split_lanes)
     }
 
-    /// Whether the fan combinator routing on `tag` (if any) may run
-    /// fused at this net's runtime settings: a per-tag override wins
-    /// over the net-global `fan_fuse`, and the default is on.
-    pub fn fan_fuse_for(&self, tag: Option<&str>) -> bool {
-        tag.and_then(|t| self.cfg.fan_fuse_by_tag.get(t).copied())
-            .or(self.cfg.fan_fuse)
-            .unwrap_or(true)
+    /// Whether fan combinators may run fused at this net's runtime
+    /// settings (default: on).
+    pub fn fan_fuse(&self) -> bool {
+        self.cfg.fan_fuse.unwrap_or(true)
     }
 
-    /// The net's fault policy (fused fans fall back to the unfused
-    /// topology under `Restart`, whose backoff sleep must not park
-    /// co-scheduled lanes).
+    /// The net's fault policy (fans run on their own dispatchers under
+    /// `Restart`, whose backoff sleep must not park co-scheduled
+    /// lanes).
     pub(crate) fn fault_policy(&self) -> FaultPolicy {
         self.cfg.fault_policy
     }
@@ -225,7 +218,10 @@ impl Ctx {
     /// says so; a plain unbounded stream otherwise. Spawn-time API:
     /// the bounded arm takes the metrics registry locks.
     pub fn data_stream(&self, path: CompPath, name: &str) -> (Sender, Receiver) {
-        let cap = self.edge_cap(name);
+        let cap = match self.cfg.bound_overrides.get(name) {
+            Some(&n) => n,
+            None => self.cfg.bound.unwrap_or(0),
+        };
         if cap == 0 {
             return stream();
         }
@@ -236,22 +232,6 @@ impl Ctx {
             stalls_global: self.metrics.handle(keys::CREDIT_STALLS_GLOBAL),
         };
         stream_bounded(cap, Some(stats))
-    }
-
-    /// The capacity [`Ctx::data_stream`] would give an edge named
-    /// `name` (`0` = unbounded). Dispatchers that unfold edges lazily
-    /// use [`Ctx::edge_bounded`] to pick their record loop up front.
-    fn edge_cap(&self, name: &str) -> usize {
-        match self.cfg.bound_overrides.get(name) {
-            Some(&n) => n,
-            None => self.cfg.bound.unwrap_or(0),
-        }
-    }
-
-    /// Whether [`Ctx::data_stream`] would return a bounded edge for
-    /// `name`.
-    pub fn edge_bounded(&self, name: &str) -> bool {
-        self.edge_cap(name) > 0
     }
 
     /// Spawns a named component on the context's executor and

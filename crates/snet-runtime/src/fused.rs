@@ -70,16 +70,14 @@
 use crate::boxfn::BoxCore;
 use crate::ctx::Ctx;
 use crate::filter_exec::FilterCore;
-use crate::merge::FusedTail;
-use crate::metrics::{keys, Counter};
-use crate::parallel::{decide_or_panic, RouteCache};
+use crate::parallel::ParRouter;
 use crate::path::CompPath;
-use crate::plan::{FanKind, FusedKind, FusedStage, PNode};
-use crate::split::TagDispatch;
-use crate::star::ExitDispatch;
-use crate::stream::{feed_batch, yield_now, Dir, Msg, Receiver, RECV_BATCH};
+use crate::plan::{FanKind, FusedStage, PNode};
+use crate::split::SplitRouter;
+use crate::star::{ExitDispatch, GuardPaths, StarChain};
+use crate::stream::{feed_batch, yield_now, Msg, Receiver, RECV_BATCH};
 use snet_types::Record;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One stage's execution core inside a stage run.
@@ -88,39 +86,40 @@ pub(crate) enum StageCore {
     Filter(FilterCore),
 }
 
-/// Builds the execution core for one fused stage at its interned
-/// path — the per-stage spawn bookkeeping shared by the chain driver
-/// ([`spawn_fused`]) and the fan driver's lanes ([`lane_cores`]).
-fn stage_core(ctx: &Ctx, p: CompPath, kind: &FusedKind) -> StageCore {
-    match kind {
-        FusedKind::Box { name, sig, imp } => {
-            StageCore::Box(BoxCore::new(ctx, p, name, sig.clone(), Arc::clone(imp)))
-        }
-        FusedKind::Filter { def } => StageCore::Filter(FilterCore::new(ctx, p, def.clone())),
+/// Builds the execution core for one stage — a plan's `Box` or
+/// `Filter` leaf — under `parent` (the `box:{name}` / `filter` child
+/// comes from the core constructor): the per-stage spawn bookkeeping
+/// of every stage, wherever the plan put it.
+fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
+    match leaf {
+        PNode::Box { name, sig, imp } => StageCore::Box(BoxCore::new(
+            ctx,
+            parent,
+            name,
+            sig.clone(),
+            Arc::clone(imp),
+        )),
+        PNode::Filter { def } => StageCore::Filter(FilterCore::new(ctx, parent, def.clone())),
+        other => unreachable!("not a SISO stage: {other:?}"),
     }
+}
+
+/// A fused run's stage cores, each registered under its recorded
+/// suffix below `path`.
+fn run_cores(ctx: &Ctx, path: CompPath, stages: &[FusedStage]) -> Vec<StageCore> {
+    stages
+        .iter()
+        .map(|stage| stage_core(ctx, path.descend(&stage.suffix), &stage.leaf))
+        .collect()
 }
 
 /// Builds one fan lane's stage cores from its SISO-fusable body plan,
 /// registering every per-stage path exactly as the unfused replica
-/// instantiation would (`instantiate(body, bpath)`): a `Fused` body's
-/// stages descend through their recorded suffixes; a lone box or
-/// filter registers directly under the lane path (the `box:{name}` /
-/// `filter` child comes from the core constructor, as standalone).
+/// instantiation would (`instantiate(body, bpath)`).
 fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
     match body {
-        PNode::Fused { stages } => stages
-            .iter()
-            .map(|stage| stage_core(ctx, bpath.descend(&stage.suffix), &stage.kind))
-            .collect(),
-        PNode::Box { name, sig, imp } => vec![StageCore::Box(BoxCore::new(
-            ctx,
-            bpath,
-            name,
-            sig.clone(),
-            Arc::clone(imp),
-        ))],
-        PNode::Filter { def } => vec![StageCore::Filter(FilterCore::new(ctx, bpath, def.clone()))],
-        other => unreachable!("fan-fusion body is not SISO-fusable: {other:?}"),
+        PNode::Fused { stages } => run_cores(ctx, bpath, stages),
+        lone => vec![stage_core(ctx, bpath, lone)],
     }
 }
 
@@ -248,11 +247,7 @@ pub fn spawn_fused(
     input: Receiver,
 ) -> Receiver {
     let path = path.into();
-    let cores = stages
-        .iter()
-        .map(|stage| stage_core(ctx, path.descend(&stage.suffix), &stage.kind))
-        .collect();
-    spawn_stage_run(ctx, path, cores, input)
+    spawn_stage_run(ctx, path, run_cores(ctx, path, stages), input)
 }
 
 /// The stage-run driver: **the** record loop of every box and filter,
@@ -302,41 +297,40 @@ pub(crate) fn spawn_stage_run(
     rx
 }
 
-/// Whether a [`FanKind`] may actually run fused under this net's
-/// runtime settings; `false` sends instantiation down the ordinary
-/// unfused replicator spawn (see [`crate::instantiate`]). Three
+/// Whether a `fused` [`PNode::Fan`] may actually run fused under this
+/// net's runtime settings; `false` sends instantiation to the
+/// combinator's own dispatcher (see [`crate::instantiate`]). Three
 /// conditions, all documented in [`crate::plan`] (*fan fusion*):
 ///
-/// * the per-combinator escape hatch
-///   ([`crate::ctx::RunCfg::fan_fuse`] / `fan_fuse_by_tag`) is off;
+/// * the net's escape hatch ([`crate::ctx::RunCfg::fan_fuse`]) is off;
 /// * the fault policy is `Restart` — its backoff sleep would park
 ///   every co-scheduled lane, not just the faulty one;
 /// * an **explicit** capacity override names the `"dispatch"` edge:
 ///   the user asked for credit-gated lane edges, and a fused fan has
 ///   no lane edges to gate. (The net-global default bound does *not*
-///   fall back: fusion replaces the lane edge with a synchronous
+///   decline: fusion replaces the lane edge with a synchronous
 ///   handoff — stricter than any capacity — and backpressure still
 ///   propagates through the fan's own input edge.)
-pub(crate) fn fan_fusable_here(ctx: &Ctx, kind: &FanKind) -> bool {
-    let tag = match kind {
-        FanKind::Split { tag, .. } => Some(tag.name()),
-        FanKind::Parallel { .. } | FanKind::Star { .. } => None,
-    };
-    ctx.fan_fuse_for(tag)
+pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
+    ctx.fan_fuse()
         && !ctx.fault_policy().restarts()
         && !matches!(ctx.edge_override("dispatch"), Some(n) if n > 0)
 }
 
-/// The fused fan's dispatch-and-lane state: the same classification
-/// cores the standalone dispatcher tasks use ([`TagDispatch`],
-/// [`RouteCache`], [`ExitDispatch`] — identical routing, panics and
-/// memoization), each lane a stage-core vector run stage-major, with
-/// emissions landing in the component's [`FusedTail`].
+/// The fused fan's dispatch-and-lane state: each combinator's own
+/// router ([`SplitRouter`], [`ParRouter`], [`StarChain`] — the ones
+/// its dispatcher tasks use, so routing, counters, lane names, observer
+/// events, panics and memoization are the same code), instantiated
+/// with a stage-core vector as the lane, run stage-major, emissions
+/// landing in the component's out-buffer.
 ///
 /// Processing each record synchronously, in input order, is what
-/// makes the merge degenerate: the deterministic variants need **no
-/// sort records at all** inside the fan, because concatenating each
-/// record's lane output in arrival order *is* the
+/// makes the merge degenerate: where an unfused lane publishes to a
+/// per-branch channel for a merger task to drain, a fused lane's
+/// emissions are concatenated in arrival order and published straight
+/// to the combinator's output edge. The deterministic variants need
+/// **no sort records at all** inside the fan, because concatenating
+/// each record's lane output in arrival order *is* the
 /// round-by-round-in-join-order drain of the unfused det merger (for
 /// a star, depth-`d` exits of one record precede its depth-`d+1`
 /// exits — join order — and per-depth arrival order is the lane's
@@ -346,38 +340,24 @@ pub(crate) fn fan_fusable_here(ctx: &Ctx, kind: &FanKind) -> bool {
 /// in lockstep.
 enum DispatchCore {
     /// `body ! <tag>` / `body !! <tag>`: lanes unfold on demand per
-    /// branch key, exactly like the standalone dispatcher's replica
-    /// map.
+    /// branch key, exactly like the dispatcher's replicas.
     Split {
-        route: TagDispatch,
+        router: SplitRouter<Vec<StageCore>>,
         body: Arc<PNode>,
-        lanes: HashMap<i64, Vec<StageCore>>,
-        records_in: Counter,
-        branches_created: Counter,
     },
-    /// `left | right` / `left || right`: both lanes exist up front,
-    /// as standalone (parallel composition instantiates eagerly).
-    Par {
-        routes: RouteCache,
-        left: Vec<StageCore>,
-        right: Vec<StageCore>,
-        records_in: Counter,
-        routed_left: Counter,
-        routed_right: Counter,
-    },
-    /// `body * {exit}` / `body ** {exit}`: replica `d` unfolds when
-    /// the first record passes guard `d` without exiting, exactly
-    /// like the standalone chain's demand-driven unfolding.
+    /// `left | right` / `left || right`: both lanes exist up front
+    /// (parallel composition instantiates eagerly).
+    Par(ParRouter<Vec<StageCore>>),
+    /// `body * {exit}` / `body ** {exit}`: replica `d` and guard
+    /// `d + 1` unfold when the first record passes guard `d` without
+    /// exiting, exactly like the guard chain's demand-driven
+    /// unfolding.
     Star {
+        chain: StarChain,
         route: ExitDispatch,
-        body: Arc<PNode>,
+        /// `guards[d]` names guard `d` and the replica behind it.
+        guards: Vec<GuardPaths>,
         lanes: Vec<Vec<StageCore>>,
-        /// `gpaths[d]` is guard `d`'s observer path
-        /// (`{comb}/stage{d}/guard`), interned at the same moment the
-        /// unfused chain would intern it.
-        gpaths: Vec<CompPath>,
-        exits: Counter,
-        stages: Counter,
         /// Scratch frontier for the per-record depth walk (reused
         /// across records).
         frontier: Vec<Record>,
@@ -386,75 +366,28 @@ enum DispatchCore {
 
 impl DispatchCore {
     /// Runs one input record through its lane(s); emissions land in
-    /// `tail` in output order. Returns the stage-message units spent
-    /// (the fair loop's budgeting currency). `batch`/`scratch` are
-    /// the driver's reusable stage-major buffers.
+    /// `out` in output order. Returns the stage-message units spent
+    /// (the driver's budgeting currency). `batch`/`scratch` are the
+    /// driver's reusable stage-major buffers.
     fn process(
         &mut self,
         ctx: &Ctx,
         comb: CompPath,
         rec: Record,
-        tail: &mut FusedTail,
+        out: &mut Vec<Msg>,
         batch: &mut Vec<Record>,
         scratch: &mut Vec<Record>,
     ) -> usize {
-        match self {
-            DispatchCore::Split {
-                route,
-                body,
-                lanes,
-                records_in,
-                branches_created,
-            } => {
-                if ctx.has_observers() {
-                    ctx.observe(comb, Dir::In, &rec);
-                }
-                records_in.inc(1);
-                let key = route.key(&rec, comb);
-                let cores = lanes.entry(key).or_insert_with(|| {
-                    branches_created.inc(1);
-                    lane_cores(ctx, comb.child(&route.seg(key)), body)
-                });
-                batch.clear();
-                batch.push(rec);
-                run_stages(cores, ctx, batch, scratch);
-                let units = cores.len() + batch.len();
-                tail.extend(batch.drain(..));
-                units
+        let cores = match self {
+            DispatchCore::Split { router, body } => {
+                router.lane(ctx, comb, &rec, |bpath| lane_cores(ctx, bpath, body))
             }
-            DispatchCore::Par {
-                routes,
-                left,
-                right,
-                records_in,
-                routed_left,
-                routed_right,
-            } => {
-                if ctx.has_observers() {
-                    ctx.observe(comb, Dir::In, &rec);
-                }
-                records_in.inc(1);
-                let cores = if decide_or_panic(routes, &rec, comb) {
-                    routed_left.inc(1);
-                    left
-                } else {
-                    routed_right.inc(1);
-                    right
-                };
-                batch.clear();
-                batch.push(rec);
-                run_stages(cores, ctx, batch, scratch);
-                let units = cores.len() + batch.len();
-                tail.extend(batch.drain(..));
-                units
-            }
+            DispatchCore::Par(router) => router.lane(ctx, comb, &rec),
             DispatchCore::Star {
+                chain,
                 route,
-                body,
+                guards,
                 lanes,
-                gpaths,
-                exits,
-                stages,
                 frontier,
             } => {
                 let mut units = 0;
@@ -462,17 +395,13 @@ impl DispatchCore {
                 frontier.push(rec);
                 let mut depth = 0;
                 while !frontier.is_empty() {
-                    // Guard `depth`: exits leave for the tail, the
+                    // Guard `depth`: exits leave for the output, the
                     // rest enter replica `depth`.
                     batch.clear();
                     for r in frontier.drain(..) {
-                        if ctx.has_observers() {
-                            ctx.observe(gpaths[depth], Dir::In, &r);
-                        }
                         units += 1;
-                        if route.exits(&r) {
-                            exits.inc(1);
-                            tail.push(r);
+                        if route.exits(ctx, guards[depth].guard, &r) {
+                            out.push(Msg::Rec(r));
                         } else {
                             batch.push(r);
                         }
@@ -481,13 +410,8 @@ impl DispatchCore {
                         break;
                     }
                     if lanes.len() == depth {
-                        // Demand-driven unfolding: replica `depth`
-                        // plus the next guard's path, registered at
-                        // the same moment the standalone chain would
-                        // spawn them.
-                        lanes.push(lane_cores(ctx, comb.child(&format!("stage{depth}")), body));
-                        gpaths.push(comb.child(&format!("stage{}", depth + 1)).child("guard"));
-                        stages.max(depth as u64 + 2);
+                        lanes.push(lane_cores(ctx, guards[depth].replica, &chain.body));
+                        guards.push(chain.unfold(depth + 1));
                     }
                     let cores = &mut lanes[depth];
                     run_stages(cores, ctx, batch, scratch);
@@ -495,81 +419,61 @@ impl DispatchCore {
                     std::mem::swap(frontier, batch);
                     depth += 1;
                 }
-                units
+                return units;
             }
-        }
+        };
+        batch.clear();
+        batch.push(rec);
+        run_stages(cores, ctx, batch, scratch);
+        let units = cores.len() + batch.len();
+        out.extend(batch.drain(..).map(Msg::Rec));
+        units
     }
 }
 
-/// Spawns a fused fan combinator as a single component: dispatch,
-/// every lane's stages and the merge handoff run in one record loop
-/// (see [`DispatchCore`] for the ordering argument and
-/// [`crate::plan`], *fan fusion*, for legality). Per-lane metrics
-/// paths, observer events and panics are byte-identical to the
-/// unfused replicator; only the component count differs.
+/// Spawns a `fused` fan combinator at `comb` as a single component:
+/// dispatch, every lane's stages and the merge handoff run in one
+/// record loop (see [`DispatchCore`] for the ordering argument and
+/// [`crate::plan`], *fan fusion*, for legality). Only the component
+/// count differs from the combinator's own dispatcher.
 pub fn spawn_fused_fan(
     ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
+    comb: CompPath,
     kind: &FanKind,
-    det: bool,
     input: Receiver,
 ) -> Receiver {
-    let path = path.into();
-    let (comb, mut core) = match kind {
-        FanKind::Split { body, tag } => {
-            let comb = path.child(if det { "split" } else { "splitnd" });
-            (
-                comb,
-                DispatchCore::Split {
-                    route: TagDispatch::new(ctx, *tag),
-                    body: Arc::clone(body),
-                    lanes: HashMap::new(),
-                    records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
-                    branches_created: ctx.metrics.handle_at(comb, keys::BRANCHES),
-                },
-            )
-        }
+    let mut core = match kind {
+        FanKind::Split { body, tag } => DispatchCore::Split {
+            router: SplitRouter::new(ctx, comb, *tag),
+            body: Arc::clone(body),
+        },
         FanKind::Parallel {
             left,
             right,
             left_sig,
             right_sig,
-        } => {
-            let comb = path.child(if det { "par" } else { "parnd" });
-            (
-                comb,
-                DispatchCore::Par {
-                    routes: RouteCache::new(left_sig.clone(), right_sig.clone()),
-                    left: lane_cores(ctx, comb.child("L"), left),
-                    right: lane_cores(ctx, comb.child("R"), right),
-                    records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
-                    routed_left: ctx.metrics.handle_at(comb, "routed_left"),
-                    routed_right: ctx.metrics.handle_at(comb, "routed_right"),
-                },
-            )
-        }
+        } => DispatchCore::Par(ParRouter::new(
+            ctx,
+            comb,
+            (left, left_sig),
+            (right, right_sig),
+            |lpath, body| lane_cores(ctx, lpath, body),
+        )),
         FanKind::Star { body, exit } => {
-            let comb = path.child(if det { "star" } else { "starnd" });
-            let stages = ctx.metrics.handle_at(comb, keys::STAGES);
-            stages.max(1);
-            (
-                comb,
-                DispatchCore::Star {
-                    route: ExitDispatch::new(exit.clone()),
-                    body: Arc::clone(body),
-                    lanes: Vec::new(),
-                    gpaths: vec![comb.child("stage0").child("guard")],
-                    exits: ctx.metrics.handle_at(comb, keys::EXITS),
-                    stages,
-                    frontier: Vec::new(),
-                },
-            )
+            let chain = StarChain::new(ctx, comb, body, exit);
+            DispatchCore::Star {
+                route: chain.dispatch(),
+                guards: vec![chain.unfold(0)],
+                chain,
+                lanes: Vec::new(),
+                frontier: Vec::new(),
+            }
         }
     };
     let (tx, rx) = ctx.data_stream(comb, "merge");
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(format!("{comb}/dispatch"), async move {
-        let mut tail = FusedTail::new(tx);
+        let mut out: Vec<Msg> = Vec::new();
         let mut batch: Vec<Record> = Vec::new();
         let mut scratch: Vec<Record> = Vec::new();
         let mut pending: VecDeque<Msg> = VecDeque::new();
@@ -584,30 +488,29 @@ pub fn spawn_fused_fan(
             while let Some(msg) = pending.pop_front() {
                 match msg {
                     Msg::Rec(rec) => {
-                        units +=
-                            core.process(&ctx2, comb, rec, &mut tail, &mut batch, &mut scratch);
+                        units += core.process(&ctx2, comb, rec, &mut out, &mut batch, &mut scratch);
                     }
                     // Outer-scope sorts forward at their stream
                     // position — everything caused by earlier input
-                    // is already in the tail buffer ahead of them.
-                    Msg::Sort { level, counter } => tail.push_sort(level, counter),
+                    // is already in the out-buffer ahead of them.
+                    sort @ Msg::Sort { .. } => out.push(sort),
                 }
                 if units >= RECV_BATCH {
                     units = 0;
-                    if tail.flush().await.is_err() {
+                    if feed_batch(&tx, &mut out).await.is_err() {
                         return; // downstream gone: teardown
                     }
                     yield_now().await;
                 }
             }
-            if tail.flush().await.is_err() {
+            if feed_batch(&tx, &mut out).await.is_err() {
                 return;
             }
             if n == 0 {
                 break;
             }
         }
-        // EOS: dropping the tail's sender propagates end-of-stream.
+        // EOS: dropping `tx` propagates end-of-stream.
     });
     rx
 }
@@ -615,8 +518,8 @@ pub fn spawn_fused_fan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::run_to_end;
     use crate::metrics::Metrics;
-    use crate::net::collect_records;
     use crate::plan::{compile_cfg, Bindings, PNode};
     use crate::stream::stream;
     use snet_lang::{parse_net_expr, parse_program};
@@ -647,16 +550,9 @@ mod tests {
 
     fn drive(root: &Arc<PNode>, n: i64) -> Vec<i64> {
         let ctx = Ctx::new(Metrics::new(), Vec::new());
-        let (tx, in_rx) = stream();
-        let out = crate::instantiate::instantiate(&ctx, root, "net", in_rx);
-        for x in 0..n {
-            tx.send(Msg::Rec(Record::build().field("x", x).finish()))
-                .unwrap();
-        }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        recs.iter()
+        let inputs = (0..n).map(|x| Record::build().field("x", x).finish());
+        run_to_end(&ctx, root, inputs)
+            .iter()
             .map(|r| r.field("x").unwrap().as_int().unwrap())
             .collect()
     }
@@ -742,16 +638,8 @@ mod tests {
     fn per_stage_metrics_are_registered_and_counted() {
         let root = fused_plan("inc .. fan .. inc");
         let ctx = Ctx::new(Metrics::new(), Vec::new());
-        let (tx, in_rx) = stream();
-        let out = crate::instantiate::instantiate(&ctx, &root, "net", in_rx);
-        for x in 0..3i64 {
-            tx.send(Msg::Rec(Record::build().field("x", x).finish()))
-                .unwrap();
-        }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 6);
+        let inputs = (0..3i64).map(|x| Record::build().field("x", x).finish());
+        assert_eq!(run_to_end(&ctx, &root, inputs).len(), 6);
         // Exactly one component, but per-stage paths count as if
         // unfused (inc at s0/s0, fan at s0/s1, inc at s1 — or the
         // right-assoc mirror; sum_matching is layout-agnostic).

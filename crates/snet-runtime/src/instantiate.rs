@@ -10,6 +10,11 @@
 //! first two — so what the fusion pass decides is how many stages share
 //! a component, never which record loop runs them.
 //!
+//! Combinators have one plan node, [`PNode::Fan`]: its `fused` flag and
+//! the net's runtime settings pick between the fan driver (one
+//! component) and the combinator's own dispatcher, and both route
+//! through the combinator's one router.
+//!
 //! Instantiation is also where component paths come into existence:
 //! every spawn site derives its [`CompPath`] here, once, so nothing
 //! downstream ever formats a path per record (see [`crate::ctx`] for
@@ -46,52 +51,34 @@ pub fn instantiate(
             let mid = instantiate(ctx, a, path.child("s0"), input);
             instantiate(ctx, b, path.child("s1"), mid)
         }
-        PNode::Parallel {
-            left,
-            right,
-            left_sig,
-            right_sig,
-            det,
-            level,
-        } => spawn_parallel(
-            ctx, path, left, right, left_sig, right_sig, *det, *level, input,
-        ),
-        PNode::Star {
-            inner,
-            exit,
-            det,
-            level,
-        } => spawn_star(ctx, path, inner, exit, *det, *level, input),
-        PNode::Split {
-            inner,
-            tag,
-            det,
-            level,
-        } => spawn_split(ctx, path, inner, *tag, *det, *level, input),
         PNode::Fused { stages } => spawn_fused(ctx, path, stages, input),
-        PNode::FusedFan { kind, det, level } => {
-            // Plan-level legality got the node here; the runtime
-            // check can still fall back to the unfused replicator
-            // (escape hatch, Restart policy, explicit lane-edge
-            // bound — see crate::fused::fan_fusable_here).
-            if fan_fusable_here(ctx, kind) {
-                spawn_fused_fan(ctx, path, kind, *det, input)
-            } else {
-                match kind {
-                    FanKind::Split { body, tag } => {
-                        spawn_split(ctx, path, body, *tag, *det, *level, input)
-                    }
-                    FanKind::Parallel {
-                        left,
-                        right,
-                        left_sig,
-                        right_sig,
-                    } => spawn_parallel(
-                        ctx, path, left, right, left_sig, right_sig, *det, *level, input,
-                    ),
-                    FanKind::Star { body, exit } => {
-                        spawn_star(ctx, path, body, exit, *det, *level, input)
-                    }
+        PNode::Fan {
+            kind,
+            det,
+            level,
+            fused,
+        } => {
+            let comb = kind.comb_path(path, *det);
+            // The plan says whether the fan *can* run fused; the net's
+            // runtime settings can still decline (escape hatch, Restart
+            // policy, explicit lane-edge bound).
+            if *fused && fan_fusable_here(ctx) {
+                return spawn_fused_fan(ctx, comb, kind, input);
+            }
+            match kind {
+                FanKind::Split { body, tag } => {
+                    spawn_split(ctx, comb, body, *tag, *det, *level, input)
+                }
+                FanKind::Parallel {
+                    left,
+                    right,
+                    left_sig,
+                    right_sig,
+                } => spawn_parallel(
+                    ctx, comb, left, right, left_sig, right_sig, *det, *level, input,
+                ),
+                FanKind::Star { body, exit } => {
+                    spawn_star(ctx, comb, body, exit, *det, *level, input)
                 }
             }
         }
@@ -108,13 +95,31 @@ pub fn instantiate(
     }
 }
 
+/// The unit tests' driver: instantiates `root` at `net`, feeds it
+/// `inputs`, closes the input and returns what came out once every
+/// component has finished (a component's panic resurfaces here).
+#[cfg(test)]
+pub(crate) fn run_to_end(
+    ctx: &Arc<Ctx>,
+    root: &Arc<PNode>,
+    inputs: impl IntoIterator<Item = snet_types::Record>,
+) -> Vec<snet_types::Record> {
+    let (tx, in_rx) = crate::stream::stream();
+    let out = instantiate(ctx, root, "net", in_rx);
+    for rec in inputs {
+        tx.send(crate::stream::Msg::Rec(rec)).unwrap();
+    }
+    drop(tx);
+    let recs = crate::net::collect_records(out);
+    ctx.join_all();
+    recs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Metrics;
-    use crate::net::collect_records;
     use crate::plan::{compile, Bindings};
-    use crate::stream::{stream, Msg};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
 
@@ -139,16 +144,8 @@ mod tests {
         let ast = parse_net_expr("inc .. dbl .. inc").unwrap();
         let plan = compile(&ast, &env, &b).unwrap();
         let ctx = Ctx::new(Metrics::new(), Vec::new());
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for x in 0..5i64 {
-            tx.send(Msg::Rec(Record::build().field("x", x).finish()))
-                .unwrap();
-        }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        let got: Vec<i64> = recs
+        let inputs = (0..5i64).map(|x| Record::build().field("x", x).finish());
+        let got: Vec<i64> = run_to_end(&ctx, &plan.root, inputs)
             .iter()
             .map(|r| r.field("x").unwrap().as_int().unwrap())
             .collect();
@@ -166,13 +163,11 @@ mod tests {
         let plan = compile(&ast, &env, &b).unwrap();
         for _ in 0..2 {
             let ctx = Ctx::new(Metrics::new(), Vec::new());
-            let (tx, in_rx) = stream();
-            let out = instantiate(&ctx, &plan.root, "net", in_rx);
-            tx.send(Msg::Rec(Record::build().field("x", 1i64).finish()))
-                .unwrap();
-            drop(tx);
-            let _ = collect_records(out);
-            ctx.join_all();
+            run_to_end(
+                &ctx,
+                &plan.root,
+                [Record::build().field("x", 1i64).finish()],
+            );
             assert_eq!(ctx.metrics.get("net/s0/box:f/records_in"), 1);
             assert_eq!(ctx.metrics.get("net/s1/box:f/records_in"), 1);
         }

@@ -13,10 +13,14 @@
 //!   computational function to each record, with subtype acceptance
 //!   and flow inheritance handled by the wrapper ([`boxfn`]);
 //! * **filters** run the pure semantics of `snet-lang` ([`filter_exec`]);
-//! * the four combinators each have a component: pipelines
-//!   ([`instantiate`]), best-match dispatch + merge ([`parallel`]),
-//!   demand-driven serial replication with exit taps ([`star`]) and
-//!   tag-indexed parallel replication ([`split`]);
+//! * pipelines are wired by [`instantiate`]; the other three
+//!   combinators are defined once each — one plan node
+//!   ([`plan::PNode::Fan`]), one router, one credit-gated dispatcher
+//!   loop: best-match dispatch + merge ([`parallel`]), demand-driven
+//!   serial replication with exit taps ([`star`]) and tag-indexed
+//!   parallel replication ([`split`]) — and run as dispatcher, lanes
+//!   and merger, or as one component when their operands are plain
+//!   stage runs ([`fused`]);
 //! * the deterministic variants (`|`, `*`, `!`) are implemented with
 //!   **sort records**, the technique of the original S-Net runtime
 //!   ([`merge`]);

@@ -58,10 +58,7 @@
 use crate::ctx::Ctx;
 use crate::path::CompPath;
 use crate::stream::chan::{self, TryRecvError};
-use crate::stream::{
-    feed_batch, yield_now, Msg, ReadySource, Receiver, SelectReady, Sender, RECV_BATCH,
-};
-use snet_types::Record;
+use crate::stream::{yield_now, Msg, ReadySource, Receiver, SelectReady, Sender, RECV_BATCH};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -83,52 +80,6 @@ impl BranchSpec {
             rx,
             watermark: Watermark::new(),
         }
-    }
-}
-
-/// The fused-fan merge tail: where an unfused lane publishes to a
-/// per-branch channel for a merger task to drain, a fused lane's
-/// emissions land here — an in-component buffer flushed straight to
-/// the combinator's output edge, bypassing both the branch channel
-/// and the merger wakeup. Legal because the fused-fan driver (see
-/// [`crate::fused`]) runs each record through its lane synchronously
-/// in input order: the "merge" degenerates to a concatenation in
-/// arrival order, which for det scopes *is* input order — no
-/// per-branch round bookkeeping, and no sort records between lanes.
-/// Outer-scope sorts are pushed at their stream position, exactly
-/// where the unfused merger would forward them once per round.
-pub(crate) struct FusedTail {
-    out: Sender,
-    buf: Vec<Msg>,
-}
-
-impl FusedTail {
-    pub(crate) fn new(out: Sender) -> FusedTail {
-        FusedTail {
-            out,
-            buf: Vec::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, rec: Record) {
-        self.buf.push(Msg::Rec(rec));
-    }
-
-    pub(crate) fn extend(&mut self, recs: impl Iterator<Item = Record>) {
-        self.buf.extend(recs.map(Msg::Rec));
-    }
-
-    pub(crate) fn push_sort(&mut self, level: u32, counter: u64) {
-        self.buf.push(Msg::Sort { level, counter });
-    }
-
-    /// Publishes everything buffered, in order: records go through
-    /// the credit gate when the output edge is bounded (a full edge
-    /// parks the fused component, as it would park the unfused
-    /// merger), sorts stay ungated. `Err` means downstream
-    /// disconnected — teardown, like every component's send failure.
-    pub(crate) async fn flush(&mut self) -> Result<(), ()> {
-        feed_batch(&self.out, &mut self.buf).await.map_err(|_| ())
     }
 }
 
@@ -198,9 +149,6 @@ pub fn spawn_merge(
 async fn run_nondet(initial: Vec<BranchSpec>, control: chan::Receiver<BranchSpec>, out: Sender) {
     let mut branches: Vec<Branch> = initial.into_iter().map(Branch::from_spec).collect();
     let mut control_open = true;
-    // Whether the merged output is credit-gated (data records go
-    // through `feed`; sorts always take the ungated `send`).
-    let gated = out.is_bounded();
     // Sorts already forwarded, per level (counters are contiguous and
     // increasing at any point of the network, so a high-water mark is
     // an exact dedup).
@@ -288,15 +236,11 @@ async fn run_nondet(initial: Vec<BranchSpec>, control: chan::Receiver<BranchSpec
         loop {
             match branches[bi].rx.try_recv() {
                 Ok(Msg::Rec(rec)) => {
-                    if gated {
-                        // Awaiting credit here is safe: the merger
-                        // never holds up a producer by parking (its
-                        // branch inputs are exempt), so this wait
-                        // only chains downstream.
-                        let _ = out.feed(Msg::Rec(rec)).await;
-                    } else {
-                        let _ = out.send(Msg::Rec(rec));
-                    }
+                    // Awaiting credit here is safe: the merger never
+                    // holds up a producer by parking (its branch
+                    // inputs are exempt), so this wait only chains
+                    // downstream.
+                    let _ = out.feed(Msg::Rec(rec)).await;
                     burst += 1;
                     if burst >= RECV_BATCH {
                         yield_now().await;
@@ -438,7 +382,6 @@ async fn drain_branch_round(
     if b.done || b.exempt(level, round) {
         return;
     }
-    let gated = out.is_bounded();
     let mut since_yield = 0;
     loop {
         let msg = match b.rx.try_recv() {
@@ -453,13 +396,9 @@ async fn drain_branch_round(
         }
         match msg {
             Ok(Msg::Rec(rec)) => {
-                if gated {
-                    // Safe to wait: branch inputs are exempt, so this
-                    // merger parks no producer while it parks here.
-                    let _ = out.feed(Msg::Rec(rec)).await;
-                } else {
-                    let _ = out.send(Msg::Rec(rec));
-                }
+                // Safe to wait: branch inputs are exempt, so this
+                // merger parks no producer while it parks here.
+                let _ = out.feed(Msg::Rec(rec)).await;
             }
             Ok(Msg::Sort { level: l, counter }) => {
                 if l == level {

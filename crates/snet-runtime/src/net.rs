@@ -99,7 +99,6 @@ pub struct NetBuilder {
     split_lanes_by_tag: HashMap<String, u32>,
     fuse: Option<bool>,
     fan_fuse: Option<bool>,
-    fan_fuse_by_tag: HashMap<String, bool>,
     bound: Option<usize>,
     bound_overrides: HashMap<String, usize>,
     overload: OverloadPolicy,
@@ -126,7 +125,6 @@ impl NetBuilder {
             split_lanes_by_tag: HashMap::new(),
             fuse: None,
             fan_fuse: None,
-            fan_fuse_by_tag: HashMap::new(),
             bound: None,
             bound_overrides: HashMap::new(),
             overload: OverloadPolicy::Block,
@@ -264,15 +262,6 @@ impl NetBuilder {
         self
     }
 
-    /// Per-combinator rendering of [`NetBuilder::fuse_fan`]: applies
-    /// only to the indexed replicators routing on the named tag,
-    /// winning over the net-global setting. (Parallel and star
-    /// combinators carry no routing tag; use `fuse_fan` for those.)
-    pub fn fuse_fan_for(mut self, tag: &str, fuse: bool) -> Self {
-        self.fan_fuse_by_tag.insert(tag.to_string(), fuse);
-        self
-    }
-
     /// Selects what a box/filter panic does to this network (see
     /// [`crate::fault`]): fail the whole net
     /// ([`FaultPolicy::FailNet`], the default), drop the poison
@@ -347,7 +336,6 @@ impl NetBuilder {
             split_lanes: self.split_lanes,
             split_lanes_by_tag: self.split_lanes_by_tag,
             fan_fuse: self.fan_fuse,
-            fan_fuse_by_tag: self.fan_fuse_by_tag,
             fault_policy: self.fault_policy.unwrap_or_else(FaultPolicy::from_env),
             chaos: self.chaos.or_else(ChaosConfig::from_env),
         };
@@ -448,17 +436,15 @@ impl Boundary {
 }
 
 /// Publishes one record to an ingress edge under an overload policy:
-/// the unbounded path is the seed's plain send; on a bounded edge the
-/// policy decides between parking, shedding and a deadline. Shared by
-/// [`Net::send`] and the serve layer's ingress ([`crate::serve`]).
+/// on a full edge the policy decides between parking, shedding and a
+/// deadline; an unbounded edge is never full, so every policy is one
+/// capacity load and a send. Shared by [`Net::send`] and the serve
+/// layer's ingress ([`crate::serve`]).
 pub(crate) fn send_policy(
     tx: &Sender,
     rec: Record,
     policy: OverloadPolicy,
 ) -> Result<(), SendRejected> {
-    if !tx.is_bounded() {
-        return tx.send(Msg::Rec(rec)).map_err(|_| SendRejected::Closed);
-    }
     match policy {
         OverloadPolicy::Block => tx.feed_blocking(Msg::Rec(rec), None).map_err(|e| match e {
             // No deadline: `Full` is unreachable.

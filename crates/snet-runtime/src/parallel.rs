@@ -22,15 +22,25 @@
 //! — the cache stores the *class*, never a fixed branch, so the
 //! non-deterministic choice the paper requires stays an explicit
 //! round-robin over time (see [`RouteCache::decide`]).
+//!
+//! # One router, one dispatcher loop
+//!
+//! [`ParRouter`] is the single owner of what the combinator counts
+//! (`records_in`, `routed_left`, `routed_right`), observes and calls
+//! its lanes (`L`, `R`), generic over what a lane *is*: the dispatcher
+//! below instantiates it with a branch's input `Sender`, the fused fan
+//! driver ([`crate::fused`]) with the branch's stage cores. There is
+//! one dispatcher loop, credit-gated; an unbounded edge grants at
+//! once.
 
 use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode};
-use crate::metrics::keys;
+use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
 use crate::plan::PNode;
-use crate::stream::{chan, for_each_msg, Dir, Msg, Receiver};
+use crate::stream::{chan, Dir, Msg, Receiver, Sender};
 use snet_types::{NetSig, Record};
 use std::sync::Arc;
 
@@ -129,27 +139,70 @@ impl RouteCache {
     }
 }
 
-/// Routes one record or dies: the shared decision step for the
-/// standalone dispatcher task and the fused-fan driver (see
-/// [`crate::fused`]), so an unroutable record produces the same
-/// diagnostic either way. `true` = left.
-pub(crate) fn decide_or_panic(routes: &mut RouteCache, rec: &Record, dpath: CompPath) -> bool {
-    routes.decide(rec).unwrap_or_else(|| {
-        let (lsig, rsig) = routes.sigs();
-        panic!(
-            "record {rec:?} matches neither branch of parallel composition \
-             at '{dpath}' (left {}, right {})",
-            lsig.input_type(),
-            rsig.input_type()
-        )
-    })
+/// The parallel composition's router (see module docs): the route
+/// cache, both lanes and the combinator's counters.
+pub(crate) struct ParRouter<L> {
+    routes: RouteCache,
+    pub(crate) left: L,
+    pub(crate) right: L,
+    records_in: Counter,
+    routed_left: Counter,
+    routed_right: Counter,
 }
 
-/// Spawns a parallel composition; returns its output stream.
+impl<L> ParRouter<L> {
+    /// Registers the combinator's counters at `comb` and opens both
+    /// lanes up front (parallel composition instantiates eagerly):
+    /// `open` is handed each lane's path and branch plan.
+    pub(crate) fn new(
+        ctx: &Ctx,
+        comb: CompPath,
+        (left, left_sig): (&Arc<PNode>, &NetSig),
+        (right, right_sig): (&Arc<PNode>, &NetSig),
+        mut open: impl FnMut(CompPath, &Arc<PNode>) -> L,
+    ) -> ParRouter<L> {
+        ParRouter {
+            routes: RouteCache::new(left_sig.clone(), right_sig.clone()),
+            left: open(comb.child("L"), left),
+            right: open(comb.child("R"), right),
+            records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
+            routed_left: ctx.metrics.handle_at(comb, "routed_left"),
+            routed_right: ctx.metrics.handle_at(comb, "routed_right"),
+        }
+    }
+
+    /// One record's dispatch: observe, count, classify. An unroutable
+    /// record is a routing error and panics.
+    #[inline]
+    pub(crate) fn lane(&mut self, ctx: &Ctx, comb: CompPath, rec: &Record) -> &mut L {
+        if ctx.has_observers() {
+            ctx.observe(comb, Dir::In, rec);
+        }
+        self.records_in.inc(1);
+        let go_left = self.routes.decide(rec).unwrap_or_else(|| {
+            let (lsig, rsig) = self.routes.sigs();
+            panic!(
+                "record {rec:?} matches neither branch of parallel composition \
+                 at '{comb}' (left {}, right {})",
+                lsig.input_type(),
+                rsig.input_type()
+            )
+        });
+        if go_left {
+            self.routed_left.inc(1);
+            &mut self.left
+        } else {
+            self.routed_right.inc(1);
+            &mut self.right
+        }
+    }
+}
+
+/// Spawns a parallel composition at `comb`; returns its output stream.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_parallel(
     ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
+    comb: CompPath,
     left: &Arc<PNode>,
     right: &Arc<PNode>,
     left_sig: &NetSig,
@@ -158,11 +211,22 @@ pub fn spawn_parallel(
     level: u32,
     input: Receiver,
 ) -> Receiver {
-    let comb = path.into().child(if det { "par" } else { "parnd" });
-    let (ltx, lrx) = ctx.data_stream(comb.child("L"), "dispatch");
-    let (rtx, rrx) = ctx.data_stream(comb.child("R"), "dispatch");
-    let left_out = instantiate(ctx, left, comb.child("L"), lrx);
-    let right_out = instantiate(ctx, right, comb.child("R"), rrx);
+    // Dispatcher state. Counters and the route cache are resolved at
+    // spawn time; the record loop performs no allocation for
+    // bookkeeping and no repeated subset tests for previously-seen
+    // record types.
+    let mut outs = Vec::new();
+    let mut router: ParRouter<Sender> = ParRouter::new(
+        ctx,
+        comb,
+        (left, left_sig),
+        (right, right_sig),
+        |p, body| {
+            let (tx, rx) = ctx.data_stream(p, "dispatch");
+            outs.push(BranchSpec::new(instantiate(ctx, body, p, rx)));
+            tx
+        },
+    );
 
     // Static two-branch merge: the control channel is closed
     // immediately.
@@ -174,95 +238,34 @@ pub fn spawn_parallel(
     } else {
         MergeMode::NonDet
     };
-    spawn_merge(
-        ctx,
-        comb,
-        mode,
-        vec![BranchSpec::new(left_out), BranchSpec::new(right_out)],
-        ctl_rx,
-        out_tx,
-    );
+    spawn_merge(ctx, comb, mode, outs, ctl_rx, out_tx);
 
-    // Dispatcher. Counters and the route cache are resolved at spawn
-    // time; the record loop performs no allocation for bookkeeping and
-    // no repeated subset tests for previously-seen record types.
     let ctx2 = Arc::clone(ctx);
-    let mut routes = RouteCache::new(left_sig.clone(), right_sig.clone());
-    let dpath = comb;
-    let records_in = ctx.metrics.handle_at(dpath, keys::RECORDS_IN);
-    let routed_left = ctx.metrics.handle_at(dpath, "routed_left");
-    let routed_right = ctx.metrics.handle_at(dpath, "routed_right");
-    if ltx.is_bounded() {
-        // Bounded branch edges: data routes through the credit gate
-        // (an async path), so the dispatcher runs per-message. Sort
-        // broadcasts stay on the ungated `send` path — a det round
+    ctx.spawn(format!("{comb}/dispatch"), async move {
+        let mut counter: u64 = 0;
+        // Sort broadcasts take the ungated `send` path: a det round
         // boundary must reach *both* branches, including the one the
         // merger is not currently draining, without waiting.
-        ctx.spawn(format!("{dpath}/dispatch"), async move {
-            let mut counter: u64 = 0;
-            while let Ok(msg) = input.recv_async().await {
-                match msg {
-                    Msg::Rec(rec) => {
-                        if ctx2.has_observers() {
-                            ctx2.observe(dpath, Dir::In, &rec);
-                        }
-                        records_in.inc(1);
-                        let go_left = decide_or_panic(&mut routes, &rec, dpath);
-                        let target = if go_left { &ltx } else { &rtx };
-                        if go_left {
-                            routed_left.inc(1);
-                        } else {
-                            routed_right.inc(1);
-                        }
-                        // A full branch edge parks the dispatcher —
-                        // and transitively everything upstream.
-                        let _ = target.feed(Msg::Rec(rec)).await;
-                        if det {
-                            let sort = Msg::Sort { level, counter };
-                            let _ = ltx.send(sort.clone());
-                            let _ = rtx.send(sort);
-                            counter += 1;
-                        }
-                    }
-                    sort @ Msg::Sort { .. } => {
-                        let _ = ltx.send(sort.clone());
-                        let _ = rtx.send(sort);
+        let broadcast = |router: &ParRouter<Sender>, sort: Msg| {
+            let _ = router.left.send(sort.clone());
+            let _ = router.right.send(sort);
+        };
+        while let Ok(msg) = input.recv_async().await {
+            match msg {
+                Msg::Rec(rec) => {
+                    // A full branch edge parks the dispatcher — and
+                    // transitively everything upstream.
+                    let lane = router.lane(&ctx2, comb, &rec);
+                    let _ = lane.feed(Msg::Rec(rec)).await;
+                    if det {
+                        broadcast(&router, Msg::Sort { level, counter });
+                        counter += 1;
                     }
                 }
-            }
-        });
-        return out_rx;
-    }
-    ctx.spawn(format!("{dpath}/dispatch"), async move {
-        let mut counter: u64 = 0;
-        for_each_msg(input, |msg| match msg {
-            Msg::Rec(rec) => {
-                if ctx2.has_observers() {
-                    ctx2.observe(dpath, Dir::In, &rec);
-                }
-                records_in.inc(1);
-                let go_left = decide_or_panic(&mut routes, &rec, dpath);
-                let target = if go_left { &ltx } else { &rtx };
-                if go_left {
-                    routed_left.inc(1);
-                } else {
-                    routed_right.inc(1);
-                }
-                let _ = target.send(Msg::Rec(rec));
-                if det {
-                    let sort = Msg::Sort { level, counter };
-                    let _ = ltx.send(sort.clone());
-                    let _ = rtx.send(sort);
-                    counter += 1;
-                }
-            }
-            sort @ Msg::Sort { .. } => {
                 // Outer sorts are broadcast to both branches.
-                let _ = ltx.send(sort.clone());
-                let _ = rtx.send(sort);
+                sort @ Msg::Sort { .. } => broadcast(&router, sort),
             }
-        })
-        .await;
+        }
         // EOS: dropping both senders propagates.
     });
 
@@ -272,10 +275,9 @@ pub fn spawn_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::run_to_end;
     use crate::metrics::Metrics;
-    use crate::net::collect_records;
-    use crate::plan::{compile, Bindings};
-    use crate::stream::stream;
+    use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
 
@@ -283,165 +285,99 @@ mod tests {
         Ctx::new(Metrics::new(), Vec::new())
     }
 
-    /// Two boxes with different input types: `pick_a (a) -> (ra)`,
-    /// `pick_b (b) -> (rb)`.
-    fn plan_ab(det: bool) -> (Arc<Ctx>, crate::plan::Plan) {
-        let env = parse_program(
-            "box pick_a (a) -> (ra);\n\
-             box pick_b (b) -> (rb);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("pick_a", |r, e| {
-                let v = r.field("a").unwrap().as_int().unwrap();
-                e.emit(Record::build().field("ra", v).finish());
-            })
-            .bind("pick_b", |r, e| {
-                let v = r.field("b").unwrap().as_int().unwrap();
-                e.emit(Record::build().field("rb", v).finish());
-            });
-        let src = if det {
-            "pick_a | pick_b"
-        } else {
-            "pick_a || pick_b"
+    /// `expr` over two boxes whose input types are `lin` and `rin`;
+    /// `left` emits `{l = 1}`, `right` emits `{r = 1}`, and the value
+    /// of the first field named is carried along as `{v}`. `fuse` is the
+    /// fusion pass: on, the plan runs on the fan driver; off, on this
+    /// file's dispatcher — every test runs both.
+    fn plan_lr(lin: &str, rin: &str, expr: &str, fuse: bool) -> Plan {
+        let src = format!("box left ({lin}) -> (l, v);\nbox right ({rin}) -> (r, v);");
+        let env = parse_program(&src).unwrap().env().unwrap();
+        let emit = |side: &'static str, input: &str| {
+            let key = input.split(',').next().unwrap().to_string();
+            move |r: &Record, e: &mut crate::boxfn::Emitter| {
+                let v = r.field(&key).unwrap().as_int().unwrap();
+                e.emit(Record::build().field(side, 1i64).field("v", v).finish())
+            }
         };
-        let ast = parse_net_expr(src).unwrap();
-        (ctx(), compile(&ast, &env, &b).unwrap())
+        let b = Bindings::new()
+            .bind("left", emit("l", lin))
+            .bind("right", emit("r", rin));
+        compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, fuse).unwrap()
+    }
+
+    fn int(field: &str, v: i64) -> Record {
+        Record::build().field(field, v).finish()
+    }
+
+    /// Which side each output came from, with the value it carried.
+    fn sides(recs: &[Record]) -> Vec<(&'static str, i64)> {
+        recs.iter()
+            .map(|r| {
+                let side = if r.field("l").is_some() { "l" } else { "r" };
+                (side, r.field("v").unwrap().as_int().unwrap())
+            })
+            .collect()
     }
 
     #[test]
     fn routes_by_input_type() {
-        let (ctx, plan) = plan_ab(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("a", 1i64).finish()))
-            .unwrap();
-        tx.send(Msg::Rec(Record::build().field("b", 2i64).finish()))
-            .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 2);
-        assert!(recs.iter().any(|r| r.field("ra").is_some()));
-        assert!(recs.iter().any(|r| r.field("rb").is_some()));
-        assert_eq!(ctx.metrics.sum_matching("routed_left"), 1);
-        assert_eq!(ctx.metrics.sum_matching("routed_right"), 1);
+        for fuse in [true, false] {
+            let plan = plan_lr("a", "b", "left || right", fuse);
+            let ctx = ctx();
+            let mut got = sides(&run_to_end(&ctx, &plan.root, [int("a", 1), int("b", 2)]));
+            got.sort();
+            assert_eq!(got, vec![("l", 1), ("r", 2)]);
+            assert_eq!(ctx.metrics.sum_matching("routed_left"), 1);
+            assert_eq!(ctx.metrics.sum_matching("routed_right"), 1);
+        }
     }
 
     #[test]
     fn best_match_prefers_more_specific_branch() {
-        // Branch L takes {x}, branch R takes {x,y}: a record {x,y,z}
-        // must go right (better match), {x} must go left.
-        let env = parse_program(
-            "box loose (x) -> (out_l);\n\
-             box tight (x, y) -> (out_r);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("loose", |_r, e| {
-                e.emit(Record::build().field("out_l", 1i64).finish())
-            })
-            .bind("tight", |_r, e| {
-                e.emit(Record::build().field("out_r", 1i64).finish())
-            });
-        let ast = parse_net_expr("loose || tight").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = ctx();
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(
-            Record::build()
+        for fuse in [true, false] {
+            // Branch L takes {x}, branch R takes {x,y}: a record {x,y,z}
+            // must go right (better match), {x} must go left.
+            let plan = plan_lr("x", "x, y", "left || right", fuse);
+            let rich = Record::build()
                 .field("x", 1i64)
                 .field("y", 2i64)
                 .field("z", 3i64)
-                .finish(),
-        ))
-        .unwrap();
-        tx.send(Msg::Rec(Record::build().field("x", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(
-            recs.iter().filter(|r| r.field("out_r").is_some()).count(),
-            1
-        );
-        assert_eq!(
-            recs.iter().filter(|r| r.field("out_l").is_some()).count(),
-            1
-        );
+                .finish();
+            let mut got = sides(&run_to_end(&ctx(), &plan.root, [rich, int("x", 4)]));
+            got.sort();
+            assert_eq!(got, vec![("l", 4), ("r", 1)]);
+        }
     }
 
     #[test]
     fn equal_match_reaches_both_branches() {
-        // Identical input types: the non-deterministic choice must be
-        // observably non-deterministic (both branches used across many
-        // records) — paper Section 4.
-        let env = parse_program(
-            "box one (x) -> (x);\n\
-             box two (x) -> (x);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("one", |r, e| e.emit(r.clone()))
-            .bind("two", |r, e| e.emit(r.clone()));
-        let ast = parse_net_expr("one || two").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = ctx();
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..20i64 {
-            tx.send(Msg::Rec(Record::build().field("x", i).finish()))
-                .unwrap();
+        for fuse in [true, false] {
+            // Identical input types: the non-deterministic choice must
+            // be observably non-deterministic (both branches used across
+            // many records) — paper Section 4.
+            let plan = plan_lr("x", "x", "left || right", fuse);
+            let ctx = ctx();
+            let recs = run_to_end(&ctx, &plan.root, (0..20).map(|i| int("x", i)));
+            assert_eq!(recs.len(), 20);
+            assert!(ctx.metrics.sum_matching("routed_left") > 0);
+            assert!(ctx.metrics.sum_matching("routed_right") > 0);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 20);
-        assert!(ctx.metrics.sum_matching("routed_left") > 0);
-        assert!(ctx.metrics.sum_matching("routed_right") > 0);
     }
 
     #[test]
     fn det_parallel_preserves_input_order() {
-        let (ctx, plan) = plan_ab(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        // Alternate branches; output must interleave in input order
-        // even though branches run at different speeds.
-        let mut expected = Vec::new();
-        for i in 0..30i64 {
-            if i % 2 == 0 {
-                tx.send(Msg::Rec(Record::build().field("a", i).finish()))
-                    .unwrap();
-                expected.push(("ra", i));
-            } else {
-                tx.send(Msg::Rec(Record::build().field("b", i).finish()))
-                    .unwrap();
-                expected.push(("rb", i));
-            }
+        for fuse in [true, false] {
+            // Alternate branches; output must interleave in input order
+            // even though branches run at different speeds.
+            let plan = plan_lr("a", "b", "left | right", fuse);
+            let inputs = (0..30).map(|i| int(if i % 2 == 0 { "a" } else { "b" }, i));
+            let got = sides(&run_to_end(&ctx(), &plan.root, inputs));
+            let want: Vec<(&str, i64)> = (0..30)
+                .map(|i| (if i % 2 == 0 { "l" } else { "r" }, i))
+                .collect();
+            assert_eq!(got, want);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        let got: Vec<(&str, i64)> = recs
-            .iter()
-            .map(|r| {
-                if let Some(v) = r.field("ra") {
-                    ("ra", v.as_int().unwrap())
-                } else {
-                    ("rb", r.field("rb").unwrap().as_int().unwrap())
-                }
-            })
-            .collect();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -525,13 +461,16 @@ mod tests {
 
     #[test]
     fn unroutable_record_panics() {
-        let (ctx, plan) = plan_ab(false);
-        let (tx, in_rx) = stream();
-        let _out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("zzz", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
-        assert!(r.is_err());
+        for fuse in [true, false] {
+            let plan = plan_lr("a", "b", "left || right", fuse);
+            let ctx = ctx();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_to_end(&ctx, &plan.root, [int("zzz", 1)])
+            }))
+            .unwrap_err();
+            let msg = died.downcast_ref::<String>().expect("a formatted panic");
+            let text = "matches neither branch of parallel composition at 'net/parnd'";
+            assert!(msg.contains(text), "{msg}");
+        }
     }
 }

@@ -27,10 +27,10 @@
 //! **Legality rules.** Only single-input/single-output stages fuse —
 //! `Box` and `Filter` nodes, nothing else:
 //!
-//! * fusion never crosses a `Parallel`, `Split`, `Star` or merge
-//!   boundary (those nodes own dispatchers, mergers and dynamically
-//!   unfolded replicas; the pass recurses *into* their inner plans but
-//!   a chain interrupted by one continues as a separate run);
+//! * fusion never crosses a [`PNode::Fan`] (those nodes own
+//!   dispatchers, mergers and dynamically unfolded replicas; the pass
+//!   recurses *into* their bodies but a chain interrupted by one
+//!   continues as a separate run);
 //! * boxes and filters carry no det sort level — they forward sort
 //!   records transparently — so a `Serial` chain of them can never
 //!   straddle a sort-level change; the combinators that do stamp or
@@ -51,19 +51,21 @@
 //! # Fan fusion (replica fusion)
 //!
 //! The same argument extends across replicator boundaries. A
-//! `Split`/`Parallel`/`Star` whose body fused to a single SISO run
-//! pays three scheduled hops per record — dispatcher, lane, merger —
-//! where one suffices: the dispatcher's classification is a few
-//! table lookups, each lane is a stage vector the fused driver can
-//! run in place, and because the records are then processed
-//! **synchronously in stream order**, the input order the
-//! deterministic merger would laboriously re-establish from sort
-//! records is simply never disturbed. The pass rewrites such
-//! combinators to [`PNode::FusedFan`] nodes, spawned by
-//! [`crate::fused::spawn_fused_fan`] as one component that runs
-//! dispatch, the lanes' stage cores and the merge handoff together
-//! (the merge side is [`crate::merge`]'s branch buffer minus the
-//! channel).
+//! split/parallel/star whose body fused to a single SISO run pays
+//! three scheduled hops per record — dispatcher, lane, merger — where
+//! one suffices: the dispatcher's classification is a few table
+//! lookups, each lane is a stage vector the fused driver can run in
+//! place, and because the records are then processed **synchronously
+//! in stream order**, the input order the deterministic merger would
+//! laboriously re-establish from sort records is simply never
+//! disturbed. Every combinator is one [`PNode::Fan`] whichever way it
+//! runs; the pass sets its `fused` flag, and [`crate::instantiate`]
+//! then spawns it through [`crate::fused::spawn_fused_fan`] as one
+//! component that runs dispatch, the lanes' stage cores and the merge
+//! handoff together, instead of through the combinator's own
+//! dispatcher ([`crate::split`], [`crate::parallel`],
+//! [`crate::star`]). Both use the same router, so counters, lane
+//! names and observer events do not depend on the flag.
 //!
 //! **Fan legality rules.** Dispatch/merge fusion is legal only when
 //! the whole fan is self-contained:
@@ -72,17 +74,16 @@
 //!   single stage run (`Fused`, or a lone `Box`/`Filter`). A nested
 //!   combinator inside the body owns its *own* dispatcher and merge
 //!   point, and fan fusion never crosses a nested combinator's merge
-//!   point: the outer combinator then stays a regular replicator
-//!   (whose replicas may well contain fused fans of their own — the
-//!   nested fan-in-fan case).
+//!   point: the outer combinator keeps `fused: false` (its replicas
+//!   may well contain fused fans of their own — the nested fan-in-fan
+//!   case).
 //! * **No external taps.** Every stream the fan's merge consumes must
 //!   originate in one of its own lanes. That holds by construction
 //!   for all three combinators today; a scope whose merger adopted
 //!   branches from outside the fan (e.g. a hypothetical external tap
 //!   into a nondet merge) could not be co-scheduled without changing
 //!   its interleaving guarantees.
-//! * **Runtime conditions** (checked at instantiation, falling back
-//!   to the unfused replicator spawn — see
+//! * **Runtime conditions** (checked at instantiation — see
 //!   [`crate::fused::fan_fusable_here`]): per-lane `"dispatch"` edges
 //!   must not carry an explicit capacity override (a user bounding
 //!   replica edges asked for per-lane backpressure, which fusion
@@ -98,7 +99,7 @@
 //!
 //! Determinism needs no sort records inside a fused fan: processing
 //! each input record to completion before the next starts makes the
-//! merged output order the input order (for `Star`, depth-by-depth
+//! merged output order the input order (for a star, depth-by-depth
 //! frontier processing reproduces the det merger's
 //! join-order-by-guard drain), and enclosing scopes' sort records
 //! forward at their stream position. The nondeterministic variants
@@ -108,12 +109,12 @@
 //!
 //! Fusion is on by default; `SNET_FUSE=0` (process-wide) or
 //! [`crate::NetBuilder::fuse`]`(false)` (per net) keep the unfused
-//! topology buildable, [`crate::NetBuilder::fuse_fan`] /
-//! [`crate::NetBuilder::fuse_fan_for`] give per-net and
-//! per-combinator control over fan fusion alone, and [`compile_cfg`]
-//! gives explicit control.
+//! topology buildable, [`crate::NetBuilder::fuse_fan`] gives per-net
+//! control over fan fusion alone, and [`compile_cfg`] gives explicit
+//! control.
 
 use crate::boxfn::BoxImpl;
+use crate::path::CompPath;
 use snet_lang::{Env, ExitPattern, FilterDef, NetAst};
 use snet_types::{BoxSig, Label, NetSig, TypeError};
 use std::collections::HashMap;
@@ -135,25 +136,18 @@ pub enum PNode {
         a: Arc<PNode>,
         b: Arc<PNode>,
     },
-    Parallel {
-        left: Arc<PNode>,
-        right: Arc<PNode>,
-        left_sig: NetSig,
-        right_sig: NetSig,
+    /// A combinator — `||`/`|`, `!!`/`!` or `**`/`*`: route each
+    /// record to a lane, run the operand, merge. `fused` is set by
+    /// the [`fuse`] pass when every body is a single SISO stage run
+    /// (see module docs, *Fan fusion*): dispatch, every lane's stages
+    /// and the merge handoff then run as **one** component
+    /// ([`crate::fused::spawn_fused_fan`]) where the runtime
+    /// conditions allow it.
+    Fan {
+        kind: FanKind,
         det: bool,
         level: u32,
-    },
-    Star {
-        inner: Arc<PNode>,
-        exit: ExitPattern,
-        det: bool,
-        level: u32,
-    },
-    Split {
-        inner: Arc<PNode>,
-        tag: Label,
-        det: bool,
-        level: u32,
+        fused: bool,
     },
     /// A maximal run of SISO stages collapsed by the [`fuse`] pass:
     /// instantiated as **one** component running every stage in-place
@@ -167,23 +161,12 @@ pub enum PNode {
     Chain {
         parts: Vec<ChainPart>,
     },
-    /// A replicator whose body fused to a single SISO stage run,
-    /// collapsed by the [`fuse`] pass (see module docs, *Fan
-    /// fusion*): dispatch, every lane's stages and the merge handoff
-    /// run as **one** component
-    /// ([`crate::fused::spawn_fused_fan`]), unless the runtime
-    /// legality check falls back to the unfused replicator spawn.
-    FusedFan {
-        kind: FanKind,
-        det: bool,
-        level: u32,
-    },
 }
 
-/// What a [`PNode::FusedFan`] dispatches on. Each body handle is a
-/// SISO-fusable subplan (`Fused`, or a lone `Box`/`Filter`): the fan
-/// driver builds lane stage cores directly from it, and the runtime
-/// fallback instantiates it as an ordinary replica plan.
+/// What a [`PNode::Fan`] dispatches on, and the operand plan(s) its
+/// lanes run: instantiated as replica plans by the combinator's own
+/// dispatcher, or — when the fan is `fused`, so each is a SISO stage
+/// run — built into lane stage cores by the fan driver.
 pub enum FanKind {
     /// `body ! <tag>` / `body !! <tag>`.
     Split { body: Arc<PNode>, tag: Label },
@@ -198,6 +181,47 @@ pub enum FanKind {
     Star { body: Arc<PNode>, exit: ExitPattern },
 }
 
+impl FanKind {
+    /// The combinator's own component path under its instantiation
+    /// path — the one place the `split`/`splitnd`-style segment is
+    /// derived, whichever driver runs the fan.
+    pub(crate) fn comb_path(&self, path: CompPath, det: bool) -> CompPath {
+        path.child(match (self, det) {
+            (FanKind::Split { .. }, true) => "split",
+            (FanKind::Split { .. }, false) => "splitnd",
+            (FanKind::Parallel { .. }, true) => "par",
+            (FanKind::Parallel { .. }, false) => "parnd",
+            (FanKind::Star { .. }, true) => "star",
+            (FanKind::Star { .. }, false) => "starnd",
+        })
+    }
+
+    /// The same combinator over `f` of each body.
+    fn map_bodies(&self, mut f: impl FnMut(&Arc<PNode>) -> Arc<PNode>) -> FanKind {
+        match self {
+            FanKind::Split { body, tag } => FanKind::Split {
+                body: f(body),
+                tag: *tag,
+            },
+            FanKind::Parallel {
+                left,
+                right,
+                left_sig,
+                right_sig,
+            } => FanKind::Parallel {
+                left: f(left),
+                right: f(right),
+                left_sig: left_sig.clone(),
+                right_sig: right_sig.clone(),
+            },
+            FanKind::Star { body, exit } => FanKind::Star {
+                body: f(body),
+                exit: exit.clone(),
+            },
+        }
+    }
+}
+
 /// One stage of a [`PNode::Fused`] pipeline.
 pub struct FusedStage {
     /// The `s0`/`s1` child segments the binary `Serial` instantiation
@@ -205,19 +229,8 @@ pub struct FusedStage {
     /// instantiation path — so per-stage metrics and observer paths
     /// are byte-identical to the unfused topology.
     pub suffix: Vec<&'static str>,
-    pub kind: FusedKind,
-}
-
-/// What a fused stage executes.
-pub enum FusedKind {
-    Box {
-        name: String,
-        sig: BoxSig,
-        imp: BoxImpl,
-    },
-    Filter {
-        def: FilterDef,
-    },
+    /// The stage itself: the plan's `Box` or `Filter` leaf, by handle.
+    pub leaf: Arc<PNode>,
 }
 
 /// One part of a [`PNode::Chain`]: a subplan plus the path suffix it
@@ -233,25 +246,26 @@ impl fmt::Debug for PNode {
             PNode::Box { name, .. } => write!(f, "Box({name})"),
             PNode::Filter { def } => write!(f, "Filter({def})"),
             PNode::Serial { a, b } => write!(f, "Serial({a:?}, {b:?})"),
-            PNode::Parallel {
-                left, right, det, ..
-            } => write!(f, "Parallel(det={det}, {left:?}, {right:?})"),
-            PNode::Star {
-                inner, exit, det, ..
-            } => write!(f, "Star(det={det}, exit={exit}, {inner:?})"),
-            PNode::Split {
-                inner, tag, det, ..
-            } => write!(f, "Split(det={det}, tag={tag}, {inner:?})"),
+            PNode::Fan {
+                kind, det, fused, ..
+            } => match kind {
+                FanKind::Split { body, tag } => {
+                    write!(f, "Split(det={det}, fused={fused}, tag={tag}, {body:?})")
+                }
+                FanKind::Parallel { left, right, .. } => {
+                    write!(f, "Parallel(det={det}, fused={fused}, {left:?}, {right:?})")
+                }
+                FanKind::Star { body, exit } => {
+                    write!(f, "Star(det={det}, fused={fused}, exit={exit}, {body:?})")
+                }
+            },
             PNode::Fused { stages } => {
                 write!(f, "Fused(")?;
                 for (i, s) in stages.iter().enumerate() {
                     if i > 0 {
                         write!(f, " .. ")?;
                     }
-                    match &s.kind {
-                        FusedKind::Box { name, .. } => write!(f, "box:{name}")?,
-                        FusedKind::Filter { def } => write!(f, "filter:{def}")?,
-                    }
+                    write!(f, "{:?}", s.leaf)?;
                 }
                 write!(f, ")")
             }
@@ -265,17 +279,6 @@ impl fmt::Debug for PNode {
                 }
                 write!(f, ")")
             }
-            PNode::FusedFan { kind, det, .. } => match kind {
-                FanKind::Split { body, tag } => {
-                    write!(f, "FusedFan(split det={det}, tag={tag}, {body:?})")
-                }
-                FanKind::Parallel { left, right, .. } => {
-                    write!(f, "FusedFan(par det={det}, {left:?}, {right:?})")
-                }
-                FanKind::Star { body, exit } => {
-                    write!(f, "FusedFan(star det={det}, exit={exit}, {body:?})")
-                }
-            },
         }
     }
 }
@@ -379,107 +382,42 @@ fn is_siso(node: &PNode) -> bool {
 /// lane body: a single SISO stage run, nothing that owns its own
 /// dispatcher or merge point (see module docs, *Fan legality rules*).
 fn fan_fusable(node: &PNode) -> bool {
-    matches!(
-        node,
-        PNode::Fused { .. } | PNode::Box { .. } | PNode::Filter { .. }
-    )
+    is_siso(node) || matches!(node, PNode::Fused { .. })
 }
 
 /// The fusion rewrite (see the module docs for legality rules):
 /// collapses maximal `Serial` runs of SISO stages into
-/// [`PNode::Fused`] nodes and recurses into combinator inners.
+/// [`PNode::Fused`] nodes, recurses into combinator bodies and marks
+/// a [`PNode::Fan`] `fused` when every body came out a SISO run.
 /// Idempotent; component paths are preserved exactly.
 pub fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
     match &**node {
         PNode::Serial { .. } => fuse_serial(node),
-        PNode::Parallel {
-            left,
-            right,
-            left_sig,
-            right_sig,
+        PNode::Fan {
+            kind,
             det,
             level,
+            fused: false,
         } => {
-            let left = fuse(left);
-            let right = fuse(right);
-            if fan_fusable(&left) && fan_fusable(&right) {
-                Arc::new(PNode::FusedFan {
-                    kind: FanKind::Parallel {
-                        left,
-                        right,
-                        left_sig: left_sig.clone(),
-                        right_sig: right_sig.clone(),
-                    },
-                    det: *det,
-                    level: *level,
-                })
-            } else {
-                Arc::new(PNode::Parallel {
-                    left,
-                    right,
-                    left_sig: left_sig.clone(),
-                    right_sig: right_sig.clone(),
-                    det: *det,
-                    level: *level,
-                })
-            }
-        }
-        PNode::Star {
-            inner,
-            exit,
-            det,
-            level,
-        } => {
-            let inner = fuse(inner);
-            if fan_fusable(&inner) {
-                Arc::new(PNode::FusedFan {
-                    kind: FanKind::Star {
-                        body: inner,
-                        exit: exit.clone(),
-                    },
-                    det: *det,
-                    level: *level,
-                })
-            } else {
-                Arc::new(PNode::Star {
-                    inner,
-                    exit: exit.clone(),
-                    det: *det,
-                    level: *level,
-                })
-            }
-        }
-        PNode::Split {
-            inner,
-            tag,
-            det,
-            level,
-        } => {
-            let inner = fuse(inner);
-            if fan_fusable(&inner) {
-                Arc::new(PNode::FusedFan {
-                    kind: FanKind::Split {
-                        body: inner,
-                        tag: *tag,
-                    },
-                    det: *det,
-                    level: *level,
-                })
-            } else {
-                Arc::new(PNode::Split {
-                    inner,
-                    tag: *tag,
-                    det: *det,
-                    level: *level,
-                })
-            }
+            let mut fused = true;
+            let kind = kind.map_bodies(|body| {
+                let body = fuse(body);
+                fused &= fan_fusable(&body);
+                body
+            });
+            Arc::new(PNode::Fan {
+                kind,
+                det: *det,
+                level: *level,
+                fused,
+            })
         }
         // Leaves (and already-fused nodes) pass through by handle.
         PNode::Box { .. }
         | PNode::Filter { .. }
         | PNode::Fused { .. }
         | PNode::Chain { .. }
-        | PNode::FusedFan { .. } => Arc::clone(node),
+        | PNode::Fan { fused: true, .. } => Arc::clone(node),
     }
 }
 
@@ -513,18 +451,7 @@ fn fuse_serial(node: &Arc<PNode>) -> Arc<PNode> {
             // A fusable run: one component for the whole stretch.
             let stages = run
                 .drain(..)
-                .map(|(suffix, leaf)| FusedStage {
-                    suffix,
-                    kind: match &*leaf {
-                        PNode::Box { name, sig, imp } => FusedKind::Box {
-                            name: name.clone(),
-                            sig: sig.clone(),
-                            imp: Arc::clone(imp),
-                        },
-                        PNode::Filter { def } => FusedKind::Filter { def: def.clone() },
-                        other => unreachable!("non-SISO node {other:?} in a fusable run"),
-                    },
-                })
+                .map(|(suffix, leaf)| FusedStage { suffix, leaf })
                 .collect();
             parts.push(ChainPart {
                 suffix: Vec::new(),
@@ -554,6 +481,17 @@ fn fuse_serial(node: &Arc<PNode>) -> Arc<PNode> {
         return parts.pop().expect("one part").node;
     }
     Arc::new(PNode::Chain { parts })
+}
+
+/// A combinator node as `compile_node` builds it: not fused (that is
+/// the [`fuse`] pass's decision).
+fn fan(kind: FanKind, det: bool, level: u32) -> Arc<PNode> {
+    Arc::new(PNode::Fan {
+        kind,
+        det,
+        level,
+        fused: false,
+    })
 }
 
 fn compile_node(
@@ -602,14 +540,16 @@ fn compile_node(
             let (pr, sr) = compile_node(right, env, bindings, inner_depth)?;
             let sig = snet_types::parallel(&sl, &sr);
             Ok((
-                Arc::new(PNode::Parallel {
-                    left: pl,
-                    right: pr,
-                    left_sig: sl,
-                    right_sig: sr,
-                    det: *det,
-                    level: det_depth,
-                }),
+                fan(
+                    FanKind::Parallel {
+                        left: pl,
+                        right: pr,
+                        left_sig: sl,
+                        right_sig: sr,
+                    },
+                    *det,
+                    det_depth,
+                ),
                 sig,
             ))
         }
@@ -617,30 +557,18 @@ fn compile_node(
             let inner_depth = det_depth + u32::from(*det);
             let (pi, si) = compile_node(inner, env, bindings, inner_depth)?;
             let sig = snet_types::star(&si, &exit.pattern)?;
-            Ok((
-                Arc::new(PNode::Star {
-                    inner: pi,
-                    exit: exit.clone(),
-                    det: *det,
-                    level: det_depth,
-                }),
-                sig,
-            ))
+            let kind = FanKind::Star {
+                body: pi,
+                exit: exit.clone(),
+            };
+            Ok((fan(kind, *det, det_depth), sig))
         }
         NetAst::Split { inner, tag, det } => {
             let inner_depth = det_depth + u32::from(*det);
             let (pi, si) = compile_node(inner, env, bindings, inner_depth)?;
             let tag = Label::tag(tag);
             let sig = snet_types::split(&si, tag);
-            Ok((
-                Arc::new(PNode::Split {
-                    inner: pi,
-                    tag,
-                    det: *det,
-                    level: det_depth,
-                }),
-                sig,
-            ))
+            Ok((fan(FanKind::Split { body: pi, tag }, *det, det_depth), sig))
         }
     }
 }
@@ -648,7 +576,11 @@ fn compile_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Ctx;
+    use crate::instantiate::run_to_end;
+    use crate::metrics::Metrics;
     use snet_lang::parse_program;
+    use snet_types::Record;
 
     fn bindings_id() -> Bindings {
         Bindings::new()
@@ -694,8 +626,8 @@ mod tests {
                 assert_eq!(stages.len(), 2);
                 assert_eq!(stages[0].suffix, vec!["s0"]);
                 assert_eq!(stages[1].suffix, vec!["s1"]);
-                assert!(matches!(&stages[0].kind, FusedKind::Box { name, .. } if name == "f"));
-                assert!(matches!(&stages[1].kind, FusedKind::Box { name, .. } if name == "g"));
+                assert!(matches!(&*stages[0].leaf, PNode::Box { name, .. } if name == "f"));
+                assert!(matches!(&*stages[1].leaf, PNode::Box { name, .. } if name == "g"));
             }
             other => panic!("expected Fused, got {other:?}"),
         }
@@ -757,7 +689,7 @@ mod tests {
                 assert!(matches!(&*parts[0].node, PNode::Box { .. }));
                 // The split interrupts the chain, but its lone-box
                 // body is itself SISO — so it fan-fuses in place.
-                assert!(matches!(&*parts[1].node, PNode::FusedFan { .. }));
+                assert!(matches!(&*parts[1].node, PNode::Fan { fused: true, .. }));
                 match &*parts[2].node {
                     PNode::Fused { stages } => assert_eq!(stages.len(), 2),
                     other => panic!("expected trailing Fused, got {other:?}"),
@@ -787,14 +719,15 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(f .. g) ! <t>").unwrap();
         let plan = compile_cfg(&ast, &env, &b, true).unwrap();
         match &*plan.root {
-            PNode::FusedFan {
+            PNode::Fan {
                 kind: FanKind::Split { body, .. },
                 det: true,
+                fused: true,
                 ..
             } => {
                 assert!(matches!(&**body, PNode::Fused { .. }), "{body:?}");
             }
-            other => panic!("expected FusedFan(split), got {other:?}"),
+            other => panic!("expected a fused split, got {other:?}"),
         }
     }
 
@@ -802,8 +735,7 @@ mod tests {
     fn fan_fusion_refuses_nested_combinator_bodies() {
         // (f ! <u>) ! <t>: the outer split's body is itself a
         // combinator — fan fusion must not cross its merge point. The
-        // outer stays a regular Split; the inner (lone SISO body)
-        // fan-fuses.
+        // outer stays unfused; the inner (lone SISO body) fan-fuses.
         let env = parse_program(
             "box f (a) -> (a);\n\
              box g (a) -> (a);",
@@ -817,24 +749,81 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(f ! <u>) ! <t>").unwrap();
         let plan = compile_cfg(&ast, &env, &b, true).unwrap();
         match &*plan.root {
-            PNode::Split { inner, .. } => match &**inner {
-                PNode::FusedFan {
+            PNode::Fan {
+                kind: FanKind::Split { body: inner, .. },
+                fused: false,
+                ..
+            } => match &**inner {
+                PNode::Fan {
                     kind: FanKind::Split { body, .. },
+                    fused: true,
                     ..
                 } => assert!(matches!(&**body, PNode::Box { .. })),
-                other => panic!("expected inner FusedFan, got {other:?}"),
+                other => panic!("expected a fused inner split, got {other:?}"),
             },
-            other => panic!("expected outer Split, got {other:?}"),
+            other => panic!("expected an unfused outer split, got {other:?}"),
         }
         // Star and parallel refuse the same way.
         let ast = snet_lang::parse_net_expr("((f ! <u>) | g) ** {a}").unwrap();
         let plan = compile_cfg(&ast, &env, &b, true).unwrap();
         match &*plan.root {
-            PNode::Star { inner, .. } => {
-                assert!(matches!(&**inner, PNode::Parallel { .. }), "{inner:?}");
-            }
-            other => panic!("expected Star, got {other:?}"),
+            PNode::Fan {
+                kind: FanKind::Star { body, .. },
+                fused: false,
+                ..
+            } => assert!(
+                matches!(
+                    &**body,
+                    PNode::Fan {
+                        kind: FanKind::Parallel { .. },
+                        fused: false,
+                        ..
+                    }
+                ),
+                "{body:?}"
+            ),
+            other => panic!("expected an unfused star, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fusion_is_the_identity_on_the_component_paths_of_a_fan_in_a_fan() {
+        // (a !! <k>) ** {<z>}: the split's body is a lone box, so the
+        // split fuses; the star's body is the split, so the star does
+        // not. Either way every component lives at the same path.
+        let env = parse_program("box a (n, <k>) -> (n, <k>) | (n, <k>, <z>);")
+            .unwrap()
+            .env()
+            .unwrap();
+        let b = Bindings::new().bind("a", |r, e| {
+            let rec = Record::build()
+                .field("n", r.field("n").unwrap().as_int().unwrap() - 1)
+                .tag("k", r.tag("k").unwrap());
+            e.emit(if r.field("n").unwrap().as_int() == Some(1) {
+                rec.tag("z", 1).finish()
+            } else {
+                rec.finish()
+            });
+        });
+        let ast = snet_lang::parse_net_expr("(a !! <k>) ** {<z>}").unwrap();
+        let paths = |fuse_pass: bool| {
+            let plan = compile_cfg(&ast, &env, &b, fuse_pass).unwrap();
+            let inner_fused = match &*plan.root {
+                PNode::Fan {
+                    kind: FanKind::Star { body, .. },
+                    fused: false,
+                    ..
+                } => matches!(&**body, PNode::Fan { fused, .. } if *fused),
+                other => panic!("expected an unfused star, got {other:?}"),
+            };
+            assert_eq!(inner_fused, fuse_pass, "{:?}", plan.root);
+            let ctx = Ctx::new(Metrics::new(), Vec::new());
+            let inputs = [(2, 0), (1, 1), (3, 0)]
+                .map(|(n, k)| Record::build().field("n", n as i64).tag("k", k).finish());
+            assert_eq!(run_to_end(&ctx, &plan.root, inputs).len(), 3);
+            ctx.metrics.snapshot().into_keys().collect::<Vec<_>>()
+        };
+        assert_eq!(paths(true), paths(false));
     }
 
     #[test]
@@ -842,12 +831,12 @@ mod tests {
         let env = env_fg();
         let ast = snet_lang::parse_net_expr("(f .. g) ! <t>").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), true).unwrap();
-        assert!(matches!(&*plan.root, PNode::FusedFan { .. }));
+        assert!(matches!(&*plan.root, PNode::Fan { fused: true, .. }));
         let again = fuse(&plan.root);
         assert!(Arc::ptr_eq(&plan.root, &again));
-        // With the pass off, no FusedFan exists anywhere.
+        // With the pass off, no fan is marked fused.
         let unfused = compile_cfg(&ast, &env, &bindings_id(), false).unwrap();
-        assert!(matches!(&*unfused.root, PNode::Split { .. }));
+        assert!(matches!(&*unfused.root, PNode::Fan { fused: false, .. }));
     }
 
     #[test]
@@ -905,16 +894,19 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(f ! <t>) | g").unwrap();
         let plan = compile_cfg(&ast, &env, &b, false).unwrap();
         match &*plan.root {
-            PNode::Parallel {
+            PNode::Fan {
+                kind: FanKind::Parallel { left, .. },
                 det: true,
                 level,
-                left,
                 ..
             } => {
                 assert_eq!(*level, 0);
                 match &**left {
-                    PNode::Split {
-                        det: true, level, ..
+                    PNode::Fan {
+                        kind: FanKind::Split { .. },
+                        det: true,
+                        level,
+                        ..
                     } => assert_eq!(*level, 1),
                     other => panic!("unexpected {other:?}"),
                 }
@@ -925,11 +917,16 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(f ! <t>) || g").unwrap();
         let plan = compile_cfg(&ast, &env, &b, false).unwrap();
         match &*plan.root {
-            PNode::Parallel {
-                det: false, left, ..
+            PNode::Fan {
+                kind: FanKind::Parallel { left, .. },
+                det: false,
+                ..
             } => match &**left {
-                PNode::Split {
-                    det: true, level, ..
+                PNode::Fan {
+                    kind: FanKind::Split { .. },
+                    det: true,
+                    level,
+                    ..
                 } => assert_eq!(*level, 0),
                 other => panic!("unexpected {other:?}"),
             },

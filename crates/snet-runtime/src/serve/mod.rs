@@ -100,7 +100,8 @@
 //!
 //! [`run_open_loop`] drives a `Service` at a fixed arrival rate (open
 //! loop, so queueing delay shows) and reports tail latency from an
-//! HDR-style [`hist::Histogram`] plus sustained RPS: `BENCH_PR7.json`.
+//! HDR-style [`hist::Histogram`] plus sustained RPS (the `serve_bench`
+//! binary of `crates/bench` is its driver).
 //!
 //! # Failure model
 //!

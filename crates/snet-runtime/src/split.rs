@@ -40,14 +40,24 @@
 //! The per-record tag lookup itself is shape-keyed (PR 4): the tag's
 //! value slot is resolved once per record shape and then read by
 //! index, with no per-record label search.
+//!
+//! # One router, one dispatcher loop
+//!
+//! [`SplitRouter`] is the single owner of what the combinator counts
+//! (`records_in`, `branches`), observes and calls its lanes
+//! (`branch{v}` / `lane{i}`), generic over what a lane *is*: the
+//! dispatcher below instantiates it with a replica's input `Sender`,
+//! the fused fan driver ([`crate::fused`]) with the lane's stage
+//! cores. There is one dispatcher loop, credit-gated; an unbounded
+//! edge grants at once.
 
 use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
-use crate::metrics::keys;
+use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
 use crate::plan::PNode;
-use crate::stream::{chan, for_each_msg, stream, Dir, Msg, Receiver, Sender};
+use crate::stream::{chan, stream, Dir, Msg, Receiver, Sender};
 use snet_types::{Label, Record};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,37 +73,42 @@ pub fn lane_of(v: i64, n: u32) -> i64 {
     (z % u64::from(n.max(1))) as i64
 }
 
-/// The indexed replicator's per-record classification — the split
-/// half of the dispatch core shared between the standalone
-/// dispatcher task and the fused-fan driver ([`crate::fused`]): a
-/// shape-cached routing-tag slot read plus the optional lane hash.
-/// Equal tag values always map to equal keys, so replica affinity —
-/// and the branch path namespace — is identical however the
-/// replicator executes.
-pub(crate) struct TagDispatch {
+/// The indexed replicator's router (see module docs): a shape-cached
+/// routing-tag slot read plus the optional lane hash, the lane map
+/// that unfolds on demand, and the combinator's counters. Equal tag
+/// values always map to equal keys, so replica affinity — and the
+/// branch path namespace — is identical however the replicator
+/// executes.
+pub(crate) struct SplitRouter<L> {
     tag: Label,
-    lanes: Option<u32>,
+    lane_bound: Option<u32>,
     /// Routing-tag slot per record shape: resolved once per shape,
     /// then a direct value-array read (streams are overwhelmingly
     /// shape-monomorphic, so a one-entry cache suffices; a shape
     /// change just re-resolves).
     tag_slot: Option<(u32, Option<usize>)>,
+    lanes: HashMap<i64, L>,
+    records_in: Counter,
+    branches: Counter,
 }
 
-impl TagDispatch {
-    pub(crate) fn new(ctx: &Ctx, tag: Label) -> TagDispatch {
-        TagDispatch {
+impl<L> SplitRouter<L> {
+    /// Registers the combinator's counters at `comb`.
+    pub(crate) fn new(ctx: &Ctx, comb: CompPath, tag: Label) -> SplitRouter<L> {
+        SplitRouter {
             tag,
-            lanes: ctx.split_lanes_for(tag.name()),
+            lane_bound: ctx.split_lanes_for(tag.name()),
             tag_slot: None,
+            lanes: HashMap::new(),
+            records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
+            branches: ctx.metrics.handle_at(comb, keys::BRANCHES),
         }
     }
 
     /// The branch key for a record: the raw tag value, or its lane
     /// hash under a bounded lane namespace. Panics (a routing error)
-    /// on a record without the tag — `dpath` names the replicator in
-    /// the message.
-    pub(crate) fn key(&mut self, rec: &Record, dpath: CompPath) -> i64 {
+    /// on a record without the tag.
+    fn key(&mut self, rec: &Record, comb: CompPath) -> i64 {
         let sid = rec.shape().id();
         let slot = match self.tag_slot {
             Some((cached, slot)) if cached == sid => slot,
@@ -106,37 +121,59 @@ impl TagDispatch {
         let tag = self.tag;
         let v = slot.map(|i| rec.tag_value_at(i)).unwrap_or_else(|| {
             panic!(
-                "record {rec:?} reached parallel replicator at '{dpath}' without \
+                "record {rec:?} reached parallel replicator at '{comb}' without \
                  routing tag {tag}"
             )
         });
-        match self.lanes {
+        match self.lane_bound {
             Some(n) => lane_of(v, n),
             None => v,
         }
     }
 
-    /// The branch path segment for `key` — built once per unfolded
-    /// replica, never per record.
-    pub(crate) fn seg(&self, key: i64) -> String {
-        match self.lanes {
-            Some(_) => format!("lane{key}"),
-            None => format!("branch{key}"),
+    /// One record's dispatch: observe, count, classify — and, on the
+    /// first record of a branch key, unfold its lane through `open`,
+    /// which is handed the lane's path (built once per unfolded
+    /// replica, never per record).
+    #[inline]
+    pub(crate) fn lane(
+        &mut self,
+        ctx: &Ctx,
+        comb: CompPath,
+        rec: &Record,
+        open: impl FnOnce(CompPath) -> L,
+    ) -> &mut L {
+        if ctx.has_observers() {
+            ctx.observe(comb, Dir::In, rec);
         }
+        self.records_in.inc(1);
+        let key = self.key(rec, comb);
+        self.lanes.entry(key).or_insert_with(|| {
+            self.branches.inc(1);
+            open(comb.child(&match self.lane_bound {
+                Some(_) => format!("lane{key}"),
+                None => format!("branch{key}"),
+            }))
+        })
+    }
+
+    /// Every lane unfolded so far.
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = &L> {
+        self.lanes.values()
     }
 }
 
-/// Spawns an indexed parallel replicator; returns its output stream.
+/// Spawns an indexed parallel replicator at `comb`; returns its
+/// output stream.
 pub fn spawn_split(
     ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
+    comb: CompPath,
     inner: &Arc<PNode>,
     tag: Label,
     det: bool,
     level: u32,
     input: Receiver,
 ) -> Receiver {
-    let comb = path.into().child(if det { "split" } else { "splitnd" });
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
     let (out_tx, out_rx) = ctx.data_stream(comb, "merge");
     let mode = if det {
@@ -158,145 +195,66 @@ pub fn spawn_split(
         out_tx,
     );
 
-    // Dispatcher: counters are registered once at spawn; the record
-    // loop's only per-record work is a shape-keyed tag-slot read and
-    // a branch-map hit. Path/metric strings are only built on the
-    // demand-driven replica unfolding path (once per distinct tag
+    // Dispatcher: the router's counters are registered once at spawn;
+    // the record loop's only per-record work is a shape-keyed tag-slot
+    // read and a lane-map hit. Path/metric strings are only built on
+    // the demand-driven replica unfolding path (once per distinct tag
     // value, or per lane when the lane namespace is bounded).
     let ctx2 = Arc::clone(ctx);
     let inner = Arc::clone(inner);
-    let dpath = comb;
-    let mut route = TagDispatch::new(ctx, tag);
-    // When replica input edges are bounded, data routes through the
-    // credit gate (an async path), so the dispatcher runs a
-    // per-message loop instead of the batched closure drain. Sort
-    // broadcasts stay on the ungated `send` path either way: a det
-    // round boundary must reach *every* replica — including the ones
-    // the merger is not currently draining — without waiting.
-    let gated = ctx.edge_bounded("dispatch");
-    let records_in = ctx.metrics.handle_at(dpath, keys::RECORDS_IN);
-    let branches_created = ctx.metrics.handle_at(dpath, keys::BRANCHES);
-    if gated {
-        ctx.spawn(format!("{dpath}/dispatch"), async move {
-            let mut branches: HashMap<i64, Sender> = HashMap::new();
-            let mut watermark = Watermark::new();
-            let mut counter: u64 = 0;
-            while let Ok(msg) = input.recv_async().await {
-                match msg {
-                    Msg::Rec(rec) => {
-                        if ctx2.has_observers() {
-                            ctx2.observe(dpath, Dir::In, &rec);
-                        }
-                        records_in.inc(1);
-                        let key = route.key(&rec, dpath);
-                        let branch_tx = branches.entry(key).or_insert_with(|| {
-                            let bpath = dpath.child(&route.seg(key));
-                            let (btx, brx) = ctx2.data_stream(bpath, "dispatch");
-                            let replica_out = instantiate(&ctx2, &inner, bpath, brx);
-                            branches_created.inc(1);
-                            let _ = ctl_tx.send(BranchSpec {
-                                rx: replica_out,
-                                watermark: watermark.clone(),
-                            });
-                            btx
-                        });
-                        // A full replica edge parks the dispatcher here
-                        // — and transitively everything upstream —
-                        // instead of growing the replica's queue.
-                        let _ = branch_tx.feed(Msg::Rec(rec)).await;
-                        if det {
-                            let sort = Msg::Sort { level, counter };
-                            for tx in branches.values() {
-                                let _ = tx.send(sort.clone());
-                            }
-                            let _ = spine_tx.send(sort);
-                            watermark.insert(level, counter + 1);
-                            counter += 1;
-                        }
-                    }
-                    Msg::Sort {
-                        level: l,
-                        counter: c,
-                    } => {
-                        for tx in branches.values() {
-                            let _ = tx.send(Msg::Sort {
-                                level: l,
-                                counter: c,
-                            });
-                        }
-                        let _ = spine_tx.send(Msg::Sort {
-                            level: l,
-                            counter: c,
-                        });
-                        watermark.insert(l, c + 1);
-                    }
-                }
-            }
-        });
-        return out_rx;
-    }
-    ctx.spawn(format!("{dpath}/dispatch"), async move {
-        let mut branches: HashMap<i64, Sender> = HashMap::new();
+    let mut router: SplitRouter<Sender> = SplitRouter::new(ctx, comb, tag);
+    ctx.spawn(format!("{comb}/dispatch"), async move {
         // Sorts broadcast so far, per level: the watermark handed to
         // replicas created later (they will never see earlier sorts).
         let mut watermark = Watermark::new();
         let mut counter: u64 = 0;
-        for_each_msg(input, |msg| match msg {
-            Msg::Rec(rec) => {
-                if ctx2.has_observers() {
-                    ctx2.observe(dpath, Dir::In, &rec);
-                }
-                records_in.inc(1);
-                // With a bounded lane namespace, the branch key is the
-                // lane index; equal tag values still hash to the same
-                // lane, preserving the paper's same-value-same-replica
-                // guarantee.
-                let key = route.key(&rec, dpath);
-                let branch_tx = branches.entry(key).or_insert_with(|| {
-                    // Demand-driven unfolding of a fresh replica.
-                    let (btx, brx) = stream();
-                    let replica_out = instantiate(&ctx2, &inner, dpath.child(&route.seg(key)), brx);
-                    branches_created.inc(1);
-                    // Register the tap before any subsequent sort
-                    // broadcast so the merger can account for it.
-                    let _ = ctl_tx.send(BranchSpec {
-                        rx: replica_out,
-                        watermark: watermark.clone(),
-                    });
-                    btx
-                });
-                let _ = branch_tx.send(Msg::Rec(rec));
-                if det {
-                    let sort = Msg::Sort { level, counter };
-                    for tx in branches.values() {
-                        let _ = tx.send(sort.clone());
-                    }
-                    let _ = spine_tx.send(sort);
-                    watermark.insert(level, counter + 1);
-                    counter += 1;
-                }
+        // Sort broadcasts take the ungated `send` path: a det round
+        // boundary must reach *every* replica — including the ones the
+        // merger is not currently draining — without waiting.
+        let broadcast = |router: &SplitRouter<Sender>, level: u32, counter: u64| {
+            let sort = Msg::Sort { level, counter };
+            for tx in router.lanes() {
+                let _ = tx.send(sort.clone());
             }
-            Msg::Sort {
-                level: l,
-                counter: c,
-            } => {
+            let _ = spine_tx.send(sort);
+        };
+        while let Ok(msg) = input.recv_async().await {
+            match msg {
+                Msg::Rec(rec) => {
+                    let lane = router.lane(&ctx2, comb, &rec, |bpath| {
+                        // Demand-driven unfolding of a fresh replica.
+                        let (btx, brx) = ctx2.data_stream(bpath, "dispatch");
+                        let replica_out = instantiate(&ctx2, &inner, bpath, brx);
+                        // Register the tap before any subsequent sort
+                        // broadcast so the merger can account for it.
+                        let _ = ctl_tx.send(BranchSpec {
+                            rx: replica_out,
+                            watermark: watermark.clone(),
+                        });
+                        btx
+                    });
+                    // A full replica edge parks the dispatcher here —
+                    // and transitively everything upstream — instead
+                    // of growing the replica's queue.
+                    let _ = lane.feed(Msg::Rec(rec)).await;
+                    if det {
+                        broadcast(&router, level, counter);
+                        watermark.insert(level, counter + 1);
+                        counter += 1;
+                    }
+                }
                 // Outer sorts: broadcast to every live replica (and
                 // the spine) and remember for future replicas'
                 // watermarks.
-                for tx in branches.values() {
-                    let _ = tx.send(Msg::Sort {
-                        level: l,
-                        counter: c,
-                    });
-                }
-                let _ = spine_tx.send(Msg::Sort {
+                Msg::Sort {
                     level: l,
                     counter: c,
-                });
-                watermark.insert(l, c + 1);
+                } => {
+                    broadcast(&router, l, c);
+                    watermark.insert(l, c + 1);
+                }
             }
-        })
-        .await;
+        }
         // EOS: branch senders and the control sender drop here.
     });
 
@@ -306,54 +264,17 @@ pub fn spawn_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::run_to_end;
     use crate::metrics::Metrics;
-    use crate::net::collect_records;
-    use crate::plan::{compile, Bindings};
+    use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
 
-    fn ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
-    }
-
-    /// `mark (x) -> (x, y)` records which replica (by first tag value
-    /// seen) processed each record, by echoing a thread-local id.
-    fn mark_plan(det: bool) -> (Arc<Ctx>, crate::plan::Plan) {
-        let env = parse_program("box mark (x) -> (x, y);")
-            .unwrap()
-            .env()
-            .unwrap();
-        let b = Bindings::new().bind("mark", |r, e| {
-            // Replica identity: boxes are stateless in S-Net, but the
-            // *thread* is a fine identity proxy for tests.
-            let tid = format!("{:?}", std::thread::current().id());
-            let x = r.field("x").unwrap().as_int().unwrap();
-            e.emit(
-                Record::build()
-                    .field("x", x)
-                    .field("y", tid.as_str())
-                    .finish(),
-            );
-        });
-        let src = if det { "mark ! <k>" } else { "mark !! <k>" };
-        let ast = parse_net_expr(src).unwrap();
-        (ctx(), compile(&ast, &env, &b).unwrap())
-    }
-
-    #[test]
-    fn same_tag_value_same_replica() {
-        // Replica identity is the interned branch *path* (observed at
-        // the box boundary) — not the OS thread, which is an executor
-        // detail: under a work-stealing pool one replica's task
-        // migrates between workers.
-        let seen: Arc<parking_lot::Mutex<Vec<(i64, String)>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let obs: crate::stream::Observer = Arc::new(move |path, dir, rec| {
-            if dir == crate::stream::Dir::In && path.contains("box:mark") {
-                seen2.lock().push((rec.tag("k").unwrap(), path.to_string()));
-            }
-        });
+    /// `mark ! <k>` / `mark !! <k>` over `mark (x) -> (x, y)`, an
+    /// identity that copies `x` into `y`. `fuse` is the fusion pass:
+    /// on, the plan runs on the fan driver; off, on this file's
+    /// dispatcher — every test runs both.
+    fn mark_plan(det: bool, fuse: bool) -> Plan {
         let env = parse_program("box mark (x) -> (x, y);")
             .unwrap()
             .env()
@@ -362,187 +283,151 @@ mod tests {
             let x = r.field("x").unwrap().as_int().unwrap();
             e.emit(Record::build().field("x", x).field("y", x).finish());
         });
-        let ast = parse_net_expr("mark !! <k>").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = Ctx::new(Metrics::new(), vec![obs]);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..30i64 {
-            tx.send(Msg::Rec(
-                Record::build().field("x", i).tag("k", i % 3).finish(),
-            ))
-            .unwrap();
+        let src = if det { "mark ! <k>" } else { "mark !! <k>" };
+        compile_cfg(&parse_net_expr(src).unwrap(), &env, &b, fuse).unwrap()
+    }
+
+    /// Runs `{x = i, <k> = k(i)}` for `i in 0..n` through the plan;
+    /// returns the context and the output records' `x` and `<k>`.
+    fn run(
+        plan: &Plan,
+        observers: Vec<crate::stream::Observer>,
+        n: i64,
+        k: impl Fn(i64) -> i64,
+    ) -> (Arc<Ctx>, Vec<(i64, i64)>) {
+        let ctx = Ctx::new(Metrics::new(), observers);
+        let inputs = (0..n).map(|i| Record::build().field("x", i).tag("k", k(i)).finish());
+        let out = run_to_end(&ctx, &plan.root, inputs)
+            .iter()
+            .map(|r| (r.field("x").unwrap().as_int().unwrap(), r.tag("k").unwrap()))
+            .collect();
+        (ctx, out)
+    }
+
+    #[test]
+    fn same_tag_value_same_replica() {
+        for fuse in [true, false] {
+            // Replica identity is the interned branch *path* (observed
+            // at the box boundary) — not the OS thread, which is an
+            // executor detail: under a work-stealing pool one replica's
+            // task migrates between workers.
+            let seen: Arc<parking_lot::Mutex<Vec<(i64, String)>>> = Arc::default();
+            let seen2 = Arc::clone(&seen);
+            let obs: crate::stream::Observer = Arc::new(move |path, dir, rec| {
+                if dir == Dir::In && path.contains("box:mark") {
+                    seen2.lock().push((rec.tag("k").unwrap(), path.to_string()));
+                }
+            });
+            let (ctx, out) = run(&mark_plan(false, fuse), vec![obs], 30, |i| i % 3);
+            assert_eq!(out.len(), 30);
+            // Exactly three replicas were created.
+            assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 3);
+            // All records with the same k entered the same replica path,
+            // and distinct ks used distinct replicas.
+            let mut by_k: HashMap<i64, std::collections::BTreeSet<String>> = HashMap::new();
+            for (k, path) in seen.lock().iter() {
+                by_k.entry(*k).or_default().insert(path.clone());
+            }
+            assert_eq!(by_k.len(), 3);
+            let mut all_paths = std::collections::BTreeSet::new();
+            for (k, paths) in by_k {
+                assert_eq!(paths.len(), 1, "tag value {k} used multiple replicas");
+                all_paths.extend(paths);
+            }
+            assert_eq!(all_paths.len(), 3, "replicas were shared across tags");
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 30);
-        // Exactly three replicas were created.
-        assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 3);
-        // All records with the same k entered the same replica path,
-        // and distinct ks used distinct replicas.
-        let mut by_k: HashMap<i64, std::collections::BTreeSet<String>> = HashMap::new();
-        for (k, path) in seen.lock().iter() {
-            by_k.entry(*k).or_default().insert(path.clone());
-        }
-        assert_eq!(by_k.len(), 3);
-        let mut all_paths = std::collections::BTreeSet::new();
-        for (k, paths) in by_k {
-            assert_eq!(paths.len(), 1, "tag value {k} used multiple replicas");
-            all_paths.extend(paths);
-        }
-        assert_eq!(all_paths.len(), 3, "replicas were shared across tags");
     }
 
     #[test]
     fn replicas_unfold_on_demand_only() {
-        let (ctx, plan) = mark_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        // A single tag value: exactly one replica, no matter how many
-        // records.
-        for i in 0..10i64 {
-            tx.send(Msg::Rec(
-                Record::build().field("x", i).tag("k", 42).finish(),
-            ))
-            .unwrap();
+        for fuse in [true, false] {
+            // A single tag value: exactly one replica, no matter how
+            // many records.
+            let (ctx, out) = run(&mark_plan(false, fuse), Vec::new(), 10, |_| 42);
+            assert_eq!(out.len(), 10);
+            assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 1);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 10);
-        assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 1);
     }
 
     #[test]
     fn routing_tag_flow_inherits_through_replica() {
-        // The tag is not consumed by the inner box (not in its input
-        // type), so it must reappear on outputs via flow inheritance.
-        let (ctx, plan) = mark_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(
-            Record::build().field("x", 1i64).tag("k", 7).finish(),
-        ))
-        .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs[0].tag("k"), Some(7));
+        for fuse in [true, false] {
+            // The tag is not consumed by the inner box (not in its
+            // input type), so it must reappear on outputs via flow
+            // inheritance.
+            let (_, out) = run(&mark_plan(false, fuse), Vec::new(), 1, |_| 7);
+            assert_eq!(out, vec![(0, 7)]);
+        }
     }
 
     #[test]
     fn missing_tag_panics() {
-        let (ctx, plan) = mark_plan(false);
-        let (tx, in_rx) = stream();
-        let _out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("x", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
-        assert!(r.is_err());
+        for fuse in [true, false] {
+            let plan = mark_plan(false, fuse);
+            let ctx = Ctx::new(Metrics::new(), Vec::new());
+            let untagged = Record::build().field("x", 1i64).finish();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_to_end(&ctx, &plan.root, [untagged])
+            }))
+            .unwrap_err();
+            let msg = died.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.contains("at 'net/splitnd' without routing tag <k>"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
     fn det_split_preserves_input_order() {
-        let (ctx, plan) = mark_plan(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..50i64 {
-            tx.send(Msg::Rec(
-                Record::build().field("x", i).tag("k", i % 5).finish(),
-            ))
-            .unwrap();
+        for fuse in [true, false] {
+            let (ctx, out) = run(&mark_plan(true, fuse), Vec::new(), 50, |i| i % 5);
+            let xs: Vec<i64> = out.iter().map(|(x, _)| *x).collect();
+            assert_eq!(xs, (0..50).collect::<Vec<_>>());
+            assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 5);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        let xs: Vec<i64> = recs
-            .iter()
-            .map(|r| r.field("x").unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(xs, (0..50).collect::<Vec<_>>());
-        assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 5);
     }
 
     #[test]
     fn negative_tag_values_route_correctly() {
-        // Tag values are arbitrary integers; negative lanes must work.
-        let (ctx, plan) = mark_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..12i64 {
-            tx.send(Msg::Rec(
-                Record::build()
-                    .field("x", i)
-                    .tag("k", -(i % 3) - 1)
-                    .finish(),
-            ))
-            .unwrap();
+        for fuse in [true, false] {
+            // Tag values are arbitrary integers; negative lanes must
+            // work.
+            let (ctx, out) = run(&mark_plan(false, fuse), Vec::new(), 12, |i| -(i % 3) - 1);
+            assert_eq!(out.len(), 12);
+            assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 3);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 12);
-        assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 3);
     }
 
     #[test]
     fn det_split_with_zero_records_terminates() {
-        // EOS before any record: the spine lets the merger terminate
-        // cleanly with zero replicas.
-        let (ctx, plan) = mark_plan(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert!(recs.is_empty());
-        assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 0);
+        for fuse in [true, false] {
+            // EOS before any record: the spine lets the merger
+            // terminate cleanly with zero replicas.
+            let (ctx, out) = run(&mark_plan(true, fuse), Vec::new(), 0, |_| 0);
+            assert!(out.is_empty());
+            assert_eq!(ctx.metrics.sum_matching(keys::BRANCHES), 0);
+        }
     }
 
     #[test]
     fn det_split_single_lane_is_fifo() {
-        let (ctx, plan) = mark_plan(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..100i64 {
-            tx.send(Msg::Rec(Record::build().field("x", i).tag("k", 0).finish()))
-                .unwrap();
+        for fuse in [true, false] {
+            let (_, out) = run(&mark_plan(true, fuse), Vec::new(), 100, |_| 0);
+            let xs: Vec<i64> = out.iter().map(|(x, _)| *x).collect();
+            assert_eq!(xs, (0..100).collect::<Vec<_>>());
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        let xs: Vec<i64> = recs
-            .iter()
-            .map(|r| r.field("x").unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(xs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn nondet_split_preserves_per_replica_order() {
-        let (ctx, plan) = mark_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..60i64 {
-            tx.send(Msg::Rec(
-                Record::build().field("x", i).tag("k", i % 2).finish(),
-            ))
-            .unwrap();
-        }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        for kv in 0..2 {
-            let xs: Vec<i64> = recs
-                .iter()
-                .filter(|r| r.tag("k") == Some(kv))
-                .map(|r| r.field("x").unwrap().as_int().unwrap())
-                .collect();
-            let mut sorted = xs.clone();
-            sorted.sort();
-            assert_eq!(xs, sorted, "per-replica order violated for k={kv}");
+        for fuse in [true, false] {
+            let (_, out) = run(&mark_plan(false, fuse), Vec::new(), 60, |i| i % 2);
+            for kv in 0..2 {
+                let xs: Vec<i64> = out.iter().filter(|o| o.1 == kv).map(|o| o.0).collect();
+                assert_eq!(xs.len(), 30);
+                assert!(xs.is_sorted(), "per-replica order violated for k={kv}");
+            }
         }
     }
 }

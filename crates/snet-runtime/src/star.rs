@@ -21,6 +21,17 @@
 //! broadcasts a sort record after every input record; guards duplicate
 //! sorts to their tap and down the chain, and the deterministic merger
 //! reassembles input order across taps (see [`crate::merge`]).
+//!
+//! # One router, one loop per component
+//!
+//! [`StarChain`] is the single owner of what the combinator counts
+//! (`exits`, `stages`) and calls its replicas and guards (`stage{d}`,
+//! `stage{d}/guard`); its [`ExitDispatch`] observes, classifies and
+//! counts one record at a guard. The guard tasks below (a classifier
+//! each) and the fused fan driver ([`crate::fused`], one classifier
+//! for the whole walk) both go through them. The
+//! stamper and the guard have one loop each, credit-gated; an
+//! unbounded edge grants at once.
 
 use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
@@ -29,50 +40,17 @@ use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
 use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
 use crate::plan::PNode;
-use crate::stream::{chan, for_each_msg, stream, Dir, Msg, Receiver, Sender};
+use crate::stream::{chan, stream, Dir, Msg, Receiver, Sender};
 use snet_lang::ExitPattern;
 use snet_types::Record;
 use std::sync::Arc;
 
-/// The exit decision for a serial replicator, shared between the
-/// standalone guard tasks and the fused-fan driver (see
-/// [`crate::fused`]): a per-shape memo of the exit-pattern subset test
-/// plus the dynamic tag guard. One instance per guard position — the
-/// memo is keyed by record shape, and shapes flowing past different
-/// chain depths can differ.
-pub(crate) struct ExitDispatch {
-    exit: ExitPattern,
-    memo: TypeMemo<bool>,
-}
-
-impl ExitDispatch {
-    pub(crate) fn new(exit: ExitPattern) -> ExitDispatch {
-        ExitDispatch {
-            exit,
-            memo: TypeMemo::new(),
-        }
-    }
-
-    /// Whether this record leaves through the guard's tap. The subset
-    /// test depends only on the record's type and is memoized per
-    /// shape id; the optional tag guard stays dynamic (it reads
-    /// values, not labels). A guard that cannot evaluate (a referenced
-    /// tag is absent) does not release the record.
-    pub(crate) fn exits(&mut self, rec: &Record) -> bool {
-        let ExitDispatch { exit, memo } = self;
-        memo.get_or_insert_with(rec, |rt| rt.is_subtype_of(&exit.pattern))
-            && exit
-                .guard
-                .as_ref()
-                .map(|g| g.eval(rec).unwrap_or(false))
-                .unwrap_or(true)
-    }
-}
-
-struct StarShared {
-    inner: Arc<PNode>,
-    exit: ExitPattern,
+/// The chain-wide state of one serial replicator (see module docs).
+pub(crate) struct StarChain {
     comb: CompPath,
+    /// The replicated operand.
+    pub(crate) body: Arc<PNode>,
+    exit: ExitPattern,
     /// Registered once for the whole chain; every guard's exit tap
     /// increments through this handle.
     exits: Counter,
@@ -80,17 +58,98 @@ struct StarShared {
     stages: Counter,
 }
 
-/// Spawns a serial replicator; returns its output stream.
+impl StarChain {
+    /// Registers the combinator's counters at `comb`.
+    pub(crate) fn new(
+        ctx: &Ctx,
+        comb: CompPath,
+        body: &Arc<PNode>,
+        exit: &ExitPattern,
+    ) -> StarChain {
+        StarChain {
+            comb,
+            body: Arc::clone(body),
+            exit: exit.clone(),
+            exits: ctx.metrics.handle_at(comb, keys::EXITS),
+            stages: ctx.metrics.handle_at(comb, keys::STAGES),
+        }
+    }
+
+    /// Unfolds guard `d`: interns its path and that of the replica
+    /// behind it, and raises `stages`.
+    pub(crate) fn unfold(&self, d: usize) -> GuardPaths {
+        self.stages.max(d as u64 + 1);
+        let replica = self.comb.child(&format!("stage{d}"));
+        GuardPaths {
+            replica,
+            guard: replica.child("guard"),
+        }
+    }
+
+    /// A fresh exit classifier counting into the chain's `exits`.
+    pub(crate) fn dispatch(&self) -> ExitDispatch {
+        ExitDispatch {
+            exit: self.exit.clone(),
+            memo: TypeMemo::new(),
+            exits: self.exits.clone(),
+        }
+    }
+}
+
+/// Where guard `d` sits (`{comb}/stage{d}/guard`) and where the
+/// replica behind it goes (`{comb}/stage{d}`).
+#[derive(Clone, Copy)]
+pub(crate) struct GuardPaths {
+    pub(crate) replica: CompPath,
+    pub(crate) guard: CompPath,
+}
+
+/// The exit decision: a per-shape memo of the exit-pattern subset
+/// test plus the dynamic tag guard. The memo is keyed by record shape,
+/// so one instance serves any number of guard positions.
+pub(crate) struct ExitDispatch {
+    exit: ExitPattern,
+    memo: TypeMemo<bool>,
+    exits: Counter,
+}
+
+impl ExitDispatch {
+    /// One record past the guard at `gpath`: observe, classify,
+    /// count. `true` when the record leaves through the guard's tap.
+    /// The subset
+    /// test depends only on the record's type and is memoized per
+    /// shape id; the optional tag guard stays dynamic (it reads
+    /// values, not labels). A guard that cannot evaluate (a referenced
+    /// tag is absent) does not release the record.
+    #[inline]
+    pub(crate) fn exits(&mut self, ctx: &Ctx, gpath: CompPath, rec: &Record) -> bool {
+        if ctx.has_observers() {
+            ctx.observe(gpath, Dir::In, rec);
+        }
+        let ExitDispatch { exit, memo, .. } = self;
+        let out = memo.get_or_insert_with(rec, |rt| rt.is_subtype_of(&exit.pattern))
+            && exit
+                .guard
+                .as_ref()
+                .map(|g| g.eval(rec).unwrap_or(false))
+                .unwrap_or(true);
+        if out {
+            self.exits.inc(1);
+        }
+        out
+    }
+}
+
+/// Spawns a serial replicator at `comb`; returns its output stream.
 pub fn spawn_star(
     ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
+    comb: CompPath,
     inner: &Arc<PNode>,
     exit: &ExitPattern,
     det: bool,
     level: u32,
     input: Receiver,
 ) -> Receiver {
-    let comb = path.into().child(if det { "star" } else { "starnd" });
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
     let (out_tx, out_rx) = ctx.data_stream(comb, "merge");
     let mode = if det {
@@ -100,20 +159,13 @@ pub fn spawn_star(
     };
     spawn_merge(ctx, comb, mode, Vec::new(), ctl_rx, out_tx);
 
-    let shared = Arc::new(StarShared {
-        inner: Arc::clone(inner),
-        exit: exit.clone(),
-        comb,
-        exits: ctx.metrics.handle_at(comb, keys::EXITS),
-        stages: ctx.metrics.handle_at(comb, keys::STAGES),
-    });
-
+    let chain = Arc::new(StarChain::new(ctx, comb, inner, exit));
     let guard0_input = if det {
         spawn_stamper(ctx, comb, level, input)
     } else {
         input
     };
-    spawn_guard(ctx, shared, 0, guard0_input, Watermark::new(), ctl_tx);
+    spawn_guard(ctx, chain, 0, guard0_input, Watermark::new(), ctl_tx);
     out_rx
 }
 
@@ -121,40 +173,23 @@ pub fn spawn_star(
 /// the n-th input record, partitioning the chain into rounds.
 fn spawn_stamper(ctx: &Arc<Ctx>, comb: CompPath, level: u32, input: Receiver) -> Receiver {
     let (tx, rx) = ctx.data_stream(comb.child("stamper"), "dispatch");
-    if tx.is_bounded() {
-        // Credit-gated data, ungated sorts: the sort stamped after a
-        // record must follow it even when the edge is full, or the
-        // det merger's round bookkeeping would run ahead of the data.
-        ctx.spawn(format!("{comb}/stamper"), async move {
-            let mut counter: u64 = 0;
-            while let Ok(msg) = input.recv_async().await {
-                match msg {
-                    rec @ Msg::Rec(_) => {
-                        let _ = tx.feed(rec).await;
-                        let _ = tx.send(Msg::Sort { level, counter });
-                        counter += 1;
-                    }
-                    sort @ Msg::Sort { .. } => {
-                        let _ = tx.send(sort);
-                    }
-                }
-            }
-        });
-        return rx;
-    }
+    // Credit-gated data, ungated sorts: the sort stamped after a
+    // record must follow it even when the edge is full, or the det
+    // merger's round bookkeeping would run ahead of the data.
     ctx.spawn(format!("{comb}/stamper"), async move {
         let mut counter: u64 = 0;
-        for_each_msg(input, |msg| match msg {
-            rec @ Msg::Rec(_) => {
-                let _ = tx.send(rec);
-                let _ = tx.send(Msg::Sort { level, counter });
-                counter += 1;
+        while let Ok(msg) = input.recv_async().await {
+            match msg {
+                rec @ Msg::Rec(_) => {
+                    let _ = tx.feed(rec).await;
+                    let _ = tx.send(Msg::Sort { level, counter });
+                    counter += 1;
+                }
+                sort @ Msg::Sort { .. } => {
+                    let _ = tx.send(sort);
+                }
             }
-            sort @ Msg::Sort { .. } => {
-                let _ = tx.send(sort);
-            }
-        })
-        .await;
+        }
     });
     rx
 }
@@ -168,7 +203,7 @@ fn spawn_stamper(ctx: &Arc<Ctx>, comb: CompPath, level: u32, input: Receiver) ->
 /// record loop allocates only when it unfolds the next replica.
 fn spawn_guard(
     ctx: &Arc<Ctx>,
-    shared: Arc<StarShared>,
+    chain: Arc<StarChain>,
     stage: usize,
     input: Receiver,
     watermark: Watermark,
@@ -182,122 +217,63 @@ fn spawn_guard(
         rx: tap_rx,
         watermark: watermark.clone(),
     });
-    shared.stages.max(stage as u64 + 1);
+    let at = chain.unfold(stage);
+    let mut route = chain.dispatch();
     let ctx2 = Arc::clone(ctx);
-    let stage_path = shared.comb.child(&format!("stage{stage}"));
-    let gpath = stage_path.child("guard");
-    if ctx.edge_bounded("dispatch") {
-        // Bounded chain edges: the forward into the next replica goes
-        // through the credit gate, so a slow replica parks this guard
-        // (and transitively the whole upstream chain) instead of
-        // growing its queue. Exits and sorts stay ungated — the tap
-        // is exempt, and a det round boundary must propagate down the
-        // chain without waiting.
-        ctx.spawn(gpath.as_str(), async move {
-            let mut wm = watermark;
-            let mut next: Option<Sender> = None;
-            let mut exit_memo = ExitDispatch::new(shared.exit.clone());
-            while let Ok(msg) = input.recv_async().await {
-                match msg {
-                    Msg::Rec(rec) => {
-                        if ctx2.has_observers() {
-                            ctx2.observe(gpath, Dir::In, &rec);
-                        }
-                        if exit_memo.exits(&rec) {
-                            shared.exits.inc(1);
-                            let _ = tap_tx.send(Msg::Rec(rec));
-                        } else {
-                            if next.is_none() {
-                                let (rtx, rrx) = ctx2.data_stream(stage_path, "dispatch");
-                                let replica_out =
-                                    instantiate(&ctx2, &shared.inner, stage_path, rrx);
-                                spawn_guard(
-                                    &ctx2,
-                                    Arc::clone(&shared),
-                                    stage + 1,
-                                    replica_out,
-                                    wm.clone(),
-                                    ctl.clone(),
-                                );
-                                next = Some(rtx);
-                            }
-                            let _ = next.as_ref().unwrap().feed(Msg::Rec(rec)).await;
-                        }
-                    }
-                    Msg::Sort {
-                        level: l,
-                        counter: c,
-                    } => {
-                        let _ = tap_tx.send(Msg::Sort {
-                            level: l,
-                            counter: c,
-                        });
-                        if let Some(tx) = &next {
-                            let _ = tx.send(Msg::Sort {
-                                level: l,
-                                counter: c,
-                            });
-                        }
-                        wm.insert(l, c + 1);
-                    }
-                }
-            }
-        });
-        return;
-    }
-    ctx.spawn(gpath.as_str(), async move {
+    // The forward into the next replica goes through the credit gate,
+    // so a slow replica parks this guard (and transitively the whole
+    // upstream chain) instead of growing its queue. Exits and sorts
+    // stay ungated — the tap is exempt, and a det round boundary must
+    // propagate down the chain without waiting.
+    ctx.spawn(at.guard.as_str(), async move {
         let mut wm = watermark;
         let mut next: Option<Sender> = None;
-        let mut exit_memo = ExitDispatch::new(shared.exit.clone());
-        for_each_msg(input, |msg| match msg {
-            Msg::Rec(rec) => {
-                if ctx2.has_observers() {
-                    ctx2.observe(gpath, Dir::In, &rec);
-                }
-                if exit_memo.exits(&rec) {
-                    shared.exits.inc(1);
-                    let _ = tap_tx.send(Msg::Rec(rec));
-                } else {
-                    if next.is_none() {
-                        // Demand-driven unfolding: the replica and the
-                        // next guard exist only because this record
-                        // needs them.
-                        let (rtx, rrx) = stream();
-                        let replica_out = instantiate(&ctx2, &shared.inner, stage_path, rrx);
-                        spawn_guard(
-                            &ctx2,
-                            Arc::clone(&shared),
-                            stage + 1,
-                            replica_out,
-                            wm.clone(),
-                            ctl.clone(),
-                        );
-                        next = Some(rtx);
+        while let Ok(msg) = input.recv_async().await {
+            match msg {
+                Msg::Rec(rec) => {
+                    if route.exits(&ctx2, at.guard, &rec) {
+                        let _ = tap_tx.send(Msg::Rec(rec));
+                    } else {
+                        let next = next.get_or_insert_with(|| {
+                            // Demand-driven unfolding: the replica and
+                            // the next guard exist only because this
+                            // record needs them.
+                            let (rtx, rrx) = ctx2.data_stream(at.replica, "dispatch");
+                            let replica_out = instantiate(&ctx2, &chain.body, at.replica, rrx);
+                            spawn_guard(
+                                &ctx2,
+                                Arc::clone(&chain),
+                                stage + 1,
+                                replica_out,
+                                wm.clone(),
+                                ctl.clone(),
+                            );
+                            rtx
+                        });
+                        let _ = next.feed(Msg::Rec(rec)).await;
                     }
-                    let _ = next.as_ref().unwrap().send(Msg::Rec(rec));
                 }
-            }
-            Msg::Sort {
-                level: l,
-                counter: c,
-            } => {
-                // Duplicate every sort to the tap (the merger needs it
-                // for round/barrier bookkeeping) and down the chain if
-                // it exists.
-                let _ = tap_tx.send(Msg::Sort {
+                Msg::Sort {
                     level: l,
                     counter: c,
-                });
-                if let Some(tx) = &next {
-                    let _ = tx.send(Msg::Sort {
+                } => {
+                    // Duplicate every sort to the tap (the merger needs
+                    // it for round/barrier bookkeeping) and down the
+                    // chain if it exists.
+                    let _ = tap_tx.send(Msg::Sort {
                         level: l,
                         counter: c,
                     });
+                    if let Some(tx) = &next {
+                        let _ = tx.send(Msg::Sort {
+                            level: l,
+                            counter: c,
+                        });
+                    }
+                    wm.insert(l, c + 1);
                 }
-                wm.insert(l, c + 1);
             }
-        })
-        .await;
+        }
         // EOS: tap, chain sender and control clone all drop here,
         // cascading end-of-stream down the chain and eventually closing
         // the merger's control channel.
@@ -307,260 +283,231 @@ fn spawn_guard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::run_to_end;
     use crate::metrics::Metrics;
-    use crate::net::collect_records;
-    use crate::plan::{compile, Bindings};
+    use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
 
-    fn ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
+    /// Compiles `expr` over one box `decl`/`imp` and runs `inputs`
+    /// through it to the end. `fuse` is the fusion pass: on, the plan
+    /// runs on the fan driver; off, on this file's guard chain — every
+    /// test runs both.
+    fn run(
+        decl: &str,
+        imp: impl Fn(&Record, &mut crate::boxfn::Emitter) + Send + Sync + 'static,
+        expr: &str,
+        fuse: bool,
+        inputs: impl IntoIterator<Item = Record>,
+    ) -> (Arc<Ctx>, Vec<Record>) {
+        let env = parse_program(decl).unwrap().env().unwrap();
+        let name = decl.split_whitespace().nth(1).unwrap();
+        let b = Bindings::new().bind(name, imp);
+        let plan: Plan = compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, fuse).unwrap();
+        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let recs = run_to_end(&ctx, &plan.root, inputs);
+        (ctx, recs)
     }
 
     /// `step (n) -> (n) | (n, <done>)`: decrements n; emits `<done>`
     /// when it reaches zero. A record entering with n therefore
     /// traverses exactly n replicas — a miniature of the sudoku
     /// pipeline's "one number per replica" structure.
-    fn countdown_plan(det: bool) -> (Arc<Ctx>, crate::plan::Plan) {
-        let env = parse_program("box step (n) -> (n) | (n, <done>);")
-            .unwrap()
-            .env()
-            .unwrap();
-        let b = Bindings::new().bind("step", |r, e| {
-            let n = r.field("n").unwrap().as_int().unwrap();
-            let n = n - 1;
+    fn countdown(
+        det: bool,
+        fuse: bool,
+        inputs: impl IntoIterator<Item = Record>,
+    ) -> (Arc<Ctx>, Vec<Record>) {
+        let step = |r: &Record, e: &mut crate::boxfn::Emitter| {
+            let n = r.field("n").unwrap().as_int().unwrap() - 1;
             if n == 0 {
                 e.emit(Record::build().field("n", n).tag("done", 1).finish());
             } else {
                 e.emit(Record::build().field("n", n).finish());
             }
-        });
-        let src = if det {
+        };
+        let expr = if det {
             "step * {<done>}"
         } else {
             "step ** {<done>}"
         };
-        let ast = parse_net_expr(src).unwrap();
-        (ctx(), compile(&ast, &env, &b).unwrap())
+        run(
+            "box step (n) -> (n) | (n, <done>);",
+            step,
+            expr,
+            fuse,
+            inputs,
+        )
+    }
+
+    fn n(v: i64) -> Record {
+        Record::build().field("n", v).finish()
     }
 
     #[test]
     fn record_traverses_until_exit() {
-        let (ctx, plan) = countdown_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("n", 5i64).finish()))
-            .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].field("n").unwrap().as_int(), Some(0));
-        assert_eq!(recs[0].tag("done"), Some(1));
-        // Demand-driven: exactly 5 replicas (stages 0..4 created
-        // replicas; guard 5 tapped the exit).
-        assert_eq!(ctx.metrics.get("net/starnd/stages"), 6);
+        for fuse in [true, false] {
+            let (ctx, recs) = countdown(false, fuse, [n(5)]);
+            assert_eq!(recs.len(), 1);
+            assert_eq!(recs[0].field("n").unwrap().as_int(), Some(0));
+            assert_eq!(recs[0].tag("done"), Some(1));
+            // Demand-driven: exactly 5 replicas (stages 0..4 created
+            // replicas; guard 5 tapped the exit).
+            assert_eq!(ctx.metrics.get("net/starnd/stages"), 6);
+        }
     }
 
     #[test]
     fn immediate_exit_creates_no_replica() {
-        // A record already matching the exit pattern leaves through
-        // guard 0's tap; the replicated network is never instantiated.
-        let (ctx, plan) = countdown_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(
-            Record::build().field("n", 9i64).tag("done", 1).finish(),
-        ))
-        .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(ctx.metrics.get("net/starnd/stages"), 1);
-        assert_eq!(ctx.metrics.sum_matching("box:step/records_in"), 0);
+        for fuse in [true, false] {
+            // A record already matching the exit pattern leaves through
+            // guard 0's tap; the replicated network is never
+            // instantiated.
+            let done = Record::build().field("n", 9i64).tag("done", 1).finish();
+            let (ctx, recs) = countdown(false, fuse, [done]);
+            assert_eq!(recs.len(), 1);
+            assert_eq!(ctx.metrics.get("net/starnd/stages"), 1);
+            assert_eq!(ctx.metrics.sum_matching("box:step/records_in"), 0);
+        }
     }
 
     #[test]
     fn unfolding_depth_matches_deepest_record() {
-        let (ctx, plan) = countdown_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for n in [3i64, 7, 2] {
-            tx.send(Msg::Rec(Record::build().field("n", n).finish()))
-                .unwrap();
+        for fuse in [true, false] {
+            let (ctx, recs) = countdown(false, fuse, [n(3), n(7), n(2)]);
+            assert_eq!(recs.len(), 3);
+            assert_eq!(ctx.metrics.get("net/starnd/stages"), 8); // depth 7 + exit guard
+            assert_eq!(ctx.metrics.get("net/starnd/exits"), 3);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 3);
-        assert_eq!(ctx.metrics.get("net/starnd/stages"), 8); // depth 7 + exit guard
-        assert_eq!(ctx.metrics.get("net/starnd/exits"), 3);
     }
 
     #[test]
     fn det_star_preserves_input_order() {
-        let (ctx, plan) = countdown_plan(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        // Records with wildly different depths: deep ones exit late in
-        // wall-clock terms, but det order must follow input order.
-        let depths = [9i64, 1, 6, 2, 8, 3];
-        for (i, n) in depths.iter().enumerate() {
-            tx.send(Msg::Rec(
-                Record::build().field("n", *n).tag("id", i as i64).finish(),
-            ))
-            .unwrap();
+        for fuse in [true, false] {
+            // Records with wildly different depths: deep ones exit late
+            // in wall-clock terms, but det order must follow input
+            // order.
+            let inputs = [9i64, 1, 6, 2, 8, 3]
+                .iter()
+                .enumerate()
+                .map(|(i, d)| Record::build().field("n", *d).tag("id", i as i64).finish());
+            let (_, recs) = countdown(true, fuse, inputs);
+            let ids: Vec<i64> = recs.iter().map(|r| r.tag("id").unwrap()).collect();
+            assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        let ids: Vec<i64> = recs.iter().map(|r| r.tag("id").unwrap()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn nondet_star_emits_fast_records_first() {
-        // With non-deterministic merging, a shallow record entered
-        // *after* a deep one usually overtakes it. We only assert that
-        // all records arrive (overtaking is timing-dependent).
-        let (ctx, plan) = countdown_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for n in [40i64, 1] {
-            tx.send(Msg::Rec(Record::build().field("n", n).finish()))
-                .unwrap();
+        for fuse in [true, false] {
+            // With non-deterministic merging, a shallow record entered
+            // *after* a deep one usually overtakes it. We only assert
+            // that all records arrive (overtaking is timing-dependent).
+            let (_, recs) = countdown(false, fuse, [n(40), n(1)]);
+            assert_eq!(recs.len(), 2);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 2);
     }
 
     #[test]
     fn guarded_exit_pattern_fig3_shape() {
-        // bump: increments <level>; exit when <level> > 3. Uses the
-        // paper's guarded exit semantics. Note <level> must be part of
-        // the box's *input* signature — a box only sees its declared
-        // inputs, so deriving the level from an undeclared tag would
-        // read flow-inherited state the box never receives.
-        let env = parse_program("box bump (x, <level>) -> (x, <level>);")
-            .unwrap()
-            .env()
-            .unwrap();
-        let b = Bindings::new().bind("bump", |r, e| {
-            let x = r.field("x").unwrap().as_int().unwrap();
-            let lvl = r.tag("level").unwrap();
-            e.emit(Record::build().field("x", x).tag("level", lvl + 1).finish());
-        });
-        let ast = parse_net_expr("bump ** {<level>} if <level> > 3").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = ctx();
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(
-            Record::build().field("x", 0i64).tag("level", 0).finish(),
-        ))
-        .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].tag("level"), Some(4)); // first level > 3
+        for fuse in [true, false] {
+            // bump: increments <level>; exit when <level> > 3. Uses the
+            // paper's guarded exit semantics. Note <level> must be part
+            // of the box's *input* signature — a box only sees its
+            // declared inputs, so deriving the level from an undeclared
+            // tag would read flow-inherited state the box never
+            // receives.
+            let bump = |r: &Record, e: &mut crate::boxfn::Emitter| {
+                let x = r.field("x").unwrap().as_int().unwrap();
+                let lvl = r.tag("level").unwrap();
+                e.emit(Record::build().field("x", x).tag("level", lvl + 1).finish());
+            };
+            let (_, recs) = run(
+                "box bump (x, <level>) -> (x, <level>);",
+                bump,
+                "bump ** {<level>} if <level> > 3",
+                fuse,
+                [Record::build().field("x", 0i64).tag("level", 0).finish()],
+            );
+            assert_eq!(recs.len(), 1);
+            assert_eq!(recs[0].tag("level"), Some(4)); // first level > 3
+        }
     }
 
     #[test]
     fn det_star_with_zero_records_terminates() {
-        let (ctx, plan) = countdown_plan(true);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert!(recs.is_empty());
+        for fuse in [true, false] {
+            let (_, recs) = countdown(true, fuse, []);
+            assert!(recs.is_empty());
+        }
     }
 
     #[test]
     fn guard_referencing_missing_tag_never_exits_early() {
-        // Exit pattern {} (matches every record) with a guard over a
-        // tag that only appears at the end: records without the tag
-        // must keep circulating (guard evaluation failure = no exit).
-        let env = parse_program("box until5 (n) -> (n) | (n, <lvl>);")
-            .unwrap()
-            .env()
-            .unwrap();
-        let b = Bindings::new().bind("until5", |r, e| {
-            let n = r.field("n").unwrap().as_int().unwrap() + 1;
-            if n >= 5 {
-                e.emit(Record::build().field("n", n).tag("lvl", n).finish());
-            } else {
-                e.emit(Record::build().field("n", n).finish());
-            }
-        });
-        let ast = parse_net_expr("until5 ** {} if <lvl> > 0").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = ctx();
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("n", 0i64).finish()))
-            .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].tag("lvl"), Some(5));
+        for fuse in [true, false] {
+            // Exit pattern {} (matches every record) with a guard over a
+            // tag that only appears at the end: records without the tag
+            // must keep circulating (guard evaluation failure = no
+            // exit).
+            let until5 = |r: &Record, e: &mut crate::boxfn::Emitter| {
+                let n = r.field("n").unwrap().as_int().unwrap() + 1;
+                if n >= 5 {
+                    e.emit(Record::build().field("n", n).tag("lvl", n).finish());
+                } else {
+                    e.emit(Record::build().field("n", n).finish());
+                }
+            };
+            let (_, recs) = run(
+                "box until5 (n) -> (n) | (n, <lvl>);",
+                until5,
+                "until5 ** {} if <lvl> > 0",
+                fuse,
+                [n(0)],
+            );
+            assert_eq!(recs.len(), 1);
+            assert_eq!(recs[0].tag("lvl"), Some(5));
+        }
     }
 
     #[test]
     fn interleaved_deep_and_shallow_records_all_complete() {
-        let (ctx, plan) = countdown_plan(false);
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        for i in 0..40i64 {
-            let depth = if i % 2 == 0 { 20 } else { 1 };
-            tx.send(Msg::Rec(Record::build().field("n", depth).finish()))
-                .unwrap();
+        for fuse in [true, false] {
+            let inputs = (0..40).map(|i| n(if i % 2 == 0 { 20 } else { 1 }));
+            let (ctx, recs) = countdown(false, fuse, inputs);
+            assert_eq!(recs.len(), 40);
+            assert_eq!(ctx.metrics.get("net/starnd/exits"), 40);
         }
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        assert_eq!(recs.len(), 40);
-        assert_eq!(ctx.metrics.get("net/starnd/exits"), 40);
     }
 
     #[test]
     fn multiplying_records_in_star() {
-        // A box that fans out: each record of weight w emits w records
-        // of weight w-1; exit at weight 0. Total exits = w! paths...
-        // use small w. Checks that replicas handle fan-out and that the
-        // merger sees every exit.
-        let env = parse_program("box fan (w) -> (w) | (w, <z>);")
-            .unwrap()
-            .env()
-            .unwrap();
-        let b = Bindings::new().bind("fan", |r, e| {
-            let w = r.field("w").unwrap().as_int().unwrap();
-            if w == 0 {
-                e.emit(Record::build().field("w", 0i64).tag("z", 1).finish());
-            } else {
-                for _ in 0..w {
-                    e.emit(Record::build().field("w", w - 1).finish());
+        for fuse in [true, false] {
+            // A box that fans out: each record of weight w emits w
+            // records of weight w-1; exit at weight 0. Checks that
+            // replicas handle fan-out and that the merger sees every
+            // exit.
+            let fan = |r: &Record, e: &mut crate::boxfn::Emitter| {
+                let w = r.field("w").unwrap().as_int().unwrap();
+                if w == 0 {
+                    e.emit(Record::build().field("w", 0i64).tag("z", 1).finish());
+                } else {
+                    for _ in 0..w {
+                        e.emit(Record::build().field("w", w - 1).finish());
+                    }
                 }
-            }
-        });
-        let ast = parse_net_expr("fan ** {<z>}").unwrap();
-        let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = ctx();
-        let (tx, in_rx) = stream();
-        let out = instantiate(&ctx, &plan.root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("w", 4i64).finish()))
-            .unwrap();
-        drop(tx);
-        let recs = collect_records(out);
-        ctx.join_all();
-        // 4 * 3 * 2 * 1 = 24 leaves.
-        assert_eq!(recs.len(), 24);
-        // Replicas 0..=4 handle weights 4..=0; guard 5 taps the exits.
-        assert_eq!(ctx.metrics.get("net/starnd/stages"), 6);
+            };
+            let (ctx, recs) = run(
+                "box fan (w) -> (w) | (w, <z>);",
+                fan,
+                "fan ** {<z>}",
+                fuse,
+                [Record::build().field("w", 4i64).finish()],
+            );
+            // 4 * 3 * 2 * 1 = 24 leaves.
+            assert_eq!(recs.len(), 24);
+            // Replicas 0..=4 handle weights 4..=0; guard 5 taps the
+            // exits.
+            assert_eq!(ctx.metrics.get("net/starnd/stages"), 6);
+        }
     }
 }

@@ -894,12 +894,6 @@ impl<T: Send> Sender<T> {
             stalled: false,
         }
     }
-
-    /// True when this channel was created with a capacity (and it has
-    /// not been lifted by [`Receiver::exempt`]).
-    pub fn is_bounded(&self) -> bool {
-        self.chan.cap.load(Ordering::Relaxed) != 0
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -1711,7 +1705,6 @@ mod tests {
     #[test]
     fn bounded_try_feed_and_depth_accounting() {
         let (tx, rx) = channel_cfg::<i32>(2, None);
-        assert!(tx.is_bounded());
         assert_eq!(rx.capacity(), 2);
         tx.try_feed(1).unwrap();
         tx.try_feed(2).unwrap();
@@ -1813,7 +1806,7 @@ mod tests {
             Pin::new(&mut fut).poll(&mut cx),
             Poll::Ready(Ok(()))
         ));
-        assert!(!tx.is_bounded());
+        assert_eq!(rx.capacity(), 0);
         // Unbounded from here on: feeds no longer gate.
         for i in 2..100 {
             tx.try_feed(i).unwrap();

@@ -59,7 +59,9 @@
 //! # Yield-on-empty-input
 //!
 //! Component bodies never call the blocking `recv()`; they await
-//! batches (or, for multi-input components, [`SelectReady`]).
+//! batches (the stage runs), one message at a time (the dispatchers,
+//! stampers and guards, whose every forward passes the credit gate)
+//! or, for multi-input components, [`SelectReady`].
 //! Under the default [`crate::sched::WorkStealingPool`] executor the
 //! await *yields the worker*: the component's state machine suspends,
 //! the stream registers the task's waker, and the send path
@@ -214,25 +216,6 @@ impl Future for SelectReady<'_> {
         }
         Poll::Pending
     }
-}
-
-/// The record loop shared by the single-input coordination components
-/// (dispatchers, guards, stampers; boxes and filters run on
-/// [`crate::fused`]'s stage-run driver): drains batches from
-/// `input` — up to [`RECV_BATCH`] messages per wake, one fair
-/// timeslice — and applies `f` to each message in stream order, until
-/// end-of-stream. Batched delivery lives here so its semantics
-/// (batch sizing, the in-place `recv_each` contract, EOS handling)
-/// have one definition instead of one per component.
-///
-/// Delivery is **in place** ([`chan::Receiver::recv_each`]): each
-/// message is copied once, queue slot → `f`'s argument, with no
-/// intermediate batch buffer. Records travel by value and are a
-/// couple of cache lines wide, so the buffer round-trip the previous
-/// `recv_batch` loop paid was a second full copy of every record plus
-/// a `RECV_BATCH × size_of::<Msg>()` working set per component.
-pub async fn for_each_msg(input: Receiver, mut f: impl FnMut(Msg)) {
-    while input.recv_each(RECV_BATCH, &mut f).await > 0 {}
 }
 
 /// Cooperative yield: resolves on its second poll after an immediate

@@ -264,9 +264,8 @@ fn barrier_chains_fuse_only_the_runs() {
 #[test]
 fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
     // Fused: the whole replicator is one component. The net-global
-    // and per-tag escape hatches restore dispatcher + merger at
-    // spawn (replicas still unfold on demand); a hatch naming some
-    // other tag changes nothing.
+    // escape hatch restores dispatcher + merger at spawn (replicas
+    // still unfold on demand).
     let spawn_count = |b: NetBuilder| {
         let net = b.fuse(true).build("main").unwrap();
         let n = net.threads_spawned();
@@ -284,8 +283,6 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
     let expr = "(inc .. rep) ! <k>";
     assert_eq!(spawn_count(fan_builder(expr)), 1);
     assert_eq!(spawn_count(fan_builder(expr).fuse_fan(false)), 2);
-    assert_eq!(spawn_count(fan_builder(expr).fuse_fan_for("k", false)), 2);
-    assert_eq!(spawn_count(fan_builder(expr).fuse_fan_for("zzz", false)), 1);
     // Restart's backoff sleep would park co-scheduled lanes: the
     // runtime legality check falls back on its own.
     assert_eq!(
@@ -344,44 +341,94 @@ fn per_stage_metrics_paths_survive_fusion() {
 
 #[test]
 fn fan_metrics_paths_survive_replica_fusion() {
-    // Replica fusion keeps every per-path counter — dispatcher
-    // records_in/branches at the combinator path, per-replica box
-    // counters at branch{k}/... — at the same key with the same value.
-    let run = |fan: bool| {
-        let net = fan_builder("(inc .. inc .. rep) ! <k>")
+    // Replica fusion keeps every per-path counter — the combinator's
+    // own (records_in/branches, routed_left/right, exits/stages) and
+    // the per-lane box counters — at the same key with the same value,
+    // and every combinator and guard path sees the same records in the
+    // same order, for each of the six combinators.
+    use parking_lot::Mutex;
+    use std::collections::BTreeMap;
+    type Events = BTreeMap<String, Vec<String>>;
+    let run = |expr: &str, inputs: &[Record], fan: bool| {
+        let events: Arc<Mutex<Events>> = Arc::default();
+        let sink = Arc::clone(&events);
+        let net = fan_builder(expr)
             .executor(Arc::new(ThreadPerComponent))
+            .observe(Arc::new(move |path, dir, rec| {
+                let routing = ["split", "splitnd", "par", "parnd", "guard"];
+                if routing.contains(&path.rsplit('/').next().unwrap()) {
+                    let event = format!("{dir:?} {rec:?}");
+                    sink.lock().entry(path.to_string()).or_default().push(event);
+                }
+            }))
             .fuse(true)
             .fuse_fan(fan)
             .build("main")
             .unwrap();
-        for i in 0..30i64 {
-            net.send(
-                Record::build()
-                    .field("x", i)
-                    .tag("c", (i * 7 + 3) % 4)
-                    .tag("k", (i * 5 + 1) % 3)
-                    .finish(),
-            )
-            .unwrap();
+        for rec in inputs {
+            net.send(rec.clone()).unwrap();
         }
         let metrics = Arc::clone(net.metrics());
         let _ = net.finish();
-        metrics.snapshot()
-    };
-    let fused = run(true);
-    let unfused = run(false);
-    let keys = |snap: &std::collections::BTreeMap<String, u64>| {
-        snap.iter()
+        let counters: Vec<(String, u64)> = metrics
+            .snapshot()
+            .into_iter()
             // Per-edge gauges vanish with the edges by design;
             // runtime/* globals (interner gauge, chaos counters) are
             // process-wide and depend on test interleaving.
             .filter(|(k, _)| !k.ends_with("/stream_depth") && !k.ends_with("/credit_stalls"))
             .filter(|(k, _)| !k.starts_with("runtime/"))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect::<Vec<_>>()
+            .collect();
+        let events = std::mem::take(&mut *events.lock());
+        (counters, events)
     };
-    assert_eq!(keys(&fused), keys(&unfused));
-    assert!(fused.keys().any(|k| k.contains("branch")));
+    // Every third record lacks <c>, so only `inc` accepts it: both
+    // branches of the parallel compositions see traffic.
+    let xs: Vec<Record> = (0..30i64)
+        .map(|i| {
+            let rec = Record::build().field("x", i).tag("k", (i * 5 + 1) % 3);
+            if i % 3 == 0 {
+                rec.finish()
+            } else {
+                rec.tag("c", (i * 7 + 3) % 4).finish()
+            }
+        })
+        .collect();
+    let with_c: Vec<Record> = xs
+        .iter()
+        .filter(|r| r.tag("c").is_some())
+        .cloned()
+        .collect();
+    let ns: Vec<Record> = (0..20i64)
+        .map(|i| {
+            Record::build()
+                .field("n", (i * 13 + 7) % 9 + 1)
+                .tag("id", i)
+                .finish()
+        })
+        .collect();
+    let cases: [(&str, &[Record], &str); 6] = [
+        ("(inc .. inc .. rep) ! <k>", &with_c, "split/branch"),
+        ("(inc .. inc .. rep) !! <k>", &with_c, "splitnd/branch"),
+        ("(inc .. inc) | (rep .. inc)", &xs, "par/routed_left"),
+        ("(inc .. inc) || (rep .. inc)", &xs, "parnd/routed_right"),
+        ("(dec .. dec) * {<z>}", &ns, "star/stage"),
+        ("(dec .. dec) ** {<z>}", &ns, "starnd/stage"),
+    ];
+    for (expr, inputs, marker) in cases {
+        let (fused, fused_events) = run(expr, inputs, true);
+        let (unfused, unfused_events) = run(expr, inputs, false);
+        assert_eq!(fused, unfused, "{expr}: counters");
+        assert_eq!(fused_events, unfused_events, "{expr}: observer events");
+        assert!(
+            fused.iter().any(|(k, v)| k.contains(marker) && *v > 0),
+            "{expr}"
+        );
+        assert!(
+            !fused_events.is_empty(),
+            "{expr}: no combinator or guard path observed"
+        );
+    }
 }
 
 #[test]

@@ -138,10 +138,13 @@ fn repeated_instantiation_accumulates_under_identical_keys() {
     // `stream_depth` is a high-water gauge: how far a queue grows
     // before its consumer drains it is scheduling-dependent (visible
     // under SNET_STREAM_BOUND, where every edge maintains it), so the
-    // gauges are exempt from run-to-run value equality.
+    // gauges are exempt from run-to-run value equality. So are the
+    // `runtime/*` globals: `runtime/interner_paths` gauges the
+    // process-wide path interner, which the other tests of this
+    // binary grow concurrently.
     let values = |snap: &std::collections::BTreeMap<String, u64>| {
         snap.iter()
-            .filter(|(k, _)| !k.ends_with("stream_depth"))
+            .filter(|(k, _)| !k.ends_with("stream_depth") && !k.starts_with("runtime/"))
             .map(|(k, v)| (k.clone(), *v))
             .collect::<Vec<_>>()
     };
@@ -182,18 +185,99 @@ fn one_of_each_driver() -> snet_runtime::Net {
     .unwrap()
 }
 
+/// Each combinator both ways: the outer `||`, `!!` and `**` have a
+/// combinator for a body, so they run on their own dispatcher and
+/// merger; the inner `|`, `!` and `*` have SISO bodies and run on the
+/// fan driver. Fusion and the bound are pinned as above.
+fn each_combinator_both_ways() -> snet_runtime::Net {
+    let fwd = |r: &Record, e: &mut snet_runtime::Emitter| {
+        e.emit(
+            Record::build()
+                .field("n", r.field("n").unwrap().as_int().unwrap())
+                .finish(),
+        )
+    };
+    NetBuilder::from_source(
+        "box a (n) -> (n) | (n, <p>) | (n, <p>, <q>);\n\
+         box l (n) -> (n);\n\
+         box r (n, <p>) -> (n);\n\
+         box m (n, <p>, <q>) -> (n);\n\
+         box t (n) -> (n, <k>, <j>);\n\
+         box b (n) -> (n);\n\
+         box dec (n) -> (n) | (n, <z>);\n\
+         net main = a .. ((l | r) || m) .. t .. ((b ! <k>) !! <j>) .. ((dec * {<z>}) ** {<z>});",
+    )
+    .unwrap()
+    .bind("a", |r, e| {
+        let n = r.field("n").unwrap().as_int().unwrap();
+        let rec = Record::build().field("n", n);
+        e.emit(match n % 3 {
+            0 => rec.finish(),
+            1 => rec.tag("p", 1).finish(),
+            _ => rec.tag("p", 1).tag("q", 1).finish(),
+        });
+    })
+    .bind("l", fwd)
+    .bind("r", fwd)
+    .bind("m", fwd)
+    .bind("t", |r, e| {
+        let n = r.field("n").unwrap().as_int().unwrap();
+        e.emit(
+            Record::build()
+                .field("n", n)
+                .tag("k", n % 2)
+                .tag("j", n / 2 % 2)
+                .finish(),
+        );
+    })
+    .bind("b", fwd)
+    .bind("dec", |r, e| {
+        let n = r.field("n").unwrap().as_int().unwrap() - 1;
+        if n <= 0 {
+            e.emit(Record::build().field("n", 0i64).tag("z", 1).finish());
+        } else {
+            e.emit(Record::build().field("n", n).finish());
+        }
+    })
+    .fuse(true)
+    .fuse_fan(true)
+    .bound(128)
+    .build("main")
+    .unwrap()
+}
+
 #[test]
 fn key_set_of_every_stage_driver_is_pinned() {
-    let net = one_of_each_driver();
-    assert_eq!(net.threads_spawned(), 5, "one component per driver");
-    for x in 0..8i64 {
-        net.send(Record::build().field("x", x).finish()).unwrap();
+    let ints = |field: &str, vals: &[i64]| -> Vec<Record> {
+        vals.iter()
+            .map(|v| Record::build().field(field, *v).finish())
+            .collect()
+    };
+    let cases: [(snet_runtime::Net, usize, Vec<Record>, &[&str]); 2] = [
+        (
+            one_of_each_driver(),
+            5,
+            ints("x", &[0, 1, 2, 3, 4, 5, 6, 7]),
+            &PINNED_KEYS,
+        ),
+        (
+            each_combinator_both_ways(),
+            10,
+            ints("n", &[1, 2, 3, 1, 2, 3]),
+            &PINNED_FAN_KEYS,
+        ),
+    ];
+    for (net, components, inputs, pinned) in cases {
+        assert_eq!(net.threads_spawned(), components, "components at build");
+        for rec in &inputs {
+            net.send(rec.clone()).unwrap();
+        }
+        let metrics = std::sync::Arc::clone(net.metrics());
+        assert_eq!(net.finish().len(), inputs.len());
+        let snap = metrics.snapshot();
+        let keys: Vec<&str> = snap.keys().map(String::as_str).collect();
+        assert_eq!(keys, pinned);
     }
-    let metrics = std::sync::Arc::clone(net.metrics());
-    assert_eq!(net.finish().len(), 8);
-    let snap = metrics.snapshot();
-    let keys: Vec<&str> = snap.keys().map(String::as_str).collect();
-    assert_eq!(keys, PINNED_KEYS);
 }
 
 /// `one_of_each_driver`'s metric keys, generated at the commit before
@@ -243,6 +327,96 @@ const PINNED_KEYS: [&str; 49] = [
     "net/s1/box:e/records_in",
     "net/s1/box:e/records_out",
     "net/s1/box:e/spawned",
+    "net/stream_depth",
+    "runtime/component_panics",
+    "runtime/credit_stalls",
+    "runtime/interner_paths",
+    "runtime/stream_depth",
+];
+
+/// `each_combinator_both_ways`' metric keys, generated at the commit
+/// before the combinators' two instantiations became one (9f0afaf).
+const PINNED_FAN_KEYS: [&str; 85] = [
+    "net/credit_stalls",
+    "net/s0/s0/s0/s0/box:a/credit_stalls",
+    "net/s0/s0/s0/s0/box:a/records_in",
+    "net/s0/s0/s0/s0/box:a/records_out",
+    "net/s0/s0/s0/s0/box:a/spawned",
+    "net/s0/s0/s0/s0/box:a/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/records_out",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/spawned",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/records_out",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/spawned",
+    "net/s0/s0/s0/s1/parnd/L/par/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/routed_left",
+    "net/s0/s0/s0/s1/parnd/L/par/routed_right",
+    "net/s0/s0/s0/s1/parnd/L/par/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/stream_depth",
+    "net/s0/s0/s0/s1/parnd/R/box:m/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/R/box:m/records_in",
+    "net/s0/s0/s0/s1/parnd/R/box:m/records_out",
+    "net/s0/s0/s0/s1/parnd/R/box:m/spawned",
+    "net/s0/s0/s0/s1/parnd/R/box:m/stream_depth",
+    "net/s0/s0/s0/s1/parnd/R/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/R/stream_depth",
+    "net/s0/s0/s0/s1/parnd/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/records_in",
+    "net/s0/s0/s0/s1/parnd/routed_left",
+    "net/s0/s0/s0/s1/parnd/routed_right",
+    "net/s0/s0/s0/s1/parnd/stream_depth",
+    "net/s0/s0/s1/box:t/credit_stalls",
+    "net/s0/s0/s1/box:t/records_in",
+    "net/s0/s0/s1/box:t/records_out",
+    "net/s0/s0/s1/box:t/spawned",
+    "net/s0/s0/s1/box:t/stream_depth",
+    "net/s0/s1/splitnd/branch0/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/records_in",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/records_out",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/spawned",
+    "net/s0/s1/splitnd/branch0/split/branches",
+    "net/s0/s1/splitnd/branch0/split/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/records_in",
+    "net/s0/s1/splitnd/branch0/split/stream_depth",
+    "net/s0/s1/splitnd/branch0/stream_depth",
+    "net/s0/s1/splitnd/branch1/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/records_in",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/records_out",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/spawned",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/records_in",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/records_out",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/spawned",
+    "net/s0/s1/splitnd/branch1/split/branches",
+    "net/s0/s1/splitnd/branch1/split/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/records_in",
+    "net/s0/s1/splitnd/branch1/split/stream_depth",
+    "net/s0/s1/splitnd/branch1/stream_depth",
+    "net/s0/s1/splitnd/branches",
+    "net/s0/s1/splitnd/credit_stalls",
+    "net/s0/s1/splitnd/records_in",
+    "net/s0/s1/splitnd/stream_depth",
+    "net/s1/starnd/credit_stalls",
+    "net/s1/starnd/exits",
+    "net/s1/starnd/stage0/credit_stalls",
+    "net/s1/starnd/stage0/star/credit_stalls",
+    "net/s1/starnd/stage0/star/exits",
+    "net/s1/starnd/stage0/star/stage0/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage0/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage0/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stage1/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage1/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage1/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stage2/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage2/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage2/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stages",
+    "net/s1/starnd/stage0/star/stream_depth",
+    "net/s1/starnd/stage0/stream_depth",
+    "net/s1/starnd/stages",
+    "net/s1/starnd/stream_depth",
     "net/stream_depth",
     "runtime/component_panics",
     "runtime/credit_stalls",
