@@ -133,16 +133,21 @@ fn bench_fused_chain(c: &mut Criterion) {
 /// off (dispatcher → lane → merger, three channel hops + wakeups per
 /// record). The `live` legs keep the net alive across iterations
 /// (the RT_throughput shape); the `build` legs include construction
-/// and teardown (the RT_split shape). Per executor, both ways.
+/// and teardown (the RT_split shape). Per executor, both ways. The
+/// `star_of_split` rows are Fig. 2's shape, `(step !! <k>) ** {<z>}`
+/// walked 8 levels deep on the pool: fused, the whole nest is one
+/// component; unfused, every level is a guard, a dispatcher, its
+/// replicas and a merger.
 fn bench_fused_fan(c: &mut Criterion) {
     let mut g = c.benchmark_group("RT_fused_fan");
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(400));
     g.throughput(Throughput::Elements(N_RECORDS));
     g.sample_size(10);
-    for (ename, exec) in exec_variants() {
+    let variants = exec_variants();
+    for (ename, exec) in &variants {
         for (mode, fan) in [("fused", true), ("unfused", false)] {
-            let net = id_net_fan("id ! <k>", Arc::clone(&exec), fan);
+            let net = id_net_fan("id ! <k>", Arc::clone(exec), fan);
             g.bench_with_input(
                 BenchmarkId::new(format!("live_{mode}"), ename),
                 &(),
@@ -165,13 +170,62 @@ fn bench_fused_fan(c: &mut Criterion) {
                 &(),
                 |b, _| {
                     b.iter(|| {
-                        let net = id_net_fan("id ! <k>", Arc::clone(&exec), fan);
+                        let net = id_net_fan("id ! <k>", Arc::clone(exec), fan);
                         let n = drive(net, true);
                         assert_eq!(n, N_RECORDS as usize);
                     })
                 },
             );
         }
+    }
+    let (_, pool) = variants.last().expect("the pool comes last");
+    let star_of_split = |fan: bool| {
+        NetBuilder::from_source(
+            "box step (n, <k>) -> (n, <k>) | (n, <k>, <z>);
+             net main = (step !! <k>) ** {<z>};",
+        )
+        .unwrap()
+        .bind("step", |r, e| {
+            let n = r.field("n").unwrap().as_int().unwrap();
+            let rec = Record::build()
+                .field("n", n - 1)
+                .tag("k", (r.tag("k").unwrap() + 1) % 4);
+            e.emit(if n <= 1 {
+                rec.tag("z", 1).finish()
+            } else {
+                rec.finish()
+            });
+        })
+        .executor(Arc::clone(pool))
+        .fuse(true)
+        .fuse_fan(fan)
+        .build("main")
+        .unwrap()
+    };
+    let send_all = |net: &snet_runtime::Net| {
+        for i in 0..N_RECORDS as i64 {
+            let rec = Record::build().field("n", 8i64).tag("k", i % 4);
+            net.send(rec.finish()).unwrap();
+        }
+    };
+    for (mode, fan) in [("fused", true), ("unfused", false)] {
+        let net = star_of_split(fan);
+        g.bench_function(format!("live_{mode}/star_of_split"), |b| {
+            b.iter(|| {
+                send_all(&net);
+                for _ in 0..N_RECORDS {
+                    net.recv().expect("every record leaves at level 8");
+                }
+            })
+        });
+        let _ = net.finish();
+        g.bench_function(format!("build_{mode}/star_of_split"), |b| {
+            b.iter(|| {
+                let net = star_of_split(fan);
+                send_all(&net);
+                assert_eq!(net.finish().len(), N_RECORDS as usize);
+            })
+        });
     }
     g.finish();
 }

@@ -61,10 +61,10 @@ pub struct RunCfg {
     /// or `NetBuilder::bound`/`unbounded` says otherwise). See
     /// [`crate::stream`] for what a bound does and does not gate.
     pub bound: Option<usize>,
-    /// Per-edge capacity overrides keyed by edge name (the `name`
-    /// argument of [`Ctx::data_stream`], e.g. `"dispatch"`,
-    /// `"merge"`, `"ingress"`). `0` keeps that edge unbounded even
-    /// when `bound` is set.
+    /// Per-edge capacity overrides keyed by edge name
+    /// ([`Edge::name`]: `"ingress"`, `"dispatch"`, `"merge"`, `"out"`
+    /// — `NetBuilder::bound_for` rejects any other). `0` keeps that
+    /// edge unbounded even when `bound` is set.
     pub bound_overrides: HashMap<String, usize>,
     /// Opt-in bounded lane namespace for indexed-split routing paths:
     /// when set, parallel replicators hash tag values into this many
@@ -111,6 +111,36 @@ impl RunCfg {
             fault_policy: FaultPolicy::from_env(),
             chaos: ChaosConfig::from_env(),
             ..RunCfg::default()
+        }
+    }
+}
+
+/// The data edges the spawn sites create: what [`Ctx::data_stream`] is
+/// asked for, and — by [`Edge::name`] — every name a per-edge bound
+/// (`NetBuilder::bound_for`, [`RunCfg::bound_overrides`]) can mean.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Edge {
+    /// `Net::send` into the root component.
+    Ingress,
+    /// A dispatcher (split, parallel, star stamper or guard) into one
+    /// of its lanes. An explicit bound here keeps every fan on its own
+    /// dispatcher (see [`crate::fused::fan_fusable_here`]).
+    Dispatch,
+    /// A combinator's merged output, whichever driver runs it.
+    Merge,
+    /// A stage run's output: every box, filter and fused chain.
+    Out,
+}
+
+impl Edge {
+    pub const ALL: [Edge; 4] = [Edge::Ingress, Edge::Dispatch, Edge::Merge, Edge::Out];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Edge::Ingress => "ingress",
+            Edge::Dispatch => "dispatch",
+            Edge::Merge => "merge",
+            Edge::Out => "out",
         }
     }
 }
@@ -205,23 +235,22 @@ impl Ctx {
         self.cfg.fault_policy
     }
 
-    /// An explicit per-edge capacity override for `name`, if one was
+    /// An explicit per-edge capacity override for `edge`, if one was
     /// configured (`Some(0)` = explicitly unbounded).
-    pub(crate) fn edge_override(&self, name: &str) -> Option<usize> {
-        self.cfg.bound_overrides.get(name).copied()
+    pub(crate) fn edge_override(&self, edge: Edge) -> Option<usize> {
+        self.cfg.bound_overrides.get(edge.name()).copied()
     }
 
     /// Creates a data edge owned by the component at `path`: bounded
     /// (with [`EdgeStats`] registered at `{path}/stream_depth` and
     /// `{path}/credit_stalls`, mirrored into the `runtime/*` globals)
-    /// when the net's bound — or a per-edge override under `name` —
+    /// when the net's bound — or a per-edge override for `edge` —
     /// says so; a plain unbounded stream otherwise. Spawn-time API:
     /// the bounded arm takes the metrics registry locks.
-    pub fn data_stream(&self, path: CompPath, name: &str) -> (Sender, Receiver) {
-        let cap = match self.cfg.bound_overrides.get(name) {
-            Some(&n) => n,
-            None => self.cfg.bound.unwrap_or(0),
-        };
+    pub fn data_stream(&self, path: CompPath, edge: Edge) -> (Sender, Receiver) {
+        let cap = self
+            .edge_override(edge)
+            .unwrap_or_else(|| self.cfg.bound.unwrap_or(0));
         if cap == 0 {
             return stream();
         }

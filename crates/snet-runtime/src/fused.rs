@@ -47,6 +47,24 @@
 //! so a chain of k-emission stages costs many steps, not one unbounded
 //! poll.
 //!
+//! **Fans.** The file's second driver, [`spawn_fused_fan`], runs a
+//! fused combinator as one component: its record loop hands each input
+//! record to a [`DispatchCore`] — the combinator's own router over
+//! lanes that are stage-core vectors — and publishes what comes out. A
+//! lane's stages are boxes, filters and **fans**: a fan inside another
+//! fan's lane is a [`StageCore::Fan`] owning a `DispatchCore` of its
+//! own, so a nest of any depth (Fig. 2's star of splits) is one
+//! depth-synchronous walk in one component, with no task hand-off
+//! between levels. A record moves down the nest itself, not a copy (a
+//! fan stage takes it out of its caller's hands), and what it becomes
+//! comes back up through the same `sink` closure every stage emits
+//! into; each core owns its stage-major buffers, because a nested walk
+//! runs in the middle of its parent's; and every level reports the
+//! stage-message units it spent, so the one driver's publish-and-yield
+//! budget counts the work of the whole nest. See [`crate::plan`], *Fan
+//! fusion*, for the rule and for what running a nest as one task gives
+//! up.
+//!
 //! **Observability.** Each stage registers its own
 //! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes the
 //! unfused `Serial` instantiation would have derived) with `spawned`,
@@ -68,7 +86,7 @@
 //! by the stage's own path, which fusion preserves.
 
 use crate::boxfn::BoxCore;
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Edge};
 use crate::filter_exec::FilterCore;
 use crate::parallel::ParRouter;
 use crate::path::CompPath;
@@ -80,16 +98,22 @@ use snet_types::Record;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One stage's execution core inside a stage run.
+/// One stage's execution core inside a stage run or a fan lane.
 pub(crate) enum StageCore {
     Box(BoxCore),
     Filter(FilterCore),
+    /// A fan inside another fan's lane: the whole combinator — dispatch,
+    /// its own lanes, the merge handoff — is one stage of the enclosing
+    /// walk (see [`DispatchCore`]). Boxed: a router is several times a
+    /// box core, and lanes are mostly boxes.
+    Fan(Box<DispatchCore>),
 }
 
 /// Builds the execution core for one stage — a plan's `Box` or
-/// `Filter` leaf — under `parent` (the `box:{name}` / `filter` child
-/// comes from the core constructor): the per-stage spawn bookkeeping
-/// of every stage, wherever the plan put it.
+/// `Filter` leaf, or a fan nested in a lane — under `parent` (the
+/// `box:{name}` / `filter` / `split`-style child comes from the core
+/// constructor): the per-stage spawn bookkeeping of every stage,
+/// wherever the plan put it.
 fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
     match leaf {
         PNode::Box { name, sig, imp } => StageCore::Box(BoxCore::new(
@@ -100,7 +124,12 @@ fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
             Arc::clone(imp),
         )),
         PNode::Filter { def } => StageCore::Filter(FilterCore::new(ctx, parent, def.clone())),
-        other => unreachable!("not a SISO stage: {other:?}"),
+        PNode::Fan { kind, det, .. } => StageCore::Fan(Box::new(DispatchCore::new(
+            ctx,
+            kind.comb_path(parent, *det),
+            kind,
+        ))),
+        other => unreachable!("not a lane stage: {other:?}"),
     }
 }
 
@@ -113,31 +142,55 @@ fn run_cores(ctx: &Ctx, path: CompPath, stages: &[FusedStage]) -> Vec<StageCore>
         .collect()
 }
 
-/// Builds one fan lane's stage cores from its SISO-fusable body plan,
-/// registering every per-stage path exactly as the unfused replica
-/// instantiation would (`instantiate(body, bpath)`).
+/// Builds one fan lane's stage cores from its body plan — whatever the
+/// fusion pass made of it: a run, a `Chain` of runs, lone stages and
+/// fans (flattened, each part under its recorded suffix), or a lone
+/// stage — registering every per-stage path exactly as the unfused
+/// replica instantiation would (`instantiate(body, bpath)`).
 fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
     match body {
         PNode::Fused { stages } => run_cores(ctx, bpath, stages),
+        PNode::Chain { parts } => parts
+            .iter()
+            .flat_map(|part| lane_cores(ctx, bpath.descend(&part.suffix), &part.node))
+            .collect(),
         lone => vec![stage_core(ctx, bpath, lone)],
     }
 }
 
 impl StageCore {
-    /// One record through the stage, counter-free; returns the
+    /// One record through the stage, counter-free. Returns the
+    /// stage-message units it cost: for a box or filter exactly its
     /// emission count (counters are settled per run via
-    /// [`StageCore::add_counts`]).
-    fn process_uncounted(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
+    /// [`StageCore::add_counts`]); for a fan everything its lanes
+    /// spent, emissions included.
+    ///
+    /// The caller owns `rec` and lends it: a box or filter only reads
+    /// it, a fan — whose router forwards the record itself — takes it
+    /// and leaves an empty one behind. Not `rec: Record`: moving the
+    /// 128 bytes into every stage call cost the box and filter arms
+    /// 6 ns a record (`fused.record_ns` 55.0 → 61.6 in the benchmark's
+    /// ledger, `star.level_ns` 232 → 247).
+    fn process_uncounted(
+        &mut self,
+        ctx: &Ctx,
+        rec: &mut Record,
+        sink: &mut dyn FnMut(Record),
+    ) -> u64 {
         match self {
             StageCore::Box(core) => core.process_uncounted(ctx, rec, sink),
             StageCore::Filter(core) => core.process_uncounted(ctx, rec, sink),
+            StageCore::Fan(fan) => fan.process_nested(ctx, std::mem::take(rec), sink),
         }
     }
 
+    /// Settles a run's counters. A fan's routers count per record, so
+    /// there is nothing to settle for one.
     fn add_counts(&self, records_in: u64, records_out: u64) {
         match self {
             StageCore::Box(core) => core.add_counts(records_in, records_out),
             StageCore::Filter(core) => core.add_counts(records_in, records_out),
+            StageCore::Fan(_) => {}
         }
     }
 
@@ -145,6 +198,7 @@ impl StageCore {
         match self {
             StageCore::Box(core) => core.path(),
             StageCore::Filter(core) => core.path(),
+            StageCore::Fan(fan) => fan.comb,
         }
     }
 }
@@ -187,10 +241,10 @@ impl Pipeline {
                 // one batched publish by the driver.
                 for msg in self.queues[i].drain(..take) {
                     match msg {
-                        Msg::Rec(rec) => {
+                        Msg::Rec(mut rec) => {
                             n_in += 1;
-                            n_out +=
-                                core.process_uncounted(ctx, &rec, &mut |r| out.push(Msg::Rec(r)));
+                            n_out += core
+                                .process_uncounted(ctx, &mut rec, &mut |r| out.push(Msg::Rec(r)));
                         }
                         sort @ Msg::Sort { .. } => out.push(sort),
                     }
@@ -200,10 +254,11 @@ impl Pipeline {
                 let (q, next) = (&mut head[i], &mut rest[0]);
                 for msg in q.drain(..take) {
                     match msg {
-                        Msg::Rec(rec) => {
+                        Msg::Rec(mut rec) => {
                             n_in += 1;
-                            n_out += core
-                                .process_uncounted(ctx, &rec, &mut |r| next.push_back(Msg::Rec(r)));
+                            n_out += core.process_uncounted(ctx, &mut rec, &mut |r| {
+                                next.push_back(Msg::Rec(r))
+                            });
                         }
                         sort @ Msg::Sort { .. } => next.push_back(sort),
                     }
@@ -218,23 +273,30 @@ impl Pipeline {
 /// One record's stage-major pass through a fan lane: runs `batch`
 /// through every stage in order, leaving the tail's output in `batch`.
 /// No inter-stage queues — the fan driver budgets per input record (see
-/// [`spawn_fused_fan`]), and sort records never enter a lane.
+/// [`spawn_fused_fan`]), and sort records never enter a lane. Returns
+/// the stage-message units spent: one per stage, one per record of the
+/// tail's output, plus what fans nested in the lane spent inside.
 fn run_stages(
     cores: &mut [StageCore],
     ctx: &Ctx,
     batch: &mut Vec<Record>,
     scratch: &mut Vec<Record>,
-) {
+) -> usize {
+    let mut units = cores.len();
     for core in cores.iter_mut() {
         scratch.clear();
-        let (mut n_in, mut n_out) = (0u64, 0u64);
-        for rec in batch.drain(..) {
-            n_in += 1;
-            n_out += core.process_uncounted(ctx, &rec, &mut |r| scratch.push(r));
+        let n_in = batch.len() as u64;
+        let mut spent = 0u64;
+        for mut rec in batch.drain(..) {
+            spent += core.process_uncounted(ctx, &mut rec, &mut |r| scratch.push(r));
         }
+        let n_out = scratch.len() as u64;
         core.add_counts(n_in, n_out);
+        // Zero for a box or filter, which spends what it emits.
+        units += (spent - n_out) as usize;
         std::mem::swap(batch, scratch);
     }
+    units + batch.len()
 }
 
 /// Spawns a fused pipeline as a single component. Each stage's
@@ -261,7 +323,7 @@ pub(crate) fn spawn_stage_run(
     cores: Vec<StageCore>,
     input: Receiver,
 ) -> Receiver {
-    let (tx, rx) = ctx.data_stream(owner, "out");
+    let (tx, rx) = ctx.data_stream(owner, Edge::Out);
     // The component is named after its head stage — unique even when
     // several fused runs of one Chain share the chain-root path.
     let task_name = cores.first().map_or(owner, StageCore::path).as_str();
@@ -299,8 +361,12 @@ pub(crate) fn spawn_stage_run(
 
 /// Whether a `fused` [`PNode::Fan`] may actually run fused under this
 /// net's runtime settings; `false` sends instantiation to the
-/// combinator's own dispatcher (see [`crate::instantiate`]). Three
-/// conditions, all documented in [`crate::plan`] (*fan fusion*):
+/// combinator's own dispatcher (see [`crate::instantiate`]). The
+/// conditions are net-global, so a nest is all one way: a fan that runs
+/// fused builds the fans in its lanes as stage cores without asking
+/// again, and one that does not hands each replica to `instantiate`,
+/// which asks again and hears the same. Three conditions, all
+/// documented in [`crate::plan`] (*fan fusion*):
 ///
 /// * the net's escape hatch ([`crate::ctx::RunCfg::fan_fuse`]) is off;
 /// * the fault policy is `Restart` — its backoff sleep would park
@@ -314,31 +380,55 @@ pub(crate) fn spawn_stage_run(
 pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
     ctx.fan_fuse()
         && !ctx.fault_policy().restarts()
-        && !matches!(ctx.edge_override("dispatch"), Some(n) if n > 0)
+        && !matches!(ctx.edge_override(Edge::Dispatch), Some(n) if n > 0)
 }
 
-/// The fused fan's dispatch-and-lane state: each combinator's own
-/// router ([`SplitRouter`], [`ParRouter`], [`StarChain`] — the ones
-/// its dispatcher tasks use, so routing, counters, lane names, observer
+/// A fused fan's dispatch-and-lane state: the combinator's own router
+/// ([`SplitRouter`], [`ParRouter`], [`StarChain`] — the ones its
+/// dispatcher tasks use, so routing, counters, lane names, observer
 /// events, panics and memoization are the same code), instantiated
 /// with a stage-core vector as the lane, run stage-major, emissions
-/// landing in the component's out-buffer.
+/// handed to the caller's sink.
+///
+/// **One core, two callers.** The fan driver ([`spawn_fused_fan`]) owns
+/// the core of a fan that is a component of its own, and its sink fills
+/// the component's out-buffer; a fan inside another fan's lane is a
+/// [`StageCore::Fan`], and its sink is the enclosing lane's next stage
+/// — so a star of splits is one depth-synchronous walk in one
+/// component, however deep the nest. The record is handed over itself
+/// (a router forwards it, it does not copy it), and
+/// [`DispatchCore::process`] returns the stage-message units spent, a
+/// nested fan's included, so the work of every level counts toward the
+/// one driver's publish-and-yield budget. Each core owns its
+/// stage-major buffers: a nested walk runs in the middle of its
+/// parent's `run_stages`, whose buffers are borrowed at that moment.
 ///
 /// Processing each record synchronously, in input order, is what
 /// makes the merge degenerate: where an unfused lane publishes to a
 /// per-branch channel for a merger task to drain, a fused lane's
-/// emissions are concatenated in arrival order and published straight
-/// to the combinator's output edge. The deterministic variants need
-/// **no sort records at all** inside the fan, because concatenating
-/// each record's lane output in arrival order *is* the
-/// round-by-round-in-join-order drain of the unfused det merger (for
-/// a star, depth-`d` exits of one record precede its depth-`d+1`
-/// exits — join order — and per-depth arrival order is the lane's
-/// emission order). Outer-scope sorts are forwarded at their stream
-/// position, exactly once, which is what the unfused merger's
-/// barrier/round bookkeeping reduces to when every branch is drained
-/// in lockstep.
-enum DispatchCore {
+/// emissions are concatenated in arrival order and handed straight to
+/// the sink. The deterministic variants need **no sort records at
+/// all** inside the fan, because concatenating each record's lane
+/// output in arrival order *is* the round-by-round-in-join-order drain
+/// of the unfused det merger (for a star, depth-`d` exits of one record
+/// precede its depth-`d+1` exits — join order — and per-depth arrival
+/// order is the lane's emission order), and that holds level by level
+/// through a nest: an inner fan hands its parent the very sequence its
+/// det merger would have. Outer-scope sorts never enter a lane; the
+/// driver forwards them at their stream position, exactly once, which
+/// is what the unfused mergers' barrier/round bookkeeping reduces to
+/// when every branch is drained in lockstep.
+pub(crate) struct DispatchCore {
+    comb: CompPath,
+    lanes: FanLanes,
+    /// Stage-major buffers of this fan's lane walks (see above: own,
+    /// not the caller's).
+    batch: Vec<Record>,
+    scratch: Vec<Record>,
+}
+
+/// A fan's router with the lanes it has opened so far.
+enum FanLanes {
     /// `body ! <tag>` / `body !! <tag>`: lanes unfold on demand per
     /// branch key, exactly like the dispatcher's replicas.
     Split {
@@ -365,25 +455,61 @@ enum DispatchCore {
 }
 
 impl DispatchCore {
-    /// Runs one input record through its lane(s); emissions land in
-    /// `out` in output order. Returns the stage-message units spent
-    /// (the driver's budgeting currency). `batch`/`scratch` are the
-    /// driver's reusable stage-major buffers.
-    fn process(
-        &mut self,
-        ctx: &Ctx,
-        comb: CompPath,
-        rec: Record,
-        out: &mut Vec<Msg>,
-        batch: &mut Vec<Record>,
-        scratch: &mut Vec<Record>,
-    ) -> usize {
-        let cores = match self {
-            DispatchCore::Split { router, body } => {
-                router.lane(ctx, comb, &rec, |bpath| lane_cores(ctx, bpath, body))
+    /// Registers the combinator at `comb` through its router; lanes
+    /// open as the router's own dispatcher would open replicas.
+    fn new(ctx: &Ctx, comb: CompPath, kind: &FanKind) -> DispatchCore {
+        let lanes = match kind {
+            FanKind::Split { body, tag } => FanLanes::Split {
+                router: SplitRouter::new(ctx, comb, *tag),
+                body: Arc::clone(body),
+            },
+            FanKind::Parallel {
+                left,
+                right,
+                left_sig,
+                right_sig,
+            } => FanLanes::Par(ParRouter::new(
+                ctx,
+                comb,
+                (left, left_sig),
+                (right, right_sig),
+                |lpath, body| lane_cores(ctx, lpath, body),
+            )),
+            FanKind::Star { body, exit } => {
+                let chain = StarChain::new(ctx, comb, body, exit);
+                FanLanes::Star {
+                    route: chain.dispatch(),
+                    guards: vec![chain.unfold(0)],
+                    chain,
+                    lanes: Vec::new(),
+                    frontier: Vec::new(),
+                }
             }
-            DispatchCore::Par(router) => router.lane(ctx, comb, &rec),
-            DispatchCore::Star {
+        };
+        DispatchCore {
+            comb,
+            lanes,
+            batch: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Runs one input record through its lane(s); emissions reach
+    /// `sink` in output order. Returns the stage-message units spent
+    /// (the driver's budgeting currency).
+    fn process(&mut self, ctx: &Ctx, rec: Record, sink: &mut dyn FnMut(Record)) -> usize {
+        let DispatchCore {
+            comb,
+            lanes,
+            batch,
+            scratch,
+        } = self;
+        let cores = match lanes {
+            FanLanes::Split { router, body } => {
+                router.lane(ctx, *comb, &rec, |bpath| lane_cores(ctx, bpath, body))
+            }
+            FanLanes::Par(router) => router.lane(ctx, *comb, &rec),
+            FanLanes::Star {
                 chain,
                 route,
                 guards,
@@ -401,7 +527,7 @@ impl DispatchCore {
                     for r in frontier.drain(..) {
                         units += 1;
                         if route.exits(ctx, guards[depth].guard, &r) {
-                            out.push(Msg::Rec(r));
+                            sink(r);
                         } else {
                             batch.push(r);
                         }
@@ -413,9 +539,7 @@ impl DispatchCore {
                         lanes.push(lane_cores(ctx, guards[depth].replica, &chain.body));
                         guards.push(chain.unfold(depth + 1));
                     }
-                    let cores = &mut lanes[depth];
-                    run_stages(cores, ctx, batch, scratch);
-                    units += cores.len() + batch.len();
+                    units += run_stages(&mut lanes[depth], ctx, batch, scratch);
                     std::mem::swap(frontier, batch);
                     depth += 1;
                 }
@@ -424,58 +548,39 @@ impl DispatchCore {
         };
         batch.clear();
         batch.push(rec);
-        run_stages(cores, ctx, batch, scratch);
-        let units = cores.len() + batch.len();
-        out.extend(batch.drain(..).map(Msg::Rec));
+        let units = run_stages(cores, ctx, batch, scratch);
+        batch.drain(..).for_each(sink);
         units
+    }
+
+    /// [`DispatchCore::process`] as a lane stage. Out of line on
+    /// purpose: inlined into [`StageCore::process_uncounted`] it costs
+    /// the box and filter arms of every lane walk their tight loop
+    /// (`fifo-sensor-det`, whose plan holds no nested fan, read +3 % on
+    /// its p50 that way).
+    #[inline(never)]
+    fn process_nested(&mut self, ctx: &Ctx, rec: Record, sink: &mut dyn FnMut(Record)) -> u64 {
+        self.process(ctx, rec, sink) as u64
     }
 }
 
 /// Spawns a `fused` fan combinator at `comb` as a single component:
-/// dispatch, every lane's stages and the merge handoff run in one
-/// record loop (see [`DispatchCore`] for the ordering argument and
-/// [`crate::plan`], *fan fusion*, for legality). Only the component
-/// count differs from the combinator's own dispatcher.
+/// dispatch, every lane's stages — fans nested in them included — and
+/// the merge handoff run in one record loop (see [`DispatchCore`] for
+/// the ordering argument and [`crate::plan`], *fan fusion*, for
+/// legality). Only the component count differs from the combinator's
+/// own dispatcher.
 pub fn spawn_fused_fan(
     ctx: &Arc<Ctx>,
     comb: CompPath,
     kind: &FanKind,
     input: Receiver,
 ) -> Receiver {
-    let mut core = match kind {
-        FanKind::Split { body, tag } => DispatchCore::Split {
-            router: SplitRouter::new(ctx, comb, *tag),
-            body: Arc::clone(body),
-        },
-        FanKind::Parallel {
-            left,
-            right,
-            left_sig,
-            right_sig,
-        } => DispatchCore::Par(ParRouter::new(
-            ctx,
-            comb,
-            (left, left_sig),
-            (right, right_sig),
-            |lpath, body| lane_cores(ctx, lpath, body),
-        )),
-        FanKind::Star { body, exit } => {
-            let chain = StarChain::new(ctx, comb, body, exit);
-            DispatchCore::Star {
-                route: chain.dispatch(),
-                guards: vec![chain.unfold(0)],
-                chain,
-                lanes: Vec::new(),
-                frontier: Vec::new(),
-            }
-        }
-    };
-    let (tx, rx) = ctx.data_stream(comb, "merge");
+    let mut core = DispatchCore::new(ctx, comb, kind);
+    let (tx, rx) = ctx.data_stream(comb, Edge::Merge);
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(format!("{comb}/dispatch"), async move {
         let mut out: Vec<Msg> = Vec::new();
-        let mut batch: Vec<Record> = Vec::new();
-        let mut scratch: Vec<Record> = Vec::new();
         let mut pending: VecDeque<Msg> = VecDeque::new();
         let mut units = 0usize;
         // The chain driver's shape (module docs: fairness): one drain
@@ -488,7 +593,7 @@ pub fn spawn_fused_fan(
             while let Some(msg) = pending.pop_front() {
                 match msg {
                     Msg::Rec(rec) => {
-                        units += core.process(&ctx2, comb, rec, &mut out, &mut batch, &mut scratch);
+                        units += core.process(&ctx2, rec, &mut |r| out.push(Msg::Rec(r)));
                     }
                     // Outer-scope sorts forward at their stream
                     // position — everything caused by earlier input

@@ -21,7 +21,7 @@
 //! assert_eq!(outputs[0].field("x").unwrap().as_int(), Some(42));
 //! ```
 
-use crate::ctx::{Ctx, RunCfg};
+use crate::ctx::{Ctx, Edge, RunCfg};
 use crate::fault::{ChaosConfig, Fault, FaultObserver, FaultPolicy};
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
@@ -46,8 +46,9 @@ pub enum BuildError {
     Compile(CompileError),
     Type(snet_types::TypeError),
     UnknownNet(String),
-    /// The environment sizes the default executor's pool with something
-    /// that is not a worker count (`SNET_WORKERS`; see [`crate::sched`]).
+    /// A setting that can mean nothing: `SNET_WORKERS` is not a worker
+    /// count (see [`crate::sched`]), a zero lane count or bound, or a
+    /// [`NetBuilder::bound_for`] name that is no data edge.
     Config(ConfigError),
 }
 
@@ -105,6 +106,8 @@ pub struct NetBuilder {
     fault_policy: Option<FaultPolicy>,
     chaos: Option<ChaosConfig>,
     fault_observers: Vec<FaultObserver>,
+    /// The first setting rejected so far; `build*` returns it.
+    invalid: Option<ConfigError>,
 }
 
 impl NetBuilder {
@@ -131,6 +134,15 @@ impl NetBuilder {
             fault_policy: None,
             chaos: None,
             fault_observers: Vec::new(),
+            invalid: None,
+        }
+    }
+
+    /// Records `err` unless `ok`; the setters have no error channel,
+    /// so `build*` reports the first one.
+    fn require(&mut self, ok: bool, err: ConfigError) {
+        if !ok {
+            self.invalid.get_or_insert(err);
         }
     }
 
@@ -170,9 +182,10 @@ impl NetBuilder {
     /// request ids): the `runtime/interner_paths` gauge then plateaus
     /// instead of growing with the domain. Equal tag values still
     /// always reach the same replica; see [`crate::split`] for the
-    /// trade-off discussion.
+    /// trade-off discussion. Zero lanes fail `build*` with
+    /// [`BuildError::Config`].
     pub fn split_lanes(mut self, lanes: u32) -> Self {
-        assert!(lanes > 0, "split_lanes requires at least one lane");
+        self.require(lanes > 0, ConfigError::ZeroLanes);
         self.split_lanes = Some(lanes);
         self
     }
@@ -184,7 +197,7 @@ impl NetBuilder {
     /// others are small and should keep the paper's value-indexed
     /// replicas.
     pub fn split_lanes_for(mut self, tag: &str, lanes: u32) -> Self {
-        assert!(lanes > 0, "split_lanes_for requires at least one lane");
+        self.require(lanes > 0, ConfigError::ZeroLanes);
         self.split_lanes_by_tag.insert(tag.to_string(), lanes);
         self
     }
@@ -198,12 +211,11 @@ impl NetBuilder {
     /// [`crate::ctx::DEFAULT_STREAM_BOUND`], overridable process-wide
     /// with `SNET_STREAM_BOUND` (`0` = unbounded; see
     /// [`RunCfg::from_env`]). What happens when the *ingress* edge is
-    /// full is the [`NetBuilder::overload`] policy.
+    /// full is the [`NetBuilder::overload`] policy. A capacity of zero
+    /// fails `build*` with [`BuildError::Config`]; lifting the default
+    /// bound is [`NetBuilder::unbounded`].
     pub fn bound(mut self, cap: usize) -> Self {
-        assert!(
-            cap > 0,
-            "bound requires a capacity of at least one (use unbounded() to lift the default)"
-        );
+        self.require(cap > 0, ConfigError::ZeroBound);
         self.bound = Some(cap);
         self
     }
@@ -217,12 +229,22 @@ impl NetBuilder {
         self
     }
 
-    /// Overrides the capacity of the data edges named `edge` (the
-    /// edge-name suffixes used by the spawn sites: `"ingress"`,
-    /// `"dispatch"`, `"merge"`, `"filter"`, `"fused"`, or a box
-    /// path's last segment). `0` keeps those edges unbounded even
-    /// when [`NetBuilder::bound`] is set.
+    /// Overrides the capacity of every data edge of one kind. There
+    /// are four ([`Edge`]): `"ingress"` (`Net::send` into the net),
+    /// `"dispatch"` (a dispatcher into one lane), `"merge"` (a
+    /// combinator's merged output) and `"out"` (the output of a box,
+    /// filter or fused chain); any other name fails `build*` with
+    /// [`BuildError::Config`]. `0` keeps those edges unbounded even
+    /// when [`NetBuilder::bound`] is set. A positive `"dispatch"`
+    /// bound asks for credit-gated lane edges, which a fused fan does
+    /// not have: it puts **every** fan of the net, at every nesting
+    /// level, back on its own dispatcher, exactly like
+    /// [`NetBuilder::fuse_fan`]`(false)`.
     pub fn bound_for(mut self, edge: &str, cap: usize) -> Self {
+        self.require(
+            Edge::ALL.iter().any(|e| e.name() == edge),
+            ConfigError::UnknownEdge(edge.to_string()),
+        );
         self.bound_overrides.insert(edge.to_string(), cap);
         self
     }
@@ -251,12 +273,16 @@ impl NetBuilder {
 
     /// Enables or disables *replica* fusion for this network's fan
     /// combinators (see [`crate::plan`], *fan fusion*): fused, a
-    /// split/parallel/star whose body collapsed to a single stage run
-    /// executes dispatch, lanes and merge as **one** component.
-    /// Default: on whenever the fusion pass itself is on — this knob
-    /// is the per-net escape hatch that keeps chains fused while
-    /// restoring the dispatcher/lane/merger topology for every fan.
-    /// Output and per-stage metrics paths are identical either way.
+    /// split/parallel/star executes dispatch, lanes and merge as
+    /// **one** component — fans nested in its lanes included, so
+    /// Fig. 2's star of splits is a single task however far it
+    /// unfolds. Default: on whenever the fusion pass itself is on —
+    /// this knob is the per-net escape hatch that keeps chains fused
+    /// while restoring the dispatcher/lane/merger topology for every
+    /// fan at every level: the paper's literal one-component-per-
+    /// replica model, and the only way replicas (or the branches of a
+    /// `slow || fast`) run concurrently. Output and per-stage metrics
+    /// paths are identical either way.
     pub fn fuse_fan(mut self, fuse: bool) -> Self {
         self.fan_fuse = Some(fuse);
         self
@@ -317,6 +343,9 @@ impl NetBuilder {
     }
 
     fn build_ast(self, env: &Env, ast: &NetAst) -> Result<Net, BuildError> {
+        if let Some(err) = self.invalid {
+            return Err(err.into());
+        }
         let fuse = self.fuse.unwrap_or_else(crate::plan::fuse_default);
         let plan = crate::plan::compile_cfg(ast, env, &self.bindings, fuse)?;
         let executor = match self.executor {
@@ -528,7 +557,7 @@ impl Net {
         // net is bounded, `Net::send` is where backpressure reaches
         // the caller (via the overload policy).
         let root = CompPath::root("net");
-        let (tx, rx) = ctx.data_stream(root, "ingress");
+        let (tx, rx) = ctx.data_stream(root, Edge::Ingress);
         let output = instantiate(&ctx, &plan.root, root, rx);
         // The final output edge is exempt from bounding: its consumer
         // is the driver thread, whose drain rate the runtime cannot
@@ -814,6 +843,58 @@ mod tests {
             .build("main")
             .unwrap_err();
         assert!(matches!(err, BuildError::Compile(CompileError::Unbound(_))));
+    }
+
+    /// The typed error `build` gives for a builder setting that can
+    /// mean nothing.
+    fn rejected(b: NetBuilder) -> ConfigError {
+        match b.build("one") {
+            Err(BuildError::Config(e)) => e,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bound_for_rejects_a_name_that_is_no_data_edge() {
+        // A typo of "dispatch" must not silently decide the topology;
+        // neither may the three names that stopped existing when boxes
+        // and filters moved onto the stage-run driver.
+        for name in ["dipsatch", "filter", "fused", "box:inc", ""] {
+            let err = rejected(inc_builder().bound_for(name, 8));
+            assert_eq!(err, ConfigError::UnknownEdge(name.into()));
+            assert!(err.to_string().contains("\"dispatch\""), "{err}");
+        }
+        for edge in Edge::ALL {
+            let net = inc_builder().bound_for(edge.name(), 0).build("one");
+            let _ = net.unwrap().finish();
+        }
+    }
+
+    #[test]
+    fn split_lanes_zero_is_a_build_error() {
+        assert_eq!(
+            rejected(inc_builder().split_lanes(0)),
+            ConfigError::ZeroLanes
+        );
+    }
+
+    #[test]
+    fn split_lanes_for_zero_is_a_build_error() {
+        assert_eq!(
+            rejected(inc_builder().split_lanes_for("k", 0)),
+            ConfigError::ZeroLanes
+        );
+    }
+
+    #[test]
+    fn bound_zero_is_a_build_error() {
+        // Not a second spelling of `unbounded()`; and a later valid
+        // call does not launder the first mistake.
+        assert_eq!(
+            rejected(inc_builder().bound(0).bound(8)),
+            ConfigError::ZeroBound
+        );
+        let _ = inc_builder().unbounded().build("one").unwrap().finish();
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! one dispatcher loop, credit-gated; an unbounded edge grants at
 //! once.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Edge};
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode};
@@ -222,7 +222,7 @@ pub fn spawn_parallel(
         (left, left_sig),
         (right, right_sig),
         |p, body| {
-            let (tx, rx) = ctx.data_stream(p, "dispatch");
+            let (tx, rx) = ctx.data_stream(p, Edge::Dispatch);
             outs.push(BranchSpec::new(instantiate(ctx, body, p, rx)));
             tx
         },
@@ -232,7 +232,7 @@ pub fn spawn_parallel(
     // immediately.
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
     drop(ctl_tx);
-    let (out_tx, out_rx) = ctx.data_stream(comb, "merge");
+    let (out_tx, out_rx) = ctx.data_stream(comb, Edge::Merge);
     let mode = if det {
         MergeMode::Det { level }
     } else {
@@ -461,16 +461,22 @@ mod tests {
 
     #[test]
     fn unroutable_record_panics() {
-        for fuse in [true, false] {
-            let plan = plan_lr("a", "b", "left || right", fuse);
-            let ctx = ctx();
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_to_end(&ctx, &plan.root, [int("zzz", 1)])
-            }))
-            .unwrap_err();
-            let msg = died.downcast_ref::<String>().expect("a formatted panic");
-            let text = "matches neither branch of parallel composition at 'net/parnd'";
-            assert!(msg.contains(text), "{msg}");
+        // On its own and as a lane stage of a star, on both drivers.
+        for (expr, at) in [
+            ("left || right", "net/parnd"),
+            ("(left || right) ** {v}", "net/starnd/stage0/parnd"),
+        ] {
+            for fuse in [true, false] {
+                let plan = plan_lr("a", "b", expr, fuse);
+                let ctx = ctx();
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_to_end(&ctx, &plan.root, [int("zzz", 1)])
+                }))
+                .unwrap_err();
+                let msg = died.downcast_ref::<String>().expect("a formatted panic");
+                let text = format!("matches neither branch of parallel composition at '{at}'");
+                assert!(msg.contains(&text), "{msg}");
+            }
         }
     }
 }

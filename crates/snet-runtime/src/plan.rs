@@ -27,10 +27,12 @@
 //! **Legality rules.** Only single-input/single-output stages fuse —
 //! `Box` and `Filter` nodes, nothing else:
 //!
-//! * fusion never crosses a [`PNode::Fan`] (those nodes own
-//!   dispatchers, mergers and dynamically unfolded replicas; the pass
-//!   recurses *into* their bodies but a chain interrupted by one
-//!   continues as a separate run);
+//! * a run never holds a [`PNode::Fan`] (those nodes own routers and
+//!   dynamically unfolded replicas; the pass recurses *into* their
+//!   bodies but a chain interrupted by one continues as a separate
+//!   run — a separate component on the top-level spine; inside a fused
+//!   fan's lane the runs and the fan between them are consecutive
+//!   stages of the one lane walk, see *Fan fusion*);
 //! * boxes and filters carry no det sort level — they forward sort
 //!   records transparently — so a `Serial` chain of them can never
 //!   straddle a sort-level change; the combinators that do stamp or
@@ -50,62 +52,78 @@
 //!
 //! # Fan fusion (replica fusion)
 //!
-//! The same argument extends across replicator boundaries. A
-//! split/parallel/star whose body fused to a single SISO run pays
-//! three scheduled hops per record — dispatcher, lane, merger — where
-//! one suffices: the dispatcher's classification is a few table
-//! lookups, each lane is a stage vector the fused driver can run in
-//! place, and because the records are then processed **synchronously
-//! in stream order**, the input order the deterministic merger would
-//! laboriously re-establish from sort records is simply never
-//! disturbed. Every combinator is one [`PNode::Fan`] whichever way it
-//! runs; the pass sets its `fused` flag, and [`crate::instantiate`]
-//! then spawns it through [`crate::fused::spawn_fused_fan`] as one
-//! component that runs dispatch, the lanes' stage cores and the merge
-//! handoff together, instead of through the combinator's own
-//! dispatcher ([`crate::split`], [`crate::parallel`],
-//! [`crate::star`]). Both use the same router, so counters, lane
-//! names and observer events do not depend on the flag.
+//! The same argument extends across replicator boundaries. An unfused
+//! split/parallel/star pays three scheduled hops per record —
+//! dispatcher, lane, merger — where one suffices: the dispatcher's
+//! classification is a few table lookups, each lane is a stage vector
+//! the fused driver can run in place, and because the records are then
+//! processed **synchronously in stream order**, the input order the
+//! deterministic merger would laboriously re-establish from sort
+//! records is simply never disturbed. Every combinator is one
+//! [`PNode::Fan`] whichever way it runs; the pass sets its `fused`
+//! flag, and [`crate::instantiate`] then spawns it through
+//! [`crate::fused::spawn_fused_fan`] as one component that runs
+//! dispatch, the lanes' stage cores and the merge handoff together,
+//! instead of through the combinator's own dispatcher
+//! ([`crate::split`], [`crate::parallel`], [`crate::star`]). Both use
+//! the same router, so counters, lane names and observer events do not
+//! depend on the flag.
 //!
-//! **Fan legality rules.** Dispatch/merge fusion is legal only when
-//! the whole fan is self-contained:
+//! **The one rule.** With the pass on, every fan runs inline in the
+//! component of the top-level part that contains it; the top-level
+//! spine's parts are the scheduled components. Fusion is *transitive*:
+//! a fused fan is a lane stage like a box or a filter
+//! ([`crate::fused::DispatchCore`]), so whatever the pass makes of a
+//! body — a stage, a run, a fused fan, a `Chain` of those — is a lane
+//! the enclosing fan's driver walks in place, and a nest of any depth
+//! is one component. Fig. 2's `(solveOneLevelK !! <k>) ** {<done>}` is
+//! one depth-synchronous walk: guard `d`, the split behind it, its
+//! replicas, guard `d + 1`, with no task hand-off between levels. The
+//! pass refuses nothing, so `fused` records only that the pass ran.
+//! What does **not** fuse is the top-level spine itself: `box .. fan ..
+//! fan` stays three components ([`fuse_serial`] never puts a fan in a
+//! run), because that changes the path of a lone caller through the
+//! FIFO door and has to be measured there first.
 //!
-//! * **SISO fused bodies only.** A body must itself have fused to a
-//!   single stage run (`Fused`, or a lone `Box`/`Filter`). A nested
-//!   combinator inside the body owns its *own* dispatcher and merge
-//!   point, and fan fusion never crosses a nested combinator's merge
-//!   point: the outer combinator keeps `fused: false` (its replicas
-//!   may well contain fused fans of their own — the nested fan-in-fan
-//!   case).
-//! * **No external taps.** Every stream the fan's merge consumes must
-//!   originate in one of its own lanes. That holds by construction
-//!   for all three combinators today; a scope whose merger adopted
-//!   branches from outside the fan (e.g. a hypothetical external tap
-//!   into a nondet merge) could not be co-scheduled without changing
-//!   its interleaving guarantees.
-//! * **Runtime conditions** (checked at instantiation — see
-//!   [`crate::fused::fan_fusable_here`]): per-lane `"dispatch"` edges
-//!   must not carry an explicit capacity override (a user bounding
-//!   replica edges asked for per-lane backpressure, which fusion
-//!   erases — the net-global default bound still applies to the
-//!   fan's input and merged output edges, so default-bounded nets do
-//!   fuse); and the fault policy must not be
-//!   [`crate::fault::FaultPolicy::Restart`], whose backoff sleeps
-//!   would stall every co-scheduled lane where the unfused topology
-//!   stalls one replica. Per-stage containment of `SkipRecord` and
-//!   chaos injection is unaffected by fusion — the fault boundary
-//!   lives inside the stage cores, keyed by stage paths fusion
-//!   preserves.
+//! **What it gives up.** A fused fan is one task, so its lanes run one
+//! after another on one worker: the across-replica parallelism the
+//! combinators exist to expose — and that Fig. 2 unfolds per level — is
+//! traded for hop cost, at every level of a nest. Where the boxes are
+//! heavy enough to be worth a core each,
+//! [`crate::NetBuilder::fuse_fan`]`(false)` restores the paper's
+//! literal topology (every dispatcher, replica and merger a component
+//! of its own). The same goes for a **nondet parallel whose branches
+//! should race** (`slow || fast`): fused, the branches run inline and
+//! completions come out in dispatch order, at any depth of nesting —
+//! legal under the nondet semantics, but not a race.
+//!
+//! **Runtime conditions** (checked once per top-level fan at
+//! instantiation — see [`crate::fused::fan_fusable_here`]; they are
+//! net-global, so declining puts **every** level of a nest back on its
+//! own dispatcher): per-lane `"dispatch"` edges must not carry an
+//! explicit capacity override (a user bounding replica edges asked for
+//! per-lane backpressure, which fusion erases — the net-global default
+//! bound still applies to the fan's input and merged output edges, so
+//! default-bounded nets do fuse); and the fault policy must not be
+//! [`crate::fault::FaultPolicy::Restart`], whose backoff sleeps would
+//! stall every co-scheduled lane where the unfused topology stalls one
+//! replica. Per-stage containment of `SkipRecord` and chaos injection
+//! is unaffected by fusion — the fault boundary lives inside the stage
+//! cores, keyed by stage paths fusion preserves. One structural
+//! assumption rides along: every stream a fan's merge consumes
+//! originates in one of its own lanes, which holds by construction for
+//! all three combinators.
 //!
 //! Determinism needs no sort records inside a fused fan: processing
 //! each input record to completion before the next starts makes the
 //! merged output order the input order (for a star, depth-by-depth
 //! frontier processing reproduces the det merger's
-//! join-order-by-guard drain), and enclosing scopes' sort records
-//! forward at their stream position. The nondeterministic variants
-//! fuse too: the inline order is one of the schedules their
-//! semantics admit, and enclosing-scope barrier ordering (all data
-//! dispatched before a sort is emitted before it) holds trivially.
+//! join-order-by-guard drain), level by level through a nest, and
+//! enclosing scopes' sort records forward at their stream position.
+//! The nondeterministic variants fuse too: the inline order is one of
+//! the schedules their semantics admit, and enclosing-scope barrier
+//! ordering (all data dispatched before a sort is emitted before it)
+//! holds trivially.
 //!
 //! Fusion is on by default; `SNET_FUSE=0` (process-wide) or
 //! [`crate::NetBuilder::fuse`]`(false)` (per net) keep the unfused
@@ -138,11 +156,11 @@ pub enum PNode {
     },
     /// A combinator — `||`/`|`, `!!`/`!` or `**`/`*`: route each
     /// record to a lane, run the operand, merge. `fused` is set by
-    /// the [`fuse`] pass when every body is a single SISO stage run
-    /// (see module docs, *Fan fusion*): dispatch, every lane's stages
-    /// and the merge handoff then run as **one** component
-    /// ([`crate::fused::spawn_fused_fan`]) where the runtime
-    /// conditions allow it.
+    /// the [`fuse`] pass (see module docs, *Fan fusion*): dispatch,
+    /// every lane's stages and the merge handoff then run inline —
+    /// as **one** component ([`crate::fused::spawn_fused_fan`]) for a
+    /// fan on the top-level spine, as one lane stage of the enclosing
+    /// fan for a nested one — where the runtime conditions allow it.
     Fan {
         kind: FanKind,
         det: bool,
@@ -165,8 +183,8 @@ pub enum PNode {
 
 /// What a [`PNode::Fan`] dispatches on, and the operand plan(s) its
 /// lanes run: instantiated as replica plans by the combinator's own
-/// dispatcher, or — when the fan is `fused`, so each is a SISO stage
-/// run — built into lane stage cores by the fan driver.
+/// dispatcher, or — when the fan runs fused — built into lane stage
+/// cores by the fan driver.
 pub enum FanKind {
     /// `body ! <tag>` / `body !! <tag>`.
     Split { body: Arc<PNode>, tag: Label },
@@ -378,17 +396,12 @@ fn is_siso(node: &PNode) -> bool {
     matches!(node, PNode::Box { .. } | PNode::Filter { .. })
 }
 
-/// True for an (already fused) subplan a fused fan may adopt as a
-/// lane body: a single SISO stage run, nothing that owns its own
-/// dispatcher or merge point (see module docs, *Fan legality rules*).
-fn fan_fusable(node: &PNode) -> bool {
-    is_siso(node) || matches!(node, PNode::Fused { .. })
-}
-
 /// The fusion rewrite (see the module docs for legality rules):
 /// collapses maximal `Serial` runs of SISO stages into
 /// [`PNode::Fused`] nodes, recurses into combinator bodies and marks
-/// a [`PNode::Fan`] `fused` when every body came out a SISO run.
+/// every [`PNode::Fan`] `fused` — whatever the pass makes of a body (a
+/// stage, a run, a fused fan, a `Chain` of those) is a lane the fan
+/// driver can run in place, so there is nothing left to refuse.
 /// Idempotent; component paths are preserved exactly.
 pub fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
     match &**node {
@@ -398,20 +411,12 @@ pub fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
             det,
             level,
             fused: false,
-        } => {
-            let mut fused = true;
-            let kind = kind.map_bodies(|body| {
-                let body = fuse(body);
-                fused &= fan_fusable(&body);
-                body
-            });
-            Arc::new(PNode::Fan {
-                kind,
-                det: *det,
-                level: *level,
-                fused,
-            })
-        }
+        } => Arc::new(PNode::Fan {
+            kind: kind.map_bodies(fuse),
+            det: *det,
+            level: *level,
+            fused: true,
+        }),
         // Leaves (and already-fused nodes) pass through by handle.
         PNode::Box { .. }
         | PNode::Filter { .. }
@@ -687,8 +692,8 @@ mod tests {
             PNode::Chain { parts } => {
                 assert_eq!(parts.len(), 3, "{:?}", plan.root);
                 assert!(matches!(&*parts[0].node, PNode::Box { .. }));
-                // The split interrupts the chain, but its lone-box
-                // body is itself SISO — so it fan-fuses in place.
+                // The split interrupts the chain: on the top-level
+                // spine it is a component of its own, fan-fused.
                 assert!(matches!(&*parts[1].node, PNode::Fan { fused: true, .. }));
                 match &*parts[2].node {
                     PNode::Fused { stages } => assert_eq!(stages.len(), 2),
@@ -731,11 +736,30 @@ mod tests {
         }
     }
 
+    /// Every `Fan` node below `node` (itself included), as `fused` flags.
+    fn fan_flags(node: &PNode, out: &mut Vec<bool>) {
+        match node {
+            PNode::Fan { kind, fused, .. } => {
+                out.push(*fused);
+                kind.map_bodies(|body| {
+                    fan_flags(body, out);
+                    Arc::clone(body)
+                });
+            }
+            PNode::Serial { a, b } => {
+                fan_flags(a, out);
+                fan_flags(b, out);
+            }
+            PNode::Chain { parts } => parts.iter().for_each(|p| fan_flags(&p.node, out)),
+            PNode::Box { .. } | PNode::Filter { .. } | PNode::Fused { .. } => {}
+        }
+    }
+
     #[test]
-    fn fan_fusion_refuses_nested_combinator_bodies() {
-        // (f ! <u>) ! <t>: the outer split's body is itself a
-        // combinator — fan fusion must not cross its merge point. The
-        // outer stays unfused; the inner (lone SISO body) fan-fuses.
+    fn fan_fusion_is_transitive_through_nested_combinator_bodies() {
+        // A fused fan is a lane stage, so a fan whose body is (or
+        // holds) a combinator fuses like any other: with the pass on
+        // every level is `fused`, with it off none is.
         let env = parse_program(
             "box f (a) -> (a);\n\
              box g (a) -> (a);",
@@ -746,51 +770,28 @@ mod tests {
         let b = Bindings::new()
             .bind("f", |r, e| e.emit(r.clone()))
             .bind("g", |r, e| e.emit(r.clone()));
-        let ast = snet_lang::parse_net_expr("(f ! <u>) ! <t>").unwrap();
-        let plan = compile_cfg(&ast, &env, &b, true).unwrap();
-        match &*plan.root {
-            PNode::Fan {
-                kind: FanKind::Split { body: inner, .. },
-                fused: false,
-                ..
-            } => match &**inner {
-                PNode::Fan {
-                    kind: FanKind::Split { body, .. },
-                    fused: true,
-                    ..
-                } => assert!(matches!(&**body, PNode::Box { .. })),
-                other => panic!("expected a fused inner split, got {other:?}"),
-            },
-            other => panic!("expected an unfused outer split, got {other:?}"),
-        }
-        // Star and parallel refuse the same way.
-        let ast = snet_lang::parse_net_expr("((f ! <u>) | g) ** {a}").unwrap();
-        let plan = compile_cfg(&ast, &env, &b, true).unwrap();
-        match &*plan.root {
-            PNode::Fan {
-                kind: FanKind::Star { body, .. },
-                fused: false,
-                ..
-            } => assert!(
-                matches!(
-                    &**body,
-                    PNode::Fan {
-                        kind: FanKind::Parallel { .. },
-                        fused: false,
-                        ..
-                    }
-                ),
-                "{body:?}"
-            ),
-            other => panic!("expected an unfused star, got {other:?}"),
+        for (expr, levels) in [
+            ("(f ! <u>) ! <t>", 2),
+            ("((f ! <u>) | g) ** {a}", 3),
+            // The Fig. 3 body: a `Chain` holding a fan.
+            ("([{a} -> {a}] .. (f !! <u>)) * {a}", 2),
+        ] {
+            let ast = snet_lang::parse_net_expr(expr).unwrap();
+            for pass in [true, false] {
+                let plan = compile_cfg(&ast, &env, &b, pass).unwrap();
+                let mut flags = Vec::new();
+                fan_flags(&plan.root, &mut flags);
+                assert_eq!(flags, vec![pass; levels], "{expr}: {:?}", plan.root);
+            }
         }
     }
 
     #[test]
     fn fusion_is_the_identity_on_the_component_paths_of_a_fan_in_a_fan() {
         // (a !! <k>) ** {<z>}: the split's body is a lone box, so the
-        // split fuses; the star's body is the split, so the star does
-        // not. Either way every component lives at the same path.
+        // split fuses; the star's body is the split — a lane stage —
+        // so the star does too. Either way every counter lives at the
+        // same path.
         let env = parse_program("box a (n, <k>) -> (n, <k>) | (n, <k>, <z>);")
             .unwrap()
             .env()
@@ -808,15 +809,9 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(a !! <k>) ** {<z>}").unwrap();
         let paths = |fuse_pass: bool| {
             let plan = compile_cfg(&ast, &env, &b, fuse_pass).unwrap();
-            let inner_fused = match &*plan.root {
-                PNode::Fan {
-                    kind: FanKind::Star { body, .. },
-                    fused: false,
-                    ..
-                } => matches!(&**body, PNode::Fan { fused, .. } if *fused),
-                other => panic!("expected an unfused star, got {other:?}"),
-            };
-            assert_eq!(inner_fused, fuse_pass, "{:?}", plan.root);
+            let mut flags = Vec::new();
+            fan_flags(&plan.root, &mut flags);
+            assert_eq!(flags, vec![fuse_pass; 2], "{:?}", plan.root);
             let ctx = Ctx::new(Metrics::new(), Vec::new());
             let inputs = [(2, 0), (1, 1), (3, 0)]
                 .map(|(n, k)| Record::build().field("n", n as i64).tag("k", k).finish());

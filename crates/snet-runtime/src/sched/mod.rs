@@ -464,13 +464,21 @@ impl Drop for Completion {
     }
 }
 
-/// Why the executor configuration in the environment was rejected (see
-/// *Selection*). Surfaces from every `NetBuilder::build*` as
+/// Why a network's configuration was rejected: the executor selection
+/// in the environment (see *Selection*) or a `NetBuilder` setting that
+/// can mean nothing. Surfaces from every `NetBuilder::build*` as
 /// [`crate::BuildError::Config`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `SNET_WORKERS` is not a positive integer.
     Workers(String),
+    /// `NetBuilder::bound_for` named an edge no spawn site creates
+    /// (the names are [`crate::ctx::Edge::name`]'s).
+    UnknownEdge(String),
+    /// `NetBuilder::split_lanes(0)` / `split_lanes_for(_, 0)`.
+    ZeroLanes,
+    /// `NetBuilder::bound(0)`.
+    ZeroBound,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -479,6 +487,21 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Workers(v) => {
                 write!(f, "SNET_WORKERS={v:?}: expected a positive integer")
             }
+            ConfigError::UnknownEdge(name) => {
+                let known = crate::ctx::Edge::ALL.map(|e| e.name());
+                write!(
+                    f,
+                    "bound_for({name:?}): no such data edge (expected one of {known:?})"
+                )
+            }
+            ConfigError::ZeroLanes => {
+                write!(f, "split_lanes: a replicator needs at least one lane")
+            }
+            ConfigError::ZeroBound => write!(
+                f,
+                "bound(0): a bounded edge holds at least one record \
+                 (unbounded() lifts the default bound)"
+            ),
         }
     }
 }

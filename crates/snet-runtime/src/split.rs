@@ -51,7 +51,7 @@
 //! cores. There is one dispatcher loop, credit-gated; an unbounded
 //! edge grants at once.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Edge};
 use crate::instantiate::instantiate;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
 use crate::metrics::{keys, Counter};
@@ -175,7 +175,7 @@ pub fn spawn_split(
     input: Receiver,
 ) -> Receiver {
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
-    let (out_tx, out_rx) = ctx.data_stream(comb, "merge");
+    let (out_tx, out_rx) = ctx.data_stream(comb, Edge::Merge);
     let mode = if det {
         MergeMode::Det { level }
     } else {
@@ -223,7 +223,7 @@ pub fn spawn_split(
                 Msg::Rec(rec) => {
                     let lane = router.lane(&ctx2, comb, &rec, |bpath| {
                         // Demand-driven unfolding of a fresh replica.
-                        let (btx, brx) = ctx2.data_stream(bpath, "dispatch");
+                        let (btx, brx) = ctx2.data_stream(bpath, Edge::Dispatch);
                         let replica_out = instantiate(&ctx2, &inner, bpath, brx);
                         // Register the tap before any subsequent sort
                         // broadcast so the merger can account for it.
@@ -275,6 +275,11 @@ mod tests {
     /// on, the plan runs on the fan driver; off, on this file's
     /// dispatcher — every test runs both.
     fn mark_plan(det: bool, fuse: bool) -> Plan {
+        mark_expr_plan(if det { "mark ! <k>" } else { "mark !! <k>" }, fuse)
+    }
+
+    /// Any expression over `mark`.
+    fn mark_expr_plan(src: &str, fuse: bool) -> Plan {
         let env = parse_program("box mark (x) -> (x, y);")
             .unwrap()
             .env()
@@ -283,7 +288,6 @@ mod tests {
             let x = r.field("x").unwrap().as_int().unwrap();
             e.emit(Record::build().field("x", x).field("y", x).finish());
         });
-        let src = if det { "mark ! <k>" } else { "mark !! <k>" };
         compile_cfg(&parse_net_expr(src).unwrap(), &env, &b, fuse).unwrap()
     }
 
@@ -362,19 +366,23 @@ mod tests {
 
     #[test]
     fn missing_tag_panics() {
-        for fuse in [true, false] {
-            let plan = mark_plan(false, fuse);
-            let ctx = Ctx::new(Metrics::new(), Vec::new());
-            let untagged = Record::build().field("x", 1i64).finish();
-            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_to_end(&ctx, &plan.root, [untagged])
-            }))
-            .unwrap_err();
-            let msg = died.downcast_ref::<String>().expect("a formatted panic");
-            assert!(
-                msg.contains("at 'net/splitnd' without routing tag <k>"),
-                "{msg}"
-            );
+        // On its own and as a lane stage of a star, on both drivers.
+        for (src, at) in [
+            ("mark !! <k>", "net/splitnd"),
+            ("(mark !! <k>) ** {y}", "net/starnd/stage0/splitnd"),
+        ] {
+            for fuse in [true, false] {
+                let plan = mark_expr_plan(src, fuse);
+                let ctx = Ctx::new(Metrics::new(), Vec::new());
+                let untagged = Record::build().field("x", 1i64).finish();
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_to_end(&ctx, &plan.root, [untagged])
+                }))
+                .unwrap_err();
+                let msg = died.downcast_ref::<String>().expect("a formatted panic");
+                let text = format!("at '{at}' without routing tag <k>");
+                assert!(msg.contains(&text), "{msg}");
+            }
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! Each figure is expressed in the actual S-Net surface syntax and
 //! compiled through the full pipeline (parse → type inference →
-//! plan → threads), exactly as a user of the library would write it:
+//! plan → components), exactly as a user of the library would write
+//! it:
 //!
 //! * **Fig. 1** — `computeOpts .. solveOneLevel ** {<done>}`
 //! * **Fig. 2** — `computeOpts .. [{} -> {<k>=1}] ..
@@ -13,6 +14,19 @@
 //!
 //! Fig. 3's modulo `m` and level cutoff `c` are parameters here (the
 //! paper uses 4 and 40); the F3 experiment sweeps them.
+//!
+//! **How they run.** The paper assumes "each box creates a separate
+//! process/thread". By default the runtime's fusion pass does the
+//! opposite with these three: each serial replicator — the parallel
+//! replicators inside it included — is **one** component that walks a
+//! puzzle's levels depth by depth, so Fig. 2 is 2 components and
+//! Fig. 3 is 3 however far they unfold, and the replicas of one level
+//! run one after another. The unfolding itself (guards, replicas, their
+//! counters and paths, hence every bound of Section 5) is the same
+//! either way. `NetBuilder::fuse_fan(false)` on [`builder`] restores
+//! the literal topology — a component per guard, dispatcher, replica
+//! and merger, 207 of them for Fig. 2 on `classic9` — which is what to
+//! use where the boxes are heavy enough to be worth a core each.
 
 use crate::board::Board;
 use crate::boxes::{

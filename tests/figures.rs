@@ -175,6 +175,103 @@ fn fig1_scales_to_25x25_boards() {
 }
 
 #[test]
+fn fused_figures_are_a_fixed_set_of_components_however_far_they_unfold() {
+    // Fan fusion is transitive: Fig. 2's star of splits (and Fig. 3's
+    // star of `filter .. split`) is one component, so the net's
+    // component count is the length of its top-level spine and does
+    // not move while a puzzle unfolds level after level of replicas
+    // inside it. Under `fuse_fan(false)` the same puzzle grows the
+    // paper's literal topology, a component per guard, dispatcher,
+    // replica and merger (counted on `classic9`, whose 43 levels never
+    // branch). The paper's bounds are bounds on the unfolding, which is
+    // the same either way.
+    use sudoku::networks::{builder, fig3_text, FIG2, FIG2_DET};
+    let cases = [
+        (FIG2.to_string(), 2, 207),
+        (FIG2_DET.to_string(), 2, 208),
+        (fig3_text(4, 40), 3, 59),
+    ];
+    for (expr, spine, classic9_unfused) in cases {
+        for (puzzle, unfused_components) in [
+            (puzzles::classic9(), Some(classic9_unfused)),
+            (puzzles::hard9(), None),
+        ] {
+            let run = |fan: bool| {
+                let mut net = builder(3, Vec::new())
+                    .unwrap()
+                    .fuse(true)
+                    .fuse_fan(fan)
+                    .build_expr(&expr)
+                    .unwrap();
+                let at_build = net.threads_spawned();
+                net.send(sudoku::boxes::puzzle_record(&puzzle)).unwrap();
+                net.close();
+                let solution = reference(&puzzle);
+                let solved = std::iter::from_fn(|| net.recv())
+                    .filter(|rec| sudoku::boxes::board_of(rec, 3) == solution)
+                    .count();
+                assert!(solved >= 1, "{expr}");
+                let at_end = net.threads_spawned();
+                let metrics = std::sync::Arc::clone(net.metrics());
+                let _ = net.finish();
+                let unfolding = [
+                    metrics.max_matching("/stages"),
+                    metrics.max_matching("/branches"),
+                    metrics.count_matching("box:solveOneLevelK/spawned") as u64,
+                    metrics.count_matching("/spawned") as u64,
+                ];
+                (at_build, at_end, unfolding)
+            };
+            let (at_build, at_end, fused) = run(true);
+            assert_eq!((at_build, at_end), (spine, spine), "{expr}");
+            let (at_build, at_end, unfused) = run(false);
+            assert!(at_build > spine && at_end > 10 * spine, "{expr}: {at_end}");
+            if let Some(components) = unfused_components {
+                assert_eq!(at_end, components, "{expr}");
+            }
+            assert_eq!(fused, unfused, "{expr}: stages, branches, stage paths");
+            let [stages, branches, boxes, _] = fused;
+            assert!(
+                stages <= 82 && branches <= 9 && boxes <= 729,
+                "{expr}: {fused:?}"
+            );
+            if expr.contains('%') {
+                assert!(branches <= 4, "{expr}: throttle allowed width {branches}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fig2_det_order_does_not_depend_on_fan_fusion() {
+    // One depth-synchronous walk emits what the det mergers of every
+    // level would have released, in their order.
+    use sudoku::networks::{builder, run_net_ordered, FIG2_DET};
+    let corpus = [
+        puzzles::classic9(),
+        puzzles::easy9(),
+        puzzles::medium9(),
+        puzzles::hard9(),
+    ];
+    let run = |fan: bool| {
+        let net = builder(3, Vec::new())
+            .unwrap()
+            .fuse(true)
+            .fuse_fan(fan)
+            .build_expr(FIG2_DET)
+            .unwrap();
+        run_net_ordered(net, &corpus)
+    };
+    let fused = run(true);
+    assert_eq!(
+        fused,
+        corpus.iter().map(reference).collect::<Vec<_>>(),
+        "one solution a puzzle, in input order"
+    );
+    assert_eq!(fused, run(false));
+}
+
+#[test]
 fn boxes_spawn_threads_per_replica() {
     // "If we assume that each box creates a separate process/thread"
     // (Section 5) — the literal execution model. Replica fusion runs

@@ -27,11 +27,15 @@ fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
 /// * `inc` — 1:1, type-preserving;
 /// * `rep` — multi-emission: `x*10 + i` for `i in 0..c` (0 included,
 ///   so some records vanish);
-/// * `dec` — star step: counts `n` down, exits tagged `<z>`.
+/// * `dec` — star step: counts `n` down, exits tagged `<z>`;
+/// * `fork` — Fig. 2's `solveOneLevelK` in miniature: a record either
+///   finishes (`<z>`) or continues as one or two smaller records on
+///   other `<k>` lanes, so a star over it holds a widening frontier.
 const SRC: &str = "
     box inc (x) -> (x);
     box rep (x, <c>) -> (x, <c>);
     box dec (n) -> (n) | (n, <z>);
+    box fork (n, <k>) -> (n, <k>) | (n, <k>, <z>);
 ";
 
 /// A builder for `expr` with every box bound — the shared base for
@@ -58,6 +62,19 @@ fn fan_builder(expr: &str) -> NetBuilder {
                 e.emit(Record::build().field("n", n - 1).finish());
             }
         })
+        .bind("fork", |r, e| {
+            let n = r.field("n").unwrap().as_int().unwrap();
+            let k = r.tag("k").unwrap();
+            let rec = |n: i64, k: i64| Record::build().field("n", n).tag("k", k % 3);
+            if n <= 1 {
+                e.emit(rec(0, k).tag("z", 1).finish());
+            } else {
+                e.emit(rec(n - 1, k + 1).finish());
+                if n % 2 == 0 {
+                    e.emit(rec(n - 2, k + 2).finish());
+                }
+            }
+        })
 }
 
 fn build(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> Net {
@@ -66,21 +83,6 @@ fn build(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> Net {
         .fuse(fuse)
         .build("main")
         .unwrap()
-}
-
-/// Renders the full output stream for byte-for-byte comparison.
-fn drive_x(net: Net, n: i64) -> Vec<String> {
-    for i in 0..n {
-        net.send(
-            Record::build()
-                .field("x", i)
-                .tag("c", (i * 7 + 3) % 4)
-                .tag("k", (i * 5 + 1) % 3)
-                .finish(),
-        )
-        .unwrap();
-    }
-    net.finish().iter().map(|r| format!("{r:?}")).collect()
 }
 
 /// Deterministically ordered topologies (pure chains and det
@@ -103,54 +105,114 @@ const DET_EXPRS: &[&str] = &[
     "(inc .. inc .. rep) ! <k>",
 ];
 
-/// Like [`drive_x`] but with a second routing tag so nested
+/// `{x, <c>, <k>, <k2>}` inputs: a second routing tag, so nested
 /// replicators (`! <k2>` inside `! <k>`) have something to route on.
-fn drive_fan(net: Net, n: i64) -> Vec<String> {
-    for i in 0..n {
-        net.send(
-            Record::build()
+/// With `some_without_c` every third record lacks `<c>`, so only `inc`
+/// accepts it and both branches of a parallel composition see traffic.
+fn xs(n: i64, some_without_c: bool) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let rec = Record::build()
                 .field("x", i)
-                .tag("c", (i * 7 + 3) % 4)
                 .tag("k", (i * 5 + 1) % 3)
+                .tag("k2", (i * 3 + 2) % 2);
+            if some_without_c && i % 3 == 0 {
+                rec.finish()
+            } else {
+                rec.tag("c", (i * 7 + 3) % 4).finish()
+            }
+        })
+        .collect()
+}
+
+/// `{n, <k>, <k2>, <id>}` inputs for the stars: `n` in 1..=7 is the
+/// depth a record reaches (and, through `fork`, how far it fans out).
+fn ns(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            Record::build()
+                .field("n", (i * 13 + 7) % 7 + 1)
+                .tag("k", i % 3)
                 .tag("k2", (i * 3 + 2) % 2)
-                .finish(),
-        )
-        .unwrap();
+                .tag("id", i)
+                .finish()
+        })
+        .collect()
+}
+
+/// Renders the full output stream for byte-for-byte comparison.
+fn drive(net: Net, inputs: &[Record]) -> Vec<String> {
+    for rec in inputs {
+        net.send(rec.clone()).unwrap();
     }
     net.finish().iter().map(|r| format!("{r:?}")).collect()
 }
 
+/// Nested fans, each a det net and its nondet twin: Fig. 2's shape (a
+/// star of a split), Fig. 3's (the star's body is `filter .. split`, a
+/// `Chain`), a parallel of splits and a three-level nest.
+const NESTED_EXPRS: [(&str, &str); 4] = [
+    ("(fork ! <k>) * {<z>}", "(fork !! <k>) ** {<z>}"),
+    (
+        "([{<k>} -> {<k>=<k>%2}] .. (fork ! <k>)) * {<z>}",
+        "([{<k>} -> {<k>=<k>%2}] .. (fork !! <k>)) ** {<z>}",
+    ),
+    (
+        "(inc ! <k>) | (rep ! <k2>)",
+        "(inc !! <k>) || (rep !! <k2>)",
+    ),
+    (
+        "((fork ! <k>) ! <k2>) * {<z>}",
+        "((fork !! <k>) !! <k2>) ** {<z>}",
+    ),
+];
+
+/// Every [`NESTED_EXPRS`] net with the inputs it takes and whether its
+/// order is defined (det) or the scheduler's (the nondet twin).
+fn nested_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
+    let inputs = |expr: &str| {
+        if expr.contains("fork") {
+            ns(20)
+        } else {
+            xs(30, true)
+        }
+    };
+    NESTED_EXPRS
+        .into_iter()
+        .flat_map(move |(det, nondet)| [(det, inputs(det), true), (nondet, inputs(nondet), false)])
+}
+
 #[test]
 fn fused_fan_matrix_is_byte_identical() {
-    // The ISSUE's fused-fan matrix: det split, det parallel, and a
-    // nested fan-in-fan, each driven across {threads, pool(1),
-    // pool(2)} × {fan fused, fan unfused} with chain fusion on.
-    // Output must be byte-identical to the fully unfused reference.
-    let exprs = [
+    // Det split, det parallel, a fan in a fan and every nest of
+    // NESTED_EXPRS, each driven across {threads, pool(1), pool(2)} ×
+    // {fan fused, fan unfused} with chain fusion on. Output must be
+    // byte-identical to the fully unfused reference; a nondet net's
+    // order is the scheduler's, so its twin compares multisets.
+    let flat = [
         "(inc .. inc .. rep) ! <k>",
         "(inc .. inc) | (rep .. inc)",
         "((inc .. rep) ! <k2>) ! <k>",
     ];
-    for expr in exprs {
-        let reference = drive_fan(
-            fan_builder(expr)
-                .executor(Arc::new(ThreadPerComponent))
-                .fuse(false)
-                .build("main")
-                .unwrap(),
-            60,
-        );
+    let cases = (flat.into_iter().map(|expr| (expr, xs(60, false), true))).chain(nested_cases());
+    for (expr, inputs, ordered) in cases {
+        let run = |b: NetBuilder| {
+            let mut out = drive(b.build("main").unwrap(), &inputs);
+            if !ordered {
+                out.sort();
+            }
+            out
+        };
+        let reference = run(fan_builder(expr)
+            .executor(Arc::new(ThreadPerComponent))
+            .fuse(false));
+        assert!(reference.len() >= inputs.len() / 2, "{expr}");
         for (name, exec) in executors() {
             for fan in [true, false] {
-                let got = drive_fan(
-                    fan_builder(expr)
-                        .executor(Arc::clone(&exec))
-                        .fuse(true)
-                        .fuse_fan(fan)
-                        .build("main")
-                        .unwrap(),
-                    60,
-                );
+                let got = run(fan_builder(expr)
+                    .executor(Arc::clone(&exec))
+                    .fuse(true)
+                    .fuse_fan(fan));
                 assert_eq!(
                     got, reference,
                     "{expr} diverged under {name} (fuse_fan={fan})"
@@ -163,10 +225,13 @@ fn fused_fan_matrix_is_byte_identical() {
 #[test]
 fn fused_output_is_byte_identical_to_unfused_across_executors() {
     for expr in DET_EXPRS {
-        let reference = drive_x(build(expr, Arc::new(ThreadPerComponent), false), 60);
+        let reference = drive(
+            build(expr, Arc::new(ThreadPerComponent), false),
+            &xs(60, false),
+        );
         for (name, exec) in executors() {
             for fuse in [true, false] {
-                let got = drive_x(build(expr, Arc::clone(&exec), fuse), 60);
+                let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
                 assert_eq!(got, reference, "{expr} diverged under {name} (fuse={fuse})");
             }
         }
@@ -179,11 +244,14 @@ fn nondet_barrier_conserves_records_fused_and_unfused() {
     // scheduler-dependent, so compare the multiset (and rely on the
     // det exprs above for ordering).
     let expr = "inc .. inc .. (rep !! <k>) .. inc .. inc";
-    let mut reference = drive_x(build(expr, Arc::new(ThreadPerComponent), false), 60);
+    let mut reference = drive(
+        build(expr, Arc::new(ThreadPerComponent), false),
+        &xs(60, false),
+    );
     reference.sort();
     for (name, exec) in executors() {
         for fuse in [true, false] {
-            let mut got = drive_x(build(expr, Arc::clone(&exec), fuse), 60);
+            let mut got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
             got.sort();
             assert_eq!(
                 got, reference,
@@ -263,37 +331,42 @@ fn barrier_chains_fuse_only_the_runs() {
 
 #[test]
 fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
-    // Fused: the whole replicator is one component. The net-global
-    // escape hatch restores dispatcher + merger at spawn (replicas
-    // still unfold on demand).
-    let spawn_count = |b: NetBuilder| {
-        let net = b.fuse(true).build("main").unwrap();
-        let n = net.threads_spawned();
-        net.send(
-            Record::build()
-                .field("x", 1i64)
-                .tag("c", 2)
-                .tag("k", 0)
-                .finish(),
-        )
-        .unwrap();
+    // Fused, a nest of replicators is one component. Each escape hatch
+    // is net-global: it restores dispatcher + merger for the outer
+    // split at build, and — replicas unfolding on demand — for the
+    // split inside every replica too. Returns the component count at
+    // build and once (k, k2) = (0,0), (0,1), (1,0) have gone through:
+    // outer 2; lane 0 an inner 2 + 2 runs; lane 1 an inner 2 + 1 run.
+    let spawn_counts = |b: NetBuilder| {
+        let mut net = b.fuse(true).build("main").unwrap();
+        let at_build = net.threads_spawned();
+        for (k, k2) in [(0, 0), (0, 1), (1, 0)] {
+            let rec = Record::build().field("x", 1i64).tag("c", 2);
+            net.send(rec.tag("k", k).tag("k2", k2).finish()).unwrap();
+        }
+        net.close();
+        assert_eq!(std::iter::from_fn(|| net.recv()).count(), 6);
+        let at_end = net.threads_spawned();
         let _ = net.finish();
-        n
+        (at_build, at_end)
     };
-    let expr = "(inc .. rep) ! <k>";
-    assert_eq!(spawn_count(fan_builder(expr)), 1);
-    assert_eq!(spawn_count(fan_builder(expr).fuse_fan(false)), 2);
+    let expr = "((inc .. rep) ! <k2>) ! <k>";
+    assert_eq!(spawn_counts(fan_builder(expr)), (1, 1));
+    assert_eq!(spawn_counts(fan_builder(expr).fuse_fan(false)), (2, 9));
     // Restart's backoff sleep would park co-scheduled lanes: the
     // runtime legality check falls back on its own.
     assert_eq!(
-        spawn_count(fan_builder(expr).fault_policy(FaultPolicy::Restart {
+        spawn_counts(fan_builder(expr).fault_policy(FaultPolicy::Restart {
             max_retries: 1,
             backoff: std::time::Duration::from_millis(1),
         })),
-        2
+        (2, 9)
     );
     // An explicit lane-edge bound is honored by falling back too.
-    assert_eq!(spawn_count(fan_builder(expr).bound_for("dispatch", 8)), 2);
+    assert_eq!(
+        spawn_counts(fan_builder(expr).bound_for("dispatch", 8)),
+        (2, 9)
+    );
 }
 
 #[test]
@@ -345,7 +418,10 @@ fn fan_metrics_paths_survive_replica_fusion() {
     // own (records_in/branches, routed_left/right, exits/stages) and
     // the per-lane box counters — at the same key with the same value,
     // and every combinator and guard path sees the same records in the
-    // same order, for each of the six combinators.
+    // same order, for each of the six combinators and, level by level,
+    // for every nest of NESTED_EXPRS. (Inside an unfused nondet nest a
+    // path is fed by a first-come merge, so there the sequence is the
+    // scheduler's and the multiset is what must match.)
     use parking_lot::Mutex;
     use std::collections::BTreeMap;
     type Events = BTreeMap<String, Vec<String>>;
@@ -382,32 +458,14 @@ fn fan_metrics_paths_survive_replica_fusion() {
         let events = std::mem::take(&mut *events.lock());
         (counters, events)
     };
-    // Every third record lacks <c>, so only `inc` accepts it: both
-    // branches of the parallel compositions see traffic.
-    let xs: Vec<Record> = (0..30i64)
-        .map(|i| {
-            let rec = Record::build().field("x", i).tag("k", (i * 5 + 1) % 3);
-            if i % 3 == 0 {
-                rec.finish()
-            } else {
-                rec.tag("c", (i * 7 + 3) % 4).finish()
-            }
-        })
-        .collect();
+    let xs = xs(30, true);
     let with_c: Vec<Record> = xs
         .iter()
         .filter(|r| r.tag("c").is_some())
         .cloned()
         .collect();
-    let ns: Vec<Record> = (0..20i64)
-        .map(|i| {
-            Record::build()
-                .field("n", (i * 13 + 7) % 9 + 1)
-                .tag("id", i)
-                .finish()
-        })
-        .collect();
-    let cases: [(&str, &[Record], &str); 6] = [
+    let ns = ns(20);
+    let flat: [(&str, &[Record], &str); 6] = [
         ("(inc .. inc .. rep) ! <k>", &with_c, "split/branch"),
         ("(inc .. inc .. rep) !! <k>", &with_c, "splitnd/branch"),
         ("(inc .. inc) | (rep .. inc)", &xs, "par/routed_left"),
@@ -415,9 +473,17 @@ fn fan_metrics_paths_survive_replica_fusion() {
         ("(dec .. dec) * {<z>}", &ns, "star/stage"),
         ("(dec .. dec) ** {<z>}", &ns, "starnd/stage"),
     ];
-    for (expr, inputs, marker) in cases {
-        let (fused, fused_events) = run(expr, inputs, true);
-        let (unfused, unfused_events) = run(expr, inputs, false);
+    let cases = (flat.into_iter())
+        .map(|(expr, inputs, marker)| (expr, inputs.to_vec(), marker, true))
+        .chain(nested_cases().map(|(expr, inputs, ordered)| (expr, inputs, "/branch", ordered)));
+    for (expr, inputs, marker, ordered) in cases {
+        let (fused, mut fused_events) = run(expr, &inputs, true);
+        let (unfused, mut unfused_events) = run(expr, &inputs, false);
+        if !ordered {
+            for events in fused_events.values_mut().chain(unfused_events.values_mut()) {
+                events.sort();
+            }
+        }
         assert_eq!(fused, unfused, "{expr}: counters");
         assert_eq!(fused_events, unfused_events, "{expr}: observer events");
         assert!(
@@ -447,7 +513,7 @@ fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
             .build("main")
             .unwrap();
         let metrics = Arc::clone(net.metrics());
-        let out = drive_fan(net, 80);
+        let out = drive(net, &xs(80, false));
         let injected = metrics.get("runtime/chaos_injected");
         let skipped = metrics.sum_matching("records_skipped");
         assert!(injected > 0, "chaos at 10% over 80 records never fired");

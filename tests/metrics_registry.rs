@@ -185,11 +185,11 @@ fn one_of_each_driver() -> snet_runtime::Net {
     .unwrap()
 }
 
-/// Each combinator both ways: the outer `||`, `!!` and `**` have a
-/// combinator for a body, so they run on their own dispatcher and
-/// merger; the inner `|`, `!` and `*` have SISO bodies and run on the
-/// fan driver. Fusion and the bound are pinned as above.
-fn each_combinator_both_ways() -> snet_runtime::Net {
+/// Every combinator with a combinator for a body: the outer `||`, `!!`
+/// and `**` hold an inner `|`, `!` and `*`. With `fan` each nest is one
+/// component on the fan driver; without it every level runs on its own
+/// dispatcher and merger. Fusion and the bound are pinned as above.
+fn each_combinator_both_ways(fan: bool) -> snet_runtime::Net {
     let fwd = |r: &Record, e: &mut snet_runtime::Emitter| {
         e.emit(
             Record::build()
@@ -240,7 +240,7 @@ fn each_combinator_both_ways() -> snet_runtime::Net {
         }
     })
     .fuse(true)
-    .fuse_fan(true)
+    .fuse_fan(fan)
     .bound(128)
     .build("main")
     .unwrap()
@@ -253,7 +253,22 @@ fn key_set_of_every_stage_driver_is_pinned() {
             .map(|v| Record::build().field(field, *v).finish())
             .collect()
     };
-    let cases: [(snet_runtime::Net, usize, Vec<Record>, &[&str]); 2] = [
+    // Fused, a nest keeps every key of the parent's default list but
+    // the gauge pairs of the edges that no longer exist.
+    let fused_fan_keys: Vec<&str> = PINNED_FAN_KEYS
+        .into_iter()
+        .filter(|key| {
+            !VANISHED_EDGES.iter().any(|edge| {
+                key.strip_prefix(edge)
+                    .is_some_and(|gauge| gauge == "/stream_depth" || gauge == "/credit_stalls")
+            })
+        })
+        .collect();
+    assert_eq!(
+        fused_fan_keys.len(),
+        PINNED_FAN_KEYS.len() - 2 * VANISHED_EDGES.len()
+    );
+    let cases: [(snet_runtime::Net, usize, Vec<Record>, &[&str]); 3] = [
         (
             one_of_each_driver(),
             5,
@@ -261,10 +276,16 @@ fn key_set_of_every_stage_driver_is_pinned() {
             &PINNED_KEYS,
         ),
         (
-            each_combinator_both_ways(),
-            10,
+            each_combinator_both_ways(false),
+            13,
             ints("n", &[1, 2, 3, 1, 2, 3]),
-            &PINNED_FAN_KEYS,
+            &PINNED_UNFUSED_FAN_KEYS,
+        ),
+        (
+            each_combinator_both_ways(true),
+            5,
+            ints("n", &[1, 2, 3, 1, 2, 3]),
+            &fused_fan_keys,
         ),
     ];
     for (net, components, inputs, pinned) in cases {
@@ -334,8 +355,9 @@ const PINNED_KEYS: [&str; 49] = [
     "runtime/stream_depth",
 ];
 
-/// `each_combinator_both_ways`' metric keys, generated at the commit
-/// before the combinators' two instantiations became one (9f0afaf).
+/// `each_combinator_both_ways`' metric keys by default at the commit
+/// before fan fusion became transitive (4e2f6a9), when only the inner
+/// `|`, `!` and `*` ran on the fan driver (10 components at build).
 const PINNED_FAN_KEYS: [&str; 85] = [
     "net/credit_stalls",
     "net/s0/s0/s0/s0/box:a/credit_stalls",
@@ -413,6 +435,147 @@ const PINNED_FAN_KEYS: [&str; 85] = [
     "net/s1/starnd/stage0/star/stage2/box:dec/records_out",
     "net/s1/starnd/stage0/star/stage2/box:dec/spawned",
     "net/s1/starnd/stage0/star/stages",
+    "net/s1/starnd/stage0/star/stream_depth",
+    "net/s1/starnd/stage0/stream_depth",
+    "net/s1/starnd/stages",
+    "net/s1/starnd/stream_depth",
+    "net/stream_depth",
+    "runtime/component_panics",
+    "runtime/credit_stalls",
+    "runtime/interner_paths",
+    "runtime/stream_depth",
+];
+
+/// The edges of `each_combinator_both_ways` that exist at 4e2f6a9 by
+/// default and not once a nest is one component: each outer lane's
+/// dispatch edge, each inner fan's merge edge, and the output edge of
+/// the one lane that was a lone box.
+const VANISHED_EDGES: [&str; 10] = [
+    "net/s0/s0/s0/s1/parnd/L",
+    "net/s0/s0/s0/s1/parnd/L/par",
+    "net/s0/s0/s0/s1/parnd/R",
+    "net/s0/s0/s0/s1/parnd/R/box:m",
+    "net/s0/s1/splitnd/branch0",
+    "net/s0/s1/splitnd/branch0/split",
+    "net/s0/s1/splitnd/branch1",
+    "net/s0/s1/splitnd/branch1/split",
+    "net/s1/starnd/stage0",
+    "net/s1/starnd/stage0/star",
+];
+
+/// `each_combinator_both_ways`' metric keys under `fuse_fan(false)`,
+/// generated at 4e2f6a9 (13 components at build).
+const PINNED_UNFUSED_FAN_KEYS: [&str; 119] = [
+    "net/credit_stalls",
+    "net/s0/s0/s0/s0/box:a/credit_stalls",
+    "net/s0/s0/s0/s0/box:a/records_in",
+    "net/s0/s0/s0/s0/box:a/records_out",
+    "net/s0/s0/s0/s0/box:a/spawned",
+    "net/s0/s0/s0/s0/box:a/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/records_out",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/spawned",
+    "net/s0/s0/s0/s1/parnd/L/par/L/box:l/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/par/L/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/L/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/records_out",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/spawned",
+    "net/s0/s0/s0/s1/parnd/L/par/R/box:r/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/par/R/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/R/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/par/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/L/par/records_in",
+    "net/s0/s0/s0/s1/parnd/L/par/routed_left",
+    "net/s0/s0/s0/s1/parnd/L/par/routed_right",
+    "net/s0/s0/s0/s1/parnd/L/par/stream_depth",
+    "net/s0/s0/s0/s1/parnd/L/stream_depth",
+    "net/s0/s0/s0/s1/parnd/R/box:m/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/R/box:m/records_in",
+    "net/s0/s0/s0/s1/parnd/R/box:m/records_out",
+    "net/s0/s0/s0/s1/parnd/R/box:m/spawned",
+    "net/s0/s0/s0/s1/parnd/R/box:m/stream_depth",
+    "net/s0/s0/s0/s1/parnd/R/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/R/stream_depth",
+    "net/s0/s0/s0/s1/parnd/credit_stalls",
+    "net/s0/s0/s0/s1/parnd/records_in",
+    "net/s0/s0/s0/s1/parnd/routed_left",
+    "net/s0/s0/s0/s1/parnd/routed_right",
+    "net/s0/s0/s0/s1/parnd/stream_depth",
+    "net/s0/s0/s1/box:t/credit_stalls",
+    "net/s0/s0/s1/box:t/records_in",
+    "net/s0/s0/s1/box:t/records_out",
+    "net/s0/s0/s1/box:t/spawned",
+    "net/s0/s0/s1/box:t/stream_depth",
+    "net/s0/s1/splitnd/branch0/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/records_in",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/records_out",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/spawned",
+    "net/s0/s1/splitnd/branch0/split/branch1/box:b/stream_depth",
+    "net/s0/s1/splitnd/branch0/split/branch1/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/branch1/stream_depth",
+    "net/s0/s1/splitnd/branch0/split/branches",
+    "net/s0/s1/splitnd/branch0/split/credit_stalls",
+    "net/s0/s1/splitnd/branch0/split/records_in",
+    "net/s0/s1/splitnd/branch0/split/stream_depth",
+    "net/s0/s1/splitnd/branch0/stream_depth",
+    "net/s0/s1/splitnd/branch1/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/records_in",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/records_out",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/spawned",
+    "net/s0/s1/splitnd/branch1/split/branch0/box:b/stream_depth",
+    "net/s0/s1/splitnd/branch1/split/branch0/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch0/stream_depth",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/records_in",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/records_out",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/spawned",
+    "net/s0/s1/splitnd/branch1/split/branch1/box:b/stream_depth",
+    "net/s0/s1/splitnd/branch1/split/branch1/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/branch1/stream_depth",
+    "net/s0/s1/splitnd/branch1/split/branches",
+    "net/s0/s1/splitnd/branch1/split/credit_stalls",
+    "net/s0/s1/splitnd/branch1/split/records_in",
+    "net/s0/s1/splitnd/branch1/split/stream_depth",
+    "net/s0/s1/splitnd/branch1/stream_depth",
+    "net/s0/s1/splitnd/branches",
+    "net/s0/s1/splitnd/credit_stalls",
+    "net/s0/s1/splitnd/records_in",
+    "net/s0/s1/splitnd/stream_depth",
+    "net/s1/starnd/credit_stalls",
+    "net/s1/starnd/exits",
+    "net/s1/starnd/stage0/credit_stalls",
+    "net/s1/starnd/stage0/star/credit_stalls",
+    "net/s1/starnd/stage0/star/exits",
+    "net/s1/starnd/stage0/star/stage0/box:dec/credit_stalls",
+    "net/s1/starnd/stage0/star/stage0/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage0/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage0/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stage0/box:dec/stream_depth",
+    "net/s1/starnd/stage0/star/stage0/credit_stalls",
+    "net/s1/starnd/stage0/star/stage0/stream_depth",
+    "net/s1/starnd/stage0/star/stage1/box:dec/credit_stalls",
+    "net/s1/starnd/stage0/star/stage1/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage1/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage1/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stage1/box:dec/stream_depth",
+    "net/s1/starnd/stage0/star/stage1/credit_stalls",
+    "net/s1/starnd/stage0/star/stage1/stream_depth",
+    "net/s1/starnd/stage0/star/stage2/box:dec/credit_stalls",
+    "net/s1/starnd/stage0/star/stage2/box:dec/records_in",
+    "net/s1/starnd/stage0/star/stage2/box:dec/records_out",
+    "net/s1/starnd/stage0/star/stage2/box:dec/spawned",
+    "net/s1/starnd/stage0/star/stage2/box:dec/stream_depth",
+    "net/s1/starnd/stage0/star/stage2/credit_stalls",
+    "net/s1/starnd/stage0/star/stage2/stream_depth",
+    "net/s1/starnd/stage0/star/stages",
+    "net/s1/starnd/stage0/star/stamper/credit_stalls",
+    "net/s1/starnd/stage0/star/stamper/stream_depth",
     "net/s1/starnd/stage0/star/stream_depth",
     "net/s1/starnd/stage0/stream_depth",
     "net/s1/starnd/stages",
