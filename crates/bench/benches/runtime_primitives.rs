@@ -564,38 +564,6 @@ fn bench_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// RT_stream_send — the raw cost of one stream message, native
-/// lock-free queue vs the vendored mutex+condvar channel it replaced
-/// (send + try_recv pairs, consumer never parks — the steady-state
-/// shape wakeup coalescing produces).
-fn bench_stream_send(c: &mut Criterion) {
-    let mut g = c.benchmark_group("RT_stream_send");
-    g.measurement_time(std::time::Duration::from_secs(1));
-    g.warm_up_time(std::time::Duration::from_millis(200));
-    g.sample_size(20);
-    g.throughput(Throughput::Elements(1));
-
-    g.bench_function("native", |b| {
-        let (tx, rx) = snet_runtime::stream::stream();
-        let msg = snet_runtime::stream::Msg::Rec(Record::build().field("x", 1i64).finish());
-        b.iter(|| {
-            tx.send(msg.clone()).unwrap();
-            rx.try_recv().unwrap()
-        });
-    });
-
-    g.bench_function("vendored_mutex", |b| {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let msg = snet_runtime::stream::Msg::Rec(Record::build().field("x", 1i64).finish());
-        b.iter(|| {
-            tx.send(msg.clone()).unwrap();
-            rx.try_recv().unwrap()
-        });
-    });
-
-    g.finish();
-}
-
 /// door — what request correlation costs on top of the stream pair it
 /// fronts: the one-box `id` net at a window of 128 from one driver
 /// thread, FIFO door vs `Service` door (`snet_bench::door`). The
@@ -663,7 +631,6 @@ criterion_group!(
     bench_metrics_inc,
     bench_dispatch_route,
     bench_record_ops,
-    bench_stream_send,
     bench_record_hop,
     bench_throughput,
     bench_door,

@@ -20,8 +20,9 @@
 //!
 //! `--chaos` (composable with either mode) enables seeded fault
 //! injection for the run: 1 % of records panic at a box boundary
-//! under a restart-then-skip policy (`SNET_CHAOS`/`SNET_FAULT_POLICY`
-//! override the defaults). The assertions shift accordingly: faulted
+//! under a restart-then-skip policy, set through each workload's
+//! builder (`SNET_CHAOS`/`SNET_FAULT_POLICY` override the defaults).
+//! The assertions shift accordingly: faulted
 //! requests must resolve as typed errors (and there must be some —
 //! otherwise injection never engaged), *unaffected* requests must
 //! still complete losslessly with a bounded p99, and
@@ -32,16 +33,18 @@
 //! rates, formats JSON and enforces the assertions.
 
 use snet_bench::door;
-use snet_bench::workloads::{sensor_workload, sudoku_workload, ServeWorkload};
-use snet_runtime::ctx::RunCfg;
-use snet_runtime::{run_open_loop, CallError, LoadReport, OpenLoopCfg, Service};
+use snet_bench::workloads::{sensor_workload, sudoku_workload, Configure, ServeWorkload};
+use snet_runtime::{
+    run_open_loop, CallError, ChaosConfig, FaultPolicy, LoadReport, NetBuilder, OpenLoopCfg,
+    RunCfg, Service,
+};
 use std::time::{Duration, Instant};
 
 /// Closed-loop capacity probe: `callers` threads issue request/wait
 /// pairs for `window`; completions per second estimate the service
 /// rate the open loop must stay under to be stable.
-fn calibrate(wl: &ServeWorkload, callers: usize, window: Duration) -> f64 {
-    let svc = Service::start((wl.build)().expect("workload builds"));
+fn calibrate(wl: &ServeWorkload, configure: Configure, callers: usize, window: Duration) -> f64 {
+    let svc = Service::start((wl.build)(configure).expect("workload builds"));
     let deadline = Instant::now() + window;
     let total: u64 = std::thread::scope(|s| {
         let svc = &svc;
@@ -78,8 +81,13 @@ struct RunRow {
     report: LoadReport,
 }
 
-fn run_workload(wl: &ServeWorkload, cfg: OpenLoopCfg, capacity_rps: f64) -> RunRow {
-    let svc = Service::start((wl.build)().expect("workload builds"));
+fn run_workload(
+    wl: &ServeWorkload,
+    configure: Configure,
+    cfg: OpenLoopCfg,
+    capacity_rps: f64,
+) -> RunRow {
+    let svc = Service::start((wl.build)(configure).expect("workload builds"));
     let report = run_open_loop(&svc, &cfg, wl.make_req, wl.check);
     svc.shutdown();
     RunRow {
@@ -94,7 +102,7 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn json(rows: &[RunRow]) -> String {
+fn json(rows: &[RunRow], env: &RunCfg) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -102,8 +110,7 @@ fn json(rows: &[RunRow]) -> String {
     let default = snet_runtime::sched::default_executor();
     let executor = default.kind();
     let workers = default.os_thread_bound();
-    let fused = std::env::var("SNET_FUSE").map(|v| v != "0").unwrap_or(true);
-    let bound = RunCfg::from_env().bound;
+    let (fused, bound) = (env.fuse, env.bound);
     let epoch_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -241,21 +248,29 @@ fn door_tax(failures: &mut Vec<String>) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let chaos = std::env::args().any(|a| a == "--chaos");
-    if chaos {
-        // Before any threads exist: seed deterministic 1 % panic
-        // injection and a restart-then-skip policy, unless the caller
-        // pinned their own via the environment.
-        if std::env::var("SNET_CHAOS").is_err() {
-            std::env::set_var("SNET_CHAOS", "4242:0.01");
-        }
-        if std::env::var("SNET_FAULT_POLICY").is_err() {
-            std::env::set_var("SNET_FAULT_POLICY", "restart:2:1");
-        }
-        println!(
-            "chaos: SNET_CHAOS={} SNET_FAULT_POLICY={}",
-            std::env::var("SNET_CHAOS").unwrap(),
-            std::env::var("SNET_FAULT_POLICY").unwrap()
-        );
+    // What every net below starts from (a builder reads the same).
+    let env = RunCfg::from_env();
+    // `--chaos`: deterministic 1 % panic injection under a
+    // restart-then-skip policy, each unless the environment pinned its
+    // own (`failnet` pins nothing: under injected panics it could only
+    // fail the run).
+    let injection = chaos.then(|| {
+        let chaos = env.chaos.clone().unwrap_or(ChaosConfig::new(4242, 0.01));
+        let policy = match env.fault_policy {
+            FaultPolicy::FailNet => FaultPolicy::Restart {
+                max_retries: 2,
+                backoff: Duration::from_millis(1),
+            },
+            pinned => pinned,
+        };
+        (chaos, policy)
+    });
+    let configure = |b: NetBuilder| match &injection {
+        Some((chaos, policy)) => b.chaos(chaos.clone()).fault_policy(*policy),
+        None => b,
+    };
+    if let Some((chaos, policy)) = &injection {
+        println!("chaos: SNET_CHAOS={chaos:?} SNET_FAULT_POLICY={policy:?}");
         // Injected panics are contained and accounted by the runtime;
         // the default hook's per-panic backtrace would drown the
         // report. Real (non-injected) panics still print.
@@ -288,7 +303,7 @@ fn main() {
                 0.0,
             )
         } else {
-            let capacity = calibrate(wl, 8, Duration::from_secs(2));
+            let capacity = calibrate(wl, &configure, 8, Duration::from_secs(2));
             // 60 % of closed-loop capacity: high enough that queues
             // form and tails are real, low enough that the open loop
             // is stable (arrival < service rate) and steady state
@@ -318,7 +333,7 @@ fn main() {
                 format!(" (capacity ≈ {capacity:.1}/s)")
             }
         );
-        let row = run_workload(wl, cfg, capacity);
+        let row = run_workload(wl, &configure, cfg, capacity);
         print_row(&row);
 
         let r = &row.report;
@@ -368,7 +383,7 @@ fn main() {
     }
 
     if !smoke {
-        println!("{}", json(&rows));
+        println!("{}", json(&rows, &env));
     }
 
     if failures.is_empty() {

@@ -19,11 +19,16 @@ use sudoku::puzzles;
 /// carry their request's payload, not just a well-routed rid).
 pub const PROBE: &str = "probe";
 
+/// A per-run amendment of a workload's builder (`&|b| b` for none):
+/// how `serve_bench --chaos` sets its fault injection without
+/// touching the process environment.
+pub type Configure<'a> = &'a dyn Fn(NetBuilder) -> NetBuilder;
+
 /// A service workload: how to build the net, produce the `i`-th
 /// request, and validate the `i`-th response.
 pub struct ServeWorkload {
     pub name: &'static str,
-    pub build: fn() -> Result<Net, BuildError>,
+    pub build: fn(Configure) -> Result<Net, BuildError>,
     pub make_req: fn(usize) -> Record,
     pub check: fn(usize, &[Record]) -> bool,
 }
@@ -34,7 +39,7 @@ pub struct ServeWorkload {
 pub fn sudoku_workload() -> ServeWorkload {
     ServeWorkload {
         name: "sudoku-fig1-mini4",
-        build: || sudoku_builder(2, Vec::new())?.build_expr(FIG1),
+        build: |configure| configure(sudoku_builder(2, Vec::new())?).build_expr(FIG1),
         make_req: |i| {
             let mut rec = puzzle_record(&puzzles::mini4());
             rec.set_tag(PROBE, i as i64);
@@ -63,7 +68,7 @@ const NOISY_SENSOR: i64 = 2;
 /// composition (clean stats to the summariser, anomalies to a
 /// quarantine filter). Exercises indexed split replicas and best-match
 /// routing under the front door.
-fn sensor_net() -> Result<Net, BuildError> {
+fn sensor_net(configure: Configure) -> Result<Net, BuildError> {
     let src = "
         box calibrate (samples, <bias_ppm>) -> (samples);
         box analyze (samples) -> (stats) | (samples, <anomaly>);
@@ -73,7 +78,7 @@ fn sensor_net() -> Result<Net, BuildError> {
                 .. (analyze !! <sensor>)
                 .. (summarize || [{samples, <anomaly>} -> {quarantined=samples, <anomaly>=<anomaly>}]);
     ";
-    NetBuilder::from_source(src)?
+    configure(NetBuilder::from_source(src)?)
         .bind(
             "calibrate",
             |rec: &Record, em: &mut snet_runtime::Emitter| {
@@ -193,7 +198,7 @@ mod tests {
     #[test]
     fn both_workloads_answer_one_record_per_request() {
         for wl in [sudoku_workload(), sensor_workload()] {
-            let svc = Service::start((wl.build)().expect("workload builds"));
+            let svc = Service::start((wl.build)(&|b| b).expect("workload builds"));
             for i in 0..8 {
                 let resp = svc
                     .call((wl.make_req)(i))

@@ -36,11 +36,10 @@
 //! stage or, from the last (or only) one, to the run's output edge.
 
 use crate::ctx::Ctx;
-use crate::fused::{spawn_stage_run, StageCore};
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
-use crate::stream::{Dir, Receiver};
+use crate::stream::Dir;
 use snet_types::{BoxSig, Record, RecordType, Shape};
 use std::sync::Arc;
 
@@ -253,29 +252,21 @@ impl BoxCore {
     }
 }
 
-/// Spawns a box component — a stage run of length 1 — applying `imp`
-/// to every incoming record. Returns the box's output stream.
-pub fn spawn_box(
-    ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
-    name: &str,
-    sig: BoxSig,
-    imp: BoxImpl,
-    input: Receiver,
-) -> Receiver {
-    let core = BoxCore::new(ctx, path.into(), name, sig, imp);
-    spawn_stage_run(ctx, core.path(), vec![StageCore::Box(core)], input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
-    use crate::stream::{stream, Msg};
+    use crate::instantiate::{run_msgs_to_end, run_to_end, test_ctx};
+    use crate::plan::PNode;
+    use crate::stream::Msg;
     use snet_types::{Label, Value};
 
-    fn test_ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
+    /// The plan leaf of a box called `name`.
+    fn box_leaf(name: &str, sig: BoxSig, imp: BoxImpl) -> Arc<PNode> {
+        Arc::new(PNode::Box {
+            name: name.to_string(),
+            sig,
+            imp,
+        })
     }
 
     fn foo_sig() -> BoxSig {
@@ -294,8 +285,6 @@ mod tests {
         // The paper's worked example: foo receives {a,<b>,d}; the
         // first-variant output {c} gains d by flow inheritance, the
         // second-variant output keeps its own d.
-        let ctx = test_ctx();
-        let (tx, input) = stream();
         let imp: BoxImpl = Arc::new(|rec, em| {
             let a = rec.field("a").unwrap().as_int().unwrap();
             // snet_out(1, x)
@@ -303,117 +292,85 @@ mod tests {
             // snet_out(2, x, y, 42)
             em.emit_variant(2, vec![Value::Int(a * 10), Value::Int(-1), Value::Int(42)]);
         });
-        let out = spawn_box(&ctx, "net", "foo", foo_sig(), imp, input);
-        tx.send(Msg::Rec(
-            Record::build()
-                .field("a", 5i64)
-                .tag("b", 0)
-                .field("d", 7i64)
-                .finish(),
-        ))
-        .unwrap();
-        drop(tx);
-
-        let r1 = match out.recv().unwrap() {
-            Msg::Rec(r) => r,
-            other => panic!("unexpected {other:?}"),
+        let input = Record::build()
+            .field("a", 5i64)
+            .tag("b", 0)
+            .field("d", 7i64)
+            .finish();
+        let out = run_to_end(
+            &test_ctx(Vec::new()),
+            &box_leaf("foo", foo_sig(), imp),
+            [input],
+        );
+        let [r1, r2] = &out[..] else {
+            panic!("unexpected {out:?}")
         };
         assert_eq!(r1.field("c").unwrap().as_int(), Some(50));
         assert_eq!(r1.field("d").unwrap().as_int(), Some(7)); // inherited
-        let r2 = match out.recv().unwrap() {
-            Msg::Rec(r) => r,
-            other => panic!("unexpected {other:?}"),
-        };
         assert_eq!(r2.field("d").unwrap().as_int(), Some(-1)); // own d wins
         assert_eq!(r2.tag("e"), Some(42));
         // <b> was consumed (in the input type), so it does NOT reappear.
         assert_eq!(r2.tag("b"), None);
-        assert!(out.recv().is_err());
-        ctx.join_all();
     }
 
     #[test]
     fn box_may_emit_nothing() {
         // solveOneLevel emits no record when the search is stuck.
-        let ctx = test_ctx();
-        let (tx, input) = stream();
+        let ctx = test_ctx(Vec::new());
         let imp: BoxImpl = Arc::new(|_rec, _em| {});
         let sig = BoxSig::new(vec![Label::field("a")], vec![vec![Label::field("a")]]);
-        let out = spawn_box(&ctx, "net", "mute", sig, imp, input);
-        tx.send(Msg::Rec(Record::build().field("a", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        assert!(out.recv().is_err());
-        ctx.join_all();
+        let input = Record::build().field("a", 1i64).finish();
+        let out = run_to_end(&ctx, &box_leaf("mute", sig, imp), [input]);
+        assert!(out.is_empty());
         assert_eq!(ctx.metrics.get("net/box:mute/records_in"), 1);
         assert_eq!(ctx.metrics.get("net/box:mute/records_out"), 0);
     }
 
     #[test]
     fn box_forwards_sort_records_behind_data() {
-        let ctx = test_ctx();
-        let (tx, input) = stream();
         let imp: BoxImpl = Arc::new(|rec, em| em.emit(rec.clone()));
         let sig = BoxSig::new(vec![Label::field("a")], vec![vec![Label::field("a")]]);
-        let out = spawn_box(&ctx, "net", "id", sig, imp, input);
-        tx.send(Msg::Rec(Record::build().field("a", 1i64).finish()))
-            .unwrap();
-        tx.send(Msg::Sort {
+        let sort = Msg::Sort {
             level: 0,
             counter: 0,
-        })
-        .unwrap();
-        tx.send(Msg::Rec(Record::build().field("a", 2i64).finish()))
-            .unwrap();
-        drop(tx);
-        assert!(matches!(out.recv().unwrap(), Msg::Rec(_)));
-        assert_eq!(
-            out.recv().unwrap(),
-            Msg::Sort {
-                level: 0,
-                counter: 0
-            }
+        };
+        let out = run_msgs_to_end(
+            &test_ctx(Vec::new()),
+            &box_leaf("id", sig, imp),
+            [
+                Msg::Rec(Record::build().field("a", 1i64).finish()),
+                sort.clone(),
+                Msg::Rec(Record::build().field("a", 2i64).finish()),
+            ],
         );
-        assert!(matches!(out.recv().unwrap(), Msg::Rec(_)));
-        ctx.join_all();
+        assert!(matches!(out[0], Msg::Rec(_)));
+        assert_eq!(out[1], sort);
+        assert!(matches!(out[2], Msg::Rec(_)));
     }
 
     #[test]
     fn mismatched_record_panics_the_component() {
-        let ctx = test_ctx();
-        let (tx, input) = stream();
+        let ctx = test_ctx(Vec::new());
         let imp: BoxImpl = Arc::new(|_r, _e| {});
         let sig = BoxSig::new(vec![Label::field("needed")], vec![vec![]]);
-        let _out = spawn_box(&ctx, "net", "strict", sig, imp, input);
-        tx.send(Msg::Rec(Record::build().field("other", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
+        let leaf = box_leaf("strict", sig, imp);
+        let input = Record::build().field("other", 1i64).finish();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_to_end(&ctx, &leaf, [input])
+        }));
         assert!(r.is_err());
     }
 
     #[test]
     fn multiple_records_processed_in_order() {
-        let ctx = test_ctx();
-        let (tx, input) = stream();
         let imp: BoxImpl = Arc::new(|rec, em| {
             let v = rec.field("a").unwrap().as_int().unwrap();
             em.emit(Record::build().field("a", v * 2).finish());
         });
         let sig = BoxSig::new(vec![Label::field("a")], vec![vec![Label::field("a")]]);
-        let out = spawn_box(&ctx, "net", "dbl", sig, imp, input);
-        for i in 0..10i64 {
-            tx.send(Msg::Rec(Record::build().field("a", i).finish()))
-                .unwrap();
-        }
-        drop(tx);
-        for i in 0..10i64 {
-            match out.recv().unwrap() {
-                Msg::Rec(r) => assert_eq!(r.field("a").unwrap().as_int(), Some(i * 2)),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(out.recv().is_err());
-        ctx.join_all();
+        let inputs = (0..10i64).map(|i| Record::build().field("a", i).finish());
+        let out = run_to_end(&test_ctx(Vec::new()), &box_leaf("dbl", sig, imp), inputs);
+        let got: Vec<_> = out.iter().map(|r| r.field("a").unwrap().as_int()).collect();
+        assert_eq!(got, (0..10i64).map(|i| Some(i * 2)).collect::<Vec<_>>());
     }
 }

@@ -26,18 +26,19 @@ use crate::fault::{
     payload_msg, ChaosConfig, Fault, FaultGuard, FaultHub, FaultObserver, FaultPolicy,
 };
 use crate::metrics::{keys, Metrics};
+use crate::net::OverloadPolicy;
 use crate::path::CompPath;
-use crate::sched::{default_executor, Executor, Tracker};
+use crate::sched::{Executor, Tracker};
 use crate::stream::chan::EdgeStats;
 use crate::stream::{stream, stream_bounded, Dir, Observer, Receiver, Sender};
 use snet_types::Record;
 use std::collections::HashMap;
+use std::fmt;
 use std::future::Future;
 use std::sync::Arc;
 
-/// The process-default data-edge capacity, applied when neither
-/// `SNET_STREAM_BOUND` nor a per-net `NetBuilder::bound`/`unbounded`
-/// overrides it. **Backpressure is on by default** since PR 7, with
+/// The default data-edge capacity ([`RunCfg::bound`]).
+/// **Backpressure is on by default** since PR 7, with
 /// the value picked from the open-loop serve harness
 /// (`crates/bench/src/bin/serve_bench.rs`, PR 7's run): at
 /// moderate load (300 req/s smoke) steady-state depth high-water is
@@ -52,20 +53,19 @@ use std::sync::Arc;
 /// per net restore the seed's unbounded edges.
 pub const DEFAULT_STREAM_BOUND: usize = 128;
 
-/// Runtime configuration for one network, threaded through the shared
-/// [`Ctx`] to every component spawn site.
-#[derive(Clone, Debug, Default)]
+/// The configuration of one network — the one value every setting
+/// resolves into. [`RunCfg::default`] is the default,
+/// [`RunCfg::try_from_env`] is the default as the environment amends
+/// it, a `NetBuilder` starts from the latter and its setters assign
+/// fields; [`Ctx`] carries the result to every component spawn site.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunCfg {
-    /// Default capacity for data edges; `None` = unbounded
-    /// ([`DEFAULT_STREAM_BOUND`] applies unless `SNET_STREAM_BOUND`
-    /// or `NetBuilder::bound`/`unbounded` says otherwise). See
+    /// Capacity of every data edge; `None` = unbounded. See
     /// [`crate::stream`] for what a bound does and does not gate.
     pub bound: Option<usize>,
-    /// Per-edge capacity overrides keyed by edge name
-    /// ([`Edge::name`]: `"ingress"`, `"dispatch"`, `"merge"`, `"out"`
-    /// — `NetBuilder::bound_for` rejects any other). `0` keeps that
-    /// edge unbounded even when `bound` is set.
-    pub bound_overrides: HashMap<String, usize>,
+    /// Per-edge capacity overrides (`NetBuilder::bound_for`). `0`
+    /// keeps that edge unbounded even when `bound` is set.
+    pub bound_overrides: HashMap<Edge, usize>,
     /// Opt-in bounded lane namespace for indexed-split routing paths:
     /// when set, parallel replicators hash tag values into this many
     /// lanes instead of one replica per distinct value, capping the
@@ -75,12 +75,21 @@ pub struct RunCfg {
     /// Per-replicator lane bounds keyed by routing-tag name; a tag's
     /// entry wins over the net-global `split_lanes`.
     pub split_lanes_by_tag: HashMap<String, u32>,
+    /// Whether compilation runs the fusion pass (see [`crate::plan`]).
+    /// Read by [`crate::compile`] and `NetBuilder::build*`; a plan
+    /// that is already compiled keeps what it was compiled with.
+    pub fuse: bool,
     /// Escape hatch for replica fusion (see [`crate::plan`], *fan
-    /// fusion*): `None` = fuse (the default), `Some(false)` = run
-    /// every fan on its own dispatcher even where the plan marked it
-    /// `fused`. `SNET_FUSE=0` disables the whole fusion pass at
-    /// compile time instead.
-    pub fan_fuse: Option<bool>,
+    /// fusion*): `false` runs every fan on its own dispatcher even
+    /// where the plan marked it `fused`.
+    pub fan_fuse: bool,
+    /// Worker count of the process-wide shared pool, applied when the
+    /// pool is created on first use (see [`crate::sched`],
+    /// *Selection*); `None` = one worker per core. Nothing to a net
+    /// that is given an executor of its own.
+    pub workers: Option<usize>,
+    /// What `Net::send` does when the bounded ingress edge is full.
+    pub overload: OverloadPolicy,
     /// What a box/filter panic does to the net (see
     /// [`crate::fault`]): fail it (default), skip the poison record,
     /// or restart the stage with backoff.
@@ -90,35 +99,179 @@ pub struct RunCfg {
     pub chaos: Option<ChaosConfig>,
 }
 
-impl RunCfg {
-    /// Process-default configuration: the data-edge bound comes from
-    /// `SNET_STREAM_BOUND` — `n` bounds every data edge at `n`, `0`
-    /// restores unbounded edges, and unset (or unparsable) applies
-    /// [`DEFAULT_STREAM_BOUND`]. The fault policy comes from
-    /// `SNET_FAULT_POLICY` and chaos injection from `SNET_CHAOS` (see
-    /// [`crate::fault`]).
-    pub fn from_env() -> RunCfg {
-        let bound = match std::env::var("SNET_STREAM_BOUND")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => Some(DEFAULT_STREAM_BOUND),
-        };
+impl Default for RunCfg {
+    /// Every data edge bounded at [`DEFAULT_STREAM_BOUND`], both
+    /// fusions on, a core-sized pool, blocking ingress, `FailNet`, no
+    /// chaos: what [`RunCfg::try_from_env`] reads in an empty
+    /// environment.
+    fn default() -> RunCfg {
         RunCfg {
-            bound,
-            fault_policy: FaultPolicy::from_env(),
-            chaos: ChaosConfig::from_env(),
-            ..RunCfg::default()
+            bound: Some(DEFAULT_STREAM_BOUND),
+            bound_overrides: HashMap::new(),
+            split_lanes: None,
+            split_lanes_by_tag: HashMap::new(),
+            fuse: true,
+            fan_fuse: true,
+            workers: None,
+            overload: OverloadPolicy::Block,
+            fault_policy: FaultPolicy::FailNet,
+            chaos: None,
         }
     }
 }
 
+impl RunCfg {
+    /// The default configuration as the process environment amends it
+    /// — the one place an `SNET_*` variable is read:
+    ///
+    /// * `SNET_STREAM_BOUND=n` bounds every data edge at `n` records,
+    ///   `0` lifts the bound ([`RunCfg::bound`]);
+    /// * `SNET_FUSE=0` turns the fusion pass off, `1` is the default
+    ///   ([`RunCfg::fuse`]);
+    /// * `SNET_WORKERS=n` sizes the shared pool ([`RunCfg::workers`]);
+    /// * `SNET_FAULT_POLICY=failnet|skip|restart[:RETRIES:BACKOFF_MS]`
+    ///   ([`FaultPolicy::parse`]);
+    /// * `SNET_CHAOS=seed:rate[:stall_rate:stall_ms]`
+    ///   ([`ChaosConfig::parse`]).
+    ///
+    /// A variable that is set to something it cannot mean is a
+    /// [`ConfigError::Env`], never the default: a typo must not
+    /// silently test or serve the configuration it was meant to
+    /// change. `NetBuilder::build*` returns it as
+    /// `BuildError::Config`; a `NetBuilder` setter assigns over what
+    /// was read here, so per net the setter wins.
+    pub fn try_from_env() -> Result<RunCfg, ConfigError> {
+        // Lossy: a value that is not Unicode then fails its parse.
+        RunCfg::resolve(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`RunCfg::try_from_env`] for callers with no error channel
+    /// ([`crate::compile`], [`crate::sched::default_executor`],
+    /// benches): panics with the [`ConfigError`] message — loud, never
+    /// a silent fallback.
+    pub fn from_env() -> RunCfg {
+        RunCfg::try_from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The reader over a table: the process environment is shared
+    /// state, which the crate's unit tests must not set.
+    #[cfg(test)]
+    pub(crate) fn from_table(env: &[(&str, &str)]) -> Result<RunCfg, ConfigError> {
+        RunCfg::resolve(|var| Some(env.iter().find(|(k, _)| *k == var)?.1.to_string()))
+    }
+
+    /// The reader proper, over any `name -> value` lookup.
+    fn resolve(env: impl Fn(&'static str) -> Option<String>) -> Result<RunCfg, ConfigError> {
+        /// Assigns what a variable's trimmed value means, if anything.
+        type Set = fn(&mut RunCfg, &str) -> Option<()>;
+        let vars: [(&str, &str, Set); 5] = [
+            (
+                "SNET_STREAM_BOUND",
+                "a capacity in records (0 = unbounded)",
+                |c, v| {
+                    v.parse()
+                        .ok()
+                        .map(|n: usize| c.bound = (n > 0).then_some(n))
+                },
+            ),
+            ("SNET_FUSE", "0 or 1", |c, v| {
+                let on = match v {
+                    "0" => Some(false),
+                    "1" => Some(true),
+                    _ => None,
+                };
+                on.map(|on| c.fuse = on)
+            }),
+            ("SNET_WORKERS", "a positive integer", |c, v| {
+                let n = v.parse().ok().filter(|n| *n >= 1);
+                n.map(|n| c.workers = Some(n))
+            }),
+            (
+                "SNET_FAULT_POLICY",
+                "failnet, skip, restart or restart:RETRIES:BACKOFF_MS",
+                |c, v| FaultPolicy::parse(v).map(|p| c.fault_policy = p),
+            ),
+            (
+                "SNET_CHAOS",
+                "seed:rate[:stall_rate:stall_ms] with rate in 0..=1",
+                |c, v| ChaosConfig::parse(v).map(|chaos| c.chaos = Some(chaos)),
+            ),
+        ];
+        let mut cfg = RunCfg::default();
+        for (var, expected, set) in vars {
+            if let Some(value) = env(var) {
+                set(&mut cfg, value.trim()).ok_or(ConfigError::Env {
+                    var,
+                    value,
+                    expected,
+                })?;
+            }
+        }
+        Ok(cfg)
+    }
+}
+
+/// Why a network's configuration was rejected: an environment variable
+/// or a `NetBuilder` setting that can mean nothing. Surfaces from every
+/// `NetBuilder::build*` as [`crate::BuildError::Config`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// An `SNET_*` variable is set to a value it cannot mean (see
+    /// [`RunCfg::try_from_env`]).
+    Env {
+        var: &'static str,
+        value: String,
+        expected: &'static str,
+    },
+    /// `NetBuilder::bound_for` named an edge no spawn site creates
+    /// (the names are [`Edge::name`]'s).
+    UnknownEdge(String),
+    /// `NetBuilder::split_lanes_for` named a tag no replicator
+    /// (`!` / `!!`) of the net routes on.
+    UnknownSplitTag(String),
+    /// `NetBuilder::split_lanes(0)` / `split_lanes_for(_, 0)`.
+    ZeroLanes,
+    /// `NetBuilder::bound(0)`.
+    ZeroBound,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Env {
+                var,
+                value,
+                expected,
+            } => write!(f, "{var}={value:?}: expected {expected}"),
+            ConfigError::UnknownEdge(name) => {
+                let known = Edge::ALL.map(|e| e.name());
+                write!(
+                    f,
+                    "bound_for({name:?}): no such data edge (expected one of {known:?})"
+                )
+            }
+            ConfigError::UnknownSplitTag(tag) => write!(
+                f,
+                "split_lanes_for({tag:?}): no replicator of this net routes on <{tag}>"
+            ),
+            ConfigError::ZeroLanes => {
+                write!(f, "split_lanes: a replicator needs at least one lane")
+            }
+            ConfigError::ZeroBound => write!(
+                f,
+                "bound(0): a bounded edge holds at least one record \
+                 (unbounded() lifts the default bound)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// The data edges the spawn sites create: what [`Ctx::data_stream`] is
 /// asked for, and — by [`Edge::name`] — every name a per-edge bound
 /// (`NetBuilder::bound_for`, [`RunCfg::bound_overrides`]) can mean.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Edge {
     /// `Net::send` into the root component.
     Ingress,
@@ -143,6 +296,15 @@ impl Edge {
             Edge::Out => "out",
         }
     }
+
+    /// The edge called `name` — the inverse of [`Edge::name`], and the
+    /// one place a name that is no data edge is rejected.
+    pub fn from_name(name: &str) -> Result<Edge, ConfigError> {
+        Edge::ALL
+            .into_iter()
+            .find(|e| e.name() == name)
+            .ok_or_else(|| ConfigError::UnknownEdge(name.to_string()))
+    }
 }
 
 /// Context threaded through instantiation and shared by all components
@@ -159,23 +321,9 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Context on the process-default executor (the shared pool; see
-    /// [`crate::sched`], *Selection*).
-    pub fn new(metrics: Arc<Metrics>, observers: Vec<Observer>) -> Arc<Ctx> {
-        Ctx::with_executor(metrics, observers, default_executor())
-    }
-
-    /// Context on an explicit executor.
-    pub fn with_executor(
-        metrics: Arc<Metrics>,
-        observers: Vec<Observer>,
-        executor: Arc<dyn Executor>,
-    ) -> Arc<Ctx> {
-        Ctx::with_config(metrics, observers, executor, RunCfg::default())
-    }
-
-    /// Context on an explicit executor with runtime options.
-    pub fn with_config(
+    /// The context of one network: its metrics registry, observers,
+    /// the executor its components run on and its configuration.
+    pub fn new(
         metrics: Arc<Metrics>,
         observers: Vec<Observer>,
         executor: Arc<dyn Executor>,
@@ -205,40 +353,9 @@ impl Ctx {
         })
     }
 
-    /// The indexed-split lane bound, if configured (net-global; see
-    /// [`Ctx::split_lanes_for`] for the per-tag resolution replicators
-    /// use).
-    pub fn split_lanes(&self) -> Option<u32> {
-        self.cfg.split_lanes
-    }
-
-    /// The lane bound for the replicator routing on `tag`: a per-tag
-    /// binding wins over the net-global bound.
-    pub fn split_lanes_for(&self, tag: &str) -> Option<u32> {
-        self.cfg
-            .split_lanes_by_tag
-            .get(tag)
-            .copied()
-            .or(self.cfg.split_lanes)
-    }
-
-    /// Whether fan combinators may run fused at this net's runtime
-    /// settings (default: on).
-    pub fn fan_fuse(&self) -> bool {
-        self.cfg.fan_fuse.unwrap_or(true)
-    }
-
-    /// The net's fault policy (fans run on their own dispatchers under
-    /// `Restart`, whose backoff sleep must not park co-scheduled
-    /// lanes).
-    pub(crate) fn fault_policy(&self) -> FaultPolicy {
-        self.cfg.fault_policy
-    }
-
-    /// An explicit per-edge capacity override for `edge`, if one was
-    /// configured (`Some(0)` = explicitly unbounded).
-    pub(crate) fn edge_override(&self, edge: Edge) -> Option<usize> {
-        self.cfg.bound_overrides.get(edge.name()).copied()
+    /// The net's configuration.
+    pub(crate) fn cfg(&self) -> &RunCfg {
+        &self.cfg
     }
 
     /// Creates a data edge owned by the component at `path`: bounded
@@ -248,9 +365,11 @@ impl Ctx {
     /// says so; a plain unbounded stream otherwise. Spawn-time API:
     /// the bounded arm takes the metrics registry locks.
     pub fn data_stream(&self, path: CompPath, edge: Edge) -> (Sender, Receiver) {
-        let cap = self
-            .edge_override(edge)
-            .unwrap_or_else(|| self.cfg.bound.unwrap_or(0));
+        // An override of 0 is "explicitly unbounded".
+        let cap = match self.cfg.bound_overrides.get(&edge) {
+            Some(&cap) => cap,
+            None => self.cfg.bound.unwrap_or(0),
+        };
         if cap == 0 {
             return stream();
         }
@@ -338,12 +457,13 @@ impl Ctx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instantiate::test_ctx;
     use crate::sched::WorkStealingPool;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn spawn_and_join() {
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let ctx = test_ctx(Vec::new());
         let n = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {
             let n = Arc::clone(&n);
@@ -363,7 +483,7 @@ mod tests {
             Arc::new(crate::sched::ThreadPerComponent) as Arc<dyn Executor>,
             Arc::new(WorkStealingPool::new(2)) as Arc<dyn Executor>,
         ] {
-            let ctx = Ctx::with_executor(Metrics::new(), Vec::new(), exec);
+            let ctx = Ctx::new(Metrics::new(), Vec::new(), exec, RunCfg::default());
             let n = Arc::new(AtomicUsize::new(0));
             {
                 let ctx2 = Arc::clone(&ctx);
@@ -387,7 +507,7 @@ mod tests {
             Arc::new(crate::sched::ThreadPerComponent) as Arc<dyn Executor>,
             Arc::new(WorkStealingPool::new(1)) as Arc<dyn Executor>,
         ] {
-            let ctx = Ctx::with_executor(Metrics::new(), Vec::new(), exec);
+            let ctx = Ctx::new(Metrics::new(), Vec::new(), exec, RunCfg::default());
             ctx.spawn("boom", async { panic!("component failure") });
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
             assert!(r.is_err());
@@ -401,7 +521,7 @@ mod tests {
         let obs: Observer = Arc::new(move |_path, _dir, _rec| {
             seen2.fetch_add(1, Ordering::Relaxed);
         });
-        let ctx = Ctx::new(Metrics::new(), vec![obs]);
+        let ctx = test_ctx(vec![obs]);
         assert!(ctx.has_observers());
         let p = CompPath::root("p");
         ctx.observe(p, Dir::In, &Record::new());

@@ -65,10 +65,9 @@
 //! no time dependence — so a soak run is reproducible from its seed
 //! and a poison record panics again on every [`FaultPolicy::Restart`]
 //! retry (the per-stage record counter does not advance on retries).
-//! Enable per net with [`crate::NetBuilder::chaos`] or process-wide
-//! with `SNET_CHAOS=seed:rate[:stall_rate:stall_ms]`
-//! ([`ChaosConfig::from_env`]); `SNET_FAULT_POLICY=failnet|skip|`
-//! `restart[:retries:backoff_ms]` selects the policy the same way.
+//! Enable per net with [`crate::NetBuilder::chaos`]; the process-wide
+//! `SNET_CHAOS` and `SNET_FAULT_POLICY` are read, with every other
+//! variable, by [`crate::RunCfg::try_from_env`].
 
 use crate::metrics::{keys, Counter, Metrics};
 use crate::path::CompPath;
@@ -105,16 +104,6 @@ pub enum FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// The process-default policy from `SNET_FAULT_POLICY`:
-    /// `failnet` (default), `skip`, `restart` (3 retries, 1 ms
-    /// backoff) or `restart:RETRIES:BACKOFF_MS`.
-    pub fn from_env() -> FaultPolicy {
-        std::env::var("SNET_FAULT_POLICY")
-            .ok()
-            .and_then(|v| FaultPolicy::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Whether this policy can block a stage mid-record (the restart
     /// backoff sleep). Fused fans check this at spawn and fall back
     /// to the unfused topology: inside one fused component the sleep
@@ -127,8 +116,9 @@ impl FaultPolicy {
         matches!(self, FaultPolicy::Restart { .. })
     }
 
-    /// Parses the `SNET_FAULT_POLICY` syntax; `None` on anything
-    /// unrecognised (callers fall back to the default).
+    /// Parses the `SNET_FAULT_POLICY` syntax — `failnet`, `skip`,
+    /// `restart` (3 retries, 1 ms backoff) or
+    /// `restart:RETRIES:BACKOFF_MS`; `None` on anything else.
     pub fn parse(s: &str) -> Option<FaultPolicy> {
         let s = s.trim();
         match s {
@@ -179,14 +169,8 @@ impl ChaosConfig {
         }
     }
 
-    /// The process-default injection from `SNET_CHAOS`
-    /// (`seed:rate[:stall_rate:stall_ms]`); `None` when unset or
-    /// unparsable — injection never engages by accident.
-    pub fn from_env() -> Option<ChaosConfig> {
-        ChaosConfig::parse(&std::env::var("SNET_CHAOS").ok()?)
-    }
-
-    /// Parses the `SNET_CHAOS` syntax.
+    /// Parses the `SNET_CHAOS` syntax,
+    /// `seed:rate[:stall_rate:stall_ms]`; `None` on anything else.
     pub fn parse(s: &str) -> Option<ChaosConfig> {
         let mut parts = s.trim().split(':');
         let seed = parts.next()?.trim().parse().ok()?;

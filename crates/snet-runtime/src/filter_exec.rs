@@ -16,14 +16,12 @@
 //! construction, so the check cannot conflate them.
 
 use crate::ctx::Ctx;
-use crate::fused::{spawn_stage_run, StageCore};
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
 use crate::path::CompPath;
-use crate::stream::{Dir, Receiver};
+use crate::stream::Dir;
 use snet_lang::FilterDef;
 use snet_types::{Record, Shape};
-use std::sync::Arc;
 
 /// The per-record execution core of one filter instance — everything
 /// except the stream loop. Path interning and counter registration
@@ -124,109 +122,74 @@ impl FilterCore {
     }
 }
 
-/// Spawns a filter component — a stage run of length 1 — applying
-/// `def` to every incoming record.
-pub fn spawn_filter(
-    ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
-    def: FilterDef,
-    input: Receiver,
-) -> Receiver {
-    let core = FilterCore::new(ctx, path.into(), def);
-    spawn_stage_run(ctx, core.path(), vec![StageCore::Filter(core)], input)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::metrics::Metrics;
-    use crate::stream::{stream, Msg};
+    use crate::instantiate::{run_msgs_to_end, run_to_end, test_ctx};
+    use crate::plan::PNode;
+    use crate::stream::Msg;
     use snet_lang::parse_filter;
     use snet_types::Record;
+    use std::sync::Arc;
 
-    fn test_ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
+    /// The plan leaf of the filter `src`.
+    fn filter_leaf(src: &str) -> Arc<PNode> {
+        Arc::new(PNode::Filter {
+            def: parse_filter(src).unwrap(),
+        })
     }
 
     #[test]
     fn filter_duplicates_records() {
         // The paper's two-output filter produces two records per input.
-        let ctx = test_ctx();
-        let def = parse_filter("[{a,b,<c>} -> {a, z=a, <t>}; {b, a=b, <c>=<c>+1}]").unwrap();
-        let (tx, input) = stream();
-        let out = spawn_filter(&ctx, "net", def, input);
-        tx.send(Msg::Rec(
-            Record::build()
-                .field("a", 1i64)
-                .field("b", 2i64)
-                .tag("c", 9)
-                .finish(),
-        ))
-        .unwrap();
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(Msg::Rec(r)) = out.recv() {
-            got.push(r);
-        }
+        let ctx = test_ctx(Vec::new());
+        let leaf = filter_leaf("[{a,b,<c>} -> {a, z=a, <t>}; {b, a=b, <c>=<c>+1}]");
+        let input = Record::build()
+            .field("a", 1i64)
+            .field("b", 2i64)
+            .tag("c", 9)
+            .finish();
+        let got = run_to_end(&ctx, &leaf, [input]);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].tag("t"), Some(0));
         assert_eq!(got[1].tag("c"), Some(10));
-        ctx.join_all();
         assert_eq!(ctx.metrics.get("net/filter/records_in"), 1);
         assert_eq!(ctx.metrics.get("net/filter/records_out"), 2);
     }
 
     #[test]
     fn fig2_style_tag_injection() {
-        let ctx = test_ctx();
-        let def = parse_filter("[{} -> {<k>=1}]").unwrap();
-        let (tx, input) = stream();
-        let out = spawn_filter(&ctx, "net", def, input);
-        tx.send(Msg::Rec(Record::build().field("board", 1i64).finish()))
-            .unwrap();
-        drop(tx);
-        match out.recv().unwrap() {
-            Msg::Rec(r) => {
-                assert_eq!(r.tag("k"), Some(1));
-                assert!(r.field("board").is_some()); // flow inheritance
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        ctx.join_all();
+        let input = Record::build().field("board", 1i64).finish();
+        let got = run_to_end(
+            &test_ctx(Vec::new()),
+            &filter_leaf("[{} -> {<k>=1}]"),
+            [input],
+        );
+        assert_eq!(got[0].tag("k"), Some(1));
+        assert!(got[0].field("board").is_some()); // flow inheritance
     }
 
     #[test]
     fn sorts_flow_through_filters() {
-        let ctx = test_ctx();
-        let def = parse_filter("[{} -> {<x>=1}]").unwrap();
-        let (tx, input) = stream();
-        let out = spawn_filter(&ctx, "net", def, input);
-        tx.send(Msg::Sort {
+        let sort = Msg::Sort {
             level: 1,
             counter: 3,
-        })
-        .unwrap();
-        drop(tx);
-        assert_eq!(
-            out.recv().unwrap(),
-            Msg::Sort {
-                level: 1,
-                counter: 3
-            }
+        };
+        let got = run_msgs_to_end(
+            &test_ctx(Vec::new()),
+            &filter_leaf("[{} -> {<x>=1}]"),
+            [sort.clone()],
         );
-        ctx.join_all();
+        assert_eq!(got, [sort]);
     }
 
     #[test]
     fn non_matching_record_panics() {
-        let ctx = test_ctx();
-        let def = parse_filter("[{needed} -> {needed}]").unwrap();
-        let (tx, input) = stream();
-        let _out = spawn_filter(&ctx, "net", def, input);
-        tx.send(Msg::Rec(Record::build().tag("other", 1).finish()))
-            .unwrap();
-        drop(tx);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
+        let ctx = test_ctx(Vec::new());
+        let leaf = filter_leaf("[{needed} -> {needed}]");
+        let input = Record::build().tag("other", 1).finish();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_to_end(&ctx, &leaf, [input])
+        }));
         assert!(r.is_err());
     }
 
@@ -235,24 +198,16 @@ mod tests {
         // The memo-hit path: many records of the same two types — only
         // the first of each pays the subset test; all must be admitted
         // (and transformed) identically.
-        let ctx = test_ctx();
-        let def = parse_filter("[{a} -> {a, <seen>=1}]").unwrap();
-        let (tx, input) = stream();
-        let out = spawn_filter(&ctx, "net", def, input);
-        for i in 0..50i64 {
+        let ctx = test_ctx(Vec::new());
+        let inputs = (0..50i64).map(|i| {
             // Alternate two distinct admitted types: {a} and {a,b}.
             let mut b = Record::build().field("a", i);
             if i % 2 == 1 {
                 b = b.field("b", i);
             }
-            tx.send(Msg::Rec(b.finish())).unwrap();
-        }
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(Msg::Rec(r)) = out.recv() {
-            got.push(r);
-        }
-        ctx.join_all();
+            b.finish()
+        });
+        let got = run_to_end(&ctx, &filter_leaf("[{a} -> {a, <seen>=1}]"), inputs);
         assert_eq!(got.len(), 50);
         for (i, r) in got.iter().enumerate() {
             assert_eq!(r.field("a").unwrap().as_int(), Some(i as i64));
@@ -269,20 +224,16 @@ mod tests {
         // collision case its element-wise guard exists for. Admitting
         // field-`k` records first must not leak an acceptance onto the
         // tag-`k` type: the tag record still panics the component.
-        let ctx = test_ctx();
-        let def = parse_filter("[{k} -> {k}]").unwrap();
-        let (tx, input) = stream();
-        let _out = spawn_filter(&ctx, "net", def, input);
-        // Warm the memo with the admitted field type...
-        for i in 0..10i64 {
-            tx.send(Msg::Rec(Record::build().field("k", i).finish()))
-                .unwrap();
-        }
-        // ...then hit it with the colliding tag type.
-        tx.send(Msg::Rec(Record::build().tag("k", 1).finish()))
-            .unwrap();
-        drop(tx);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.join_all()));
+        let ctx = test_ctx(Vec::new());
+        let leaf = filter_leaf("[{k} -> {k}]");
+        // Warm the memo with the admitted field type, then hit it with
+        // the colliding tag type.
+        let inputs = (0..10i64)
+            .map(|i| Record::build().field("k", i).finish())
+            .chain([Record::build().tag("k", 1).finish()]);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_to_end(&ctx, &leaf, inputs)
+        }));
         assert!(r.is_err(), "tag-k record must not ride the field-k memo");
     }
 }

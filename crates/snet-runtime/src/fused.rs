@@ -1,6 +1,7 @@
 //! The stage-run driver: one component running a chain of SISO stages.
 //! It is the only record loop boxes and filters have — a lone box or
-//! filter is a run of length 1 ([`spawn_stage_run`]).
+//! filter is a run of length 1 ([`crate::instantiate`] builds a leaf
+//! through [`stage_core`] and [`spawn_stage_run`]).
 //!
 //! A [`crate::plan::PNode::Fused`] node is a maximal `Serial` run of
 //! boxes and filters collapsed by the fusion pass (see
@@ -114,7 +115,7 @@ pub(crate) enum StageCore {
 /// `box:{name}` / `filter` / `split`-style child comes from the core
 /// constructor): the per-stage spawn bookkeeping of every stage,
 /// wherever the plan put it.
-fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
+pub(crate) fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
     match leaf {
         PNode::Box { name, sig, imp } => StageCore::Box(BoxCore::new(
             ctx,
@@ -134,8 +135,9 @@ fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
 }
 
 /// A fused run's stage cores, each registered under its recorded
-/// suffix below `path`.
-fn run_cores(ctx: &Ctx, path: CompPath, stages: &[FusedStage]) -> Vec<StageCore> {
+/// suffix below `path` — at spawn, so metrics and observers match the
+/// unfused topology exactly.
+pub(crate) fn run_cores(ctx: &Ctx, path: CompPath, stages: &[FusedStage]) -> Vec<StageCore> {
     stages
         .iter()
         .map(|stage| stage_core(ctx, path.descend(&stage.suffix), &stage.leaf))
@@ -194,7 +196,7 @@ impl StageCore {
         }
     }
 
-    fn path(&self) -> CompPath {
+    pub(crate) fn path(&self) -> CompPath {
         match self {
             StageCore::Box(core) => core.path(),
             StageCore::Filter(core) => core.path(),
@@ -299,24 +301,10 @@ fn run_stages(
     units + batch.len()
 }
 
-/// Spawns a fused pipeline as a single component. Each stage's
-/// sub-path is registered here, at spawn, so metrics and observers
-/// match the unfused topology exactly.
-pub fn spawn_fused(
-    ctx: &Arc<Ctx>,
-    path: impl Into<CompPath>,
-    stages: &[FusedStage],
-    input: Receiver,
-) -> Receiver {
-    let path = path.into();
-    spawn_stage_run(ctx, path, run_cores(ctx, path, stages), input)
-}
-
 /// The stage-run driver: **the** record loop of every box and filter,
 /// on every executor and every edge. One component runs `cores` in
 /// order between `input` and a data edge `{owner}/out`; a lone box or
-/// filter ([`crate::boxfn::spawn_box`],
-/// [`crate::filter_exec::spawn_filter`]) is a run of length 1.
+/// filter is a run of length 1.
 pub(crate) fn spawn_stage_run(
     ctx: &Arc<Ctx>,
     owner: CompPath,
@@ -378,9 +366,10 @@ pub(crate) fn spawn_stage_run(
 ///   handoff — stricter than any capacity — and backpressure still
 ///   propagates through the fan's own input edge.)
 pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
-    ctx.fan_fuse()
-        && !ctx.fault_policy().restarts()
-        && !matches!(ctx.edge_override(Edge::Dispatch), Some(n) if n > 0)
+    let cfg = ctx.cfg();
+    cfg.fan_fuse
+        && !cfg.fault_policy.restarts()
+        && !matches!(cfg.bound_overrides.get(&Edge::Dispatch), Some(&n) if n > 0)
 }
 
 /// A fused fan's dispatch-and-lane state: the combinator's own router
@@ -623,10 +612,8 @@ pub fn spawn_fused_fan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instantiate::run_to_end;
-    use crate::metrics::Metrics;
+    use crate::instantiate::{run_msgs_to_end, run_to_end, test_ctx};
     use crate::plan::{compile_cfg, Bindings, PNode};
-    use crate::stream::stream;
     use snet_lang::{parse_net_expr, parse_program};
     use std::sync::Arc;
 
@@ -654,7 +641,7 @@ mod tests {
     }
 
     fn drive(root: &Arc<PNode>, n: i64) -> Vec<i64> {
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let ctx = test_ctx(Vec::new());
         let inputs = (0..n).map(|x| Record::build().field("x", x).finish());
         run_to_end(&ctx, root, inputs)
             .iter()
@@ -681,24 +668,18 @@ mod tests {
     #[test]
     fn sort_records_stay_behind_cascaded_data() {
         let root = fused_plan("fan .. fan");
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
-        let (tx, in_rx) = stream();
-        let out = crate::instantiate::instantiate(&ctx, &root, "net", in_rx);
-        tx.send(Msg::Rec(Record::build().field("x", 1i64).finish()))
-            .unwrap();
-        tx.send(Msg::Sort {
-            level: 0,
-            counter: 0,
-        })
-        .unwrap();
-        tx.send(Msg::Rec(Record::build().field("x", 2i64).finish()))
-            .unwrap();
-        drop(tx);
-        let mut msgs = Vec::new();
-        while let Ok(m) = out.recv() {
-            msgs.push(m);
-        }
-        ctx.join_all();
+        let msgs = run_msgs_to_end(
+            &test_ctx(Vec::new()),
+            &root,
+            [
+                Msg::Rec(Record::build().field("x", 1i64).finish()),
+                Msg::Sort {
+                    level: 0,
+                    counter: 0,
+                },
+                Msg::Rec(Record::build().field("x", 2i64).finish()),
+            ],
+        );
         // All 4 cascaded outputs of record 1, then the sort, then the
         // 4 outputs of record 2.
         assert_eq!(msgs.len(), 9);
@@ -742,7 +723,7 @@ mod tests {
     #[test]
     fn per_stage_metrics_are_registered_and_counted() {
         let root = fused_plan("inc .. fan .. inc");
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let ctx = test_ctx(Vec::new());
         let inputs = (0..3i64).map(|x| Record::build().field("x", x).finish());
         assert_eq!(run_to_end(&ctx, &root, inputs).len(), 6);
         // Exactly one component, but per-stage paths count as if

@@ -20,10 +20,8 @@
 //! downstream ever formats a path per record (see [`crate::ctx`] for
 //! the invariant).
 
-use crate::boxfn::spawn_box;
 use crate::ctx::Ctx;
-use crate::filter_exec::spawn_filter;
-use crate::fused::{fan_fusable_here, spawn_fused, spawn_fused_fan};
+use crate::fused::{fan_fusable_here, run_cores, spawn_fused_fan, spawn_stage_run, stage_core};
 use crate::parallel::spawn_parallel;
 use crate::path::CompPath;
 use crate::plan::{FanKind, PNode};
@@ -43,15 +41,15 @@ pub fn instantiate(
 ) -> Receiver {
     let path = path.into();
     match &**node {
-        PNode::Box { name, sig, imp } => {
-            spawn_box(ctx, path, name, sig.clone(), Arc::clone(imp), input)
+        PNode::Box { .. } | PNode::Filter { .. } => {
+            let core = stage_core(ctx, path, node);
+            spawn_stage_run(ctx, core.path(), vec![core], input)
         }
-        PNode::Filter { def } => spawn_filter(ctx, path, def.clone(), input),
         PNode::Serial { a, b } => {
             let mid = instantiate(ctx, a, path.child("s0"), input);
             instantiate(ctx, b, path.child("s1"), mid)
         }
-        PNode::Fused { stages } => spawn_fused(ctx, path, stages, input),
+        PNode::Fused { stages } => spawn_stage_run(ctx, path, run_cores(ctx, path, stages), input),
         PNode::Fan {
             kind,
             det,
@@ -95,30 +93,59 @@ pub fn instantiate(
     }
 }
 
+/// The unit tests' context: the default configuration on the shared
+/// pool.
+#[cfg(test)]
+pub(crate) fn test_ctx(observers: Vec<crate::stream::Observer>) -> Arc<Ctx> {
+    Ctx::new(
+        crate::metrics::Metrics::new(),
+        observers,
+        crate::sched::default_executor(),
+        crate::RunCfg::default(),
+    )
+}
+
 /// The unit tests' driver: instantiates `root` at `net`, feeds it
-/// `inputs`, closes the input and returns what came out once every
-/// component has finished (a component's panic resurfaces here).
+/// `inputs`, closes the input and returns every message that came out
+/// once every component has finished (a component's panic resurfaces
+/// here).
+#[cfg(test)]
+pub(crate) fn run_msgs_to_end(
+    ctx: &Arc<Ctx>,
+    root: &Arc<PNode>,
+    inputs: impl IntoIterator<Item = crate::stream::Msg>,
+) -> Vec<crate::stream::Msg> {
+    let (tx, in_rx) = crate::stream::stream();
+    let out = instantiate(ctx, root, "net", in_rx);
+    for msg in inputs {
+        tx.send(msg).unwrap();
+    }
+    drop(tx);
+    let msgs = out.iter().collect();
+    ctx.join_all();
+    msgs
+}
+
+/// [`run_msgs_to_end`] for a test that deals in data records only.
 #[cfg(test)]
 pub(crate) fn run_to_end(
     ctx: &Arc<Ctx>,
     root: &Arc<PNode>,
     inputs: impl IntoIterator<Item = snet_types::Record>,
 ) -> Vec<snet_types::Record> {
-    let (tx, in_rx) = crate::stream::stream();
-    let out = instantiate(ctx, root, "net", in_rx);
-    for rec in inputs {
-        tx.send(crate::stream::Msg::Rec(rec)).unwrap();
-    }
-    drop(tx);
-    let recs = crate::net::collect_records(out);
-    ctx.join_all();
-    recs
+    use crate::stream::Msg;
+    run_msgs_to_end(ctx, root, inputs.into_iter().map(Msg::Rec))
+        .into_iter()
+        .filter_map(|msg| match msg {
+            Msg::Rec(rec) => Some(rec),
+            Msg::Sort { .. } => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
     use crate::plan::{compile, Bindings};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
@@ -143,7 +170,7 @@ mod tests {
             });
         let ast = parse_net_expr("inc .. dbl .. inc").unwrap();
         let plan = compile(&ast, &env, &b).unwrap();
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let ctx = test_ctx(Vec::new());
         let inputs = (0..5i64).map(|x| Record::build().field("x", x).finish());
         let got: Vec<i64> = run_to_end(&ctx, &plan.root, inputs)
             .iter()
@@ -162,7 +189,7 @@ mod tests {
         let ast = parse_net_expr("f .. f").unwrap();
         let plan = compile(&ast, &env, &b).unwrap();
         for _ in 0..2 {
-            let ctx = Ctx::new(Metrics::new(), Vec::new());
+            let ctx = test_ctx(Vec::new());
             run_to_end(
                 &ctx,
                 &plan.root,

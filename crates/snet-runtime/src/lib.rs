@@ -62,10 +62,10 @@ pub use ctx::{Ctx, RunCfg};
 pub use fault::{ChaosConfig, Fault, FaultObserver, FaultPolicy};
 pub use memo::TypeMemo;
 pub use metrics::{Counter, Metrics};
-pub use net::{collect_records, BuildError, Net, NetBuilder, OverloadPolicy, SendRejected};
+pub use net::{BuildError, Net, NetBuilder, OverloadPolicy, SendRejected};
 pub use parallel::{RouteCache, RouteClass};
 pub use path::CompPath;
-pub use plan::{compile, compile_cfg, fuse, fuse_default, Bindings, CompileError, Plan};
+pub use plan::{compile, compile_cfg, fuse, Bindings, CompileError, Plan};
 pub use sched::{Executor, ThreadPerComponent, WorkStealingPool};
 pub use serve::{
     run_open_loop, CallError, CallHandle, CallOpts, DrainReport, LoadReport, OpenLoopCfg, Response,

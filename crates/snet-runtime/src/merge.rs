@@ -435,7 +435,7 @@ async fn drain_branch_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
+    use crate::instantiate::test_ctx;
     use crate::stream::stream;
     use snet_types::Record;
 
@@ -450,10 +450,6 @@ mod tests {
         }
     }
 
-    fn test_ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
-    }
-
     fn closed_control() -> chan::Receiver<BranchSpec> {
         let (tx, rx) = chan::channel();
         drop(tx);
@@ -462,7 +458,7 @@ mod tests {
 
     #[test]
     fn nondet_merges_all_records() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (t1, r1) = stream();
         let (t2, r2) = stream();
         let (out_tx, out_rx) = stream();
@@ -492,7 +488,7 @@ mod tests {
 
     #[test]
     fn nondet_preserves_per_branch_order() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (t1, r1) = stream();
         let (t2, r2) = stream();
         let (out_tx, out_rx) = stream();
@@ -530,7 +526,7 @@ mod tests {
         // Branch streams as a det dispatcher would produce them for
         // inputs routed 0->A, 1->B, 2->A. Branch B is slow conceptually
         // but det merge must still emit 0,1,2.
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (tb, rb) = stream();
         let (out_tx, out_rx) = stream();
@@ -590,7 +586,7 @@ mod tests {
 
     #[test]
     fn det_consumes_own_sorts() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (out_tx, out_rx) = stream();
         spawn_merge(
@@ -616,7 +612,7 @@ mod tests {
 
     #[test]
     fn det_forwards_outer_sorts_once() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (tb, rb) = stream();
         let (out_tx, out_rx) = stream();
@@ -671,7 +667,7 @@ mod tests {
 
     #[test]
     fn nondet_sort_barrier_holds_back_later_data() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (tb, rb) = stream();
         let (out_tx, out_rx) = stream();
@@ -719,7 +715,7 @@ mod tests {
 
     #[test]
     fn dynamic_branch_join_nondet() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
         let (out_tx, out_rx) = stream();
@@ -747,7 +743,7 @@ mod tests {
 
     #[test]
     fn dynamic_branch_with_watermark_is_exempt_from_old_sorts() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (ta, ra) = stream();
         let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
         let (out_tx, out_rx) = stream();
@@ -798,7 +794,7 @@ mod tests {
 
     #[test]
     fn empty_merge_terminates() {
-        let ctx = test_ctx();
+        let ctx = test_ctx(Vec::new());
         let (out_tx, out_rx) = stream();
         spawn_merge(
             &ctx,

@@ -1,7 +1,7 @@
 //! The public face of the runtime: building and driving networks.
 //!
 //! ```
-//! use snet_runtime::{NetBuilder, collect_records};
+//! use snet_runtime::NetBuilder;
 //! use snet_types::Record;
 //!
 //! let mut net = NetBuilder::from_source(
@@ -21,20 +21,19 @@
 //! assert_eq!(outputs[0].field("x").unwrap().as_int(), Some(42));
 //! ```
 
-use crate::ctx::{Ctx, Edge, RunCfg};
+use crate::ctx::{ConfigError, Ctx, Edge, RunCfg};
 use crate::fault::{ChaosConfig, Fault, FaultObserver, FaultPolicy};
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::metrics::{keys, Metrics};
 use crate::path::CompPath;
 use crate::plan::{Bindings, CompileError, Plan};
-use crate::sched::{ConfigError, Executor};
+use crate::sched::Executor;
 use crate::stream::chan::TryFeedError;
 use crate::stream::{Msg, Observer, Receiver, Sender};
 use parking_lot::RwLock;
 use snet_lang::{parse_net_expr, parse_program, Env, NetAst, ParseError, Program};
 use snet_types::{MultiType, NetSig, Record};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,9 +45,11 @@ pub enum BuildError {
     Compile(CompileError),
     Type(snet_types::TypeError),
     UnknownNet(String),
-    /// A setting that can mean nothing: `SNET_WORKERS` is not a worker
-    /// count (see [`crate::sched`]), a zero lane count or bound, or a
-    /// [`NetBuilder::bound_for`] name that is no data edge.
+    /// A setting that can mean nothing: an `SNET_*` variable set to a
+    /// value it cannot hold (see [`RunCfg::try_from_env`]), a zero
+    /// lane count or bound, a [`NetBuilder::bound_for`] name that is
+    /// no data edge, or a [`NetBuilder::split_lanes_for`] tag no
+    /// replicator routes on.
     Config(ConfigError),
 }
 
@@ -96,17 +97,14 @@ pub struct NetBuilder {
     bindings: Bindings,
     observers: Vec<Observer>,
     executor: Option<Arc<dyn Executor>>,
-    split_lanes: Option<u32>,
-    split_lanes_by_tag: HashMap<String, u32>,
-    fuse: Option<bool>,
-    fan_fuse: Option<bool>,
-    bound: Option<usize>,
-    bound_overrides: HashMap<String, usize>,
-    overload: OverloadPolicy,
-    fault_policy: Option<FaultPolicy>,
-    chaos: Option<ChaosConfig>,
+    /// The net's configuration: what [`RunCfg::try_from_env`] read
+    /// when the builder was made, as the setters have assigned over it
+    /// since — so a setter beats the environment and the last call of
+    /// a setter wins.
+    cfg: RunCfg,
     fault_observers: Vec<FaultObserver>,
-    /// The first setting rejected so far; `build*` returns it.
+    /// The first setting rejected so far — the environment's included;
+    /// `build*` returns it.
     invalid: Option<ConfigError>,
 }
 
@@ -119,31 +117,42 @@ impl NetBuilder {
 
     /// Starts from an already-parsed program.
     pub fn from_program(program: Program) -> NetBuilder {
+        NetBuilder::seeded(program, RunCfg::try_from_env())
+    }
+
+    /// A builder whose configuration starts from what the environment
+    /// said, or from the default with the reason it said nothing valid
+    /// as the first rejected setting.
+    fn seeded(program: Program, env: Result<RunCfg, ConfigError>) -> NetBuilder {
+        let (cfg, invalid) = match env {
+            Ok(cfg) => (cfg, None),
+            Err(err) => (RunCfg::default(), Some(err)),
+        };
         NetBuilder {
             program,
             bindings: Bindings::new(),
             observers: Vec::new(),
             executor: None,
-            split_lanes: None,
-            split_lanes_by_tag: HashMap::new(),
-            fuse: None,
-            fan_fuse: None,
-            bound: None,
-            bound_overrides: HashMap::new(),
-            overload: OverloadPolicy::Block,
-            fault_policy: None,
-            chaos: None,
+            cfg,
             fault_observers: Vec::new(),
-            invalid: None,
+            invalid,
         }
     }
 
-    /// Records `err` unless `ok`; the setters have no error channel,
-    /// so `build*` reports the first one.
+    /// `Some` of what was accepted, or `None` with the error recorded:
+    /// the setters have no error channel, so `build*` reports the first
+    /// one.
+    fn checked<T>(&mut self, setting: Result<T, ConfigError>) -> Option<T> {
+        setting
+            .map_err(|err| {
+                self.invalid.get_or_insert(err);
+            })
+            .ok()
+    }
+
+    /// Records `err` unless `ok` (see [`NetBuilder::checked`]).
     fn require(&mut self, ok: bool, err: ConfigError) {
-        if !ok {
-            self.invalid.get_or_insert(err);
-        }
+        self.checked(if ok { Ok(()) } else { Err(err) });
     }
 
     /// Binds a box implementation by name.
@@ -165,9 +174,8 @@ impl NetBuilder {
 
     /// Selects the executor the network's components run on. Default:
     /// the process-default executor — the shared work-stealing pool,
-    /// one worker per core unless `SNET_WORKERS` says otherwise (see
-    /// [`crate::sched`]); an invalid value there fails `build*` with
-    /// [`BuildError::Config`].
+    /// one worker per core unless [`RunCfg::workers`] says otherwise
+    /// (see [`crate::sched`]).
     pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
         self.executor = Some(executor);
         self
@@ -186,7 +194,7 @@ impl NetBuilder {
     /// [`BuildError::Config`].
     pub fn split_lanes(mut self, lanes: u32) -> Self {
         self.require(lanes > 0, ConfigError::ZeroLanes);
-        self.split_lanes = Some(lanes);
+        self.cfg.split_lanes = Some(lanes);
         self
     }
 
@@ -195,10 +203,11 @@ impl NetBuilder {
     /// [`NetBuilder::split_lanes`] setting (or unbounded unfolding).
     /// Use it when one tag is drawn from an unbounded domain but
     /// others are small and should keep the paper's value-indexed
-    /// replicas.
+    /// replicas. A tag no replicator of the built net routes on fails
+    /// `build*` with [`BuildError::Config`].
     pub fn split_lanes_for(mut self, tag: &str, lanes: u32) -> Self {
         self.require(lanes > 0, ConfigError::ZeroLanes);
-        self.split_lanes_by_tag.insert(tag.to_string(), lanes);
+        self.cfg.split_lanes_by_tag.insert(tag.to_string(), lanes);
         self
     }
 
@@ -208,24 +217,22 @@ impl NetBuilder {
     /// Sort records, merger-drained edges and the network's output
     /// edge stay exempt so deterministic merging cannot deadlock (see
     /// [`crate::stream`] and [`crate::sched`]). Default:
-    /// [`crate::ctx::DEFAULT_STREAM_BOUND`], overridable process-wide
-    /// with `SNET_STREAM_BOUND` (`0` = unbounded; see
-    /// [`RunCfg::from_env`]). What happens when the *ingress* edge is
-    /// full is the [`NetBuilder::overload`] policy. A capacity of zero
-    /// fails `build*` with [`BuildError::Config`]; lifting the default
-    /// bound is [`NetBuilder::unbounded`].
+    /// [`crate::ctx::DEFAULT_STREAM_BOUND`] ([`RunCfg::bound`]). What
+    /// happens when the *ingress* edge is full is the
+    /// [`NetBuilder::overload`] policy. A capacity of zero fails
+    /// `build*` with [`BuildError::Config`]; lifting the default bound
+    /// is [`NetBuilder::unbounded`].
     pub fn bound(mut self, cap: usize) -> Self {
         self.require(cap > 0, ConfigError::ZeroBound);
-        self.bound = Some(cap);
+        self.cfg.bound = Some(cap);
         self
     }
 
     /// Removes the data-edge bound for this network: every edge grows
-    /// without backpressure, the seed's behaviour. The per-net
-    /// rendering of `SNET_STREAM_BOUND=0`, and the escape hatch from
-    /// the bounded default.
+    /// without backpressure, the seed's behaviour — the escape hatch
+    /// from the bounded default.
     pub fn unbounded(mut self) -> Self {
-        self.bound = Some(0);
+        self.cfg.bound = None;
         self
     }
 
@@ -241,11 +248,9 @@ impl NetBuilder {
     /// level, back on its own dispatcher, exactly like
     /// [`NetBuilder::fuse_fan`]`(false)`.
     pub fn bound_for(mut self, edge: &str, cap: usize) -> Self {
-        self.require(
-            Edge::ALL.iter().any(|e| e.name() == edge),
-            ConfigError::UnknownEdge(edge.to_string()),
-        );
-        self.bound_overrides.insert(edge.to_string(), cap);
+        if let Some(edge) = self.checked(Edge::from_name(edge)) {
+            self.cfg.bound_overrides.insert(edge, cap);
+        }
         self
     }
 
@@ -253,21 +258,20 @@ impl NetBuilder {
     /// is full (default: [`OverloadPolicy::Block`]). Irrelevant while
     /// the network is unbounded.
     pub fn overload(mut self, policy: OverloadPolicy) -> Self {
-        self.overload = policy;
+        self.cfg.overload = policy;
         self
     }
 
     /// Enables or disables the pipeline fusion pass for this network
     /// (see [`crate::plan`]): fused, a maximal `Serial` chain of boxes
     /// and filters runs as **one** scheduled component instead of one
-    /// per stage. Default: on, unless `SNET_FUSE=0` is set
-    /// process-wide. Output (including deterministic ordering) and
-    /// per-stage metrics paths are identical either way — the escape
-    /// hatch exists to keep the unfused topology testable and to
-    /// restore the paper's literal one-component-per-stage execution
-    /// model.
+    /// per stage. Default: on ([`RunCfg::fuse`]). Output (including
+    /// deterministic ordering) and per-stage metrics paths are
+    /// identical either way — the escape hatch exists to keep the
+    /// unfused topology testable and to restore the paper's literal
+    /// one-component-per-stage execution model.
     pub fn fuse(mut self, fuse: bool) -> Self {
-        self.fuse = Some(fuse);
+        self.cfg.fuse = fuse;
         self
     }
 
@@ -284,7 +288,7 @@ impl NetBuilder {
     /// `slow || fast`) run concurrently. Output and per-stage metrics
     /// paths are identical either way.
     pub fn fuse_fan(mut self, fuse: bool) -> Self {
-        self.fan_fuse = Some(fuse);
+        self.cfg.fan_fuse = fuse;
         self
     }
 
@@ -294,22 +298,20 @@ impl NetBuilder {
     /// record and keep the component alive
     /// ([`FaultPolicy::SkipRecord`]), or retry the stage with bounded
     /// exponential backoff before giving up to a skip
-    /// ([`FaultPolicy::Restart`]). Per-net setting; the process
-    /// default comes from `SNET_FAULT_POLICY`. Deterministic merge
-    /// output is unaffected by containment — see the failure-model
-    /// notes in [`crate::sched`].
+    /// ([`FaultPolicy::Restart`]). Deterministic merge output is
+    /// unaffected by containment — see the failure-model notes in
+    /// [`crate::sched`].
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = Some(policy);
+        self.cfg.fault_policy = policy;
         self
     }
 
     /// Enables deterministic fault injection at every box/filter
     /// boundary of this network (see [`ChaosConfig`]): seeded
     /// probabilistic panics and stalls, reproducible run-to-run from
-    /// the seed. Testing/soak knob; the process default comes from
-    /// `SNET_CHAOS`.
+    /// the seed. Testing/soak knob.
     pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = Some(chaos);
+        self.cfg.chaos = Some(chaos);
         self
     }
 
@@ -346,29 +348,21 @@ impl NetBuilder {
         if let Some(err) = self.invalid {
             return Err(err.into());
         }
-        let fuse = self.fuse.unwrap_or_else(crate::plan::fuse_default);
-        let plan = crate::plan::compile_cfg(ast, env, &self.bindings, fuse)?;
-        let executor = match self.executor {
-            Some(executor) => executor,
-            None => crate::sched::try_default_executor()?,
-        };
-        let cfg = RunCfg {
-            // Per-net setting beats the process default; an explicit
-            // `unbounded()` is stored as `Some(0)` and resolves to no
-            // bound at all.
-            bound: match self.bound {
-                Some(0) => None,
-                Some(n) => Some(n),
-                None => RunCfg::from_env().bound,
-            },
-            bound_overrides: self.bound_overrides,
-            split_lanes: self.split_lanes,
-            split_lanes_by_tag: self.split_lanes_by_tag,
-            fan_fuse: self.fan_fuse,
-            fault_policy: self.fault_policy.unwrap_or_else(FaultPolicy::from_env),
-            chaos: self.chaos.or_else(ChaosConfig::from_env),
-        };
-        let net = Net::spawn_full(plan, self.observers, executor, cfg, self.overload);
+        let plan = crate::plan::compile_cfg(ast, env, &self.bindings, self.cfg.fuse)?;
+        // A lane bound for a tag nothing routes on would silently
+        // bound nothing.
+        if let Some(tag) = self
+            .cfg
+            .split_lanes_by_tag
+            .keys()
+            .find(|tag| !plan.root.splits_on(tag))
+        {
+            return Err(ConfigError::UnknownSplitTag(tag.clone()).into());
+        }
+        let executor = self
+            .executor
+            .unwrap_or_else(|| crate::sched::shared_pool(self.cfg.workers));
+        let net = Net::spawn(plan, self.observers, executor, self.cfg);
         // No records flow until the caller sends, so subscribing
         // right after spawn cannot miss a fault.
         for obs in self.fault_observers {
@@ -492,67 +486,29 @@ pub(crate) fn send_policy(
     }
 }
 
-/// The pieces of a running network the serve layer builds on: the
-/// ingress sender, the egress receiver, the shared context and the
-/// boundary type gate (see [`Net::into_serve_parts`]).
-pub(crate) struct ServeParts {
-    pub(crate) input: Sender,
-    pub(crate) output: Receiver,
-    pub(crate) ctx: Arc<Ctx>,
-    pub(crate) boundary: Boundary,
-    pub(crate) overload: OverloadPolicy,
-}
-
 /// A running network: one global input stream, one global output
 /// stream (networks are SISO, like every component).
 pub struct Net {
-    input: Option<Sender>,
-    output: Receiver,
-    ctx: Arc<Ctx>,
-    boundary: Boundary,
-    /// What [`Net::send`] does when the bounded ingress edge is full.
-    overload: OverloadPolicy,
+    // Crate-visible: the serve layer ([`crate::serve`]) takes a net
+    // apart into a request/response front door over the same parts.
+    pub(crate) input: Option<Sender>,
+    pub(crate) output: Receiver,
+    pub(crate) ctx: Arc<Ctx>,
+    pub(crate) boundary: Boundary,
 }
 
 impl Net {
-    /// Spawns a compiled plan on the process-default executor (and
-    /// the process-default stream bound, `SNET_STREAM_BOUND`).
-    pub fn spawn(plan: Plan, observers: Vec<Observer>) -> Net {
-        Net::spawn_on(plan, observers, crate::sched::default_executor())
-    }
-
-    /// Spawns a compiled plan on an explicit executor.
-    pub fn spawn_on(plan: Plan, observers: Vec<Observer>, executor: Arc<dyn Executor>) -> Net {
-        Net::spawn_full(
-            plan,
-            observers,
-            executor,
-            RunCfg::from_env(),
-            OverloadPolicy::Block,
-        )
-    }
-
-    /// Spawns a compiled plan on an explicit executor with runtime
-    /// options (stream bounds, split-lane namespaces; see [`RunCfg`]).
-    pub fn spawn_cfg(
+    /// Spawns a compiled plan on `executor` under `cfg` — stream
+    /// bounds, split-lane namespaces, fault policy, the ingress
+    /// overload policy; see [`RunCfg`]. (`cfg.fuse` and `cfg.workers`
+    /// were for whoever compiled the plan and made the executor.)
+    pub fn spawn(
         plan: Plan,
         observers: Vec<Observer>,
         executor: Arc<dyn Executor>,
         cfg: RunCfg,
     ) -> Net {
-        Net::spawn_full(plan, observers, executor, cfg, OverloadPolicy::Block)
-    }
-
-    /// [`Net::spawn_cfg`] plus the ingress overload policy.
-    pub fn spawn_full(
-        plan: Plan,
-        observers: Vec<Observer>,
-        executor: Arc<dyn Executor>,
-        cfg: RunCfg,
-        overload: OverloadPolicy,
-    ) -> Net {
-        let metrics = Metrics::new();
-        let ctx = Ctx::with_config(metrics, observers, executor, cfg);
+        let ctx = Ctx::new(Metrics::new(), observers, executor, cfg);
         // The ingress edge is a data edge like any other: when the
         // net is bounded, `Net::send` is where backpressure reaches
         // the caller (via the overload policy).
@@ -578,7 +534,6 @@ impl Net {
             output,
             ctx,
             boundary: Boundary::new(plan.sig),
-            overload,
         }
     }
 
@@ -597,25 +552,6 @@ impl Net {
         self.boundary.sig()
     }
 
-    /// Decomposes the running network into the parts the serve layer
-    /// needs — the ingress sender, the egress receiver, the context
-    /// and the boundary gate. Crate-internal: only [`crate::serve`]
-    /// reassembles these into a request/response front door. Panics if
-    /// the input was already closed.
-    pub(crate) fn into_serve_parts(mut self) -> ServeParts {
-        let input = self
-            .input
-            .take()
-            .expect("cannot serve a network whose input is closed");
-        ServeParts {
-            input,
-            output: self.output,
-            ctx: self.ctx,
-            boundary: self.boundary,
-            overload: self.overload,
-        }
-    }
-
     /// Injects a record. Fails when the record does not match any
     /// input variant (the same check routing would fail on later, but
     /// surfaced synchronously at the boundary) or when the input was
@@ -628,7 +564,7 @@ impl Net {
             Some(tx) => tx,
             None => return Err(SendRejected::Closed),
         };
-        send_policy(tx, rec, self.overload)
+        send_policy(tx, rec, self.ctx.cfg().overload)
     }
 
     /// Closes the input stream; the network will drain and terminate.
@@ -714,7 +650,7 @@ impl fmt::Debug for Net {
 
 /// What [`Net::send`] does when the network's bounded ingress edge is
 /// full — the graceful-degradation knob ([`NetBuilder::overload`]).
-/// Irrelevant while the network is unbounded (the default).
+/// Irrelevant while the network is unbounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Park the calling thread until capacity frees (or the network
@@ -767,17 +703,6 @@ impl fmt::Display for SendRejected {
 }
 
 impl std::error::Error for SendRejected {}
-
-/// Drains a raw stream into its data records (test/bench helper).
-pub fn collect_records(rx: Receiver) -> Vec<Record> {
-    let mut out = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        if let Msg::Rec(r) = msg {
-            out.push(r);
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -854,6 +779,12 @@ mod tests {
         }
     }
 
+    /// `one = id !! <k>` under the environment `env` came to.
+    fn split_builder(env: Result<RunCfg, ConfigError>) -> NetBuilder {
+        let src = "box id (x, <k>) -> (x, <k>);\nnet one = id !! <k>;";
+        NetBuilder::seeded(parse_program(src).unwrap(), env).bind("id", |r, e| e.emit(r.clone()))
+    }
+
     #[test]
     fn bound_for_rejects_a_name_that_is_no_data_edge() {
         // A typo of "dispatch" must not silently decide the topology;
@@ -884,6 +815,145 @@ mod tests {
             rejected(inc_builder().split_lanes_for("k", 0)),
             ConfigError::ZeroLanes
         );
+    }
+
+    #[test]
+    fn a_net_runs_under_the_environment_as_its_builder_amends_it() {
+        /// The environment, the setters called, and what that makes of
+        /// the default configuration.
+        type Case = (
+            &'static [(&'static str, &'static str)],
+            fn(NetBuilder) -> NetBuilder,
+            fn(&mut RunCfg),
+        );
+        const RESTART: FaultPolicy = FaultPolicy::Restart {
+            max_retries: 2,
+            backoff: Duration::from_millis(1),
+        };
+        let cases: [Case; 14] = [
+            // Unset / environment / setter / setter over environment.
+            (&[], |b| b, |_| ()),
+            (
+                &[("SNET_STREAM_BOUND", "64")],
+                |b| b,
+                |c| c.bound = Some(64),
+            ),
+            (&[("SNET_STREAM_BOUND", "0")], |b| b, |c| c.bound = None),
+            (&[], |b| b.bound(8), |c| c.bound = Some(8)),
+            (&[], |b| b.unbounded(), |c| c.bound = None),
+            (
+                &[("SNET_STREAM_BOUND", "64")],
+                |b| b.bound(8),
+                |c| c.bound = Some(8),
+            ),
+            (
+                &[("SNET_STREAM_BOUND", "64")],
+                |b| b.unbounded(),
+                |c| c.bound = None,
+            ),
+            (
+                &[("SNET_STREAM_BOUND", "0")],
+                |b| b.bound(8),
+                |c| c.bound = Some(8),
+            ),
+            (&[("SNET_FUSE", "0")], |b| b, |c| c.fuse = false),
+            (&[("SNET_FUSE", "0")], |b| b.fuse(true), |_| ()),
+            (&[("SNET_FUSE", "1")], |b| b.fuse(false), |c| c.fuse = false),
+            (
+                &[("SNET_FAULT_POLICY", "skip"), ("SNET_CHAOS", "7:0.5")],
+                |b| b,
+                |c| {
+                    c.fault_policy = FaultPolicy::SkipRecord;
+                    c.chaos = Some(ChaosConfig::new(7, 0.5));
+                },
+            ),
+            (
+                &[("SNET_FAULT_POLICY", "skip"), ("SNET_CHAOS", "7:0.5")],
+                |b| b.chaos(ChaosConfig::new(1, 0.0)).fault_policy(RESTART),
+                |c| {
+                    c.fault_policy = RESTART;
+                    c.chaos = Some(ChaosConfig::new(1, 0.0));
+                },
+            ),
+            // Every other setter, the last call of one winning.
+            (
+                &[("SNET_WORKERS", "3")],
+                |b| {
+                    b.fuse_fan(false)
+                        .split_lanes(9)
+                        .split_lanes(4)
+                        .split_lanes_for("k", 2)
+                        .bound_for("merge", 0)
+                        .bound_for("out", 16)
+                        .overload(OverloadPolicy::Shed)
+                },
+                |c| {
+                    c.workers = Some(3);
+                    c.fan_fuse = false;
+                    c.split_lanes = Some(4);
+                    c.split_lanes_by_tag = [("k".to_string(), 2)].into();
+                    c.bound_overrides = [(Edge::Merge, 0), (Edge::Out, 16)].into();
+                    c.overload = OverloadPolicy::Shed;
+                },
+            ),
+        ];
+        for (env, setters, amend) in cases {
+            // A pool of its own: the shared one is sized once.
+            let pool = Arc::new(crate::sched::WorkStealingPool::new(1));
+            let builder = split_builder(RunCfg::from_table(env)).executor(pool);
+            let net = setters(builder).build("one").unwrap();
+            let mut want = RunCfg::default();
+            amend(&mut want);
+            assert_eq!(net.ctx.cfg(), &want, "{env:?}");
+            let _ = net.finish();
+        }
+        // A value a variable cannot mean never reads as "default": it
+        // fails the build, whatever the setters say, naming the
+        // variable, the value as given and what was expected.
+        let bad: [(&str, &[&str]); 5] = [
+            ("SNET_STREAM_BOUND", &["abc", "-1", "", "1.5"]),
+            ("SNET_FUSE", &["off", "true", "2", ""]),
+            ("SNET_WORKERS", &["0", "two", "-1", "", "1.5"]),
+            ("SNET_FAULT_POLICY", &["skp", "restart:2", ""]),
+            ("SNET_CHAOS", &["1:2:3", "7", "7:1.5", ""]),
+        ];
+        for (var, values) in bad {
+            for value in values {
+                let env = RunCfg::from_table(&[(var, value)]);
+                let err = rejected(split_builder(env).fuse(true).bound(8));
+                assert!(
+                    matches!(&err, ConfigError::Env { var: v, value: got, .. }
+                        if *v == var && got == value),
+                    "{var}={value:?}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(
+            RunCfg::from_table(&[("SNET_WORKERS", "two")])
+                .unwrap_err()
+                .to_string(),
+            "SNET_WORKERS=\"two\": expected a positive integer"
+        );
+    }
+
+    #[test]
+    fn split_lanes_for_rejects_a_tag_no_replicator_routes_on() {
+        let split = || split_builder(Ok(RunCfg::default()));
+        // `x` is a field `id` reads, `kk` a typo, and `one` of
+        // `inc_builder` has no replicator at all.
+        for b in [
+            split().split_lanes_for("x", 4),
+            split().split_lanes_for("k", 4).split_lanes_for("kk", 4),
+            inc_builder().split_lanes_for("k", 4),
+        ] {
+            let err = rejected(b);
+            assert!(matches!(err, ConfigError::UnknownSplitTag(_)), "{err}");
+        }
+        let _ = split()
+            .split_lanes_for("k", 4)
+            .build("one")
+            .unwrap()
+            .finish();
     }
 
     #[test]

@@ -275,15 +275,10 @@ pub fn spawn_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instantiate::run_to_end;
-    use crate::metrics::Metrics;
+    use crate::instantiate::{run_to_end, test_ctx};
     use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
-
-    fn ctx() -> Arc<Ctx> {
-        Ctx::new(Metrics::new(), Vec::new())
-    }
 
     /// `expr` over two boxes whose input types are `lin` and `rin`;
     /// `left` emits `{l = 1}`, `right` emits `{r = 1}`, and the value
@@ -324,7 +319,7 @@ mod tests {
     fn routes_by_input_type() {
         for fuse in [true, false] {
             let plan = plan_lr("a", "b", "left || right", fuse);
-            let ctx = ctx();
+            let ctx = test_ctx(Vec::new());
             let mut got = sides(&run_to_end(&ctx, &plan.root, [int("a", 1), int("b", 2)]));
             got.sort();
             assert_eq!(got, vec![("l", 1), ("r", 2)]);
@@ -344,7 +339,11 @@ mod tests {
                 .field("y", 2i64)
                 .field("z", 3i64)
                 .finish();
-            let mut got = sides(&run_to_end(&ctx(), &plan.root, [rich, int("x", 4)]));
+            let mut got = sides(&run_to_end(
+                &test_ctx(Vec::new()),
+                &plan.root,
+                [rich, int("x", 4)],
+            ));
             got.sort();
             assert_eq!(got, vec![("l", 4), ("r", 1)]);
         }
@@ -357,7 +356,7 @@ mod tests {
             // be observably non-deterministic (both branches used across
             // many records) — paper Section 4.
             let plan = plan_lr("x", "x", "left || right", fuse);
-            let ctx = ctx();
+            let ctx = test_ctx(Vec::new());
             let recs = run_to_end(&ctx, &plan.root, (0..20).map(|i| int("x", i)));
             assert_eq!(recs.len(), 20);
             assert!(ctx.metrics.sum_matching("routed_left") > 0);
@@ -372,7 +371,7 @@ mod tests {
             // even though branches run at different speeds.
             let plan = plan_lr("a", "b", "left | right", fuse);
             let inputs = (0..30).map(|i| int(if i % 2 == 0 { "a" } else { "b" }, i));
-            let got = sides(&run_to_end(&ctx(), &plan.root, inputs));
+            let got = sides(&run_to_end(&test_ctx(Vec::new()), &plan.root, inputs));
             let want: Vec<(&str, i64)> = (0..30)
                 .map(|i| (if i % 2 == 0 { "l" } else { "r" }, i))
                 .collect();
@@ -468,7 +467,7 @@ mod tests {
         ] {
             for fuse in [true, false] {
                 let plan = plan_lr("a", "b", expr, fuse);
-                let ctx = ctx();
+                let ctx = test_ctx(Vec::new());
                 let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_to_end(&ctx, &plan.root, [int("zzz", 1)])
                 }))

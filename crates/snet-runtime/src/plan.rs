@@ -125,7 +125,8 @@
 //! ordering (all data dispatched before a sort is emitted before it)
 //! holds trivially.
 //!
-//! Fusion is on by default; `SNET_FUSE=0` (process-wide) or
+//! Fusion is on by default ([`crate::RunCfg::fuse`]); `SNET_FUSE=0`
+//! (process-wide, see [`crate::RunCfg::try_from_env`]) or
 //! [`crate::NetBuilder::fuse`]`(false)` (per net) keep the unfused
 //! topology buildable, [`crate::NetBuilder::fuse_fan`] gives per-net
 //! control over fan fusion alone, and [`compile_cfg`] gives explicit
@@ -235,6 +236,26 @@ impl FanKind {
             FanKind::Star { body, exit } => FanKind::Star {
                 body: f(body),
                 exit: exit.clone(),
+            },
+        }
+    }
+}
+
+impl PNode {
+    /// Whether some replicator (`!` / `!!`) of this plan routes on
+    /// the tag called `tag` — what a per-tag lane bound must name.
+    pub(crate) fn splits_on(&self, tag: &str) -> bool {
+        match self {
+            // A fused run's stages are boxes and filters.
+            PNode::Box { .. } | PNode::Filter { .. } | PNode::Fused { .. } => false,
+            PNode::Serial { a, b } => a.splits_on(tag) || b.splits_on(tag),
+            PNode::Chain { parts } => parts.iter().any(|p| p.node.splits_on(tag)),
+            PNode::Fan { kind, .. } => match kind {
+                FanKind::Split { body, tag: t } => t.name() == tag || body.splits_on(tag),
+                FanKind::Parallel { left, right, .. } => {
+                    left.splits_on(tag) || right.splits_on(tag)
+                }
+                FanKind::Star { body, .. } => body.splits_on(tag),
             },
         }
     }
@@ -365,17 +386,13 @@ impl From<TypeError> for CompileError {
     }
 }
 
-/// Whether the fusion pass runs by default: on, unless `SNET_FUSE=0`
-/// (the process-wide escape hatch keeping the unfused topology
-/// testable; [`crate::NetBuilder::fuse`] overrides per net).
-pub fn fuse_default() -> bool {
-    !matches!(std::env::var("SNET_FUSE"), Ok(v) if v == "0")
-}
-
 /// Compiles a network expression against declarations and bindings,
-/// applying the fusion pass per [`fuse_default`].
+/// applying the fusion pass unless the environment turns it off
+/// ([`crate::RunCfg::from_env`]'s `fuse`: the process-wide escape hatch
+/// keeping the unfused topology testable, and a panic on an invalid
+/// environment; [`crate::NetBuilder::fuse`] overrides per net).
 pub fn compile(ast: &NetAst, env: &Env, bindings: &Bindings) -> Result<Plan, CompileError> {
-    compile_cfg(ast, env, bindings, fuse_default())
+    compile_cfg(ast, env, bindings, crate::RunCfg::from_env().fuse)
 }
 
 /// [`compile`] with explicit control over the fusion pass.
@@ -581,9 +598,7 @@ fn compile_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::Ctx;
     use crate::instantiate::run_to_end;
-    use crate::metrics::Metrics;
     use snet_lang::parse_program;
     use snet_types::Record;
 
@@ -812,7 +827,14 @@ mod tests {
             let mut flags = Vec::new();
             fan_flags(&plan.root, &mut flags);
             assert_eq!(flags, vec![fuse_pass; 2], "{:?}", plan.root);
-            let ctx = Ctx::new(Metrics::new(), Vec::new());
+            // Unbounded: an edge's depth accounting is a key of the
+            // topology, not of a stage.
+            let cfg = crate::RunCfg {
+                bound: None,
+                ..Default::default()
+            };
+            let pool = crate::sched::default_executor();
+            let ctx = crate::Ctx::new(crate::Metrics::new(), Vec::new(), pool, cfg);
             let inputs = [(2, 0), (1, 1), (3, 0)]
                 .map(|(n, k)| Record::build().field("n", n as i64).tag("k", k).finish());
             assert_eq!(run_to_end(&ctx, &plan.root, inputs).len(), 3);

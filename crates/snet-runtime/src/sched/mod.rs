@@ -96,16 +96,15 @@
 //! could produce. Two properties rule this out here:
 //!
 //! 1. **Waiting components hold no worker.** A component waits only by
-//!    awaiting a stream (`poll_recv`/`poll_ready`/`recv_batch`, and —
+//!    awaiting a stream (`poll_recv`/`poll_ready`/`recv_each`, and —
 //!    on bounded edges — the sender-side `feed`/`acquire` credit
 //!    futures); `Pending` returns the worker to the pool. There is no
 //!    in-component blocking primitive, so "all workers stuck waiting"
 //!    cannot occur — a waiting component *is not on a worker*.
 //! 2. **Every sender-side wait edge points at a consumer that will
-//!    run.** Edges are unbounded by default, so senders never wait at
-//!    all. When a network opts into bounded data edges
-//!    (`NetBuilder::bound` / `SNET_STREAM_BOUND`, see
-//!    [`crate::stream`]), a data producer may additionally park
+//!    run.** On an unbounded edge senders never wait at all. On a
+//!    bounded data edge ([`crate::RunCfg::bound`], see
+//!    [`crate::stream`]) a data producer may additionally park
 //!    awaiting credit — a wait edge pointing at the edge's *consumer*,
 //!    which releases one credit per pop. That edge is only dangerous
 //!    if the consumer can decline to pop until the parked producer
@@ -172,15 +171,10 @@
 //! [`default_executor`] is the process-wide shared
 //! [`WorkStealingPool`] with one worker per core
 //! (`available_parallelism()`, which honours the process's CPU
-//! affinity), created on first use. One environment variable changes
-//! that, read in one place ([`try_default_executor`]): `SNET_WORKERS=n`
-//! sizes the shared pool. Anything but a positive integer —
-//! `SNET_WORKERS=0`, `=two` — is a [`ConfigError`], never a silent
-//! fallback: `NetBuilder::build*` returns it as `BuildError::Config`,
-//! and the entry points that have no error channel
-//! ([`default_executor`], `Ctx::new`, `Net::spawn`) panic with its
-//! message. `Ctx::with_executor` / `NetBuilder::executor` select per
-//! network and read no variable — the only way onto
+//! affinity), created on first use; [`crate::RunCfg::workers`]
+//! (`SNET_WORKERS`, see [`crate::RunCfg::try_from_env`]) sizes it.
+//! `NetBuilder::executor` (or the executor handed to `Ctx::new` /
+//! `Net::spawn`) selects per network — the only way onto
 //! [`ThreadPerComponent`]. No record loop asks which executor it runs
 //! on: an [`Executor`] decides where a component's polls happen,
 //! nothing else.
@@ -200,7 +194,7 @@
 //!    [`crate::FaultPolicy::FailNet`] — the default: one dead
 //!    component fails the whole net, loudly.
 //! 2. **Observation.** The tracker's panic hook (installed once per
-//!    net by `Ctx::with_config`) raises a typed [`crate::Fault`]
+//!    net by `Ctx::new`) raises a typed [`crate::Fault`]
 //!    carrying the task's name: `runtime/component_panics` increments,
 //!    fault observers fire, and the serve front door (if any) can
 //!    resolve affected requests instead of letting callers hang.
@@ -464,76 +458,14 @@ impl Drop for Completion {
     }
 }
 
-/// Why a network's configuration was rejected: the executor selection
-/// in the environment (see *Selection*) or a `NetBuilder` setting that
-/// can mean nothing. Surfaces from every `NetBuilder::build*` as
-/// [`crate::BuildError::Config`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `SNET_WORKERS` is not a positive integer.
-    Workers(String),
-    /// `NetBuilder::bound_for` named an edge no spawn site creates
-    /// (the names are [`crate::ctx::Edge::name`]'s).
-    UnknownEdge(String),
-    /// `NetBuilder::split_lanes(0)` / `split_lanes_for(_, 0)`.
-    ZeroLanes,
-    /// `NetBuilder::bound(0)`.
-    ZeroBound,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::Workers(v) => {
-                write!(f, "SNET_WORKERS={v:?}: expected a positive integer")
-            }
-            ConfigError::UnknownEdge(name) => {
-                let known = crate::ctx::Edge::ALL.map(|e| e.name());
-                write!(
-                    f,
-                    "bound_for({name:?}): no such data edge (expected one of {known:?})"
-                )
-            }
-            ConfigError::ZeroLanes => {
-                write!(f, "split_lanes: a replicator needs at least one lane")
-            }
-            ConfigError::ZeroBound => write!(
-                f,
-                "bound(0): a bounded edge holds at least one record \
-                 (unbounded() lifts the default bound)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Parses `SNET_WORKERS`' value (`None` = unset): a typo must never
-/// read as "default".
-fn parse_workers(workers: Option<&str>) -> Result<Option<usize>, ConfigError> {
-    match workers {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(ConfigError::Workers(v.to_string())),
-        },
-    }
-}
-
-/// The process-default executor (see *Selection*), or the typed reason
-/// the environment's configuration of it is invalid.
-pub fn try_default_executor() -> Result<Arc<dyn Executor>, ConfigError> {
-    let workers = std::env::var("SNET_WORKERS").ok();
-    Ok(shared_pool(parse_workers(workers.as_deref())?))
-}
-
-/// [`try_default_executor`] for callers with no error channel
-/// (`Ctx::new`, `Net::spawn`, benches): panics with the
-/// [`ConfigError`] message on an invalid selection — loud, never a
-/// silent fallback. `NetBuilder::build*` returns the typed error
-/// instead.
+/// The process-default executor (see *Selection*): the shared pool,
+/// sized on first use by `SNET_WORKERS` as
+/// [`crate::RunCfg::from_env`] reads it — so this panics with the
+/// [`crate::ctx::ConfigError`] message on an invalid environment,
+/// loud, never a silent fallback. `NetBuilder::build*` returns the
+/// typed error instead.
 pub fn default_executor() -> Arc<dyn Executor> {
-    try_default_executor().unwrap_or_else(|e| panic!("{e}"))
+    shared_pool(crate::RunCfg::from_env().workers)
 }
 
 /// The process-wide shared [`WorkStealingPool`]. All networks on the
@@ -543,7 +475,7 @@ pub fn default_executor() -> Arc<dyn Executor> {
 /// may run on. Not `max(2, cores)`: on one CPU a second worker only
 /// time-slices against the first (PR 12's `sched.pool.*` rows lost to
 /// threads on `serve-sensor` and `array-frames` for that reason).
-fn shared_pool(workers: Option<usize>) -> Arc<dyn Executor> {
+pub(crate) fn shared_pool(workers: Option<usize>) -> Arc<dyn Executor> {
     static POOL: OnceLock<Arc<WorkStealingPool>> = OnceLock::new();
     let pool = POOL.get_or_init(|| {
         let n = workers.unwrap_or_else(|| {
@@ -709,22 +641,6 @@ mod tests {
                 "executor {name}"
             );
         }
-    }
-
-    #[test]
-    fn worker_count_rejects_typos_instead_of_defaulting() {
-        assert_eq!(parse_workers(None), Ok(None));
-        assert_eq!(parse_workers(Some("3")), Ok(Some(3)));
-        for bad in ["0", "two", "-1", "", "1.5"] {
-            assert_eq!(
-                parse_workers(Some(bad)),
-                Err(ConfigError::Workers(bad.into()))
-            );
-        }
-        assert_eq!(
-            ConfigError::Workers("two".into()).to_string(),
-            "SNET_WORKERS=\"two\": expected a positive integer"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the demultiplexer that routes net output back to callers.
 
 use crate::metrics::{keys, Counter, Metrics};
-use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected, ServeParts};
+use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
 use crate::stream::chan::with_parker;
 use crate::stream::{Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
@@ -297,7 +297,7 @@ pub struct CallOpts {
     /// several).
     pub expect: usize,
     /// Ingress overload policy for this call; `None` inherits the
-    /// net's policy (`Net::spawn_full`, default `Block`).
+    /// net's policy (`RunCfg::overload`, default `Block`).
     pub policy: Option<OverloadPolicy>,
 }
 
@@ -320,7 +320,6 @@ pub struct Service {
     /// too: the net winds down on its own, only `shutdown()` joins.
     input: Option<Sender>,
     boundary: Boundary,
-    overload: OverloadPolicy,
     /// The reserved label, both kinds, interned once.
     rid_tag: Label,
     rid_field: Label,
@@ -340,13 +339,13 @@ impl Service {
     /// resolves as [`CallError::Faulted`] at once (*Failure model* in
     /// [`crate::serve`]).
     pub fn start(net: Net) -> Service {
-        let ServeParts {
+        let Net {
             input,
             output,
             ctx,
             boundary,
-            overload,
-        } = net.into_serve_parts();
+        } = net;
+        let input = input.expect("cannot serve a network whose input is closed");
         let metrics = &ctx.metrics;
         let table = Arc::new(Table::default());
         let rid_tag = Label::tag(RESERVED_RID);
@@ -404,7 +403,6 @@ impl Service {
             table,
             input: Some(input),
             boundary,
-            overload,
             rid_tag,
             rid_field: Label::field(RESERVED_RID),
             requests: metrics.handle(keys::SERVE_REQUESTS),
@@ -459,7 +457,8 @@ impl Service {
             table: Arc::clone(&self.table),
             live: true,
         };
-        send_policy(tx, rec, opts.policy.unwrap_or(self.overload)).map_err(CallError::Rejected)?;
+        send_policy(tx, rec, opts.policy.unwrap_or(self.ctx.cfg().overload))
+            .map_err(CallError::Rejected)?;
         self.requests.inc(1);
         Ok(handle)
     }

@@ -27,8 +27,8 @@
 //! replicator**: `NetBuilder::split_lanes_for(tag, n)` binds a lane
 //! count to one routing-tag name, winning over the net-global knob,
 //! so a net can cap its session-id splitter without collapsing a
-//! small fixed-domain splitter elsewhere (see
-//! [`crate::ctx::Ctx::split_lanes_for`]). The paper's guarantee is
+//! small fixed-domain splitter elsewhere
+//! ([`crate::RunCfg::split_lanes_by_tag`]). The paper's guarantee is
 //! preserved
 //! (equal tag values still always reach the same replica; hashing is
 //! deterministic); what is given up is isolation *between* distinct
@@ -95,9 +95,11 @@ pub(crate) struct SplitRouter<L> {
 impl<L> SplitRouter<L> {
     /// Registers the combinator's counters at `comb`.
     pub(crate) fn new(ctx: &Ctx, comb: CompPath, tag: Label) -> SplitRouter<L> {
+        let cfg = ctx.cfg();
         SplitRouter {
             tag,
-            lane_bound: ctx.split_lanes_for(tag.name()),
+            // A per-tag binding wins over the net-global bound.
+            lane_bound: (cfg.split_lanes_by_tag.get(tag.name()).copied()).or(cfg.split_lanes),
             tag_slot: None,
             lanes: HashMap::new(),
             records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
@@ -264,8 +266,7 @@ pub fn spawn_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instantiate::run_to_end;
-    use crate::metrics::Metrics;
+    use crate::instantiate::{run_to_end, test_ctx};
     use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
@@ -299,7 +300,7 @@ mod tests {
         n: i64,
         k: impl Fn(i64) -> i64,
     ) -> (Arc<Ctx>, Vec<(i64, i64)>) {
-        let ctx = Ctx::new(Metrics::new(), observers);
+        let ctx = test_ctx(observers);
         let inputs = (0..n).map(|i| Record::build().field("x", i).tag("k", k(i)).finish());
         let out = run_to_end(&ctx, &plan.root, inputs)
             .iter()
@@ -373,7 +374,7 @@ mod tests {
         ] {
             for fuse in [true, false] {
                 let plan = mark_expr_plan(src, fuse);
-                let ctx = Ctx::new(Metrics::new(), Vec::new());
+                let ctx = test_ctx(Vec::new());
                 let untagged = Record::build().field("x", 1i64).finish();
                 let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_to_end(&ctx, &plan.root, [untagged])

@@ -283,8 +283,7 @@ fn spawn_guard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instantiate::run_to_end;
-    use crate::metrics::Metrics;
+    use crate::instantiate::{run_to_end, test_ctx};
     use crate::plan::{compile_cfg, Bindings, Plan};
     use snet_lang::{parse_net_expr, parse_program};
     use snet_types::Record;
@@ -304,7 +303,7 @@ mod tests {
         let name = decl.split_whitespace().nth(1).unwrap();
         let b = Bindings::new().bind(name, imp);
         let plan: Plan = compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, fuse).unwrap();
-        let ctx = Ctx::new(Metrics::new(), Vec::new());
+        let ctx = test_ctx(Vec::new());
         let recs = run_to_end(&ctx, &plan.root, inputs);
         (ctx, recs)
     }

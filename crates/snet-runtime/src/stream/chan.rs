@@ -40,7 +40,7 @@
 //! i.e. the consumer saw an empty queue and actually went to sleep.
 //! A consumer that is running, or that has queued messages, is never
 //! woken: it drains batches on its own (see
-//! [`Receiver::poll_recv_batch`]).
+//! [`Receiver::poll_recv_each`]).
 //!
 //! ## Why a lost wake is impossible
 //!
@@ -1002,74 +1002,25 @@ impl<T: Send> Receiver<T> {
         }
     }
 
-    /// Drains up to `max` queued messages into `buf` (appending), the
-    /// batched-delivery primitive behind [`Receiver::recv_batch`].
-    /// Resolves `Ready(n)` with `n >= 1` messages **appended by this
-    /// call** as soon as at least one is available, `Ready(0)` at
-    /// end-of-stream, `Pending` (waker registered) on an empty
-    /// connected stream. Anything already in `buf` is left alone and
-    /// never counted, so callers may accumulate across awaits. Each
-    /// drained message spends one unit of poll budget, so one batch
+    /// The batched-delivery primitive behind [`Receiver::recv_each`]:
+    /// delivers up to `max` queued messages **directly to `f`**,
+    /// straight out of the queue slot, with no intermediate batch
+    /// buffer — each message is copied exactly once (slot → callback
+    /// argument). For message types a couple of cache lines wide
+    /// (records travel by value), that halves the per-hop copy traffic
+    /// of draining into a buffer first and drops a
+    /// `max × size_of::<T>()` working-set buffer from every component
+    /// loop.
+    ///
+    /// Resolves `Ready(n)` with `n >= 1` messages delivered as soon as
+    /// at least one is available, `Ready(0)` at end-of-stream,
+    /// `Pending` (waker registered) on an empty connected stream. Each
+    /// delivered message spends one unit of poll budget, so one batch
     /// can never exceed a task's fair timeslice.
-    pub fn poll_recv_batch(
-        &self,
-        cx: &mut Context<'_>,
-        buf: &mut Vec<T>,
-        max: usize,
-    ) -> Poll<usize> {
-        let chan = &*self.chan;
-        let start = buf.len();
-        loop {
-            {
-                let _g = chan.lock_cons();
-                // SAFETY: the guard is the consumer role.
-                unsafe {
-                    while buf.len() - start < max && chan.can_pop() {
-                        if !charge_budget() {
-                            if buf.len() == start {
-                                // Queued work but no budget: forced
-                                // yield, rescheduled behind siblings.
-                                cx.waker().wake_by_ref();
-                                return Poll::Pending;
-                            }
-                            break;
-                        }
-                        buf.push(chan.pop().expect("slot ready"));
-                    }
-                    if buf.len() > start {
-                        return Poll::Ready(buf.len() - start);
-                    }
-                    // Check disconnect *then* re-check emptiness: a
-                    // message published before the last sender dropped
-                    // must not be mistaken for EOS.
-                    if chan.senders.load(Ordering::SeqCst) == 0 {
-                        if chan.can_pop() {
-                            continue;
-                        }
-                        return Poll::Ready(0);
-                    }
-                }
-            }
-            if !chan.register(cx) {
-                return Poll::Pending;
-            }
-        }
-    }
-
-    /// In-place sibling of [`Receiver::poll_recv_batch`]: delivers up
-    /// to `max` queued messages **directly to `f`**, straight out of
-    /// the queue slot, with no intermediate batch buffer — each
-    /// message is copied exactly once (slot → callback argument). For
-    /// message types a couple of cache lines wide (records travel by
-    /// value), eliminating the buffer round-trip halves the per-hop
-    /// copy traffic and drops a `max × size_of::<T>()` working-set
-    /// buffer from every component loop.
     ///
     /// `f` runs while the consumer role is held, which is sound for
     /// component bodies: they are the channel's only consumer and
     /// never re-enter their own input (they only *send* downstream).
-    /// Budget, wake and EOS semantics are identical to
-    /// `poll_recv_batch`.
     pub fn poll_recv_each(
         &self,
         cx: &mut Context<'_>,
@@ -1114,13 +1065,6 @@ impl<T: Send> Receiver<T> {
                 return Poll::Pending;
             }
         }
-    }
-
-    /// Future form of [`Receiver::poll_recv_batch`]: awaits at least
-    /// one message (appended to `buf`, up to `max` per call),
-    /// resolving to the number appended — `0` means end-of-stream.
-    pub fn recv_batch<'a>(&'a self, buf: &'a mut Vec<T>, max: usize) -> RecvBatch<'a, T> {
-        RecvBatch { rx: self, buf, max }
     }
 
     /// Future form of [`Receiver::poll_recv_each`]: awaits at least
@@ -1174,11 +1118,6 @@ impl<T: Send> Receiver<T> {
     /// channel created unbounded). Test and telemetry surface.
     pub fn depth(&self) -> usize {
         self.chan.depth.load(Ordering::SeqCst)
-    }
-
-    /// The configured capacity; 0 = unbounded.
-    pub fn capacity(&self) -> usize {
-        self.chan.cap.load(Ordering::SeqCst)
     }
 }
 
@@ -1356,21 +1295,6 @@ impl<T: Send> Future for RecvAsync<'_, T> {
     type Output = Result<T, RecvError>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         self.rx.poll_recv(cx)
-    }
-}
-
-/// Future returned by [`Receiver::recv_batch`].
-pub struct RecvBatch<'a, T> {
-    rx: &'a Receiver<T>,
-    buf: &'a mut Vec<T>,
-    max: usize,
-}
-
-impl<T: Send> Future for RecvBatch<'_, T> {
-    type Output = usize;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<usize> {
-        let this = self.get_mut();
-        this.rx.poll_recv_batch(cx, this.buf, this.max)
     }
 }
 
@@ -1605,6 +1529,16 @@ mod tests {
         assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(2)));
     }
 
+    /// One `poll_recv_each` of at most `max` messages, pushed onto `buf`.
+    fn drain(
+        rx: &Receiver<i32>,
+        cx: &mut Context<'_>,
+        buf: &mut Vec<i32>,
+        max: usize,
+    ) -> Poll<usize> {
+        rx.poll_recv_each(cx, max, &mut |v| buf.push(v))
+    }
+
     #[test]
     fn batch_drains_up_to_max_and_respects_budget() {
         let (tx, rx) = channel::<i32>();
@@ -1614,48 +1548,49 @@ mod tests {
         let (_c, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
         let mut buf = Vec::new();
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 4), Poll::Ready(4));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 4), Poll::Ready(4));
         assert_eq!(buf, vec![0, 1, 2, 3]);
         buf.clear();
         // Budget caps the batch below `max`.
         set_poll_budget(3);
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 100), Poll::Ready(3));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 100), Poll::Ready(3));
         assert_eq!(buf, vec![4, 5, 6]);
         buf.clear();
         // Zero budget with queued messages: self-wake + Pending.
         let (counts, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 100), Poll::Pending);
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 100), Poll::Pending);
         assert_eq!(counts.0.load(Ordering::SeqCst), 1);
         set_poll_budget(u32::MAX);
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 100), Poll::Ready(3));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 100), Poll::Ready(3));
         assert_eq!(buf, vec![7, 8, 9]);
         buf.clear();
         // EOS resolves to 0.
         drop(tx);
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 100), Poll::Ready(0));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 100), Poll::Ready(0));
     }
 
     #[test]
     fn batch_counts_only_newly_appended_messages() {
-        // Callers may accumulate across awaits: pre-existing buffer
-        // contents are never counted, and an empty connected stream
-        // stays Pending no matter what the buffer already holds.
+        // Callers accumulate across awaits (the stage-run driver
+        // pushes onto its head queue): what the callback's target
+        // already holds is never counted, and an empty connected
+        // stream stays Pending no matter what it holds.
         let (tx, rx) = channel::<i32>();
         let (_c, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
         let mut buf = vec![999];
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 4), Poll::Pending);
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 4), Poll::Pending);
         for i in 0..10 {
             tx.send(i).unwrap();
         }
-        // `max` bounds the appended count, not the total length.
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 4), Poll::Ready(4));
+        // `max` bounds the delivered count, not the total length.
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 4), Poll::Ready(4));
         assert_eq!(buf, vec![999, 0, 1, 2, 3]);
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 100), Poll::Ready(6));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 100), Poll::Ready(6));
         drop(tx);
         // EOS is 0 even with a full buffer in hand.
-        assert_eq!(rx.poll_recv_batch(&mut cx, &mut buf, 4), Poll::Ready(0));
+        assert_eq!(drain(&rx, &mut cx, &mut buf, 4), Poll::Ready(0));
         assert_eq!(buf.len(), 11);
     }
 
@@ -1705,7 +1640,6 @@ mod tests {
     #[test]
     fn bounded_try_feed_and_depth_accounting() {
         let (tx, rx) = channel_cfg::<i32>(2, None);
-        assert_eq!(rx.capacity(), 2);
         tx.try_feed(1).unwrap();
         tx.try_feed(2).unwrap();
         assert_eq!(rx.depth(), 2);
@@ -1806,7 +1740,6 @@ mod tests {
             Pin::new(&mut fut).poll(&mut cx),
             Poll::Ready(Ok(()))
         ));
-        assert_eq!(rx.capacity(), 0);
         // Unbounded from here on: feeds no longer gate.
         for i in 2..100 {
             tx.try_feed(i).unwrap();

@@ -4,10 +4,10 @@
 //! streams" (paper, Section 4). A stream here is a native channel of
 //! [`Msg`]s — see [`chan`] for the transport: lock-free segmented
 //! chunks, an SPSC fast path on every single-producer edge (which is
-//! every data edge), and **coalesced wakeups**. Edges are unbounded
-//! by default; a network may opt into **bounded data edges** with
-//! credit-based backpressure (`NetBuilder::bound` /
-//! `SNET_STREAM_BOUND`), turning producer/consumer rate mismatches
+//! every data edge), and **coalesced wakeups**. A raw stream is
+//! unbounded; a network's data edges are **bounded**
+//! ([`crate::RunCfg::bound`], `NetBuilder::bound` / `unbounded`) with
+//! credit-based backpressure, turning producer/consumer rate mismatches
 //! into producer parking instead of unbounded queue growth. The bound
 //! is selective by design: deterministic merging drains branches in a
 //! fixed order, and gating a branch that is not currently being
@@ -40,7 +40,7 @@
 //!   but "the consumer observed empty and went to sleep" is exact).
 //!   A running consumer is never woken — it finds the messages itself.
 //! * **Consumers drain batches.** Component loops await
-//!   [`chan::Receiver::recv_batch`], which resolves with up to
+//!   [`chan::Receiver::recv_each`], which delivers up to
 //!   [`RECV_BATCH`] queued messages per wake instead of paying one
 //!   waker round-trip per record. The batch size equals the cap of
 //!   the pool's per-poll budget, so a batch is at most one fair

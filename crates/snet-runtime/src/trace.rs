@@ -62,13 +62,16 @@ impl TraceLog {
     pub fn observer(self: &Arc<Self>) -> Observer {
         let log = Arc::clone(self);
         Arc::new(move |path, dir, rec| {
-            let entry = TraceEntry {
+            let (path, rtype) = (path.to_string(), rec.record_type());
+            // Stamped under the lock: two components on two workers
+            // must not append in the opposite order of their stamps.
+            let mut entries = log.entries.lock();
+            entries.push(TraceEntry {
                 t_us: log.start.elapsed().as_micros(),
-                path: path.to_string(),
+                path,
                 dir,
-                rtype: rec.record_type(),
-            };
-            log.entries.lock().push(entry);
+                rtype,
+            });
         })
     }
 

@@ -165,7 +165,7 @@ pub fn solve_box(n: usize) -> impl Fn(&Record, &mut Emitter) + Send + Sync {
 mod tests {
     use super::*;
     use crate::puzzles;
-    use snet_runtime::{Bindings, Net};
+    use snet_runtime::NetBuilder;
 
     fn run_single_box(
         n: usize,
@@ -174,12 +174,11 @@ mod tests {
         imp: impl Fn(&Record, &mut Emitter) + Send + Sync + 'static,
         input: Record,
     ) -> Vec<Record> {
-        let program = snet_lang::parse_program(&format!("{decl}\nnet main = {name};")).unwrap();
-        let env = program.env().unwrap();
-        let bindings = Bindings::new().bind(name, imp);
-        let plan =
-            snet_runtime::compile(&program.net("main").unwrap().body, &env, &bindings).unwrap();
-        let net = Net::spawn(plan, Vec::new());
+        let net = NetBuilder::from_source(&format!("{decl}\nnet main = {name};"))
+            .unwrap()
+            .bind(name, imp)
+            .build("main")
+            .unwrap();
         net.send(input).unwrap();
         let _ = n;
         net.finish()

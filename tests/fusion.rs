@@ -573,20 +573,3 @@ fn observers_see_per_stage_events_in_fused_chains() {
         }
     }
 }
-
-#[test]
-fn snet_fuse_env_controls_the_default() {
-    // Whichever way the process-wide default points (the SNET_FUSE=0
-    // CI leg flips it), the builder override wins both ways and the
-    // unforced build follows the env.
-    let default_fused = snet_runtime::fuse_default();
-    let net = NetBuilder::from_source(&format!("{SRC}\nnet main = inc .. inc;"))
-        .unwrap()
-        .bind("inc", |r, e| e.emit(r.clone()))
-        .bind("rep", |r, e| e.emit(r.clone()))
-        .bind("dec", |r, e| e.emit(r.clone()))
-        .build("main")
-        .unwrap();
-    assert_eq!(net.threads_spawned(), if default_fused { 1 } else { 2 });
-    let _ = net.finish();
-}

@@ -43,7 +43,8 @@ fn arb_net() -> impl Strategy<Value = NetAst> {
     })
 }
 
-fn build_full(ast: &NetAst, cfg: RunCfg, fuse: bool, executor: Arc<dyn Executor>) -> Net {
+/// `cfg.fuse` is whether the plan is compiled fused.
+fn build_full(ast: &NetAst, cfg: RunCfg, executor: Arc<dyn Executor>) -> Net {
     let mut env = Env::new();
     env.declare_box(
         "id",
@@ -57,21 +58,22 @@ fn build_full(ast: &NetAst, cfg: RunCfg, fuse: bool, executor: Arc<dyn Executor>
         em.emit(rec.clone());
     });
     let plan: Plan =
-        snet_runtime::compile_cfg(ast, &env, &bindings, fuse).expect("random net compiles");
-    Net::spawn_cfg(plan, Vec::new(), executor, cfg)
+        snet_runtime::compile_cfg(ast, &env, &bindings, cfg.fuse).expect("random net compiles");
+    Net::spawn(plan, Vec::new(), executor, cfg)
 }
 
-fn build_cfg(ast: &NetAst, cfg: RunCfg) -> Net {
-    build_full(
-        ast,
-        cfg,
-        snet_runtime::fuse_default(),
-        Arc::new(ThreadPerComponent),
-    )
+/// On threads under the environment's configuration with `bound`.
+fn build_bound(ast: &NetAst, bound: Option<usize>) -> Net {
+    let cfg = RunCfg {
+        bound,
+        ..RunCfg::from_env()
+    };
+    build_full(ast, cfg, Arc::new(ThreadPerComponent))
 }
 
+/// On unbounded edges: what the bounded runs are compared against.
 fn build(ast: &NetAst) -> Net {
-    build_cfg(ast, RunCfg::default())
+    build_bound(ast, None)
 }
 
 fn drive(net: Net, xs: &[(i64, i64)]) -> Vec<(i64, i64)> {
@@ -155,7 +157,7 @@ proptest! {
     ) {
         let mut unbounded = drive(build(&ast), &xs);
         let mut bounded = drive(
-            build_cfg(&ast, RunCfg { bound: Some(bound), ..RunCfg::default() }),
+            build_bound(&ast, Some(bound)),
             &xs,
         );
         unbounded.sort();
@@ -180,7 +182,7 @@ proptest! {
             );
         }
         let got = drive(
-            build_cfg(&ast, RunCfg { bound: Some(bound), ..RunCfg::default() }),
+            build_bound(&ast, Some(bound)),
             &xs,
         );
         prop_assert_eq!(got, xs);
@@ -221,11 +223,13 @@ fn soak_run(
     xs: &[(i64, i64)],
 ) -> SoakOutcome {
     let cfg = RunCfg {
+        bound: None,
+        fuse,
         fault_policy: FaultPolicy::SkipRecord,
         chaos,
         ..RunCfg::default()
     };
-    let net = build_full(ast, cfg, fuse, executor);
+    let net = build_full(ast, cfg, executor);
     let metrics = Arc::clone(net.metrics());
     let mut out = drive(net, xs);
     out.sort();
