@@ -126,11 +126,101 @@ fn bench_modarray_density(c: &mut Criterion) {
     g.finish();
 }
 
+/// Frame side of the `array-frames` benchmark workload.
+const SIDE: usize = 192;
+
+/// The hand-written side of `S2_frames`' blur and grad rows: `init`
+/// with the interior overwritten row by row.
+fn frame_by_hand(mut init: Vec<f64>, f: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    for i in 1..SIDE - 1 {
+        for (j, o) in init[i * SIDE..][1..SIDE - 1].iter_mut().enumerate() {
+            *o = f(i, j + 1);
+        }
+    }
+    init
+}
+
+fn bench_frames(c: &mut Criterion) {
+    // What the with-loop engine costs over plain Rust: the blur / grad
+    // / energy kernels of the `array-frames` benchmark workload
+    // (`src/bin/perf/workloads/frames.rs`) on one 192x192 `f64` frame,
+    // each through `WithLoop` (sequential) and as a hand-written nested
+    // loop over the same slice, allocations included on both sides.
+    let mut g = c.benchmark_group("S2_frames");
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(400));
+    let frame = sacarray::Array::new(
+        [SIDE, SIDE],
+        (0..SIDE * SIDE)
+            .map(|p| ((p / SIDE) as f64 * 0.05).sin() * ((p % SIDE) as f64 * 0.07).cos())
+            .collect(),
+    )
+    .unwrap();
+    let px = frame.data();
+    let interior = || Generator::range(vec![1, 1], vec![SIDE - 1, SIDE - 1]).unwrap();
+    let blur = |i: usize, j: usize| {
+        let mut sum = 0.0;
+        for di in 0..3 {
+            for dj in 0..3 {
+                sum += px[(i + di - 1) * SIDE + j + dj - 1];
+            }
+        }
+        sum / 9.0
+    };
+    let grad = |i: usize, j: usize| {
+        (px[(i + 1) * SIDE + j] - px[(i - 1) * SIDE + j]).abs()
+            + (px[i * SIDE + j + 1] - px[i * SIDE + j - 1]).abs()
+    };
+    let energy = |i: usize, j: usize| px[i * SIDE + j] * px[i * SIDE + j];
+    g.bench_function("blur/withloop", |b| {
+        b.iter(|| {
+            WithLoop::new()
+                .gen(interior(), |iv| blur(iv[0], iv[1]))
+                .modarray_seq(&frame)
+                .unwrap()
+        })
+    });
+    g.bench_function("blur/by_hand", |b| {
+        b.iter(|| frame_by_hand(px.to_vec(), blur))
+    });
+    g.bench_function("grad/withloop", |b| {
+        b.iter(|| {
+            WithLoop::new()
+                .gen(interior(), |iv| grad(iv[0], iv[1]))
+                .genarray_seq([SIDE, SIDE], 0.0)
+                .unwrap()
+        })
+    });
+    g.bench_function("grad/by_hand", |b| {
+        b.iter(|| frame_by_hand(vec![0.0; SIDE * SIDE], grad))
+    });
+    g.bench_function("energy/withloop", |b| {
+        b.iter(|| {
+            WithLoop::new()
+                .gen(Generator::full(frame.shape()), |iv| energy(iv[0], iv[1]))
+                .fold_seq(0.0, |a, x| a + x)
+        })
+    });
+    g.bench_function("energy/by_hand", |b| {
+        b.iter(|| {
+            let mut sum = 0.0;
+            for i in 0..SIDE {
+                for j in 0..SIDE {
+                    sum += energy(i, j);
+                }
+            }
+            sum
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_genarray,
     bench_fold,
     bench_add_number,
-    bench_modarray_density
+    bench_modarray_density,
+    bench_frames
 );
 criterion_main!(benches);

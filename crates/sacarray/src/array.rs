@@ -9,6 +9,7 @@
 //! runtime performs.
 
 use crate::error::{ArrayError, Result};
+use crate::generator::Generator;
 use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
@@ -180,14 +181,15 @@ impl<T: Clone> Array<T> {
                 .map(|(&l, &u)| u - l)
                 .collect(),
         );
+        // One copy per contiguous last-axis run of the selection.
         let mut data = Vec::with_capacity(out_shape.size());
-        let mut idx = lower.to_vec();
-        for out_idx in out_shape.indices() {
-            for (axis, &o) in out_idx.iter().enumerate() {
-                idx[axis] = lower[axis] + o;
-            }
-            data.push(self.at(&idx).clone());
-        }
+        Generator::range(lower.to_vec(), upper.to_vec())?.for_each_run(
+            0..out_shape.size(),
+            |iv, n| {
+                let lin = self.shape.linearize(iv).expect("bounds checked above");
+                data.extend_from_slice(&self.data[lin..lin + n]);
+            },
+        );
         Array::new(out_shape, data)
     }
 

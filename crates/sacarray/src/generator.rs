@@ -51,9 +51,11 @@ impl Generator {
 
     /// `lower <= iv <= upper` — the form used throughout the paper's
     /// `addNumber`.
-    pub fn range_inclusive(lower: Vec<usize>, upper: Vec<usize>) -> Result<Self> {
-        let upper_excl = upper.iter().map(|&u| u + 1).collect();
-        Generator::range(lower, upper_excl)
+    pub fn range_inclusive(lower: Vec<usize>, mut upper: Vec<usize>) -> Result<Self> {
+        for u in &mut upper {
+            *u += 1;
+        }
+        Generator::range(lower, upper)
     }
 
     /// Adds SaC `step`/`width` modifiers: of every `step` consecutive
@@ -116,6 +118,10 @@ impl Generator {
         let range = hi - lo;
         let s = self.step[axis];
         let w = self.width[axis];
+        if s == w {
+            // Nothing is skipped: spare the unstrided axis its divisions.
+            return range;
+        }
         let full = range / s;
         let rem = range % s;
         full * w + rem.min(w)
@@ -171,52 +177,102 @@ impl Generator {
     fn axis_index(&self, axis: usize, pos: usize) -> usize {
         let s = self.step[axis];
         let w = self.width[axis];
+        if s == w {
+            return self.lower[axis] + pos; // as in `axis_count`
+        }
         self.lower[axis] + (pos / w) * s + pos % w
     }
 
-    /// Calls `f` with every index vector whose row-major ordinal lies
-    /// in `range`, in order, **without per-element allocation**: the
-    /// index vector is advanced odometer-style in place. This is the
-    /// hot path of with-loop evaluation — `delinearize` per element
-    /// would allocate a Vec each time.
-    pub fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(&[usize])) {
-        let total = self.count();
-        debug_assert!(range.end <= total);
+    /// Calls `f(iv, n)` once per *run* of the index vectors whose
+    /// row-major ordinals lie in `range`, in order. A run is a maximal
+    /// stretch of ordinals whose index vectors differ only in the last
+    /// axis and are consecutive there: `iv`, `iv + e`, …,
+    /// `iv + (n - 1)·e` with `e` the last unit vector. When the last
+    /// axis selects everything (`step == width`) a run is a whole row
+    /// of the generator, clipped to `range`; otherwise it is one
+    /// `width` block of it.
+    ///
+    /// Why the last axis: storage is row-major, so the last axis has
+    /// stride 1 and a run is one contiguous slice `lin .. lin + n` of
+    /// any array the generator lies within. A consumer linearises,
+    /// checks and dispatches once per run and spends the inner loop on
+    /// elements only; the odometer carry, `axis_index` and its
+    /// divisions likewise happen once per run, not once per index.
+    ///
+    /// `f` may scribble on `iv[last]` (an inner loop that advances the
+    /// index in place); every other component must be left alone. The
+    /// last component is recomputed before each call.
+    ///
+    /// This is the hot path of with-loop evaluation; like
+    /// [`Generator::delinearize`] it addresses the set by ordinal, so
+    /// parallel workers take disjoint ranges of one generator without
+    /// coordination. Panics if `range` reaches past
+    /// [`Generator::count`].
+    pub fn for_each_run(
+        &self,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(&mut [usize], usize),
+    ) {
         if range.start >= range.end {
             return;
         }
         let rank = self.rank();
-        if rank == 0 {
-            f(&[]);
-            return;
-        }
+        // Three small vectors (counts, positions, index). One shared
+        // allocation is 6 % on a nine-element generator, but it moves
+        // the `array-frames` benchmark's probe to another malloc state
+        // and its gate by +30 % (ROADMAP item 1, step 0): not before
+        // that probe is fixed.
         let counts: Vec<usize> = (0..rank).map(|a| self.axis_count(a)).collect();
+        assert!(
+            range.end <= counts.iter().product(),
+            "ordinal range past the end of the index set"
+        );
+        let Some(last) = rank.checked_sub(1) else {
+            return f(&mut [], 1); // rank 0: the one empty index vector
+        };
+        let row = counts[last];
+        let block = if self.step[last] == self.width[last] {
+            row
+        } else {
+            self.width[last]
+        };
         // Ordinal positions of the starting element, per axis.
         let mut pos = vec![0usize; rank];
         let mut p = range.start;
         for axis in (0..rank).rev() {
+            if p == 0 {
+                break; // the common whole-generator call: no divisions
+            }
             pos[axis] = p % counts[axis];
             p /= counts[axis];
         }
-        let mut idx: Vec<usize> = (0..rank).map(|a| self.axis_index(a, pos[a])).collect();
-        let n = range.end - range.start;
-        for step in 0..n {
-            f(&idx);
-            if step + 1 == n {
-                break;
+        let mut iv: Vec<usize> = (0..rank).map(|a| self.axis_index(a, pos[a])).collect();
+        let mut left = range.end - range.start;
+        // Only a range's first run can start inside a block.
+        let mut room = block - pos[last] % block;
+        loop {
+            let n = room.min(row - pos[last]).min(left);
+            iv[last] = self.axis_index(last, pos[last]);
+            f(&mut iv, n);
+            left -= n;
+            if left == 0 {
+                return;
             }
-            // Advance the odometer from the last axis.
-            let mut axis = rank;
-            loop {
-                debug_assert!(axis > 0, "advanced past the end of the index set");
-                axis -= 1;
+            room = block;
+            pos[last] += n;
+            if pos[last] < row {
+                continue;
+            }
+            // End of the row: advance the odometer over the outer axes.
+            pos[last] = 0;
+            for axis in (0..last).rev() {
                 pos[axis] += 1;
                 if pos[axis] < counts[axis] {
-                    idx[axis] = self.axis_index(axis, pos[axis]);
+                    iv[axis] = self.axis_index(axis, pos[axis]);
                     break;
                 }
                 pos[axis] = 0;
-                idx[axis] = self.axis_index(axis, 0);
+                iv[axis] = self.lower[axis];
             }
         }
     }
@@ -404,23 +460,75 @@ mod tests {
         assert_eq!(all, vec![Vec::<usize>::new()]);
     }
 
+    /// The runs of `g` over `range` as `(first index, length)`.
+    fn runs(g: &Generator, range: std::ops::Range<usize>) -> Vec<(Vec<usize>, usize)> {
+        let mut out = Vec::new();
+        g.for_each_run(range, |iv, n| out.push((iv.to_vec(), n)));
+        out
+    }
+
+    #[test]
+    fn runs_are_rows_or_width_blocks_clipped_to_the_range() {
+        // Unstrided last axis: one run a row, however the outer axis strides.
+        let g = Generator::range(vec![1, 2], vec![6, 7])
+            .unwrap()
+            .with_step_width(vec![2, 1], vec![1, 1])
+            .unwrap();
+        assert_eq!(
+            runs(&g, 0..g.count()),
+            vec![(vec![1, 2], 5), (vec![3, 2], 5), (vec![5, 2], 5)]
+        );
+        // A range that starts and ends mid-row clips its first and last run.
+        assert_eq!(
+            runs(&g, 3..12),
+            vec![(vec![1, 5], 2), (vec![3, 2], 5), (vec![5, 2], 2)]
+        );
+        // Strided last axis (step 3, width 2 over [0, 8)): blocks of 2,
+        // and a range starting inside a block finishes that block first.
+        let g = Generator::range(vec![0, 0], vec![2, 8])
+            .unwrap()
+            .with_step_width(vec![1, 3], vec![1, 2])
+            .unwrap();
+        assert_eq!(
+            runs(&g, 1..8),
+            vec![
+                (vec![0, 1], 1),
+                (vec![0, 3], 2),
+                (vec![0, 6], 2),
+                (vec![1, 0], 2)
+            ]
+        );
+        // Rank 0 is the one empty index vector; an empty range is nothing.
+        let scalar = Generator::range(vec![], vec![]).unwrap();
+        assert_eq!(runs(&scalar, 0..1), vec![(vec![], 1)]);
+        assert_eq!(runs(&g, 4..4), vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of the index set")]
+    fn run_range_past_the_count_panics() {
+        let g = Generator::range(vec![0, 0], vec![2, 0]).unwrap();
+        g.for_each_run(0..1, |_, _| {});
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        /// Arbitrary small generators, optionally strided.
+        /// Arbitrary small generators of rank 0–4, optionally strided
+        /// (steps 1–4, every width a step allows).
         fn arb_gen() -> impl Strategy<Value = Generator> {
             (
-                proptest::collection::vec((0usize..5, 0usize..8, 1usize..4), 1..4),
+                proptest::collection::vec((0usize..5, 0usize..13, 1usize..5, 0usize..4), 0..5),
                 any::<bool>(),
             )
                 .prop_map(|(axes, strided)| {
-                    let lower: Vec<usize> = axes.iter().map(|(l, _, _)| *l).collect();
-                    let upper: Vec<usize> = axes.iter().map(|(l, e, _)| l + e).collect();
+                    let lower: Vec<usize> = axes.iter().map(|a| a.0).collect();
+                    let upper: Vec<usize> = axes.iter().map(|a| a.0 + a.1).collect();
                     let g = Generator::range(lower, upper).unwrap();
                     if strided {
-                        let step: Vec<usize> = axes.iter().map(|(_, _, s)| *s).collect();
-                        let width: Vec<usize> = step.iter().map(|s| 1.max(s / 2).min(*s)).collect();
+                        let step: Vec<usize> = axes.iter().map(|a| a.2).collect();
+                        let width: Vec<usize> = axes.iter().map(|a| 1 + a.3 % a.2).collect();
                         g.with_step_width(step, width).unwrap()
                     } else {
                         g
@@ -429,24 +537,36 @@ mod tests {
         }
 
         proptest! {
-            /// `for_each_in` over any partition of `0..count` enumerates
-            /// exactly the same indices, in the same order, as
-            /// `delinearize` — THE invariant that makes chunked parallel
-            /// with-loop evaluation write each element exactly once.
+            // A cut inside a `width` block of a row long enough to show
+            // it is one or two cases in a hundred: draw enough to meet it.
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The runs of `for_each_run` over a partition of
+            /// `0..count` cut at any two ordinals, expanded along the
+            /// last axis, are exactly the indices `delinearize`
+            /// enumerates, in the same order — THE invariant that makes
+            /// chunked parallel with-loop evaluation write each element
+            /// exactly once.
             #[test]
             fn partitioned_for_each_equals_delinearize(
                 g in arb_gen(),
-                chunk in 1usize..7,
+                cuts in (0usize..10_000, 0usize..10_000),
             ) {
                 let count = g.count();
                 let expected: Vec<Vec<usize>> =
                     (0..count).map(|p| g.delinearize(p)).collect();
+                let (a, b) = (cuts.0 % (count + 1), cuts.1 % (count + 1));
                 let mut got: Vec<Vec<usize>> = Vec::with_capacity(count);
-                let mut start = 0;
-                while start < count {
-                    let end = (start + chunk).min(count);
-                    g.for_each_in(start..end, |idx| got.push(idx.to_vec()));
-                    start = end;
+                for range in [0..a.min(b), a.min(b)..a.max(b), a.max(b)..count] {
+                    g.for_each_run(range, |iv, n| {
+                        for k in 0..n {
+                            let mut idx = iv.to_vec();
+                            if let Some(last) = idx.last_mut() {
+                                *last += k;
+                            }
+                            got.push(idx);
+                        }
+                    });
                 }
                 prop_assert_eq!(got, expected);
             }

@@ -35,6 +35,11 @@
 //! assert_eq!(a.data(), &[0, 42, 42, 42, 0]);
 //! ```
 
+// The crate has two `unsafe` blocks (the lifetime-erasing `transmute`
+// in `parallel.rs`, the disjoint-write slice in `withloop.rs`); a third
+// does not arrive without its `// SAFETY:` argument.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod array;
 pub mod error;
 pub mod generator;

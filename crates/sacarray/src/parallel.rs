@@ -185,15 +185,15 @@ impl Pool {
         let shared_ref: &ForShared = &shared;
         let body_ref: &F = &body;
         for _ in 0..helpers {
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                shared_ref.run(body_ref);
+                shared_ref.finish();
+            });
             // SAFETY: the job only dereferences `shared_ref`/`body_ref`,
             // which live on this stack frame. Before this frame returns
             // we block until every job has called `finish()`, i.e. until
             // no job can touch the references again; the asserted
             // 'static lifetime is therefore never observable.
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                shared_ref.run(body_ref);
-                shared_ref.finish();
-            });
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
             self.submit(job);

@@ -77,12 +77,11 @@ impl Shape {
             return None;
         }
         let mut lin = 0usize;
-        for (axis, (&i, &e)) in idx.iter().zip(self.0.iter()).enumerate() {
+        for (&i, &e) in idx.iter().zip(self.0.iter()) {
             if i >= e {
                 return None;
             }
             // Avoid recomputing strides: accumulate Horner-style.
-            let _ = axis;
             lin = lin * e + i;
         }
         Some(lin)
