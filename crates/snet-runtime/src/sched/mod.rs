@@ -58,7 +58,16 @@
 //! `fifo-sensor-det` throughput (−3 %): its lone worker is always
 //! running, so the loader and receiver threads it shares the CPU with
 //! preempt it where they used to find the CPU free between component
-//! threads (`sched.icsw_per_op` 0.01 → 0.05).
+//! threads (`sched.icsw_per_op` 0.01 → 0.05). Its lone-caller latency
+//! paid a second cost until PR 25: idle workers slept on one condvar
+//! that a pusher signalled while holding its mutex, so on one CPU the
+//! woken worker preempted the loader only to block on that mutex again
+//! — per outside wake, 1.96 voluntary switches for the worker instead
+//! of 1.00 and a preemption of the caller in 0.98 rounds of 1 instead of
+//! 0.49 (a one-CPU probe). Now a worker parks on its own parker and a
+//! push claims it with one swap (`pool.rs`, *Sleeping*):
+//! `fifo-sensor-det` p50 19.1 → 13.3 µs at nominal on this box (13 of
+//! 13 pairs), throughput unmoved.
 //!
 //! # Fairness: a time slice, measured
 //!
@@ -69,9 +78,12 @@
 //! a forced yield re-queues through the *global injector*, not the
 //! worker's own LIFO deque, so its siblings run first even with a
 //! single worker and no stealers (`SNET_WORKERS=1` starvation freedom;
-//! see [`pool`]); on a thread of its own the task is simply polled
-//! again — there the budget buys no fairness (the OS preempts), only
-//! the same bound on how much one poll takes off its input.
+//! see [`pool`]). Like every push it then claims one parked sibling, if
+//! any, so an idle worker can take the yielded task; with one worker
+//! nobody is parked and the claim is a counter read. On a thread of its
+//! own the task is simply polled again — there the budget buys no
+//! fairness (the OS preempts), only the same bound on how much one poll
+//! takes off its input.
 //!
 //! The budget is not a constant, because the unit of fairness is
 //! *time* and a message is not a unit of time: 128 messages are
@@ -127,7 +139,10 @@
 //!
 //! Together: every wait edge — empty-input *or* full-output — points
 //! from a parked task to a *runnable* chain, and runnable tasks always
-//! find a worker (workers only sleep when every run queue is empty).
+//! find a worker: a worker parks only after advertising itself in its
+//! own slot and re-checking every run queue, and every push either is
+//! seen by that re-check or claims an advertised worker and unparks it
+//! (see `pool.rs`, *No lost wake*).
 //! Progress is guaranteed for any worker count ≥ 1 —
 //! `WorkStealingPool::new(1)` is a valid, fully sequential scheduler,
 //! which the determinism tests exploit to force adversarial
@@ -667,7 +682,7 @@ mod tests {
                 tracker.register("t"),
             );
             // Let the worker park the task, then end the stream.
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            pool.until_all_parked();
             drop(tx);
             tracker.wait_quiescent();
         }

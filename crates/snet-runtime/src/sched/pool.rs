@@ -11,6 +11,53 @@
 //! siblings' deques (the lock-free end), then fall back to the
 //! injector, then sleep; every push wakes one sleeper.
 //!
+//! # Sleeping: one parker per worker
+//!
+//! An idle worker sleeps on its own thread's parker (the crate's one
+//! [`ThreadParker`], through [`with_parker`]) and advertises itself in
+//! its own [`IdleSlot`]; there is no sleep lock. Going to sleep is, in
+//! this order: `asleep = true` (SeqCst store) → `sleepers += 1` (SeqCst
+//! RMW) → SeqCst fence → re-check every queue and `shutdown` → park
+//! until `asleep` reads false. A push is: queue write → SeqCst fence →
+//! `sleepers` load → if non-zero, *claim* one slot with
+//! `asleep.swap(false)` and unpark that one thread. A wake from outside
+//! the pool is one atomic claim and one unpark, and the woken worker
+//! finds no lock held by its waker: on one CPU it often preempts the
+//! pusher, and a lock would send it straight back to sleep.
+//!
+//! *No lost wake.* The two fences are in one total order. If the
+//! pusher's comes first, the sleeper's re-check (after its own fence)
+//! sees the push and it does not park. If the sleeper's comes first,
+//! the pusher's `sleepers` load sees the increment, and its scan sees
+//! `asleep` — stored before the increment — unless a claimer or the
+//! worker itself has cleared it since. Either way that worker is awake
+//! and passes through `find_task` again; if it advertises anew after
+//! the scan read its flag, the fence order puts that re-check after the
+//! push. A scan that claims nothing leaves no push unseen: what it can
+//! cost is parallelism, never progress.
+//!
+//! *Forwarding.* A worker whose re-check finds work withdraws with its
+//! own `asleep.swap(false)`. If that reads `false`, a pusher claimed the
+//! slot in the window, and its wake went to a worker that was not going
+//! to sleep: the withdrawing worker forwards it — claims another
+//! advertised slot — so a push that counted on waking a sibling still
+//! wakes one.
+//!
+//! *Spurious returns and the shared park token.* The thread's parker is
+//! also what a box on that worker blocks on (`Net::recv`, a `block_on`
+//! over another net), so its token can be stale in both directions: a
+//! claim whose worker withdrew leaves a token the box's next wait
+//! consumes, and a box's late wake leaves one the idle park consumes.
+//! Neither loses a wake, because neither loop waits on the token: the
+//! idle loop parks *while its slot's `asleep` is set* (only a claim
+//! clears it, and every claim unparks after clearing it), and a box's
+//! wait re-polls its future after every return. A stale token costs one
+//! extra turn of a loop.
+//!
+//! Shutdown is `shutdown = true` (SeqCst), then a claim of every slot.
+//! The re-check reads `shutdown` after the fence, so a worker that
+//! advertises after the sweep passed its slot sees it and never parks.
+//!
 //! Queue discipline: the owner end of a Chase–Lev deque is LIFO, so a
 //! worker runs its most recently woken task next (cache-hot), while
 //! stealers drain its oldest. The **forced-yield path is the
@@ -40,11 +87,12 @@
 
 use super::deque::{Deque, Steal};
 use super::{Completion, Executor, Slice, TaskFuture};
-use parking_lot::{Condvar, Mutex};
-use std::cell::RefCell;
+use crate::stream::chan::{with_parker, ThreadParker};
+use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 
 // Task wake states.
@@ -102,8 +150,14 @@ impl Wake for Task {
     }
 }
 
-struct SleepState {
-    shutdown: bool,
+/// One worker's sleep advertisement (see module docs, *Sleeping*).
+struct IdleSlot {
+    /// Set by the worker before its final re-check; cleared by exactly
+    /// one `swap(false)` — a claim's or the worker's own withdrawal.
+    asleep: AtomicBool,
+    /// The worker thread's parker, registered as the worker starts
+    /// (before its first advertisement, so every claim finds it).
+    waker: OnceLock<Waker>,
 }
 
 struct Shared {
@@ -119,44 +173,55 @@ struct Shared {
     /// sleep protocol's re-check sees it as it saw the queue itself.
     injected: AtomicUsize,
     locals: Vec<Deque<Task>>,
-    sleep: Mutex<SleepState>,
-    cv: Condvar,
-    /// Mirror of the sleeping-worker count, readable without the sleep
-    /// lock: the wake hot path (every record delivery ends here) must
-    /// not serialise on a mutex when all workers are busy. Incremented
-    /// *before* a parking worker's final work re-check (see
-    /// [`worker_loop`]) so a pusher that reads 0 is guaranteed the
-    /// parker will see its push.
+    /// One per worker, indexed like `locals`.
+    idle: Vec<IdleSlot>,
+    /// Advertised slots not yet claimed or withdrawn: incremented
+    /// *after* the `asleep` store and *before* the final re-check (see
+    /// [`worker_loop`]), decremented by whoever clears the flag. The
+    /// wake hot path (every record delivery ends here) reads only this
+    /// when no worker sleeps.
     sleepers: AtomicUsize,
+    shutdown: AtomicBool,
 }
 
 thread_local! {
     /// `(pool, worker index)` when the current thread is a pool
     /// worker — routes same-pool spawns and wakes to the worker's own
-    /// deque.
-    static CURRENT_WORKER: RefCell<Option<(Weak<Shared>, usize)>> = const { RefCell::new(None) };
+    /// deque. The address is only compared, never dereferenced, and
+    /// cannot name another pool while it is set: [`worker_loop`] holds
+    /// its own `Arc<Shared>` from before it sets this until after it
+    /// clears it, so every push made on this thread in between sees
+    /// that `Shared` alive at that address.
+    static CURRENT_WORKER: Cell<Option<(*const Shared, usize)>> = const { Cell::new(None) };
 }
 
 impl Shared {
+    fn new(workers: usize) -> Shared {
+        Shared {
+            injector: Mutex::new(VecDeque::new()),
+            injected: AtomicUsize::new(0),
+            locals: (0..workers).map(|_| Deque::new()).collect(),
+            idle: (0..workers)
+                .map(|_| IdleSlot {
+                    asleep: AtomicBool::new(false),
+                    waker: OnceLock::new(),
+                })
+                .collect(),
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Queues a runnable task: on the current worker's deque when the
     /// caller is a worker of this pool, on the injector otherwise.
     /// Wakes one sleeping worker either way (local pushes must wake
     /// siblings too — that is what makes them stealable).
-    fn push(self: &Arc<Self>, task: Arc<Task>) {
-        let mut task = Some(task);
-        CURRENT_WORKER.with(|c| {
-            if let Some((pool, idx)) = c.borrow().as_ref() {
-                if let Some(pool) = pool.upgrade() {
-                    if Arc::ptr_eq(&pool, self) {
-                        // SAFETY: this thread is worker `idx` of this
-                        // pool — the deque's owner.
-                        unsafe { self.locals[*idx].push(task.take().unwrap()) };
-                    }
-                }
-            }
-        });
-        if let Some(t) = task {
-            self.inject(t);
+    fn push(&self, task: Arc<Task>) {
+        match CURRENT_WORKER.get() {
+            // SAFETY: this thread is worker `idx` of this pool — the
+            // deque's owner.
+            Some((pool, idx)) if std::ptr::eq(pool, self) => unsafe { self.locals[idx].push(task) },
+            _ => self.inject(task),
         }
         self.notify_one();
     }
@@ -180,23 +245,58 @@ impl Shared {
     /// Queues a forced-yield reschedule on the global injector — never
     /// the local deque, whose LIFO owner end would hand the same task
     /// straight back (see module docs on queue discipline).
-    fn push_yield(self: &Arc<Self>, task: Arc<Task>) {
+    fn push_yield(&self, task: Arc<Task>) {
         self.inject(task);
         self.notify_one();
     }
 
     /// Orders the preceding queue push before the sleeper read (the
     /// deque's release store alone does not forbid the load moving
-    /// up), then notifies only when someone is actually asleep. The
-    /// race is closed by the parker's protocol: it advertises itself
-    /// in `sleepers` (SeqCst RMW) and fences *before* re-checking the
-    /// queues, so either this load sees the parker (notify path) or
-    /// the parker's re-check sees the push (no sleep).
+    /// up), then claims one advertised worker — lowest index first —
+    /// only when someone is asleep. No lock on either path. Either this
+    /// load sees a sleeper's advertisement or that sleeper's fenced
+    /// re-check sees the push (module docs, *No lost wake*).
     fn notify_one(&self) {
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _st = self.sleep.lock();
-            self.cv.notify_one();
+            (0..self.idle.len()).any(|idx| self.claim(idx));
+        }
+    }
+
+    /// Wakes worker `idx` if it is advertised asleep, clearing its flag
+    /// with one swap so no two claimers (nor the worker's withdrawal)
+    /// both win it. The SeqCst load keeps an uncontended miss a plain
+    /// read; the *No lost wake* argument needs it SeqCst.
+    fn claim(&self, idx: usize) -> bool {
+        let slot = &self.idle[idx];
+        if !(slot.asleep.load(Ordering::SeqCst) && slot.asleep.swap(false, Ordering::SeqCst)) {
+            return false;
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        slot.waker
+            .get()
+            .expect("a worker registers its waker before it advertises")
+            .wake_by_ref();
+        true
+    }
+
+    /// Worker `idx`'s first half of going to sleep: publish the flag,
+    /// then the count, then fence before the caller's re-check.
+    fn advertise(&self, idx: usize) {
+        self.idle[idx].asleep.store(true, Ordering::SeqCst);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+    }
+
+    /// Worker `idx` takes its advertisement back because the re-check
+    /// found work (or shutdown). Losing the swap means a pusher claimed
+    /// the slot meanwhile and counted on a worker it is not getting:
+    /// forward that wake to another advertised slot.
+    fn withdraw(&self, idx: usize) {
+        if self.idle[idx].asleep.swap(false, Ordering::SeqCst) {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        } else {
+            self.notify_one();
         }
     }
 
@@ -236,31 +336,40 @@ impl Shared {
 }
 
 fn worker_loop(shared: Arc<Shared>, idx: usize) {
-    CURRENT_WORKER.with(|c| *c.borrow_mut() = Some((Arc::downgrade(&shared), idx)));
+    CURRENT_WORKER.set(Some((Arc::as_ptr(&shared), idx)));
+    with_parker(|parker, waker| {
+        let _ = shared.idle[idx].waker.set(waker.clone());
+        run_worker(&shared, idx, parker);
+    });
+    CURRENT_WORKER.set(None);
+}
+
+fn run_worker(shared: &Shared, idx: usize, parker: &ThreadParker) {
+    let slot = &shared.idle[idx];
     loop {
         if let Some(task) = shared.find_task(idx) {
             run_task(task);
             continue;
         }
-        let mut st = shared.sleep.lock();
-        if st.shutdown {
+        if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Advertise the intent to sleep *before* the final work
-        // re-check: a pusher that misses this increment pushed before
-        // it (SeqCst total order), so the fenced re-check below sees
-        // that push; a pusher that sees it takes the sleep lock to
-        // notify, which cannot complete until `cv.wait` has released
-        // the lock.
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if shared.has_work() {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+        // Advertise *before* the final re-check: a pusher whose
+        // `sleepers` load misses this pushed before the fence, so the
+        // re-check sees its push; one that sees it claims a slot
+        // (module docs, *No lost wake*).
+        shared.advertise(idx);
+        if shared.has_work() || shared.shutdown.load(Ordering::SeqCst) {
+            shared.withdraw(idx);
             continue;
         }
-        shared.cv.wait(&mut st);
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if st.shutdown {
+        // Only a claim clears the flag, and it unparks after clearing
+        // it; a return with the flag still set is spurious or a stale
+        // token of the shared parker (module docs) — park again.
+        while slot.asleep.load(Ordering::Acquire) {
+            parker.park(None);
+        }
+        if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
     }
@@ -334,14 +443,7 @@ impl WorkStealingPool {
     /// determinism tests use small counts to force interleaving.
     pub fn new(workers: usize) -> WorkStealingPool {
         assert!(workers >= 1, "a pool needs at least one worker");
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            injected: AtomicUsize::new(0),
-            locals: (0..workers).map(|_| Deque::new()).collect(),
-            sleep: Mutex::new(SleepState { shutdown: false }),
-            cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        });
+        let shared = Arc::new(Shared::new(workers));
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -367,6 +469,16 @@ impl WorkStealingPool {
     pub fn queued_tasks(&self) -> usize {
         let inj = self.shared.injector.lock().len();
         inj + self.shared.locals.iter().map(|d| d.len()).sum::<usize>()
+    }
+
+    /// Yields until every worker is advertised asleep (parked, or about
+    /// to park on an empty pool): tests start a round on a fully parked
+    /// pool by counting, not by sleeping and hoping.
+    #[cfg(test)]
+    pub(crate) fn until_all_parked(&self) {
+        while self.shared.sleepers.load(Ordering::SeqCst) < self.workers() {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -397,11 +509,12 @@ impl Executor for WorkStealingPool {
 
 impl Drop for WorkStealingPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.sleep.lock();
-            st.shutdown = true;
+        // Flag, then claim every slot: a worker that advertises after
+        // the sweep passed it reads the flag in its fenced re-check.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for idx in 0..self.workers() {
+            self.shared.claim(idx);
         }
-        self.shared.cv.notify_all();
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }
@@ -485,5 +598,102 @@ mod tests {
         // No-op messages: the budget climbs back to the cap.
         assert_eq!(grants.iter().max(), Some(&TASK_POLL_BUDGET), "{grants:?}");
         assert!(grants.iter().all(|&g| g >= 1), "{grants:?}");
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned
+    /// within a minute — a lost wake hangs instead of failing.
+    fn with_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => h.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(h.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+        }
+    }
+
+    #[test]
+    fn outside_ping_pong_wakes_a_fully_parked_pool() {
+        const ROUNDS: u64 = 10_000;
+        for workers in [1, 2, 4] {
+            with_watchdog(&format!("ping-pong on pool({workers})"), move || {
+                let pool = WorkStealingPool::new(workers);
+                let tracker = Tracker::new();
+                let (ping, pinged) = channel::<u64>();
+                let (pong, ponged) = channel::<u64>();
+                pool.spawn(
+                    "echo".into(),
+                    Box::pin(async move {
+                        while let Ok(v) = pinged.recv_async().await {
+                            pong.send(v + 1).unwrap();
+                        }
+                    }),
+                    tracker.register("echo"),
+                );
+                for i in 0..ROUNDS {
+                    // Every wake below comes from outside the pool to
+                    // a worker that advertised itself asleep.
+                    pool.until_all_parked();
+                    ping.send(i).unwrap();
+                    assert_eq!(ponged.recv().unwrap(), i + 1);
+                }
+                drop(ping);
+                tracker.wait_quiescent();
+            });
+        }
+    }
+
+    #[test]
+    fn dropping_a_fully_parked_pool_returns() {
+        with_watchdog("drop of a parked pool(4)", || {
+            let pool = WorkStealingPool::new(4);
+            pool.until_all_parked();
+            drop(pool);
+        });
+    }
+
+    #[derive(Default)]
+    struct CountWakes(AtomicUsize);
+
+    impl Wake for CountWakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_claim_lost_to_a_withdrawal_is_forwarded() {
+        // Two slots and no threads: the race order is driven by hand.
+        let shared = Shared::new(2);
+        let wakes: Vec<Arc<CountWakes>> = (0..2).map(|_| Arc::default()).collect();
+        for (slot, w) in shared.idle.iter().zip(&wakes) {
+            slot.waker.set(Waker::from(Arc::clone(w))).unwrap();
+        }
+        let woken = || {
+            wakes
+                .iter()
+                .map(|w| w.0.load(Ordering::SeqCst))
+                .collect::<Vec<_>>()
+        };
+        let sleepers = || shared.sleepers.load(Ordering::SeqCst);
+        shared.advertise(0);
+        shared.advertise(1);
+        // A push claims A, the lowest advertised slot…
+        shared.notify_one();
+        assert_eq!((woken(), sleepers()), (vec![1, 0], 1));
+        // …while A's re-check found work: A withdraws, and the wake the
+        // pusher counted on reaches B.
+        shared.withdraw(0);
+        assert_eq!((woken(), sleepers()), (vec![1, 1], 0));
+        assert!(!shared.idle[1].asleep.load(Ordering::SeqCst));
+        // An unclaimed withdrawal wakes nobody.
+        shared.advertise(0);
+        shared.withdraw(0);
+        assert_eq!((woken(), sleepers()), (vec![1, 1], 0));
     }
 }

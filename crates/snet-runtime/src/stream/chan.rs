@@ -1138,7 +1138,9 @@ impl<T> Drop for Receiver<T> {
 /// plain OS thread goes through it — the blocking [`Receiver::recv`] and
 /// [`Sender::feed_blocking`], [`crate::sched::block_on`] and
 /// `CallHandle::wait` — via [`with_parker`], which caches one per
-/// thread so a blocking wait allocates nothing.
+/// thread so a blocking wait allocates nothing. An idle pool worker
+/// sleeps on its thread's one too (`sched/pool.rs`, *shared park
+/// token*).
 pub(crate) struct ThreadParker {
     thread: std::thread::Thread,
     notified: AtomicBool,
