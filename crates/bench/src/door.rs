@@ -6,9 +6,8 @@
 //! stream pair it fronts.
 //!
 //! Rows `door/fifo_w128` and `door/service_w128` of the
-//! `runtime_primitives` bench, and a checked pass in
-//! `serve_bench --smoke`. Compare both rows of one run; pin the run to
-//! one CPU (`taskset -c 0`) for the numbers quoted in ROADMAP.md.
+//! `runtime_primitives` bench. Compare both rows of one run, pinned to
+//! one CPU (`taskset -c 0`).
 
 use snet_runtime::{CallHandle, Net, NetBuilder, Service};
 use snet_types::Record;

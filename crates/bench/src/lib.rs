@@ -15,9 +15,11 @@
 //!   every figure with metrics enabled, printing the behavioural
 //!   table recorded in EXPERIMENTS.md and asserting the paper's
 //!   bounds; machine-readable rows go to `experiments.json`.
+//!
+//! Load through the `Service` door is measured by `src/bin/perf`, the
+//! repo's benchmark (`BENCHMARK.json`).
 
 pub mod door;
-pub mod workloads;
 
 use std::time::{Duration, Instant};
 

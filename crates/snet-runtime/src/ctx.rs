@@ -39,8 +39,7 @@ use std::sync::Arc;
 
 /// The default data-edge capacity ([`RunCfg::bound`]).
 /// **Backpressure is on by default** since PR 7, with
-/// the value picked from the open-loop serve harness
-/// (`crates/bench/src/bin/serve_bench.rs`, PR 7's run): at
+/// the value picked from PR 7's open-loop serve run (CHANGES.md): at
 /// moderate load (300 req/s smoke) steady-state depth high-water is
 /// single-digit on both service workloads, so 128 is an order of
 /// magnitude above anything a stable system queues; at 60 % of

@@ -67,9 +67,6 @@ pub use parallel::{RouteCache, RouteClass};
 pub use path::CompPath;
 pub use plan::{compile, compile_cfg, fuse, Bindings, CompileError, Plan};
 pub use sched::{Executor, ThreadPerComponent, WorkStealingPool};
-pub use serve::{
-    run_open_loop, CallError, CallHandle, CallOpts, DrainReport, LoadReport, OpenLoopCfg, Response,
-    Service,
-};
+pub use serve::{CallError, CallHandle, CallOpts, DrainReport, Response, Service};
 pub use stream::{Dir, Msg, Observer};
 pub use trace::{FaultEntry, TraceEntry, TraceLog};

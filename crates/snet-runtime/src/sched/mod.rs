@@ -266,8 +266,8 @@ pub trait Executor: Send + Sync {
 
     /// Upper bound on OS threads this executor uses for components;
     /// `None` means one thread per component (unbounded). A diagnostic:
-    /// `serve_bench` prints it and `tests/executor_env.rs` asserts the
-    /// default pool's size through it; nothing in the runtime reads it.
+    /// `tests/executor_{env,matrix}.rs` assert pool sizes through it;
+    /// nothing in the runtime reads it.
     fn os_thread_bound(&self) -> Option<usize>;
 }
 

@@ -92,16 +92,9 @@
 //! records from *different requests* would correlate the result to
 //! whichever request's record survives. That is inherent to
 //! cross-request joins (the net is declaring that two requests make
-//! one response); per-request pipelines — both PR 7 service workloads,
-//! and anything built from boxes, filters, splits and stars — are
+//! one response); per-request pipelines — Fig. 1 and the sensor-fusion
+//! net, and anything built from boxes, filters, splits and stars — are
 //! unaffected.
-//!
-//! # Measurement
-//!
-//! [`run_open_loop`] drives a `Service` at a fixed arrival rate (open
-//! loop, so queueing delay shows) and reports tail latency from an
-//! HDR-style [`hist::Histogram`] plus sustained RPS (the `serve_bench`
-//! binary of `crates/bench` is its driver).
 //!
 //! # Failure model
 //!
@@ -139,9 +132,6 @@
 //! let in-flight requests flush within a grace window, then tear
 //! down — the [`DrainReport`] tallies completed / faulted / stranded.
 
-pub mod hist;
-mod loadgen;
 mod service;
 
-pub use loadgen::{run_open_loop, LoadReport, OpenLoopCfg};
 pub use service::{CallError, CallHandle, CallOpts, DrainReport, Response, Service, RESERVED_RID};

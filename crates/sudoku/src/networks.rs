@@ -69,9 +69,9 @@ pub fn fig3_text(modulo: i64, cutoff: i64) -> String {
 }
 
 /// The configurable builder behind every sudoku network: all box
-/// bindings attached, no expression chosen yet. Public so service
-/// harnesses (`snet-bench`'s `serve_bench`) can pick an expression,
-/// an executor and stream bounds before building.
+/// bindings attached, no expression chosen yet. Public so callers
+/// (`tests/figures.rs`) can pick an expression, an executor and
+/// stream bounds before building.
 pub fn builder(n: usize, observers: Vec<Observer>) -> Result<NetBuilder, BuildError> {
     let mut b = NetBuilder::from_source(BOX_DECLS)?
         .bind("computeOpts", compute_opts_box(n))

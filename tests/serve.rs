@@ -361,7 +361,7 @@ fn det_byte_identity_per_request_across_matrix() {
 
 /// 10k requests, 8 concurrent callers, zero lost or misrouted — the
 /// acceptance criterion as a test (closed-loop so it stays fast in
-/// CI; the open-loop variant lives in `serve_bench`).
+/// CI; the benchmark's `serve-*` workloads drive the door paced).
 #[test]
 fn ten_thousand_requests_fully_correlated() {
     let net = NetBuilder::from_source(
