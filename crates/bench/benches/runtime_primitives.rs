@@ -137,7 +137,11 @@ fn bench_fused_chain(c: &mut Criterion) {
 /// `star_of_split` rows are Fig. 2's shape, `(step !! <k>) ** {<z>}`
 /// walked 8 levels deep on the pool: fused, the whole nest is one
 /// component; unfused, every level is a guard, a dispatcher, its
-/// replicas and a merger.
+/// replicas and a merger. The `spine` rows are the sensor net's shape
+/// over identity boxes, `id .. (id !! <k>) .. (id || [{y} -> {x=y}])`,
+/// live on a pool of one and of two workers: fused, the net is one
+/// stage run and its parts cannot pipeline across workers; unfused,
+/// every part is a component of its own.
 fn bench_fused_fan(c: &mut Criterion) {
     let mut g = c.benchmark_group("RT_fused_fan");
     g.measurement_time(std::time::Duration::from_secs(2));
@@ -226,6 +230,32 @@ fn bench_fused_fan(c: &mut Criterion) {
                 assert_eq!(net.finish().len(), N_RECORDS as usize);
             })
         });
+    }
+    for workers in [1, 2] {
+        let pool: Arc<dyn Executor> = Arc::new(WorkStealingPool::new(workers));
+        for (mode, fan) in [("fused", true), ("unfused", false)] {
+            let net = id_net_fan(
+                "id .. (id !! <k>) .. (id || [{y} -> {x=y}])",
+                Arc::clone(&pool),
+                fan,
+            );
+            g.bench_with_input(
+                BenchmarkId::new(format!("live_{mode}/spine"), format!("pool{workers}")),
+                &(),
+                |b, _| {
+                    b.iter(|| {
+                        for i in 0..N_RECORDS as i64 {
+                            let rec = Record::build().field("x", i).tag("k", i % 4);
+                            net.send(rec.finish()).unwrap();
+                        }
+                        for _ in 0..N_RECORDS {
+                            net.recv().expect("the spine echoes every record");
+                        }
+                    })
+                },
+            );
+            let _ = net.finish();
+        }
     }
     g.finish();
 }

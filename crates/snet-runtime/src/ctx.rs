@@ -270,6 +270,9 @@ impl std::error::Error for ConfigError {}
 /// The data edges the spawn sites create: what [`Ctx::data_stream`] is
 /// asked for, and — by [`Edge::name`] — every name a per-edge bound
 /// (`NetBuilder::bound_for`, [`RunCfg::bound_overrides`]) can mean.
+/// Which edges a net has depends on whether its fans fuse: fused, the
+/// whole net is one stage run, with an ingress and an out edge and
+/// nothing between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Edge {
     /// `Net::send` into the root component.
@@ -278,9 +281,12 @@ pub enum Edge {
     /// of its lanes. An explicit bound here keeps every fan on its own
     /// dispatcher (see [`crate::fused::fan_fusable_here`]).
     Dispatch,
-    /// A combinator's merged output, whichever driver runs it.
+    /// A standalone merger's output: a combinator running on its own
+    /// dispatcher. A fused fan has no merger; its output is its stage
+    /// run's [`Edge::Out`], whatever stage it is the tail of.
     Merge,
-    /// A stage run's output: every box, filter and fused chain.
+    /// A stage run's output: every box, filter, fused chain, fused fan
+    /// and fused net.
     Out,
 }
 

@@ -1,7 +1,9 @@
 //! The stage-run driver: one component running a chain of SISO stages.
-//! It is the only record loop boxes and filters have — a lone box or
-//! filter is a run of length 1 ([`crate::instantiate`] builds a leaf
-//! through [`stage_core`] and [`spawn_stage_run`]).
+//! It is the only record loop there is for boxes, filters and fused
+//! fans — a lone box, filter or fan is a run of length 1, and a net
+//! whose fans fuse is one run from its input to its output
+//! ([`crate::instantiate`] builds every run through `lane_cores` and
+//! `spawn_stage_run`).
 //!
 //! A [`crate::plan::PNode::Fused`] node is a maximal `Serial` run of
 //! boxes and filters collapsed by the fusion pass (see
@@ -48,23 +50,23 @@
 //! so a chain of k-emission stages costs many steps, not one unbounded
 //! poll.
 //!
-//! **Fans.** The file's second driver, [`spawn_fused_fan`], runs a
-//! fused combinator as one component: its record loop hands each input
-//! record to a [`DispatchCore`] — the combinator's own router over
-//! lanes that are stage-core vectors — and publishes what comes out. A
-//! lane's stages are boxes, filters and **fans**: a fan inside another
-//! fan's lane is a [`StageCore::Fan`] owning a `DispatchCore` of its
-//! own, so a nest of any depth (Fig. 2's star of splits) is one
-//! depth-synchronous walk in one component, with no task hand-off
-//! between levels. A record moves down the nest itself, not a copy (a
-//! fan stage takes it out of its caller's hands), and what it becomes
-//! comes back up through the same `sink` closure every stage emits
-//! into; each core owns its stage-major buffers, because a nested walk
-//! runs in the middle of its parent's; and every level reports the
-//! stage-message units it spent, so the one driver's publish-and-yield
-//! budget counts the work of the whole nest. See [`crate::plan`], *Fan
-//! fusion*, for the rule and for what running a nest as one task gives
-//! up.
+//! **Fans.** A fused combinator is a stage like a box: a
+//! [`StageCore::Fan`] owning a [`DispatchCore`] — the combinator's own
+//! router over lanes that are stage-core vectors — that takes each
+//! record the pipeline hands it and emits what comes out of its lanes.
+//! A lane's stages are boxes, filters and fans again, so a nest of any
+//! depth (Fig. 2's star of splits) is one depth-synchronous walk, and
+//! a spine `box .. fan .. fan` is one run of three stages, with no task
+//! hand-off between levels or parts. A record moves down the nest
+//! itself, not a copy (a fan stage takes it out of its caller's hands),
+//! and what it becomes comes back up through the same `sink` closure
+//! every stage emits into; each core owns its stage-major buffers,
+//! because a nested walk runs in the middle of its parent's. A fan
+//! stage costs its `Pipeline::step` one unit per message, like any
+//! stage, however much its lanes do: what bounds the work of a wake is
+//! the head's drain, the measured time slice (*Fairness*). See
+//! [`crate::plan`], *Fan fusion*, for the rule and for what running a
+//! net as one task gives up.
 //!
 //! **Observability.** Each stage registers its own
 //! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes the
@@ -91,7 +93,7 @@ use crate::ctx::{Ctx, Edge};
 use crate::filter_exec::FilterCore;
 use crate::parallel::ParRouter;
 use crate::path::CompPath;
-use crate::plan::{FanKind, FusedStage, PNode};
+use crate::plan::{FanKind, PNode};
 use crate::split::SplitRouter;
 use crate::star::{ExitDispatch, GuardPaths, StarChain};
 use crate::stream::{feed_batch, yield_now, Msg, Receiver, RECV_BATCH};
@@ -111,11 +113,11 @@ pub(crate) enum StageCore {
 }
 
 /// Builds the execution core for one stage — a plan's `Box` or
-/// `Filter` leaf, or a fan nested in a lane — under `parent` (the
-/// `box:{name}` / `filter` / `split`-style child comes from the core
-/// constructor): the per-stage spawn bookkeeping of every stage,
-/// wherever the plan put it.
-pub(crate) fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
+/// `Filter` leaf, or a fan — under `parent` (the `box:{name}` /
+/// `filter` / `split`-style child comes from the core constructor):
+/// the per-stage spawn bookkeeping of every stage, wherever the plan
+/// put it.
+fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
     match leaf {
         PNode::Box { name, sig, imp } => StageCore::Box(BoxCore::new(
             ctx,
@@ -134,24 +136,19 @@ pub(crate) fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore
     }
 }
 
-/// A fused run's stage cores, each registered under its recorded
-/// suffix below `path` — at spawn, so metrics and observers match the
-/// unfused topology exactly.
-pub(crate) fn run_cores(ctx: &Ctx, path: CompPath, stages: &[FusedStage]) -> Vec<StageCore> {
-    stages
-        .iter()
-        .map(|stage| stage_core(ctx, path.descend(&stage.suffix), &stage.leaf))
-        .collect()
-}
-
-/// Builds one fan lane's stage cores from its body plan — whatever the
-/// fusion pass made of it: a run, a `Chain` of runs, lone stages and
-/// fans (flattened, each part under its recorded suffix), or a lone
-/// stage — registering every per-stage path exactly as the unfused
-/// replica instantiation would (`instantiate(body, bpath)`).
-fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
+/// Builds the stage cores of one stage run from its plan — a fan
+/// lane's body, or a whole net whose fans fuse — whatever the fusion
+/// pass made of it: a run, a `Chain` of runs, lone stages and fans
+/// (flattened, each part under its recorded suffix), or a lone stage.
+/// Every per-stage path is registered at spawn exactly as the unfused
+/// instantiation would (`instantiate(body, bpath)`), so metrics and
+/// observers match that topology.
+pub(crate) fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
     match body {
-        PNode::Fused { stages } => run_cores(ctx, bpath, stages),
+        PNode::Fused { stages } => stages
+            .iter()
+            .map(|stage| stage_core(ctx, bpath.descend(&stage.suffix), &stage.leaf))
+            .collect(),
         PNode::Chain { parts } => parts
             .iter()
             .flat_map(|part| lane_cores(ctx, bpath.descend(&part.suffix), &part.node))
@@ -161,11 +158,10 @@ fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
 }
 
 impl StageCore {
-    /// One record through the stage, counter-free. Returns the
-    /// stage-message units it cost: for a box or filter exactly its
-    /// emission count (counters are settled per run via
-    /// [`StageCore::add_counts`]); for a fan everything its lanes
-    /// spent, emissions included.
+    /// One record through the stage, counter-free. Returns what a box
+    /// or filter emitted (its counters are settled per run via
+    /// [`StageCore::add_counts`]); a fan's routers count per record,
+    /// so it returns 0.
     ///
     /// The caller owns `rec` and lends it: a box or filter only reads
     /// it, a fan — whose router forwards the record itself — takes it
@@ -182,7 +178,10 @@ impl StageCore {
         match self {
             StageCore::Box(core) => core.process_uncounted(ctx, rec, sink),
             StageCore::Filter(core) => core.process_uncounted(ctx, rec, sink),
-            StageCore::Fan(fan) => fan.process_nested(ctx, std::mem::take(rec), sink),
+            StageCore::Fan(fan) => {
+                fan.process(ctx, std::mem::take(rec), sink);
+                0
+            }
         }
     }
 
@@ -274,37 +273,29 @@ impl Pipeline {
 
 /// One record's stage-major pass through a fan lane: runs `batch`
 /// through every stage in order, leaving the tail's output in `batch`.
-/// No inter-stage queues — the fan driver budgets per input record (see
-/// [`spawn_fused_fan`]), and sort records never enter a lane. Returns
-/// the stage-message units spent: one per stage, one per record of the
-/// tail's output, plus what fans nested in the lane spent inside.
+/// No inter-stage queues — the whole walk is one stage of its run's
+/// [`Pipeline`] — and sort records never enter a lane.
 fn run_stages(
     cores: &mut [StageCore],
     ctx: &Ctx,
     batch: &mut Vec<Record>,
     scratch: &mut Vec<Record>,
-) -> usize {
-    let mut units = cores.len();
+) {
     for core in cores.iter_mut() {
         scratch.clear();
         let n_in = batch.len() as u64;
-        let mut spent = 0u64;
         for mut rec in batch.drain(..) {
-            spent += core.process_uncounted(ctx, &mut rec, &mut |r| scratch.push(r));
+            core.process_uncounted(ctx, &mut rec, &mut |r| scratch.push(r));
         }
-        let n_out = scratch.len() as u64;
-        core.add_counts(n_in, n_out);
-        // Zero for a box or filter, which spends what it emits.
-        units += (spent - n_out) as usize;
+        core.add_counts(n_in, scratch.len() as u64);
         std::mem::swap(batch, scratch);
     }
-    units + batch.len()
 }
 
-/// The stage-run driver: **the** record loop of every box and filter,
-/// on every executor and every edge. One component runs `cores` in
-/// order between `input` and a data edge `{owner}/out`; a lone box or
-/// filter is a run of length 1.
+/// The stage-run driver: **the** record loop of every box, filter and
+/// fused fan, on every executor and every edge. One component runs
+/// `cores` in order between `input` and a data edge `{owner}/out`; a
+/// lone box, filter or fan is a run of length 1.
 pub(crate) fn spawn_stage_run(
     ctx: &Arc<Ctx>,
     owner: CompPath,
@@ -348,13 +339,14 @@ pub(crate) fn spawn_stage_run(
 }
 
 /// Whether a `fused` [`PNode::Fan`] may actually run fused under this
-/// net's runtime settings; `false` sends instantiation to the
-/// combinator's own dispatcher (see [`crate::instantiate`]). The
-/// conditions are net-global, so a nest is all one way: a fan that runs
-/// fused builds the fans in its lanes as stage cores without asking
-/// again, and one that does not hands each replica to `instantiate`,
-/// which asks again and hears the same. Three conditions, all
-/// documented in [`crate::plan`] (*fan fusion*):
+/// net's runtime settings — and with it, whether the top-level spine
+/// is one stage run; `false` sends instantiation to one component per
+/// spine part and to the combinator's own dispatcher (see
+/// [`crate::instantiate`]). The conditions are net-global, so a net is
+/// all one way: a run builds the fans in it, and in their lanes, as
+/// stage cores without asking again, and a dispatcher hands each
+/// replica to `instantiate`, which asks again and hears the same.
+/// Three conditions, all documented in [`crate::plan`] (*fan fusion*):
 ///
 /// * the net's escape hatch ([`crate::ctx::RunCfg::fan_fuse`]) is off;
 /// * the fault policy is `Restart` — its backoff sleep would park
@@ -379,16 +371,13 @@ pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
 /// with a stage-core vector as the lane, run stage-major, emissions
 /// handed to the caller's sink.
 ///
-/// **One core, two callers.** The fan driver ([`spawn_fused_fan`]) owns
-/// the core of a fan that is a component of its own, and its sink fills
-/// the component's out-buffer; a fan inside another fan's lane is a
-/// [`StageCore::Fan`], and its sink is the enclosing lane's next stage
-/// — so a star of splits is one depth-synchronous walk in one
+/// **A stage like any other.** Every fused fan is a [`StageCore::Fan`]:
+/// on the top-level spine it is a stage of the net's one
+/// [`Pipeline`], and its sink is the next stage's queue or the run's
+/// out-buffer; inside another fan's lane its sink is the lane's next
+/// stage — so a star of splits is one depth-synchronous walk in one
 /// component, however deep the nest. The record is handed over itself
-/// (a router forwards it, it does not copy it), and
-/// [`DispatchCore::process`] returns the stage-message units spent, a
-/// nested fan's included, so the work of every level counts toward the
-/// one driver's publish-and-yield budget. Each core owns its
+/// (a router forwards it, it does not copy it). Each core owns its
 /// stage-major buffers: a nested walk runs in the middle of its
 /// parent's `run_stages`, whose buffers are borrowed at that moment.
 ///
@@ -404,7 +393,7 @@ pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
 /// order is the lane's emission order), and that holds level by level
 /// through a nest: an inner fan hands its parent the very sequence its
 /// det merger would have. Outer-scope sorts never enter a lane; the
-/// driver forwards them at their stream position, exactly once, which
+/// pipeline forwards them at their stream position, exactly once, which
 /// is what the unfused mergers' barrier/round bookkeeping reduces to
 /// when every branch is drained in lockstep.
 pub(crate) struct DispatchCore {
@@ -484,9 +473,16 @@ impl DispatchCore {
     }
 
     /// Runs one input record through its lane(s); emissions reach
-    /// `sink` in output order. Returns the stage-message units spent
-    /// (the driver's budgeting currency).
-    fn process(&mut self, ctx: &Ctx, rec: Record, sink: &mut dyn FnMut(Record)) -> usize {
+    /// `sink` in output order.
+    ///
+    /// Inlining is the compiler's call. Every fused fan of every
+    /// workload runs through here, and forced out of line
+    /// (`#[inline(never)]`) it read `fifo-sensor-det` p50 12.71 µs
+    /// against 12.44 µs inlined (−2.1 %, inlined ahead in 5 of 6
+    /// alternating pairs, one CPU of a 2-vCPU Xeon), with
+    /// `batch-sudoku9` p50 the same either way (777 vs 779 µs, inside
+    /// the spread).
+    fn process(&mut self, ctx: &Ctx, rec: Record, sink: &mut dyn FnMut(Record)) {
         let DispatchCore {
             comb,
             lanes,
@@ -505,7 +501,6 @@ impl DispatchCore {
                 lanes,
                 frontier,
             } => {
-                let mut units = 0;
                 frontier.clear();
                 frontier.push(rec);
                 let mut depth = 0;
@@ -514,7 +509,6 @@ impl DispatchCore {
                     // rest enter replica `depth`.
                     batch.clear();
                     for r in frontier.drain(..) {
-                        units += 1;
                         if route.exits(ctx, guards[depth].guard, &r) {
                             sink(r);
                         } else {
@@ -528,85 +522,18 @@ impl DispatchCore {
                         lanes.push(lane_cores(ctx, guards[depth].replica, &chain.body));
                         guards.push(chain.unfold(depth + 1));
                     }
-                    units += run_stages(&mut lanes[depth], ctx, batch, scratch);
+                    run_stages(&mut lanes[depth], ctx, batch, scratch);
                     std::mem::swap(frontier, batch);
                     depth += 1;
                 }
-                return units;
+                return;
             }
         };
         batch.clear();
         batch.push(rec);
-        let units = run_stages(cores, ctx, batch, scratch);
+        run_stages(cores, ctx, batch, scratch);
         batch.drain(..).for_each(sink);
-        units
     }
-
-    /// [`DispatchCore::process`] as a lane stage. Out of line on
-    /// purpose: inlined into [`StageCore::process_uncounted`] it costs
-    /// the box and filter arms of every lane walk their tight loop
-    /// (`fifo-sensor-det`, whose plan holds no nested fan, read +3 % on
-    /// its p50 that way).
-    #[inline(never)]
-    fn process_nested(&mut self, ctx: &Ctx, rec: Record, sink: &mut dyn FnMut(Record)) -> u64 {
-        self.process(ctx, rec, sink) as u64
-    }
-}
-
-/// Spawns a `fused` fan combinator at `comb` as a single component:
-/// dispatch, every lane's stages — fans nested in them included — and
-/// the merge handoff run in one record loop (see [`DispatchCore`] for
-/// the ordering argument and [`crate::plan`], *fan fusion*, for
-/// legality). Only the component count differs from the combinator's
-/// own dispatcher.
-pub fn spawn_fused_fan(
-    ctx: &Arc<Ctx>,
-    comb: CompPath,
-    kind: &FanKind,
-    input: Receiver,
-) -> Receiver {
-    let mut core = DispatchCore::new(ctx, comb, kind);
-    let (tx, rx) = ctx.data_stream(comb, Edge::Merge);
-    let ctx2 = Arc::clone(ctx);
-    ctx.spawn(format!("{comb}/dispatch"), async move {
-        let mut out: Vec<Msg> = Vec::new();
-        let mut pending: VecDeque<Msg> = VecDeque::new();
-        let mut units = 0usize;
-        // The chain driver's shape (module docs: fairness): one drain
-        // per wake, then records run through their lanes with a publish
-        // and a yield every RECV_BATCH stage-message units.
-        loop {
-            let n = input
-                .recv_each(RECV_BATCH, &mut |msg| pending.push_back(msg))
-                .await;
-            while let Some(msg) = pending.pop_front() {
-                match msg {
-                    Msg::Rec(rec) => {
-                        units += core.process(&ctx2, rec, &mut |r| out.push(Msg::Rec(r)));
-                    }
-                    // Outer-scope sorts forward at their stream
-                    // position — everything caused by earlier input
-                    // is already in the out-buffer ahead of them.
-                    sort @ Msg::Sort { .. } => out.push(sort),
-                }
-                if units >= RECV_BATCH {
-                    units = 0;
-                    if feed_batch(&tx, &mut out).await.is_err() {
-                        return; // downstream gone: teardown
-                    }
-                    yield_now().await;
-                }
-            }
-            if feed_batch(&tx, &mut out).await.is_err() {
-                return;
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        // EOS: dropping `tx` propagates end-of-stream.
-    });
-    rx
 }
 
 #[cfg(test)]

@@ -5,15 +5,21 @@
 //! into [`instantiate`] to unfold replicas on demand, cloning subtree
 //! handles from the plan.
 //!
-//! Boxes and filters have one driver: a `Box`, a `Filter` and a `Fused`
-//! node all become a stage run ([`crate::fused`]) — of length 1 for the
-//! first two — so what the fusion pass decides is how many stages share
-//! a component, never which record loop runs them.
+//! Boxes, filters and fused fans have one driver: a `Box`, a `Filter`,
+//! a `Fused` node and a fused `Fan` all become a stage run
+//! ([`crate::fused`]) — of length 1 for a lone stage — so what the
+//! fusion pass decides is how many stages share a component, never
+//! which record loop runs them.
 //!
-//! Combinators have one plan node, [`PNode::Fan`]: its `fused` flag and
-//! the net's runtime settings pick between the fan driver (one
-//! component) and the combinator's own dispatcher, and both route
-//! through the combinator's one router.
+//! Whether fans fuse is decided here, by the net's runtime settings
+//! (`fan_fusable_here` in [`crate::fused`]). When they do, a `Chain` —
+//! the top-level `..` spine of runs, lone stages and fans — is **one**
+//! stage run from the net's input to its output, and so is a fused
+//! fan: a fused net is one component. When they do not (the escape
+//! hatch, a `Restart` policy, an explicit `"dispatch"` bound), each
+//! part of the spine is a component of its own and every fan runs on
+//! its combinator's own dispatcher; both route through the
+//! combinator's one router.
 //!
 //! Instantiation is also where component paths come into existence:
 //! every spawn site derives its [`CompPath`] here, once, so nothing
@@ -21,7 +27,7 @@
 //! the invariant).
 
 use crate::ctx::Ctx;
-use crate::fused::{fan_fusable_here, run_cores, spawn_fused_fan, spawn_stage_run, stage_core};
+use crate::fused::{fan_fusable_here, lane_cores, spawn_stage_run};
 use crate::parallel::spawn_parallel;
 use crate::path::CompPath;
 use crate::plan::{FanKind, PNode};
@@ -41,28 +47,21 @@ pub fn instantiate(
 ) -> Receiver {
     let path = path.into();
     match &**node {
-        PNode::Box { .. } | PNode::Filter { .. } => {
-            let core = stage_core(ctx, path, node);
-            spawn_stage_run(ctx, core.path(), vec![core], input)
-        }
         PNode::Serial { a, b } => {
             let mid = instantiate(ctx, a, path.child("s0"), input);
             instantiate(ctx, b, path.child("s1"), mid)
         }
-        PNode::Fused { stages } => spawn_stage_run(ctx, path, run_cores(ctx, path, stages), input),
+        // The plan says whether a fan *can* run fused; the net's runtime
+        // settings can still decline (escape hatch, Restart policy,
+        // explicit lane-edge bound), and then it runs on its own
+        // dispatcher.
         PNode::Fan {
             kind,
             det,
             level,
             fused,
-        } => {
+        } if !(*fused && fan_fusable_here(ctx)) => {
             let comb = kind.comb_path(path, *det);
-            // The plan says whether the fan *can* run fused; the net's
-            // runtime settings can still decline (escape hatch, Restart
-            // policy, explicit lane-edge bound).
-            if *fused && fan_fusable_here(ctx) {
-                return spawn_fused_fan(ctx, comb, kind, input);
-            }
             match kind {
                 FanKind::Split { body, tag } => {
                     spawn_split(ctx, comb, body, *tag, *det, *level, input)
@@ -80,15 +79,29 @@ pub fn instantiate(
                 }
             }
         }
-        PNode::Chain { parts } => {
-            // A partially fused Serial spine: parts connect in
-            // sequence, each under its recorded suffix so component
-            // paths match the unfused binary-tree instantiation.
+        PNode::Chain { parts } if !fan_fusable_here(ctx) => {
+            // The declined topology of a partially fused Serial spine:
+            // parts connect in sequence, each under its recorded suffix
+            // so component paths match the unfused binary-tree
+            // instantiation.
             let mut cur = input;
             for part in parts {
                 cur = instantiate(ctx, &part.node, path.descend(&part.suffix), cur);
             }
             cur
+        }
+        // Everything else is one stage run: a box, a filter, a fused
+        // run, a fused fan, or a whole spine whose fans fuse. A lone
+        // stage owns the run's output edge, as a standalone component
+        // would; a `Fused` run or a `Chain` (two stages or more) is
+        // owned by the path it is instantiated at.
+        run => {
+            let cores = lane_cores(ctx, path, run);
+            let owner = match &cores[..] {
+                [lone] => lone.path(),
+                _ => path,
+            };
+            spawn_stage_run(ctx, owner, cores, input)
         }
     }
 }

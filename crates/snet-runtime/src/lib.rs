@@ -19,8 +19,8 @@
 //!   loop: best-match dispatch + merge ([`parallel`]), demand-driven
 //!   serial replication with exit taps ([`star`]) and tag-indexed
 //!   parallel replication ([`split`]) — and run as dispatcher, lanes
-//!   and merger, or as one component when their operands are plain
-//!   stage runs ([`fused`]);
+//!   and merger, or inline as one stage of the stage run that holds
+//!   them, so a net whose fans fuse is one component ([`fused`]);
 //! * the deterministic variants (`|`, `*`, `!`) are implemented with
 //!   **sort records**, the technique of the original S-Net runtime
 //!   ([`merge`]);

@@ -239,9 +239,12 @@ impl NetBuilder {
     /// Overrides the capacity of every data edge of one kind. There
     /// are four ([`Edge`]): `"ingress"` (`Net::send` into the net),
     /// `"dispatch"` (a dispatcher into one lane), `"merge"` (a
-    /// combinator's merged output) and `"out"` (the output of a box,
-    /// filter or fused chain); any other name fails `build*` with
-    /// [`BuildError::Config`]. `0` keeps those edges unbounded even
+    /// standalone merger's output — a combinator on its own
+    /// dispatcher) and `"out"` (the output of a stage run: a box,
+    /// filter, fused chain or fused fan, and of a whole net whose fans
+    /// fuse, which is one run); any other name fails `build*` with
+    /// [`BuildError::Config`]. So under fan fusion a `"merge"` bound
+    /// finds no edge to gate. `0` keeps those edges unbounded even
     /// when [`NetBuilder::bound`] is set. A positive `"dispatch"`
     /// bound asks for credit-gated lane edges, which a fused fan does
     /// not have: it puts **every** fan of the net, at every nesting
@@ -277,14 +280,16 @@ impl NetBuilder {
 
     /// Enables or disables *replica* fusion for this network's fan
     /// combinators (see [`crate::plan`], *fan fusion*): fused, a
-    /// split/parallel/star executes dispatch, lanes and merge as
-    /// **one** component — fans nested in its lanes included, so
-    /// Fig. 2's star of splits is a single task however far it
+    /// split/parallel/star executes dispatch, lanes and merge inline,
+    /// as one stage of the stage run that holds it — fans nested in its
+    /// lanes included, and the whole top-level `..` spine with it, so
+    /// the net is a single task however far Fig. 2's star of splits
     /// unfolds. Default: on whenever the fusion pass itself is on —
     /// this knob is the per-net escape hatch that keeps chains fused
-    /// while restoring the dispatcher/lane/merger topology for every
-    /// fan at every level: the paper's literal one-component-per-
-    /// replica model, and the only way replicas (or the branches of a
+    /// while restoring a component per spine part and the
+    /// dispatcher/lane/merger topology for every fan at every level:
+    /// the paper's literal one-component-per-replica model, and the
+    /// only way replicas, spine parts (or the branches of a
     /// `slow || fast`) run concurrently. Output and per-stage metrics
     /// paths are identical either way.
     pub fn fuse_fan(mut self, fuse: bool) -> Self {
@@ -621,7 +626,9 @@ impl Net {
     }
 
     /// Number of components spawned so far (tasks, not OS threads —
-    /// under a pool executor many components share few threads).
+    /// under a pool executor many components share few threads). A
+    /// net whose fans fuse is one component however far it unfolds; a
+    /// [`crate::Service`] adds its demux.
     pub fn threads_spawned(&self) -> usize {
         self.ctx.threads_spawned()
     }

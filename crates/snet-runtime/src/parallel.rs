@@ -283,7 +283,7 @@ mod tests {
     /// `expr` over two boxes whose input types are `lin` and `rin`;
     /// `left` emits `{l = 1}`, `right` emits `{r = 1}`, and the value
     /// of the first field named is carried along as `{v}`. `fuse` is the
-    /// fusion pass: on, the plan runs on the fan driver; off, on this
+    /// fusion pass: on, the plan runs as a fused fan stage; off, on this
     /// file's dispatcher — every test runs both.
     fn plan_lr(lin: &str, rin: &str, expr: &str, fuse: bool) -> Plan {
         let src = format!("box left ({lin}) -> (l, v);\nbox right ({rin}) -> (r, v);");

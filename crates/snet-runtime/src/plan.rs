@@ -30,9 +30,10 @@
 //! * a run never holds a [`PNode::Fan`] (those nodes own routers and
 //!   dynamically unfolded replicas; the pass recurses *into* their
 //!   bodies but a chain interrupted by one continues as a separate
-//!   run — a separate component on the top-level spine; inside a fused
-//!   fan's lane the runs and the fan between them are consecutive
-//!   stages of the one lane walk, see *Fan fusion*);
+//!   run, and the spine becomes a [`PNode::Chain`]; whether the runs
+//!   and the fans between them are consecutive stages of one stage run
+//!   or components of their own is decided at instantiation, see *Fan
+//!   fusion*);
 //! * boxes and filters carry no det sort level — they forward sort
 //!   records transparently — so a `Serial` chain of them can never
 //!   straddle a sort-level change; the combinators that do stamp or
@@ -61,49 +62,52 @@
 //! deterministic merger would laboriously re-establish from sort
 //! records is simply never disturbed. Every combinator is one
 //! [`PNode::Fan`] whichever way it runs; the pass sets its `fused`
-//! flag, and [`crate::instantiate`] then spawns it through
-//! [`crate::fused::spawn_fused_fan`] as one component that runs
-//! dispatch, the lanes' stage cores and the merge handoff together,
-//! instead of through the combinator's own dispatcher
-//! ([`crate::split`], [`crate::parallel`], [`crate::star`]). Both use
-//! the same router, so counters, lane names and observer events do not
-//! depend on the flag.
+//! flag, and [`crate::instantiate`] then builds it as a stage
+//! ([`crate::fused::DispatchCore`]) that runs dispatch, the lanes'
+//! stage cores and the merge handoff together, instead of spawning the
+//! combinator's own dispatcher ([`crate::split`], [`crate::parallel`],
+//! [`crate::star`]). Both use the same router, so counters, lane names
+//! and observer events do not depend on the flag.
 //!
-//! **The one rule.** With the pass on, every fan runs inline in the
-//! component of the top-level part that contains it; the top-level
-//! spine's parts are the scheduled components. Fusion is *transitive*:
-//! a fused fan is a lane stage like a box or a filter
-//! ([`crate::fused::DispatchCore`]), so whatever the pass makes of a
-//! body — a stage, a run, a fused fan, a `Chain` of those — is a lane
-//! the enclosing fan's driver walks in place, and a nest of any depth
-//! is one component. Fig. 2's `(solveOneLevelK !! <k>) ** {<done>}` is
-//! one depth-synchronous walk: guard `d`, the split behind it, its
+//! **The one rule.** With the pass on and the runtime conditions met,
+//! a net is **one component**. Fusion is *transitive*: a fused fan is
+//! a stage like a box or a filter, so whatever the pass makes of a body
+//! — a stage, a run, a fused fan, a `Chain` of those — is a lane the
+//! enclosing fan walks in place, and a nest of any depth is one stage.
+//! Fig. 2's `(solveOneLevelK !! <k>) ** {<done>}` is one
+//! depth-synchronous walk: guard `d`, the split behind it, its
 //! replicas, guard `d + 1`, with no task hand-off between levels. The
-//! pass refuses nothing, so `fused` records only that the pass ran.
-//! What does **not** fuse is the top-level spine itself: `box .. fan ..
-//! fan` stays three components ([`fuse_serial`] never puts a fan in a
-//! run), because that changes the path of a lone caller through the
-//! FIFO door and has to be measured there first.
+//! top-level spine is the same flattening one level up: `box .. fan ..
+//! fan` is one stage run of three stages, with no hand-off between the
+//! parts. The plan does not say so — [`fuse_serial`] never puts a fan
+//! in a [`PNode::Fused`] run, and a spine with a fan in it stays a
+//! [`PNode::Chain`] — because the runtime decides at instantiation:
+//! under the runtime conditions below each part of the `Chain` is a
+//! component of its own. The pass refuses nothing, so `fused` records
+//! only that the pass ran.
 //!
-//! **What it gives up.** A fused fan is one task, so its lanes run one
-//! after another on one worker: the across-replica parallelism the
-//! combinators exist to expose — and that Fig. 2 unfolds per level — is
-//! traded for hop cost, at every level of a nest. Where the boxes are
-//! heavy enough to be worth a core each,
-//! [`crate::NetBuilder::fuse_fan`]`(false)` restores the paper's
-//! literal topology (every dispatcher, replica and merger a component
-//! of its own). The same goes for a **nondet parallel whose branches
-//! should race** (`slow || fast`): fused, the branches run inline and
-//! completions come out in dispatch order, at any depth of nesting —
-//! legal under the nondet semantics, but not a race.
+//! **What it gives up.** A fused net is one task, so its lanes run one
+//! after another on one worker, and so do its spine parts: the
+//! across-replica parallelism the combinators exist to expose — and
+//! that Fig. 2 unfolds per level — is traded for hop cost, at every
+//! level of a nest, and so is the pipelining of `box .. fan .. fan`
+//! across workers. Where the boxes are heavy enough to be worth a core
+//! each, [`crate::NetBuilder::fuse_fan`]`(false)` restores the paper's
+//! literal topology (every spine part, dispatcher, replica and merger
+//! a component of its own). The same goes for a **nondet parallel
+//! whose branches should race** (`slow || fast`): fused, the branches
+//! run inline and completions come out in dispatch order, at any depth
+//! of nesting — legal under the nondet semantics, but not a race.
 //!
-//! **Runtime conditions** (checked once per top-level fan at
-//! instantiation — see [`crate::fused::fan_fusable_here`]; they are
-//! net-global, so declining puts **every** level of a nest back on its
-//! own dispatcher): per-lane `"dispatch"` edges must not carry an
+//! **Runtime conditions** (checked at instantiation of the spine, of a
+//! top-level fan and of every replica a dispatcher unfolds — see
+//! [`crate::fused::fan_fusable_here`]; they are net-global, so
+//! declining puts every spine part in a component of its own and
+//! **every** level of a nest back on its own dispatcher): per-lane
+//! `"dispatch"` edges must not carry an
 //! explicit capacity override (a user bounding replica edges asked for
 //! per-lane backpressure, which fusion erases — the net-global default
-//! bound still applies to the fan's input and merged output edges, so
+//! bound still applies to the run's input and output edges, so
 //! default-bounded nets do fuse); and the fault policy must not be
 //! [`crate::fault::FaultPolicy::Restart`], whose backoff sleeps would
 //! stall every co-scheduled lane where the unfused topology stalls one
@@ -158,10 +162,10 @@ pub enum PNode {
     /// A combinator — `||`/`|`, `!!`/`!` or `**`/`*`: route each
     /// record to a lane, run the operand, merge. `fused` is set by
     /// the [`fuse`] pass (see module docs, *Fan fusion*): dispatch,
-    /// every lane's stages and the merge handoff then run inline —
-    /// as **one** component ([`crate::fused::spawn_fused_fan`]) for a
-    /// fan on the top-level spine, as one lane stage of the enclosing
-    /// fan for a nested one — where the runtime conditions allow it.
+    /// every lane's stages and the merge handoff then run inline, as
+    /// one stage (a `DispatchCore`, [`crate::fused`]) — of the net's stage
+    /// run for a fan on the top-level spine, of the enclosing fan's
+    /// lane for a nested one — where the runtime conditions allow it.
     Fan {
         kind: FanKind,
         det: bool,
@@ -175,8 +179,11 @@ pub enum PNode {
         stages: Vec<FusedStage>,
     },
     /// A `Serial` spine whose leaves were partially fused: parts run
-    /// in sequence, each instantiated under its recorded path suffix
-    /// so component paths match the unfused topology exactly.
+    /// in sequence, each under its recorded path suffix so component
+    /// paths match the unfused topology exactly. Where the net's fans
+    /// fuse the parts are the stages of **one** stage run; where the
+    /// runtime declines, each is a component of its own (see
+    /// [`crate::instantiate`]).
     Chain {
         parts: Vec<ChainPart>,
     },
@@ -185,7 +192,7 @@ pub enum PNode {
 /// What a [`PNode::Fan`] dispatches on, and the operand plan(s) its
 /// lanes run: instantiated as replica plans by the combinator's own
 /// dispatcher, or — when the fan runs fused — built into lane stage
-/// cores by the fan driver.
+/// cores by its `DispatchCore` ([`crate::fused`]).
 pub enum FanKind {
     /// `body ! <tag>` / `body !! <tag>`.
     Split { body: Arc<PNode>, tag: Label },
@@ -707,8 +714,8 @@ mod tests {
             PNode::Chain { parts } => {
                 assert_eq!(parts.len(), 3, "{:?}", plan.root);
                 assert!(matches!(&*parts[0].node, PNode::Box { .. }));
-                // The split interrupts the chain: on the top-level
-                // spine it is a component of its own, fan-fused.
+                // The split interrupts the run: it is a part of the
+                // spine of its own, fan-fused.
                 assert!(matches!(&*parts[1].node, PNode::Fan { fused: true, .. }));
                 match &*parts[2].node {
                     PNode::Fused { stages } => assert_eq!(stages.len(), 2),

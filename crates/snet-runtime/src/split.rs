@@ -47,7 +47,7 @@
 //! (`records_in`, `branches`), observes and calls its lanes
 //! (`branch{v}` / `lane{i}`), generic over what a lane *is*: the
 //! dispatcher below instantiates it with a replica's input `Sender`,
-//! the fused fan driver ([`crate::fused`]) with the lane's stage
+//! a fused fan stage ([`crate::fused`]) with the lane's stage
 //! cores. There is one dispatcher loop, credit-gated; an unbounded
 //! edge grants at once.
 
@@ -273,7 +273,7 @@ mod tests {
 
     /// `mark ! <k>` / `mark !! <k>` over `mark (x) -> (x, y)`, an
     /// identity that copies `x` into `y`. `fuse` is the fusion pass:
-    /// on, the plan runs on the fan driver; off, on this file's
+    /// on, the plan runs as a fused fan stage; off, on this file's
     /// dispatcher — every test runs both.
     fn mark_plan(det: bool, fuse: bool) -> Plan {
         mark_expr_plan(if det { "mark ! <k>" } else { "mark !! <k>" }, fuse)

@@ -28,7 +28,7 @@
 //! (`exits`, `stages`) and calls its replicas and guards (`stage{d}`,
 //! `stage{d}/guard`); its [`ExitDispatch`] observes, classifies and
 //! counts one record at a guard. The guard tasks below (a classifier
-//! each) and the fused fan driver ([`crate::fused`], one classifier
+//! each) and a fused fan stage ([`crate::fused`], one classifier
 //! for the whole walk) both go through them. The
 //! stamper and the guard have one loop each, credit-gated; an
 //! unbounded edge grants at once.
@@ -290,7 +290,7 @@ mod tests {
 
     /// Compiles `expr` over one box `decl`/`imp` and runs `inputs`
     /// through it to the end. `fuse` is the fusion pass: on, the plan
-    /// runs on the fan driver; off, on this file's guard chain — every
+    /// runs as a fused fan stage; off, on this file's guard chain — every
     /// test runs both.
     fn run(
         decl: &str,

@@ -18,13 +18,14 @@
 //! **How they run.** The paper assumes "each box creates a separate
 //! process/thread". By default the runtime's fusion pass does the
 //! opposite with these three: each serial replicator — the parallel
-//! replicators inside it included — is **one** component that walks a
-//! puzzle's levels depth by depth, so Fig. 2 is 2 components and
-//! Fig. 3 is 3 however far they unfold, and the replicas of one level
-//! run one after another. The unfolding itself (guards, replicas, their
-//! counters and paths, hence every bound of Section 5) is the same
-//! either way. `NetBuilder::fuse_fan(false)` on [`builder`] restores
-//! the literal topology — a component per guard, dispatcher, replica
+//! replicators inside it included — is one stage that walks a puzzle's
+//! levels depth by depth, and the boxes and filters around it share its
+//! stage run, so each figure is **one** component however far it
+//! unfolds, and the replicas of one level run one after another. The
+//! unfolding itself (guards, replicas, their counters and paths, hence
+//! every bound of Section 5) is the same either way.
+//! `NetBuilder::fuse_fan(false)` on [`builder`] restores the literal
+//! topology — a component per spine part, guard, dispatcher, replica
 //! and merger, 207 of them for Fig. 2 on `classic9` — which is what to
 //! use where the boxes are heavy enough to be worth a core each.
 

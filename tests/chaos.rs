@@ -485,7 +485,7 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
         e.emit(out);
     });
     let net = under_chaos(fans);
-    assert!(net.threads_spawned() > 4, "fans fused: 4 spine parts");
+    assert!(net.threads_spawned() > 4, "fans fused: one component");
     serve_under_chaos(net, 250);
 }
 

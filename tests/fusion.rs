@@ -182,19 +182,61 @@ fn nested_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
         .flat_map(move |(det, nondet)| [(det, inputs(det), true), (nondet, inputs(nondet), false)])
 }
 
+/// Fans on the top-level spine, which runs as one stage run when fans
+/// fuse: the sensor net's shape and its nondet twin, a fan at the head
+/// and at the tail, two fans back to back, and a star behind a box.
+/// The sensor shape's split emits two variants, as `analyze` does, and
+/// its parallel routes them by type — no tie, whose round robin would
+/// make the nondet twin's multiset depend on arrival order. The star's
+/// head is `fork`, not `inc`: `inc`'s `{x}` output meets only the
+/// star's exit variant, so the net would admit only records that leave
+/// at once.
+const SPINE_EXPRS: [&str; 6] = [
+    "inc .. (dec ! <k>) .. (inc | [{n, <z>} -> {y=n}])",
+    "inc .. (dec !! <k>) .. (inc || [{n, <z>} -> {y=n}])",
+    "(rep ! <k>) .. inc",
+    "inc .. (rep !! <k>)",
+    "(rep ! <k>) .. (inc ! <k2>)",
+    "fork .. ((fork ! <k>) * {<z>})",
+];
+
+/// Every [`SPINE_EXPRS`] net with its inputs and whether its order is
+/// defined. The sensor shape takes `{x, n, <k>}` with `n` in 1..=3, so
+/// `dec` tags a third of its records `<z>`.
+fn spine_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
+    SPINE_EXPRS.into_iter().map(|expr| {
+        let inputs = if expr.contains("fork") {
+            ns(20)
+        } else if expr.contains("dec") {
+            (0..60i64)
+                .map(|i| {
+                    let rec = Record::build().field("x", i).field("n", i % 3 + 1);
+                    rec.tag("k", (i * 5 + 1) % 3).finish()
+                })
+                .collect()
+        } else {
+            xs(60, false)
+        };
+        (expr, inputs, !expr.contains("!!") && !expr.contains("||"))
+    })
+}
+
 #[test]
 fn fused_fan_matrix_is_byte_identical() {
-    // Det split, det parallel, a fan in a fan and every nest of
-    // NESTED_EXPRS, each driven across {threads, pool(1), pool(2)} ×
-    // {fan fused, fan unfused} with chain fusion on. Output must be
-    // byte-identical to the fully unfused reference; a nondet net's
-    // order is the scheduler's, so its twin compares multisets.
+    // Det split, det parallel, a fan in a fan, every nest of
+    // NESTED_EXPRS and every spine of SPINE_EXPRS, each driven across
+    // {threads, pool(1), pool(2)} × {fan fused, fan unfused} with chain
+    // fusion on. Output must be byte-identical to the fully unfused
+    // reference; a nondet net's order is the scheduler's, so its twin
+    // compares multisets.
     let flat = [
         "(inc .. inc .. rep) ! <k>",
         "(inc .. inc) | (rep .. inc)",
         "((inc .. rep) ! <k2>) ! <k>",
     ];
-    let cases = (flat.into_iter().map(|expr| (expr, xs(60, false), true))).chain(nested_cases());
+    let cases = (flat.into_iter().map(|expr| (expr, xs(60, false), true)))
+        .chain(nested_cases())
+        .chain(spine_cases());
     for (expr, inputs, ordered) in cases {
         let run = |b: NetBuilder| {
             let mut out = drive(b.build("main").unwrap(), &inputs);
@@ -315,18 +357,24 @@ fn fused_chain_runs_as_one_component() {
 
 #[test]
 fn barrier_chains_fuse_only_the_runs() {
-    // inc .. inc .. (rep !! <k>) .. inc .. inc: two fused runs around
-    // the replicator, which replica fusion collapses to a single
-    // component of its own (dispatch + lanes + merge handoff) — 3
-    // components in total, with lane cores unfolding on demand
-    // inside the middle one.
-    let net = build(
-        "inc .. inc .. (rep !! <k>) .. inc .. inc",
-        Arc::new(ThreadPerComponent),
-        true,
-    );
-    assert_eq!(net.threads_spawned(), 3);
-    let _ = net.finish();
+    // inc .. inc .. (rep !! <k>) .. inc .. inc: with fans fused the
+    // replicator is one stage of the spine, so the whole net is one
+    // component, with lane cores unfolding on demand inside it. Under
+    // `fuse_fan(false)` the replicator is a barrier again: two fused
+    // runs around its dispatcher and merger.
+    let components = |fan: bool| {
+        let net = fan_builder("inc .. inc .. (rep !! <k>) .. inc .. inc")
+            .executor(Arc::new(ThreadPerComponent))
+            .fuse(true)
+            .fuse_fan(fan)
+            .build("main")
+            .unwrap();
+        let n = net.threads_spawned();
+        let _ = net.finish();
+        n
+    };
+    assert_eq!(components(true), 1);
+    assert_eq!(components(false), 4);
 }
 
 #[test]
@@ -366,6 +414,30 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
     assert_eq!(
         spawn_counts(fan_builder(expr).bound_for("dispatch", 8)),
         (2, 9)
+    );
+}
+
+#[test]
+fn a_merge_bound_gates_standalone_mergers_only() {
+    // Fused, the sensor spine is one stage run, and its output is the
+    // run's `"out"` edge, owned at `net`, whatever the tail stage is: a
+    // `"merge"` bound finds no edge to gate. Under `fuse_fan(false)`
+    // the split and the parallel run their own mergers, and it gates
+    // both. Unbounded otherwise, so only the named edges carry gauges.
+    let gauges = |b: NetBuilder| -> Vec<String> {
+        let net = b.unbounded().fuse(true).build("main").unwrap();
+        let metrics = Arc::clone(net.metrics());
+        let _ = net.finish();
+        let keys = metrics.snapshot().into_keys();
+        keys.filter(|k| k.ends_with("/stream_depth") && !k.starts_with("runtime/"))
+            .collect()
+    };
+    let spine = || fan_builder(SPINE_EXPRS[0]);
+    assert_eq!(gauges(spine().bound_for("out", 4)), ["net/stream_depth"]);
+    assert!(gauges(spine().bound_for("merge", 4)).is_empty());
+    assert_eq!(
+        gauges(spine().fuse_fan(false).bound_for("merge", 4)),
+        ["net/s0/s1/split/stream_depth", "net/s1/par/stream_depth"]
     );
 }
 
@@ -418,10 +490,11 @@ fn fan_metrics_paths_survive_replica_fusion() {
     // own (records_in/branches, routed_left/right, exits/stages) and
     // the per-lane box counters — at the same key with the same value,
     // and every combinator and guard path sees the same records in the
-    // same order, for each of the six combinators and, level by level,
-    // for every nest of NESTED_EXPRS. (Inside an unfused nondet nest a
-    // path is fed by a first-come merge, so there the sequence is the
-    // scheduler's and the multiset is what must match.)
+    // same order, for each of the six combinators, level by level for
+    // every nest of NESTED_EXPRS, and part by part for the sensor spine
+    // and its nondet twin. (Inside an unfused nondet nest a path is fed
+    // by a first-come merge, so there the sequence is the scheduler's
+    // and the multiset is what must match.)
     use parking_lot::Mutex;
     use std::collections::BTreeMap;
     type Events = BTreeMap<String, Vec<String>>;
@@ -473,9 +546,13 @@ fn fan_metrics_paths_survive_replica_fusion() {
         ("(dec .. dec) * {<z>}", &ns, "star/stage"),
         ("(dec .. dec) ** {<z>}", &ns, "starnd/stage"),
     ];
+    let spines = spine_cases()
+        .take(2)
+        .map(|(expr, inputs, ordered)| (expr, inputs, "/routed_left", ordered));
     let cases = (flat.into_iter())
         .map(|(expr, inputs, marker)| (expr, inputs.to_vec(), marker, true))
-        .chain(nested_cases().map(|(expr, inputs, ordered)| (expr, inputs, "/branch", ordered)));
+        .chain(nested_cases().map(|(expr, inputs, ordered)| (expr, inputs, "/branch", ordered)))
+        .chain(spines);
     for (expr, inputs, marker, ordered) in cases {
         let (fused, mut fused_events) = run(expr, &inputs, true);
         let (unfused, mut unfused_events) = run(expr, &inputs, false);

@@ -151,10 +151,10 @@ fn repeated_instantiation_accumulates_under_identical_keys() {
     assert_eq!(values(&a), values(&b));
 }
 
-/// One of each driver: a lone box (`a`), a fused fan (`(b .. c) ! <k>`),
+/// One of each stage: a lone box (`a`), a fused fan (`(b .. c) ! <k>`),
 /// a lone filter, a second fused fan (`l | r`) and a fused chain
-/// (`d .. e`). Fusion and the bound are pinned, so the key set does not
-/// follow `SNET_FUSE` / `SNET_STREAM_BOUND`.
+/// (`d .. e`), all one stage run. Fusion and the bound are pinned, so
+/// the key set does not follow `SNET_FUSE` / `SNET_STREAM_BOUND`.
 fn one_of_each_driver() -> snet_runtime::Net {
     let fwd = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
     NetBuilder::from_source(
@@ -186,9 +186,10 @@ fn one_of_each_driver() -> snet_runtime::Net {
 }
 
 /// Every combinator with a combinator for a body: the outer `||`, `!!`
-/// and `**` hold an inner `|`, `!` and `*`. With `fan` each nest is one
-/// component on the fan driver; without it every level runs on its own
-/// dispatcher and merger. Fusion and the bound are pinned as above.
+/// and `**` hold an inner `|`, `!` and `*`. With `fan` the whole net is
+/// one stage run; without it every spine part is a component and every
+/// level runs on its own dispatcher and merger. Fusion and the bound
+/// are pinned as above.
 fn each_combinator_both_ways(fan: bool) -> snet_runtime::Net {
     let fwd = |r: &Record, e: &mut snet_runtime::Emitter| {
         e.emit(
@@ -253,39 +254,40 @@ fn key_set_of_every_stage_driver_is_pinned() {
             .map(|v| Record::build().field(field, *v).finish())
             .collect()
     };
-    // Fused, a nest keeps every key of the parent's default list but
-    // the gauge pairs of the edges that no longer exist.
-    let fused_fan_keys: Vec<&str> = PINNED_FAN_KEYS
-        .into_iter()
-        .filter(|key| {
-            !VANISHED_EDGES.iter().any(|edge| {
-                key.strip_prefix(edge)
-                    .is_some_and(|gauge| gauge == "/stream_depth" || gauge == "/credit_stalls")
+    // Fused, a net keeps every key of its pinned list but the gauge
+    // pairs of the edges that no longer exist.
+    let without = |pinned: &[&'static str], vanished: &[&str]| -> Vec<&'static str> {
+        let kept: Vec<&str> = pinned
+            .iter()
+            .copied()
+            .filter(|key| {
+                !vanished.iter().any(|edge| {
+                    key.strip_prefix(edge)
+                        .is_some_and(|gauge| gauge == "/stream_depth" || gauge == "/credit_stalls")
+                })
             })
-        })
-        .collect();
-    assert_eq!(
-        fused_fan_keys.len(),
-        PINNED_FAN_KEYS.len() - 2 * VANISHED_EDGES.len()
-    );
-    let cases: [(snet_runtime::Net, usize, Vec<Record>, &[&str]); 3] = [
+            .collect();
+        assert_eq!(kept.len(), pinned.len() - 2 * vanished.len());
+        kept
+    };
+    let cases: [(snet_runtime::Net, usize, Vec<Record>, Vec<&str>); 3] = [
         (
             one_of_each_driver(),
-            5,
+            1,
             ints("x", &[0, 1, 2, 3, 4, 5, 6, 7]),
-            &PINNED_KEYS,
+            without(&PINNED_KEYS, &VANISHED_SPINE_EDGES),
         ),
         (
             each_combinator_both_ways(false),
             13,
             ints("n", &[1, 2, 3, 1, 2, 3]),
-            &PINNED_UNFUSED_FAN_KEYS,
+            PINNED_UNFUSED_FAN_KEYS.to_vec(),
         ),
         (
             each_combinator_both_ways(true),
-            5,
+            1,
             ints("n", &[1, 2, 3, 1, 2, 3]),
-            &fused_fan_keys,
+            without(&PINNED_FAN_KEYS, &VANISHED_EDGES),
         ),
     ];
     for (net, components, inputs, pinned) in cases {
@@ -447,10 +449,13 @@ const PINNED_FAN_KEYS: [&str; 85] = [
 ];
 
 /// The edges of `each_combinator_both_ways` that exist at 4e2f6a9 by
-/// default and not once a nest is one component: each outer lane's
-/// dispatch edge, each inner fan's merge edge, and the output edge of
-/// the one lane that was a lone box.
-const VANISHED_EDGES: [&str; 10] = [
+/// default and not once the net is one component. A nest, one
+/// component: each outer lane's dispatch edge, each inner fan's merge
+/// edge, and the output edge of the one lane that was a lone box. The
+/// spine, one stage run: the output edge of each of its five parts
+/// (the run's own output edge is `net/out`, whose gauges share the
+/// `net/*` keys of the ingress edge).
+const VANISHED_EDGES: [&str; 15] = [
     "net/s0/s0/s0/s1/parnd/L",
     "net/s0/s0/s0/s1/parnd/L/par",
     "net/s0/s0/s0/s1/parnd/R",
@@ -461,6 +466,21 @@ const VANISHED_EDGES: [&str; 10] = [
     "net/s0/s1/splitnd/branch1/split",
     "net/s1/starnd/stage0",
     "net/s1/starnd/stage0/star",
+    "net/s0/s0/s0/s0/box:a",
+    "net/s0/s0/s0/s1/parnd",
+    "net/s0/s0/s1/box:t",
+    "net/s0/s1/splitnd",
+    "net/s1/starnd",
+];
+
+/// The edges of `one_of_each_driver` that exist at 7426e96 and not
+/// once its spine is one stage run: the output edges of the four parts
+/// ahead of the fused `d .. e`, which was already owned at `net`.
+const VANISHED_SPINE_EDGES: [&str; 4] = [
+    "net/s0/s0/s0/s0/s0/box:a",
+    "net/s0/s0/s0/s0/s1/split",
+    "net/s0/s0/s0/s1/filter",
+    "net/s0/s0/s1/par",
 ];
 
 /// `each_combinator_both_ways`' metric keys under `fuse_fan(false)`,
