@@ -595,11 +595,13 @@ fn bench_throughput(c: &mut Criterion) {
 }
 
 /// door — what request correlation costs on top of the stream pair it
-/// fronts: the one-box `id` net at a window of 128 from one driver
-/// thread, FIFO door vs `Service` door (`snet_bench::door`). The
-/// difference of the two rows is the door tax; both come from one run.
+/// fronts: the one-box `id` net from one driver thread, FIFO door vs
+/// `Service` door (`snet_bench::door`), at a window of 128 (a busy net)
+/// and of 1 (the lone caller). The difference of two rows of one
+/// window is the door tax; all four come from one run.
 fn bench_door(c: &mut Criterion) {
     use snet_bench::door;
+    const WINDOWS: [u64; 2] = [1, 128];
     let mut g = c.benchmark_group("door");
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(400));
@@ -608,21 +610,29 @@ fn bench_door(c: &mut Criterion) {
 
     let net = door::id_net();
     let mut next = 0;
-    g.bench_function("fifo_w128", |b| {
-        b.iter(|| {
-            assert_eq!(door::fifo(&net, next, N_RECORDS), 0, "lost or reordered");
-            next += N_RECORDS;
-        })
-    });
+    for w in WINDOWS {
+        g.bench_function(format!("fifo_w{w}"), |b| {
+            b.iter(|| {
+                assert_eq!(door::fifo(&net, next, N_RECORDS, w), 0, "lost or reordered");
+                next += N_RECORDS;
+            })
+        });
+    }
     let _ = net.finish();
 
     let svc = snet_runtime::Service::start(door::id_net());
-    g.bench_function("service_w128", |b| {
-        b.iter(|| {
-            assert_eq!(door::service(&svc, next, N_RECORDS), 0, "lost or misrouted");
-            next += N_RECORDS;
-        })
-    });
+    for w in WINDOWS {
+        g.bench_function(format!("service_w{w}"), |b| {
+            b.iter(|| {
+                assert_eq!(
+                    door::service(&svc, next, N_RECORDS, w),
+                    0,
+                    "lost or misrouted"
+                );
+                next += N_RECORDS;
+            })
+        });
+    }
     assert_eq!(svc.metrics().get("serve/stray"), 0);
     svc.shutdown();
     g.finish();

@@ -5,16 +5,14 @@
 //! two is the *door tax*: what request correlation costs on top of the
 //! stream pair it fronts.
 //!
-//! Rows `door/fifo_w128` and `door/service_w128` of the
-//! `runtime_primitives` bench. Compare both rows of one run, pinned to
-//! one CPU (`taskset -c 0`).
+//! Rows `door/{fifo,service}_w{1,128}` of the `runtime_primitives`
+//! bench: a window of 128 keeps the net busy, a window of 1 is the lone
+//! caller, who waits out every round trip. Compare the rows of one run,
+//! pinned to one CPU (`taskset -c 0`).
 
 use snet_runtime::{CallHandle, Net, NetBuilder, Service};
 use snet_types::Record;
 use std::collections::VecDeque;
-
-/// Operations kept in flight.
-pub const WINDOW: u64 = 128;
 
 /// `box id (x) -> (x); net main = id` on the default executor.
 pub fn id_net() -> Net {
@@ -33,10 +31,11 @@ fn answers(rec: &Record, i: u64) -> bool {
     rec.field("x").and_then(|v| v.as_int()) == Some(i as i64)
 }
 
-/// `ops` operations through the FIFO door, numbered from `first`.
-/// Returns how many were lost or came back out of order (the net is a
-/// single box, so responses arrive in request order).
-pub fn fifo(net: &Net, first: u64, ops: u64) -> u64 {
+/// `ops` operations through the FIFO door, numbered from `first`, with
+/// up to `window` in flight. Returns how many were lost or came back
+/// out of order (the net is a single box, so responses arrive in
+/// request order).
+pub fn fifo(net: &Net, first: u64, ops: u64, window: u64) -> u64 {
     let mut bad = 0;
     let mut harvest = |i: u64| match net.recv() {
         Some(rec) if answers(&rec, i) => {}
@@ -45,7 +44,7 @@ pub fn fifo(net: &Net, first: u64, ops: u64) -> u64 {
     // The oldest request not yet answered.
     let mut due = first;
     for i in first..first + ops {
-        if i - due == WINDOW {
+        if i - due == window {
             harvest(due);
             due += 1;
         }
@@ -56,9 +55,9 @@ pub fn fifo(net: &Net, first: u64, ops: u64) -> u64 {
 }
 
 /// `ops` operations through the `Service` door, numbered from `first`,
-/// harvested oldest first. Returns how many were refused, failed or
-/// answered with another request's record.
-pub fn service(svc: &Service, first: u64, ops: u64) -> u64 {
+/// with up to `window` in flight, harvested oldest first. Returns how
+/// many were refused, failed or answered with another request's record.
+pub fn service(svc: &Service, first: u64, ops: u64, window: u64) -> u64 {
     let mut bad = 0;
     let mut open: VecDeque<(u64, Option<CallHandle>)> = VecDeque::new();
     let mut harvest = |(i, h): (u64, Option<CallHandle>)| {
@@ -68,7 +67,7 @@ pub fn service(svc: &Service, first: u64, ops: u64) -> u64 {
         bad += u64::from(!ok);
     };
     for i in first..first + ops {
-        if open.len() as u64 == WINDOW {
+        if open.len() as u64 == window {
             harvest(open.pop_front().expect("window is full"));
         }
         open.push_back((i, svc.call(request(i)).ok()));

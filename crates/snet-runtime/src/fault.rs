@@ -42,7 +42,7 @@
 //! retried record starts from a clean buffer, and a skipped record
 //! contributes no output at all — exactly like a box that chose to
 //! emit nothing. Downstream components, merge barriers and the serve
-//! demux never see a partial cascade.
+//! egress never see a partial cascade.
 //!
 //! # Why `SkipRecord` cannot break deterministic merging
 //!

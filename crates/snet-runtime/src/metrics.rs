@@ -278,9 +278,12 @@ pub mod keys {
     /// [`crate::CallError::Faulted`] because a component fault
     /// dropped one of their records.
     pub const SERVE_FAULTED: &str = "serve/faulted";
-    /// Counter (full key): panics of the serve demux task itself
-    /// (each fails all open slots with `ServiceStopped` — callers are
-    /// never stranded).
+    /// Counter (full key): panics of the serve egress drain itself (a
+    /// stream observer of `serve/stray`, say). Caught on the thread
+    /// whose send ran the drain; each fails all open slots with
+    /// `ServiceStopped` and drops the net's output edge, so callers are
+    /// never stranded and the net winds down. The key keeps the name
+    /// of the demux task the drain replaced.
     pub const SERVE_DEMUX_PANICS: &str = "serve/demux_panics";
     /// Counter (full key): calls served from a recycled completion
     /// slot instead of a fresh allocation (the serve front door keeps

@@ -628,7 +628,8 @@ impl Net {
     /// Number of components spawned so far (tasks, not OS threads —
     /// under a pool executor many components share few threads). A
     /// net whose fans fuse is one component however far it unfolds; a
-    /// [`crate::Service`] adds its demux.
+    /// [`crate::Service`] adds none (its egress runs on the sends that
+    /// publish the net's output).
     pub fn threads_spawned(&self) -> usize {
         self.ctx.threads_spawned()
     }

@@ -7,15 +7,23 @@
 //! gets exactly its own responses back:
 //!
 //! ```text
-//!  callers ── call(rec) ──┐                       ┌── CallHandle ✓
-//!                         ▼                       │
-//!              [+#rid tag]─► ingress ─► net ─► egress ─► demux ──┘
+//!  callers ── call(rec) ──┐                             ┌── CallHandle ✓
+//!                         ▼                             │
+//!              [+#rid tag]─► ingress ─► net ─► egress ──┘
+//!                                                 ╰ drained by the publishing send
 //! ```
 //!
 //! [`Service::call`] stamps the record with a fresh request id, the
-//! net transforms it, and the demux — one more component task on the
-//! net's executor — routes each output record back to the issuing
-//! caller's completion slot, waking callers once per batch it drains.
+//! net transforms it, and the egress drain routes each output record
+//! back to the issuing caller's completion slot, waking callers once
+//! per batch it drains. The drain is no task: the service keeps a waker
+//! of its own registered on the net's output edge, so the send that
+//! publishes a response — on the thread of the net's last component —
+//! runs the drain, and the caller is woken from inside that component's
+//! poll. A three-state word (idle / draining / drain again) keeps one
+//! drain at a time: a publish that lands mid-drain sends the running
+//! drain round once more instead of starting a second one. The drain
+//! spends none of the publishing task's poll budget.
 //! [`CallHandle`] is a [`std::future::Future`] resolving to the
 //! [`Response`]; [`CallHandle::wait`] / [`CallHandle::wait_deadline`]
 //! poll it from a thread that parks in between, so threads and tasks
@@ -32,7 +40,7 @@
 //! request closes — completed, faulted, abandoned (a passed deadline,
 //! a dropped handle), failed at shutdown — so it is odd while a
 //! request is open, and a record's id matches its slot's generation
-//! exactly while *its* request is. The demux goes from the tag to the
+//! exactly while *its* request is. The egress goes from the tag to the
 //! slot by shift and mask: no hash, no lock shared with callers; the
 //! fault subscription and the shutdown sweep use the same table.
 //! **A generation mismatch is the stray case**, whatever the cause —
@@ -56,7 +64,11 @@
 //! outcome; its caller and whoever delivers to or fails it) and the
 //! free-list lock (twice per request, callers only — the one lock
 //! callers can contend on). Whether and when a request resolved is
-//! readable without either ([`CallHandle::completed_at`]).
+//! readable without either ([`CallHandle::completed_at`]). The egress
+//! keeps the output edge under a third, held across a whole drain
+//! (observers included) but taken only by the thread holding the drain
+//! state: nobody waits on it but the next drain, for the previous
+//! one's return.
 //!
 //! # The reserved-tag invariant
 //!
@@ -84,7 +96,7 @@
 //!   unaffected.
 //! - **The Rust surface rejects it.** [`Service::call`] refuses
 //!   records that already carry a `#rid` label
-//!   ([`CallError::ReservedTag`]), and the demux strips the tag before
+//!   ([`CallError::ReservedTag`]), and the egress strips the tag before
 //!   a [`Response`] reaches the caller.
 //!
 //! Synchrocells merge two records into one; both carry a rid and the
@@ -115,13 +127,16 @@
 //!   the egress count as stray (their generation is over).
 //! - **Box/filter panic, policy `FailNet` (default).** Today's
 //!   semantics: the panic unwinds the component, end-of-stream
-//!   cascades to the egress, the demux exits, and *every* open
-//!   request fails with [`CallError::ServiceStopped`];
+//!   cascades to the egress, the drain that sees it ends, and *every*
+//!   open request fails with [`CallError::ServiceStopped`];
 //!   [`Service::shutdown`] re-raises the panic from `join_all`.
-//! - **Demux death.** The demux task is itself guarded: if it
-//!   panics (`serve/demux_panics`), every open request is failed with
-//!   [`CallError::ServiceStopped`] on the way out. The panic is caught
-//!   inside the task, so it does not fail the net.
+//! - **Drain death.** The egress drain is itself guarded: if it
+//!   panics (a stream observer of `serve/stray`, say), the panic is
+//!   counted (`serve/demux_panics`, the name of the task the drain
+//!   replaced), every open request is failed with
+//!   [`CallError::ServiceStopped`] and the output edge is dropped, so
+//!   the net winds down. The panic is caught on the thread whose send
+//!   ran the drain, so it neither fails that component nor the net.
 //!
 //! Containment does not disturb deterministic merging (sort records
 //! never enter the guarded cores — see [`crate::sched`]), so a

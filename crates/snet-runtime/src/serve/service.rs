@@ -1,22 +1,25 @@
 //! The request/response front door: [`Service`], [`CallHandle`] and
-//! the demultiplexer that routes net output back to callers.
+//! the egress drain that routes net output back to callers.
 
+use crate::ctx::Ctx;
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
-use crate::stream::chan::with_parker;
-use crate::stream::{Msg, Receiver, Sender, RECV_BATCH};
+use crate::path::CompPath;
+use crate::stream::chan::{poll_budget, set_poll_budget, with_parker};
+use crate::stream::{Dir, Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
 use std::fmt;
 use std::future::Future;
+use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 /// The reserved request-id tag. The leading `#` puts it outside the
 /// identifier alphabet of the `.snet` language, [`Service::call`]
-/// rejects records that already carry it and the demux strips it —
+/// rejects records that already carry it and the egress strips it —
 /// user code can neither forge nor observe it (*The reserved-tag
 /// invariant* in [`crate::serve`]).
 pub const RESERVED_RID: &str = "#rid";
@@ -47,6 +50,10 @@ pub enum CallError {
     /// any restart budget). The request can never complete, so it
     /// resolves promptly instead of hanging to its deadline.
     Faulted { component: String, msg: String },
+    /// The [`CallHandle`] was polled again after it resolved: its
+    /// outcome went to the first poll that saw it, and its slot may
+    /// serve another request by now.
+    PolledAfterResolved,
 }
 
 impl fmt::Display for CallError {
@@ -61,6 +68,7 @@ impl fmt::Display for CallError {
             CallError::Faulted { component, msg } => {
                 write!(f, "request faulted at {component}: {msg}")
             }
+            CallError::PolledAfterResolved => write!(f, "call handle polled after it resolved"),
         }
     }
 }
@@ -68,7 +76,7 @@ impl fmt::Display for CallError {
 impl std::error::Error for CallError {}
 
 /// A completed request: the response records (reserved tag already
-/// stripped, net emission order) plus the demux-side completion
+/// stripped, net emission order) plus the egress-side completion
 /// timestamp — latency measured against it excludes the caller's own
 /// wakeup delay, which matters when handles are harvested lazily.
 #[derive(Debug)]
@@ -149,7 +157,7 @@ impl Slot {
     }
 }
 
-/// The one correlation structure, shared by the service, its demux,
+/// The one correlation structure, shared by the service, its egress,
 /// its fault subscription and every call handle. A slot lock and the
 /// free-list lock are both leaves, never held together.
 #[derive(Default)]
@@ -248,7 +256,7 @@ impl Table {
     }
 
     /// Fails every open request with [`CallError::ServiceStopped`]:
-    /// the demux's last act, on end-of-stream *or* after its panic.
+    /// the egress's last act, on end-of-stream *or* after its panic.
     fn fail_all(&self) {
         for seg in self.segs.iter().filter_map(OnceLock::get) {
             for slot in seg.iter() {
@@ -326,17 +334,21 @@ pub struct Service {
     requests: Counter,
     slot_reuse: Counter,
     inflight_max: Counter,
-    /// The net's context; its tracker also covers the demux task.
-    ctx: Arc<crate::ctx::Ctx>,
+    /// The net's context.
+    ctx: Arc<Ctx>,
 }
 
 impl Service {
-    /// Starts serving requests over `net`. The net's output edge is
-    /// consumed by the service's demux from now on — a component task
-    /// on the net's executor, joined by [`Service::shutdown`] with the
-    /// rest of the net. The service also subscribes to the net's fault
-    /// channel, so a request whose record a contained fault dropped
-    /// resolves as [`CallError::Faulted`] at once (*Failure model* in
+    /// Starts serving requests over `net`. The service registers a
+    /// waker of its own on the net's output edge, and each send that
+    /// publishes to it routes the records to their callers on the
+    /// publishing thread (the egress drain): no component is spawned,
+    /// so the net's [`Net::threads_spawned`] stays what it was. The
+    /// first drain runs here: records the net put out before the
+    /// service existed carry no request id and count as stray. The
+    /// service also subscribes to the net's fault channel, so a request
+    /// whose record a contained fault dropped resolves as
+    /// [`CallError::Faulted`] at once (*Failure model* in
     /// [`crate::serve`]).
     pub fn start(net: Net) -> Service {
         let Net {
@@ -350,55 +362,39 @@ impl Service {
         let table = Arc::new(Table::default());
         let rid_tag = Label::tag(RESERVED_RID);
         {
-            // The table holds no Ctx, so this subscription creates no
-            // reference cycle. Called from the faulting component's
-            // thread.
-            let table = Arc::clone(&table);
+            // Held weakly: the net's context lives until its last
+            // component finishes, which must not keep the table alive.
+            // Called from the faulting component's thread.
+            let table = Arc::downgrade(&table);
             let faulted = metrics.handle(keys::SERVE_FAULTED);
             ctx.on_fault(Arc::new(move |fault: &crate::fault::Fault| {
                 let rid = fault.dropped.as_ref().and_then(|r| r.tag_label(rid_tag));
-                let Some(rid) = rid else { return };
+                let (Some(rid), Some(table)) = (rid, table.upgrade()) else {
+                    return;
+                };
+                let Some((slot, st)) = table.open_slot(rid as u64) else {
+                    return;
+                };
                 let err = CallError::Faulted {
                     component: fault.component.clone(),
                     msg: fault.msg.clone(),
                 };
-                if let Some((slot, st)) = table.open_slot(rid as u64) {
-                    table.fail(slot, st, err);
-                    faulted.inc(1);
-                }
+                // Counted before the caller wakes: whoever sees the
+                // outcome sees the count.
+                faulted.inc(1);
+                table.fail(slot, st, err);
             }));
         }
-        {
-            // The demux is a component like any other: on the pool the
-            // net's last stage wakes it on the worker it ran on, and
-            // the response reaches the caller with one OS-level wake
-            // (demux → caller) instead of two (egress → demux thread →
-            // caller).
-            let table = Arc::clone(&table);
-            let ctx2 = Arc::clone(&ctx);
-            ctx.spawn("snet-serve-demux", async move {
-                // If the demux dies, callers must not be stranded.
-                // Catch its panic at every poll — at the task boundary
-                // it would fail the net — count it, and fail whatever
-                // is still open.
-                let mut demux = std::pin::pin!(demux_loop(&table, &ctx2, &output, rid_tag));
-                let died = std::future::poll_fn(|cx| {
-                    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        demux.as_mut().poll(cx)
-                    }));
-                    match polled {
-                        Ok(Poll::Pending) => Poll::Pending,
-                        Ok(Poll::Ready(())) => Poll::Ready(false),
-                        Err(_) => Poll::Ready(true),
-                    }
-                })
-                .await;
-                if died {
-                    ctx2.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1);
-                }
-                table.fail_all();
-            });
-        }
+        Arc::new(Egress {
+            state: AtomicU8::new(IDLE),
+            output: Mutex::new(Some((output, Wakes(Vec::new())))),
+            table: Arc::clone(&table),
+            ctx: Arc::clone(&ctx),
+            rid_tag,
+            completed: metrics.handle(keys::SERVE_COMPLETED),
+            stray: metrics.handle(keys::SERVE_STRAY),
+        })
+        .wake();
         Service {
             table,
             input: Some(input),
@@ -449,7 +445,7 @@ impl Service {
         }
         rec.set_tag_label(self.rid_tag, rid as i64);
         // The handle owns the slot before the record leaves: the answer
-        // can reach the demux before this returns, and a rejected (or
+        // can reach the egress before this returns, and a rejected (or
         // panicking) send drops the handle, which frees the slot.
         let handle = CallHandle {
             rid,
@@ -486,8 +482,10 @@ impl Service {
     /// drain; any left unanswered fail with
     /// [`CallError::ServiceStopped`].
     pub fn shutdown(mut self) {
-        // Closing ingress ends the net's input; the join covers the
-        // demux too, which fails the stragglers before it completes.
+        // Closing ingress ends the net's input. The net's last
+        // component ends its output edge before it completes, and the
+        // drain that end-of-stream runs fails the stragglers, so the
+        // join covers them.
         self.input.take();
         self.ctx.join_all();
     }
@@ -496,8 +494,8 @@ impl Service {
     /// requests up to `grace` to flush through the net, then shut
     /// down. Requests the net answers within the grace window
     /// complete normally; whatever is still open afterwards fails
-    /// with [`CallError::ServiceStopped`] when the demux sees
-    /// end-of-stream. Returns the outcome tally.
+    /// with [`CallError::ServiceStopped`] when the net's output edge
+    /// ends. Returns the outcome tally.
     pub fn drain(mut self, grace: Duration) -> DrainReport {
         self.input.take();
         let deadline = Instant::now() + grace;
@@ -526,61 +524,142 @@ impl fmt::Debug for Service {
     }
 }
 
-/// The demux loop: pops the net's output edge, strips the reserved
-/// tag and completes the owning request's slot. Records with no (or a
-/// stale) request id — sent into the service's net by other means, or
-/// arriving after their request closed — are dropped, counted under
-/// `serve/stray` and shown to stream observers at that path.
-async fn demux_loop(table: &Table, ctx: &crate::ctx::Ctx, output: &Receiver, rid_tag: Label) {
-    let completed = ctx.metrics.handle(keys::SERVE_COMPLETED);
-    let stray = ctx.metrics.handle(keys::SERVE_STRAY);
-    let observing = ctx.has_observers();
-    let stray_path = crate::path::CompPath::root("serve").child("stray");
-    // Observers run under no lock.
-    let drop_stray = |rec: &Record| {
-        stray.inc(1);
-        if observing {
-            ctx.observe(stray_path, crate::stream::Dir::In, rec);
-        }
-    };
-    let mut wakes = Wakes(Vec::new());
-    let route = |msg: Msg, wakes: &mut Wakes| {
-        // Sort records are net-internal; a well-formed net never
-        // leaks them, skip defensively (same as `Net::recv`).
-        let Msg::Rec(mut rec) = msg else { return };
-        let Some(rid) = rec.tag_label(rid_tag) else {
-            drop_stray(&rec);
-            return;
-        };
-        rec.remove(rid_tag);
-        match table.deliver(rid as u64, rec) {
-            Err(rec) => drop_stray(&rec),
-            Ok(None) => {}
-            Ok(Some(waiter)) => {
-                completed.inc(1);
-                wakes.0.extend(waiter);
-            }
-        }
-    };
-    // One batch per wake, callers woken after it: the completion stamp
-    // is taken record by record, the wake-ups (a futex call each, and
-    // on a busy CPU a preemption by the woken caller) once the batch
-    // is through — a lone request is a batch of one and waits for
-    // nothing, and the executor's time slice bounds a long batch.
-    loop {
-        let n = output
-            .recv_each(RECV_BATCH, &mut |msg| route(msg, &mut wakes))
-            .await;
-        wakes.flush();
-        if n == 0 {
-            break;
+// Egress drain states: the `Task` state word of `sched/pool.rs`, cut
+// down to what a drain needs.
+const IDLE: u8 = 0; // registered on the output edge: a wake drains
+const DRAINING: u8 = 1; // a thread is draining the edge
+const AGAIN: u8 = 2; // woken mid-drain: the running drain goes round again
+
+/// The service's end of the net's output edge, and the waker it keeps
+/// registered there. A send that publishes to the parked edge wakes it
+/// (`chan.rs`' `maybe_wake`), and the wake drains the edge on the
+/// sending thread — strips the reserved tag, completes the owning
+/// requests' slots, wakes their callers — then registers again. The
+/// answer reaches its caller from the send that publishes it, with no
+/// task hand-off in between.
+struct Egress {
+    /// `IDLE`, `DRAINING` or `AGAIN`: one drain at a time, and a wake
+    /// that lands during one sends it round again instead of starting
+    /// a second. After the edge ends it never returns to `IDLE`.
+    state: AtomicU8,
+    /// The net's output edge, and the callers its current batch has
+    /// answered, until the drain ends — at end-of-stream, or after a
+    /// panic, when dropping the edge winds the net down. Until then
+    /// edge → waker → `Egress` → edge is a reference cycle.
+    output: Mutex<Option<(Receiver, Wakes)>>,
+    table: Arc<Table>,
+    ctx: Arc<Ctx>,
+    rid_tag: Label,
+    completed: Counter,
+    stray: Counter,
+}
+
+impl Wake for Egress {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if self.state.swap(AGAIN, Ordering::AcqRel) == IDLE {
+            self.drain();
         }
     }
 }
 
-/// Callers the demux answered in its current batch and has yet to
-/// wake. Wakes them on drop too, so a demux that dies mid-batch
-/// strands nobody it had already answered.
+impl Egress {
+    /// Runs the drain on this thread, outside its poll budget: the
+    /// records are the service's, and the task whose send woke the
+    /// egress must not pay a yield for them. A panic is caught here, on
+    /// the sending thread, and ends the drain as end-of-stream does.
+    fn drain(self: &Arc<Self>) {
+        let budget = poll_budget();
+        set_poll_budget(u32::MAX);
+        let ended = std::panic::catch_unwind(AssertUnwindSafe(|| self.drain_edge()));
+        set_poll_budget(budget);
+        match ended {
+            Ok(false) => return,
+            Ok(true) => {}
+            Err(_) => self.ctx.metrics.handle(keys::SERVE_DEMUX_PANICS).inc(1),
+        }
+        self.table.fail_all();
+        // Callers answered before a panic are woken here, and the net
+        // sees its output edge gone.
+        let edge = self
+            .output
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        drop(edge);
+    }
+
+    /// Drains until the edge is empty, the waker registered and no wake
+    /// came in meanwhile (`false`), or until end-of-stream (`true`).
+    /// Callers are woken once per batch: the completion stamp is taken
+    /// record by record, the wake-ups (a futex call each, and on a busy
+    /// CPU a preemption by the woken caller) once the batch is through.
+    fn drain_edge(self: &Arc<Self>) -> bool {
+        let mut output = self.output.lock().unwrap_or_else(PoisonError::into_inner);
+        let (rx, wakes) = output
+            .as_mut()
+            .expect("a drain that ended never returns to idle");
+        let waker = Waker::from(Arc::clone(self));
+        let mut cx = Context::from_waker(&waker);
+        loop {
+            self.state.swap(DRAINING, Ordering::AcqRel);
+            loop {
+                match rx.poll_recv_each(&mut cx, RECV_BATCH, &mut |msg| self.route(msg, wakes)) {
+                    Poll::Ready(0) => return true,
+                    Poll::Ready(_) => wakes.flush(),
+                    Poll::Pending => break,
+                }
+            }
+            if self
+                .state
+                .compare_exchange(DRAINING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return false;
+            }
+        }
+    }
+
+    /// Strips the reserved tag and completes the owning request's slot.
+    /// Records with no (or a stale) request id — sent into the
+    /// service's net by other means, or arriving after their request
+    /// closed — are dropped, counted under `serve/stray` and shown to
+    /// stream observers at that path.
+    fn route(&self, msg: Msg, wakes: &mut Wakes) {
+        // Sort records are net-internal; a well-formed net never
+        // leaks them, skip defensively (same as `Net::recv`).
+        let Msg::Rec(mut rec) = msg else { return };
+        let Some(rid) = rec.tag_label(self.rid_tag) else {
+            return self.drop_stray(&rec);
+        };
+        rec.remove(self.rid_tag);
+        match self.table.deliver(rid as u64, rec) {
+            Err(rec) => self.drop_stray(&rec),
+            Ok(None) => {}
+            Ok(Some(waiter)) => {
+                self.completed.inc(1);
+                wakes.0.extend(waiter);
+            }
+        }
+    }
+
+    /// Observers run under no lock of the table.
+    fn drop_stray(&self, rec: &Record) {
+        self.stray.inc(1);
+        if self.ctx.has_observers() {
+            let path = CompPath::root("serve").child("stray");
+            self.ctx.observe(path, Dir::In, rec);
+        }
+    }
+}
+
+/// Callers the egress answered in its current batch and has yet to
+/// wake. Wakes them on drop too, so a drain that dies mid-batch
+/// strands nobody it had already answered: they are woken when the
+/// drain's end drops the edge.
 struct Wakes(Vec<Waker>);
 
 impl Wakes {
@@ -652,7 +731,7 @@ impl CallHandle {
         })
     }
 
-    /// Completion timestamp (demux-side, excludes caller wakeup
+    /// Completion timestamp (egress-side, excludes caller wakeup
     /// latency); `None` until the request completes.
     pub fn completed_at(&self) -> Option<Instant> {
         let stamp = self.slot().stamp.load(Ordering::Acquire);
@@ -666,11 +745,13 @@ impl Future for CallHandle {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         // The slot may be another request's by now.
-        assert!(this.live, "CallHandle polled after it resolved");
+        if !this.live {
+            return Poll::Ready(Err(CallError::PolledAfterResolved));
+        }
         let slot = this.slot();
         let mut st = slot.state();
         if slot.stamp.load(Ordering::Acquire) == 0 {
-            // Registered under the lock the demux resolves under: it
+            // Registered under the lock the egress resolves under: it
             // either sees the waiter or has already set the stamp.
             st.waiter = Some(cx.waker().clone());
             return Poll::Pending;
@@ -693,5 +774,85 @@ impl Drop for CallHandle {
 impl fmt::Debug for CallHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "CallHandle {{ rid: {} }}", self.rid)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetBuilder;
+
+    fn echo_service() -> Service {
+        let net = NetBuilder::from_source("box echo (x) -> (x); net main = echo;")
+            .unwrap()
+            .bind("echo", |rec, em| em.emit(rec.clone()))
+            .build("main")
+            .unwrap();
+        assert_eq!(net.threads_spawned(), 1);
+        Service::start(net)
+    }
+
+    fn echo(svc: &Service, x: i64) {
+        let resp = svc.call(Record::build().field("x", x).finish()).unwrap();
+        let resp = resp.wait().unwrap();
+        assert_eq!(resp.records[0].field("x").unwrap().as_int(), Some(x));
+    }
+
+    /// The egress spawns nothing, and the cycle its waker closes —
+    /// output edge → `Egress` → its `Receiver` — holds only until the
+    /// edge ends: once the net has wound down, by `shutdown()` or by a
+    /// plain drop, nothing keeps the table alive.
+    #[test]
+    fn the_table_is_freed_once_the_net_winds_down() {
+        for shutdown in [true, false] {
+            let svc = echo_service();
+            echo(&svc, 1);
+            echo(&svc, 2);
+            assert_eq!(svc.ctx.threads_spawned(), 1, "the service spawned a task");
+            let table = Arc::downgrade(&svc.table);
+            let ctx = Arc::clone(&svc.ctx);
+            if shutdown {
+                svc.shutdown();
+            } else {
+                drop(svc);
+                ctx.join_all();
+            }
+            assert!(table.upgrade().is_none(), "shutdown: {shutdown}");
+        }
+    }
+
+    /// The state word: a wake that lands while a drain runs starts no
+    /// second one and leaves its record to the running drain's next
+    /// round; end-of-stream ends the drain and drops the edge.
+    #[test]
+    fn a_wake_during_a_drain_is_left_to_the_running_drain() {
+        let ctx = crate::instantiate::test_ctx(Vec::new());
+        let (tx, rx) = crate::stream::stream();
+        let egress = Arc::new(Egress {
+            state: AtomicU8::new(IDLE),
+            output: Mutex::new(Some((rx, Wakes(Vec::new())))),
+            table: Arc::default(),
+            rid_tag: Label::tag(RESERVED_RID),
+            completed: ctx.metrics.handle(keys::SERVE_COMPLETED),
+            stray: ctx.metrics.handle(keys::SERVE_STRAY),
+            ctx,
+        });
+        let state = || egress.state.load(Ordering::SeqCst);
+        let stray = || egress.ctx.metrics.get(keys::SERVE_STRAY);
+        // The first drain finds the edge empty and registers.
+        Arc::clone(&egress).wake();
+        assert_eq!(state(), IDLE);
+        // As if another thread were draining: the send wakes the
+        // registered egress, which only marks the running drain.
+        egress.state.store(DRAINING, Ordering::SeqCst);
+        let rec = Record::build().field("x", 1i64).finish();
+        tx.send(Msg::Rec(rec)).unwrap();
+        assert_eq!((state(), stray()), (AGAIN, 0));
+        // The running drain's next round routes it and registers again.
+        egress.drain();
+        assert_eq!((state(), stray()), (IDLE, 1));
+        drop(tx);
+        assert_ne!(state(), IDLE);
+        assert!(egress.output.lock().unwrap().is_none());
     }
 }

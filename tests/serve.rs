@@ -17,7 +17,8 @@ use snet_runtime::{
 };
 use snet_types::{Label, Record};
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -545,6 +546,119 @@ fn call_handle_is_a_future() {
     };
     assert_eq!(resp.records[0].field("x").unwrap().as_int(), Some(5));
     svc.shutdown();
+}
+
+/// A handle hands its outcome to the poll that sees it; polling it
+/// again is a typed error, not a panic (its slot may serve another
+/// request by then).
+#[test]
+fn a_resolved_handle_polled_again_is_a_typed_error() {
+    let net = NetBuilder::from_source("box echo (x) -> (x); net main = echo;")
+        .unwrap()
+        .bind("echo", |rec, em| em.emit(rec.clone()))
+        .build("main")
+        .unwrap();
+    let svc = Service::start(net);
+    let mut h = svc.call(Record::build().field("x", 3i64).finish()).unwrap();
+    let mut cx = Context::from_waker(Waker::noop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let resp = loop {
+        match Pin::new(&mut h).poll(&mut cx) {
+            Poll::Ready(r) => break r.unwrap(),
+            Poll::Pending => {
+                assert!(Instant::now() < deadline, "never resolved");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    };
+    assert_eq!(resp.records[0].field("x").unwrap().as_int(), Some(3));
+    match Pin::new(&mut h).poll(&mut cx) {
+        Poll::Ready(Err(e @ CallError::PolledAfterResolved)) => {
+            assert_eq!(e.to_string(), "call handle polled after it resolved")
+        }
+        other => panic!("expected PolledAfterResolved, got {other:?}"),
+    }
+    assert_eq!(h.completed_at(), None);
+    drop(h);
+    // The service is untouched by the misuse.
+    let again = svc.call(Record::build().field("x", 4i64).finish()).unwrap();
+    assert_eq!(
+        again.wait().unwrap().records[0]
+            .field("x")
+            .unwrap()
+            .as_int(),
+        Some(4)
+    );
+    assert_eq!(svc.metrics().get("serve/completed"), 2);
+    svc.shutdown();
+}
+
+/// Records the net put out before `Service::start` carry no request id.
+/// The box holds the middle one back until every caller has a request
+/// in flight, so the rest meet the drains while calls race them on
+/// other threads, and a drain a response's send starts can find one
+/// running. Every early record counts as stray exactly once, every call
+/// gets its own answer, and nothing panics.
+#[test]
+fn records_sent_before_start_go_stray_once_while_calls_race_the_first_drain() {
+    const EARLY: i64 = 2_000;
+    const CALLERS: usize = 4;
+    const PER_CALLER: i64 = 100;
+    let legs: [(&str, Arc<dyn Executor>); 3] = [
+        ("threads", Arc::new(ThreadPerComponent)),
+        ("pool(1)", Arc::new(WorkStealingPool::new(1))),
+        ("pool(4)", Arc::new(WorkStealingPool::new(4))),
+    ];
+    for (leg, exec) in legs {
+        let calling = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::clone(&calling);
+        let net = NetBuilder::from_source("box echo (x) -> (x); net main = echo;")
+            .unwrap()
+            .bind("echo", move |rec, em| {
+                if rec.field("x").unwrap().as_int() == Some(-EARLY / 2) {
+                    while gate.load(Ordering::Acquire) < CALLERS {
+                        std::thread::yield_now();
+                    }
+                }
+                em.emit(rec.clone())
+            })
+            // The early records must not wait for the service.
+            .unbounded()
+            .executor(exec)
+            .build("main")
+            .unwrap();
+        for i in 1..=EARLY {
+            net.send(Record::build().field("x", -i).finish()).unwrap();
+        }
+        let svc = Service::start(net);
+        std::thread::scope(|s| {
+            for t in 0..CALLERS as i64 {
+                let (svc, calling) = (&svc, &calling);
+                s.spawn(move || {
+                    for i in 0..PER_CALLER {
+                        let x = t * PER_CALLER + i;
+                        let h = svc.call(Record::build().field("x", x).finish()).unwrap();
+                        if i == 0 {
+                            calling.fetch_add(1, Ordering::Release);
+                        }
+                        let resp = h.wait_deadline(Instant::now() + Duration::from_secs(30));
+                        let resp = resp.unwrap_or_else(|e| panic!("{leg}: call {x}: {e}"));
+                        let got = resp.records[0].field("x").unwrap().as_int();
+                        assert_eq!(got, Some(x), "{leg}: misrouted");
+                    }
+                });
+            }
+        });
+        let m = Arc::clone(svc.metrics());
+        svc.shutdown();
+        assert_eq!(m.get("serve/stray"), EARLY as u64, "{leg}");
+        assert_eq!(
+            m.get("serve/completed"),
+            CALLERS as u64 * PER_CALLER as u64,
+            "{leg}"
+        );
+        assert_eq!(m.get("serve/demux_panics"), 0, "{leg}");
+    }
 }
 
 /// A caller that dies between `call` and `wait` takes nothing with
