@@ -56,21 +56,35 @@ pub struct Emitter<'a> {
     sink: &'a mut dyn FnMut(Record),
     excess: &'a Record,
     sig: &'a BoxSig,
-    path: CompPath,
-    ctx: &'a Ctx,
-    /// `ctx.has_observers()`, resolved once at component spawn
-    /// (observers are fixed at context construction).
-    observing: bool,
+    /// Where emissions are observed: the net and the box's path, when
+    /// the net has observers (fixed at context construction).
+    observer: Option<(&'a Ctx, CompPath)>,
     emitted: u64,
 }
 
 impl<'a> Emitter<'a> {
+    /// An emitter outside any net: flow inheritance from `excess`, no
+    /// observation (the sequential reference, [`crate::oracle`]).
+    pub(crate) fn detached(
+        sink: &'a mut dyn FnMut(Record),
+        excess: &'a Record,
+        sig: &'a BoxSig,
+    ) -> Emitter<'a> {
+        Emitter {
+            sink,
+            excess,
+            sig,
+            observer: None,
+            emitted: 0,
+        }
+    }
+
     /// Emits an output record. Flow inheritance is applied here: excess
     /// labels of the input record are attached unless present.
     pub fn emit(&mut self, rec: Record) {
         let rec = rec.inherit(self.excess);
-        if self.observing {
-            self.ctx.observe(self.path, Dir::Out, &rec);
+        if let Some((ctx, path)) = self.observer {
+            ctx.observe(path, Dir::Out, &rec);
         }
         self.emitted += 1;
         (self.sink)(rec);
@@ -228,9 +242,7 @@ impl BoxCore {
                 sink,
                 excess: &self.no_excess,
                 sig: &self.sig,
-                path: self.path,
-                ctx,
-                observing: self.observing,
+                observer: self.observing.then_some((ctx, self.path)),
                 emitted: 0,
             };
             (self.imp)(rec, &mut em);
@@ -241,9 +253,7 @@ impl BoxCore {
                 sink,
                 excess: &excess,
                 sig: &self.sig,
-                path: self.path,
-                ctx,
-                observing: self.observing,
+                observer: self.observing.then_some((ctx, self.path)),
                 emitted: 0,
             };
             (self.imp)(&matched, &mut em);

@@ -47,16 +47,16 @@ use std::sync::Arc;
 /// to the cap (52 producer stalls across 12 000 requests, zero
 /// losses, p99 still bounded) — i.e. the bound only ever engages when
 /// arrivals genuinely outrun service, which is exactly when unbounded
-/// edges would otherwise grow without limit. Escape hatches:
-/// `SNET_STREAM_BOUND=0` process-wide or `NetBuilder::unbounded()`
-/// per net restore the seed's unbounded edges.
+/// edges would otherwise grow without limit. Escape hatch:
+/// `NetBuilder::unbounded()` restores the seed's unbounded edges.
 pub const DEFAULT_STREAM_BOUND: usize = 128;
 
 /// The configuration of one network — the one value every setting
 /// resolves into. [`RunCfg::default`] is the default,
-/// [`RunCfg::try_from_env`] is the default as the environment amends
-/// it, a `NetBuilder` starts from the latter and its setters assign
-/// fields; [`Ctx`] carries the result to every component spawn site.
+/// [`RunCfg::try_from_env`] is the default with the pool size the
+/// environment gives, a `NetBuilder` starts from the latter and its
+/// setters assign fields; [`Ctx`] carries the result to every
+/// component spawn site.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCfg {
     /// Capacity of every data edge; `None` = unbounded. See
@@ -75,8 +75,8 @@ pub struct RunCfg {
     /// entry wins over the net-global `split_lanes`.
     pub split_lanes_by_tag: HashMap<String, u32>,
     /// Whether compilation runs the fusion pass (see [`crate::plan`]).
-    /// Read by [`crate::compile`] and `NetBuilder::build*`; a plan
-    /// that is already compiled keeps what it was compiled with.
+    /// Read by `NetBuilder::build*`; a plan that is already compiled
+    /// keeps what it was compiled with.
     pub fuse: bool,
     /// Escape hatch for replica fusion (see [`crate::plan`], *fan
     /// fusion*): `false` runs every fan on its own dispatcher even
@@ -101,8 +101,8 @@ pub struct RunCfg {
 impl Default for RunCfg {
     /// Every data edge bounded at [`DEFAULT_STREAM_BOUND`], both
     /// fusions on, a core-sized pool, blocking ingress, `FailNet`, no
-    /// chaos: what [`RunCfg::try_from_env`] reads in an empty
-    /// environment.
+    /// chaos: what [`RunCfg::try_from_env`] reads when `SNET_WORKERS`
+    /// is unset.
     fn default() -> RunCfg {
         RunCfg {
             bound: Some(DEFAULT_STREAM_BOUND),
@@ -120,102 +120,51 @@ impl Default for RunCfg {
 }
 
 impl RunCfg {
-    /// The default configuration as the process environment amends it
-    /// — the one place an `SNET_*` variable is read:
+    /// The default configuration with the shared pool sized by the
+    /// environment — the one place an `SNET_*` variable is read:
+    /// `SNET_WORKERS=n` sizes the shared pool ([`RunCfg::workers`]), a
+    /// deployment setting. Everything else about a net is set on its
+    /// `NetBuilder`.
     ///
-    /// * `SNET_STREAM_BOUND=n` bounds every data edge at `n` records,
-    ///   `0` lifts the bound ([`RunCfg::bound`]);
-    /// * `SNET_FUSE=0` turns the fusion pass off, `1` is the default
-    ///   ([`RunCfg::fuse`]);
-    /// * `SNET_WORKERS=n` sizes the shared pool ([`RunCfg::workers`]);
-    /// * `SNET_FAULT_POLICY=failnet|skip|restart[:RETRIES:BACKOFF_MS]`
-    ///   ([`FaultPolicy::parse`]);
-    /// * `SNET_CHAOS=seed:rate[:stall_rate:stall_ms]`
-    ///   ([`ChaosConfig::parse`]).
-    ///
-    /// A variable that is set to something it cannot mean is a
-    /// [`ConfigError::Env`], never the default: a typo must not
-    /// silently test or serve the configuration it was meant to
-    /// change. `NetBuilder::build*` returns it as
-    /// `BuildError::Config`; a `NetBuilder` setter assigns over what
-    /// was read here, so per net the setter wins.
+    /// A value the variable cannot mean is a [`ConfigError::Env`],
+    /// never the default: a typo must not silently run on a pool it
+    /// was meant to change. `NetBuilder::build*` returns it as
+    /// `BuildError::Config`.
     pub fn try_from_env() -> Result<RunCfg, ConfigError> {
         // Lossy: a value that is not Unicode then fails its parse.
-        RunCfg::resolve(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
+        RunCfg::with_workers(std::env::var_os("SNET_WORKERS").map(|v| v.to_string_lossy().into()))
     }
 
     /// [`RunCfg::try_from_env`] for callers with no error channel
-    /// ([`crate::compile`], [`crate::sched::default_executor`],
-    /// benches): panics with the [`ConfigError`] message — loud, never
-    /// a silent fallback.
+    /// ([`crate::sched::default_executor`], benches): panics with the
+    /// [`ConfigError`] message — loud, never a silent fallback.
     pub fn from_env() -> RunCfg {
         RunCfg::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The reader over a table: the process environment is shared
-    /// state, which the crate's unit tests must not set.
-    #[cfg(test)]
-    pub(crate) fn from_table(env: &[(&str, &str)]) -> Result<RunCfg, ConfigError> {
-        RunCfg::resolve(|var| Some(env.iter().find(|(k, _)| *k == var)?.1.to_string()))
-    }
-
-    /// The reader proper, over any `name -> value` lookup.
-    fn resolve(env: impl Fn(&'static str) -> Option<String>) -> Result<RunCfg, ConfigError> {
-        /// Assigns what a variable's trimmed value means, if anything.
-        type Set = fn(&mut RunCfg, &str) -> Option<()>;
-        let vars: [(&str, &str, Set); 5] = [
-            (
-                "SNET_STREAM_BOUND",
-                "a capacity in records (0 = unbounded)",
-                |c, v| {
-                    v.parse()
-                        .ok()
-                        .map(|n: usize| c.bound = (n > 0).then_some(n))
-                },
-            ),
-            ("SNET_FUSE", "0 or 1", |c, v| {
-                let on = match v {
-                    "0" => Some(false),
-                    "1" => Some(true),
-                    _ => None,
-                };
-                on.map(|on| c.fuse = on)
-            }),
-            ("SNET_WORKERS", "a positive integer", |c, v| {
-                let n = v.parse().ok().filter(|n| *n >= 1);
-                n.map(|n| c.workers = Some(n))
-            }),
-            (
-                "SNET_FAULT_POLICY",
-                "failnet, skip, restart or restart:RETRIES:BACKOFF_MS",
-                |c, v| FaultPolicy::parse(v).map(|p| c.fault_policy = p),
-            ),
-            (
-                "SNET_CHAOS",
-                "seed:rate[:stall_rate:stall_ms] with rate in 0..=1",
-                |c, v| ChaosConfig::parse(v).map(|chaos| c.chaos = Some(chaos)),
-            ),
-        ];
+    /// The default with `SNET_WORKERS` set to `value`, if set: the
+    /// reader proper, which the crate's unit tests call directly (the
+    /// process environment is shared state they must not set).
+    pub(crate) fn with_workers(value: Option<String>) -> Result<RunCfg, ConfigError> {
         let mut cfg = RunCfg::default();
-        for (var, expected, set) in vars {
-            if let Some(value) = env(var) {
-                set(&mut cfg, value.trim()).ok_or(ConfigError::Env {
-                    var,
-                    value,
-                    expected,
-                })?;
-            }
+        if let Some(value) = value {
+            let n = value.trim().parse().ok().filter(|n| *n >= 1);
+            cfg.workers = Some(n.ok_or(ConfigError::Env {
+                var: "SNET_WORKERS",
+                value,
+                expected: "a positive integer",
+            })?);
         }
         Ok(cfg)
     }
 }
 
-/// Why a network's configuration was rejected: an environment variable
-/// or a `NetBuilder` setting that can mean nothing. Surfaces from every
+/// Why a network's configuration was rejected: `SNET_WORKERS` or a
+/// `NetBuilder` setting that can mean nothing. Surfaces from every
 /// `NetBuilder::build*` as [`crate::BuildError::Config`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// An `SNET_*` variable is set to a value it cannot mean (see
+    /// `SNET_WORKERS` is set to a value it cannot mean (see
     /// [`RunCfg::try_from_env`]).
     Env {
         var: &'static str,

@@ -65,9 +65,9 @@
 //! no time dependence — so a soak run is reproducible from its seed
 //! and a poison record panics again on every [`FaultPolicy::Restart`]
 //! retry (the per-stage record counter does not advance on retries).
-//! Enable per net with [`crate::NetBuilder::chaos`]; the process-wide
-//! `SNET_CHAOS` and `SNET_FAULT_POLICY` are read, with every other
-//! variable, by [`crate::RunCfg::try_from_env`].
+//! Enable per net with [`crate::NetBuilder::chaos`], and choose the
+//! policy with [`crate::NetBuilder::fault_policy`]; neither has a
+//! process-wide switch.
 
 use crate::metrics::{keys, Counter, Metrics};
 use crate::path::CompPath;
@@ -115,29 +115,6 @@ impl FaultPolicy {
     pub fn restarts(&self) -> bool {
         matches!(self, FaultPolicy::Restart { .. })
     }
-
-    /// Parses the `SNET_FAULT_POLICY` syntax — `failnet`, `skip`,
-    /// `restart` (3 retries, 1 ms backoff) or
-    /// `restart:RETRIES:BACKOFF_MS`; `None` on anything else.
-    pub fn parse(s: &str) -> Option<FaultPolicy> {
-        let s = s.trim();
-        match s {
-            "failnet" => Some(FaultPolicy::FailNet),
-            "skip" => Some(FaultPolicy::SkipRecord),
-            "restart" => Some(FaultPolicy::Restart {
-                max_retries: 3,
-                backoff: Duration::from_millis(1),
-            }),
-            _ => {
-                let rest = s.strip_prefix("restart:")?;
-                let (retries, ms) = rest.split_once(':')?;
-                Some(FaultPolicy::Restart {
-                    max_retries: retries.trim().parse().ok()?,
-                    backoff: Duration::from_millis(ms.trim().parse().ok()?),
-                })
-            }
-        }
-    }
 }
 
 /// Deterministic fault injection at the core boundary (see module
@@ -167,28 +144,6 @@ impl ChaosConfig {
             stall_rate: 0.0,
             stall: Duration::ZERO,
         }
-    }
-
-    /// Parses the `SNET_CHAOS` syntax,
-    /// `seed:rate[:stall_rate:stall_ms]`; `None` on anything else.
-    pub fn parse(s: &str) -> Option<ChaosConfig> {
-        let mut parts = s.trim().split(':');
-        let seed = parts.next()?.trim().parse().ok()?;
-        let panic_rate: f64 = parts.next()?.trim().parse().ok()?;
-        let (stall_rate, stall_ms) = match (parts.next(), parts.next()) {
-            (Some(r), Some(ms)) => (r.trim().parse().ok()?, ms.trim().parse().ok()?),
-            (None, _) => (0.0, 0u64),
-            _ => return None,
-        };
-        if parts.next().is_some() || !(0.0..=1.0).contains(&panic_rate) {
-            return None;
-        }
-        Some(ChaosConfig {
-            seed,
-            panic_rate,
-            stall_rate,
-            stall: Duration::from_millis(stall_ms),
-        })
     }
 }
 
@@ -501,57 +456,6 @@ impl FaultGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_parsing() {
-        assert_eq!(FaultPolicy::parse("failnet"), Some(FaultPolicy::FailNet));
-        assert_eq!(FaultPolicy::parse("skip"), Some(FaultPolicy::SkipRecord));
-        assert_eq!(
-            FaultPolicy::parse("restart"),
-            Some(FaultPolicy::Restart {
-                max_retries: 3,
-                backoff: Duration::from_millis(1)
-            })
-        );
-        assert_eq!(
-            FaultPolicy::parse("restart:5:20"),
-            Some(FaultPolicy::Restart {
-                max_retries: 5,
-                backoff: Duration::from_millis(20)
-            })
-        );
-        assert_eq!(FaultPolicy::parse("restart:x:y"), None);
-        assert_eq!(FaultPolicy::parse("bogus"), None);
-    }
-
-    #[test]
-    fn chaos_parsing() {
-        assert_eq!(
-            ChaosConfig::parse("42:0.01"),
-            Some(ChaosConfig::new(42, 0.01))
-        );
-        assert_eq!(
-            ChaosConfig::parse("7:0.5:0.25:3"),
-            Some(ChaosConfig {
-                seed: 7,
-                panic_rate: 0.5,
-                stall_rate: 0.25,
-                stall: Duration::from_millis(3),
-            })
-        );
-        assert_eq!(ChaosConfig::parse(""), None);
-        assert_eq!(ChaosConfig::parse("1"), None);
-        assert_eq!(
-            ChaosConfig::parse("1:2.0"),
-            None,
-            "rate must be a probability"
-        );
-        assert_eq!(
-            ChaosConfig::parse("1:0.1:0.2"),
-            None,
-            "stall needs a duration"
-        );
-    }
 
     #[test]
     fn injector_is_deterministic_and_rate_shaped() {

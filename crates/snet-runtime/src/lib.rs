@@ -33,7 +33,10 @@
 //! * box/filter panics are contained at the execution-core boundary
 //!   per a configurable [`FaultPolicy`], observable as typed
 //!   [`Fault`]s, with deterministic chaos injection ([`ChaosConfig`])
-//!   to exercise the failure paths ([`fault`]).
+//!   to exercise the failure paths ([`fault`]);
+//! * what a net must output is computed sequentially from the paper's
+//!   record semantics, with no task or channel, by [`oracle`] — the
+//!   reference every configuration of the runtime is tested against.
 //!
 //! Entry point: [`NetBuilder`].
 
@@ -47,6 +50,7 @@ pub mod memo;
 pub mod merge;
 pub mod metrics;
 pub mod net;
+pub mod oracle;
 pub mod parallel;
 pub mod path;
 pub mod plan;

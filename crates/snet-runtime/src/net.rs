@@ -45,7 +45,7 @@ pub enum BuildError {
     Compile(CompileError),
     Type(snet_types::TypeError),
     UnknownNet(String),
-    /// A setting that can mean nothing: an `SNET_*` variable set to a
+    /// A setting that can mean nothing: `SNET_WORKERS` set to a
     /// value it cannot hold (see [`RunCfg::try_from_env`]), a zero
     /// lane count or bound, a [`NetBuilder::bound_for`] name that is
     /// no data edge, or a [`NetBuilder::split_lanes_for`] tag no
@@ -827,10 +827,10 @@ mod tests {
 
     #[test]
     fn a_net_runs_under_the_environment_as_its_builder_amends_it() {
-        /// The environment, the setters called, and what that makes of
+        /// `SNET_WORKERS`, the setters called, and what that makes of
         /// the default configuration.
         type Case = (
-            &'static [(&'static str, &'static str)],
+            Option<&'static str>,
             fn(NetBuilder) -> NetBuilder,
             fn(&mut RunCfg),
         );
@@ -838,54 +838,23 @@ mod tests {
             max_retries: 2,
             backoff: Duration::from_millis(1),
         };
-        let cases: [Case; 14] = [
-            // Unset / environment / setter / setter over environment.
-            (&[], |b| b, |_| ()),
+        let cases: [Case; 7] = [
+            (None, |b| b, |_| ()),
+            (None, |b| b.bound(8), |c| c.bound = Some(8)),
+            (None, |b| b.unbounded(), |c| c.bound = None),
+            (None, |b| b.fuse(false), |c| c.fuse = false),
             (
-                &[("SNET_STREAM_BOUND", "64")],
-                |b| b,
-                |c| c.bound = Some(64),
-            ),
-            (&[("SNET_STREAM_BOUND", "0")], |b| b, |c| c.bound = None),
-            (&[], |b| b.bound(8), |c| c.bound = Some(8)),
-            (&[], |b| b.unbounded(), |c| c.bound = None),
-            (
-                &[("SNET_STREAM_BOUND", "64")],
-                |b| b.bound(8),
-                |c| c.bound = Some(8),
-            ),
-            (
-                &[("SNET_STREAM_BOUND", "64")],
-                |b| b.unbounded(),
-                |c| c.bound = None,
-            ),
-            (
-                &[("SNET_STREAM_BOUND", "0")],
-                |b| b.bound(8),
-                |c| c.bound = Some(8),
-            ),
-            (&[("SNET_FUSE", "0")], |b| b, |c| c.fuse = false),
-            (&[("SNET_FUSE", "0")], |b| b.fuse(true), |_| ()),
-            (&[("SNET_FUSE", "1")], |b| b.fuse(false), |c| c.fuse = false),
-            (
-                &[("SNET_FAULT_POLICY", "skip"), ("SNET_CHAOS", "7:0.5")],
-                |b| b,
-                |c| {
-                    c.fault_policy = FaultPolicy::SkipRecord;
-                    c.chaos = Some(ChaosConfig::new(7, 0.5));
-                },
-            ),
-            (
-                &[("SNET_FAULT_POLICY", "skip"), ("SNET_CHAOS", "7:0.5")],
+                None,
                 |b| b.chaos(ChaosConfig::new(1, 0.0)).fault_policy(RESTART),
                 |c| {
                     c.fault_policy = RESTART;
                     c.chaos = Some(ChaosConfig::new(1, 0.0));
                 },
             ),
+            (Some(" 3 "), |b| b, |c| c.workers = Some(3)),
             // Every other setter, the last call of one winning.
             (
-                &[("SNET_WORKERS", "3")],
+                Some("3"),
                 |b| {
                     b.fuse_fan(false)
                         .split_lanes(9)
@@ -905,42 +874,32 @@ mod tests {
                 },
             ),
         ];
-        for (env, setters, amend) in cases {
+        for (workers, setters, amend) in cases {
             // A pool of its own: the shared one is sized once.
             let pool = Arc::new(crate::sched::WorkStealingPool::new(1));
-            let builder = split_builder(RunCfg::from_table(env)).executor(pool);
-            let net = setters(builder).build("one").unwrap();
+            let env = RunCfg::with_workers(workers.map(String::from));
+            let net = setters(split_builder(env).executor(pool))
+                .build("one")
+                .unwrap();
             let mut want = RunCfg::default();
             amend(&mut want);
-            assert_eq!(net.ctx.cfg(), &want, "{env:?}");
+            assert_eq!(net.ctx.cfg(), &want, "{workers:?}");
             let _ = net.finish();
         }
-        // A value a variable cannot mean never reads as "default": it
-        // fails the build, whatever the setters say, naming the
-        // variable, the value as given and what was expected.
-        let bad: [(&str, &[&str]); 5] = [
-            ("SNET_STREAM_BOUND", &["abc", "-1", "", "1.5"]),
-            ("SNET_FUSE", &["off", "true", "2", ""]),
-            ("SNET_WORKERS", &["0", "two", "-1", "", "1.5"]),
-            ("SNET_FAULT_POLICY", &["skp", "restart:2", ""]),
-            ("SNET_CHAOS", &["1:2:3", "7", "7:1.5", ""]),
-        ];
-        for (var, values) in bad {
-            for value in values {
-                let env = RunCfg::from_table(&[(var, value)]);
-                let err = rejected(split_builder(env).fuse(true).bound(8));
-                assert!(
-                    matches!(&err, ConfigError::Env { var: v, value: got, .. }
-                        if *v == var && got == value),
-                    "{var}={value:?}: {err:?}"
-                );
-            }
-        }
-        assert_eq!(
-            RunCfg::from_table(&[("SNET_WORKERS", "two")])
-                .unwrap_err()
-                .to_string(),
-            "SNET_WORKERS=\"two\": expected a positive integer"
+        // A value the variable cannot mean never reads as "default": it
+        // fails the build, whatever the setters say (the messages are
+        // `tests/executor_env.rs`' business).
+        let env = RunCfg::with_workers(Some("two".into()));
+        let err = rejected(split_builder(env).fuse(true).bound(8));
+        assert!(
+            matches!(
+                err,
+                ConfigError::Env {
+                    var: "SNET_WORKERS",
+                    ..
+                }
+            ),
+            "{err:?}"
         );
     }
 

@@ -129,12 +129,11 @@
 //! ordering (all data dispatched before a sort is emitted before it)
 //! holds trivially.
 //!
-//! Fusion is on by default ([`crate::RunCfg::fuse`]); `SNET_FUSE=0`
-//! (process-wide, see [`crate::RunCfg::try_from_env`]) or
-//! [`crate::NetBuilder::fuse`]`(false)` (per net) keep the unfused
-//! topology buildable, [`crate::NetBuilder::fuse_fan`] gives per-net
-//! control over fan fusion alone, and [`compile_cfg`] gives explicit
-//! control.
+//! Fusion is on by default ([`crate::RunCfg::fuse`]);
+//! [`crate::NetBuilder::fuse`]`(false)` keeps a net's unfused topology
+//! buildable, [`crate::NetBuilder::fuse_fan`] gives per-net control
+//! over fan fusion alone, and [`compile_cfg`] gives explicit control.
+//! The unfused plan is also what [`crate::oracle`] interprets.
 
 use crate::boxfn::BoxImpl;
 use crate::path::CompPath;
@@ -394,12 +393,10 @@ impl From<TypeError> for CompileError {
 }
 
 /// Compiles a network expression against declarations and bindings,
-/// applying the fusion pass unless the environment turns it off
-/// ([`crate::RunCfg::from_env`]'s `fuse`: the process-wide escape hatch
-/// keeping the unfused topology testable, and a panic on an invalid
-/// environment; [`crate::NetBuilder::fuse`] overrides per net).
+/// with the fusion pass on — the default ([`crate::RunCfg::fuse`]);
+/// [`compile_cfg`] chooses.
 pub fn compile(ast: &NetAst, env: &Env, bindings: &Bindings) -> Result<Plan, CompileError> {
-    compile_cfg(ast, env, bindings, crate::RunCfg::from_env().fuse)
+    compile_cfg(ast, env, bindings, true)
 }
 
 /// [`compile`] with explicit control over the fusion pass.

@@ -177,9 +177,10 @@
 //! *data* (`Sort { level, counter }` rounds), not in scheduling.
 //! Executors affect only *when* components run, never *what* they
 //! forward, so the deterministic combinators produce byte-for-byte
-//! identical output under either backend — verified by the
-//! `executor_matrix` test suite, which runs the det-ordering oracles
-//! under both.
+//! identical output under either backend — verified against the
+//! sequential reference ([`crate::oracle`]) by the differential check
+//! in `tests/random_networks.rs`, which draws its executor from
+//! threads, `pool(1)` and `pool(2)`.
 //!
 //! # Selection
 //!
@@ -476,7 +477,7 @@ impl Drop for Completion {
 /// The process-default executor (see *Selection*): the shared pool,
 /// sized on first use by `SNET_WORKERS` as
 /// [`crate::RunCfg::from_env`] reads it — so this panics with the
-/// [`crate::ctx::ConfigError`] message on an invalid environment,
+/// [`crate::ctx::ConfigError`] message on an invalid `SNET_WORKERS`,
 /// loud, never a silent fallback. `NetBuilder::build*` returns the
 /// typed error instead.
 pub fn default_executor() -> Arc<dyn Executor> {

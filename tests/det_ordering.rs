@@ -2,14 +2,15 @@
 //!
 //! The defining property of `|`, `*`, `!` (paper, Section 4): output
 //! order is a *function of input order*, independent of scheduling.
-//! For boxes with deterministic emission we can therefore state an
-//! exact oracle — the outputs of record 1 (in emission order), then
-//! record 2's, and so on — and check it over random streams. The
+//! The sequential reference (`snet_runtime::oracle`) states it — the
+//! outputs of record 1 (in emission order), then record 2's, and so on
+//! — and these properties check it over random streams. The
 //! non-deterministic variants only guarantee multiset equality, which
 //! is checked alongside.
 
 use proptest::prelude::*;
-use snet_runtime::{Net, NetBuilder};
+use snet_lang::{parse_net_expr, parse_program};
+use snet_runtime::{oracle, Bindings, Emitter, Net, NetBuilder};
 use snet_types::Record;
 
 /// An input: value, copy count (emission fan-out), routing lane.
@@ -27,49 +28,57 @@ fn arb_inputs() -> impl Strategy<Value = Vec<In>> {
     )
 }
 
+const SRC: &str = "box rep (x, <c>) -> (y);";
+
 /// `rep (x, <c>) -> (y)`: emits `x*10 + i` for `i in 0..c` — a
 /// deterministic multi-output box.
+fn rep(rec: &Record, em: &mut Emitter) {
+    let x = rec.field("x").unwrap().as_int().unwrap();
+    for i in 0..rec.tag("c").unwrap() {
+        em.emit(Record::build().field("y", x * 10 + i).finish());
+    }
+}
+
 fn build(expr: &str) -> Net {
-    let src = format!(
-        "box rep (x, <c>) -> (y);
-         net main = {expr};"
-    );
-    NetBuilder::from_source(&src)
+    NetBuilder::from_source(SRC)
         .unwrap()
-        .bind("rep", |rec, em| {
-            let x = rec.field("x").unwrap().as_int().unwrap();
-            let c = rec.tag("c").unwrap();
-            for i in 0..c {
-                em.emit(Record::build().field("y", x * 10 + i).finish());
-            }
-        })
-        .build("main")
+        .bind("rep", rep)
+        .build_expr(expr)
         .unwrap()
 }
 
-fn drive(net: Net, inputs: &[In]) -> Vec<i64> {
-    for r in inputs {
-        net.send(
+fn records(inputs: &[In]) -> Vec<Record> {
+    inputs
+        .iter()
+        .map(|r| {
             Record::build()
                 .field("x", r.x)
                 .tag("c", r.copies)
                 .tag("k", r.lane)
-                .finish(),
-        )
-        .unwrap();
-    }
-    net.finish()
-        .iter()
+                .finish()
+        })
+        .collect()
+}
+
+fn ys(out: &[Record]) -> Vec<i64> {
+    out.iter()
         .map(|r| r.field("y").unwrap().as_int().unwrap())
         .collect()
 }
 
-/// The oracle: record-major, emission-order outputs.
-fn oracle(inputs: &[In]) -> Vec<i64> {
-    inputs
-        .iter()
-        .flat_map(|r| (0..r.copies).map(move |i| r.x * 10 + i))
-        .collect()
+fn drive(net: Net, inputs: &[In]) -> Vec<Record> {
+    for r in records(inputs) {
+        net.send(r).unwrap();
+    }
+    net.finish()
+}
+
+/// What `expr` must output on `inputs`: the sequential reference.
+fn expected(expr: &str, inputs: &[In]) -> oracle::Expected {
+    let env = parse_program(SRC).unwrap().env().unwrap();
+    let bindings = Bindings::new().bind("rep", rep);
+    let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &bindings, false);
+    oracle::run(&plan.unwrap(), records(inputs)).unwrap()
 }
 
 proptest! {
@@ -79,66 +88,41 @@ proptest! {
     /// branch each record was routed to.
     #[test]
     fn det_parallel_matches_oracle(inputs in arb_inputs()) {
-        let got = drive(build("rep | rep"), &inputs);
-        prop_assert_eq!(got, oracle(&inputs));
+        let want = expected("rep | rep", &inputs);
+        prop_assert!(want.ordered);
+        prop_assert_eq!(drive(build("rep | rep"), &inputs), want.records);
     }
 
     /// Deterministic indexed replication: exact input order across
     /// dynamically created replicas.
     #[test]
     fn det_split_matches_oracle(inputs in arb_inputs()) {
-        let got = drive(build("rep ! <k>"), &inputs);
-        prop_assert_eq!(got, oracle(&inputs));
+        let want = expected("rep ! <k>", &inputs);
+        prop_assert_eq!(drive(build("rep ! <k>"), &inputs), want.records);
     }
 
     /// Nested: a det split inside a det parallel still reproduces
     /// global input order end-to-end.
     #[test]
     fn nested_det_matches_oracle(inputs in arb_inputs()) {
-        let got = drive(build("(rep ! <k>) | (rep ! <k>)"), &inputs);
-        prop_assert_eq!(got, oracle(&inputs));
+        let expr = "(rep ! <k>) | (rep ! <k>)";
+        prop_assert_eq!(drive(build(expr), &inputs), expected(expr, &inputs).records);
     }
 
     /// Non-deterministic variants: same multiset, any order; per-lane
     /// order is preserved by the split.
     #[test]
     fn nondet_split_multiset_and_lane_order(inputs in arb_inputs()) {
-        let net = build("rep !! <k>");
-        // Need the lane on the output to group: rep consumes x,<c> so
-        // <k> flow-inherits.
-        for r in &inputs {
-            net.send(
-                Record::build()
-                    .field("x", r.x)
-                    .tag("c", r.copies)
-                    .tag("k", r.lane)
-                    .finish(),
-            )
-            .unwrap();
-        }
-        let out = net.finish();
-        // Multiset equality.
-        let mut got: Vec<i64> = out
-            .iter()
-            .map(|r| r.field("y").unwrap().as_int().unwrap())
-            .collect();
-        let mut want = oracle(&inputs);
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
-        // Per-lane order.
+        let out = drive(build("rep !! <k>"), &inputs);
+        let want = expected("rep !! <k>", &inputs);
+        prop_assert!(!want.ordered && want.admits(&out));
+        // Per-lane order: rep consumes x and <c>, so <k> flow-inherits.
         for lane in 0..4i64 {
-            let lane_got: Vec<i64> = out
-                .iter()
-                .filter(|r| r.tag("k") == Some(lane))
-                .map(|r| r.field("y").unwrap().as_int().unwrap())
-                .collect();
-            let lane_want: Vec<i64> = inputs
-                .iter()
-                .filter(|r| r.lane == lane)
-                .flat_map(|r| (0..r.copies).map(move |i| r.x * 10 + i))
-                .collect();
-            prop_assert_eq!(lane_got, lane_want, "lane {} order violated", lane);
+            let in_lane = |rs: &[Record]| {
+                let rs: Vec<Record> = rs.iter().filter(|r| r.tag("k") == Some(lane)).cloned().collect();
+                ys(&rs)
+            };
+            prop_assert_eq!(in_lane(&out), in_lane(&want.records), "lane {} order violated", lane);
         }
     }
 }
@@ -151,31 +135,33 @@ proptest! {
 
     #[test]
     fn det_star_matches_input_order(depths in proptest::collection::vec(1i64..24, 1..12)) {
-        let src = "
-            box dec (n) -> (n) | (n, <z>);
-            net main = dec * {<z>};
-        ";
-        let net = NetBuilder::from_source(src)
-            .unwrap()
-            .bind("dec", |rec, em| {
-                let n = rec.field("n").unwrap().as_int().unwrap();
-                if n <= 1 {
-                    em.emit(Record::build().field("n", 0i64).tag("z", 1).finish());
-                } else {
-                    em.emit(Record::build().field("n", n - 1).finish());
-                }
-            })
-            .build("main")
-            .unwrap();
-        for (id, d) in depths.iter().enumerate() {
-            net.send(
-                Record::build().field("n", *d).tag("id", id as i64).finish(),
-            )
-            .unwrap();
+        let src = "box dec (n) -> (n) | (n, <z>);";
+        fn dec(rec: &Record, em: &mut Emitter) {
+            let n = rec.field("n").unwrap().as_int().unwrap();
+            let out = Record::build().field("n", (n - 1).max(0));
+            em.emit(if n <= 1 { out.tag("z", 1) } else { out }.finish());
+        }
+        let inputs: Vec<Record> = depths
+            .iter()
+            .enumerate()
+            .map(|(id, d)| Record::build().field("n", *d).tag("id", id as i64).finish())
+            .collect();
+        let env = parse_program(src).unwrap().env().unwrap();
+        let plan = snet_runtime::compile_cfg(
+            &parse_net_expr("dec * {<z>}").unwrap(),
+            &env,
+            &Bindings::new().bind("dec", dec),
+            false,
+        );
+        let want = oracle::run(&plan.unwrap(), inputs.clone()).unwrap();
+        let net = NetBuilder::from_source(src).unwrap().bind("dec", dec).build_expr("dec * {<z>}");
+        let net = net.unwrap();
+        for rec in inputs {
+            net.send(rec).unwrap();
         }
         let out = net.finish();
         let ids: Vec<i64> = out.iter().map(|r| r.tag("id").unwrap()).collect();
-        let want: Vec<i64> = (0..depths.len() as i64).collect();
-        prop_assert_eq!(ids, want);
+        prop_assert_eq!(ids, (0..depths.len() as i64).collect::<Vec<_>>());
+        prop_assert_eq!(out, want.records);
     }
 }

@@ -1,40 +1,28 @@
-//! The environment's configuration, end to end: every `SNET_*`
-//! variable lands in the built net or, set to something it cannot
-//! mean, is a typed build error; unset, the default is
-//! `RunCfg::default()` on the shared pool with one worker per core.
-//! And the runtime reads those variables in one place.
+//! The environment's configuration, end to end: `SNET_WORKERS`, the
+//! pool size and the one `SNET_*` variable, sizes the shared pool or,
+//! set to something it cannot mean, is a typed build error; unset, the
+//! default is `RunCfg::default()` on the shared pool with one worker
+//! per core. Everything else is a `NetBuilder` setter. And the runtime
+//! reads the variable in one place.
 //!
 //! One `#[test]` touches the environment, in a binary of its own: the
 //! process environment and the process-wide pool are shared state, so
 //! the cases run in sequence and no other test's `build` can see a
 //! half-set variable.
 
-use snet_runtime::{BuildError, ChaosConfig, FaultPolicy, Net, NetBuilder, RunCfg};
+use snet_runtime::{BuildError, NetBuilder, RunCfg};
 use snet_types::Record;
 use std::path::{Path, PathBuf};
 
-/// `id .. id` under exactly the variables of `env`.
-fn builder(env: &[(&str, &str)]) -> NetBuilder {
-    for var in ["STREAM_BOUND", "FUSE", "WORKERS", "FAULT_POLICY", "CHAOS"] {
-        std::env::remove_var(format!("SNET_{var}"));
+/// `id .. id` with `SNET_WORKERS` set to `workers`, if anything.
+fn builder(workers: Option<&str>) -> NetBuilder {
+    match workers {
+        Some(v) => std::env::set_var("SNET_WORKERS", v),
+        None => std::env::remove_var("SNET_WORKERS"),
     }
-    env.iter().for_each(|(k, v)| std::env::set_var(k, v));
     NetBuilder::from_source("box id (x) -> (x); net main = id .. id;")
         .unwrap()
         .bind("id", |rec, em| em.emit(rec.clone()))
-}
-
-/// Whether the net's data edges are bounded (only a bounded edge
-/// registers depth accounting), and how many components it runs as.
-fn shape(net: Net) -> (bool, usize) {
-    let keys = net.metrics().snapshot().into_keys();
-    let shape = (
-        keys.into_iter().any(|k| k.ends_with("/stream_depth")),
-        net.threads_spawned(),
-    );
-    net.send(Record::build().field("x", 1i64).finish()).unwrap();
-    assert_eq!(net.finish().len(), 1);
-    shape
 }
 
 #[test]
@@ -42,31 +30,20 @@ fn environment_sizes_the_default_pool_or_fails_the_build() {
     // Bad values first: nothing has sized the shared pool yet. Each is
     // an error naming the variable and the value, never the default —
     // whatever a setter says afterwards.
-    for (var, value) in [
-        ("SNET_WORKERS", "0"),
-        ("SNET_WORKERS", "two"),
-        ("SNET_STREAM_BOUND", "abc"),
-        ("SNET_FUSE", "off"),
-        ("SNET_FAULT_POLICY", "skp"),
-        ("SNET_CHAOS", "1:2:3"),
-    ] {
-        match builder(&[(var, value)]).bound(8).fuse(true).build("main") {
-            Err(BuildError::Config(e)) => assert!(
-                e.to_string()
-                    .starts_with(&format!("{var}={value:?}: expected ")),
-                "{e}"
+    for value in ["0", "two", "-1", "1.5", ""] {
+        match builder(Some(value)).bound(8).fuse(true).build("main") {
+            Err(BuildError::Config(e)) => assert_eq!(
+                e.to_string(),
+                format!("SNET_WORKERS={value:?}: expected a positive integer")
             ),
-            other => panic!("{var}={value:?}: expected a config error, got {other:?}"),
+            other => panic!("{value:?}: expected a config error, got {other:?}"),
         }
     }
-    assert_eq!(
-        RunCfg::try_from_env().unwrap_err().to_string(),
-        "SNET_CHAOS=\"1:2:3\": expected seed:rate[:stall_rate:stall_ms] with rate in 0..=1"
-    );
+    assert!(RunCfg::try_from_env().is_err());
 
     // Nothing set: the default configuration on the shared pool,
     // exactly one worker per core.
-    let net = builder(&[]).build("main").unwrap();
+    let net = builder(None).build("main").unwrap();
     assert_eq!(RunCfg::try_from_env(), Ok(RunCfg::default()));
     assert_eq!(RunCfg::from_env().bound, Some(128));
     let cores = std::thread::available_parallelism().unwrap().get();
@@ -74,42 +51,21 @@ fn environment_sizes_the_default_pool_or_fails_the_build() {
     assert_eq!(default.kind(), "pool");
     assert_eq!(default.os_thread_bound(), Some(cores));
     assert_eq!(net.executor().os_thread_bound(), Some(cores));
-    assert_eq!(shape(net), (true, 1));
+    net.send(Record::build().field("x", 1i64).finish()).unwrap();
+    assert_eq!(net.finish().len(), 1);
 
-    // Good values land in the built net, unless a setter says
-    // otherwise.
-    let env = [("SNET_STREAM_BOUND", "0"), ("SNET_FUSE", "0")];
-    assert_eq!(shape(builder(&env).build("main").unwrap()), (false, 2));
-    let set = builder(&env).bound(8).fuse(true).build("main").unwrap();
-    assert_eq!(shape(set), (true, 1));
-
-    let env = [
-        ("SNET_STREAM_BOUND", "64"),
-        ("SNET_FUSE", "1"),
-        ("SNET_WORKERS", "3"),
-        ("SNET_FAULT_POLICY", "restart:2:1"),
-        ("SNET_CHAOS", "7:0.5"),
-    ];
-    // Half the records panic at a box boundary; under the default
-    // policy the first would fail the net.
-    let net = builder(&env).build("main").unwrap();
+    // A good value lands in the configuration and nowhere else: the
+    // shared pool was sized on first use above.
     let want = RunCfg {
-        bound: Some(64),
         workers: Some(3),
-        fault_policy: FaultPolicy::parse("restart:2:1").unwrap(),
-        chaos: Some(ChaosConfig::new(7, 0.5)),
         ..RunCfg::default()
     };
+    let net = builder(Some("3")).build("main").unwrap();
     assert_eq!(RunCfg::try_from_env(), Ok(want));
-    for x in 0..32i64 {
-        net.send(Record::build().field("x", x).finish()).unwrap();
-    }
-    let metrics = std::sync::Arc::clone(net.metrics());
-    assert!(net.finish().len() < 32 && metrics.get("runtime/chaos_injected") > 0);
-    let calm = builder(&env).unbounded().chaos(ChaosConfig::new(7, 0.0));
-    assert_eq!(shape(calm.build("main").unwrap()), (false, 1));
+    assert_eq!(net.executor().os_thread_bound(), Some(cores));
+    assert_eq!(net.finish().len(), 0);
     // Leave nothing set behind.
-    builder(&[]);
+    builder(None);
 }
 
 /// Every `.rs` file under `dir`, recursively.

@@ -2,10 +2,10 @@
 //! verified under both component schedulers.
 //!
 //! The sort-record protocol encodes ordering in the *data*, so the
-//! deterministic combinators must produce **byte-for-byte identical**
-//! output whether components run one-per-OS-thread
-//! ([`ThreadPerComponent`]) or as cooperative tasks on a
-//! [`WorkStealingPool`]. The pool runs with **two workers** here — the
+//! deterministic combinators must produce the sequential reference's
+//! output (`snet_runtime::oracle`), byte for byte, whether components
+//! run one-per-OS-thread ([`ThreadPerComponent`]) or as cooperative
+//! tasks on a [`WorkStealingPool`]. The pool runs with **two workers** here — the
 //! most adversarial interleaving short of fully sequential: every
 //! component contends for a worker, parked components must resume
 //! correctly, and the deterministic mergers' fixed drain order has to
@@ -15,7 +15,10 @@
 //! a ~1000-replica indexed split completing on a bounded worker set,
 //! which thread-per-component could only serve with ~1000 OS threads.
 
-use snet_runtime::{Executor, Net, NetBuilder, ThreadPerComponent, WorkStealingPool};
+use snet_lang::{parse_net_expr, parse_program};
+use snet_runtime::{
+    oracle, Bindings, Emitter, Executor, Net, NetBuilder, ThreadPerComponent, WorkStealingPool,
+};
 use snet_types::Record;
 use std::sync::Arc;
 
@@ -27,85 +30,78 @@ fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
     ]
 }
 
-/// `rep (x, <c>) -> (y)`: emits `x*10 + i` for `i in 0..c` — the
-/// det-ordering oracle box.
+const SRC: &str = "box rep (x, <c>) -> (y); box dec (n) -> (n) | (n, <z>);";
+
+/// `rep (x, <c>) -> (y)`: emits `x*10 + i` for `i in 0..c`.
+fn rep(rec: &Record, em: &mut Emitter) {
+    let x = rec.field("x").unwrap().as_int().unwrap();
+    for i in 0..rec.tag("c").unwrap() {
+        em.emit(Record::build().field("y", x * 10 + i).finish());
+    }
+}
+
+/// `dec (n) -> (n) | (n, <z>)`: counts `n` down, `<z>` at one.
+fn dec(rec: &Record, em: &mut Emitter) {
+    let n = rec.field("n").unwrap().as_int().unwrap();
+    let out = Record::build().field("n", (n - 1).max(0));
+    em.emit(if n <= 1 { out.tag("z", 1) } else { out }.finish());
+}
+
 fn build(expr: &str, exec: Arc<dyn Executor>) -> Net {
-    let src = format!(
-        "box rep (x, <c>) -> (y);
-         net main = {expr};"
-    );
-    NetBuilder::from_source(&src)
+    NetBuilder::from_source(SRC)
         .unwrap()
-        .bind("rep", |rec, em| {
-            let x = rec.field("x").unwrap().as_int().unwrap();
-            let c = rec.tag("c").unwrap();
-            for i in 0..c {
-                em.emit(Record::build().field("y", x * 10 + i).finish());
-            }
-        })
+        .bind("rep", rep)
+        .bind("dec", dec)
         .executor(exec)
-        .build("main")
+        .build_expr(expr)
         .unwrap()
 }
 
 /// A fixed adversarial input stream: mixed lanes, mixed fan-outs
 /// (including 0-output records), long enough to outlive any lucky
 /// scheduling.
-fn inputs() -> Vec<(i64, i64, i64)> {
+fn inputs() -> Vec<Record> {
     (0..120i64)
-        .map(|i| (i, (i * 7 + 3) % 4, (i * 5 + 1) % 4))
+        .map(|i| {
+            let rec = Record::build().field("x", i).tag("c", (i * 7 + 3) % 4);
+            rec.tag("k", (i * 5 + 1) % 4).finish()
+        })
         .collect()
 }
 
-fn drive(net: Net) -> Vec<i64> {
-    for (x, c, k) in inputs() {
-        net.send(
-            Record::build()
-                .field("x", x)
-                .tag("c", c)
-                .tag("k", k)
-                .finish(),
-        )
-        .unwrap();
+fn drive(net: Net, inputs: Vec<Record>) -> Vec<Record> {
+    for rec in inputs {
+        net.send(rec).unwrap();
     }
     net.finish()
-        .iter()
-        .map(|r| r.field("y").unwrap().as_int().unwrap())
-        .collect()
 }
 
-/// Record-major, emission-order oracle.
-fn oracle() -> Vec<i64> {
-    inputs()
-        .iter()
-        .flat_map(|(x, c, _)| (0..*c).map(move |i| x * 10 + i))
-        .collect()
+/// What `expr` must output on `inputs`: the sequential reference.
+fn expected(expr: &str, inputs: Vec<Record>) -> oracle::Expected {
+    let env = parse_program(SRC).unwrap().env().unwrap();
+    let b = Bindings::new().bind("rep", rep).bind("dec", dec);
+    let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
+    oracle::run(&plan.unwrap(), inputs).unwrap()
 }
 
 #[test]
 fn det_combinators_match_oracle_under_both_executors() {
-    for expr in ["rep | rep", "rep ! <k>", "(rep ! <k>) | (rep ! <k>)"] {
+    // Not just each backend against the reference: byte-identical
+    // sequences, so the two backends agree with each other too.
+    let exprs = [
+        "rep | rep",
+        "rep ! <k>",
+        "(rep ! <k>) | (rep ! <k>)",
+        "(rep | rep) ! <k>",
+    ];
+    for expr in exprs {
+        let want = expected(expr, inputs());
+        assert!(want.ordered, "{expr}");
         for (name, exec) in executors() {
-            let got = drive(build(expr, exec));
-            assert_eq!(got, oracle(), "{expr} diverged under {name}");
-        }
-    }
-}
-
-#[test]
-fn pool_output_is_byte_identical_to_thread_output() {
-    // Not just oracle-correct: the two backends must agree with each
-    // other on the full output sequence of every det topology.
-    for expr in ["rep | rep", "rep ! <k>", "(rep | rep) ! <k>"] {
-        let mut per_exec = Vec::new();
-        for (name, exec) in executors() {
-            per_exec.push((name, drive(build(expr, exec))));
-        }
-        let (ref_name, reference) = &per_exec[0];
-        for (name, out) in &per_exec[1..] {
             assert_eq!(
-                out, reference,
-                "{expr}: {name} output diverged from {ref_name}"
+                drive(build(expr, exec), inputs()),
+                want.records,
+                "{expr} under {name}"
             );
         }
     }
@@ -113,65 +109,41 @@ fn pool_output_is_byte_identical_to_thread_output() {
 
 #[test]
 fn nondet_topologies_conserve_records_under_pool() {
-    // Random-networks-style conservation on the pool: every record
-    // comes out exactly once, payloads intact, per-lane order kept.
+    // Every record comes out exactly once, payloads intact.
     for expr in ["rep || rep", "rep !! <k>", "(rep !! <k>) || rep"] {
+        let want = expected(expr, inputs());
         for (name, exec) in executors() {
-            let out = {
-                let net = build(expr, exec);
-                for (x, c, k) in inputs() {
-                    net.send(
-                        Record::build()
-                            .field("x", x)
-                            .tag("c", c)
-                            .tag("k", k)
-                            .finish(),
-                    )
-                    .unwrap();
-                }
-                net.finish()
-            };
-            let mut got: Vec<i64> = out
-                .iter()
-                .map(|r| r.field("y").unwrap().as_int().unwrap())
-                .collect();
-            let mut want = oracle();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "{expr} lost/duplicated records under {name}");
+            let got = drive(build(expr, exec), inputs());
+            assert!(
+                want.admits(&got),
+                "{expr} lost/duplicated records under {name}"
+            );
         }
     }
 }
 
 #[test]
 fn det_star_matches_input_order_under_both_executors() {
-    let src = "
-        box dec (n) -> (n) | (n, <z>);
-        net main = dec * {<z>};
-    ";
-    let depths: Vec<i64> = (0..24).map(|i| (i * 11 + 5) % 24 + 1).collect();
-    for (name, exec) in executors() {
-        let net = NetBuilder::from_source(src)
-            .unwrap()
-            .bind("dec", |rec, em| {
-                let n = rec.field("n").unwrap().as_int().unwrap();
-                if n <= 1 {
-                    em.emit(Record::build().field("n", 0i64).tag("z", 1).finish());
-                } else {
-                    em.emit(Record::build().field("n", n - 1).finish());
-                }
+    let inputs = || -> Vec<Record> {
+        (0..24i64)
+            .map(|id| {
+                Record::build()
+                    .field("n", (id * 11 + 5) % 24 + 1)
+                    .tag("id", id)
+                    .finish()
             })
-            .executor(exec)
-            .build("main")
-            .unwrap();
-        for (id, d) in depths.iter().enumerate() {
-            net.send(Record::build().field("n", *d).tag("id", id as i64).finish())
-                .unwrap();
-        }
-        let out = net.finish();
+            .collect()
+    };
+    let want = expected("dec * {<z>}", inputs());
+    for (name, exec) in executors() {
+        let out = drive(build("dec * {<z>}", exec), inputs());
         let ids: Vec<i64> = out.iter().map(|r| r.tag("id").unwrap()).collect();
-        let want: Vec<i64> = (0..depths.len() as i64).collect();
-        assert_eq!(ids, want, "det star order diverged under {name}");
+        assert_eq!(
+            ids,
+            (0..24).collect::<Vec<_>>(),
+            "det star order diverged under {name}"
+        );
+        assert_eq!(out, want.records, "{name}");
     }
 }
 
@@ -327,15 +299,40 @@ fn expensive_stages_interleave_on_one_worker() {
     }
 }
 
+/// A caller's waker that notes, on its first wake, how often the box
+/// had been entered. A served net's output wakes its caller from the
+/// send that publishes it, on the publishing thread, so that is the
+/// count at the moment of publication, whenever the caller gets to
+/// run again.
+struct AtPublication {
+    entered: Arc<std::sync::atomic::AtomicUsize>,
+    count: std::sync::atomic::AtomicUsize,
+    caller: std::thread::Thread,
+}
+
+impl std::task::Wake for AtPublication {
+    fn wake(self: Arc<Self>) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let now = self.entered.load(SeqCst);
+        let _ = self.count.compare_exchange(usize::MAX, now, SeqCst, SeqCst);
+        self.caller.unpark();
+    }
+}
+
 #[test]
 fn a_slow_lone_box_publishes_before_it_works_off_its_backlog() {
     // A lone 5 ms box with 64 records queued behind the one it is on:
-    // how often has it been entered when its first output reaches the
-    // consumer? A stage run drains at most its poll budget, and a
+    // how often has it been entered when its first output is
+    // published? A stage run drains at most its poll budget, and a
     // 5 ms message prices the budget at 1 on every executor — a driver
     // that published once per drained batch (or drained without a
-    // budget) would have run all 64 first. Counts, not clocks.
+    // budget) would have run all 64 first. Counts, not clocks: the
+    // count is taken by the publishing thread, so a test thread that
+    // is descheduled after the output arrives cannot inflate it.
+    use snet_runtime::Service;
+    use std::future::Future;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::task::{Context, Poll, Waker};
     use std::time::Duration;
     const BACKLOG: i64 = 64;
 
@@ -369,22 +366,46 @@ fn a_slow_lone_box_publishes_before_it_works_off_its_backlog() {
             })
             .fuse(fuse)
             .executor(exec)
-            // Room for the whole backlog: the sends below must not wait
+            // Room for the whole backlog: the calls below must not wait
             // on a box that is waiting for them.
             .bound(BACKLOG as usize + 1)
             .build("main")
             .unwrap();
-        for x in -1..BACKLOG {
-            net.send(Record::build().field("x", x).finish()).unwrap();
-        }
+        let svc = Service::start(net);
+        let call = |x: i64| svc.call(Record::build().field("x", x).finish()).unwrap();
+        let primer = call(-1);
+        let mut calls: Vec<_> = (0..BACKLOG).map(call).collect();
+        let probe = Arc::new(AtPublication {
+            entered: Arc::clone(&entered),
+            count: AtomicUsize::new(usize::MAX),
+            caller: std::thread::current(),
+        });
+        let waker = Waker::from(Arc::clone(&probe));
+        let mut cx = Context::from_waker(&waker);
+        // Registered before the primer lets go: the box cannot have
+        // emitted anything yet.
+        assert!(std::pin::Pin::new(&mut calls[0]).poll(&mut cx).is_pending());
         all_sent.store(true, Ordering::Release);
-        let first = net.recv().expect("the box emits every record");
-        let at_first_output = entered.load(Ordering::SeqCst);
-        assert_eq!(first.field("x").unwrap().as_int(), Some(0), "{name}");
-        assert!(
-            (1..=4).contains(&at_first_output),
-            "{name}: entered {at_first_output} times before its first output arrived"
+        let first = loop {
+            match std::pin::Pin::new(&mut calls[0]).poll(&mut cx) {
+                Poll::Ready(r) => break r.unwrap(),
+                Poll::Pending => std::thread::park(),
+            }
+        };
+        let at_publication = probe.count.load(Ordering::SeqCst);
+        assert_eq!(
+            first.records[0].field("x").unwrap().as_int(),
+            Some(0),
+            "{name}"
         );
-        assert_eq!(net.finish().len(), BACKLOG as usize - 1, "{name}");
+        assert!(
+            (1..=4).contains(&at_publication),
+            "{name}: entered {at_publication} times before its first output was published"
+        );
+        for handle in calls.drain(1..) {
+            assert_eq!(handle.wait().unwrap().records.len(), 1, "{name}");
+        }
+        drop(primer);
+        svc.shutdown();
     }
 }

@@ -245,30 +245,37 @@ fn fused_figures_are_a_fixed_set_of_components_however_far_they_unfold() {
 #[test]
 fn fig2_det_order_does_not_depend_on_fan_fusion() {
     // One depth-synchronous walk emits what the det mergers of every
-    // level would have released, in their order.
-    use sudoku::networks::{builder, run_net_ordered, FIG2_DET};
+    // level would have released, in their order: the sequential
+    // reference's sequence, in every topology.
+    use snet_runtime::{oracle, Bindings};
+    use sudoku::boxes::{
+        board_of, compute_opts_box, puzzle_record, solve_one_level_box, LevelStyle,
+    };
+    use sudoku::networks::{builder, run_net_ordered, BOX_DECLS, FIG2_DET};
     let corpus = [
         puzzles::classic9(),
         puzzles::easy9(),
         puzzles::medium9(),
         puzzles::hard9(),
     ];
-    let run = |fan: bool| {
-        let net = builder(3, Vec::new())
-            .unwrap()
-            .fuse(true)
-            .fuse_fan(fan)
-            .build_expr(FIG2_DET)
-            .unwrap();
-        run_net_ordered(net, &corpus)
-    };
-    let fused = run(true);
+    let env = snet_lang::parse_program(BOX_DECLS).unwrap().env().unwrap();
+    let b = Bindings::new()
+        .bind("computeOpts", compute_opts_box(3))
+        .bind("solveOneLevelK", solve_one_level_box(3, LevelStyle::WithK));
+    let ast = snet_lang::parse_net_expr(FIG2_DET).unwrap();
+    let plan = snet_runtime::compile_cfg(&ast, &env, &b, false).unwrap();
+    let want = oracle::run(&plan, corpus.iter().map(puzzle_record)).unwrap();
+    let want: Vec<Board> = want.records.iter().map(|r| board_of(r, 3)).collect();
     assert_eq!(
-        fused,
+        want,
         corpus.iter().map(reference).collect::<Vec<_>>(),
         "one solution a puzzle, in input order"
     );
-    assert_eq!(fused, run(false));
+    for (fuse, fan) in [(true, true), (true, false), (false, false)] {
+        let b = builder(3, Vec::new()).unwrap().fuse(fuse).fuse_fan(fan);
+        let net = b.build_expr(FIG2_DET).unwrap();
+        assert_eq!(run_net_ordered(net, &corpus), want, "fuse={fuse} fan={fan}");
+    }
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! Fusion equivalence: the fused and unfused instantiations of the
-//! same plan must be observationally identical — byte-identical
-//! (deterministically ordered) output, identical per-stage metrics
-//! paths and counts — under every executor. Only the component count
-//! may differ: an n-stage fused chain runs as **one** component.
+//! same plan must be observationally identical — the sequential
+//! reference's output (`snet_runtime::oracle`; byte-identical where
+//! the order is defined), identical per-stage metrics paths and
+//! counts — under every executor. Only the component count may
+//! differ: an n-stage fused chain runs as **one** component.
 //!
-//! `NetBuilder::fuse(bool)` drives both topologies in-process; the
-//! `SNET_FUSE=0` CI leg additionally re-runs the whole suite with the
-//! process default flipped.
+//! `NetBuilder::fuse(bool)` and `fuse_fan(bool)` drive both topologies
+//! in-process; `tests/random_networks.rs` draws programs across them.
 
+use snet_lang::{parse_net_expr, parse_program};
 use snet_runtime::{
-    ChaosConfig, Executor, FaultPolicy, Net, NetBuilder, ThreadPerComponent, WorkStealingPool,
+    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder,
+    ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::Record;
 use std::sync::Arc;
@@ -38,33 +40,37 @@ const SRC: &str = "
     box fork (n, <k>) -> (n, <k>) | (n, <k>, <z>);
 ";
 
-/// A builder for `expr` with every box bound — the shared base for
-/// the fuse / fuse_fan / fault-policy variations below.
-fn fan_builder(expr: &str) -> NetBuilder {
-    NetBuilder::from_source(&format!("{SRC}\nnet main = {expr};"))
-        .unwrap()
-        .bind("inc", |r, e| {
-            let x = r.field("x").unwrap().as_int().unwrap();
-            e.emit(Record::build().field("x", x + 1).finish());
-        })
-        .bind("rep", |r, e| {
-            let x = r.field("x").unwrap().as_int().unwrap();
+fn int(r: &Record, name: &str) -> i64 {
+    r.field(name).unwrap().as_int().unwrap()
+}
+
+/// A box implementation, as bound by name.
+type BoxFn = fn(&Record, &mut Emitter);
+
+/// The implementations of [`SRC`]'s boxes.
+fn boxes() -> [(&'static str, BoxFn); 4] {
+    [
+        ("inc", |r, e| {
+            e.emit(Record::build().field("x", int(r, "x") + 1).finish())
+        }),
+        ("rep", |r, e| {
             let c = r.tag("c").unwrap();
             for i in 0..c {
-                e.emit(Record::build().field("x", x * 10 + i).tag("c", c).finish());
+                e.emit(
+                    Record::build()
+                        .field("x", int(r, "x") * 10 + i)
+                        .tag("c", c)
+                        .finish(),
+                );
             }
-        })
-        .bind("dec", |r, e| {
-            let n = r.field("n").unwrap().as_int().unwrap();
-            if n <= 1 {
-                e.emit(Record::build().field("n", 0i64).tag("z", 1).finish());
-            } else {
-                e.emit(Record::build().field("n", n - 1).finish());
-            }
-        })
-        .bind("fork", |r, e| {
-            let n = r.field("n").unwrap().as_int().unwrap();
-            let k = r.tag("k").unwrap();
+        }),
+        ("dec", |r, e| {
+            let n = int(r, "n");
+            let out = Record::build().field("n", (n - 1).max(0));
+            e.emit(if n <= 1 { out.tag("z", 1) } else { out }.finish());
+        }),
+        ("fork", |r, e| {
+            let (n, k) = (int(r, "n"), r.tag("k").unwrap());
             let rec = |n: i64, k: i64| Record::build().field("n", n).tag("k", k % 3);
             if n <= 1 {
                 e.emit(rec(0, k).tag("z", 1).finish());
@@ -74,7 +80,25 @@ fn fan_builder(expr: &str) -> NetBuilder {
                     e.emit(rec(n - 2, k + 2).finish());
                 }
             }
-        })
+        }),
+    ]
+}
+
+/// A builder for `expr` with every box bound — the shared base for
+/// the fuse / fuse_fan / fault-policy variations below.
+fn fan_builder(expr: &str) -> NetBuilder {
+    let b = NetBuilder::from_source(&format!("{SRC}\nnet main = {expr};")).unwrap();
+    boxes().into_iter().fold(b, |b, (name, f)| b.bind(name, f))
+}
+
+/// What `expr` must output on `inputs`: the sequential reference.
+fn expected(expr: &str, inputs: &[Record]) -> oracle::Expected {
+    let env = parse_program(SRC).unwrap().env().unwrap();
+    let b = boxes()
+        .into_iter()
+        .fold(Bindings::new(), |b, (n, f)| b.bind(n, f));
+    let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
+    oracle::run(&plan.unwrap(), inputs.to_vec()).unwrap()
 }
 
 fn build(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> Net {
@@ -86,7 +110,7 @@ fn build(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> Net {
 }
 
 /// Deterministically ordered topologies (pure chains and det
-/// combinators) whose output must be **byte-identical** fused vs
+/// combinators) whose output must be **byte-identical** fused and
 /// unfused, per executor.
 const DET_EXPRS: &[&str] = &[
     // Pure chains, 1:1 and multi-emission.
@@ -101,8 +125,10 @@ const DET_EXPRS: &[&str] = &[
     // Det parallel of two fusable chains.
     "(inc .. inc) | (rep .. inc)",
     // Fused chain inside a det combinator scope (sort records must
-    // traverse the fused component byte-identically).
+    // traverse the fused component byte-identically), and a fan in a
+    // fan.
     "(inc .. inc .. rep) ! <k>",
+    "((inc .. rep) ! <k2>) ! <k>",
 ];
 
 /// `{x, <c>, <k>, <k2>}` inputs: a second routing tag, so nested
@@ -140,12 +166,11 @@ fn ns(n: i64) -> Vec<Record> {
         .collect()
 }
 
-/// Renders the full output stream for byte-for-byte comparison.
-fn drive(net: Net, inputs: &[Record]) -> Vec<String> {
+fn drive(net: Net, inputs: &[Record]) -> Vec<Record> {
     for rec in inputs {
         net.send(rec.clone()).unwrap();
     }
-    net.finish().iter().map(|r| format!("{r:?}")).collect()
+    net.finish()
 }
 
 /// Nested fans, each a det net and its nondet twin: Fig. 2's shape (a
@@ -223,58 +248,25 @@ fn spine_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
 
 #[test]
 fn fused_fan_matrix_is_byte_identical() {
-    // Det split, det parallel, a fan in a fan, every nest of
-    // NESTED_EXPRS and every spine of SPINE_EXPRS, each driven across
-    // {threads, pool(1), pool(2)} × {fan fused, fan unfused} with chain
-    // fusion on. Output must be byte-identical to the fully unfused
-    // reference; a nondet net's order is the scheduler's, so its twin
-    // compares multisets.
-    let flat = [
-        "(inc .. inc .. rep) ! <k>",
-        "(inc .. inc) | (rep .. inc)",
-        "((inc .. rep) ! <k2>) ! <k>",
-    ];
-    let cases = (flat.into_iter().map(|expr| (expr, xs(60, false), true)))
-        .chain(nested_cases())
-        .chain(spine_cases());
-    for (expr, inputs, ordered) in cases {
-        let run = |b: NetBuilder| {
-            let mut out = drive(b.build("main").unwrap(), &inputs);
-            if !ordered {
-                out.sort();
-            }
-            out
-        };
-        let reference = run(fan_builder(expr)
-            .executor(Arc::new(ThreadPerComponent))
-            .fuse(false));
-        assert!(reference.len() >= inputs.len() / 2, "{expr}");
+    // Every DET_EXPRS chain and fan, every nest of NESTED_EXPRS and
+    // every spine of SPINE_EXPRS, each driven across {threads, pool(1),
+    // pool(2)} × {fused, fans unfused, all unfused}. Output must be the
+    // sequential reference's, byte for byte; a nondet net's order is
+    // the scheduler's, so its twin compares multisets.
+    let flat = DET_EXPRS.iter().map(|expr| (*expr, xs(60, false), true));
+    for (expr, inputs, ordered) in flat.chain(nested_cases()).chain(spine_cases()) {
+        let want = expected(expr, &inputs);
+        assert_eq!(want.ordered, ordered, "{expr}");
+        assert!(want.records.len() >= inputs.len() / 2, "{expr}");
         for (name, exec) in executors() {
-            for fan in [true, false] {
-                let got = run(fan_builder(expr)
-                    .executor(Arc::clone(&exec))
-                    .fuse(true)
-                    .fuse_fan(fan));
-                assert_eq!(
-                    got, reference,
-                    "{expr} diverged under {name} (fuse_fan={fan})"
+            for (fuse, fan) in [(true, true), (true, false), (false, false)] {
+                let b = fan_builder(expr).executor(Arc::clone(&exec));
+                let net = b.fuse(fuse).fuse_fan(fan).build("main").unwrap();
+                let got = drive(net, &inputs);
+                assert!(
+                    want.admits(&got),
+                    "{expr} diverged under {name} (fuse={fuse}, fan={fan})"
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn fused_output_is_byte_identical_to_unfused_across_executors() {
-    for expr in DET_EXPRS {
-        let reference = drive(
-            build(expr, Arc::new(ThreadPerComponent), false),
-            &xs(60, false),
-        );
-        for (name, exec) in executors() {
-            for fuse in [true, false] {
-                let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
-                assert_eq!(got, reference, "{expr} diverged under {name} (fuse={fuse})");
             }
         }
     }
@@ -286,17 +278,12 @@ fn nondet_barrier_conserves_records_fused_and_unfused() {
     // scheduler-dependent, so compare the multiset (and rely on the
     // det exprs above for ordering).
     let expr = "inc .. inc .. (rep !! <k>) .. inc .. inc";
-    let mut reference = drive(
-        build(expr, Arc::new(ThreadPerComponent), false),
-        &xs(60, false),
-    );
-    reference.sort();
+    let want = expected(expr, &xs(60, false));
     for (name, exec) in executors() {
         for fuse in [true, false] {
-            let mut got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
-            got.sort();
-            assert_eq!(
-                got, reference,
+            let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
+            assert!(
+                want.admits(&got),
                 "{expr} lost/duplicated records under {name} (fuse={fuse})"
             );
         }
@@ -307,28 +294,30 @@ fn nondet_barrier_conserves_records_fused_and_unfused() {
 fn det_star_with_fused_inner_keeps_input_order() {
     // (dec .. dec) * {<z>}: the star's inner pipeline fuses — and
     // with fan fusion the whole star collapses into one component.
-    // Det star output must stay in input order, identical to
-    // unfused, both ways.
-    let run = |fuse: bool, fan: bool, exec: Arc<dyn Executor>| -> Vec<String> {
-        let net = fan_builder("(dec .. dec) * {<z>}")
-            .executor(exec)
-            .fuse(fuse)
-            .fuse_fan(fan)
-            .build("main")
-            .unwrap();
-        for (id, d) in (0..20i64).map(|i| (i, (i * 13 + 7) % 9 + 1)) {
-            net.send(Record::build().field("n", d).tag("id", id).finish())
-                .unwrap();
-        }
-        net.finish().iter().map(|r| format!("{r:?}")).collect()
-    };
-    let reference = run(false, false, Arc::new(ThreadPerComponent));
+    // Det star output must stay in input order, the reference's, both
+    // ways.
+    let expr = "(dec .. dec) * {<z>}";
+    let inputs: Vec<Record> = (0..20i64)
+        .map(|id| {
+            Record::build()
+                .field("n", (id * 13 + 7) % 9 + 1)
+                .tag("id", id)
+                .finish()
+        })
+        .collect();
+    let want = expected(expr, &inputs).records;
+    let ids: Vec<i64> = want.iter().map(|r| r.tag("id").unwrap()).collect();
+    assert_eq!(ids, (0..20).collect::<Vec<_>>());
     for (name, exec) in executors() {
         for fuse in [true, false] {
             for fan in [true, false] {
+                let b = fan_builder(expr)
+                    .executor(Arc::clone(&exec))
+                    .fuse(fuse)
+                    .fuse_fan(fan);
+                let got = drive(b.build("main").unwrap(), &inputs);
                 assert_eq!(
-                    run(fuse, fan, Arc::clone(&exec)),
-                    reference,
+                    got, want,
                     "det star diverged under {name} (fuse={fuse}, fan={fan})"
                 );
             }
@@ -465,7 +454,7 @@ fn per_stage_metrics_paths_survive_fusion() {
         snap.iter()
             .filter(|(k, _)| k.contains("box:") || k.contains("filter"))
             // Per-EDGE gauges (stream_depth / credit_stalls, present
-            // when SNET_STREAM_BOUND is set) are excluded: fusion
+            // on bounded edges, the default) are excluded: fusion
             // removes the inter-stage edges by design, so only the
             // per-stage computation counters must match.
             .filter(|(k, _)| !k.ends_with("/stream_depth") && !k.ends_with("/credit_stalls"))

@@ -137,7 +137,7 @@ fn repeated_instantiation_accumulates_under_identical_keys() {
     assert_eq!(keys_a, keys_b);
     // `stream_depth` is a high-water gauge: how far a queue grows
     // before its consumer drains it is scheduling-dependent (visible
-    // under SNET_STREAM_BOUND, where every edge maintains it), so the
+    // on bounded edges, the default, where every edge maintains it), so the
     // gauges are exempt from run-to-run value equality. So are the
     // `runtime/*` globals: `runtime/interner_paths` gauges the
     // process-wide path interner, which the other tests of this
@@ -154,7 +154,7 @@ fn repeated_instantiation_accumulates_under_identical_keys() {
 /// One of each stage: a lone box (`a`), a fused fan (`(b .. c) ! <k>`),
 /// a lone filter, a second fused fan (`l | r`) and a fused chain
 /// (`d .. e`), all one stage run. Fusion and the bound are pinned, so
-/// the key set does not follow `SNET_FUSE` / `SNET_STREAM_BOUND`.
+/// the key set does not follow the defaults.
 fn one_of_each_driver() -> snet_runtime::Net {
     let fwd = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
     NetBuilder::from_source(

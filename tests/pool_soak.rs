@@ -10,6 +10,11 @@
 //! * after every network has been `finish`ed, the pool's run queues
 //!   are empty (`queued_tasks() == 0`) and every net's tracker went
 //!   quiescent with the expected component count.
+//!
+//! What is bounded but never given back, and so not checked here: a
+//! `Service`'s completion-slot table grows to the peak number of live
+//! call handles and never shrinks (`snet_runtime::serve`, *Memory*) —
+//! a long-lived service holds the slots of its busiest moment.
 
 use snet_runtime::{Executor, Net, NetBuilder, WorkStealingPool};
 use snet_types::Record;

@@ -1,25 +1,292 @@
-//! Randomised network topology stress test: build arbitrary
-//! well-typed combinator trees over identity components, push random
-//! record streams through, and check conservation — every record
-//! comes out exactly once, payloads intact, no deadlock, no loss.
+//! Randomised networks against the sequential reference.
 //!
-//! This exercises the runtime's plumbing (dispatchers, mergers, sort
-//! barriers, dynamic replicas, EOS cascades) across shapes no
-//! hand-written test enumerates.
+//! The differential check draws well-typed `.snet` programs over every
+//! combinator, runs each through the parser and the runtime under one
+//! configuration drawn from {fused, unfused} × {bound 128, 1–8,
+//! unbounded} × {threads, pool(1), pool(2)}, and asserts that the
+//! output is what `snet_runtime::oracle` says the program means: the
+//! same sequence when every fan is det, the same multiset otherwise.
+//! A failing case prints the program, the configuration and the
+//! `PROPTEST_SEED` that replays it.
+//!
+//! Also here: the chaos soak over random identity topologies, and the
+//! credit accounting of one bounded edge against a reference model.
 
 use proptest::prelude::*;
-use snet_lang::{Env, NetAst};
+use proptest::TestRng;
+use snet_lang::{parse_filter, parse_program, pretty_net, Env, ExitPattern, NetAst};
 use snet_runtime::{
-    Bindings, ChaosConfig, Executor, FaultPolicy, Net, Plan, RunCfg, ThreadPerComponent,
-    WorkStealingPool,
+    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder, Plan, RunCfg,
+    ThreadPerComponent, WorkStealingPool,
 };
-use snet_types::{BoxSig, Label, Record};
-use std::sync::Arc;
+use snet_types::{BoxSig, Label, Record, RecordType};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::{Arc, OnceLock};
 
-/// A random combinator tree over the identity box `id (x, <k>) -> (x, <k>)`.
-/// Star is excluded: an identity box never produces the exit pattern,
-/// so a star over it would loop forever by design (the type system
-/// rejects it statically, in fact — see `star_rejects_never_exiting`).
+/// The box vocabulary of drawn programs. Every record carries `x`,
+/// `<k>` and `<n>`; some carry `<p>`, and `<z>` marks a finished
+/// countdown.
+/// * `id` and `inc` (`x + 1`) — inheritance carries the tags;
+/// * `drop` emits nothing when `x % 4 == 3`;
+/// * `fork` emits its record and, when `x` is even, a second one on
+///   the next `<k>` lane with one count less: a star of a split holds
+///   a widening frontier, whose records leave at different depths;
+/// * `step` counts `<n>` down and adds `<z>` at zero, the exit of
+///   every drawn star.
+const BOXES: &str = "
+    box id (x) -> (x);
+    box inc (x) -> (x);
+    box drop (x) -> (x);
+    box fork (x, <k>, <n>) -> (x, <k>, <n>);
+    box step (x, <n>) -> (x, <n>) | (x, <n>, <z>);
+";
+
+/// The one filter: the head of a parallel's left branch. Its pattern
+/// is the only four-label input of the vocabulary, so it takes every
+/// `<p>` record and no other, and it strips `<p>`, so a parallel
+/// further on routes the same record differently.
+const ROUTE: &str = "[{x, <k>, <n>, <p>} -> {x, <k>=<k>, <n>=<n>}]";
+
+fn x(rec: &Record) -> i64 {
+    rec.field("x").unwrap().as_int().unwrap()
+}
+
+/// A box implementation, as bound by name.
+type BoxFn = fn(&Record, &mut Emitter);
+
+/// The implementations of [`BOXES`].
+fn bindings() -> [(&'static str, BoxFn); 5] {
+    [
+        ("id", |r, em| em.emit(r.clone())),
+        ("inc", |r, em| {
+            em.emit(Record::build().field("x", x(r) + 1).finish())
+        }),
+        ("drop", |r, em| {
+            if x(r) % 4 != 3 {
+                em.emit(r.clone());
+            }
+        }),
+        ("fork", |r, em| {
+            em.emit(r.clone());
+            if x(r) % 2 == 0 {
+                let (k, n) = (r.tag("k").unwrap(), r.tag("n").unwrap());
+                let rec = Record::build().field("x", x(r) + 1).tag("k", (k + 1) % 3);
+                em.emit(rec.tag("n", (n - 1).max(0)).finish());
+            }
+        }),
+        ("step", |r, em| {
+            let rec = Record::build().field("x", x(r));
+            em.emit(match r.tag("n").unwrap() {
+                0 => rec.tag("n", 0).tag("z", 1).finish(),
+                n => rec.tag("n", n - 1).finish(),
+            });
+        }),
+    ]
+}
+
+/// A random net of at most `depth` nested combinators. A star's body
+/// ends in `step`, so every record leaves within `<n> + 1` replicas.
+/// A parallel's right branch starts with a box; its left branch
+/// starts with [`ROUTE`], so that no record matches both equally well,
+/// or is the same operand, so that a tie does not change the output.
+fn draw_net(rng: &mut TestRng, depth: u32) -> NetAst {
+    let leaf = |rng: &mut TestRng| {
+        NetAst::boxref(["id", "inc", "drop", "fork", "step"][rng.usize_below(5)])
+    };
+    if depth == 0 || rng.usize_below(3) == 0 {
+        return leaf(rng);
+    }
+    // Mostly det: one nondet fan anywhere leaves only the multiset.
+    let det = rng.usize_below(4) > 0;
+    let sub = |rng: &mut TestRng| draw_net(rng, depth - 1);
+    match rng.usize_below(4) {
+        0 => NetAst::serial(sub(rng), sub(rng)),
+        1 => {
+            let route = NetAst::Filter(parse_filter(ROUTE).unwrap());
+            let right = NetAst::serial(leaf(rng), sub(rng));
+            let left = match rng.usize_below(4) {
+                0 => right.clone(),
+                _ => NetAst::serial(route, sub(rng)),
+            };
+            NetAst::Parallel {
+                left: Box::new(left),
+                right: Box::new(right),
+                det,
+            }
+        }
+        2 => NetAst::Split {
+            inner: Box::new(sub(rng)),
+            tag: "k".into(),
+            det,
+        },
+        _ => NetAst::Star {
+            inner: Box::new(NetAst::serial(sub(rng), NetAst::boxref("step"))),
+            exit: ExitPattern::new(RecordType::of(&[], &["z"])),
+            det,
+        },
+    }
+}
+
+/// Where a drawn program runs.
+#[derive(Clone, Copy, Debug)]
+struct Config {
+    fuse: bool,
+    bound: Option<usize>,
+    /// 0 = threads, else a pool of that many workers.
+    workers: usize,
+}
+
+/// One drawn case: the program text, its inputs, a configuration,
+/// and what the oracle says it outputs.
+struct Case {
+    src: String,
+    inputs: Vec<Record>,
+    cfg: Config,
+    want: oracle::Expected,
+}
+
+impl std::fmt::Debug for Case {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "\n{}\nunder {:?}\non {:?}\n",
+            self.src, self.cfg, self.inputs
+        )
+    }
+}
+
+/// The unfused plan of `main` in `src`, the oracle's input.
+fn reference_plan(src: &str) -> Plan {
+    let program = parse_program(src).unwrap();
+    let env: Env = program.env().unwrap();
+    let b = bindings()
+        .into_iter()
+        .fold(Bindings::new(), |b, (name, f)| b.bind(name, f));
+    let ast = &program.net("main").unwrap().body;
+    snet_runtime::compile_cfg(ast, &env, &b, false).unwrap()
+}
+
+/// Draws programs until one type-checks, admits its inputs and has
+/// a defined output on them.
+struct Cases;
+
+impl Strategy for Cases {
+    type Value = Case;
+    fn generate(&self, rng: &mut TestRng) -> Case {
+        loop {
+            let src = format!("{BOXES}\nnet main = {};", pretty_net(&draw_net(rng, 3)));
+            let inputs: Vec<Record> = (0..rng.usize_below(24))
+                .map(|_| {
+                    let r = Record::build()
+                        .field("x", rng.usize_below(30) as i64)
+                        .tag("k", rng.usize_below(3) as i64)
+                        .tag("n", rng.usize_below(3) as i64);
+                    if rng.gen_bool_half() {
+                        r.tag("p", 1)
+                    } else {
+                        r
+                    }
+                    .finish()
+                })
+                .collect();
+            let cfg = Config {
+                fuse: rng.gen_bool_half(),
+                bound: match rng.usize_below(3) {
+                    0 => Some(128),
+                    1 => Some(1 + rng.usize_below(8)),
+                    _ => None,
+                },
+                workers: rng.usize_below(3),
+            };
+            let env = parse_program(&src).map(|p| p.env());
+            if !matches!(env, Ok(Ok(_))) {
+                continue;
+            }
+            let plan = reference_plan(&src);
+            let admitted = inputs
+                .iter()
+                .all(|r| plan.sig.match_score(&r.record_type()).is_some());
+            if let (true, Ok(want)) = (admitted, oracle::run(&plan, inputs.clone())) {
+                return Case {
+                    src,
+                    inputs,
+                    cfg,
+                    want,
+                };
+            }
+        }
+    }
+}
+
+/// The shared pools of one and two workers.
+fn pool(workers: usize) -> Arc<dyn Executor> {
+    static POOLS: OnceLock<[Arc<WorkStealingPool>; 2]> = OnceLock::new();
+    let pools = POOLS.get_or_init(|| [1, 2].map(|n| Arc::new(WorkStealingPool::new(n))));
+    Arc::clone(&pools[workers - 1]) as _
+}
+
+/// Runs `f` on a thread of its own, so that a hang or a panic is a
+/// failed case rather than a stuck or aborted suite. The thread is
+/// leaked on a hang, which is acceptable in a test binary.
+fn on_own_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .map_err(|e| match e {
+            RecvTimeoutError::Timeout => "the net hung (60 s)".into(),
+            RecvTimeoutError::Disconnected => "the net panicked".into(),
+        })
+}
+
+/// What `case`'s program outputs on the runtime.
+fn run_case(case: &Case) -> Vec<Record> {
+    let b = NetBuilder::from_source(&case.src).unwrap();
+    let b = bindings()
+        .into_iter()
+        .fold(b, |b, (name, f)| b.bind(name, f));
+    let b = match case.cfg.bound {
+        Some(n) => b.bound(n),
+        None => b.unbounded(),
+    };
+    let net = match case.cfg.workers {
+        0 => b.executor(Arc::new(ThreadPerComponent)),
+        n => b.executor(pool(n)),
+    };
+    let net = net.fuse(case.cfg.fuse).build("main").unwrap();
+    for rec in &case.inputs {
+        net.send(rec.clone()).unwrap();
+    }
+    net.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Runtime ≡ oracle on drawn programs, one configuration each.
+    #[test]
+    fn runtime_matches_the_oracle_on_random_programs(case in Cases) {
+        let case = Arc::new(case);
+        let got = on_own_thread({
+            let case = Arc::clone(&case);
+            move || run_case(&case)
+        });
+        let (want, got) = (&case.want, got.map_err(TestCaseError::Fail)?);
+        prop_assert!(
+            want.admits(&got),
+            "ordered: {}\n  want: {:?}\n   got: {:?}", want.ordered, want.records, got
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chaos soak: seeded fault injection over random topologies.
+// ---------------------------------------------------------------------------
+
+/// A random combinator tree over the identity box
+/// `id (x, <k>) -> (x, <k>)`; no star, which an identity box would
+/// never leave.
 fn arb_net() -> impl Strategy<Value = NetAst> {
     let leaf = Just(NetAst::boxref("id"));
     leaf.prop_recursive(4, 16, 2, |inner| {
@@ -46,34 +313,15 @@ fn arb_net() -> impl Strategy<Value = NetAst> {
 /// `cfg.fuse` is whether the plan is compiled fused.
 fn build_full(ast: &NetAst, cfg: RunCfg, executor: Arc<dyn Executor>) -> Net {
     let mut env = Env::new();
-    env.declare_box(
-        "id",
-        BoxSig::new(
-            vec![Label::field("x"), Label::tag("k")],
-            vec![vec![Label::field("x"), Label::tag("k")]],
-        ),
-    )
-    .unwrap();
-    let bindings = Bindings::new().bind("id", |rec: &Record, em: &mut snet_runtime::Emitter| {
+    let xk = vec![Label::field("x"), Label::tag("k")];
+    env.declare_box("id", BoxSig::new(xk.clone(), vec![xk]))
+        .unwrap();
+    let bindings = Bindings::new().bind("id", |rec: &Record, em: &mut Emitter| {
         em.emit(rec.clone());
     });
     let plan: Plan =
         snet_runtime::compile_cfg(ast, &env, &bindings, cfg.fuse).expect("random net compiles");
     Net::spawn(plan, Vec::new(), executor, cfg)
-}
-
-/// On threads under the environment's configuration with `bound`.
-fn build_bound(ast: &NetAst, bound: Option<usize>) -> Net {
-    let cfg = RunCfg {
-        bound,
-        ..RunCfg::from_env()
-    };
-    build_full(ast, cfg, Arc::new(ThreadPerComponent))
-}
-
-/// On unbounded edges: what the bounded runs are compared against.
-fn build(ast: &NetAst) -> Net {
-    build_bound(ast, None)
 }
 
 fn drive(net: Net, xs: &[(i64, i64)]) -> Vec<(i64, i64)> {
@@ -85,124 +333,6 @@ fn drive(net: Net, xs: &[(i64, i64)]) -> Vec<(i64, i64)> {
         .iter()
         .map(|r| (r.field("x").unwrap().as_int().unwrap(), r.tag("k").unwrap()))
         .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn records_are_conserved_through_any_topology(
-        ast in arb_net(),
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
-    ) {
-        let net = build(&ast);
-        for (x, k) in &xs {
-            net.send(Record::build().field("x", *x).tag("k", *k).finish())
-                .unwrap();
-        }
-        let out = net.finish();
-        prop_assert_eq!(out.len(), xs.len(), "record count changed in {:?}", ast);
-        // Multiset of payloads preserved.
-        let mut got: Vec<(i64, i64)> = out
-            .iter()
-            .map(|r| {
-                (
-                    r.field("x").unwrap().as_int().unwrap(),
-                    r.tag("k").unwrap(),
-                )
-            })
-            .collect();
-        let mut want = xs.clone();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Fully deterministic topologies additionally preserve ORDER.
-    #[test]
-    fn det_only_topologies_preserve_order(
-        depth in 1usize..4,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
-    ) {
-        // A nested det-only tree: ((id ! <k>) | (id ! <k>)) | ... deep.
-        let mut ast = NetAst::split_det(NetAst::boxref("id"), "k");
-        for _ in 0..depth {
-            ast = NetAst::parallel_det(
-                ast.clone(),
-                NetAst::split_det(NetAst::boxref("id"), "k"),
-            );
-        }
-        let net = build(&ast);
-        for (x, k) in &xs {
-            net.send(Record::build().field("x", *x).tag("k", *k).finish())
-                .unwrap();
-        }
-        let out = net.finish();
-        let got: Vec<i64> = out
-            .iter()
-            .map(|r| r.field("x").unwrap().as_int().unwrap())
-            .collect();
-        let want: Vec<i64> = xs.iter().map(|(x, _)| *x).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Bounding an arbitrary topology changes *when* producers run,
-    /// never *what* comes out: the delivered multiset equals the
-    /// unbounded run's, even at bound 1 (maximum pressure).
-    #[test]
-    fn bounded_topologies_deliver_the_same_records(
-        ast in arb_net(),
-        bound in 1usize..9,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
-    ) {
-        let mut unbounded = drive(build(&ast), &xs);
-        let mut bounded = drive(
-            build_bound(&ast, Some(bound)),
-            &xs,
-        );
-        unbounded.sort();
-        bounded.sort();
-        prop_assert_eq!(bounded, unbounded, "bound {} changed output of {:?}", bound, ast);
-    }
-
-    /// Under a fully deterministic topology the comparison tightens to
-    /// exact sequence equality: credit waits must not perturb sort
-    /// record interleaving.
-    #[test]
-    fn bounded_det_topologies_preserve_order(
-        depth in 1usize..4,
-        bound in 1usize..6,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
-    ) {
-        let mut ast = NetAst::split_det(NetAst::boxref("id"), "k");
-        for _ in 0..depth {
-            ast = NetAst::parallel_det(
-                ast.clone(),
-                NetAst::split_det(NetAst::boxref("id"), "k"),
-            );
-        }
-        let got = drive(
-            build_bound(&ast, Some(bound)),
-            &xs,
-        );
-        prop_assert_eq!(got, xs);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos soak: seeded fault injection over random topologies.
-// ---------------------------------------------------------------------------
-
-/// Runs `f` on a helper thread and panics if it takes longer than
-/// `secs` — turns a would-be hang into a test failure. The helper
-/// thread is leaked on timeout, which is acceptable in a test binary.
-fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(std::time::Duration::from_secs(secs))
-        .expect("chaos soak run hung (watchdog fired)")
 }
 
 /// Output multiset plus the fault counters of one chaos run.
@@ -277,9 +407,9 @@ proptest! {
             let ast2 = ast.clone();
             let xs2 = xs.to_vec();
             let chaos2 = chaos.clone();
-            let outcome = with_watchdog(60, move || {
+            let outcome = on_own_thread(move || {
                 soak_run(&ast2, Some(chaos2), fuse, executor, &xs2)
-            });
+            }).map_err(TestCaseError::Fail)?;
             // Containment accounting: every injected panic is exactly
             // one skipped record and one contained fault, and nothing
             // else goes missing.
@@ -312,9 +442,9 @@ proptest! {
         // nothing skipped, nothing lost, full multiset out.
         let ast2 = ast.clone();
         let xs2 = xs.to_vec();
-        let clean = with_watchdog(60, move || {
+        let clean = on_own_thread(move || {
             soak_run(&ast2, None, true, Arc::new(ThreadPerComponent), &xs2)
-        });
+        }).map_err(TestCaseError::Fail)?;
         prop_assert_eq!(clean.injected, 0);
         prop_assert_eq!(clean.skipped, 0);
         prop_assert_eq!(clean.panics, 0);

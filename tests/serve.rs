@@ -269,10 +269,11 @@ fn shed_and_timeout_surface_at_call() {
 
 /// Deterministic combinators behind the front door: per-request
 /// response sequences are byte-identical across every executor ×
-/// fusion leg, even with 8 callers racing.
+/// fusion leg, and at a tight and no stream bound, even with 8
+/// callers racing.
 #[test]
 fn det_byte_identity_per_request_across_matrix() {
-    let run_leg = |exec: Arc<dyn Executor>, fuse: bool| -> Vec<Vec<i64>> {
+    let run_leg = |exec: Arc<dyn Executor>, fuse: bool, bound: Option<usize>| -> Vec<Vec<i64>> {
         let net = NetBuilder::from_source(
             "box rep (x, <c>) -> (y);
              box sink (y) -> (y);
@@ -288,10 +289,12 @@ fn det_byte_identity_per_request_across_matrix() {
         })
         .bind("sink", |r, e| e.emit(r.clone()))
         .executor(exec)
-        .fuse(fuse)
-        .build("main")
-        .unwrap();
-        let svc = Service::start(net);
+        .fuse(fuse);
+        let net = match bound {
+            Some(n) => net.bound(n),
+            None => net.unbounded(),
+        };
+        let svc = Service::start(net.build("main").unwrap());
         const N: usize = 200;
         let mut out: Vec<Vec<i64>> = vec![Vec::new(); N];
         std::thread::scope(|s| {
@@ -344,15 +347,33 @@ fn det_byte_identity_per_request_across_matrix() {
         out
     };
 
-    let reference = run_leg(Arc::new(ThreadPerComponent), true);
+    let reference = run_leg(Arc::new(ThreadPerComponent), true, Some(128));
     for (i, ys) in reference.iter().enumerate() {
         let want: Vec<i64> = (0..1 + (i as i64) % 3)
             .map(|j| (i as i64) * 10 + j)
             .collect();
         assert_eq!(ys, &want, "request {i}: det emission order");
     }
-    for (leg, exec, fuse) in matrix() {
-        let got = run_leg(exec, fuse);
+    let pool = || Arc::new(WorkStealingPool::new(2)) as Arc<dyn Executor>;
+    let bounds = [
+        (
+            "pool(2)/fuse=false/bound=64".to_string(),
+            pool(),
+            false,
+            Some(64),
+        ),
+        (
+            "pool(2)/fuse=true/unbounded".to_string(),
+            pool(),
+            true,
+            None,
+        ),
+    ];
+    let legs = matrix()
+        .into_iter()
+        .map(|(leg, exec, fuse)| (leg, exec, fuse, Some(128)));
+    for (leg, exec, fuse, bound) in legs.chain(bounds) {
+        let got = run_leg(exec, fuse, bound);
         assert_eq!(
             got, reference,
             "{leg}: det byte-identity behind the front door"
