@@ -19,11 +19,10 @@
 //! credit acquisition. The scenarios use **sort-free** nets: sort
 //! records are deliberately never gated (see `snet_runtime::merge`),
 //! so deterministic-combinator traffic may transiently exceed the
-//! bound by design. Determinism under bounding is instead checked
-//! against the sequential reference (`snet_runtime::oracle`) in
-//! `tests/random_networks.rs`, at bounds 1–8, 128 and none on every
-//! executor, and liveness here by a randomized stall/resume schedule
-//! run under a watchdog.
+//! bound by design. Determinism under bounding is instead checked by
+//! the byte-identity matrix below and against the sequential reference
+//! (`snet_runtime::oracle`) in `tests/random_networks.rs`, and liveness
+//! by a randomized stall/resume schedule run under a watchdog.
 
 use snet_runtime::{
     Executor, Net, NetBuilder, OverloadPolicy, SendRejected, ThreadPerComponent, WorkStealingPool,
@@ -239,6 +238,75 @@ fn amplifying_chain_fan_729_stays_bounded() {
 }
 
 /// The determinism contract: bounding is invisible in the output.
+/// One det-parallel/det-split net, driven identically bounded and
+/// unbounded across {thread-per-component, pool(1), pool(2)} ×
+/// {fused, unfused}; every leg must produce the byte-identical
+/// record sequence.
+#[test]
+fn det_output_identical_bounded_vs_unbounded_across_executors() {
+    let build = |bound: Option<usize>, fuse: bool, exec: Arc<dyn Executor>| -> Net {
+        let mut b = NetBuilder::from_source(
+            "box rep (x, <c>) -> (y);
+             box sink (y) -> (y);
+             net main = ((rep | rep) ! <k>) .. sink .. sink;",
+        )
+        .unwrap()
+        .bind("rep", |rec, em| {
+            let x = rec.field("x").unwrap().as_int().unwrap();
+            let c = rec.tag("c").unwrap();
+            for i in 0..c {
+                em.emit(Record::build().field("y", x * 10 + i).finish());
+            }
+        })
+        .bind("sink", |r, e| e.emit(r.clone()))
+        .executor(exec)
+        .fuse(fuse);
+        // `None` must be an explicit opt-out: since PR 7 the process
+        // default is bounded (DEFAULT_STREAM_BOUND), so omitting
+        // `.bound()` would no longer give this leg unbounded edges.
+        b = match bound {
+            Some(n) => b.bound(n),
+            None => b.unbounded(),
+        };
+        b.build("main").unwrap()
+    };
+    let drive = |net: Net| -> Vec<i64> {
+        for i in 0..400i64 {
+            net.send(
+                Record::build()
+                    .field("x", i)
+                    .tag("c", 1 + i % 3)
+                    .tag("k", i % 5)
+                    .finish(),
+            )
+            .unwrap();
+        }
+        ints(&net.finish(), "y")
+    };
+
+    let reference = drive(build(None, true, Arc::new(ThreadPerComponent)));
+    let want: i64 = (0..400i64).map(|i| 1 + i % 3).sum();
+    assert_eq!(reference.len() as i64, want);
+
+    type MkExec = Box<dyn Fn() -> Arc<dyn Executor>>;
+    let executors: Vec<(&str, MkExec)> = vec![
+        ("threads", Box::new(|| Arc::new(ThreadPerComponent))),
+        ("pool(1)", Box::new(|| Arc::new(WorkStealingPool::new(1)))),
+        ("pool(2)", Box::new(|| Arc::new(WorkStealingPool::new(2)))),
+    ];
+    for (name, mk) in &executors {
+        for fuse in [true, false] {
+            for bound in [None, Some(4), Some(64)] {
+                let got = drive(build(bound, fuse, mk()));
+                assert_eq!(
+                    got, reference,
+                    "{name} fuse={fuse} bound={bound:?} diverged from reference"
+                );
+            }
+        }
+    }
+}
+
 /// Liveness under a randomized stall/resume schedule: a middle stage
 /// sleeps pseudo-randomly (LCG, fixed seed) while the driver sends in
 /// randomized bursts with pauses in between, against tiny bounds and

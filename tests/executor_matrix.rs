@@ -108,6 +108,25 @@ fn det_combinators_match_oracle_under_both_executors() {
 }
 
 #[test]
+fn pool_output_is_byte_identical_to_thread_output() {
+    // The two backends must agree with each other on the full output
+    // sequence of every det topology.
+    for expr in ["rep | rep", "rep ! <k>", "(rep | rep) ! <k>"] {
+        let mut per_exec = Vec::new();
+        for (name, exec) in executors() {
+            per_exec.push((name, drive(build(expr, exec), inputs())));
+        }
+        let (ref_name, reference) = &per_exec[0];
+        for (name, out) in &per_exec[1..] {
+            assert_eq!(
+                out, reference,
+                "{expr}: {name} output diverged from {ref_name}"
+            );
+        }
+    }
+}
+
+#[test]
 fn nondet_topologies_conserve_records_under_pool() {
     // Every record comes out exactly once, payloads intact.
     for expr in ["rep || rep", "rep !! <k>", "(rep !! <k>) || rep"] {

@@ -273,6 +273,22 @@ fn fused_fan_matrix_is_byte_identical() {
 }
 
 #[test]
+fn fused_output_is_byte_identical_to_unfused_across_executors() {
+    for expr in DET_EXPRS {
+        let reference = drive(
+            build(expr, Arc::new(ThreadPerComponent), false),
+            &xs(60, false),
+        );
+        for (name, exec) in executors() {
+            for fuse in [true, false] {
+                let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
+                assert_eq!(got, reference, "{expr} diverged under {name} (fuse={fuse})");
+            }
+        }
+    }
+}
+
+#[test]
 fn nondet_barrier_conserves_records_fused_and_unfused() {
     // The non-det replicator barrier: global output order is
     // scheduler-dependent, so compare the multiset (and rely on the

@@ -9,7 +9,8 @@
 //! A failing case prints the program, the configuration and the
 //! `PROPTEST_SEED` that replays it.
 //!
-//! Also here: the chaos soak over random identity topologies, and the
+//! Also here: conservation and order properties of random identity
+//! topologies, bounded and unbounded; the chaos soak over them; and the
 //! credit accounting of one bounded edge against a reference model.
 
 use proptest::prelude::*;
@@ -333,6 +334,85 @@ fn drive(net: Net, xs: &[(i64, i64)]) -> Vec<(i64, i64)> {
         .iter()
         .map(|r| (r.field("x").unwrap().as_int().unwrap(), r.tag("k").unwrap()))
         .collect()
+}
+
+/// On threads with `bound`, otherwise the default configuration.
+fn build_bound(ast: &NetAst, bound: Option<usize>) -> Net {
+    let cfg = RunCfg {
+        bound,
+        ..RunCfg::default()
+    };
+    build_full(ast, cfg, Arc::new(ThreadPerComponent))
+}
+
+/// On unbounded edges: what the bounded runs are compared against.
+fn build(ast: &NetAst) -> Net {
+    build_bound(ast, None)
+}
+
+/// A nested det-only tree: `((id ! <k>) | (id ! <k>)) | ...`, `depth`
+/// parallels deep.
+fn det_tree(depth: usize) -> NetAst {
+    let mut ast = NetAst::split_det(NetAst::boxref("id"), "k");
+    for _ in 0..depth {
+        ast = NetAst::parallel_det(ast.clone(), NetAst::split_det(NetAst::boxref("id"), "k"));
+    }
+    ast
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every record comes out exactly once, payloads intact.
+    #[test]
+    fn records_are_conserved_through_any_topology(
+        ast in arb_net(),
+        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
+    ) {
+        let mut got = drive(build(&ast), &xs);
+        prop_assert_eq!(got.len(), xs.len(), "record count changed in {:?}", ast);
+        let mut want = xs.clone();
+        got.sort();
+        want.sort();
+        prop_assert_eq!(got, want);
+    }
+
+    /// Fully deterministic topologies additionally preserve ORDER.
+    #[test]
+    fn det_only_topologies_preserve_order(
+        depth in 1usize..4,
+        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
+    ) {
+        prop_assert_eq!(drive(build(&det_tree(depth)), &xs), xs);
+    }
+
+    /// Bounding an arbitrary topology changes *when* producers run,
+    /// never *what* comes out: the delivered multiset equals the
+    /// unbounded run's, even at bound 1 (maximum pressure).
+    #[test]
+    fn bounded_topologies_deliver_the_same_records(
+        ast in arb_net(),
+        bound in 1usize..9,
+        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
+    ) {
+        let mut unbounded = drive(build(&ast), &xs);
+        let mut bounded = drive(build_bound(&ast, Some(bound)), &xs);
+        unbounded.sort();
+        bounded.sort();
+        prop_assert_eq!(bounded, unbounded, "bound {} changed output of {:?}", bound, ast);
+    }
+
+    /// Under a fully deterministic topology the comparison tightens to
+    /// exact sequence equality: credit waits must not perturb sort
+    /// record interleaving.
+    #[test]
+    fn bounded_det_topologies_preserve_order(
+        depth in 1usize..4,
+        bound in 1usize..6,
+        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
+    ) {
+        prop_assert_eq!(drive(build_bound(&det_tree(depth), Some(bound)), &xs), xs);
+    }
 }
 
 /// Output multiset plus the fault counters of one chaos run.
