@@ -48,7 +48,7 @@ fn id_net_on(expr: &str, exec: Arc<dyn Executor>) -> snet_runtime::Net {
         .unwrap()
 }
 
-fn id_net_fan(expr: &str, exec: Arc<dyn Executor>, fan: bool) -> snet_runtime::Net {
+fn id_net_fan(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> snet_runtime::Net {
     let src = format!(
         "box id (x) -> (x);
          net main = {expr};"
@@ -57,8 +57,7 @@ fn id_net_fan(expr: &str, exec: Arc<dyn Executor>, fan: bool) -> snet_runtime::N
         .unwrap()
         .bind("id", |r, e| e.emit(r.clone()))
         .executor(exec)
-        .fuse(true)
-        .fuse_fan(fan)
+        .fuse(fuse)
         .build("main")
         .unwrap()
 }
@@ -127,11 +126,11 @@ fn bench_fused_chain(c: &mut Criterion) {
     g.finish();
 }
 
-/// RT_fused_fan — the PR 10 tentpole measured directly: a det
-/// indexed split (`id ! <k>`, 4 lanes) with replica fusion on (one
-/// component — dispatch, lane cores and merge handoff run inline) vs
-/// off (dispatcher → lane → merger, three channel hops + wakeups per
-/// record). The `live` legs keep the net alive across iterations
+/// RT_fused_fan — fan fusion measured directly: a det indexed split
+/// (`id ! <k>`, 4 lanes) fused (one component — dispatch, lane cores
+/// and merge handoff run inline) vs unfused (dispatcher → lane →
+/// merger, three channel hops + wakeups per record; every box, spine
+/// stage and lane chain a component of its own). The `live` legs keep the net alive across iterations
 /// (the RT_throughput shape); the `build` legs include construction
 /// and teardown (the RT_split shape). Per executor, both ways. The
 /// `star_of_split` rows are Fig. 2's shape, `(step !! <k>) ** {<z>}`
@@ -141,7 +140,7 @@ fn bench_fused_chain(c: &mut Criterion) {
 /// over identity boxes, `id .. (id !! <k>) .. (id || [{y} -> {x=y}])`,
 /// live on a pool of one and of two workers: fused, the net is one
 /// stage run and its parts cannot pipeline across workers; unfused,
-/// every part is a component of its own.
+/// every box, filter, dispatcher and merger is a component of its own.
 fn bench_fused_fan(c: &mut Criterion) {
     let mut g = c.benchmark_group("RT_fused_fan");
     g.measurement_time(std::time::Duration::from_secs(2));
@@ -183,7 +182,7 @@ fn bench_fused_fan(c: &mut Criterion) {
         }
     }
     let (_, pool) = variants.last().expect("the pool comes last");
-    let star_of_split = |fan: bool| {
+    let star_of_split = |fuse: bool| {
         NetBuilder::from_source(
             "box step (n, <k>) -> (n, <k>) | (n, <k>, <z>);
              net main = (step !! <k>) ** {<z>};",
@@ -201,8 +200,7 @@ fn bench_fused_fan(c: &mut Criterion) {
             });
         })
         .executor(Arc::clone(pool))
-        .fuse(true)
-        .fuse_fan(fan)
+        .fuse(fuse)
         .build("main")
         .unwrap()
     };

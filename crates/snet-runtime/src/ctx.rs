@@ -74,14 +74,11 @@ pub struct RunCfg {
     /// Per-replicator lane bounds keyed by routing-tag name; a tag's
     /// entry wins over the net-global `split_lanes`.
     pub split_lanes_by_tag: HashMap<String, u32>,
-    /// Whether compilation runs the fusion pass (see [`crate::plan`]).
-    /// Read by `NetBuilder::build*`; a plan that is already compiled
-    /// keeps what it was compiled with.
+    /// Whether compilation runs the fusion pass (see [`crate::plan`]),
+    /// and so whether the net is one stage run or the paper's
+    /// component graph. Read by `NetBuilder::build*`; a plan that is
+    /// already compiled runs as it was compiled.
     pub fuse: bool,
-    /// Escape hatch for replica fusion (see [`crate::plan`], *fan
-    /// fusion*): `false` runs every fan on its own dispatcher even
-    /// where the plan marked it `fused`.
-    pub fan_fuse: bool,
     /// Worker count of the process-wide shared pool, applied when the
     /// pool is created on first use (see [`crate::sched`],
     /// *Selection*); `None` = one worker per core. Nothing to a net
@@ -99,8 +96,8 @@ pub struct RunCfg {
 }
 
 impl Default for RunCfg {
-    /// Every data edge bounded at [`DEFAULT_STREAM_BOUND`], both
-    /// fusions on, a core-sized pool, blocking ingress, `FailNet`, no
+    /// Every data edge bounded at [`DEFAULT_STREAM_BOUND`], fusion
+    /// on, a core-sized pool, blocking ingress, `FailNet`, no
     /// chaos: what [`RunCfg::try_from_env`] reads when `SNET_WORKERS`
     /// is unset.
     fn default() -> RunCfg {
@@ -110,7 +107,6 @@ impl Default for RunCfg {
             split_lanes: None,
             split_lanes_by_tag: HashMap::new(),
             fuse: true,
-            fan_fuse: true,
             workers: None,
             overload: OverloadPolicy::Block,
             fault_policy: FaultPolicy::FailNet,
@@ -219,16 +215,16 @@ impl std::error::Error for ConfigError {}
 /// The data edges the spawn sites create: what [`Ctx::data_stream`] is
 /// asked for, and — by [`Edge::name`] — every name a per-edge bound
 /// (`NetBuilder::bound_for`, [`RunCfg::bound_overrides`]) can mean.
-/// Which edges a net has depends on whether its fans fuse: fused, the
-/// whole net is one stage run, with an ingress and an out edge and
-/// nothing between them.
+/// Which edges a net has depends on its plan: fused, the whole net is
+/// one stage run, with an ingress and an out edge and nothing between
+/// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Edge {
     /// `Net::send` into the root component.
     Ingress,
     /// A dispatcher (split, parallel, star stamper or guard) into one
-    /// of its lanes. An explicit bound here keeps every fan on its own
-    /// dispatcher (see [`crate::fused::fan_fusable_here`]).
+    /// of its lanes: a combinator running on its own dispatcher. A
+    /// fused fan has no lane edges.
     Dispatch,
     /// A standalone merger's output: a combinator running on its own
     /// dispatcher. A fused fan has no merger; its output is its stage

@@ -98,23 +98,12 @@ pub enum FaultPolicy {
     /// with exponential backoff (`backoff`, `2·backoff`,
     /// `4·backoff`, …), then give up to [`FaultPolicy::SkipRecord`]
     /// semantics. Sound for S-Net stages because the paper requires
-    /// boxes to be stateless; the backoff sleep blocks the stage (and
-    /// under a pool, its worker) — keep it small.
+    /// boxes to be stateless. The guard lives inside the stage core,
+    /// so a stage of a fused run retries exactly as a standalone one
+    /// does; in either topology the backoff sleep blocks the worker
+    /// running the stage — in a fused net, the whole net — so keep it
+    /// small.
     Restart { max_retries: u32, backoff: Duration },
-}
-
-impl FaultPolicy {
-    /// Whether this policy can block a stage mid-record (the restart
-    /// backoff sleep). Fused fans check this at spawn and fall back
-    /// to the unfused topology: inside one fused component the sleep
-    /// would park every co-scheduled lane, not just the faulty one,
-    /// whereas skip/failnet resolve synchronously and contain
-    /// identically fused or unfused (the guard lives inside the
-    /// stage core either way, and chaos decision streams are keyed
-    /// by the stage path, which fusion preserves).
-    pub fn restarts(&self) -> bool {
-        matches!(self, FaultPolicy::Restart { .. })
-    }
 }
 
 /// Deterministic fault injection at the core boundary (see module

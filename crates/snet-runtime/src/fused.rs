@@ -1,13 +1,12 @@
 //! The stage-run driver: one component running a chain of SISO stages.
 //! It is the only record loop there is for boxes, filters and fused
 //! fans — a lone box, filter or fan is a run of length 1, and a net
-//! whose fans fuse is one run from its input to its output
-//! ([`crate::instantiate`] builds every run through `lane_cores` and
-//! `spawn_stage_run`).
+//! compiled with the fusion pass is one run from its input to its
+//! output ([`crate::instantiate`] builds every run through
+//! `lane_cores` and `spawn_stage_run`).
 //!
-//! A [`crate::plan::PNode::Fused`] node is a maximal `Serial` run of
-//! boxes and filters collapsed by the fusion pass (see
-//! [`crate::plan`] for the legality rules). Instantiating it spawns
+//! A [`crate::plan::PNode::Run`] node is a `Serial` spine flattened by
+//! the fusion pass (see [`crate::plan`]). Instantiating it spawns
 //! **one** component whose loop does one `recv_each` at the head and
 //! one send at the tail; between them every record is handed
 //! stage-to-stage **on the component's own stack** — no intermediate
@@ -137,21 +136,16 @@ fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
 }
 
 /// Builds the stage cores of one stage run from its plan — a fan
-/// lane's body, or a whole net whose fans fuse — whatever the fusion
-/// pass made of it: a run, a `Chain` of runs, lone stages and fans
-/// (flattened, each part under its recorded suffix), or a lone stage.
-/// Every per-stage path is registered at spawn exactly as the unfused
-/// instantiation would (`instantiate(body, bpath)`), so metrics and
-/// observers match that topology.
+/// lane's body, or a whole fused net — whatever the fusion pass made
+/// of it: a [`PNode::Run`] (each stage under its recorded suffix) or a
+/// lone stage. Every per-stage path is registered at spawn exactly as
+/// the unfused instantiation would (`instantiate(body, bpath)`), so
+/// metrics and observers match that topology.
 pub(crate) fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
     match body {
-        PNode::Fused { stages } => stages
+        PNode::Run { stages } => stages
             .iter()
-            .map(|stage| stage_core(ctx, bpath.descend(&stage.suffix), &stage.leaf))
-            .collect(),
-        PNode::Chain { parts } => parts
-            .iter()
-            .flat_map(|part| lane_cores(ctx, bpath.descend(&part.suffix), &part.node))
+            .map(|stage| stage_core(ctx, bpath.descend(&stage.suffix), &stage.node))
             .collect(),
         lone => vec![stage_core(ctx, bpath, lone)],
     }
@@ -303,8 +297,6 @@ pub(crate) fn spawn_stage_run(
     input: Receiver,
 ) -> Receiver {
     let (tx, rx) = ctx.data_stream(owner, Edge::Out);
-    // The component is named after its head stage — unique even when
-    // several fused runs of one Chain share the chain-root path.
     let task_name = cores.first().map_or(owner, StageCore::path).as_str();
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(task_name, async move {
@@ -336,32 +328,6 @@ pub(crate) fn spawn_stage_run(
         }
     });
     rx
-}
-
-/// Whether a `fused` [`PNode::Fan`] may actually run fused under this
-/// net's runtime settings — and with it, whether the top-level spine
-/// is one stage run; `false` sends instantiation to one component per
-/// spine part and to the combinator's own dispatcher (see
-/// [`crate::instantiate`]). The conditions are net-global, so a net is
-/// all one way: a run builds the fans in it, and in their lanes, as
-/// stage cores without asking again, and a dispatcher hands each
-/// replica to `instantiate`, which asks again and hears the same.
-/// Three conditions, all documented in [`crate::plan`] (*fan fusion*):
-///
-/// * the net's escape hatch ([`crate::ctx::RunCfg::fan_fuse`]) is off;
-/// * the fault policy is `Restart` — its backoff sleep would park
-///   every co-scheduled lane, not just the faulty one;
-/// * an **explicit** capacity override names the `"dispatch"` edge:
-///   the user asked for credit-gated lane edges, and a fused fan has
-///   no lane edges to gate. (The net-global default bound does *not*
-///   decline: fusion replaces the lane edge with a synchronous
-///   handoff — stricter than any capacity — and backpressure still
-///   propagates through the fan's own input edge.)
-pub(crate) fn fan_fusable_here(ctx: &Ctx) -> bool {
-    let cfg = ctx.cfg();
-    cfg.fan_fuse
-        && !cfg.fault_policy.restarts()
-        && !matches!(cfg.bound_overrides.get(&Edge::Dispatch), Some(&n) if n > 0)
 }
 
 /// A fused fan's dispatch-and-lane state: the combinator's own router
@@ -579,7 +545,7 @@ mod tests {
     #[test]
     fn fused_chain_composes_like_serial() {
         let root = fused_plan("inc .. inc .. inc");
-        assert!(matches!(&*root, PNode::Fused { .. }), "{root:?}");
+        assert!(matches!(&*root, PNode::Run { .. }), "{root:?}");
         assert_eq!(drive(&root, 4), vec![3, 4, 5, 6]);
     }
 

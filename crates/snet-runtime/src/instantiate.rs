@@ -6,20 +6,18 @@
 //! handles from the plan.
 //!
 //! Boxes, filters and fused fans have one driver: a `Box`, a `Filter`,
-//! a `Fused` node and a fused `Fan` all become a stage run
-//! ([`crate::fused`]) — of length 1 for a lone stage — so what the
-//! fusion pass decides is how many stages share a component, never
-//! which record loop runs them.
+//! a `Run` and a fused `Fan` all become a stage run ([`crate::fused`])
+//! — of length 1 for a lone stage — so what the fusion pass decides is
+//! how many stages share a component, never which record loop runs
+//! them.
 //!
-//! Whether fans fuse is decided here, by the net's runtime settings
-//! (`fan_fusable_here` in [`crate::fused`]). When they do, a `Chain` —
-//! the top-level `..` spine of runs, lone stages and fans — is **one**
-//! stage run from the net's input to its output, and so is a fused
-//! fan: a fused net is one component. When they do not (the escape
-//! hatch, a `Restart` policy, an explicit `"dispatch"` bound), each
-//! part of the spine is a component of its own and every fan runs on
-//! its combinator's own dispatcher; both route through the
-//! combinator's one router.
+//! The plan alone decides the topology; nothing here reads the net's
+//! configuration. A plan compiled with the fusion pass is **one**
+//! stage run from the net's input to its output — its root is a `Run`
+//! (the top-level `..` spine), a fused fan or a lone stage. A plan
+//! compiled without it is the paper's component graph: a component
+//! per box and filter, and every fan on its combinator's own
+//! dispatcher. Both route through the combinator's one router.
 //!
 //! Instantiation is also where component paths come into existence:
 //! every spawn site derives its [`CompPath`] here, once, so nothing
@@ -27,7 +25,7 @@
 //! the invariant).
 
 use crate::ctx::Ctx;
-use crate::fused::{fan_fusable_here, lane_cores, spawn_stage_run};
+use crate::fused::{lane_cores, spawn_stage_run};
 use crate::parallel::spawn_parallel;
 use crate::path::CompPath;
 use crate::plan::{FanKind, PNode};
@@ -51,16 +49,13 @@ pub fn instantiate(
             let mid = instantiate(ctx, a, path.child("s0"), input);
             instantiate(ctx, b, path.child("s1"), mid)
         }
-        // The plan says whether a fan *can* run fused; the net's runtime
-        // settings can still decline (escape hatch, Restart policy,
-        // explicit lane-edge bound), and then it runs on its own
-        // dispatcher.
+        // An unfused fan runs on its own dispatcher.
         PNode::Fan {
             kind,
             det,
             level,
-            fused,
-        } if !(*fused && fan_fusable_here(ctx)) => {
+            fused: false,
+        } => {
             let comb = kind.comb_path(path, *det);
             match kind {
                 FanKind::Split { body, tag } => {
@@ -79,21 +74,9 @@ pub fn instantiate(
                 }
             }
         }
-        PNode::Chain { parts } if !fan_fusable_here(ctx) => {
-            // The declined topology of a partially fused Serial spine:
-            // parts connect in sequence, each under its recorded suffix
-            // so component paths match the unfused binary-tree
-            // instantiation.
-            let mut cur = input;
-            for part in parts {
-                cur = instantiate(ctx, &part.node, path.descend(&part.suffix), cur);
-            }
-            cur
-        }
         // Everything else is one stage run: a box, a filter, a fused
-        // run, a fused fan, or a whole spine whose fans fuse. A lone
-        // stage owns the run's output edge, as a standalone component
-        // would; a `Fused` run or a `Chain` (two stages or more) is
+        // fan or a `Run`. A lone stage owns the run's output edge, as a
+        // standalone component would; a `Run` (two stages or more) is
         // owned by the path it is instantiated at.
         run => {
             let cores = lane_cores(ctx, path, run);

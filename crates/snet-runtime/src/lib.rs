@@ -20,7 +20,9 @@
 //!   serial replication with exit taps ([`star`]) and tag-indexed
 //!   parallel replication ([`split`]) — and run as dispatcher, lanes
 //!   and merger, or inline as one stage of the stage run that holds
-//!   them, so a net whose fans fuse is one component ([`fused`]);
+//!   them, so a net compiled with the fusion pass is one component
+//!   ([`fused`]) and one compiled without it is the paper's component
+//!   graph — the plan alone decides ([`plan`]);
 //! * the deterministic variants (`|`, `*`, `!`) are implemented with
 //!   **sort records**, the technique of the original S-Net runtime
 //!   ([`merge`]);
@@ -69,7 +71,7 @@ pub use metrics::{Counter, Metrics};
 pub use net::{BuildError, Net, NetBuilder, OverloadPolicy, SendRejected};
 pub use parallel::{RouteCache, RouteClass};
 pub use path::CompPath;
-pub use plan::{compile, compile_cfg, fuse, Bindings, CompileError, Plan};
+pub use plan::{compile, compile_cfg, Bindings, CompileError, Plan};
 pub use sched::{Executor, ThreadPerComponent, WorkStealingPool};
 pub use serve::{CallError, CallHandle, CallOpts, DrainReport, Response, Service};
 pub use stream::{Dir, Msg, Observer};

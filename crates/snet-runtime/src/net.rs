@@ -239,17 +239,14 @@ impl NetBuilder {
     /// Overrides the capacity of every data edge of one kind. There
     /// are four ([`Edge`]): `"ingress"` (`Net::send` into the net),
     /// `"dispatch"` (a dispatcher into one lane), `"merge"` (a
-    /// standalone merger's output — a combinator on its own
-    /// dispatcher) and `"out"` (the output of a stage run: a box,
-    /// filter, fused chain or fused fan, and of a whole net whose fans
-    /// fuse, which is one run); any other name fails `build*` with
-    /// [`BuildError::Config`]. So under fan fusion a `"merge"` bound
-    /// finds no edge to gate. `0` keeps those edges unbounded even
-    /// when [`NetBuilder::bound`] is set. A positive `"dispatch"`
-    /// bound asks for credit-gated lane edges, which a fused fan does
-    /// not have: it puts **every** fan of the net, at every nesting
-    /// level, back on its own dispatcher, exactly like
-    /// [`NetBuilder::fuse_fan`]`(false)`.
+    /// standalone merger's output) and `"out"` (the output of a stage
+    /// run: a box, filter or fused fan, and a whole fused net, which is
+    /// one run); any other name fails `build*` with
+    /// [`BuildError::Config`]. A bound gates the edges the net has:
+    /// `"dispatch"` and `"merge"` edges exist only where a combinator
+    /// runs on its own dispatcher ([`NetBuilder::fuse`]`(false)`), so
+    /// in a fused net they gate nothing. `0` keeps those edges
+    /// unbounded even when [`NetBuilder::bound`] is set.
     pub fn bound_for(mut self, edge: &str, cap: usize) -> Self {
         if let Some(edge) = self.checked(Edge::from_name(edge)) {
             self.cfg.bound_overrides.insert(edge, cap);
@@ -265,35 +262,19 @@ impl NetBuilder {
         self
     }
 
-    /// Enables or disables the pipeline fusion pass for this network
-    /// (see [`crate::plan`]): fused, a maximal `Serial` chain of boxes
-    /// and filters runs as **one** scheduled component instead of one
-    /// per stage. Default: on ([`RunCfg::fuse`]). Output (including
-    /// deterministic ordering) and per-stage metrics paths are
-    /// identical either way — the escape hatch exists to keep the
-    /// unfused topology testable and to restore the paper's literal
-    /// one-component-per-stage execution model.
+    /// Enables or disables the fusion pass for this network (see
+    /// [`crate::plan`]), which alone decides how it runs. Fused (the
+    /// default, [`RunCfg::fuse`]), the whole net is **one** stage run:
+    /// its `..` spine, and every split/parallel/star with dispatch,
+    /// lanes and merge inline, fans nested in its lanes included — a
+    /// single task however far Fig. 2's star of splits unfolds.
+    /// Unfused, it runs as the paper's literal topology, a component
+    /// per box, filter, dispatcher, replica and merger: the only way
+    /// replicas, spine stages (or the branches of a `slow || fast`)
+    /// run concurrently. Output (including deterministic ordering) and
+    /// per-stage metrics paths are identical either way.
     pub fn fuse(mut self, fuse: bool) -> Self {
         self.cfg.fuse = fuse;
-        self
-    }
-
-    /// Enables or disables *replica* fusion for this network's fan
-    /// combinators (see [`crate::plan`], *fan fusion*): fused, a
-    /// split/parallel/star executes dispatch, lanes and merge inline,
-    /// as one stage of the stage run that holds it — fans nested in its
-    /// lanes included, and the whole top-level `..` spine with it, so
-    /// the net is a single task however far Fig. 2's star of splits
-    /// unfolds. Default: on whenever the fusion pass itself is on —
-    /// this knob is the per-net escape hatch that keeps chains fused
-    /// while restoring a component per spine part and the
-    /// dispatcher/lane/merger topology for every fan at every level:
-    /// the paper's literal one-component-per-replica model, and the
-    /// only way replicas, spine parts (or the branches of a
-    /// `slow || fast`) run concurrently. Output and per-stage metrics
-    /// paths are identical either way.
-    pub fn fuse_fan(mut self, fuse: bool) -> Self {
-        self.cfg.fan_fuse = fuse;
         self
     }
 
@@ -505,8 +486,9 @@ pub struct Net {
 impl Net {
     /// Spawns a compiled plan on `executor` under `cfg` — stream
     /// bounds, split-lane namespaces, fault policy, the ingress
-    /// overload policy; see [`RunCfg`]. (`cfg.fuse` and `cfg.workers`
-    /// were for whoever compiled the plan and made the executor.)
+    /// overload policy; see [`RunCfg`]. (The plan alone decides the
+    /// topology: `cfg.fuse` and `cfg.workers` were for whoever compiled
+    /// the plan and made the executor.)
     pub fn spawn(
         plan: Plan,
         observers: Vec<Observer>,
@@ -856,8 +838,7 @@ mod tests {
             (
                 Some("3"),
                 |b| {
-                    b.fuse_fan(false)
-                        .split_lanes(9)
+                    b.split_lanes(9)
                         .split_lanes(4)
                         .split_lanes_for("k", 2)
                         .bound_for("merge", 0)
@@ -866,7 +847,6 @@ mod tests {
                 },
                 |c| {
                     c.workers = Some(3);
-                    c.fan_fuse = false;
                     c.split_lanes = Some(4);
                     c.split_lanes_by_tag = [("k".to_string(), 2)].into();
                     c.bound_overrides = [(Edge::Merge, 0), (Edge::Out, 16)].into();

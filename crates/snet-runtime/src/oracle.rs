@@ -106,7 +106,7 @@ fn all_det(node: &PNode) -> bool {
                 FanKind::Parallel { left, right, .. } => all_det(left) && all_det(right),
             }
         }
-        PNode::Fused { .. } | PNode::Chain { .. } => unfused_only(),
+        PNode::Run { .. } => unfused_only(),
     }
 }
 
@@ -191,6 +191,6 @@ fn eval(node: &PNode, rec: &Record, out: &mut Vec<Record>) -> Result<(), Undefin
                 Ok(())
             }
         },
-        PNode::Fused { .. } | PNode::Chain { .. } => unfused_only(),
+        PNode::Run { .. } => unfused_only(),
     }
 }

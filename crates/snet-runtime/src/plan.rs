@@ -17,39 +17,29 @@
 //! execution mandate: a pipeline of boxes is semantically a function
 //! composition, and running every stage as its own component taxes
 //! each record with a channel send, a wakeup and a scheduler
-//! round-trip per stage. The [`fuse`] rewrite removes that tax by
-//! collapsing maximal `Serial` chains into [`PNode::Fused`] nodes that
+//! round-trip per stage. The `fuse` rewrite removes that tax by
+//! flattening a `Serial` spine into one [`PNode::Run`] that
 //! [`crate::instantiate`] spawns as **one** component (see
 //! [`crate::fused`]): one `recv_each` at the head, one send at the
 //! tail, every intermediate record handed stage-to-stage on the
 //! component's own stack.
 //!
-//! **Legality rules.** Only single-input/single-output stages fuse —
-//! `Box` and `Filter` nodes, nothing else:
+//! **Stages.** A run's stages are boxes, filters and fused fans — the
+//! leaves of the spine, every fan fused on the way. Boxes and filters
+//! carry no det sort level — they forward sort records transparently —
+//! and a fused fan needs none inside it (see below), so processing
+//! messages strictly in stream order (data records cascade fully
+//! through the stages before the next message is looked at) keeps the
+//! run's output byte-identical to the unfused spine's, sort records
+//! included.
 //!
-//! * a run never holds a [`PNode::Fan`] (those nodes own routers and
-//!   dynamically unfolded replicas; the pass recurses *into* their
-//!   bodies but a chain interrupted by one continues as a separate
-//!   run, and the spine becomes a [`PNode::Chain`]; whether the runs
-//!   and the fans between them are consecutive stages of one stage run
-//!   or components of their own is decided at instantiation, see *Fan
-//!   fusion*);
-//! * boxes and filters carry no det sort level — they forward sort
-//!   records transparently — so a `Serial` chain of them can never
-//!   straddle a sort-level change; the combinators that do stamp or
-//!   consume sort records are exactly the ones fusion refuses to
-//!   cross. Processing messages strictly in stream order (data records
-//!   cascade fully through the stages before the next message is
-//!   looked at) keeps the fused chain's output byte-identical to the
-//!   unfused chain's, sort records included.
-//!
-//! **Metrics-path preservation.** Every fused stage remembers the
-//! `s0`/`s1` path suffix the binary `Serial` instantiation would have
-//! derived ([`FusedStage::suffix`], [`ChainPart::suffix`]), and the
-//! fused driver registers each stage's [`crate::path::CompPath`]
-//! sub-path at spawn exactly as the standalone components do — so the
-//! string metrics query API, observers and per-stage counters are
-//! indistinguishable between the fused and unfused topologies.
+//! **Metrics-path preservation.** Every stage remembers the `s0`/`s1`
+//! path suffix the binary `Serial` instantiation would have derived
+//! ([`Stage::suffix`]), and the stage-run driver registers each
+//! stage's [`crate::path::CompPath`] sub-path at spawn exactly as the
+//! standalone components do — so the string metrics query API,
+//! observers and per-stage counters are indistinguishable between the
+//! fused and unfused topologies.
 //!
 //! # Fan fusion (replica fusion)
 //!
@@ -69,54 +59,40 @@
 //! [`crate::star`]). Both use the same router, so counters, lane names
 //! and observer events do not depend on the flag.
 //!
-//! **The one rule.** With the pass on and the runtime conditions met,
-//! a net is **one component**. Fusion is *transitive*: a fused fan is
-//! a stage like a box or a filter, so whatever the pass makes of a body
-//! — a stage, a run, a fused fan, a `Chain` of those — is a lane the
-//! enclosing fan walks in place, and a nest of any depth is one stage.
-//! Fig. 2's `(solveOneLevelK !! <k>) ** {<done>}` is one
-//! depth-synchronous walk: guard `d`, the split behind it, its
-//! replicas, guard `d + 1`, with no task hand-off between levels. The
-//! top-level spine is the same flattening one level up: `box .. fan ..
-//! fan` is one stage run of three stages, with no hand-off between the
-//! parts. The plan does not say so — [`fuse_serial`] never puts a fan
-//! in a [`PNode::Fused`] run, and a spine with a fan in it stays a
-//! [`PNode::Chain`] — because the runtime decides at instantiation:
-//! under the runtime conditions below each part of the `Chain` is a
-//! component of its own. The pass refuses nothing, so `fused` records
-//! only that the pass ran.
+//! **The one rule.** A plan compiled with the pass runs as **one
+//! component**; a plan compiled without it runs as the paper's
+//! component graph. Nothing at instantiation second-guesses the plan.
+//! Fusion is *transitive*: a fused fan is a stage like a box or a
+//! filter, so whatever the pass makes of a body — a stage, a run, a
+//! fused fan — is a lane the enclosing fan walks in place, and a nest
+//! of any depth is one stage. Fig. 2's `(solveOneLevelK !! <k>) **
+//! {<done>}` is one depth-synchronous walk: guard `d`, the split behind
+//! it, its replicas, guard `d + 1`, with no task hand-off between
+//! levels. The top-level spine is the same flattening one level up:
+//! `box .. fan .. fan` is one [`PNode::Run`] of three stages.
+//!
+//! Nothing about a net's configuration changes that. A positive
+//! `"dispatch"` bound gates the lane edges a net has, and a fused net
+//! has none — the default bound still applies to the run's input and
+//! output edges. Fault containment lives inside the stage cores, keyed
+//! by stage paths fusion preserves, so `SkipRecord`, `Restart` and
+//! chaos injection act on a stage the same way in either topology. One
+//! structural assumption rides along: every stream a fan's merge
+//! consumes originates in one of its own lanes, which holds by
+//! construction for all three combinators.
 //!
 //! **What it gives up.** A fused net is one task, so its lanes run one
-//! after another on one worker, and so do its spine parts: the
+//! after another on one worker, and so do its spine stages: the
 //! across-replica parallelism the combinators exist to expose — and
 //! that Fig. 2 unfolds per level — is traded for hop cost, at every
 //! level of a nest, and so is the pipelining of `box .. fan .. fan`
 //! across workers. Where the boxes are heavy enough to be worth a core
-//! each, [`crate::NetBuilder::fuse_fan`]`(false)` restores the paper's
-//! literal topology (every spine part, dispatcher, replica and merger
-//! a component of its own). The same goes for a **nondet parallel
-//! whose branches should race** (`slow || fast`): fused, the branches
-//! run inline and completions come out in dispatch order, at any depth
-//! of nesting — legal under the nondet semantics, but not a race.
-//!
-//! **Runtime conditions** (checked at instantiation of the spine, of a
-//! top-level fan and of every replica a dispatcher unfolds — see
-//! [`crate::fused::fan_fusable_here`]; they are net-global, so
-//! declining puts every spine part in a component of its own and
-//! **every** level of a nest back on its own dispatcher): per-lane
-//! `"dispatch"` edges must not carry an
-//! explicit capacity override (a user bounding replica edges asked for
-//! per-lane backpressure, which fusion erases — the net-global default
-//! bound still applies to the run's input and output edges, so
-//! default-bounded nets do fuse); and the fault policy must not be
-//! [`crate::fault::FaultPolicy::Restart`], whose backoff sleeps would
-//! stall every co-scheduled lane where the unfused topology stalls one
-//! replica. Per-stage containment of `SkipRecord` and chaos injection
-//! is unaffected by fusion — the fault boundary lives inside the stage
-//! cores, keyed by stage paths fusion preserves. One structural
-//! assumption rides along: every stream a fan's merge consumes
-//! originates in one of its own lanes, which holds by construction for
-//! all three combinators.
+//! each, [`crate::NetBuilder::fuse`]`(false)` gives the paper's literal
+//! topology (every box, filter, dispatcher, replica and merger a
+//! component of its own). The same goes for a **nondet parallel whose
+//! branches should race** (`slow || fast`): fused, the branches run
+//! inline and completions come out in dispatch order, at any depth of
+//! nesting — legal under the nondet semantics, but not a race.
 //!
 //! Determinism needs no sort records inside a fused fan: processing
 //! each input record to completion before the next starts makes the
@@ -131,9 +107,8 @@
 //!
 //! Fusion is on by default ([`crate::RunCfg::fuse`]);
 //! [`crate::NetBuilder::fuse`]`(false)` keeps a net's unfused topology
-//! buildable, [`crate::NetBuilder::fuse_fan`] gives per-net control
-//! over fan fusion alone, and [`compile_cfg`] gives explicit control.
-//! The unfused plan is also what [`crate::oracle`] interprets.
+//! buildable, and [`compile_cfg`] gives explicit control. The unfused
+//! plan is also what [`crate::oracle`] interprets.
 
 use crate::boxfn::BoxImpl;
 use crate::path::CompPath;
@@ -160,31 +135,22 @@ pub enum PNode {
     },
     /// A combinator — `||`/`|`, `!!`/`!` or `**`/`*`: route each
     /// record to a lane, run the operand, merge. `fused` is set by
-    /// the [`fuse`] pass (see module docs, *Fan fusion*): dispatch,
+    /// the fusion pass (see module docs, *Fan fusion*): dispatch,
     /// every lane's stages and the merge handoff then run inline, as
-    /// one stage (a `DispatchCore`, [`crate::fused`]) — of the net's stage
-    /// run for a fan on the top-level spine, of the enclosing fan's
-    /// lane for a nested one — where the runtime conditions allow it.
+    /// one stage (a `DispatchCore`, [`crate::fused`]) — of the net's
+    /// stage run for a fan on the top-level spine, of the enclosing
+    /// fan's lane for a nested one.
     Fan {
         kind: FanKind,
         det: bool,
         level: u32,
         fused: bool,
     },
-    /// A maximal run of SISO stages collapsed by the [`fuse`] pass:
-    /// instantiated as **one** component running every stage in-place
-    /// (see [`crate::fused`]).
-    Fused {
-        stages: Vec<FusedStage>,
-    },
-    /// A `Serial` spine whose leaves were partially fused: parts run
-    /// in sequence, each under its recorded path suffix so component
-    /// paths match the unfused topology exactly. Where the net's fans
-    /// fuse the parts are the stages of **one** stage run; where the
-    /// runtime declines, each is a component of its own (see
-    /// [`crate::instantiate`]).
-    Chain {
-        parts: Vec<ChainPart>,
+    /// A `Serial` spine flattened by the fusion pass: its boxes,
+    /// filters and fused fans in order, instantiated as **one**
+    /// component running every stage in place (see [`crate::fused`]).
+    Run {
+        stages: Vec<Stage>,
     },
 }
 
@@ -252,10 +218,9 @@ impl PNode {
     /// the tag called `tag` — what a per-tag lane bound must name.
     pub(crate) fn splits_on(&self, tag: &str) -> bool {
         match self {
-            // A fused run's stages are boxes and filters.
-            PNode::Box { .. } | PNode::Filter { .. } | PNode::Fused { .. } => false,
+            PNode::Box { .. } | PNode::Filter { .. } => false,
             PNode::Serial { a, b } => a.splits_on(tag) || b.splits_on(tag),
-            PNode::Chain { parts } => parts.iter().any(|p| p.node.splits_on(tag)),
+            PNode::Run { stages } => stages.iter().any(|s| s.node.splits_on(tag)),
             PNode::Fan { kind, .. } => match kind {
                 FanKind::Split { body, tag: t } => t.name() == tag || body.splits_on(tag),
                 FanKind::Parallel { left, right, .. } => {
@@ -267,21 +232,15 @@ impl PNode {
     }
 }
 
-/// One stage of a [`PNode::Fused`] pipeline.
-pub struct FusedStage {
+/// One stage of a [`PNode::Run`].
+pub struct Stage {
     /// The `s0`/`s1` child segments the binary `Serial` instantiation
-    /// would have derived for this stage, relative to the fused node's
+    /// would have derived for this stage, relative to the run's
     /// instantiation path — so per-stage metrics and observer paths
     /// are byte-identical to the unfused topology.
     pub suffix: Vec<&'static str>,
-    /// The stage itself: the plan's `Box` or `Filter` leaf, by handle.
-    pub leaf: Arc<PNode>,
-}
-
-/// One part of a [`PNode::Chain`]: a subplan plus the path suffix it
-/// instantiates under (relative to the chain's instantiation path).
-pub struct ChainPart {
-    pub suffix: Vec<&'static str>,
+    /// The stage itself: a `Box` or `Filter` leaf, by handle, or a
+    /// fused `Fan`.
     pub node: Arc<PNode>,
 }
 
@@ -304,23 +263,13 @@ impl fmt::Debug for PNode {
                     write!(f, "Star(det={det}, fused={fused}, exit={exit}, {body:?})")
                 }
             },
-            PNode::Fused { stages } => {
-                write!(f, "Fused(")?;
+            PNode::Run { stages } => {
+                write!(f, "Run(")?;
                 for (i, s) in stages.iter().enumerate() {
                     if i > 0 {
                         write!(f, " .. ")?;
                     }
-                    write!(f, "{:?}", s.leaf)?;
-                }
-                write!(f, ")")
-            }
-            PNode::Chain { parts } => {
-                write!(f, "Chain(")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " .. ")?;
-                    }
-                    write!(f, "{:?}", p.node)?;
+                    write!(f, "{:?}", s.node)?;
                 }
                 write!(f, ")")
             }
@@ -411,22 +360,19 @@ pub fn compile_cfg(
     Ok(Plan { root, sig })
 }
 
-/// True for the single-input/single-output stage nodes the fusion
-/// pass may collapse.
-fn is_siso(node: &PNode) -> bool {
-    matches!(node, PNode::Box { .. } | PNode::Filter { .. })
-}
-
-/// The fusion rewrite (see the module docs for legality rules):
-/// collapses maximal `Serial` runs of SISO stages into
-/// [`PNode::Fused`] nodes, recurses into combinator bodies and marks
-/// every [`PNode::Fan`] `fused` — whatever the pass makes of a body (a
-/// stage, a run, a fused fan, a `Chain` of those) is a lane the fan
-/// driver can run in place, so there is nothing left to refuse.
-/// Idempotent; component paths are preserved exactly.
-pub fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
+/// The fusion rewrite (see the module docs): flattens every `Serial`
+/// spine into a [`PNode::Run`], recurses into combinator bodies and
+/// marks every [`PNode::Fan`] `fused` — whatever the pass makes of a
+/// body (a stage, a run, a fused fan) is a lane the fan driver can run
+/// in place, so there is nothing left to refuse. Idempotent; component
+/// paths are preserved exactly.
+pub(crate) fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
     match &**node {
-        PNode::Serial { .. } => fuse_serial(node),
+        PNode::Serial { .. } => {
+            let mut stages = Vec::new();
+            flatten_serial(node, &mut Vec::new(), &mut stages);
+            Arc::new(PNode::Run { stages })
+        }
         PNode::Fan {
             kind,
             det,
@@ -441,19 +387,14 @@ pub fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
         // Leaves (and already-fused nodes) pass through by handle.
         PNode::Box { .. }
         | PNode::Filter { .. }
-        | PNode::Fused { .. }
-        | PNode::Chain { .. }
+        | PNode::Run { .. }
         | PNode::Fan { fused: true, .. } => Arc::clone(node),
     }
 }
 
-/// Flattens a `Serial` spine into its leaves, recording for each the
+/// Flattens a `Serial` spine into its leaves, fused, each under the
 /// `s0`/`s1` path suffix the binary instantiation derives.
-fn flatten_serial(
-    node: &Arc<PNode>,
-    prefix: &mut Vec<&'static str>,
-    out: &mut Vec<(Vec<&'static str>, Arc<PNode>)>,
-) {
+fn flatten_serial(node: &Arc<PNode>, prefix: &mut Vec<&'static str>, out: &mut Vec<Stage>) {
     match &**node {
         PNode::Serial { a, b } => {
             prefix.push("s0");
@@ -463,50 +404,11 @@ fn flatten_serial(
             flatten_serial(b, prefix, out);
             prefix.pop();
         }
-        _ => out.push((prefix.clone(), Arc::clone(node))),
+        _ => out.push(Stage {
+            suffix: prefix.clone(),
+            node: fuse(node),
+        }),
     }
-}
-
-fn fuse_serial(node: &Arc<PNode>) -> Arc<PNode> {
-    let mut leaves = Vec::new();
-    flatten_serial(node, &mut Vec::new(), &mut leaves);
-    let mut parts: Vec<ChainPart> = Vec::new();
-    let mut run: Vec<(Vec<&'static str>, Arc<PNode>)> = Vec::new();
-    let flush = |run: &mut Vec<(Vec<&'static str>, Arc<PNode>)>, parts: &mut Vec<ChainPart>| {
-        if run.len() >= 2 {
-            // A fusable run: one component for the whole stretch.
-            let stages = run
-                .drain(..)
-                .map(|(suffix, leaf)| FusedStage { suffix, leaf })
-                .collect();
-            parts.push(ChainPart {
-                suffix: Vec::new(),
-                node: Arc::new(PNode::Fused { stages }),
-            });
-        } else {
-            // A lone stage stays a plain component.
-            for (suffix, leaf) in run.drain(..) {
-                parts.push(ChainPart { suffix, node: leaf });
-            }
-        }
-    };
-    for (suffix, leaf) in leaves {
-        if is_siso(&leaf) {
-            run.push((suffix, leaf));
-        } else {
-            flush(&mut run, &mut parts);
-            parts.push(ChainPart {
-                suffix,
-                node: fuse(&leaf),
-            });
-        }
-    }
-    flush(&mut run, &mut parts);
-    if parts.len() == 1 && parts[0].suffix.is_empty() {
-        // The whole spine fused into one node.
-        return parts.pop().expect("one part").node;
-    }
-    Arc::new(PNode::Chain { parts })
 }
 
 /// A combinator node as `compile_node` builds it: not fused (that is
@@ -646,14 +548,14 @@ mod tests {
         let ast = snet_lang::parse_net_expr("f .. g").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), true).unwrap();
         match &*plan.root {
-            PNode::Fused { stages } => {
+            PNode::Run { stages } => {
                 assert_eq!(stages.len(), 2);
                 assert_eq!(stages[0].suffix, vec!["s0"]);
                 assert_eq!(stages[1].suffix, vec!["s1"]);
-                assert!(matches!(&*stages[0].leaf, PNode::Box { name, .. } if name == "f"));
-                assert!(matches!(&*stages[1].leaf, PNode::Box { name, .. } if name == "g"));
+                assert!(matches!(&*stages[0].node, PNode::Box { name, .. } if name == "f"));
+                assert!(matches!(&*stages[1].node, PNode::Box { name, .. } if name == "g"));
             }
-            other => panic!("expected Fused, got {other:?}"),
+            other => panic!("expected Run, got {other:?}"),
         }
         // The signature is untouched by fusion.
         assert_eq!(plan.sig.output_type().to_string(), "{c}");
@@ -676,25 +578,23 @@ mod tests {
         let ast = snet_lang::parse_net_expr("f .. g .. f").unwrap();
         let unfused = compile_cfg(&ast, &env, &b, false).unwrap();
         let fused = fuse(&unfused.root);
-        // Oracle: flatten the unfused tree.
-        let mut leaves = Vec::new();
-        flatten_serial(&unfused.root, &mut Vec::new(), &mut leaves);
-        let want: Vec<Vec<&'static str>> = leaves.into_iter().map(|(s, _)| s).collect();
+        // `..` associates left: Serial(Serial(f, g), f).
+        let want = [vec!["s0", "s0"], vec!["s0", "s1"], vec!["s1"]];
         match &*fused {
-            PNode::Fused { stages } => {
+            PNode::Run { stages } => {
                 assert_eq!(stages.len(), 3);
                 let got: Vec<Vec<&'static str>> = stages.iter().map(|s| s.suffix.clone()).collect();
                 assert_eq!(got, want);
             }
-            other => panic!("expected Fused, got {other:?}"),
+            other => panic!("expected Run, got {other:?}"),
         }
     }
 
     #[test]
-    fn fusion_stops_at_combinator_boundaries() {
-        // f .. (g ! <t>) .. f .. g: the split interrupts the chain —
-        // the runs on either side stay separate, the lone leading `f`
-        // stays a plain box, and the trailing pair fuses.
+    fn fusion_flattens_a_spine_with_fans_into_one_run() {
+        // f .. (g ! <t>) .. f .. g: the split is one stage of the run,
+        // fan-fused, between the boxes; every stage keeps its
+        // Serial-derived suffix.
         let env = parse_program(
             "box f (a) -> (a);\n\
              box g (a) -> (a);",
@@ -708,23 +608,15 @@ mod tests {
         let ast = snet_lang::parse_net_expr("f .. (g ! <t>) .. f .. g").unwrap();
         let plan = compile_cfg(&ast, &env, &b, true).unwrap();
         match &*plan.root {
-            PNode::Chain { parts } => {
-                assert_eq!(parts.len(), 3, "{:?}", plan.root);
-                assert!(matches!(&*parts[0].node, PNode::Box { .. }));
-                // The split interrupts the run: it is a part of the
-                // spine of its own, fan-fused.
-                assert!(matches!(&*parts[1].node, PNode::Fan { fused: true, .. }));
-                match &*parts[2].node {
-                    PNode::Fused { stages } => assert_eq!(stages.len(), 2),
-                    other => panic!("expected trailing Fused, got {other:?}"),
-                }
-                // Lone stages keep their Serial-derived suffix; the
-                // fused part embeds suffixes in its stages instead.
-                assert!(!parts[0].suffix.is_empty());
-                assert!(!parts[1].suffix.is_empty());
-                assert!(parts[2].suffix.is_empty());
+            PNode::Run { stages } => {
+                assert_eq!(stages.len(), 4, "{:?}", plan.root);
+                assert!(matches!(&*stages[0].node, PNode::Box { .. }));
+                assert!(matches!(&*stages[1].node, PNode::Fan { fused: true, .. }));
+                assert!(matches!(&*stages[2].node, PNode::Box { .. }));
+                assert!(matches!(&*stages[3].node, PNode::Box { .. }));
+                assert!(stages.iter().all(|s| !s.suffix.is_empty()));
             }
-            other => panic!("expected Chain, got {other:?}"),
+            other => panic!("expected Run, got {other:?}"),
         }
     }
 
@@ -749,7 +641,7 @@ mod tests {
                 fused: true,
                 ..
             } => {
-                assert!(matches!(&**body, PNode::Fused { .. }), "{body:?}");
+                assert!(matches!(&**body, PNode::Run { .. }), "{body:?}");
             }
             other => panic!("expected a fused split, got {other:?}"),
         }
@@ -769,8 +661,8 @@ mod tests {
                 fan_flags(a, out);
                 fan_flags(b, out);
             }
-            PNode::Chain { parts } => parts.iter().for_each(|p| fan_flags(&p.node, out)),
-            PNode::Box { .. } | PNode::Filter { .. } | PNode::Fused { .. } => {}
+            PNode::Run { stages } => stages.iter().for_each(|s| fan_flags(&s.node, out)),
+            PNode::Box { .. } | PNode::Filter { .. } => {}
         }
     }
 
@@ -792,7 +684,7 @@ mod tests {
         for (expr, levels) in [
             ("(f ! <u>) ! <t>", 2),
             ("((f ! <u>) | g) ** {a}", 3),
-            // The Fig. 3 body: a `Chain` holding a fan.
+            // The Fig. 3 body: a run holding a fan.
             ("([{a} -> {a}] .. (f !! <u>)) * {a}", 2),
         ] {
             let ast = snet_lang::parse_net_expr(expr).unwrap();

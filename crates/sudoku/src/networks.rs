@@ -24,10 +24,10 @@
 //! unfolds, and the replicas of one level run one after another. The
 //! unfolding itself (guards, replicas, their counters and paths, hence
 //! every bound of Section 5) is the same either way.
-//! `NetBuilder::fuse_fan(false)` on [`builder`] restores the literal
-//! topology — a component per spine part, guard, dispatcher, replica
-//! and merger, 207 of them for Fig. 2 on `classic9` — which is what to
-//! use where the boxes are heavy enough to be worth a core each.
+//! `NetBuilder::fuse(false)` on [`builder`] gives the literal topology
+//! — a component per box, filter, guard, dispatcher, replica and
+//! merger, 208 of them for Fig. 2 on `classic9` — which is what to use
+//! where the boxes are heavy enough to be worth a core each.
 
 use crate::board::Board;
 use crate::boxes::{

@@ -467,10 +467,10 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
         .bind("f", echo);
     serve_under_chaos(under_chaos(one_box), 1250);
 
-    // `Restart` declines fan fusion (`fan_fusable_here`), so every
-    // split lane, parallel branch and star level below runs on its own
-    // dispatcher. This case is the one check that injects panics into
-    // such lanes behind the `Service` door.
+    // Unfused, every split lane, parallel branch and star level below
+    // runs on its own dispatcher, each box in a component of its own.
+    // This case is the one check that injects panics into dispatcher
+    // lanes behind the `Service` door.
     let fans = NetBuilder::from_source(
         "box f (x) -> (x);
          box step (x, <lvl>) -> (x, <lvl>);
@@ -478,6 +478,7 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
                  .. (step ** {<lvl>} if <lvl> > 2);",
     )
     .unwrap()
+    .fuse(false)
     .bind("f", echo)
     .bind("step", |r: &Record, e: &mut snet_runtime::Emitter| {
         let mut out = r.clone();
@@ -485,7 +486,7 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
         e.emit(out);
     });
     let net = under_chaos(fans);
-    assert!(net.threads_spawned() > 4, "fans fused: one component");
+    assert!(net.threads_spawned() > 4, "fused: one component");
     serve_under_chaos(net, 250);
 }
 

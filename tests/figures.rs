@@ -180,27 +180,26 @@ fn fused_figures_are_a_fixed_set_of_components_however_far_they_unfold() {
     // Fig. 2's `computeOpts .. filter .. star of splits` (and Fig. 3's
     // star of `filter .. split`) is one component, and the count does
     // not move while a puzzle unfolds level after level of replicas
-    // inside it. Under `fuse_fan(false)` the same puzzle grows the
-    // paper's literal topology, a component per spine part, guard,
-    // dispatcher, replica and merger (counted on `classic9`, whose 43
-    // levels never branch). The paper's bounds are bounds on the
-    // unfolding, which is the same either way.
+    // inside it. Under `fuse(false)` the same puzzle grows the paper's
+    // literal topology, a component per box, filter, guard, dispatcher,
+    // replica and merger (counted on `classic9`, whose 43 levels never
+    // branch). The paper's bounds are bounds on the unfolding, which is
+    // the same either way.
     use sudoku::networks::{builder, fig3_text, FIG2, FIG2_DET};
     let cases = [
-        (FIG2.to_string(), 207),
-        (FIG2_DET.to_string(), 208),
-        (fig3_text(4, 40), 59),
+        (FIG2.to_string(), 208),
+        (FIG2_DET.to_string(), 209),
+        (fig3_text(4, 40), 60),
     ];
     for (expr, classic9_unfused) in cases {
         for (puzzle, unfused_components) in [
             (puzzles::classic9(), Some(classic9_unfused)),
             (puzzles::hard9(), None),
         ] {
-            let run = |fan: bool| {
+            let run = |fuse: bool| {
                 let mut net = builder(3, Vec::new())
                     .unwrap()
-                    .fuse(true)
-                    .fuse_fan(fan)
+                    .fuse(fuse)
                     .build_expr(&expr)
                     .unwrap();
                 let at_build = net.threads_spawned();
@@ -271,23 +270,23 @@ fn fig2_det_order_does_not_depend_on_fan_fusion() {
         corpus.iter().map(reference).collect::<Vec<_>>(),
         "one solution a puzzle, in input order"
     );
-    for (fuse, fan) in [(true, true), (true, false), (false, false)] {
-        let b = builder(3, Vec::new()).unwrap().fuse(fuse).fuse_fan(fan);
+    for fuse in [true, false] {
+        let b = builder(3, Vec::new()).unwrap().fuse(fuse);
         let net = b.build_expr(FIG2_DET).unwrap();
-        assert_eq!(run_net_ordered(net, &corpus), want, "fuse={fuse} fan={fan}");
+        assert_eq!(run_net_ordered(net, &corpus), want, "fuse={fuse}");
     }
 }
 
 #[test]
 fn boxes_spawn_threads_per_replica() {
     // "If we assume that each box creates a separate process/thread"
-    // (Section 5) — the literal execution model. Replica fusion runs
-    // Fig. 1's whole star as one component by default, so this test
-    // pins the paper's topology with the per-net escape hatch.
+    // (Section 5) — the literal execution model. Fusion runs Fig. 1's
+    // whole net as one component by default, so this test pins the
+    // paper's topology with `fuse(false)`.
     let puzzle = puzzles::classic9();
     let net = sudoku::networks::builder(3, Vec::new())
         .unwrap()
-        .fuse_fan(false)
+        .fuse(false)
         .build_expr(sudoku::networks::FIG1)
         .unwrap();
     net.send(sudoku::boxes::puzzle_record(&puzzle)).unwrap();

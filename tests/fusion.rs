@@ -5,16 +5,18 @@
 //! counts — under every executor. Only the component count may
 //! differ: an n-stage fused chain runs as **one** component.
 //!
-//! `NetBuilder::fuse(bool)` and `fuse_fan(bool)` drive both topologies
-//! in-process; `tests/random_networks.rs` draws programs across them.
+//! `NetBuilder::fuse(bool)` drives both topologies in-process;
+//! `tests/random_networks.rs` draws programs across them.
 
 use snet_lang::{parse_net_expr, parse_program};
 use snet_runtime::{
-    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder,
+    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg,
     ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::Record;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The executor matrix of the ISSUE: threads, pool, pool+1.
 fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
@@ -85,7 +87,7 @@ fn boxes() -> [(&'static str, BoxFn); 4] {
 }
 
 /// A builder for `expr` with every box bound — the shared base for
-/// the fuse / fuse_fan / fault-policy variations below.
+/// the fuse / fault-policy variations below.
 fn fan_builder(expr: &str) -> NetBuilder {
     let b = NetBuilder::from_source(&format!("{SRC}\nnet main = {expr};")).unwrap();
     boxes().into_iter().fold(b, |b, (name, f)| b.bind(name, f))
@@ -175,7 +177,7 @@ fn drive(net: Net, inputs: &[Record]) -> Vec<Record> {
 
 /// Nested fans, each a det net and its nondet twin: Fig. 2's shape (a
 /// star of a split), Fig. 3's (the star's body is `filter .. split`, a
-/// `Chain`), a parallel of splits and a three-level nest.
+/// run), a parallel of splits and a three-level nest.
 const NESTED_EXPRS: [(&str, &str); 4] = [
     ("(fork ! <k>) * {<z>}", "(fork !! <k>) ** {<z>}"),
     (
@@ -207,9 +209,10 @@ fn nested_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
         .flat_map(move |(det, nondet)| [(det, inputs(det), true), (nondet, inputs(nondet), false)])
 }
 
-/// Fans on the top-level spine, which runs as one stage run when fans
-/// fuse: the sensor net's shape and its nondet twin, a fan at the head
-/// and at the tail, two fans back to back, and a star behind a box.
+/// Fans on the top-level spine, which runs as one stage run when the
+/// net is fused: the sensor net's shape and its nondet twin, a fan at
+/// the head and at the tail, two fans back to back, and a star behind
+/// a box.
 /// The sensor shape's split emits two variants, as `analyze` does, and
 /// its parallel routes them by type — no tie, whose round robin would
 /// make the nondet twin's multiset depend on arrival order. The star's
@@ -250,22 +253,20 @@ fn spine_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
 fn fused_fan_matrix_is_byte_identical() {
     // Every DET_EXPRS chain and fan, every nest of NESTED_EXPRS and
     // every spine of SPINE_EXPRS, each driven across {threads, pool(1),
-    // pool(2)} × {fused, fans unfused, all unfused}. Output must be the
-    // sequential reference's, byte for byte; a nondet net's order is
-    // the scheduler's, so its twin compares multisets.
+    // pool(2)} × {fused, unfused}. Output must be the sequential
+    // reference's, byte for byte; a nondet net's order is the
+    // scheduler's, so its twin compares multisets.
     let flat = DET_EXPRS.iter().map(|expr| (*expr, xs(60, false), true));
     for (expr, inputs, ordered) in flat.chain(nested_cases()).chain(spine_cases()) {
         let want = expected(expr, &inputs);
         assert_eq!(want.ordered, ordered, "{expr}");
         assert!(want.records.len() >= inputs.len() / 2, "{expr}");
         for (name, exec) in executors() {
-            for (fuse, fan) in [(true, true), (true, false), (false, false)] {
-                let b = fan_builder(expr).executor(Arc::clone(&exec));
-                let net = b.fuse(fuse).fuse_fan(fan).build("main").unwrap();
-                let got = drive(net, &inputs);
+            for fuse in [true, false] {
+                let got = drive(build(expr, Arc::clone(&exec), fuse), &inputs);
                 assert!(
                     want.admits(&got),
-                    "{expr} diverged under {name} (fuse={fuse}, fan={fan})"
+                    "{expr} diverged under {name} (fuse={fuse})"
                 );
             }
         }
@@ -326,17 +327,8 @@ fn det_star_with_fused_inner_keeps_input_order() {
     assert_eq!(ids, (0..20).collect::<Vec<_>>());
     for (name, exec) in executors() {
         for fuse in [true, false] {
-            for fan in [true, false] {
-                let b = fan_builder(expr)
-                    .executor(Arc::clone(&exec))
-                    .fuse(fuse)
-                    .fuse_fan(fan);
-                let got = drive(b.build("main").unwrap(), &inputs);
-                assert_eq!(
-                    got, want,
-                    "det star diverged under {name} (fuse={fuse}, fan={fan})"
-                );
-            }
+            let got = drive(build(expr, Arc::clone(&exec), fuse), &inputs);
+            assert_eq!(got, want, "det star diverged under {name} (fuse={fuse})");
         }
     }
 }
@@ -362,36 +354,36 @@ fn fused_chain_runs_as_one_component() {
 
 #[test]
 fn barrier_chains_fuse_only_the_runs() {
-    // inc .. inc .. (rep !! <k>) .. inc .. inc: with fans fused the
-    // replicator is one stage of the spine, so the whole net is one
-    // component, with lane cores unfolding on demand inside it. Under
-    // `fuse_fan(false)` the replicator is a barrier again: two fused
-    // runs around its dispatcher and merger.
-    let components = |fan: bool| {
-        let net = fan_builder("inc .. inc .. (rep !! <k>) .. inc .. inc")
-            .executor(Arc::new(ThreadPerComponent))
-            .fuse(true)
-            .fuse_fan(fan)
-            .build("main")
-            .unwrap();
+    // inc .. inc .. (rep !! <k>) .. inc .. inc: fused, the replicator
+    // is one stage of the spine, so the whole net is one component,
+    // with lane cores unfolding on demand inside it. Unfused, every box
+    // is a component and the replicator is a barrier: its dispatcher
+    // and merger between them.
+    let components = |fuse: bool| {
+        let net = build(
+            "inc .. inc .. (rep !! <k>) .. inc .. inc",
+            Arc::new(ThreadPerComponent),
+            fuse,
+        );
         let n = net.threads_spawned();
         let _ = net.finish();
         n
     };
     assert_eq!(components(true), 1);
-    assert_eq!(components(false), 4);
+    assert_eq!(components(false), 6);
 }
 
 #[test]
 fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
-    // Fused, a nest of replicators is one component. Each escape hatch
-    // is net-global: it restores dispatcher + merger for the outer
-    // split at build, and — replicas unfolding on demand — for the
-    // split inside every replica too. Returns the component count at
-    // build and once (k, k2) = (0,0), (0,1), (1,0) have gone through:
-    // outer 2; lane 0 an inner 2 + 2 runs; lane 1 an inner 2 + 1 run.
-    let spawn_counts = |b: NetBuilder| {
-        let mut net = b.fuse(true).build("main").unwrap();
+    // The plan alone decides the topology. Fused, a nest of replicators
+    // is one component, whatever the fault policy or the lane-edge
+    // bound, and however it reached `Net::spawn`. Only the plan compiled
+    // without the pass restores dispatcher + merger for the outer split
+    // at build and — replicas unfolding on demand — for the split
+    // inside every replica too. Returns the component count at build
+    // and once (k, k2) = (0,0), (0,1), (1,0) have gone through: outer
+    // 2; lane 0 an inner 2 + 2 × 2 boxes; lane 1 an inner 2 + 2 boxes.
+    let spawn_counts = |mut net: Net| {
         let at_build = net.threads_spawned();
         for (k, k2) in [(0, 0), (0, 1), (1, 0)] {
             let rec = Record::build().field("x", 1i64).tag("c", 2);
@@ -404,21 +396,32 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
         (at_build, at_end)
     };
     let expr = "((inc .. rep) ! <k2>) ! <k>";
-    assert_eq!(spawn_counts(fan_builder(expr)), (1, 1));
-    assert_eq!(spawn_counts(fan_builder(expr).fuse_fan(false)), (2, 9));
-    // Restart's backoff sleep would park co-scheduled lanes: the
-    // runtime legality check falls back on its own.
+    let built = |b: NetBuilder| spawn_counts(b.build("main").unwrap());
+    assert_eq!(built(fan_builder(expr)), (1, 1));
+    assert_eq!(built(fan_builder(expr).fuse(false)), (2, 12));
+    // A `Restart` stage retries inside the stage core, fused or not.
+    let restart = FaultPolicy::Restart {
+        max_retries: 1,
+        backoff: Duration::from_millis(1),
+    };
+    assert_eq!(built(fan_builder(expr).fault_policy(restart)), (1, 1));
+    // A lane-edge bound gates the lane edges a net has; fused, none.
+    assert_eq!(built(fan_builder(expr).bound_for("dispatch", 8)), (1, 1));
+    // A fused plan is one component even under a configuration that
+    // says `fuse: false`: that field is for whoever compiles.
+    let env = parse_program(SRC).unwrap().env().unwrap();
+    let b = boxes()
+        .into_iter()
+        .fold(Bindings::new(), |b, (n, f)| b.bind(n, f));
+    let plan = snet_runtime::compile(&parse_net_expr(expr).unwrap(), &env, &b).unwrap();
+    let cfg = RunCfg {
+        fuse: false,
+        ..RunCfg::default()
+    };
+    let exec = Arc::new(ThreadPerComponent);
     assert_eq!(
-        spawn_counts(fan_builder(expr).fault_policy(FaultPolicy::Restart {
-            max_retries: 1,
-            backoff: std::time::Duration::from_millis(1),
-        })),
-        (2, 9)
-    );
-    // An explicit lane-edge bound is honored by falling back too.
-    assert_eq!(
-        spawn_counts(fan_builder(expr).bound_for("dispatch", 8)),
-        (2, 9)
+        spawn_counts(Net::spawn(plan, Vec::new(), exec, cfg)),
+        (1, 1)
     );
 }
 
@@ -426,11 +429,12 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
 fn a_merge_bound_gates_standalone_mergers_only() {
     // Fused, the sensor spine is one stage run, and its output is the
     // run's `"out"` edge, owned at `net`, whatever the tail stage is: a
-    // `"merge"` bound finds no edge to gate. Under `fuse_fan(false)`
-    // the split and the parallel run their own mergers, and it gates
-    // both. Unbounded otherwise, so only the named edges carry gauges.
+    // `"merge"` or `"dispatch"` bound finds no edge to gate. Unfused,
+    // the split and the parallel run their own dispatchers and mergers,
+    // and each bound gates the edges of its kind. Unbounded otherwise,
+    // so only the named edges carry gauges.
     let gauges = |b: NetBuilder| -> Vec<String> {
-        let net = b.unbounded().fuse(true).build("main").unwrap();
+        let net = b.unbounded().build("main").unwrap();
         let metrics = Arc::clone(net.metrics());
         let _ = net.finish();
         let keys = metrics.snapshot().into_keys();
@@ -440,9 +444,16 @@ fn a_merge_bound_gates_standalone_mergers_only() {
     let spine = || fan_builder(SPINE_EXPRS[0]);
     assert_eq!(gauges(spine().bound_for("out", 4)), ["net/stream_depth"]);
     assert!(gauges(spine().bound_for("merge", 4)).is_empty());
+    assert!(gauges(spine().bound_for("dispatch", 4)).is_empty());
     assert_eq!(
-        gauges(spine().fuse_fan(false).bound_for("merge", 4)),
+        gauges(spine().fuse(false).bound_for("merge", 4)),
         ["net/s0/s1/split/stream_depth", "net/s1/par/stream_depth"]
+    );
+    // At build only the parallel's two lanes exist: split lanes and
+    // star levels unfold on demand.
+    assert_eq!(
+        gauges(spine().fuse(false).bound_for("dispatch", 4)),
+        ["net/s1/par/L/stream_depth", "net/s1/par/R/stream_depth"]
     );
 }
 
@@ -491,7 +502,7 @@ fn per_stage_metrics_paths_survive_fusion() {
 
 #[test]
 fn fan_metrics_paths_survive_replica_fusion() {
-    // Replica fusion keeps every per-path counter — the combinator's
+    // Fusion keeps every per-path counter — the combinator's
     // own (records_in/branches, routed_left/right, exits/stages) and
     // the per-lane box counters — at the same key with the same value,
     // and every combinator and guard path sees the same records in the
@@ -503,7 +514,7 @@ fn fan_metrics_paths_survive_replica_fusion() {
     use parking_lot::Mutex;
     use std::collections::BTreeMap;
     type Events = BTreeMap<String, Vec<String>>;
-    let run = |expr: &str, inputs: &[Record], fan: bool| {
+    let run = |expr: &str, inputs: &[Record], fuse: bool| {
         let events: Arc<Mutex<Events>> = Arc::default();
         let sink = Arc::clone(&events);
         let net = fan_builder(expr)
@@ -515,8 +526,7 @@ fn fan_metrics_paths_survive_replica_fusion() {
                     sink.lock().entry(path.to_string()).or_default().push(event);
                 }
             }))
-            .fuse(true)
-            .fuse_fan(fan)
+            .fuse(fuse)
             .build("main")
             .unwrap();
         for rec in inputs {
@@ -585,13 +595,12 @@ fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
     // decision streams are keyed by stage path, so replica fusion
     // must produce the exact same skips — same output, same per-path
     // records_skipped, and skipped == injected (panic-only chaos).
-    let run = |fan: bool| {
+    let run = |fuse: bool| {
         let net = fan_builder("(inc .. inc .. rep) ! <k>")
             .executor(Arc::new(ThreadPerComponent))
             .fault_policy(FaultPolicy::SkipRecord)
             .chaos(ChaosConfig::new(0xFA57_F00D, 0.1))
-            .fuse(true)
-            .fuse_fan(fan)
+            .fuse(fuse)
             .build("main")
             .unwrap();
         let metrics = Arc::clone(net.metrics());
@@ -619,6 +628,68 @@ fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
         skips_fused.iter().any(|(k, _)| k.contains("branch")),
         "expected skips inside replica branches, got {skips_fused:?}"
     );
+}
+
+#[test]
+fn a_restart_recovers_inside_a_fused_walk() {
+    // A `Restart` stage retries inside its stage core, so a fused net
+    // stays one component through a panic in a split lane: the output
+    // is the reference's, the retry counts at the box's own path, and
+    // the fault log holds one recovered incident, nothing dropped.
+    let expr = "inc .. (flaky ! <k>) .. inc";
+    let decls = format!("{SRC}\nbox flaky (x) -> (x);");
+    let double =
+        |r: &Record, e: &mut Emitter| e.emit(Record::build().field("x", int(r, "x") * 2).finish());
+    let inputs = xs(30, false);
+    let env = parse_program(&decls).unwrap().env().unwrap();
+    let b = boxes()
+        .into_iter()
+        .fold(Bindings::new(), |b, (n, f)| b.bind(n, f))
+        .bind("flaky", double);
+    let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
+    let want = oracle::run(&plan.unwrap(), inputs.clone()).unwrap();
+    assert!(want.ordered);
+    let execs: [(&str, Arc<dyn Executor>); 2] = [
+        ("threads", Arc::new(ThreadPerComponent)),
+        ("pool(2)", Arc::new(WorkStealingPool::new(2))),
+    ];
+    for (name, exec) in execs {
+        // Input 7 reaches `flaky` as x = 8, on lane <k> = 0.
+        let tripped = Arc::new(AtomicBool::new(false));
+        let b = NetBuilder::from_source(&format!("{decls}\nnet main = {expr};")).unwrap();
+        let mut net = boxes()
+            .into_iter()
+            .fold(b, |b, (n, f)| b.bind(n, f))
+            .bind("flaky", move |r, e| {
+                if int(r, "x") == 8 && !tripped.swap(true, Ordering::SeqCst) {
+                    panic!("transient");
+                }
+                double(r, e)
+            })
+            .fault_policy(FaultPolicy::Restart {
+                max_retries: 1,
+                backoff: Duration::ZERO,
+            })
+            .executor(exec)
+            .build("main")
+            .unwrap();
+        assert_eq!(net.threads_spawned(), 1, "{name}: at build");
+        for rec in &inputs {
+            net.send(rec.clone()).unwrap();
+        }
+        net.close();
+        let got: Vec<Record> = std::iter::from_fn(|| net.recv()).collect();
+        assert_eq!(got, want.records, "{name}");
+        assert_eq!(net.threads_spawned(), 1, "{name}: at end");
+        let restarts = net
+            .metrics()
+            .get("net/s0/s1/split/branch0/box:flaky/restarts");
+        assert_eq!(restarts, 1, "{name}");
+        let faults = net.faults();
+        assert_eq!(faults.len(), 1, "{name}: {faults:?}");
+        assert!(faults[0].dropped.is_none(), "{name}: {faults:?}");
+        let _ = net.finish();
+    }
 }
 
 #[test]

@@ -179,18 +179,16 @@ fn one_of_each_driver() -> snet_runtime::Net {
     .bind("d", fwd)
     .bind("e", fwd)
     .fuse(true)
-    .fuse_fan(true)
     .bound(128)
     .build("main")
     .unwrap()
 }
 
 /// Every combinator with a combinator for a body: the outer `||`, `!!`
-/// and `**` hold an inner `|`, `!` and `*`. With `fan` the whole net is
-/// one stage run; without it every spine part is a component and every
-/// level runs on its own dispatcher and merger. Fusion and the bound
-/// are pinned as above.
-fn each_combinator_both_ways(fan: bool) -> snet_runtime::Net {
+/// and `**` hold an inner `|`, `!` and `*`. Fused, the whole net is one
+/// stage run; unfused, every box is a component and every level runs
+/// on its own dispatcher and merger. The bound is pinned as above.
+fn each_combinator_both_ways(fuse: bool) -> snet_runtime::Net {
     let fwd = |r: &Record, e: &mut snet_runtime::Emitter| {
         e.emit(
             Record::build()
@@ -240,8 +238,7 @@ fn each_combinator_both_ways(fan: bool) -> snet_runtime::Net {
             e.emit(Record::build().field("n", n).finish());
         }
     })
-    .fuse(true)
-    .fuse_fan(fan)
+    .fuse(fuse)
     .bound(128)
     .build("main")
     .unwrap()
@@ -483,8 +480,8 @@ const VANISHED_SPINE_EDGES: [&str; 4] = [
     "net/s0/s0/s1/par",
 ];
 
-/// `each_combinator_both_ways`' metric keys under `fuse_fan(false)`,
-/// generated at 4e2f6a9 (13 components at build).
+/// `each_combinator_both_ways`' metric keys under `fuse(false)`,
+/// generated at 2f41f25 (13 components at build).
 const PINNED_UNFUSED_FAN_KEYS: [&str; 119] = [
     "net/credit_stalls",
     "net/s0/s0/s0/s0/box:a/credit_stalls",

@@ -45,17 +45,17 @@ fn matrix() -> Vec<(String, Arc<dyn Executor>, bool)> {
 
 /// `slow (a) -> (r)` sleeps; `fast (b) -> (r)` doesn't. Type-routed
 /// nondet parallel: completions cross each other on the output edge.
-/// Replica fusion would run both branches inline in arrival order
-/// (a valid nondet interleaving, but no crossing), so this test pins
-/// the concurrent-branch topology with the escape hatch.
-fn slow_fast_net(exec: Arc<dyn Executor>, fuse: bool) -> Net {
+/// Fusion would run both branches inline in arrival order (a valid
+/// nondet interleaving, but no crossing), so this net is unfused on
+/// every leg: the concurrent-branch topology.
+fn slow_fast_net(exec: Arc<dyn Executor>) -> Net {
     NetBuilder::from_source(
         "box slow (a) -> (r);
          box fast (b) -> (r);
          net main = slow || fast;",
     )
     .unwrap()
-    .fuse_fan(false)
+    .fuse(false)
     .bind("slow", |rec, em| {
         std::thread::sleep(Duration::from_millis(60));
         let a = rec.field("a").unwrap().as_int().unwrap();
@@ -66,15 +66,14 @@ fn slow_fast_net(exec: Arc<dyn Executor>, fuse: bool) -> Net {
         em.emit(Record::build().field("r", b).finish());
     })
     .executor(exec)
-    .fuse(fuse)
     .build("main")
     .unwrap()
 }
 
 #[test]
 fn out_of_order_completions_across_nondet_merge() {
-    for (leg, exec, fuse) in matrix() {
-        let svc = Service::start(slow_fast_net(exec, fuse));
+    for (leg, exec, _) in matrix().into_iter().filter(|(_, _, fuse)| !fuse) {
+        let svc = Service::start(slow_fast_net(exec));
         let slow = svc
             .call(Record::build().field("a", 111i64).finish())
             .unwrap();
@@ -776,7 +775,7 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
          net main = slow || fast;",
     )
     .unwrap()
-    .fuse_fan(false)
+    .fuse(false)
     .bind("slow", |rec, em| {
         std::thread::sleep(Duration::from_micros(400));
         emit_n("a", rec, em)

@@ -92,7 +92,7 @@ fn interner_paths_plateau_under_unbounded_tag_domain() {
 #[test]
 fn replica_fusion_adds_zero_interner_paths() {
     let _serial = serialize_interner();
-    let drive = |fan: bool| -> u64 {
+    let drive = |fuse: bool| -> u64 {
         let net = NetBuilder::from_source(
             "box id (x, <lanek>) -> (x, <lanek>);\n\
              net main = id !! <lanek>;",
@@ -100,7 +100,7 @@ fn replica_fusion_adds_zero_interner_paths() {
         .unwrap()
         .bind("id", |r, e| e.emit(r.clone()))
         .split_lanes(LANES)
-        .fuse_fan(fan)
+        .fuse(fuse)
         .build("main")
         .unwrap();
         let metrics = std::sync::Arc::clone(net.metrics());
