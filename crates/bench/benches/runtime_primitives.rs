@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_runtime::{
-    Executor, Metrics, NetBuilder, RouteCache, ThreadPerComponent, WorkStealingPool,
+    CompPath, Executor, Metrics, NetBuilder, RouteCache, ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::{NetSig, Record, RecordType, Shape};
 use std::sync::Arc;
@@ -664,8 +664,77 @@ fn bench_net_construction(c: &mut Criterion) {
     g.finish();
 }
 
+/// RT_cold — the whole life of a net that answers one request, as
+/// the benchmark's `setup_s` times it: build, one input through, finish.
+/// `fig2_9x9` is Fig. 2 solving a generated 9×9 puzzle (replicas
+/// unfold level by level, each registering its paths and counters);
+/// `sensor_shape` is the sensor net's combinator shape over identity
+/// boxes, where the build is nearly all there is.
+fn bench_cold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("RT_cold");
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(400));
+    g.sample_size(20);
+    let puzzle = sudoku::puzzles::medium9();
+    g.bench_function("fig2_9x9", |b| {
+        b.iter(|| {
+            let net = sudoku::networks::fig2_net(3).unwrap();
+            let run = sudoku::networks::run_net(net, &puzzle);
+            assert_eq!(run.solutions.len(), 1);
+        })
+    });
+    g.bench_function("sensor_shape", |b| {
+        b.iter(|| {
+            let net = id_net("id .. (id !! <k>) .. (id || idy)");
+            net.send(Record::build().field("x", 1i64).tag("k", 2).finish())
+                .unwrap();
+            assert_eq!(net.finish().len(), 1);
+        })
+    });
+    g.finish();
+}
+
+/// RT_register — the two spawn-time lookups a replica makes for every
+/// component it unfolds: registering a counter under a key the
+/// registry has not seen, and deriving a child path the process has.
+fn bench_register(c: &mut Criterion) {
+    let mut g = c.benchmark_group("RT_register");
+    g.measurement_time(std::time::Duration::from_secs(1));
+    g.warm_up_time(std::time::Duration::from_millis(200));
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(1));
+    let split = CompPath::root("net")
+        .child("star")
+        .child("stage3")
+        .child("split");
+    let paths: Vec<CompPath> = (0..4096)
+        .map(|k| {
+            split
+                .child(&format!("branch{k}"))
+                .child("box:solveOneLevel")
+        })
+        .collect();
+    g.bench_function("handle_at_fresh", |b| {
+        // A fresh registry every 4096 keys keeps every key new to it.
+        let mut m = Metrics::new();
+        let mut next = 0;
+        b.iter(|| {
+            if next == paths.len() {
+                m = Metrics::new();
+                next = 0;
+            }
+            next += 1;
+            m.handle_at(paths[next - 1], "records_in")
+        })
+    });
+    g.bench_function("child_seen", |b| b.iter(|| split.child("branch7")));
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_cold,
+    bench_register,
     bench_metrics_inc,
     bench_dispatch_route,
     bench_record_ops,

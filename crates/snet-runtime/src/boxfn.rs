@@ -38,7 +38,7 @@
 use crate::ctx::Ctx;
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
-use crate::path::CompPath;
+use crate::path::{name, CompPath, Name};
 use crate::stream::Dir;
 use snet_types::{BoxSig, Record, RecordType, Shape};
 use std::sync::Arc;
@@ -160,17 +160,25 @@ pub(crate) struct BoxCore {
 }
 
 impl BoxCore {
-    /// Registers the stage under `parent/box:{name}` and resolves its
-    /// counters.
+    /// Registers the stage under `parent/{seg}` (the plan's
+    /// `box:{name}`) and resolves its counters.
     pub(crate) fn new(
         ctx: &Ctx,
         parent: CompPath,
-        name: &str,
+        seg: Name,
         sig: BoxSig,
         imp: BoxImpl,
     ) -> BoxCore {
-        let path = parent.child(&format!("box:{name}"));
-        ctx.metrics.handle_at(path, keys::SPAWNED).inc(1);
+        let path = parent.child_at(seg);
+        let [spawned, records_in, records_out] = ctx.metrics.counters_at(
+            path,
+            [
+                name!(keys::SPAWNED),
+                name!(keys::RECORDS_IN),
+                name!(keys::RECORDS_OUT),
+            ],
+        );
+        spawned.inc(1);
         let input_type = sig.input_type();
         BoxCore {
             plans: PlanCache::new(Shape::of_type(&input_type)),
@@ -178,8 +186,8 @@ impl BoxCore {
             no_excess: Record::new(),
             observing: ctx.has_observers(),
             guard: ctx.fault_guard(path),
-            records_in: ctx.metrics.handle_at(path, keys::RECORDS_IN),
-            records_out: ctx.metrics.handle_at(path, keys::RECORDS_OUT),
+            records_in,
+            records_out,
             sig,
             imp,
             path,
@@ -274,6 +282,7 @@ mod tests {
     fn box_leaf(name: &str, sig: BoxSig, imp: BoxImpl) -> Arc<PNode> {
         Arc::new(PNode::Box {
             name: name.to_string(),
+            seg: Name::new(&format!("box:{name}")),
             sig,
             imp,
         })

@@ -25,9 +25,9 @@
 use crate::fault::{
     payload_msg, ChaosConfig, Fault, FaultGuard, FaultHub, FaultObserver, FaultPolicy,
 };
-use crate::metrics::{keys, Metrics};
+use crate::metrics::{keys, Counter, Metrics};
 use crate::net::OverloadPolicy;
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::sched::{Executor, Tracker};
 use crate::stream::chan::EdgeStats;
 use crate::stream::{stream, stream_bounded, Dir, Observer, Receiver, Sender};
@@ -35,7 +35,7 @@ use snet_types::Record;
 use std::collections::HashMap;
 use std::fmt;
 use std::future::Future;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The default data-edge capacity ([`RunCfg::bound`]).
 /// **Backpressure is on by default** since PR 7, with
@@ -268,6 +268,9 @@ pub struct Ctx {
     tracker: Arc<Tracker>,
     faults: Arc<FaultHub>,
     cfg: RunCfg,
+    /// `runtime/stream_depth` and `runtime/credit_stalls`, registered
+    /// with the net's first bounded edge.
+    edge_globals: OnceLock<[Counter; 2]>,
 }
 
 impl Ctx {
@@ -300,6 +303,7 @@ impl Ctx {
             tracker,
             faults,
             cfg,
+            edge_globals: OnceLock::new(),
         })
     }
 
@@ -313,7 +317,7 @@ impl Ctx {
     /// `{path}/credit_stalls`, mirrored into the `runtime/*` globals)
     /// when the net's bound — or a per-edge override for `edge` —
     /// says so; a plain unbounded stream otherwise. Spawn-time API:
-    /// the bounded arm takes the metrics registry locks.
+    /// the bounded arm takes the metrics registry lock.
     pub fn data_stream(&self, path: CompPath, edge: Edge) -> (Sender, Receiver) {
         // An override of 0 is "explicitly unbounded".
         let cap = match self.cfg.bound_overrides.get(&edge) {
@@ -323,11 +327,21 @@ impl Ctx {
         if cap == 0 {
             return stream();
         }
+        let [depth, stalls] = self.metrics.counters_at(
+            path,
+            [name!(keys::STREAM_DEPTH), name!(keys::CREDIT_STALLS)],
+        );
+        let [depth_global, stalls_global] = self.edge_globals.get_or_init(|| {
+            [
+                self.metrics.handle(keys::STREAM_DEPTH_GLOBAL),
+                self.metrics.handle(keys::CREDIT_STALLS_GLOBAL),
+            ]
+        });
         let stats = EdgeStats {
-            depth: self.metrics.handle_at(path, keys::STREAM_DEPTH),
-            stalls: self.metrics.handle_at(path, keys::CREDIT_STALLS),
-            depth_global: self.metrics.handle(keys::STREAM_DEPTH_GLOBAL),
-            stalls_global: self.metrics.handle(keys::CREDIT_STALLS_GLOBAL),
+            depth,
+            stalls,
+            depth_global: depth_global.clone(),
+            stalls_global: stalls_global.clone(),
         };
         stream_bounded(cap, Some(stats))
     }

@@ -70,7 +70,7 @@
 //! process-wide switch.
 
 use crate::metrics::{keys, Counter, Metrics};
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use parking_lot::Mutex;
 use snet_types::Record;
 use std::any::Any;
@@ -330,13 +330,15 @@ impl FaultGuard {
         if policy == FaultPolicy::FailNet && chaos.is_none() {
             return None;
         }
+        let [skipped, restarts] =
+            metrics.counters_at(path, [name!(keys::RECORDS_SKIPPED), name!(keys::RESTARTS)]);
         Some(FaultGuard {
             policy,
             chaos: chaos.map(|c| ChaosInjector::new(c, path)),
             hub: Arc::clone(hub),
             path,
-            skipped: metrics.handle_at(path, keys::RECORDS_SKIPPED),
-            restarts: metrics.handle_at(path, keys::RESTARTS),
+            skipped,
+            restarts,
             injected: metrics.handle(keys::CHAOS_INJECTED),
             buf: Vec::new(),
         })

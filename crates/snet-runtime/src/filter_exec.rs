@@ -18,7 +18,7 @@
 use crate::ctx::Ctx;
 use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::stream::Dir;
 use snet_lang::FilterDef;
 use snet_types::{Record, Shape};
@@ -45,14 +45,22 @@ impl FilterCore {
     /// Registers the stage under `parent/filter` and resolves its
     /// counters.
     pub(crate) fn new(ctx: &Ctx, parent: CompPath, def: FilterDef) -> FilterCore {
-        let path = parent.child("filter");
-        ctx.metrics.handle_at(path, keys::SPAWNED).inc(1);
+        let path = parent.child_at(name!("filter"));
+        let [spawned, records_in, records_out] = ctx.metrics.counters_at(
+            path,
+            [
+                name!(keys::SPAWNED),
+                name!(keys::RECORDS_IN),
+                name!(keys::RECORDS_OUT),
+            ],
+        );
+        spawned.inc(1);
         FilterCore {
             plans: PlanCache::new(Shape::of_type(&def.pattern)),
             observing: ctx.has_observers(),
             guard: ctx.fault_guard(path),
-            records_in: ctx.metrics.handle_at(path, keys::RECORDS_IN),
-            records_out: ctx.metrics.handle_at(path, keys::RECORDS_OUT),
+            records_in,
+            records_out,
             def,
             path,
         }

@@ -118,10 +118,10 @@ pub(crate) enum StageCore {
 /// put it.
 fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
     match leaf {
-        PNode::Box { name, sig, imp } => StageCore::Box(BoxCore::new(
+        PNode::Box { seg, sig, imp, .. } => StageCore::Box(BoxCore::new(
             ctx,
             parent,
-            name,
+            *seg,
             sig.clone(),
             Arc::clone(imp),
         )),

@@ -27,7 +27,7 @@
 use crate::ctx::Ctx;
 use crate::fused::{lane_cores, spawn_stage_run};
 use crate::parallel::spawn_parallel;
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::plan::{FanKind, PNode};
 use crate::split::spawn_split;
 use crate::star::spawn_star;
@@ -46,8 +46,8 @@ pub fn instantiate(
     let path = path.into();
     match &**node {
         PNode::Serial { a, b } => {
-            let mid = instantiate(ctx, a, path.child("s0"), input);
-            instantiate(ctx, b, path.child("s1"), mid)
+            let mid = instantiate(ctx, a, path.child_at(name!("s0")), input);
+            instantiate(ctx, b, path.child_at(name!("s1")), mid)
         }
         // An unfused fan runs on its own dispatcher.
         PNode::Fan {

@@ -56,7 +56,7 @@
 //! [`crate::sched`].
 
 use crate::ctx::Ctx;
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::stream::chan::{self, TryRecvError};
 use crate::stream::{yield_now, Msg, ReadySource, Receiver, SelectReady, Sender, RECV_BATCH};
 use std::collections::HashMap;
@@ -133,7 +133,7 @@ pub fn spawn_merge(
     control: chan::Receiver<BranchSpec>,
     out: Sender,
 ) {
-    let path = path.into().child("merge");
+    let path = path.into().child_at(name!("merge"));
     ctx.spawn(path.as_str(), async move {
         match mode {
             MergeMode::NonDet => run_nondet(initial, control, out).await,

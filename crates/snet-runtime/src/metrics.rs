@@ -10,18 +10,32 @@
 //! records and replicas, and the experiment harness asserts the
 //! paper's numbers instead of eyeballing them.
 //!
-//! # Design: register at spawn, count through handles
+//! # Design: register at spawn by id, count through handles
 //!
 //! Counting must not be what the coordination layer spends its time
-//! on. The registry therefore splits the two rates apart:
+//! on, and neither must registering: a replica that unfolds registers
+//! its counters on the spot. The registry therefore keys a counter by
+//! ids and renders its key text only when a query asks for it.
 //!
-//! * **Registration** happens once per component at spawn time:
-//!   [`Metrics::handle`] interns the full key (component path +
-//!   metric name) into a `BTreeMap` under a mutex and returns a
-//!   [`Counter`] — a cloned `Arc<AtomicU64>` pointing at the
-//!   registered cell. Registering the same key twice returns handles
-//!   to the *same* cell, so dynamically re-spawned components
+//! * **Registration** happens once per component at spawn time. A
+//!   counter is keyed by `(path id, name id)`: the component's
+//!   [`CompPath`] and the interned metric name (see [`crate::path`]).
+//!   The runtime's spawn sites register all of a component's counters
+//!   under one lock, carving their cells out of a shared block of
+//!   [`BLOCK`] atomics, so a component costs one lock and at most one
+//!   allocation however many counters it has. No string is formatted,
+//!   hashed or compared. Registering the same key twice returns
+//!   handles to the *same* cell, so dynamically re-spawned components
 //!   accumulate rather than reset.
+//! * **One cell per key text, whichever API registered it.**
+//!   [`Metrics::handle`] splits a key at its last `/` into a path and
+//!   a name (a key with no `/` is a name with no path), and
+//!   [`Metrics::handle_at`] with a name holding a `/` moves the part
+//!   before it onto the path, so `handle("net/box:f/records_in")` and
+//!   `handle_at(net/box:f, "records_in")` share one cell. These two
+//!   hash their text to find its ids, and intern the path and name
+//!   they find process-wide, as component paths are: they are for
+//!   callers outside the spawn path, with keys from a bounded set.
 //! * **Counting** happens per record through the handle: a single
 //!   relaxed `fetch_add`/`fetch_max`, no lock, no allocation, no
 //!   string formatting. Relaxed ordering is sufficient — counters are
@@ -29,74 +43,78 @@
 //!   registry lock, which synchronizes with the component threads'
 //!   channel operations at termination.
 //! * **Queries** ([`Metrics::get`], [`Metrics::sum_matching`], ...)
-//!   take the registry lock and read the atomics. They observe
-//!   counters registered *after* the network started (replicators
-//!   spawn components dynamically), because registration inserts into
-//!   the same map queries iterate.
+//!   take the registry lock, render every key as `{path}/{name}` and
+//!   read the atomics: they pay for the text registration skipped
+//!   (`get` included: it scans rather than intern the key it is
+//!   asked for). Queries are rare; they observe counters
+//!   registered *after* the network started (replicators spawn
+//!   components dynamically), because registration inserts into the
+//!   same map queries iterate.
 //!
 //! There is no way to count by key: a caller that wants to count
 //! holds a [`Counter`], so nothing on a per-record or per-request path
 //! can pay the registry lock and a string hash without saying so.
 //!
-//! # Sharding
+//! # One lock
 //!
-//! Registration used to serialise on a single registry mutex — fine
-//! for static networks, but mass dynamic unfolding (a thousand split
-//! replicas appearing at once, each registering several counters at
-//! spawn) turns one mutex into a thundering herd. The registry is
-//! therefore split into [`SHARD_COUNT`] shards selected by a hash of
-//! the key's component-path prefix (everything before the final `/`):
-//! concurrent registrations of *different* components take *different*
-//! locks, while all counters of one component stay in one shard.
-//! Queries aggregate across shards; key order is preserved because
-//! each shard is itself a `BTreeMap` and aggregate views re-merge.
+//! The registry is one mutex, not shards. A registration holds it for
+//! an id lookup and a slot in a block. Two threads doing nothing but
+//! registering do contend on it, but a net that unfolds replicas on
+//! several workers interleaves registration with building their
+//! streams and tasks: unfused Fig. 2 on a pool of two is no slower
+//! from cold with one lock than with shards keyed by path id
+//! (CHANGES.md has both measurements).
 
-use crate::path::CompPath;
+use crate::path::{CompPath, Name};
 use parking_lot::Mutex;
+use snet_types::FxMap;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of registry shards (a power of two; 16 is plenty beyond the
-/// worker counts this runtime targets).
-const SHARD_COUNT: usize = 16;
+/// Cells per block registration carves counters from (a power of
+/// two, so a slot index masks instead of bounds-checking).
+const BLOCK: usize = 64;
 
-/// FNV-1a over the component-path prefix of a key (up to the last
-/// `/`, so `net/box:f/records_in` and `net/box:f/records_out` land in
-/// the same shard while different components spread).
-fn shard_of(key: &str) -> usize {
-    let prefix = key.rsplit_once('/').map(|(p, _)| p).unwrap_or(key);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in prefix.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) % SHARD_COUNT
+/// A block of counter cells, shared by the counters carved from it.
+struct Cells([AtomicU64; BLOCK]);
+
+fn new_block() -> Arc<Cells> {
+    Arc::new(Cells(std::array::from_fn(|_| AtomicU64::new(0))))
 }
 
 /// A registered counter: one atomic cell shared with the registry.
 /// Cloning is cheap (an `Arc` bump) and clones address the same cell.
 #[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter {
+    cells: Arc<Cells>,
+    slot: usize,
+}
 
 impl Counter {
+    #[inline]
+    fn cell(&self) -> &AtomicU64 {
+        &self.cells.0[self.slot & (BLOCK - 1)]
+    }
+
     /// Adds `delta`. Lock-free, allocation-free.
     #[inline]
     pub fn inc(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        self.cell().fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Raises the counter to at least `v` (high-water marks such as
     /// pipeline depth). Lock-free, allocation-free.
     #[inline]
     pub fn max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        self.cell().fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.cell().load(Ordering::Relaxed)
     }
 }
 
@@ -106,11 +124,59 @@ impl fmt::Debug for Counter {
     }
 }
 
-/// Shared metrics registry for one running network (sharded; see
-/// module docs).
-#[derive(Default)]
+/// A counter's key: the component path (none for a key with no `/`)
+/// and the metric name.
+type Key = (Option<CompPath>, Name);
+
+/// Splits a key text at its last `/` into its [`Key`].
+fn key_of(text: &str) -> Key {
+    match text.rsplit_once('/') {
+        Some((path, name)) => (Some(CompPath::root(path)), Name::new(name)),
+        None => (None, Name::new(text)),
+    }
+}
+
+struct Registry {
+    cells: FxMap<Key, Counter>,
+    /// The block new counters are carved from, and its next free slot.
+    block: Arc<Cells>,
+    used: usize,
+}
+
+impl Registry {
+    fn counter(&mut self, key: Key) -> Counter {
+        if let Some(c) = self.cells.get(&key) {
+            return c.clone();
+        }
+        if self.used == BLOCK {
+            self.block = new_block();
+            self.used = 0;
+        }
+        let c = Counter {
+            cells: Arc::clone(&self.block),
+            slot: self.used,
+        };
+        self.used += 1;
+        self.cells.insert(key, c.clone());
+        c
+    }
+}
+
+/// Shared metrics registry for one running network (see module docs).
 pub struct Metrics {
-    shards: [Mutex<BTreeMap<String, Arc<AtomicU64>>>; SHARD_COUNT],
+    registry: Mutex<Registry>,
+}
+
+impl Default for Metrics {
+    fn default() -> Metrics {
+        Metrics {
+            registry: Mutex::new(Registry {
+                cells: FxMap::default(),
+                block: new_block(),
+                used: 0,
+            }),
+        }
+    }
 }
 
 impl Metrics {
@@ -119,46 +185,62 @@ impl Metrics {
     }
 
     /// Registers (or re-attaches to) the counter under `key` and
-    /// returns its handle. Spawn-time API: this takes the key's shard
+    /// returns its handle. Spawn-time API: this takes the registry
     /// lock and may allocate; per-record code must go through the
     /// returned [`Counter`] instead.
     pub fn handle(&self, key: impl AsRef<str>) -> Counter {
-        let mut m = self.shards[shard_of(key.as_ref())].lock();
-        let cell = match m.get(key.as_ref()) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(AtomicU64::new(0));
-                m.insert(key.as_ref().to_string(), Arc::clone(&cell));
-                cell
-            }
-        };
-        Counter(cell)
+        let key = key_of(key.as_ref());
+        self.registry.lock().counter(key)
     }
 
     /// [`Metrics::handle`] under the conventional `{path}/{name}` key.
     pub fn handle_at(&self, path: CompPath, name: &str) -> Counter {
-        self.handle(format!("{path}/{name}"))
+        let key = match name.rsplit_once('/') {
+            Some((mid, name)) => (Some(path.child(mid)), Name::new(name)),
+            None => (Some(path), Name::new(name)),
+        };
+        self.registry.lock().counter(key)
+    }
+
+    /// The counters `{path}/{name}` of one component, under one lock:
+    /// the spawn sites' registration (module docs, *Design*).
+    pub(crate) fn counters_at<const N: usize>(
+        &self,
+        path: CompPath,
+        names: [Name; N],
+    ) -> [Counter; N] {
+        let mut registry = self.registry.lock();
+        names.map(|name| registry.counter((Some(path), name)))
     }
 
     /// Reads one counter (0 when absent).
     pub fn get(&self, key: impl AsRef<str>) -> u64 {
-        self.shards[shard_of(key.as_ref())]
+        let (path, name) = match key.as_ref().rsplit_once('/') {
+            Some((path, name)) => (Some(path), name),
+            None => (None, key.as_ref()),
+        };
+        self.registry
             .lock()
-            .get(key.as_ref())
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
+            .cells
+            .iter()
+            .find(|((p, n), _)| n.as_str() == name && p.map(|p| p.as_str()) == path)
+            .map_or(0, |(_, c)| c.get())
     }
 
-    /// Folds over every `(key, value)` pair, shard by shard. Queries
-    /// observe counters registered after the network started
+    /// Folds over every `(key, value)` pair, rendering each key.
+    /// Queries observe counters registered after the network started
     /// (replicators spawn components dynamically).
     fn fold<A>(&self, init: A, mut f: impl FnMut(A, &str, u64) -> A) -> A {
         let mut acc = init;
-        for shard in &self.shards {
-            let m = shard.lock();
-            for (k, v) in m.iter() {
-                acc = f(acc, k, v.load(Ordering::Relaxed));
+        let mut text = String::new();
+        for ((path, name), c) in self.registry.lock().cells.iter() {
+            text.clear();
+            if let Some(path) = path {
+                text.push_str(path.as_str());
+                text.push('/');
             }
+            text.push_str(name.as_str());
+            acc = f(acc, &text, c.get());
         }
         acc
     }
@@ -187,8 +269,7 @@ impl Metrics {
         )
     }
 
-    /// A stable snapshot of all counters (key-sorted: shards re-merge
-    /// into one `BTreeMap`).
+    /// A stable, key-sorted snapshot of all counters.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
         self.fold(BTreeMap::new(), |mut acc, k, v| {
             acc.insert(k.to_string(), v);
@@ -397,9 +478,8 @@ mod tests {
     #[test]
     fn sharded_registration_is_consistent_across_shards() {
         // Mass registration from many threads with distinct component
-        // paths (the dynamic-unfolding shape sharding exists for):
-        // every counter must be registered exactly once and visible to
-        // aggregate queries.
+        // paths (the dynamic-unfolding shape): every counter must be
+        // registered exactly once and visible to aggregate queries.
         let m = Metrics::new();
         std::thread::scope(|s| {
             for t in 0..8 {
@@ -417,8 +497,6 @@ mod tests {
         assert_eq!(m.sum_matching("records_in"), 1600);
         assert_eq!(m.sum_matching("spawned"), 1600);
         assert_eq!(m.snapshot().len(), 3200);
-        // Same-component counters share a shard; cross-shard reads
-        // still resolve individual keys.
         assert_eq!(m.get("net/split/branch0/box:f/records_in"), 1);
     }
 
@@ -432,6 +510,59 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn one_cell_per_key_text_whichever_api_registered_it() {
+        let m = Metrics::new();
+        let p = CompPath::root("net").child("box:f");
+        // `handle_at`, then `handle`.
+        m.handle_at(p, keys::RECORDS_IN).inc(1);
+        m.handle("net/box:f/records_in").inc(2);
+        // `handle`, then `handle_at`.
+        m.handle("net/box:f/records_out").inc(4);
+        m.handle_at(p, keys::RECORDS_OUT).inc(1);
+        // The spawn sites' batch registration, and a name holding a `/`.
+        let [records_in] = m.counters_at(p, [Name::new(keys::RECORDS_IN)]);
+        m.handle_at(CompPath::root("net"), "box:f/records_out")
+            .inc(1);
+        assert_eq!(records_in.get(), 3);
+        assert_eq!(m.get("net/box:f/records_in"), 3);
+        assert_eq!(m.get("net/box:f/records_out"), 6);
+        let keys: Vec<String> = m.snapshot().into_keys().collect();
+        assert_eq!(keys, ["net/box:f/records_in", "net/box:f/records_out"]);
+    }
+
+    #[test]
+    fn a_key_with_no_slash_is_a_name_with_no_path() {
+        let m = Metrics::new();
+        m.handle("hot").inc(1);
+        m.handle("hot").inc(1);
+        // An empty path is a path: its key renders as `/hot`.
+        m.handle_at(CompPath::root(""), "hot").inc(5);
+        assert_eq!(m.get("hot"), 2);
+        assert_eq!(m.get("/hot"), 5);
+        assert_eq!(m.sum_matching("hot"), 7);
+        let keys: Vec<String> = m.snapshot().into_keys().collect();
+        assert_eq!(keys, ["/hot", "hot"]);
+    }
+
+    #[test]
+    fn a_skipped_panic_counts_into_the_cell_handle_at_reads() {
+        // `FaultHub::raise` registers `{path}/panics` by its text.
+        let net = crate::NetBuilder::from_source("box boom (x) -> (x);\nnet main = boom;")
+            .unwrap()
+            .bind("boom", |_, _| panic!("box bug"))
+            .fault_policy(crate::FaultPolicy::SkipRecord)
+            .build("main")
+            .unwrap();
+        let m = Arc::clone(net.metrics());
+        net.send(snet_types::Record::build().field("x", 1i64).finish())
+            .unwrap();
+        assert!(net.finish().is_empty());
+        let path = CompPath::root("net").child("box:boom");
+        assert_eq!(m.handle_at(path, keys::PANICS).get(), 1);
+        assert_eq!(m.count_matching("/panics"), 1);
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn unfused_only() -> ! {
 /// Appends the outputs of `node` for the one record `rec` to `out`.
 fn eval(node: &PNode, rec: &Record, out: &mut Vec<Record>) -> Result<(), Undefined> {
     match node {
-        PNode::Box { name, sig, imp } => {
+        PNode::Box { name, sig, imp, .. } => {
             let (matched, excess) = rec
                 .split_for(&sig.input_type())
                 .ok_or_else(|| Undefined(format!("box {name} cannot take {rec:?}")))?;

@@ -38,7 +38,7 @@ use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode};
 use crate::metrics::{keys, Counter};
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::plan::PNode;
 use crate::stream::{chan, Dir, Msg, Receiver, Sender};
 use snet_types::{NetSig, Record};
@@ -161,13 +161,21 @@ impl<L> ParRouter<L> {
         (right, right_sig): (&Arc<PNode>, &NetSig),
         mut open: impl FnMut(CompPath, &Arc<PNode>) -> L,
     ) -> ParRouter<L> {
+        let [records_in, routed_left, routed_right] = ctx.metrics.counters_at(
+            comb,
+            [
+                name!(keys::RECORDS_IN),
+                name!("routed_left"),
+                name!("routed_right"),
+            ],
+        );
         ParRouter {
             routes: RouteCache::new(left_sig.clone(), right_sig.clone()),
-            left: open(comb.child("L"), left),
-            right: open(comb.child("R"), right),
-            records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
-            routed_left: ctx.metrics.handle_at(comb, "routed_left"),
-            routed_right: ctx.metrics.handle_at(comb, "routed_right"),
+            left: open(comb.child_at(name!("L")), left),
+            right: open(comb.child_at(name!("R")), right),
+            records_in,
+            routed_left,
+            routed_right,
         }
     }
 

@@ -111,7 +111,7 @@
 //! plan is also what [`crate::oracle`] interprets.
 
 use crate::boxfn::BoxImpl;
-use crate::path::CompPath;
+use crate::path::{name, CompPath, Name};
 use snet_lang::{Env, ExitPattern, FilterDef, NetAst};
 use snet_types::{BoxSig, Label, NetSig, TypeError};
 use std::collections::HashMap;
@@ -123,6 +123,9 @@ use std::sync::Arc;
 pub enum PNode {
     Box {
         name: String,
+        /// `box:{name}`, the box's path segment, interned once here
+        /// rather than once per replica.
+        seg: Name,
         sig: BoxSig,
         imp: BoxImpl,
     },
@@ -177,13 +180,13 @@ impl FanKind {
     /// path — the one place the `split`/`splitnd`-style segment is
     /// derived, whichever driver runs the fan.
     pub(crate) fn comb_path(&self, path: CompPath, det: bool) -> CompPath {
-        path.child(match (self, det) {
-            (FanKind::Split { .. }, true) => "split",
-            (FanKind::Split { .. }, false) => "splitnd",
-            (FanKind::Parallel { .. }, true) => "par",
-            (FanKind::Parallel { .. }, false) => "parnd",
-            (FanKind::Star { .. }, true) => "star",
-            (FanKind::Star { .. }, false) => "starnd",
+        path.child_at(match (self, det) {
+            (FanKind::Split { .. }, true) => name!("split"),
+            (FanKind::Split { .. }, false) => name!("splitnd"),
+            (FanKind::Parallel { .. }, true) => name!("par"),
+            (FanKind::Parallel { .. }, false) => name!("parnd"),
+            (FanKind::Star { .. }, true) => name!("star"),
+            (FanKind::Star { .. }, false) => name!("starnd"),
         })
     }
 
@@ -238,7 +241,7 @@ pub struct Stage {
     /// would have derived for this stage, relative to the run's
     /// instantiation path — so per-stage metrics and observer paths
     /// are byte-identical to the unfused topology.
-    pub suffix: Vec<&'static str>,
+    pub suffix: Vec<Name>,
     /// The stage itself: a `Box` or `Filter` leaf, by handle, or a
     /// fused `Fan`.
     pub node: Arc<PNode>,
@@ -394,13 +397,13 @@ pub(crate) fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
 
 /// Flattens a `Serial` spine into its leaves, fused, each under the
 /// `s0`/`s1` path suffix the binary instantiation derives.
-fn flatten_serial(node: &Arc<PNode>, prefix: &mut Vec<&'static str>, out: &mut Vec<Stage>) {
+fn flatten_serial(node: &Arc<PNode>, prefix: &mut Vec<Name>, out: &mut Vec<Stage>) {
     match &**node {
         PNode::Serial { a, b } => {
-            prefix.push("s0");
+            prefix.push(name!("s0"));
             flatten_serial(a, prefix, out);
             prefix.pop();
-            prefix.push("s1");
+            prefix.push(name!("s1"));
             flatten_serial(b, prefix, out);
             prefix.pop();
         }
@@ -438,6 +441,7 @@ fn compile_node(
                 Ok((
                     Arc::new(PNode::Box {
                         name: name.clone(),
+                        seg: Name::new(&format!("box:{name}")),
                         sig: box_sig.clone(),
                         imp,
                     }),
@@ -583,7 +587,10 @@ mod tests {
         match &*fused {
             PNode::Run { stages } => {
                 assert_eq!(stages.len(), 3);
-                let got: Vec<Vec<&'static str>> = stages.iter().map(|s| s.suffix.clone()).collect();
+                let got: Vec<Vec<&'static str>> = stages
+                    .iter()
+                    .map(|s| s.suffix.iter().map(Name::as_str).collect())
+                    .collect();
                 assert_eq!(got, want);
             }
             other => panic!("expected Run, got {other:?}"),

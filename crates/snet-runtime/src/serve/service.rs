@@ -393,6 +393,7 @@ impl Service {
             rid_tag,
             completed: metrics.handle(keys::SERVE_COMPLETED),
             stray: metrics.handle(keys::SERVE_STRAY),
+            stray_path: CompPath::root(keys::SERVE_STRAY),
         })
         .wake();
         Service {
@@ -552,6 +553,8 @@ struct Egress {
     rid_tag: Label,
     completed: Counter,
     stray: Counter,
+    /// `serve/stray`, where stream observers see stray records.
+    stray_path: CompPath,
 }
 
 impl Wake for Egress {
@@ -650,8 +653,7 @@ impl Egress {
     fn drop_stray(&self, rec: &Record) {
         self.stray.inc(1);
         if self.ctx.has_observers() {
-            let path = CompPath::root("serve").child("stray");
-            self.ctx.observe(path, Dir::In, rec);
+            self.ctx.observe(self.stray_path, Dir::In, rec);
         }
     }
 }
@@ -835,6 +837,7 @@ mod tests {
             rid_tag: Label::tag(RESERVED_RID),
             completed: ctx.metrics.handle(keys::SERVE_COMPLETED),
             stray: ctx.metrics.handle(keys::SERVE_STRAY),
+            stray_path: CompPath::root(keys::SERVE_STRAY),
             ctx,
         });
         let state = || egress.state.load(Ordering::SeqCst);

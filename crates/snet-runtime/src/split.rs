@@ -55,7 +55,7 @@ use crate::ctx::{Ctx, Edge};
 use crate::instantiate::instantiate;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
 use crate::metrics::{keys, Counter};
-use crate::path::CompPath;
+use crate::path::{name, CompPath, Seg};
 use crate::plan::PNode;
 use crate::stream::{chan, stream, Dir, Msg, Receiver, Sender};
 use snet_types::{Label, Record};
@@ -96,14 +96,17 @@ impl<L> SplitRouter<L> {
     /// Registers the combinator's counters at `comb`.
     pub(crate) fn new(ctx: &Ctx, comb: CompPath, tag: Label) -> SplitRouter<L> {
         let cfg = ctx.cfg();
+        let [records_in, branches] = ctx
+            .metrics
+            .counters_at(comb, [name!(keys::RECORDS_IN), name!(keys::BRANCHES)]);
         SplitRouter {
             tag,
             // A per-tag binding wins over the net-global bound.
             lane_bound: (cfg.split_lanes_by_tag.get(tag.name()).copied()).or(cfg.split_lanes),
             tag_slot: None,
             lanes: HashMap::new(),
-            records_in: ctx.metrics.handle_at(comb, keys::RECORDS_IN),
-            branches: ctx.metrics.handle_at(comb, keys::BRANCHES),
+            records_in,
+            branches,
         }
     }
 
@@ -152,9 +155,9 @@ impl<L> SplitRouter<L> {
         let key = self.key(rec, comb);
         self.lanes.entry(key).or_insert_with(|| {
             self.branches.inc(1);
-            open(comb.child(&match self.lane_bound {
-                Some(_) => format!("lane{key}"),
-                None => format!("branch{key}"),
+            open(comb.child_at(match self.lane_bound {
+                Some(_) => Seg::Lane(key),
+                None => Seg::Branch(key),
             }))
         })
     }

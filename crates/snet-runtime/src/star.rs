@@ -38,7 +38,7 @@ use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
 use crate::metrics::{keys, Counter};
-use crate::path::CompPath;
+use crate::path::{name, CompPath, Seg};
 use crate::plan::PNode;
 use crate::stream::{chan, stream, Dir, Msg, Receiver, Sender};
 use snet_lang::ExitPattern;
@@ -66,12 +66,15 @@ impl StarChain {
         body: &Arc<PNode>,
         exit: &ExitPattern,
     ) -> StarChain {
+        let [exits, stages] = ctx
+            .metrics
+            .counters_at(comb, [name!(keys::EXITS), name!(keys::STAGES)]);
         StarChain {
             comb,
             body: Arc::clone(body),
             exit: exit.clone(),
-            exits: ctx.metrics.handle_at(comb, keys::EXITS),
-            stages: ctx.metrics.handle_at(comb, keys::STAGES),
+            exits,
+            stages,
         }
     }
 
@@ -79,10 +82,10 @@ impl StarChain {
     /// behind it, and raises `stages`.
     pub(crate) fn unfold(&self, d: usize) -> GuardPaths {
         self.stages.max(d as u64 + 1);
-        let replica = self.comb.child(&format!("stage{d}"));
+        let replica = self.comb.child_at(Seg::Stage(d));
         GuardPaths {
             replica,
-            guard: replica.child("guard"),
+            guard: replica.child_at(name!("guard")),
         }
     }
 
@@ -172,7 +175,7 @@ pub fn spawn_star(
 /// The deterministic entry stamper: broadcasts `Sort{level, n}` after
 /// the n-th input record, partitioning the chain into rounds.
 fn spawn_stamper(ctx: &Arc<Ctx>, comb: CompPath, level: u32, input: Receiver) -> Receiver {
-    let (tx, rx) = ctx.data_stream(comb.child("stamper"), Edge::Dispatch);
+    let (tx, rx) = ctx.data_stream(comb.child_at(name!("stamper")), Edge::Dispatch);
     // Credit-gated data, ungated sorts: the sort stamped after a
     // record must follow it even when the edge is full, or the det
     // merger's round bookkeeping would run ahead of the data.
