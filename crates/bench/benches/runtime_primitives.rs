@@ -7,10 +7,11 @@
 //! "each box creates a separate process/thread" execution model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sacarray::Array;
 use snet_runtime::{
     CompPath, Executor, Metrics, NetBuilder, RouteCache, ThreadPerComponent, WorkStealingPool,
 };
-use snet_types::{NetSig, Record, RecordType, Shape};
+use snet_types::{NetSig, Record, RecordType, Shape, Value};
 use std::sync::Arc;
 
 const N_RECORDS: u64 = 5_000;
@@ -448,7 +449,8 @@ fn bench_dispatch_route(c: &mut Criterion) {
 /// compiled into shape plans: subtype-acceptance `split_for`, flow
 /// `inherit`, and the shape-intern lookups backing them. The paper's
 /// worked example shapes: record {a,<b>,d} split against box input
-/// (a,<b>), output {c} inheriting the excess {d}.
+/// (a,<b>), output {c} inheriting the excess {d}. `box_boundary` puts
+/// them together on a live one-box net.
 fn bench_record_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("RT_record_ops");
     g.measurement_time(std::time::Duration::from_secs(1));
@@ -493,6 +495,34 @@ fn bench_record_ops(c: &mut Criterion) {
     g.bench_function("inherit_identity", |b| {
         b.iter(|| shadowing.clone().inherit(&excess));
     });
+
+    // The box boundary on a live net: a sensor-shaped record (a
+    // 256-sample array field, three tags) through one fused box whose
+    // input type takes the array and one tag, so every hop copies out
+    // the matched half and the output inherits the other two tags
+    // from the consumed record. Send, box, recv — the per-hop cost
+    // `fifo-sensor-det` pays at each of its boxes.
+    let net = NetBuilder::from_source(
+        "box calibrate (samples, <bias_ppm>) -> (samples);
+         net main = calibrate;",
+    )
+    .unwrap()
+    .bind("calibrate", |r, e| e.emit(r.clone()))
+    .build("main")
+    .unwrap();
+    let reading = Record::build()
+        .field("samples", Value::from(Array::from_vec(vec![0.5f64; 256])))
+        .tag("sensor", 3)
+        .tag("bias_ppm", 250)
+        .tag("seq", 7)
+        .finish();
+    g.bench_function("box_boundary", |b| {
+        b.iter(|| {
+            net.send(reading.clone()).unwrap();
+            net.recv().expect("the box emits one record")
+        });
+    });
+    let _ = net.finish();
 
     // Shape-intern hit: resolving a known label set to its shape id
     // (what `Record::split_for` pays to key the plan table).

@@ -13,24 +13,58 @@
 //! input record that do not occur in the pattern are re-attached to
 //! every output record unless already present — the paper relies on
 //! this when inserting `[{} -> {<k>=1}]` in front of Figure 2's
-//! parallel replicator.
+//! parallel replicator. The outputs inherit straight from the input
+//! record through its split plan against the pattern
+//! ([`Record::inherit_from`]), like a box's.
 
 use crate::expr::{ExprError, TagExpr};
-use snet_types::{Label, Mapping, NetSig, OutVariant, Record, RecordType};
+use snet_types::{Label, Mapping, NetSig, OutVariant, Record, RecordType, Shape, SplitPlan};
 use std::fmt;
 
-/// One item of a record specifier.
+/// One item of a record specifier. Labels are interned when the item
+/// is built, so applying a filter looks up no names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecItem {
     /// `a` — copy a field occurring in the pattern.
-    CopyField(String),
+    CopyField(Label),
     /// `new = old` — the old field's value under a new label; `old`
     /// must occur in the pattern.
-    RenameField { new: String, old: String },
+    RenameField { new: Label, old: Label },
     /// `<t>` or `<t> = expr` — a tag, computed from the expression or
     /// defaulting to zero ("the initialisation of new tags is optional,
     /// tag values are set to zero by default").
-    Tag { name: String, init: Option<TagExpr> },
+    Tag { name: Label, init: Option<TagExpr> },
+}
+
+impl SpecItem {
+    /// `a`: copy field `a`.
+    pub fn copy(field: &str) -> SpecItem {
+        SpecItem::CopyField(Label::field(field))
+    }
+
+    /// `new = old`: field `old`'s value under the label `new`.
+    pub fn rename(new: &str, old: &str) -> SpecItem {
+        SpecItem::RenameField {
+            new: Label::field(new),
+            old: Label::field(old),
+        }
+    }
+
+    /// `<name>` (zero) or `<name> = init`.
+    pub fn tag(name: &str, init: Option<TagExpr>) -> SpecItem {
+        SpecItem::Tag {
+            name: Label::tag(name),
+            init,
+        }
+    }
+
+    /// The label the item produces.
+    pub fn label(&self) -> Label {
+        match self {
+            SpecItem::CopyField(l) | SpecItem::RenameField { new: l, .. } => *l,
+            SpecItem::Tag { name, .. } => *name,
+        }
+    }
 }
 
 /// A record specifier: the items of one output record.
@@ -72,12 +106,12 @@ impl FilterDef {
         let items = pattern
             .labels()
             .iter()
-            .map(|l| {
+            .map(|&l| {
                 if l.is_field() {
-                    SpecItem::CopyField(l.name().to_string())
+                    SpecItem::CopyField(l)
                 } else {
                     SpecItem::Tag {
-                        name: l.name().to_string(),
+                        name: l,
                         init: Some(TagExpr::tag(l.name())),
                     }
                 }
@@ -92,7 +126,8 @@ impl FilterDef {
     /// Static well-formedness per the paper's three item kinds:
     /// * copied fields must occur in the pattern;
     /// * renamed fields must take their value from a pattern field;
-    /// * every tag referenced by an expression must occur in the pattern.
+    /// * every tag referenced by an expression must occur in the pattern;
+    /// * field items hold field labels, tag items tag labels.
     pub fn validate(&self) -> Result<(), FilterError> {
         if self.outputs.is_empty() {
             return Err(FilterError(
@@ -102,27 +137,30 @@ impl FilterDef {
         for spec in &self.outputs {
             let mut produced: Vec<Label> = Vec::new();
             for item in &spec.items {
-                let label = match item {
-                    SpecItem::CopyField(name) => {
-                        let l = Label::field(name);
-                        if !self.pattern.contains(l) {
+                let label = item.label();
+                if label.is_tag() != matches!(item, SpecItem::Tag { .. }) {
+                    return Err(FilterError(format!(
+                        "record specifier item produces {label}, a label of the wrong kind"
+                    )));
+                }
+                match item {
+                    SpecItem::CopyField(l) => {
+                        if !self.pattern.contains(*l) {
                             return Err(FilterError(format!(
-                                "copied field '{name}' does not occur in pattern {}",
+                                "copied field '{l}' does not occur in pattern {}",
                                 self.pattern
                             )));
                         }
-                        l
                     }
-                    SpecItem::RenameField { new, old } => {
-                        if !self.pattern.contains(Label::field(old)) {
+                    SpecItem::RenameField { old, .. } => {
+                        if !old.is_field() || !self.pattern.contains(*old) {
                             return Err(FilterError(format!(
                                 "renamed field '{old}' does not occur in pattern {}",
                                 self.pattern
                             )));
                         }
-                        Label::field(new)
                     }
-                    SpecItem::Tag { name, init } => {
+                    SpecItem::Tag { init, .. } => {
                         if let Some(e) = init {
                             let mut refs = Vec::new();
                             e.referenced_tags(&mut refs);
@@ -136,9 +174,8 @@ impl FilterDef {
                                 }
                             }
                         }
-                        Label::tag(name)
                     }
-                };
+                }
                 if produced.contains(&label) {
                     return Err(FilterError(format!(
                         "record specifier produces label {label} twice"
@@ -152,14 +189,7 @@ impl FilterDef {
 
     /// The labels one specifier produces.
     pub fn spec_type(spec: &RecSpec) -> RecordType {
-        spec.items
-            .iter()
-            .map(|i| match i {
-                SpecItem::CopyField(n) => Label::field(n),
-                SpecItem::RenameField { new, .. } => Label::field(new),
-                SpecItem::Tag { name, .. } => Label::tag(name),
-            })
-            .collect()
+        spec.items.iter().map(SpecItem::label).collect()
     }
 
     /// The induced network signature: pattern in, one variant per
@@ -182,56 +212,51 @@ impl FilterDef {
     /// of the input record not in the pattern flow-inherit onto every
     /// output.
     pub fn apply(&self, rec: &Record) -> Result<Vec<Record>, ExprError> {
-        // Everything outside the pattern is excess — the compiled
-        // split plan's excess half (one shape-keyed lookup plus array
-        // copies; see snet_types::shape).
-        let excess = rec.excess_for(&self.pattern).unwrap_or_else(|| {
-            panic!(
-                "filter applied to non-matching record {rec:?} (pattern {})",
-                self.pattern
-            )
-        });
-        self.apply_with_excess(rec, &excess)
+        let split = rec
+            .shape()
+            .split_plan(Shape::of_type(&self.pattern))
+            .unwrap_or_else(|| {
+                panic!(
+                    "filter applied to non-matching record {rec:?} (pattern {})",
+                    self.pattern
+                )
+            });
+        self.apply_with_split(rec, split)
     }
 
-    /// [`FilterDef::apply`] with the flow-inheritance excess already
-    /// computed — for callers (the runtime's filter component) that
-    /// resolve the split plan once per record shape instead of once
-    /// per record.
-    pub fn apply_with_excess(
+    /// [`FilterDef::apply`] with the split plan of the record's shape
+    /// against the pattern already resolved — for callers (the
+    /// runtime's filter component) that resolve it once per record
+    /// shape instead of once per record. Everything outside the
+    /// pattern is excess, and every output inherits it from `rec`
+    /// through the plan.
+    pub fn apply_with_split(
         &self,
         rec: &Record,
-        excess: &Record,
+        split: &SplitPlan,
     ) -> Result<Vec<Record>, ExprError> {
         let mut out = Vec::with_capacity(self.outputs.len());
         for spec in &self.outputs {
             let mut r = Record::new();
             for item in &spec.items {
                 match item {
-                    SpecItem::CopyField(name) => {
+                    SpecItem::CopyField(l) | SpecItem::RenameField { old: l, .. } => {
                         let v = rec
-                            .field(name)
+                            .field_label(*l)
                             .expect("validated: pattern field present")
                             .clone();
-                        r.set_field(name, v);
-                    }
-                    SpecItem::RenameField { new, old } => {
-                        let v = rec
-                            .field(old)
-                            .expect("validated: pattern field present")
-                            .clone();
-                        r.set_field(new, v);
+                        r.set_field_label(item.label(), v);
                     }
                     SpecItem::Tag { name, init } => {
                         let v = match init {
                             Some(e) => e.eval(rec)?,
                             None => 0,
                         };
-                        r.set_tag(name, v);
+                        r.set_tag_label(*name, v);
                     }
                 }
             }
-            out.push(r.inherit(excess));
+            out.push(r.inherit_from(rec, split));
         }
         Ok(out)
     }
@@ -250,11 +275,11 @@ impl fmt::Display for FilterDef {
                     write!(f, ", ")?;
                 }
                 match item {
-                    SpecItem::CopyField(n) => write!(f, "{n}")?,
+                    SpecItem::CopyField(l) => write!(f, "{l}")?,
                     SpecItem::RenameField { new, old } => write!(f, "{new}={old}")?,
                     SpecItem::Tag { name, init } => match init {
-                        Some(e) => write!(f, "<{name}>={e}")?,
-                        None => write!(f, "<{name}>")?,
+                        Some(e) => write!(f, "{name}={e}")?,
+                        None => write!(f, "{name}")?,
                     },
                 }
             }
@@ -277,28 +302,16 @@ mod tests {
             vec![
                 RecSpec {
                     items: vec![
-                        SpecItem::CopyField("a".into()),
-                        SpecItem::RenameField {
-                            new: "z".into(),
-                            old: "a".into(),
-                        },
-                        SpecItem::Tag {
-                            name: "t".into(),
-                            init: None,
-                        },
+                        SpecItem::copy("a"),
+                        SpecItem::rename("z", "a"),
+                        SpecItem::tag("t", None),
                     ],
                 },
                 RecSpec {
                     items: vec![
-                        SpecItem::CopyField("b".into()),
-                        SpecItem::RenameField {
-                            new: "a".into(),
-                            old: "b".into(),
-                        },
-                        SpecItem::Tag {
-                            name: "c".into(),
-                            init: Some(TagExpr::tag("c").add(TagExpr::lit(1))),
-                        },
+                        SpecItem::copy("b"),
+                        SpecItem::rename("a", "b"),
+                        SpecItem::tag("c", Some(TagExpr::tag("c").add(TagExpr::lit(1)))),
                     ],
                 },
             ],
@@ -334,10 +347,7 @@ mod tests {
         let f = FilterDef::new(
             RecordType::empty(),
             vec![RecSpec {
-                items: vec![SpecItem::Tag {
-                    name: "k".into(),
-                    init: Some(TagExpr::lit(1)),
-                }],
+                items: vec![SpecItem::tag("k", Some(TagExpr::lit(1)))],
             }],
         )
         .unwrap();
@@ -359,10 +369,10 @@ mod tests {
         let f = FilterDef::new(
             RecordType::of(&[], &["k"]),
             vec![RecSpec {
-                items: vec![SpecItem::Tag {
-                    name: "k".into(),
-                    init: Some(TagExpr::tag("k").modulo(TagExpr::lit(4))),
-                }],
+                items: vec![SpecItem::tag(
+                    "k",
+                    Some(TagExpr::tag("k").modulo(TagExpr::lit(4))),
+                )],
             }],
         )
         .unwrap();
@@ -381,7 +391,7 @@ mod tests {
         let f = FilterDef::new(
             RecordType::of(&["a", "b"], &[]),
             vec![RecSpec {
-                items: vec![SpecItem::CopyField("a".into())],
+                items: vec![SpecItem::copy("a")],
             }],
         )
         .unwrap();
@@ -397,7 +407,7 @@ mod tests {
         assert!(FilterDef::new(
             RecordType::of(&["a"], &[]),
             vec![RecSpec {
-                items: vec![SpecItem::CopyField("zz".into())],
+                items: vec![SpecItem::copy("zz")],
             }],
         )
         .is_err());
@@ -405,10 +415,7 @@ mod tests {
         assert!(FilterDef::new(
             RecordType::of(&["a"], &[]),
             vec![RecSpec {
-                items: vec![SpecItem::RenameField {
-                    new: "x".into(),
-                    old: "zz".into()
-                }],
+                items: vec![SpecItem::rename("x", "zz")],
             }],
         )
         .is_err());
@@ -416,10 +423,7 @@ mod tests {
         assert!(FilterDef::new(
             RecordType::of(&[], &["k"]),
             vec![RecSpec {
-                items: vec![SpecItem::Tag {
-                    name: "j".into(),
-                    init: Some(TagExpr::tag("nope")),
-                }],
+                items: vec![SpecItem::tag("j", Some(TagExpr::tag("nope")))],
             }],
         )
         .is_err());
@@ -430,13 +434,7 @@ mod tests {
         assert!(FilterDef::new(
             RecordType::of(&["a"], &[]),
             vec![RecSpec {
-                items: vec![
-                    SpecItem::CopyField("a".into()),
-                    SpecItem::RenameField {
-                        new: "a".into(),
-                        old: "a".into()
-                    }
-                ],
+                items: vec![SpecItem::copy("a"), SpecItem::rename("a", "a")],
             }],
         )
         .is_err());
@@ -445,6 +443,31 @@ mod tests {
     #[test]
     fn validation_rejects_empty_output_list() {
         assert!(FilterDef::new(RecordType::empty(), vec![]).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_items_of_the_wrong_label_kind() {
+        // Items hold labels, so a hand-built item can name a tag where
+        // a field belongs (or the reverse); the pattern has both.
+        let pattern = RecordType::of(&["a"], &["a"]);
+        for item in [
+            SpecItem::CopyField(Label::tag("a")),
+            SpecItem::RenameField {
+                new: Label::field("b"),
+                old: Label::tag("a"),
+            },
+            SpecItem::RenameField {
+                new: Label::tag("b"),
+                old: Label::field("a"),
+            },
+            SpecItem::Tag {
+                name: Label::field("b"),
+                init: None,
+            },
+        ] {
+            let spec = RecSpec { items: vec![item] };
+            assert!(FilterDef::new(pattern.clone(), vec![spec]).is_err());
+        }
     }
 
     #[test]
@@ -484,14 +507,14 @@ mod tests {
         let f = FilterDef::new(
             RecordType::of(&[], &["k"]),
             vec![RecSpec {
-                items: vec![SpecItem::Tag {
-                    name: "j".into(),
-                    init: Some(TagExpr::Bin(
+                items: vec![SpecItem::tag(
+                    "j",
+                    Some(TagExpr::Bin(
                         crate::expr::ArithOp::Div,
                         Box::new(TagExpr::lit(1)),
                         Box::new(TagExpr::tag("k")),
                     )),
-                }],
+                )],
             }],
         )
         .unwrap();

@@ -341,21 +341,18 @@ impl Parser {
                 self.pos += 1;
                 if self.accept(&Tok::Assign) {
                     let old = self.ident()?;
-                    Ok(SpecItem::RenameField { new: name, old })
+                    Ok(SpecItem::rename(&name, &old))
                 } else {
-                    Ok(SpecItem::CopyField(name))
+                    Ok(SpecItem::copy(&name))
                 }
             }
             Some(Tok::TagRef(name)) => {
                 self.pos += 1;
                 if self.accept(&Tok::Assign) {
                     let e = self.tag_expr()?;
-                    Ok(SpecItem::Tag {
-                        name,
-                        init: Some(e),
-                    })
+                    Ok(SpecItem::tag(&name, Some(e)))
                 } else {
-                    Ok(SpecItem::Tag { name, init: None })
+                    Ok(SpecItem::tag(&name, None))
                 }
             }
             other => {
@@ -682,14 +679,14 @@ mod tests {
         assert_eq!(f.pattern, RecordType::of(&["a", "b"], &["c"]));
         assert_eq!(
             f.outputs[1].items[2],
-            SpecItem::Tag {
-                name: "c".into(),
-                init: Some(TagExpr::Bin(
+            SpecItem::tag(
+                "c",
+                Some(TagExpr::Bin(
                     ArithOp::Add,
                     Box::new(TagExpr::Tag("c".into())),
                     Box::new(TagExpr::Lit(1)),
-                )),
-            }
+                ))
+            )
         );
     }
 
@@ -701,7 +698,7 @@ mod tests {
             SpecItem::Tag {
                 name,
                 init: Some(TagExpr::Bin(ArithOp::Mod, _, _)),
-            } => assert_eq!(name, "k"),
+            } => assert_eq!(*name, Label::tag("k")),
             other => panic!("unexpected: {other:?}"),
         }
     }

@@ -336,19 +336,13 @@ net fig1 = computeOpts .. solveOneLevel ** {<done>};
                     let ts: Vec<&str> = tags.iter().map(|s| s.as_str()).collect();
                     RecordType::of(&fs, &ts)
                 };
-                let mut items = vec![SpecItem::CopyField(fields[0].clone())];
+                let mut items = vec![SpecItem::copy(&fields[0])];
                 if fields[0] != fresh {
-                    items.push(SpecItem::RenameField {
-                        new: fresh.clone(),
-                        old: fields[0].clone(),
-                    });
+                    items.push(SpecItem::rename(&fresh, &fields[0]));
                 }
                 if let Some(t) = tags.first() {
                     if *t != fresh {
-                        items.push(SpecItem::Tag {
-                            name: t.clone(),
-                            init: Some(TagExpr::Tag(t.clone())),
-                        });
+                        items.push(SpecItem::tag(t, Some(TagExpr::Tag(t.clone()))));
                     }
                 }
                 FilterDef::new(pattern, vec![RecSpec { items }]).unwrap()

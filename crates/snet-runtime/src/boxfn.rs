@@ -10,24 +10,28 @@
 //!
 //! The Rust rendering: a box implementation is a
 //! `Fn(&Record, &mut Emitter)` — the [`Emitter`] is `snet_out`. The
-//! box wrapper thread performs the runtime halves of subtyping and
-//! flow inheritance: it splits each incoming record into the part
-//! matching the box's input type (what the function sees) and the
-//! excess, and re-attaches the excess to every emitted record unless a
-//! label is already present. "The implementation of the box function
-//! is completely unaware of any potential excess fields and tags."
+//! box wrapper performs the runtime halves of subtyping and flow
+//! inheritance: it hands the function the part of each incoming
+//! record matching the box's input type, and re-attaches the rest (the
+//! excess) to every emitted record unless a label is already present.
+//! "The implementation of the box function is completely unaware of
+//! any potential excess fields and tags."
 //!
-//! Both halves are **shape-plan applications** (PR 4): the input
-//! type's shape is interned once at spawn, the
-//! [`snet_types::SplitPlan`] for each incoming record shape is
-//! resolved once per shape (a spawn-local cache in front of the
-//! process-wide plan table), and applying it is straight value-array
-//! copies into inline record storage — no per-record heap allocation
-//! for records within the inline capacity, no binary searches. When
-//! the record's shape *is* the input type (the overwhelmingly common
-//! monomorphic-stream case) the plan is the identity: the box is
-//! handed a view of the incoming record itself and the emit path
-//! skips inheritance entirely, so the hop copies nothing at all.
+//! Both halves read one [`snet_types::SplitPlan`], resolved once per
+//! incoming record shape (a spawn-local cache in front of the
+//! process-wide plan table, keyed by the input type's shape interned
+//! at spawn). Only the matched half is ever built: value copies by
+//! index into inline record storage. The excess is never copied out.
+//! The [`Emitter`] keeps the incoming record and the plan, and each
+//! emitted record inherits straight from the incoming record's excess
+//! slots ([`Record::inherit_from`]), moving its own values and copying
+//! only the inherited ones. The incoming record is never mutated, so a
+//! retried application (the `Restart` fault policy) re-reads it
+//! unchanged. When the record's shape *is* the input type (the
+//! overwhelmingly common monomorphic-stream case) the plan is the
+//! identity: the box is handed the incoming record itself and
+//! inheritance returns each output untouched, so the hop copies
+//! nothing at all.
 //!
 //! All of this — subtype split, function application, flow
 //! inheritance, metrics, observation — is [`BoxCore`], the per-record
@@ -40,7 +44,7 @@ use crate::memo::PlanCache;
 use crate::metrics::{keys, Counter};
 use crate::path::{name, CompPath, Name};
 use crate::stream::Dir;
-use snet_types::{BoxSig, Record, RecordType, Shape};
+use snet_types::{BoxSig, Record, RecordType, Shape, SplitPlan};
 use std::sync::Arc;
 
 /// A box implementation: the computational component behind a box.
@@ -54,7 +58,10 @@ pub type BoxImpl = Arc<dyn Fn(&Record, &mut Emitter) + Send + Sync>;
 /// stream") — the next stage of the run, or its output edge.
 pub struct Emitter<'a> {
     sink: &'a mut dyn FnMut(Record),
-    excess: &'a Record,
+    /// The record the box consumed, split by `split`: its excess slots
+    /// are the flow-inheritance source.
+    source: &'a Record,
+    split: &'a SplitPlan,
     sig: &'a BoxSig,
     /// Where emissions are observed: the net and the box's path, when
     /// the net has observers (fixed at context construction).
@@ -63,16 +70,19 @@ pub struct Emitter<'a> {
 }
 
 impl<'a> Emitter<'a> {
-    /// An emitter outside any net: flow inheritance from `excess`, no
-    /// observation (the sequential reference, [`crate::oracle`]).
+    /// An emitter outside any net: flow inheritance from the excess of
+    /// `source` under `split`, no observation (the sequential
+    /// reference, [`crate::oracle`]).
     pub(crate) fn detached(
         sink: &'a mut dyn FnMut(Record),
-        excess: &'a Record,
+        source: &'a Record,
+        split: &'a SplitPlan,
         sig: &'a BoxSig,
     ) -> Emitter<'a> {
         Emitter {
             sink,
-            excess,
+            source,
+            split,
             sig,
             observer: None,
             emitted: 0,
@@ -82,7 +92,7 @@ impl<'a> Emitter<'a> {
     /// Emits an output record. Flow inheritance is applied here: excess
     /// labels of the input record are attached unless present.
     pub fn emit(&mut self, rec: Record) {
-        let rec = rec.inherit(self.excess);
+        let rec = rec.inherit_from(self.source, self.split);
         if let Some((ctx, path)) = self.observer {
             ctx.observe(path, Dir::Out, &rec);
         }
@@ -135,16 +145,13 @@ impl<'a> Emitter<'a> {
 /// construction: the stage path is interned once, the counters are
 /// registered once, and the input type's shape is interned so split
 /// plans resolve per incoming record *shape* through a spawn-local
-/// cache and apply as array copies.
+/// cache.
 pub(crate) struct BoxCore {
     sig: BoxSig,
     imp: BoxImpl,
     path: CompPath,
     input_type: RecordType,
     plans: PlanCache,
-    /// Flow-inheritance source for identity splits: nothing to
-    /// re-attach.
-    no_excess: Record,
     /// `ctx.has_observers()`, resolved once (observers are fixed at
     /// context construction) — the record loop never chases the
     /// context for it.
@@ -183,7 +190,6 @@ impl BoxCore {
         BoxCore {
             plans: PlanCache::new(Shape::of_type(&input_type)),
             input_type,
-            no_excess: Record::new(),
             observing: ctx.has_observers(),
             guard: ctx.fault_guard(path),
             records_in,
@@ -207,7 +213,7 @@ impl BoxCore {
         self.records_out.inc(records_out);
     }
 
-    /// Runs one record through the box: split, apply, inherit. Every
+    /// Runs one record through the box: match, apply, inherit. Every
     /// output record is handed to `sink` in emission order; the
     /// emission count is returned for [`BoxCore::add_counts`]. Runs
     /// under the net's fault boundary when one is configured — a panic
@@ -229,7 +235,7 @@ impl BoxCore {
         }
     }
 
-    /// The raw per-record path: split, apply, inherit — no fault
+    /// The raw per-record path: match, apply, inherit — no fault
     /// boundary (panics unwind to the caller).
     fn process_raw(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
         if self.observing {
@@ -242,31 +248,26 @@ impl BoxCore {
                 self.input_type, self.path
             )
         };
-        if plan.is_identity() {
-            // The record carries exactly the input type's labels: hand
-            // the box a view of it directly, no split copies and
-            // nothing to inherit at emit.
-            let mut em = Emitter {
-                sink,
-                excess: &self.no_excess,
-                sig: &self.sig,
-                observer: self.observing.then_some((ctx, self.path)),
-                emitted: 0,
-            };
-            (self.imp)(rec, &mut em);
-            em.emitted
+        // An identity split hands the box the record itself; otherwise
+        // only the matched half is copied out. Either way the emitter
+        // inherits from `rec` under `plan`.
+        let matched;
+        let input = if plan.is_identity() {
+            rec
         } else {
-            let (matched, excess) = rec.split_with(plan);
-            let mut em = Emitter {
-                sink,
-                excess: &excess,
-                sig: &self.sig,
-                observer: self.observing.then_some((ctx, self.path)),
-                emitted: 0,
-            };
-            (self.imp)(&matched, &mut em);
-            em.emitted
-        }
+            matched = rec.matched_with(plan);
+            &matched
+        };
+        let mut em = Emitter {
+            sink,
+            source: rec,
+            split: plan,
+            sig: &self.sig,
+            observer: self.observing.then_some((ctx, self.path)),
+            emitted: 0,
+        };
+        (self.imp)(input, &mut em);
+        em.emitted
     }
 }
 

@@ -9,9 +9,10 @@
 //! compiled shape plans (see `snet_types::shape`): the pattern's
 //! shape is interned once at spawn, the split plan for each incoming
 //! record *shape* is resolved once through a spawn-local cache, and
-//! both the pattern check (plan exists?) and the flow-inheritance
-//! excess (the plan's excess half) fall out of that single lookup —
-//! no per-record subset tests, label searches or global-table locks.
+//! both the pattern check (plan exists?) and flow inheritance (the
+//! outputs read the record's excess slots through the plan) fall out
+//! of that single lookup — no per-record subset tests, label searches,
+//! global-table locks or excess record.
 //! A field and a tag of the same name stay distinct shapes by
 //! construction, so the check cannot conflate them.
 
@@ -106,7 +107,7 @@ impl FilterCore {
             ctx.observe(self.path, Dir::In, rec);
         }
         // Plan existence *is* the pattern check (subtype acceptance),
-        // and its excess half is the filter's flow-inheritance source.
+        // and the outputs inherit the record's excess through it.
         let Some(plan) = self.plans.plan_for(rec) else {
             panic!(
                 "record {rec:?} does not match filter pattern {} at '{}' — routing \
@@ -114,10 +115,9 @@ impl FilterCore {
                 self.def.pattern, self.path
             )
         };
-        let excess = rec.excess_with(plan);
         let outs = self
             .def
-            .apply_with_excess(rec, &excess)
+            .apply_with_split(rec, plan)
             .unwrap_or_else(|e| panic!("tag expression failed in filter at '{}': {e}", self.path));
         let n = outs.len() as u64;
         for out in outs {

@@ -32,14 +32,15 @@
 //!
 //! The interpreter spawns nothing, opens no channel and calls none of
 //! the runtime's routers, mergers or drivers. What it shares with the
-//! runtime is the record algebra of `snet-types` (`Record::split_for`
-//! and `inherit`, `match_score`), the filter and guard semantics of
-//! `snet-lang`, and [`Emitter`], the interface boxes are called
-//! through. A bug there is invisible to a comparison against it.
+//! runtime is the record algebra of `snet-types` (split plans,
+//! `Record::inherit_from`, `match_score`), the filter and guard
+//! semantics of `snet-lang`, and [`Emitter`], the interface boxes are
+//! called through. A bug there is invisible to a comparison against
+//! it.
 
 use crate::boxfn::Emitter;
 use crate::plan::{FanKind, PNode, Plan};
-use snet_types::Record;
+use snet_types::{Record, Shape};
 use std::fmt;
 
 /// What a net must output for one input stream.
@@ -118,11 +119,13 @@ fn unfused_only() -> ! {
 fn eval(node: &PNode, rec: &Record, out: &mut Vec<Record>) -> Result<(), Undefined> {
     match node {
         PNode::Box { name, sig, imp, .. } => {
-            let (matched, excess) = rec
-                .split_for(&sig.input_type())
+            let split = rec
+                .shape()
+                .split_plan(Shape::of_type(&sig.input_type()))
                 .ok_or_else(|| Undefined(format!("box {name} cannot take {rec:?}")))?;
             let mut sink = |r: Record| out.push(r);
-            imp(&matched, &mut Emitter::detached(&mut sink, &excess, sig));
+            let matched = rec.matched_with(split);
+            imp(&matched, &mut Emitter::detached(&mut sink, rec, split, sig));
             Ok(())
         }
         PNode::Filter { def } => {

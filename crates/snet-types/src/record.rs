@@ -38,6 +38,14 @@
 //!   time ([`crate::shape::InheritPlan`]); when the excess
 //!   contributes nothing the plan is the identity and `inherit`
 //!   returns its input untouched.
+//!
+//! Components never build the excess record. A box or filter keeps
+//! the record it consumed and its split plan; [`Record::matched_with`]
+//! copies out only what the function sees, and
+//! [`Record::inherit_from`] reads the excess values straight from the
+//! consumed record through the plan's excess index maps. Both
+//! inheritance entry points run the same merge, which moves the
+//! output's own values and copies only the inherited ones.
 
 use crate::label::{Label, LabelKind};
 use crate::rtype::RecordType;
@@ -244,102 +252,96 @@ impl Record {
     /// Applies a compiled split plan (straight value copies by index).
     /// The plan must have been compiled for this record's shape.
     pub fn split_with(&self, plan: &SplitPlan) -> (Record, Record) {
-        debug_assert_eq!(plan.source, self.shape, "split plan for a different shape");
-        let fields = self.fields.as_slice();
-        let tags = self.tags.as_slice();
-        let matched = Record {
-            shape: plan.matched,
-            fields: plan
-                .matched_fields
-                .iter()
-                .map(|&i| fields[i as usize].clone())
-                .collect(),
-            tags: plan
-                .matched_tags
-                .iter()
-                .map(|&i| tags[i as usize])
-                .collect(),
-        };
-        let excess = Record {
-            shape: plan.excess,
-            fields: plan
-                .excess_fields
-                .iter()
-                .map(|&i| fields[i as usize].clone())
-                .collect(),
-            tags: plan.excess_tags.iter().map(|&i| tags[i as usize]).collect(),
-        };
-        (matched, excess)
+        let excess = self.gather(plan, plan.excess, &plan.excess_fields, &plan.excess_tags);
+        (self.matched_with(plan), excess)
     }
 
-    /// The excess half of [`Record::split_for`] alone — what filters
-    /// need for flow inheritance (the matched values are read from the
-    /// original record).
-    pub fn excess_for(&self, ty: &RecordType) -> Option<Record> {
-        let plan = self.shape.split_plan(Shape::of_type(ty))?;
-        Some(self.excess_with(plan))
+    /// The matched half of a compiled split alone: what a box function
+    /// or a filter pattern sees. The excess stays where it is, in
+    /// `self`, and [`Record::inherit_from`] reads it from there.
+    pub fn matched_with(&self, plan: &SplitPlan) -> Record {
+        self.gather(plan, plan.matched, &plan.matched_fields, &plan.matched_tags)
     }
 
-    /// Applies only the excess half of a compiled split plan —
-    /// for components that resolved the plan once per record shape
-    /// (see [`Record::split_with`]).
-    pub fn excess_with(&self, plan: &SplitPlan) -> Record {
+    /// A record of `shape` whose values are copied from `self` at the
+    /// given field and tag indices.
+    fn gather(&self, plan: &SplitPlan, shape: Shape, fields: &[u32], tags: &[u32]) -> Record {
         debug_assert_eq!(plan.source, self.shape, "split plan for a different shape");
-        let fields = self.fields.as_slice();
-        let tags = self.tags.as_slice();
+        let own_fields = self.fields.as_slice();
+        let own_tags = self.tags.as_slice();
         Record {
-            shape: plan.excess,
-            fields: plan
-                .excess_fields
+            shape,
+            fields: fields
                 .iter()
-                .map(|&i| fields[i as usize].clone())
+                .map(|&i| own_fields[i as usize].clone())
                 .collect(),
-            tags: plan.excess_tags.iter().map(|&i| tags[i as usize]).collect(),
+            tags: tags.iter().map(|&i| own_tags[i as usize]).collect(),
         }
     }
 
     /// Flow inheritance: extends `self` with every entry of `excess`
     /// whose label is not already present (paper, Section 4: present
-    /// labels win, the inherited entry "is discarded"). Applies the
-    /// compiled [`crate::shape::InheritPlan`] for the shape pair; the
-    /// identity case (nothing to inherit) returns `self` untouched.
+    /// labels win, the inherited entry "is discarded").
     pub fn inherit(self, excess: &Record) -> Record {
+        let (fields, tags) = (excess.fields.as_slice(), excess.tags.as_slice());
+        self.merge(excess.shape, |i| &fields[i], |i| tags[i])
+    }
+
+    /// Flow inheritance straight from the record a box or filter
+    /// consumed: extends `self` with the excess of `source` under the
+    /// compiled `split` (the labels of `source` outside the input
+    /// type), reading those values in place — no excess record is
+    /// built. Same result as `self.inherit(&source.split_with(split).1)`;
+    /// `source` is not touched, so it can be re-read for every output
+    /// record (and for a retried application).
+    pub fn inherit_from(self, source: &Record, split: &SplitPlan) -> Record {
+        debug_assert_eq!(
+            split.source, source.shape,
+            "split plan for a different shape"
+        );
+        let (fields, tags) = (source.fields.as_slice(), source.tags.as_slice());
+        self.merge(
+            split.excess,
+            |i| &fields[split.excess_fields[i] as usize],
+            |i| tags[split.excess_tags[i] as usize],
+        )
+    }
+
+    /// The one flow-inheritance merge: `excess` is the inherited
+    /// shape, `field(i)` / `tag(i)` the value of its `i`-th field /
+    /// tag slot. Applies the compiled [`crate::shape::InheritPlan`]
+    /// for the shape pair: the identity case (nothing to inherit)
+    /// returns `self` untouched; otherwise each inherited value is
+    /// inserted at its result slot and the output's own values move,
+    /// never clone.
+    fn merge<'e>(
+        mut self,
+        excess: Shape,
+        field: impl Fn(usize) -> &'e Value,
+        tag: impl Fn(usize) -> i64,
+    ) -> Record {
         if excess.is_empty() {
             return self;
         }
-        let plan = self.shape.inherit_plan(excess.shape);
+        let plan = self.shape.inherit_plan(excess);
         if plan.identity {
             return self;
         }
-        let own_fields = self.fields.as_slice();
-        let exc_fields = excess.fields.as_slice();
-        let own_tags = self.tags.as_slice();
-        let exc_tags = excess.tags.as_slice();
-        Record {
-            shape: plan.result,
-            fields: plan
-                .fields
-                .iter()
-                .map(|s| {
-                    if s.from_excess {
-                        exc_fields[s.idx as usize].clone()
-                    } else {
-                        own_fields[s.idx as usize].clone()
-                    }
-                })
-                .collect(),
-            tags: plan
-                .tags
-                .iter()
-                .map(|s| {
-                    if s.from_excess {
-                        exc_tags[s.idx as usize]
-                    } else {
-                        own_tags[s.idx as usize]
-                    }
-                })
-                .collect(),
+        // The plan keeps every own value, in order, so inserting the
+        // inherited ones at their result slots front to back leaves
+        // each value where the merged shape expects it.
+        for (slot, src) in plan.fields.iter().enumerate() {
+            if src.from_excess {
+                self.fields.insert(slot, field(src.idx as usize).clone());
+            }
         }
+        for (slot, src) in plan.tags.iter().enumerate() {
+            if src.from_excess {
+                self.tags.insert(slot, tag(src.idx as usize));
+            }
+        }
+        self.shape = plan.result;
+        self
     }
 
     /// Projects the record onto a set of labels (used by filters: "a
@@ -497,12 +499,20 @@ mod tests {
     }
 
     #[test]
-    fn excess_for_matches_split_for_excess() {
+    fn inherit_from_reads_the_excess_of_the_source() {
+        // Box foo (a,<b>) on {a,<b>,d}: {c} gains d from the source,
+        // {c,d} keeps its own d — the same records as split-then-inherit.
         let r = rec_abd();
         let ty = RecordType::of(&["a"], &["b"]);
-        let (_, excess) = r.split_for(&ty).unwrap();
-        assert_eq!(r.excess_for(&ty).unwrap(), excess);
-        assert!(r.excess_for(&RecordType::of(&["zz"], &[])).is_none());
+        let plan = r.shape().split_plan(Shape::of_type(&ty)).unwrap();
+        let (matched, excess) = r.split_for(&ty).unwrap();
+        assert_eq!(r.matched_with(plan), matched);
+        let out = Record::build().field("c", 9i64).finish();
+        let merged = out.clone().inherit_from(&r, plan);
+        assert_eq!(merged, out.inherit(&excess));
+        assert_eq!(merged.field("d").unwrap().as_int(), Some(4));
+        let own = Record::build().field("c", 9i64).field("d", 99i64).finish();
+        assert_eq!(own.clone().inherit_from(&r, plan), own);
     }
 
     #[test]

@@ -20,13 +20,15 @@ use snet_runtime::{
     oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder, Plan, RunCfg,
     ThreadPerComponent, WorkStealingPool,
 };
-use snet_types::{BoxSig, Label, Record, RecordType};
+use snet_types::{BoxSig, Label, Record, RecordType, Value};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, OnceLock};
 
 /// The box vocabulary of drawn programs. Every record carries `x`,
 /// `<k>` and `<n>`; some carry `<p>`, and `<z>` marks a finished
-/// countdown.
+/// countdown. Some inputs also carry `w`, a string field (an
+/// `Arc`-backed value) that no box or filter declares: only flow
+/// inheritance carries it, through boxes, filters and fans alike.
 /// * `id` and `inc` (`x + 1`) — inheritance carries the tags;
 /// * `drop` emits nothing when `x % 4 == 3`;
 /// * `fork` emits its record and, when `x` is even, a second one on
@@ -178,16 +180,18 @@ impl Strategy for Cases {
             let src = format!("{BOXES}\nnet main = {};", pretty_net(&draw_net(rng, 3)));
             let inputs: Vec<Record> = (0..rng.usize_below(24))
                 .map(|_| {
-                    let r = Record::build()
+                    let mut r = Record::build()
                         .field("x", rng.usize_below(30) as i64)
                         .tag("k", rng.usize_below(3) as i64)
                         .tag("n", rng.usize_below(3) as i64);
                     if rng.gen_bool_half() {
-                        r.tag("p", 1)
-                    } else {
-                        r
+                        r = r.tag("p", 1);
                     }
-                    .finish()
+                    if rng.usize_below(3) == 0 {
+                        let w = format!("w{}", rng.usize_below(1000));
+                        r = r.field("w", Value::Str(Arc::new(w)));
+                    }
+                    r.finish()
                 })
                 .collect();
             let cfg = Config {

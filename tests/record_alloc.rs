@@ -5,6 +5,9 @@
 //! `split_for` (plan application) and `inherit`, once the shapes and
 //! plans involved are interned (interning happens once per shape for
 //! the process lifetime; steady state is what the hot path runs in).
+//! The same holds for what boxes and filters run per record: the
+//! matched half alone (`matched_with`) and flow inheritance straight
+//! from the source record (`inherit_from`).
 //!
 //! Asserted with a counting global allocator: the test thread's
 //! allocation count must not move across the measured operations.
@@ -12,7 +15,7 @@
 //! counter is per-thread, so the assertions are immune to libtest's
 //! other threads, but keeping one test avoids any doubt.
 
-use snet_types::{Record, RecordType, Value};
+use snet_types::{Record, RecordType, Shape, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -80,6 +83,9 @@ fn small_records_allocate_nothing_on_clone_split_inherit() {
                                                // the compiled plan, still allocation-free.
     let out = Record::build().field("c", 9i64).field("x", 99i64).finish();
     let _ = out.clone().inherit(&warm_excess);
+    let plan = rec.shape().split_plan(Shape::of_type(&ty)).unwrap();
+    let identity = rec.shape().split_plan(rec.shape()).unwrap();
+    let _ = out.clone().inherit_from(&rec, plan);
 
     // Clone: inline value storage, shared interned shape.
     let (n, cloned) = counting(|| rec.clone());
@@ -105,6 +111,22 @@ fn small_records_allocate_nothing_on_clone_split_inherit() {
     let (n, same) = counting(|| rec.clone().inherit(&warm_excess));
     assert_eq!(n, 0, "identity inherit allocated {n} times");
     assert_eq!(same, rec);
+
+    // The box and filter path: the matched half alone, then a merge
+    // that reads the excess from the source record in place.
+    let (n, seen) = counting(|| rec.matched_with(plan));
+    assert_eq!(n, 0, "matched_with allocated {n} times");
+    assert_eq!(seen, matched);
+    let (n, from_source) = counting(|| out.clone().inherit_from(&rec, plan));
+    assert_eq!(n, 0, "inherit_from allocated {n} times");
+    assert_eq!(from_source, merged);
+    // Excess fully shadowed, and the identity split (empty excess).
+    let (n, same) = counting(|| rec.clone().inherit_from(&rec, plan));
+    assert_eq!(n, 0, "shadowed inherit_from allocated {n} times");
+    assert_eq!(same, rec);
+    let (n, same) = counting(|| out.clone().inherit_from(&rec, identity));
+    assert_eq!(n, 0, "identity-split inherit_from allocated {n} times");
+    assert_eq!(same, out);
 
     // Equality short-circuits on the shape id — also allocation-free.
     let (n, eq) = counting(|| cloned == rec);

@@ -9,10 +9,13 @@
 //! randomized records and types, including the paper's
 //! duplicate-label-discard rule ("the field or tag is discarded"
 //! when the output record already carries an inherited label) and
-//! the field-vs-tag namespace split for same-named labels.
+//! the field-vs-tag namespace split for same-named labels. What boxes
+//! and filters run — the matched half alone, then inheritance read
+//! straight from the consumed record (`Record::inherit_from`) — is
+//! checked against the model's split followed by inherit.
 
 use proptest::prelude::*;
-use snet_types::{Record, RecordType, Value};
+use snet_types::{Record, RecordType, Shape, Value};
 
 // ---------------------------------------------------------------------------
 // The naive reference model: sorted (kind, name) -> i64 association
@@ -92,6 +95,14 @@ impl ModelRec {
         self.fields.sort_by(|a, b| a.0.cmp(&b.0));
         self.tags.sort_by(|a, b| a.0.cmp(&b.0));
         self
+    }
+
+    /// The record's own type: splitting against it leaves no excess.
+    fn own_type(&self) -> ModelType {
+        ModelType {
+            fields: self.fields.iter().map(|(n, _)| n.clone()).collect(),
+            tags: self.tags.iter().map(|(n, _)| n.clone()).collect(),
+        }
     }
 
     fn to_record(&self) -> Record {
@@ -203,22 +214,34 @@ proptest! {
         prop_assert_eq!(model_of(&real), model);
     }
 
-    /// `excess_for` is exactly the excess half of `split_for`.
+    /// Inheriting from `(source, split plan)` — what boxes and
+    /// filters do, reading the excess in place — equals the model's
+    /// `split_for` followed by `inherit`. `ty` is drawn as the
+    /// record's own type a third of the time, the identity split; the
+    /// shared name pool makes the output's own label winning a
+    /// duplicate and an empty excess common draws.
     #[test]
-    fn excess_for_is_split_excess(m in arb_model_rec(), ty in arb_model_type()) {
+    fn inherit_from_matches_split_then_inherit(
+        m in arb_model_rec(),
+        drawn in arb_model_type(),
+        own_type in 0u8..3,
+        out in arb_model_rec(),
+    ) {
+        let ty = if own_type == 0 { m.own_type() } else { drawn };
         let rec = m.to_record();
-        let rt = ty.to_record_type();
-        let split = rec.split_for(&rt);
-        let excess = rec.excess_for(&rt);
-        match (split, excess) {
-            (None, None) => {}
-            (Some((_, e1)), Some(e2)) => prop_assert_eq!(e1, e2),
-            (s, e) => {
-                return Err(TestCaseError::Fail(format!(
-                    "split {s:?} vs excess {e:?} disagree on matching"
-                )));
-            }
-        }
+        let Some(plan) = rec.shape().split_plan(Shape::of_type(&ty.to_record_type())) else {
+            prop_assert!(m.split_for(&ty).is_none());
+            return Ok(());
+        };
+        let (matched, excess) = m.split_for(&ty).expect("the plan exists, so the model matches");
+        prop_assert_eq!(plan.is_identity(), excess.fields.is_empty() && excess.tags.is_empty());
+        prop_assert_eq!(model_of(&rec.matched_with(plan)), matched);
+        let real = out.to_record().inherit_from(&rec, plan);
+        prop_assert_eq!(model_of(&real), out.clone().inherit(&excess));
+        // The source is read, never consumed: a second output (a
+        // retried application) inherits the same values.
+        let again = out.to_record().inherit_from(&rec, plan);
+        prop_assert_eq!(again, real);
     }
 
     /// Shape identity: two records built from the same model (in any
@@ -235,4 +258,42 @@ proptest! {
             ra.shape() == rb.shape()
         );
     }
+}
+
+/// The three cases the property draws, pinned by hand: the output's
+/// own label wins a duplicate, an empty excess, an identity split.
+#[test]
+fn inherit_from_duplicate_empty_and_identity() {
+    let rec = ModelRec::new(
+        vec![("a".into(), 1), ("d".into(), 4)],
+        vec![("b".into(), 10)],
+    );
+    let source = rec.to_record();
+    let plan_for = |ty: &ModelType| {
+        source
+            .shape()
+            .split_plan(Shape::of_type(&ty.to_record_type()))
+            .expect("the record matches")
+    };
+    let box_in = ModelType {
+        fields: vec!["a".into()],
+        tags: vec!["b".into()],
+    };
+    // Duplicate: the output carries its own d, the inherited d is
+    // discarded.
+    let own_d = ModelRec::new(vec![("c".into(), 9), ("d".into(), 99)], vec![]);
+    let got = own_d.to_record().inherit_from(&source, plan_for(&box_in));
+    assert_eq!(model_of(&got), own_d);
+    // Non-duplicate: d is inherited from the source.
+    let plain = ModelRec::new(vec![("c".into(), 9)], vec![]);
+    let got = plain.to_record().inherit_from(&source, plan_for(&box_in));
+    assert_eq!(got.field("d").and_then(|v| v.as_int()), Some(4));
+    // Empty excess: the type is the whole record — the identity split.
+    let identity = plan_for(&rec.own_type());
+    assert!(identity.is_identity());
+    assert_eq!(
+        plain.to_record().inherit_from(&source, identity),
+        plain.to_record()
+    );
+    assert_eq!(source.matched_with(identity), source);
 }
