@@ -93,7 +93,7 @@ fn bench_box_chain(c: &mut Criterion) {
 }
 
 /// RT_fused_chain — the PR 5 tentpole measured directly: the same
-/// n-stage pipeline with the fusion pass on (one component, records
+/// n-stage pipeline compiled fused (one component, records
 /// cascade on its stack) vs off (one component per stage, n channel
 /// hops + wakeups per record). Includes build/teardown like
 /// RT_box_chain; the live-network delta shows up in RT_throughput.

@@ -33,18 +33,18 @@
 //! inheritance returns each output untouched, so the hop copies
 //! nothing at all.
 //!
-//! All of this — subtype split, function application, flow
-//! inheritance, metrics, observation — is [`BoxCore`], the per-record
-//! half of a box. The stream half is [`crate::fused`]'s stage-run
-//! driver: a box is one stage of a run, whose emissions go to the next
-//! stage or, from the last (or only) one, to the run's output edge.
+//! Function application and flow inheritance are [`BoxCore`], the
+//! box's transfer function; the stage boundary around it — subtype
+//! check, metrics, observation, fault guard — is
+//! [`crate::fused::LeafCore`], shared with filters, and the stream half
+//! is [`crate::fused`]'s stage-run driver: a box is one stage of a run,
+//! whose emissions go to the next stage or, from the last (or only)
+//! one, to the run's output edge.
 
 use crate::ctx::Ctx;
-use crate::memo::PlanCache;
-use crate::metrics::{keys, Counter};
-use crate::path::{name, CompPath, Name};
+use crate::path::CompPath;
 use crate::stream::Dir;
-use snet_types::{BoxSig, Record, RecordType, Shape, SplitPlan};
+use snet_types::{BoxSig, Record, Shape, SplitPlan};
 use std::sync::Arc;
 
 /// A box implementation: the computational component behind a box.
@@ -139,115 +139,42 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// The per-record execution core of one box instance: subtype split,
-/// function application, flow inheritance, metrics, observation —
-/// everything except the stream loop. All bookkeeping is resolved at
-/// construction: the stage path is interned once, the counters are
-/// registered once, and the input type's shape is interned so split
-/// plans resolve per incoming record *shape* through a spawn-local
-/// cache.
+/// A box's transfer function: match, apply, inherit. The stage
+/// boundary around it — path, counters, plan cache, observation of the
+/// input, fault guard — is [`crate::fused::LeafCore`], shared with
+/// filters.
 pub(crate) struct BoxCore {
     sig: BoxSig,
     imp: BoxImpl,
-    path: CompPath,
-    input_type: RecordType,
-    plans: PlanCache,
-    /// `ctx.has_observers()`, resolved once (observers are fixed at
-    /// context construction) — the record loop never chases the
-    /// context for it.
-    observing: bool,
-    /// The fault boundary, resolved once at construction; `None` in
-    /// the default (FailNet, no chaos) configuration so the hot path
-    /// pays one predictable branch (see [`crate::fault`]). `Option`
-    /// also lets [`BoxCore::process_uncounted`] move the guard out
-    /// while the body borrows `&mut self`.
-    guard: Option<crate::fault::FaultGuard>,
-    records_in: Counter,
-    records_out: Counter,
 }
 
 impl BoxCore {
-    /// Registers the stage under `parent/{seg}` (the plan's
-    /// `box:{name}`) and resolves its counters.
-    pub(crate) fn new(
-        ctx: &Ctx,
-        parent: CompPath,
-        seg: Name,
-        sig: BoxSig,
-        imp: BoxImpl,
-    ) -> BoxCore {
-        let path = parent.child_at(seg);
-        let [spawned, records_in, records_out] = ctx.metrics.counters_at(
-            path,
-            [
-                name!(keys::SPAWNED),
-                name!(keys::RECORDS_IN),
-                name!(keys::RECORDS_OUT),
-            ],
-        );
-        spawned.inc(1);
-        let input_type = sig.input_type();
-        BoxCore {
-            plans: PlanCache::new(Shape::of_type(&input_type)),
-            input_type,
-            observing: ctx.has_observers(),
-            guard: ctx.fault_guard(path),
-            records_in,
-            records_out,
-            sig,
-            imp,
-            path,
-        }
+    pub(crate) fn new(sig: BoxSig, imp: BoxImpl) -> BoxCore {
+        BoxCore { sig, imp }
     }
 
-    /// The stage's interned component path.
-    pub(crate) fn path(&self) -> CompPath {
-        self.path
+    /// The shape the box's split plans are resolved against.
+    pub(crate) fn input_shape(&self) -> Shape {
+        Shape::of_type(&self.sig.input_type())
     }
 
-    /// Settles a run's worth of counter updates in two delta adds —
-    /// the driver pairs this with [`BoxCore::process_uncounted`] so a
-    /// run of records costs two atomic RMWs, not two per record.
-    pub(crate) fn add_counts(&self, records_in: u64, records_out: u64) {
-        self.records_in.inc(records_in);
-        self.records_out.inc(records_out);
+    /// What the box accepts, for the routing-invariant panic.
+    pub(crate) fn accepts(&self, path: CompPath) -> String {
+        format!("input type {} of box '{path}'", self.sig.input_type())
     }
 
-    /// Runs one record through the box: match, apply, inherit. Every
-    /// output record is handed to `sink` in emission order; the
-    /// emission count is returned for [`BoxCore::add_counts`]. Runs
-    /// under the net's fault boundary when one is configured — a panic
-    /// in the box function (or a chaos injection) is contained per the
-    /// [`crate::FaultPolicy`].
-    pub(crate) fn process_uncounted(
-        &mut self,
-        ctx: &Ctx,
+    /// Runs one record, already matched by `plan`, through the box
+    /// function: every output record is handed to `sink` in emission
+    /// order, after flow inheritance, and observed at `path` when
+    /// `observer` is set; returns the emission count.
+    pub(crate) fn transfer(
+        &self,
         rec: &Record,
+        plan: &SplitPlan,
+        path: CompPath,
+        observer: Option<&Ctx>,
         sink: &mut dyn FnMut(Record),
     ) -> u64 {
-        match self.guard.take() {
-            None => self.process_raw(ctx, rec, sink),
-            Some(mut g) => {
-                let n = g.run(rec, sink, &mut |r, s| self.process_raw(ctx, r, s));
-                self.guard = Some(g);
-                n
-            }
-        }
-    }
-
-    /// The raw per-record path: match, apply, inherit — no fault
-    /// boundary (panics unwind to the caller).
-    fn process_raw(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
-        if self.observing {
-            ctx.observe(self.path, Dir::In, rec);
-        }
-        let Some(plan) = self.plans.plan_for(rec) else {
-            panic!(
-                "record {rec:?} does not match input type {} of box '{}' — routing \
-                 invariant violated",
-                self.input_type, self.path
-            )
-        };
         // An identity split hands the box the record itself; otherwise
         // only the matched half is copied out. Either way the emitter
         // inherits from `rec` under `plan`.
@@ -263,7 +190,7 @@ impl BoxCore {
             source: rec,
             split: plan,
             sig: &self.sig,
-            observer: self.observing.then_some((ctx, self.path)),
+            observer: observer.map(|ctx| (ctx, path)),
             emitted: 0,
         };
         (self.imp)(input, &mut em);
@@ -275,6 +202,7 @@ impl BoxCore {
 mod tests {
     use super::*;
     use crate::instantiate::{run_msgs_to_end, run_to_end, test_ctx};
+    use crate::path::Name;
     use crate::plan::PNode;
     use crate::stream::Msg;
     use snet_types::{Label, Value};

@@ -74,10 +74,11 @@ pub struct RunCfg {
     /// Per-replicator lane bounds keyed by routing-tag name; a tag's
     /// entry wins over the net-global `split_lanes`.
     pub split_lanes_by_tag: HashMap<String, u32>,
-    /// Whether compilation runs the fusion pass (see [`crate::plan`]),
-    /// and so whether the net is one stage run or the paper's
-    /// component graph. Read by `NetBuilder::build*`; a plan that is
-    /// already compiled runs as it was compiled.
+    /// Whether the net is compiled fused (see [`crate::plan`]): the
+    /// flag [`crate::compile_cfg`] sets on every spine and fan, and so
+    /// whether the net is one stage run or the paper's component
+    /// graph. Read by `NetBuilder::build*`; a plan that is already
+    /// compiled runs as it was compiled.
     pub fuse: bool,
     /// Worker count of the process-wide shared pool, applied when the
     /// pool is created on first use (see [`crate::sched`],

@@ -7,12 +7,10 @@
 //! whose request crossed the dead component hung until its deadline.
 //! This module adds the failure boundary:
 //!
-//! * **Where faults are caught.** At the shared per-record execution
-//!   cores ([`crate::boxfn::BoxCore`] /
-//!   [`crate::filter_exec::FilterCore`]) — the exact point both the
-//!   standalone components and the fused pipeline driver
-//!   ([`crate::fused`]) call through, so a fused stage and its
-//!   unfused twin fail identically. Coordination-layer components
+//! * **Where faults are caught.** At the one stage boundary of boxes
+//!   and filters ([`crate::fused::LeafCore`]) — the exact point every
+//!   stage run calls through ([`crate::fused`]), so a fused stage and
+//!   its unfused twin fail identically. Coordination-layer components
 //!   (dispatchers, mergers, guards) are runtime code, not user code;
 //!   a panic there is always fatal to the net regardless of policy.
 //! * **What a fault becomes.** A typed [`Fault`] carrying the

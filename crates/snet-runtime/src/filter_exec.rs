@@ -2,8 +2,9 @@
 //! `snet-lang` in a stage core. Filters are the "housekeeping"
 //! boxes of the coordination layer — renaming, duplication, elimination
 //! and tag arithmetic — and run exactly like boxes, minus a
-//! computational payload: [`FilterCore`] is the per-record half, the
-//! stream half is [`crate::fused`]'s stage-run driver.
+//! computational payload: [`FilterCore`] is the transfer function, the
+//! stage boundary around it is [`crate::fused::LeafCore`] (shared with
+//! boxes), the stream half is [`crate::fused`]'s stage-run driver.
 //!
 //! Like boxes, filters resolve their per-record type work through
 //! compiled shape plans (see `snet_types::shape`): the pattern's
@@ -17,112 +18,54 @@
 //! construction, so the check cannot conflate them.
 
 use crate::ctx::Ctx;
-use crate::memo::PlanCache;
-use crate::metrics::{keys, Counter};
-use crate::path::{name, CompPath};
+use crate::path::CompPath;
 use crate::stream::Dir;
 use snet_lang::FilterDef;
-use snet_types::{Record, Shape};
+use snet_types::{Record, Shape, SplitPlan};
 
-/// The per-record execution core of one filter instance — everything
-/// except the stream loop. Path interning and counter registration
-/// happen at construction, once; processing is allocation-free on the
-/// bookkeeping side and memoizes the pattern check per record shape.
+/// A filter's transfer function. The stage boundary around it — path,
+/// counters, plan cache, observation of the input, fault guard — is
+/// [`crate::fused::LeafCore`], shared with boxes.
 pub(crate) struct FilterCore {
     def: FilterDef,
-    path: CompPath,
-    plans: PlanCache,
-    /// `ctx.has_observers()`, resolved once (observers are fixed at
-    /// context construction).
-    observing: bool,
-    /// The fault boundary, resolved once; `None` in the default
-    /// configuration (see `BoxCore::guard`).
-    guard: Option<crate::fault::FaultGuard>,
-    records_in: Counter,
-    records_out: Counter,
 }
 
 impl FilterCore {
-    /// Registers the stage under `parent/filter` and resolves its
-    /// counters.
-    pub(crate) fn new(ctx: &Ctx, parent: CompPath, def: FilterDef) -> FilterCore {
-        let path = parent.child_at(name!("filter"));
-        let [spawned, records_in, records_out] = ctx.metrics.counters_at(
-            path,
-            [
-                name!(keys::SPAWNED),
-                name!(keys::RECORDS_IN),
-                name!(keys::RECORDS_OUT),
-            ],
-        );
-        spawned.inc(1);
-        FilterCore {
-            plans: PlanCache::new(Shape::of_type(&def.pattern)),
-            observing: ctx.has_observers(),
-            guard: ctx.fault_guard(path),
-            records_in,
-            records_out,
-            def,
-            path,
-        }
+    pub(crate) fn new(def: FilterDef) -> FilterCore {
+        FilterCore { def }
     }
 
-    /// The stage's interned component path.
-    pub(crate) fn path(&self) -> CompPath {
-        self.path
+    /// The shape the filter's split plans are resolved against.
+    pub(crate) fn input_shape(&self) -> Shape {
+        Shape::of_type(&self.def.pattern)
     }
 
-    /// Settles a run's worth of counter updates in two delta adds
-    /// (see `BoxCore::add_counts`).
-    pub(crate) fn add_counts(&self, records_in: u64, records_out: u64) {
-        self.records_in.inc(records_in);
-        self.records_out.inc(records_out);
+    /// What the filter accepts, for the routing-invariant panic.
+    pub(crate) fn accepts(&self, path: CompPath) -> String {
+        format!("filter pattern {} at '{path}'", self.def.pattern)
     }
 
-    /// Runs one record through the filter; every output record is
-    /// handed to `sink` in specifier order, and the output count is
-    /// returned for [`FilterCore::add_counts`]. Runs under the net's
-    /// fault boundary when one is configured — pattern-mismatch and
-    /// tag-expression panics (and chaos injections) are contained per
-    /// the [`crate::FaultPolicy`].
-    pub(crate) fn process_uncounted(
-        &mut self,
-        ctx: &Ctx,
+    /// Runs one record, already matched by `plan`, through the filter:
+    /// every output record is handed to `sink` in specifier order,
+    /// inheriting the record's excess through `plan`, and observed at
+    /// `path` when `observer` is set; returns the output count. A
+    /// failing tag expression panics.
+    pub(crate) fn transfer(
+        &self,
         rec: &Record,
+        plan: &SplitPlan,
+        path: CompPath,
+        observer: Option<&Ctx>,
         sink: &mut dyn FnMut(Record),
     ) -> u64 {
-        match self.guard.take() {
-            None => self.process_raw(ctx, rec, sink),
-            Some(mut g) => {
-                let n = g.run(rec, sink, &mut |r, s| self.process_raw(ctx, r, s));
-                self.guard = Some(g);
-                n
-            }
-        }
-    }
-
-    /// The raw per-record path — no fault boundary.
-    fn process_raw(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
-        if self.observing {
-            ctx.observe(self.path, Dir::In, rec);
-        }
-        // Plan existence *is* the pattern check (subtype acceptance),
-        // and the outputs inherit the record's excess through it.
-        let Some(plan) = self.plans.plan_for(rec) else {
-            panic!(
-                "record {rec:?} does not match filter pattern {} at '{}' — routing \
-                 invariant violated",
-                self.def.pattern, self.path
-            )
-        };
         let outs = self
             .def
             .apply_with_split(rec, plan)
-            .unwrap_or_else(|e| panic!("tag expression failed in filter at '{}': {e}", self.path));
+            .unwrap_or_else(|e| panic!("tag expression failed in filter at '{path}': {e}"));
         let n = outs.len() as u64;
         for out in outs {
-            if self.observing {
-                ctx.observe(self.path, Dir::Out, &out);
+            if let Some(ctx) = observer {
+                ctx.observe(path, Dir::Out, &out);
             }
             sink(out);
         }

@@ -1,58 +1,58 @@
 //! The stage-run driver: one component running a chain of SISO stages.
 //! It is the only record loop there is for boxes, filters and fused
 //! fans — a lone box, filter or fan is a run of length 1, and a net
-//! compiled with the fusion pass is one run from its input to its
-//! output ([`crate::instantiate`] builds every run through
-//! `lane_cores` and `spawn_stage_run`).
+//! compiled fused is one run from its input to its output
+//! ([`crate::instantiate`] builds every run through `lane_cores` and
+//! `spawn_stage_run`).
 //!
-//! A [`crate::plan::PNode::Run`] node is a `Serial` spine flattened by
-//! the fusion pass (see [`crate::plan`]). Instantiating it spawns
-//! **one** component whose loop does one `recv_each` at the head and
-//! one send at the tail; between them every record is handed
-//! stage-to-stage **on the component's own stack** — no intermediate
-//! [`Msg`]s, channels or wakeups, which is the whole point: the
-//! per-stage tax of an unfused chain is a channel send, a consumer
-//! wakeup and a scheduler round-trip per record per stage
-//! (`RT_record_hop` is context-switch-bound on small machines), and
-//! fusion pays it once per chain instead of once per stage.
+//! A fused [`crate::plan::PNode::Run`] is a `..` spine (see
+//! [`crate::plan`]). Instantiating it spawns **one** component whose
+//! loop does one `recv_each` at the head and one send at the tail;
+//! between them every record is handed stage-to-stage **on the
+//! component's own stack** — no intermediate [`Msg`]s, channels or
+//! wakeups, which is the whole point: the per-stage tax of an unfused
+//! chain is a channel send, a consumer wakeup and a scheduler
+//! round-trip per record per stage (`RT_record_hop` is
+//! context-switch-bound on small machines), and fusion pays it once
+//! per chain instead of once per stage.
 //!
-//! **Execution order.** Batches run **stage-major**: the stages are
-//! connected by in-component FIFO queues, and each scheduling step
-//! drains a *run* of messages through one stage — so each stage's
-//! code, plan cache and counters stay hot across the whole run
-//! instead of being re-touched per record, which measures decisively
-//! faster than a per-record depth-first walk once chains get deep
-//! (the 16-stage chain walks 16 scattered stage cores per record
-//! depth-first, but 1 core per run stage-major). This is exactly the
-//! execution shape of the unfused chain, minus the channels. The
-//! observable order is identical either way: every queue is FIFO, a
-//! multi-output stage's emissions are appended in emission order
-//! behind the outputs of every earlier record (precisely the
-//! in-order input queue the unfused downstream component processes),
-//! and **sort records flow through the queues as ordinary tokens**,
-//! each stage forwarding them in turn — so fused output is
-//! byte-identical, sort records included.
+//! **Execution order.** A drain runs **stage-major**, through the one
+//! walk every fan lane uses too (`run_stages`): the drained records go
+//! through the first stage as one batch, what it emitted through the
+//! second, and so on — so each stage's code, plan cache and counters
+//! stay hot across the batch instead of being re-touched per record,
+//! and counters settle once per stage per drain. The observable order
+//! is the unfused chain's: a stage takes its batch in order and its
+//! emissions are appended in emission order, which is the in-order
+//! input queue the unfused downstream component would process. Sort
+//! records never enter a walk: one cuts the batch at its own position
+//! — the records drained before it are walked and published ahead of
+//! it — so it keeps its place in the stream, and fused output is
+//! byte-identical, sort records included. (Only a lone stage of an
+//! unfused net meets sort records in practice: they travel between a
+//! det dispatcher and its merger.)
 //!
 //! **Fairness.** One rule, stated here and nowhere else: **a drain is
 //! bounded by the poll budget, and the poll budget is the measured time
 //! slice** ([`crate::sched`], on every executor). The head takes at
 //! most one budget's worth of messages off the input per poll — one
-//! frame at a time where a stage costs 400 µs, 128 sensor readings — so
-//! a stage run holds at most one budget's worth beyond its input edge,
-//! a constant independent of load, and a slow or stalled stage, whose
-//! budget is 1, publishes per record. What the drain cascades into is
-//! worked off in [`Pipeline::step`]s of at most [`RECV_BATCH`]
-//! stage-message units, deepest non-empty stage first so finished work
-//! reaches the output first; each step's tail output is published
+//! frame at a time where a stage costs 400 µs, 128 sensor readings —
+//! walks them through every stage and publishes the tail's output once,
 //! through the credit gate ([`feed_batch`] — a full edge parks the run,
-//! an unbounded one never waits) and the driver yields between steps,
-//! so a chain of k-emission stages costs many steps, not one unbounded
-//! poll.
+//! an unbounded one never waits). The slice measures the whole poll, a
+//! multi-emission cascade included, so an expensive run is priced down
+//! to fewer records per drain, and a slow or stalled run, whose budget
+//! is 1, publishes per record. What this gives up: a poll no longer
+//! stops *inside* a drain. One input's cascade through a run's stages
+//! finishes within one poll, as a fused fan's lanes already did — an
+//! input whose cascade alone outlasts the slice holds its worker until
+//! it is through, where a budget of stage-message units with a yield
+//! between steps could have let a sibling task run in the middle.
 //!
 //! **Fans.** A fused combinator is a stage like a box: a
 //! [`StageCore::Fan`] owning a [`DispatchCore`] — the combinator's own
 //! router over lanes that are stage-core vectors — that takes each
-//! record the pipeline hands it and emits what comes out of its lanes.
+//! record the walk hands it and emits what comes out of its lanes.
 //! A lane's stages are boxes, filters and fans again, so a nest of any
 //! depth (Fig. 2's star of splits) is one depth-synchronous walk, and
 //! a spine `box .. fan .. fan` is one run of three stages, with no task
@@ -60,90 +60,91 @@
 //! itself, not a copy (a fan stage takes it out of its caller's hands),
 //! and what it becomes comes back up through the same `sink` closure
 //! every stage emits into; each core owns its stage-major buffers,
-//! because a nested walk runs in the middle of its parent's. A fan
-//! stage costs its `Pipeline::step` one unit per message, like any
-//! stage, however much its lanes do: what bounds the work of a wake is
-//! the head's drain, the measured time slice (*Fairness*). See
+//! because a nested walk runs in the middle of its parent's. See
 //! [`crate::plan`], *Fan fusion*, for the rule and for what running a
 //! net as one task gives up.
 //!
 //! **Observability.** Each stage registers its own
-//! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes the
-//! unfused `Serial` instantiation would have derived) with `spawned`,
-//! `records_in` and `records_out` counters at spawn, and observers
-//! see per-stage In/Out events — the string metrics query API cannot
-//! tell a fused chain from an unfused one. Only
-//! [`crate::Net::threads_spawned`] (components, not stage paths)
+//! [`crate::path::CompPath`] sub-path (the `s0`/`s1` suffixes of the
+//! `..` tree) with `spawned`, `records_in` and `records_out` counters
+//! at spawn, and observers see per-stage In/Out events — the string
+//! metrics query API cannot tell a fused chain from an unfused one.
+//! Only [`crate::Net::threads_spawned`] (components, not stage paths)
 //! reveals the difference: an n-stage fused chain is one component.
 //!
-//! The per-stage execution cores are [`crate::boxfn::BoxCore`] and
-//! [`crate::filter_exec::FilterCore`]; per-stage split plans resolve
-//! through each core's spawn-local `PlanCache` keyed by record shape.
+//! **Leaves.** A box and a filter share one stage boundary,
+//! [`LeafCore`]: path, counters, the per-shape split-plan cache
+//! (`PlanCache`), observation, the routing-invariant check and the
+//! fault guard. What differs is the transfer function alone —
+//! [`crate::boxfn::BoxCore`] and [`crate::filter_exec::FilterCore`].
 //!
-//! **Faults.** The fault boundary lives *inside* the cores
+//! **Faults.** The fault boundary lives *inside* the leaf core
 //! (`process_uncounted`; see [`crate::fault`]), so a stage contains
 //! panics — and receives chaos injections — the same way wherever the
 //! plan put it: a skipped record at stage *k* simply contributes
-//! nothing to stage *k+1*'s queue, and the decision stream is keyed
-//! by the stage's own path, which fusion preserves.
+//! nothing to stage *k+1*'s batch, and the decision stream is keyed by
+//! the stage's own path, which fusion preserves.
 
 use crate::boxfn::BoxCore;
 use crate::ctx::{Ctx, Edge};
+use crate::fault::FaultGuard;
 use crate::filter_exec::FilterCore;
+use crate::memo::PlanCache;
+use crate::metrics::{keys, Counter};
 use crate::parallel::ParRouter;
-use crate::path::CompPath;
+use crate::path::{name, CompPath};
 use crate::plan::{FanKind, PNode};
 use crate::split::SplitRouter;
 use crate::star::{ExitDispatch, GuardPaths, StarChain};
-use crate::stream::{feed_batch, yield_now, Msg, Receiver, RECV_BATCH};
+use crate::stream::{feed_batch, Dir, Msg, Receiver, RECV_BATCH};
 use snet_types::Record;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One stage's execution core inside a stage run or a fan lane.
 pub(crate) enum StageCore {
-    Box(BoxCore),
-    Filter(FilterCore),
+    /// A box or a filter.
+    Leaf(LeafCore),
     /// A fan inside another fan's lane: the whole combinator — dispatch,
     /// its own lanes, the merge handoff — is one stage of the enclosing
     /// walk (see [`DispatchCore`]). Boxed: a router is several times a
-    /// box core, and lanes are mostly boxes.
+    /// leaf core, and lanes are mostly boxes.
     Fan(Box<DispatchCore>),
 }
 
 /// Builds the execution core for one stage — a plan's `Box` or
 /// `Filter` leaf, or a fan — under `parent` (the `box:{name}` /
-/// `filter` / `split`-style child comes from the core constructor):
-/// the per-stage spawn bookkeeping of every stage, wherever the plan
-/// put it.
+/// `filter` / `split`-style child is derived here): the per-stage
+/// spawn bookkeeping of every stage, wherever the plan put it.
 fn stage_core(ctx: &Ctx, parent: CompPath, leaf: &PNode) -> StageCore {
     match leaf {
-        PNode::Box { seg, sig, imp, .. } => StageCore::Box(BoxCore::new(
+        PNode::Box { seg, sig, imp, .. } => StageCore::Leaf(LeafCore::new(
             ctx,
-            parent,
-            *seg,
-            sig.clone(),
-            Arc::clone(imp),
+            parent.child_at(*seg),
+            Leaf::Box(BoxCore::new(sig.clone(), Arc::clone(imp))),
         )),
-        PNode::Filter { def } => StageCore::Filter(FilterCore::new(ctx, parent, def.clone())),
+        PNode::Filter { def } => StageCore::Leaf(LeafCore::new(
+            ctx,
+            parent.child_at(name!("filter")),
+            Leaf::Filter(FilterCore::new(def.clone())),
+        )),
         PNode::Fan { kind, det, .. } => StageCore::Fan(Box::new(DispatchCore::new(
             ctx,
             kind.comb_path(parent, *det),
             kind,
         ))),
-        other => unreachable!("not a lane stage: {other:?}"),
+        PNode::Run { .. } => unreachable!("not a lane stage: {leaf:?}"),
     }
 }
 
 /// Builds the stage cores of one stage run from its plan — a fan
-/// lane's body, or a whole fused net — whatever the fusion pass made
-/// of it: a [`PNode::Run`] (each stage under its recorded suffix) or a
-/// lone stage. Every per-stage path is registered at spawn exactly as
-/// the unfused instantiation would (`instantiate(body, bpath)`), so
-/// metrics and observers match that topology.
+/// lane's body, or a whole fused net: a [`PNode::Run`] (each stage
+/// under its recorded suffix) or a lone stage. Every per-stage path is
+/// registered at spawn exactly as the unfused instantiation would
+/// (`instantiate(body, bpath)`), so metrics and observers match that
+/// topology.
 pub(crate) fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageCore> {
     match body {
-        PNode::Run { stages } => stages
+        PNode::Run { stages, .. } => stages
             .iter()
             .map(|stage| stage_core(ctx, bpath.descend(&stage.suffix), &stage.node))
             .collect(),
@@ -152,17 +153,17 @@ pub(crate) fn lane_cores(ctx: &Ctx, bpath: CompPath, body: &PNode) -> Vec<StageC
 }
 
 impl StageCore {
-    /// One record through the stage, counter-free. Returns what a box
-    /// or filter emitted (its counters are settled per run via
+    /// One record through the stage, counter-free. Returns what a leaf
+    /// emitted (its counters are settled per batch via
     /// [`StageCore::add_counts`]); a fan's routers count per record,
     /// so it returns 0.
     ///
-    /// The caller owns `rec` and lends it: a box or filter only reads
-    /// it, a fan — whose router forwards the record itself — takes it
-    /// and leaves an empty one behind. Not `rec: Record`: moving the
-    /// 128 bytes into every stage call cost the box and filter arms
-    /// 6 ns a record (`fused.record_ns` 55.0 → 61.6 in the benchmark's
-    /// ledger, `star.level_ns` 232 → 247).
+    /// The caller owns `rec` and lends it: a leaf only reads it, a fan
+    /// — whose router forwards the record itself — takes it and leaves
+    /// an empty one behind. Not `rec: Record`: moving the 128 bytes
+    /// into every stage call cost the box and filter arms 6 ns a record
+    /// (`fused.record_ns` 55.0 → 61.6 in the benchmark's ledger,
+    /// `star.level_ns` 232 → 247).
     fn process_uncounted(
         &mut self,
         ctx: &Ctx,
@@ -170,8 +171,7 @@ impl StageCore {
         sink: &mut dyn FnMut(Record),
     ) -> u64 {
         match self {
-            StageCore::Box(core) => core.process_uncounted(ctx, rec, sink),
-            StageCore::Filter(core) => core.process_uncounted(ctx, rec, sink),
+            StageCore::Leaf(core) => core.process_uncounted(ctx, rec, sink),
             StageCore::Fan(fan) => {
                 fan.process(ctx, std::mem::take(rec), sink);
                 0
@@ -179,96 +179,124 @@ impl StageCore {
         }
     }
 
-    /// Settles a run's counters. A fan's routers count per record, so
-    /// there is nothing to settle for one.
+    /// Settles a batch's counters. A fan's routers count per record,
+    /// so there is nothing to settle for one.
     fn add_counts(&self, records_in: u64, records_out: u64) {
-        match self {
-            StageCore::Box(core) => core.add_counts(records_in, records_out),
-            StageCore::Filter(core) => core.add_counts(records_in, records_out),
-            StageCore::Fan(_) => {}
+        if let StageCore::Leaf(core) = self {
+            core.records_in.inc(records_in);
+            core.records_out.inc(records_out);
         }
     }
 
     pub(crate) fn path(&self) -> CompPath {
         match self {
-            StageCore::Box(core) => core.path(),
-            StageCore::Filter(core) => core.path(),
+            StageCore::Leaf(core) => core.path,
             StageCore::Fan(fan) => fan.comb,
         }
     }
 }
 
-/// The fused pipeline's working state: one FIFO message queue in
-/// front of each stage (sort records travel through them as ordinary
-/// tokens).
-struct Pipeline {
-    cores: Vec<StageCore>,
-    /// `queues[i]` feeds `cores[i]`; the tail's output lands in the
-    /// driver's out-buffer.
-    queues: Vec<VecDeque<Msg>>,
+/// A leaf's transfer function: what one record, matched by its split
+/// plan, becomes.
+pub(crate) enum Leaf {
+    Box(BoxCore),
+    Filter(FilterCore),
 }
 
-impl Pipeline {
-    fn new(cores: Vec<StageCore>) -> Pipeline {
-        let queues = cores.iter().map(|_| VecDeque::new()).collect();
-        Pipeline { cores, queues }
-    }
+/// The stage boundary of a box or a filter, held once for both: all
+/// bookkeeping is resolved at construction — the stage path is interned
+/// once, the counters are registered once, and the input shape is
+/// interned so split plans resolve per incoming record *shape* through
+/// a spawn-local cache.
+pub(crate) struct LeafCore {
+    fun: Leaf,
+    path: CompPath,
+    plans: PlanCache,
+    /// `ctx.has_observers()`, resolved once (observers are fixed at
+    /// context construction) — the record loop never chases the
+    /// context for it.
+    observing: bool,
+    /// The fault boundary, resolved once at construction; `None` in
+    /// the default (FailNet, no chaos) configuration so the hot path
+    /// pays one predictable branch (see [`crate::fault`]). `Option`
+    /// also lets [`LeafCore::process_uncounted`] move the guard out
+    /// while the body borrows `&mut self`; boxed, because a guard is
+    /// larger than the rest of the core.
+    guard: Option<Box<FaultGuard>>,
+    records_in: Counter,
+    records_out: Counter,
+}
 
-    /// One bounded scheduling step (see module docs): spends at most
-    /// `budget` stage-message units, draining the deepest non-empty
-    /// stage first so completed work reaches the output with minimal
-    /// latency. The tail's output is appended to `out` — the driver
-    /// publishes it after the step, batched (and, on a bounded edge,
-    /// credit-gated, which is why publication is not inlined here).
-    /// Returns `true` while messages remain queued.
-    fn step(&mut self, ctx: &Ctx, out: &mut Vec<Msg>, mut budget: usize) -> bool {
-        let n_stages = self.cores.len();
-        while budget > 0 {
-            let Some(i) = (0..n_stages).rev().find(|&i| !self.queues[i].is_empty()) else {
-                return false;
-            };
-            let take = budget.min(self.queues[i].len());
-            budget -= take;
-            let core = &mut self.cores[i];
-            let (mut n_in, mut n_out) = (0u64, 0u64);
-            if i + 1 == n_stages {
-                // Tail stage: the run's output collects in `out` for
-                // one batched publish by the driver.
-                for msg in self.queues[i].drain(..take) {
-                    match msg {
-                        Msg::Rec(mut rec) => {
-                            n_in += 1;
-                            n_out += core
-                                .process_uncounted(ctx, &mut rec, &mut |r| out.push(Msg::Rec(r)));
-                        }
-                        sort @ Msg::Sort { .. } => out.push(sort),
-                    }
-                }
-            } else {
-                let (head, rest) = self.queues.split_at_mut(i + 1);
-                let (q, next) = (&mut head[i], &mut rest[0]);
-                for msg in q.drain(..take) {
-                    match msg {
-                        Msg::Rec(mut rec) => {
-                            n_in += 1;
-                            n_out += core.process_uncounted(ctx, &mut rec, &mut |r| {
-                                next.push_back(Msg::Rec(r))
-                            });
-                        }
-                        sort @ Msg::Sort { .. } => next.push_back(sort),
-                    }
-                }
-            }
-            core.add_counts(n_in, n_out);
+impl LeafCore {
+    /// Registers the stage at `path` and resolves its counters.
+    fn new(ctx: &Ctx, path: CompPath, fun: Leaf) -> LeafCore {
+        let [spawned, records_in, records_out] = ctx.metrics.counters_at(
+            path,
+            [
+                name!(keys::SPAWNED),
+                name!(keys::RECORDS_IN),
+                name!(keys::RECORDS_OUT),
+            ],
+        );
+        spawned.inc(1);
+        let input = match &fun {
+            Leaf::Box(core) => core.input_shape(),
+            Leaf::Filter(core) => core.input_shape(),
+        };
+        LeafCore {
+            fun,
+            plans: PlanCache::new(input),
+            observing: ctx.has_observers(),
+            guard: ctx.fault_guard(path).map(Box::new),
+            records_in,
+            records_out,
+            path,
         }
-        self.queues.iter().any(|q| !q.is_empty())
+    }
+
+    /// Runs one record through the leaf; every output record is handed
+    /// to `sink` in emission order, and the count is returned for
+    /// [`StageCore::add_counts`]. Runs under the net's fault boundary
+    /// when one is configured — a panic in the transfer function (or a
+    /// chaos injection) is contained per the [`crate::FaultPolicy`].
+    fn process_uncounted(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
+        match self.guard.take() {
+            None => self.process_raw(ctx, rec, sink),
+            Some(mut g) => {
+                let n = g.run(rec, sink, &mut |r, s| self.process_raw(ctx, r, s));
+                self.guard = Some(g);
+                n
+            }
+        }
+    }
+
+    /// The raw per-record path — no fault boundary (panics unwind to
+    /// the caller). Plan existence *is* the pattern check (subtype
+    /// acceptance), and the transfer function inherits the record's
+    /// excess through the same plan.
+    fn process_raw(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
+        if self.observing {
+            ctx.observe(self.path, Dir::In, rec);
+        }
+        let Some(plan) = self.plans.plan_for(rec) else {
+            let what = match &self.fun {
+                Leaf::Box(core) => core.accepts(self.path),
+                Leaf::Filter(core) => core.accepts(self.path),
+            };
+            panic!("record {rec:?} does not match {what} — routing invariant violated")
+        };
+        let observer = self.observing.then_some(ctx);
+        match &self.fun {
+            Leaf::Box(core) => core.transfer(rec, plan, self.path, observer, sink),
+            Leaf::Filter(core) => core.transfer(rec, plan, self.path, observer, sink),
+        }
     }
 }
 
-/// One record's stage-major pass through a fan lane: runs `batch`
+/// One drain's stage-major pass through a chain of stages: runs `batch`
 /// through every stage in order, leaving the tail's output in `batch`.
-/// No inter-stage queues — the whole walk is one stage of its run's
-/// [`Pipeline`] — and sort records never enter a lane.
+/// The one walk of both a stage run's drain and a fan lane; sort
+/// records never enter it.
 fn run_stages(
     cores: &mut [StageCore],
     ctx: &Ctx,
@@ -276,6 +304,9 @@ fn run_stages(
     scratch: &mut Vec<Record>,
 ) {
     for core in cores.iter_mut() {
+        if batch.is_empty() {
+            return;
+        }
         scratch.clear();
         let n_in = batch.len() as u64;
         for mut rec in batch.drain(..) {
@@ -293,34 +324,36 @@ fn run_stages(
 pub(crate) fn spawn_stage_run(
     ctx: &Arc<Ctx>,
     owner: CompPath,
-    cores: Vec<StageCore>,
+    mut cores: Vec<StageCore>,
     input: Receiver,
 ) -> Receiver {
     let (tx, rx) = ctx.data_stream(owner, Edge::Out);
     let task_name = cores.first().map_or(owner, StageCore::path).as_str();
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(task_name, async move {
-        let mut pipe = Pipeline::new(cores);
-        let mut out: Vec<Msg> = Vec::new();
+        let (mut batch, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut walk = |cores: &mut [StageCore], batch: &mut Vec<Record>, out: &mut Vec<Msg>| {
+            run_stages(cores, &ctx2, batch, &mut scratch);
+            out.extend(batch.drain(..).map(Msg::Rec));
+        };
         // One drain per wake, at most the poll budget (module docs:
-        // fairness); the messages land in the head stage's queue and
-        // budgeted steps push them through the stages, each step's tail
-        // output published as one credit-gated batch. The final drain
-        // after disconnection reuses the same loop; dropping `tx`
-        // propagates end-of-stream.
+        // fairness), walked through every stage and published as one
+        // credit-gated batch; a sort record cuts the drain at its own
+        // position. The final drain after disconnection reuses the
+        // same loop; dropping `tx` propagates end-of-stream.
         loop {
             let n = input
-                .recv_each(RECV_BATCH, &mut |msg| pipe.queues[0].push_back(msg))
+                .recv_each(RECV_BATCH, &mut |msg| match msg {
+                    Msg::Rec(rec) => batch.push(rec),
+                    sort @ Msg::Sort { .. } => {
+                        walk(&mut cores, &mut batch, &mut out);
+                        out.push(sort);
+                    }
+                })
                 .await;
-            loop {
-                let more = pipe.step(&ctx2, &mut out, RECV_BATCH);
-                if feed_batch(&tx, &mut out).await.is_err() {
-                    return; // downstream gone: teardown
-                }
-                if !more {
-                    break;
-                }
-                yield_now().await;
+            walk(&mut cores, &mut batch, &mut out);
+            if feed_batch(&tx, &mut out).await.is_err() {
+                return; // downstream gone: teardown
             }
             if n == 0 {
                 break;
@@ -338,10 +371,9 @@ pub(crate) fn spawn_stage_run(
 /// handed to the caller's sink.
 ///
 /// **A stage like any other.** Every fused fan is a [`StageCore::Fan`]:
-/// on the top-level spine it is a stage of the net's one
-/// [`Pipeline`], and its sink is the next stage's queue or the run's
-/// out-buffer; inside another fan's lane its sink is the lane's next
-/// stage — so a star of splits is one depth-synchronous walk in one
+/// on the top-level spine it is a stage of the net's one stage run,
+/// inside another fan's lane a stage of that lane, and either way its
+/// sink is the walk's buffer for the next stage — so a star of splits is one depth-synchronous walk in one
 /// component, however deep the nest. The record is handed over itself
 /// (a router forwards it, it does not copy it). Each core owns its
 /// stage-major buffers: a nested walk runs in the middle of its
@@ -359,7 +391,7 @@ pub(crate) fn spawn_stage_run(
 /// order is the lane's emission order), and that holds level by level
 /// through a nest: an inner fan hands its parent the very sequence its
 /// det merger would have. Outer-scope sorts never enter a lane; the
-/// pipeline forwards them at their stream position, exactly once, which
+/// driver forwards them at their stream position, exactly once, which
 /// is what the unfused mergers' barrier/round bookkeeping reduces to
 /// when every branch is drained in lockstep.
 pub(crate) struct DispatchCore {
@@ -590,10 +622,10 @@ mod tests {
     #[test]
     fn amplified_cascade_spans_many_budgeted_steps() {
         // fan^6 = 64 outputs per input; 40 inputs = 2560 outputs plus
-        // all the intermediates — far beyond one step's RECV_BATCH
-        // budget, so the run crosses many step/yield boundaries (and,
-        // under the pool CI legs, many worker polls). Order must be
-        // the exact composition order regardless.
+        // all the intermediates, over drains the measured slice sizes
+        // (under the pool CI legs, many worker polls, some ending
+        // mid-input-stream). Order must be the exact composition order
+        // regardless.
         let root = fused_plan("fan .. fan .. fan .. fan .. fan .. fan");
         let got = drive(&root, 40);
         assert_eq!(got.len(), 40 * 64);

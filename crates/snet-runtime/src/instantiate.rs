@@ -6,17 +6,17 @@
 //! handles from the plan.
 //!
 //! Boxes, filters and fused fans have one driver: a `Box`, a `Filter`,
-//! a `Run` and a fused `Fan` all become a stage run ([`crate::fused`])
-//! — of length 1 for a lone stage — so what the fusion pass decides is
-//! how many stages share a component, never which record loop runs
-//! them.
+//! a fused `Run` and a fused `Fan` all become a stage run
+//! ([`crate::fused`]) — of length 1 for a lone stage — so what the
+//! compile flag decides is how many stages share a component, never
+//! which record loop runs them.
 //!
 //! The plan alone decides the topology; nothing here reads the net's
-//! configuration. A plan compiled with the fusion pass is **one**
-//! stage run from the net's input to its output — its root is a `Run`
-//! (the top-level `..` spine), a fused fan or a lone stage. A plan
-//! compiled without it is the paper's component graph: a component
-//! per box and filter, and every fan on its combinator's own
+//! configuration. A plan compiled fused is **one** stage run from the
+//! net's input to its output — its root is a `Run` (the top-level `..`
+//! spine), a fan or a lone stage. A plan compiled unfused is the
+//! paper's component graph: a `Run` is a component per stage, each at
+//! its stage's path, and every fan runs on its combinator's own
 //! dispatcher. Both route through the combinator's one router.
 //!
 //! Instantiation is also where component paths come into existence:
@@ -27,7 +27,7 @@
 use crate::ctx::Ctx;
 use crate::fused::{lane_cores, spawn_stage_run};
 use crate::parallel::spawn_parallel;
-use crate::path::{name, CompPath};
+use crate::path::CompPath;
 use crate::plan::{FanKind, PNode};
 use crate::split::spawn_split;
 use crate::star::spawn_star;
@@ -45,10 +45,13 @@ pub fn instantiate(
 ) -> Receiver {
     let path = path.into();
     match &**node {
-        PNode::Serial { a, b } => {
-            let mid = instantiate(ctx, a, path.child_at(name!("s0")), input);
-            instantiate(ctx, b, path.child_at(name!("s1")), mid)
-        }
+        // An unfused spine is one component per stage, chained.
+        PNode::Run {
+            stages,
+            fused: false,
+        } => stages.iter().fold(input, |input, stage| {
+            instantiate(ctx, &stage.node, path.descend(&stage.suffix), input)
+        }),
         // An unfused fan runs on its own dispatcher.
         PNode::Fan {
             kind,
@@ -75,9 +78,9 @@ pub fn instantiate(
             }
         }
         // Everything else is one stage run: a box, a filter, a fused
-        // fan or a `Run`. A lone stage owns the run's output edge, as a
-        // standalone component would; a `Run` (two stages or more) is
-        // owned by the path it is instantiated at.
+        // fan or a fused `Run`. A lone stage owns the run's output
+        // edge, as a standalone component would; a `Run` (two stages
+        // or more) is owned by the path it is instantiated at.
         run => {
             let cores = lane_cores(ctx, path, run);
             let owner = match &cores[..] {

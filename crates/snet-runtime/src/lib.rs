@@ -13,16 +13,18 @@
 //!   computational function to each record, with subtype acceptance
 //!   and flow inheritance handled by the wrapper ([`boxfn`]);
 //! * **filters** run the pure semantics of `snet-lang` ([`filter_exec`]);
-//! * pipelines are wired by [`instantiate`]; the other three
-//!   combinators are defined once each — one plan node
-//!   ([`plan::PNode::Fan`]), one router, one credit-gated dispatcher
+//! * a pipeline (`..`) is one flat plan node in either topology
+//!   ([`plan::PNode::Run`]), a stage per box, filter or combinator,
+//!   wired by [`instantiate`]; the other three combinators are defined
+//!   once each — one plan node ([`plan::PNode::Fan`]), one router, one
+//!   credit-gated dispatcher
 //!   loop: best-match dispatch + merge ([`parallel`]), demand-driven
 //!   serial replication with exit taps ([`star`]) and tag-indexed
 //!   parallel replication ([`split`]) — and run as dispatcher, lanes
 //!   and merger, or inline as one stage of the stage run that holds
-//!   them, so a net compiled with the fusion pass is one component
-//!   ([`fused`]) and one compiled without it is the paper's component
-//!   graph — the plan alone decides ([`plan`]);
+//!   them, so a net compiled fused is one component ([`fused`]) and
+//!   one compiled unfused is the paper's component graph — the plan
+//!   alone decides ([`plan`]);
 //! * the deterministic variants (`|`, `*`, `!`) are implemented with
 //!   **sort records**, the technique of the original S-Net runtime
 //!   ([`merge`]);

@@ -262,8 +262,9 @@ impl NetBuilder {
         self
     }
 
-    /// Enables or disables the fusion pass for this network (see
-    /// [`crate::plan`]), which alone decides how it runs. Fused (the
+    /// Compiles this network fused or unfused (see [`crate::plan`]: the
+    /// flag every spine and fan is built with), which alone decides how
+    /// it runs. Fused (the
     /// default, [`RunCfg::fuse`]), the whole net is **one** stage run:
     /// its `..` spine, and every split/parallel/star with dispatch,
     /// lanes and merge inline, fans nested in its lanes included — a

@@ -4,13 +4,13 @@
 //! Boxes are stateless SISO functions (paper, Section 4), so a net
 //! maps each input record to its outputs independently of every other
 //! record, and the only freedom a scheduler has is the *order* in
-//! which a nondeterministic merge releases them. This module walks the
-//! **unfused** plan (`compile_cfg(.., false)`: `Box`, `Filter`,
-//! `Serial` and `Fan` nodes only) one record at a time, depth first,
-//! and returns the output stream with a flag saying whether its order
-//! is defined:
+//! which a nondeterministic merge releases them. This module walks a
+//! plan of either compile (the `fused` flags are how it runs, not what
+//! it means) one record at a time, and returns the output stream with
+//! a flag saying whether its order is defined:
 //!
-//! * `A .. B` — every output of `A`, in emission order, through `B`;
+//! * `A .. B ..` — every output of `A`, in emission order, through
+//!   `B`, and so on down the spine;
 //! * `A | B` / `A || B` — the record goes to the branch whose input
 //!   type matches it better (`NetSig::match_score`); an equal match
 //!   between two different operands is the nondeterministic choice
@@ -84,7 +84,7 @@ impl fmt::Display for Undefined {
 
 impl std::error::Error for Undefined {}
 
-/// Runs `inputs` through `plan`, which must be compiled unfused.
+/// Runs `inputs` through `plan`.
 pub fn run(plan: &Plan, inputs: impl IntoIterator<Item = Record>) -> Result<Expected, Undefined> {
     let mut records = Vec::new();
     for rec in inputs {
@@ -100,19 +100,14 @@ pub fn run(plan: &Plan, inputs: impl IntoIterator<Item = Record>) -> Result<Expe
 fn all_det(node: &PNode) -> bool {
     match node {
         PNode::Box { .. } | PNode::Filter { .. } => true,
-        PNode::Serial { a, b } => all_det(a) && all_det(b),
+        PNode::Run { stages, .. } => stages.iter().all(|s| all_det(&s.node)),
         PNode::Fan { kind, det, .. } => {
             *det && match kind {
                 FanKind::Split { body, .. } | FanKind::Star { body, .. } => all_det(body),
                 FanKind::Parallel { left, right, .. } => all_det(left) && all_det(right),
             }
         }
-        PNode::Run { .. } => unfused_only(),
     }
-}
-
-fn unfused_only() -> ! {
-    panic!("the oracle runs unfused plans only: compile with compile_cfg(.., false)")
 }
 
 /// Appends the outputs of `node` for the one record `rec` to `out`.
@@ -138,10 +133,16 @@ fn eval(node: &PNode, rec: &Record, out: &mut Vec<Record>) -> Result<(), Undefin
             out.extend(outs);
             Ok(())
         }
-        PNode::Serial { a, b } => {
-            let mut mid = Vec::new();
-            eval(a, rec, &mut mid)?;
-            mid.iter().try_for_each(|r| eval(b, r, out))
+        PNode::Run { stages, .. } => {
+            let mut recs = vec![rec.clone()];
+            for stage in stages {
+                let mut next = Vec::new();
+                recs.iter()
+                    .try_for_each(|r| eval(&stage.node, r, &mut next))?;
+                recs = next;
+            }
+            out.append(&mut recs);
+            Ok(())
         }
         PNode::Fan { kind, .. } => match kind {
             FanKind::Parallel {
@@ -194,6 +195,5 @@ fn eval(node: &PNode, rec: &Record, out: &mut Vec<Record>) -> Result<(), Undefin
                 Ok(())
             }
         },
-        PNode::Run { .. } => unfused_only(),
     }
 }

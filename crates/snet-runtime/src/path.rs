@@ -180,8 +180,8 @@ impl CompPath {
 
     /// Descends a run of child segments — the one definition of how a
     /// recorded path suffix (the stages of a run; see [`crate::plan`])
-    /// maps back onto the `Serial` instantiation's paths, so the fused
-    /// and unfused topologies cannot diverge.
+    /// maps onto a stage's path, in the fused and the unfused topology
+    /// alike, so the two cannot diverge.
     pub(crate) fn descend(&self, suffix: &[Name]) -> CompPath {
         suffix.iter().fold(*self, |p, &seg| p.child_at(seg))
     }

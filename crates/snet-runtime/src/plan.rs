@@ -11,35 +11,38 @@
 //! clone subtree handles to instantiate replicas on demand without
 //! re-running any analysis.
 //!
-//! # The fusion pass
+//! # Fusion
 //!
 //! The paper's `..` combinator is a *coordination* construct, not an
 //! execution mandate: a pipeline of boxes is semantically a function
 //! composition, and running every stage as its own component taxes
 //! each record with a channel send, a wakeup and a scheduler
-//! round-trip per stage. The `fuse` rewrite removes that tax by
-//! flattening a `Serial` spine into one [`PNode::Run`] that
-//! [`crate::instantiate`] spawns as **one** component (see
-//! [`crate::fused`]): one `recv_each` at the head, one send at the
-//! tail, every intermediate record handed stage-to-stage on the
-//! component's own stack.
+//! round-trip per stage. Compilation therefore builds every `..` tree
+//! directly as one flat [`PNode::Run`] of its leaves, and fusion is not
+//! a rewrite but a flag: [`compile_cfg`]`(.., fuse)` sets `fused` on
+//! every `Run` and [`PNode::Fan`] as it builds them, and nothing
+//! touches a plan after compile. A fused `Run` is instantiated by
+//! [`crate::instantiate`] as **one** component (see [`crate::fused`]):
+//! one `recv_each` at the head, one send at the tail, every
+//! intermediate record handed stage-to-stage on the component's own
+//! stack. An unfused `Run` is one component per stage, chained by
+//! channels — the paper's pipeline.
 //!
-//! **Stages.** A run's stages are boxes, filters and fused fans — the
-//! leaves of the spine, every fan fused on the way. Boxes and filters
-//! carry no det sort level — they forward sort records transparently —
-//! and a fused fan needs none inside it (see below), so processing
-//! messages strictly in stream order (data records cascade fully
-//! through the stages before the next message is looked at) keeps the
-//! run's output byte-identical to the unfused spine's, sort records
-//! included.
+//! **Stages.** A run's stages are boxes, filters and fans — the leaves
+//! of the spine. Boxes and filters carry no det sort level — they
+//! forward sort records transparently — and a fused fan needs none
+//! inside it (see below), so running each drained batch through the
+//! stages in order, a sort record cutting the batch at its own stream
+//! position, keeps the fused run's output byte-identical to the
+//! unfused spine's, sort records included.
 //!
-//! **Metrics-path preservation.** Every stage remembers the `s0`/`s1`
-//! path suffix the binary `Serial` instantiation would have derived
-//! ([`Stage::suffix`]), and the stage-run driver registers each
-//! stage's [`crate::path::CompPath`] sub-path at spawn exactly as the
-//! standalone components do — so the string metrics query API,
-//! observers and per-stage counters are indistinguishable between the
-//! fused and unfused topologies.
+//! **Metrics-path preservation.** Every stage carries the `s0`/`s1`
+//! path suffix a binary instantiation of the `..` tree derives
+//! ([`Stage::suffix`]; a net reference's own spine is spliced in under
+//! its position), and both topologies register each stage's
+//! [`crate::path::CompPath`] at that suffix — so the string metrics
+//! query API, observers and per-stage counters are indistinguishable
+//! between them.
 //!
 //! # Fan fusion (replica fusion)
 //!
@@ -51,7 +54,7 @@
 //! processed **synchronously in stream order**, the input order the
 //! deterministic merger would laboriously re-establish from sort
 //! records is simply never disturbed. Every combinator is one
-//! [`PNode::Fan`] whichever way it runs; the pass sets its `fused`
+//! [`PNode::Fan`] whichever way it runs; compile sets its `fused`
 //! flag, and [`crate::instantiate`] then builds it as a stage
 //! ([`crate::fused::DispatchCore`]) that runs dispatch, the lanes'
 //! stage cores and the merge handoff together, instead of spawning the
@@ -59,17 +62,16 @@
 //! [`crate::star`]). Both use the same router, so counters, lane names
 //! and observer events do not depend on the flag.
 //!
-//! **The one rule.** A plan compiled with the pass runs as **one
-//! component**; a plan compiled without it runs as the paper's
-//! component graph. Nothing at instantiation second-guesses the plan.
-//! Fusion is *transitive*: a fused fan is a stage like a box or a
-//! filter, so whatever the pass makes of a body — a stage, a run, a
-//! fused fan — is a lane the enclosing fan walks in place, and a nest
-//! of any depth is one stage. Fig. 2's `(solveOneLevelK !! <k>) **
-//! {<done>}` is one depth-synchronous walk: guard `d`, the split behind
-//! it, its replicas, guard `d + 1`, with no task hand-off between
-//! levels. The top-level spine is the same flattening one level up:
-//! `box .. fan .. fan` is one [`PNode::Run`] of three stages.
+//! **The one rule.** A plan compiled fused runs as **one component**;
+//! a plan compiled unfused runs as the paper's component graph.
+//! Nothing at instantiation second-guesses the plan. Fusion is
+//! *transitive*: a fused fan is a stage like a box or a filter, so a
+//! fused body — a stage, a run, a fan — is a lane the enclosing fan
+//! walks in place, and a nest of any depth is one stage. Fig. 2's
+//! `(solveOneLevelK !! <k>) ** {<done>}` is one depth-synchronous walk:
+//! guard `d`, the split behind it, its replicas, guard `d + 1`, with no
+//! task hand-off between levels. The top-level spine is the same one
+//! level up: `box .. fan .. fan` is one [`PNode::Run`] of three stages.
 //!
 //! Nothing about a net's configuration changes that. A positive
 //! `"dispatch"` bound gates the lane edges a net has, and a fused net
@@ -107,8 +109,9 @@
 //!
 //! Fusion is on by default ([`crate::RunCfg::fuse`]);
 //! [`crate::NetBuilder::fuse`]`(false)` keeps a net's unfused topology
-//! buildable, and [`compile_cfg`] gives explicit control. The unfused
-//! plan is also what [`crate::oracle`] interprets.
+//! buildable, and [`compile_cfg`] gives explicit control. The two
+//! compiles differ in their flags only, and [`crate::oracle`]
+//! interprets either.
 
 use crate::boxfn::BoxImpl;
 use crate::path::{name, CompPath, Name};
@@ -132,28 +135,26 @@ pub enum PNode {
     Filter {
         def: FilterDef,
     },
-    Serial {
-        a: Arc<PNode>,
-        b: Arc<PNode>,
-    },
     /// A combinator — `||`/`|`, `!!`/`!` or `**`/`*`: route each
-    /// record to a lane, run the operand, merge. `fused` is set by
-    /// the fusion pass (see module docs, *Fan fusion*): dispatch,
-    /// every lane's stages and the merge handoff then run inline, as
-    /// one stage (a `DispatchCore`, [`crate::fused`]) — of the net's
-    /// stage run for a fan on the top-level spine, of the enclosing
-    /// fan's lane for a nested one.
+    /// record to a lane, run the operand, merge. With `fused` (the
+    /// compile flag; see module docs, *Fan fusion*) dispatch, every
+    /// lane's stages and the merge handoff run inline, as one stage (a
+    /// `DispatchCore`, [`crate::fused`]) — of the net's stage run for
+    /// a fan on the top-level spine, of the enclosing fan's lane for a
+    /// nested one.
     Fan {
         kind: FanKind,
         det: bool,
         level: u32,
         fused: bool,
     },
-    /// A `Serial` spine flattened by the fusion pass: its boxes,
-    /// filters and fused fans in order, instantiated as **one**
-    /// component running every stage in place (see [`crate::fused`]).
+    /// A `..` spine, flattened: its boxes, filters and fans in order.
+    /// With `fused` (the compile flag) it is instantiated as **one**
+    /// component running every stage in place (see [`crate::fused`]);
+    /// without, as one component per stage.
     Run {
         stages: Vec<Stage>,
+        fused: bool,
     },
 }
 
@@ -189,31 +190,6 @@ impl FanKind {
             (FanKind::Star { .. }, false) => name!("starnd"),
         })
     }
-
-    /// The same combinator over `f` of each body.
-    fn map_bodies(&self, mut f: impl FnMut(&Arc<PNode>) -> Arc<PNode>) -> FanKind {
-        match self {
-            FanKind::Split { body, tag } => FanKind::Split {
-                body: f(body),
-                tag: *tag,
-            },
-            FanKind::Parallel {
-                left,
-                right,
-                left_sig,
-                right_sig,
-            } => FanKind::Parallel {
-                left: f(left),
-                right: f(right),
-                left_sig: left_sig.clone(),
-                right_sig: right_sig.clone(),
-            },
-            FanKind::Star { body, exit } => FanKind::Star {
-                body: f(body),
-                exit: exit.clone(),
-            },
-        }
-    }
 }
 
 impl PNode {
@@ -222,8 +198,7 @@ impl PNode {
     pub(crate) fn splits_on(&self, tag: &str) -> bool {
         match self {
             PNode::Box { .. } | PNode::Filter { .. } => false,
-            PNode::Serial { a, b } => a.splits_on(tag) || b.splits_on(tag),
-            PNode::Run { stages } => stages.iter().any(|s| s.node.splits_on(tag)),
+            PNode::Run { stages, .. } => stages.iter().any(|s| s.node.splits_on(tag)),
             PNode::Fan { kind, .. } => match kind {
                 FanKind::Split { body, tag: t } => t.name() == tag || body.splits_on(tag),
                 FanKind::Parallel { left, right, .. } => {
@@ -237,13 +212,12 @@ impl PNode {
 
 /// One stage of a [`PNode::Run`].
 pub struct Stage {
-    /// The `s0`/`s1` child segments the binary `Serial` instantiation
-    /// would have derived for this stage, relative to the run's
-    /// instantiation path — so per-stage metrics and observer paths
-    /// are byte-identical to the unfused topology.
+    /// The `s0`/`s1` child segments a binary instantiation of the
+    /// `..` tree derives for this stage, relative to the run's
+    /// instantiation path — the stage's path in both topologies.
     pub suffix: Vec<Name>,
     /// The stage itself: a `Box` or `Filter` leaf, by handle, or a
-    /// fused `Fan`.
+    /// `Fan`, fused iff the run is.
     pub node: Arc<PNode>,
 }
 
@@ -252,7 +226,6 @@ impl fmt::Debug for PNode {
         match self {
             PNode::Box { name, .. } => write!(f, "Box({name})"),
             PNode::Filter { def } => write!(f, "Filter({def})"),
-            PNode::Serial { a, b } => write!(f, "Serial({a:?}, {b:?})"),
             PNode::Fan {
                 kind, det, fused, ..
             } => match kind {
@@ -266,8 +239,8 @@ impl fmt::Debug for PNode {
                     write!(f, "Star(det={det}, fused={fused}, exit={exit}, {body:?})")
                 }
             },
-            PNode::Run { stages } => {
-                write!(f, "Run(")?;
+            PNode::Run { stages, fused } => {
+                write!(f, "Run(fused={fused}, ")?;
                 for (i, s) in stages.iter().enumerate() {
                     if i > 0 {
                         write!(f, " .. ")?;
@@ -345,163 +318,149 @@ impl From<TypeError> for CompileError {
 }
 
 /// Compiles a network expression against declarations and bindings,
-/// with the fusion pass on — the default ([`crate::RunCfg::fuse`]);
-/// [`compile_cfg`] chooses.
+/// fused — the default ([`crate::RunCfg::fuse`]); [`compile_cfg`]
+/// chooses.
 pub fn compile(ast: &NetAst, env: &Env, bindings: &Bindings) -> Result<Plan, CompileError> {
     compile_cfg(ast, env, bindings, true)
 }
 
-/// [`compile`] with explicit control over the fusion pass.
+/// [`compile`] with explicit control over fusion: `fuse` is the flag
+/// every [`PNode::Run`] and [`PNode::Fan`] of the plan is built with,
+/// and so whether the net runs as one component or as the paper's
+/// component graph (module docs). Nothing rewrites a plan afterwards.
 pub fn compile_cfg(
     ast: &NetAst,
     env: &Env,
     bindings: &Bindings,
-    fuse_pass: bool,
+    fuse: bool,
 ) -> Result<Plan, CompileError> {
-    let (root, sig) = compile_node(ast, env, bindings, 0)?;
-    let root = if fuse_pass { fuse(&root) } else { root };
+    let (root, sig) = Compiler {
+        env,
+        bindings,
+        fuse,
+    }
+    .node(ast, 0)?;
     Ok(Plan { root, sig })
 }
 
-/// The fusion rewrite (see the module docs): flattens every `Serial`
-/// spine into a [`PNode::Run`], recurses into combinator bodies and
-/// marks every [`PNode::Fan`] `fused` — whatever the pass makes of a
-/// body (a stage, a run, a fused fan) is a lane the fan driver can run
-/// in place, so there is nothing left to refuse. Idempotent; component
-/// paths are preserved exactly.
-pub(crate) fn fuse(node: &Arc<PNode>) -> Arc<PNode> {
-    match &**node {
-        PNode::Serial { .. } => {
-            let mut stages = Vec::new();
-            flatten_serial(node, &mut Vec::new(), &mut stages);
-            Arc::new(PNode::Run { stages })
+/// What every node of one compilation reads.
+struct Compiler<'a> {
+    env: &'a Env,
+    bindings: &'a Bindings,
+    fuse: bool,
+}
+
+impl Compiler<'_> {
+    fn node(&self, ast: &NetAst, det_depth: u32) -> Result<(Arc<PNode>, NetSig), CompileError> {
+        match ast {
+            NetAst::Ref(name) => {
+                if let Some(box_sig) = self.env.lookup_box(name) {
+                    let imp = self
+                        .bindings
+                        .get(name)
+                        .ok_or_else(|| CompileError::Unbound(name.clone()))?;
+                    let sig = box_sig.net_sig();
+                    Ok((
+                        Arc::new(PNode::Box {
+                            name: name.clone(),
+                            seg: Name::new(&format!("box:{name}")),
+                            sig: box_sig.clone(),
+                            imp,
+                        }),
+                        sig,
+                    ))
+                } else if let Some(body) = self.env.lookup_net(name) {
+                    // Net references are inlined: replication must be
+                    // able to clone the full subtree.
+                    self.node(body, det_depth)
+                } else {
+                    Err(CompileError::Unknown(name.clone()))
+                }
+            }
+            NetAst::Filter(def) => {
+                let sig = def.net_sig();
+                Ok((Arc::new(PNode::Filter { def: def.clone() }), sig))
+            }
+            NetAst::Serial(..) => {
+                let mut stages = Vec::new();
+                let sig = self.spine(ast, det_depth, &mut Vec::new(), &mut stages)?;
+                let fused = self.fuse;
+                Ok((Arc::new(PNode::Run { stages, fused }), sig))
+            }
+            NetAst::Parallel { left, right, det } => {
+                let inner_depth = det_depth + u32::from(*det);
+                let (pl, sl) = self.node(left, inner_depth)?;
+                let (pr, sr) = self.node(right, inner_depth)?;
+                let sig = snet_types::parallel(&sl, &sr);
+                let kind = FanKind::Parallel {
+                    left: pl,
+                    right: pr,
+                    left_sig: sl,
+                    right_sig: sr,
+                };
+                Ok((self.fan(kind, *det, det_depth), sig))
+            }
+            NetAst::Star { inner, exit, det } => {
+                let (pi, si) = self.node(inner, det_depth + u32::from(*det))?;
+                let sig = snet_types::star(&si, &exit.pattern)?;
+                let kind = FanKind::Star {
+                    body: pi,
+                    exit: exit.clone(),
+                };
+                Ok((self.fan(kind, *det, det_depth), sig))
+            }
+            NetAst::Split { inner, tag, det } => {
+                let (pi, si) = self.node(inner, det_depth + u32::from(*det))?;
+                let tag = Label::tag(tag);
+                let sig = snet_types::split(&si, tag);
+                let kind = FanKind::Split { body: pi, tag };
+                Ok((self.fan(kind, *det, det_depth), sig))
+            }
         }
-        PNode::Fan {
+    }
+
+    /// Compiles the `..` tree under `ast` into `out`, leaf by leaf,
+    /// each under the `s0`/`s1` suffix (after `prefix`) its binary
+    /// instantiation derives; a net reference's own spine is spliced
+    /// in the same way. Returns the tree's signature.
+    fn spine(
+        &self,
+        ast: &NetAst,
+        det_depth: u32,
+        prefix: &mut Vec<Name>,
+        out: &mut Vec<Stage>,
+    ) -> Result<NetSig, CompileError> {
+        if let NetAst::Serial(a, b) = ast {
+            prefix.push(name!("s0"));
+            let sa = self.spine(a, det_depth, prefix, out)?;
+            prefix.pop();
+            prefix.push(name!("s1"));
+            let sb = self.spine(b, det_depth, prefix, out)?;
+            prefix.pop();
+            return Ok(snet_types::serial(&sa, &sb)?);
+        }
+        let (node, sig) = self.node(ast, det_depth)?;
+        match &*node {
+            PNode::Run { stages, .. } => out.extend(stages.iter().map(|s| Stage {
+                suffix: [&prefix[..], &s.suffix[..]].concat(),
+                node: Arc::clone(&s.node),
+            })),
+            _ => out.push(Stage {
+                suffix: prefix.clone(),
+                node,
+            }),
+        }
+        Ok(sig)
+    }
+
+    /// A combinator node, fused iff this compile is.
+    fn fan(&self, kind: FanKind, det: bool, level: u32) -> Arc<PNode> {
+        Arc::new(PNode::Fan {
             kind,
             det,
             level,
-            fused: false,
-        } => Arc::new(PNode::Fan {
-            kind: kind.map_bodies(fuse),
-            det: *det,
-            level: *level,
-            fused: true,
-        }),
-        // Leaves (and already-fused nodes) pass through by handle.
-        PNode::Box { .. }
-        | PNode::Filter { .. }
-        | PNode::Run { .. }
-        | PNode::Fan { fused: true, .. } => Arc::clone(node),
-    }
-}
-
-/// Flattens a `Serial` spine into its leaves, fused, each under the
-/// `s0`/`s1` path suffix the binary instantiation derives.
-fn flatten_serial(node: &Arc<PNode>, prefix: &mut Vec<Name>, out: &mut Vec<Stage>) {
-    match &**node {
-        PNode::Serial { a, b } => {
-            prefix.push(name!("s0"));
-            flatten_serial(a, prefix, out);
-            prefix.pop();
-            prefix.push(name!("s1"));
-            flatten_serial(b, prefix, out);
-            prefix.pop();
-        }
-        _ => out.push(Stage {
-            suffix: prefix.clone(),
-            node: fuse(node),
-        }),
-    }
-}
-
-/// A combinator node as `compile_node` builds it: not fused (that is
-/// the [`fuse`] pass's decision).
-fn fan(kind: FanKind, det: bool, level: u32) -> Arc<PNode> {
-    Arc::new(PNode::Fan {
-        kind,
-        det,
-        level,
-        fused: false,
-    })
-}
-
-fn compile_node(
-    ast: &NetAst,
-    env: &Env,
-    bindings: &Bindings,
-    det_depth: u32,
-) -> Result<(Arc<PNode>, NetSig), CompileError> {
-    match ast {
-        NetAst::Ref(name) => {
-            if let Some(box_sig) = env.lookup_box(name) {
-                let imp = bindings
-                    .get(name)
-                    .ok_or_else(|| CompileError::Unbound(name.clone()))?;
-                let sig = box_sig.net_sig();
-                Ok((
-                    Arc::new(PNode::Box {
-                        name: name.clone(),
-                        seg: Name::new(&format!("box:{name}")),
-                        sig: box_sig.clone(),
-                        imp,
-                    }),
-                    sig,
-                ))
-            } else if let Some(body) = env.lookup_net(name) {
-                // Net references are inlined: replication must be able
-                // to clone the full subtree.
-                let body = body.clone();
-                compile_node(&body, env, bindings, det_depth)
-            } else {
-                Err(CompileError::Unknown(name.clone()))
-            }
-        }
-        NetAst::Filter(def) => {
-            let sig = def.net_sig();
-            Ok((Arc::new(PNode::Filter { def: def.clone() }), sig))
-        }
-        NetAst::Serial(a, b) => {
-            let (pa, sa) = compile_node(a, env, bindings, det_depth)?;
-            let (pb, sb) = compile_node(b, env, bindings, det_depth)?;
-            let sig = snet_types::serial(&sa, &sb)?;
-            Ok((Arc::new(PNode::Serial { a: pa, b: pb }), sig))
-        }
-        NetAst::Parallel { left, right, det } => {
-            let inner_depth = det_depth + u32::from(*det);
-            let (pl, sl) = compile_node(left, env, bindings, inner_depth)?;
-            let (pr, sr) = compile_node(right, env, bindings, inner_depth)?;
-            let sig = snet_types::parallel(&sl, &sr);
-            Ok((
-                fan(
-                    FanKind::Parallel {
-                        left: pl,
-                        right: pr,
-                        left_sig: sl,
-                        right_sig: sr,
-                    },
-                    *det,
-                    det_depth,
-                ),
-                sig,
-            ))
-        }
-        NetAst::Star { inner, exit, det } => {
-            let inner_depth = det_depth + u32::from(*det);
-            let (pi, si) = compile_node(inner, env, bindings, inner_depth)?;
-            let sig = snet_types::star(&si, &exit.pattern)?;
-            let kind = FanKind::Star {
-                body: pi,
-                exit: exit.clone(),
-            };
-            Ok((fan(kind, *det, det_depth), sig))
-        }
-        NetAst::Split { inner, tag, det } => {
-            let inner_depth = det_depth + u32::from(*det);
-            let (pi, si) = compile_node(inner, env, bindings, inner_depth)?;
-            let tag = Label::tag(tag);
-            let sig = snet_types::split(&si, tag);
-            Ok((fan(FanKind::Split { body: pi, tag }, *det, det_depth), sig))
-        }
+            fused: self.fuse,
+        })
     }
 }
 
@@ -529,12 +488,24 @@ mod tests {
         .unwrap()
     }
 
+    /// Two boxes of one type, and a net of both.
+    fn env_aa() -> Env {
+        parse_program(
+            "box f (a) -> (a);\n\
+             box g (a) -> (a);\n\
+             net gf = g .. f;",
+        )
+        .unwrap()
+        .env()
+        .unwrap()
+    }
+
     #[test]
     fn compile_box_and_serial() {
         let env = env_fg();
         let ast = snet_lang::parse_net_expr("f .. g").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), false).unwrap();
-        assert!(matches!(&*plan.root, PNode::Serial { .. }));
+        assert!(matches!(&*plan.root, PNode::Run { fused: false, .. }));
         assert_eq!(plan.sig.output_type().to_string(), "{c}");
     }
 
@@ -543,7 +514,7 @@ mod tests {
         let env = env_fg();
         let ast = snet_lang::parse_net_expr("fg").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), false).unwrap();
-        assert!(matches!(&*plan.root, PNode::Serial { .. }));
+        assert!(matches!(&*plan.root, PNode::Run { fused: false, .. }));
     }
 
     #[test]
@@ -552,7 +523,7 @@ mod tests {
         let ast = snet_lang::parse_net_expr("f .. g").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), true).unwrap();
         match &*plan.root {
-            PNode::Run { stages } => {
+            PNode::Run { stages, .. } => {
                 assert_eq!(stages.len(), 2);
                 assert_eq!(stages[0].suffix, vec!["s0"]);
                 assert_eq!(stages[1].suffix, vec!["s1"]);
@@ -565,82 +536,71 @@ mod tests {
         assert_eq!(plan.sig.output_type().to_string(), "{c}");
     }
 
+    /// The suffixes of `expr`'s stages, compiled with `fuse`; panics
+    /// unless the root is one `Run` whose flag, and every fan's, is
+    /// `fuse`.
+    fn spine(expr: &str, fuse: bool) -> Vec<Vec<&'static str>> {
+        let ast = snet_lang::parse_net_expr(expr).unwrap();
+        let plan = compile_cfg(&ast, &env_aa(), &bindings_id(), fuse).unwrap();
+        let PNode::Run { stages, fused } = &*plan.root else {
+            panic!("{expr}: expected Run, got {:?}", plan.root)
+        };
+        assert_eq!(*fused, fuse, "{expr}");
+        let mut flags = Vec::new();
+        fan_flags(&plan.root, &mut flags);
+        assert!(flags.iter().all(|&f| f == fuse), "{expr}: {:?}", plan.root);
+        stages
+            .iter()
+            .map(|s| s.suffix.iter().map(Name::as_str).collect())
+            .collect()
+    }
+
     #[test]
     fn fusion_records_serial_tree_suffixes() {
-        // Three stages: the suffixes must be exactly what the binary
-        // Serial instantiation would derive, so metric paths match.
-        let env = parse_program(
-            "box f (a) -> (a);\n\
-             box g (a) -> (a);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("f", |r, e| e.emit(r.clone()))
-            .bind("g", |r, e| e.emit(r.clone()));
-        let ast = snet_lang::parse_net_expr("f .. g .. f").unwrap();
-        let unfused = compile_cfg(&ast, &env, &b, false).unwrap();
-        let fused = fuse(&unfused.root);
-        // `..` associates left: Serial(Serial(f, g), f).
-        let want = [vec!["s0", "s0"], vec!["s0", "s1"], vec!["s1"]];
-        match &*fused {
-            PNode::Run { stages } => {
-                assert_eq!(stages.len(), 3);
-                let got: Vec<Vec<&'static str>> = stages
-                    .iter()
-                    .map(|s| s.suffix.iter().map(Name::as_str).collect())
-                    .collect();
-                assert_eq!(got, want);
-            }
-            other => panic!("expected Run, got {other:?}"),
+        // Either compile builds one `Run` whose suffixes are exactly
+        // what the binary instantiation of the `..` tree derives, so
+        // metric paths match. A net reference's spine splices in.
+        let left = [vec!["s0", "s0"], vec!["s0", "s1"], vec!["s1"]];
+        let right = [vec!["s0"], vec!["s1", "s0"], vec!["s1", "s1"]];
+        for fuse in [true, false] {
+            // `..` associates left: ((f .. g) .. f).
+            assert_eq!(spine("f .. g .. f", fuse), left);
+            assert_eq!(spine("f .. (g .. f)", fuse), right);
+            assert_eq!(spine("f .. gf", fuse), right);
         }
     }
 
     #[test]
     fn fusion_flattens_a_spine_with_fans_into_one_run() {
         // f .. (g ! <t>) .. f .. g: the split is one stage of the run,
-        // fan-fused, between the boxes; every stage keeps its
-        // Serial-derived suffix.
-        let env = parse_program(
-            "box f (a) -> (a);\n\
-             box g (a) -> (a);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("f", |r, e| e.emit(r.clone()))
-            .bind("g", |r, e| e.emit(r.clone()));
-        let ast = snet_lang::parse_net_expr("f .. (g ! <t>) .. f .. g").unwrap();
-        let plan = compile_cfg(&ast, &env, &b, true).unwrap();
-        match &*plan.root {
-            PNode::Run { stages } => {
-                assert_eq!(stages.len(), 4, "{:?}", plan.root);
-                assert!(matches!(&*stages[0].node, PNode::Box { .. }));
-                assert!(matches!(&*stages[1].node, PNode::Fan { fused: true, .. }));
-                assert!(matches!(&*stages[2].node, PNode::Box { .. }));
-                assert!(matches!(&*stages[3].node, PNode::Box { .. }));
-                assert!(stages.iter().all(|s| !s.suffix.is_empty()));
-            }
-            other => panic!("expected Run, got {other:?}"),
+        // fused iff the run is, between the boxes; every stage keeps
+        // its binary-tree suffix.
+        for fuse in [true, false] {
+            assert_eq!(
+                spine("f .. (g ! <t>) .. f .. g", fuse),
+                [
+                    vec!["s0", "s0", "s0"],
+                    vec!["s0", "s0", "s1"],
+                    vec!["s0", "s1"],
+                    vec!["s1"]
+                ]
+            );
         }
+        let ast = snet_lang::parse_net_expr("f .. (g ! <t>) .. f .. g").unwrap();
+        let plan = compile_cfg(&ast, &env_aa(), &bindings_id(), true).unwrap();
+        let PNode::Run { stages, .. } = &*plan.root else {
+            panic!("expected Run, got {:?}", plan.root)
+        };
+        assert!(matches!(&*stages[0].node, PNode::Box { .. }));
+        assert!(matches!(&*stages[1].node, PNode::Fan { fused: true, .. }));
+        assert!(matches!(&*stages[2].node, PNode::Box { .. }));
+        assert!(matches!(&*stages[3].node, PNode::Box { .. }));
     }
 
     #[test]
     fn fusion_recurses_into_combinator_inners() {
-        let env = parse_program(
-            "box f (a) -> (a);\n\
-             box g (a) -> (a);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("f", |r, e| e.emit(r.clone()))
-            .bind("g", |r, e| e.emit(r.clone()));
         let ast = snet_lang::parse_net_expr("(f .. g) ! <t>").unwrap();
-        let plan = compile_cfg(&ast, &env, &b, true).unwrap();
+        let plan = compile_cfg(&ast, &env_aa(), &bindings_id(), true).unwrap();
         match &*plan.root {
             PNode::Fan {
                 kind: FanKind::Split { body, .. },
@@ -648,7 +608,10 @@ mod tests {
                 fused: true,
                 ..
             } => {
-                assert!(matches!(&**body, PNode::Run { .. }), "{body:?}");
+                assert!(
+                    matches!(&**body, PNode::Run { fused: true, .. }),
+                    "{body:?}"
+                );
             }
             other => panic!("expected a fused split, got {other:?}"),
         }
@@ -659,16 +622,17 @@ mod tests {
         match node {
             PNode::Fan { kind, fused, .. } => {
                 out.push(*fused);
-                kind.map_bodies(|body| {
-                    fan_flags(body, out);
-                    Arc::clone(body)
-                });
+                match kind {
+                    FanKind::Split { body, .. } | FanKind::Star { body, .. } => {
+                        fan_flags(body, out)
+                    }
+                    FanKind::Parallel { left, right, .. } => {
+                        fan_flags(left, out);
+                        fan_flags(right, out);
+                    }
+                }
             }
-            PNode::Serial { a, b } => {
-                fan_flags(a, out);
-                fan_flags(b, out);
-            }
-            PNode::Run { stages } => stages.iter().for_each(|s| fan_flags(&s.node, out)),
+            PNode::Run { stages, .. } => stages.iter().for_each(|s| fan_flags(&s.node, out)),
             PNode::Box { .. } | PNode::Filter { .. } => {}
         }
     }
@@ -678,16 +642,7 @@ mod tests {
         // A fused fan is a lane stage, so a fan whose body is (or
         // holds) a combinator fuses like any other: with the pass on
         // every level is `fused`, with it off none is.
-        let env = parse_program(
-            "box f (a) -> (a);\n\
-             box g (a) -> (a);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("f", |r, e| e.emit(r.clone()))
-            .bind("g", |r, e| e.emit(r.clone()));
+        let (env, b) = (env_aa(), bindings_id());
         for (expr, levels) in [
             ("(f ! <u>) ! <t>", 2),
             ("((f ! <u>) | g) ** {a}", 3),
@@ -752,20 +707,9 @@ mod tests {
         let ast = snet_lang::parse_net_expr("(f .. g) ! <t>").unwrap();
         let plan = compile_cfg(&ast, &env, &bindings_id(), true).unwrap();
         assert!(matches!(&*plan.root, PNode::Fan { fused: true, .. }));
-        let again = fuse(&plan.root);
-        assert!(Arc::ptr_eq(&plan.root, &again));
-        // With the pass off, no fan is marked fused.
+        // Compiled unfused, no fan is marked fused.
         let unfused = compile_cfg(&ast, &env, &bindings_id(), false).unwrap();
         assert!(matches!(&*unfused.root, PNode::Fan { fused: false, .. }));
-    }
-
-    #[test]
-    fn fusion_is_idempotent() {
-        let env = env_fg();
-        let ast = snet_lang::parse_net_expr("f .. g").unwrap();
-        let plan = compile_cfg(&ast, &env, &bindings_id(), true).unwrap();
-        let again = fuse(&plan.root);
-        assert!(Arc::ptr_eq(&plan.root, &again));
     }
 
     #[test]
@@ -798,19 +742,9 @@ mod tests {
 
     #[test]
     fn det_levels_are_nesting_depths() {
-        let env = parse_program(
-            "box f (a) -> (a);\n\
-             box g (a) -> (a);",
-        )
-        .unwrap()
-        .env()
-        .unwrap();
-        let b = Bindings::new()
-            .bind("f", |r, e| e.emit(r.clone()))
-            .bind("g", |r, e| e.emit(r.clone()));
+        let (env, b) = (env_aa(), bindings_id());
         // Outer det parallel (level 0) containing a det split (level 1).
-        // Fusion off: levels are a compile_node property, and the
-        // unfused tree shows them directly.
+        // Fusion off: levels do not depend on it.
         let ast = snet_lang::parse_net_expr("(f ! <t>) | g").unwrap();
         let plan = compile_cfg(&ast, &env, &b, false).unwrap();
         match &*plan.root {

@@ -275,7 +275,7 @@ mod tests {
     use snet_types::Record;
 
     /// `mark ! <k>` / `mark !! <k>` over `mark (x) -> (x, y)`, an
-    /// identity that copies `x` into `y`. `fuse` is the fusion pass:
+    /// identity that copies `x` into `y`. `fuse` is the compile flag:
     /// on, the plan runs as a fused fan stage; off, on this file's
     /// dispatcher — every test runs both.
     fn mark_plan(det: bool, fuse: bool) -> Plan {

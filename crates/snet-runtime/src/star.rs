@@ -292,7 +292,7 @@ mod tests {
     use snet_types::Record;
 
     /// Compiles `expr` over one box `decl`/`imp` and runs `inputs`
-    /// through it to the end. `fuse` is the fusion pass: on, the plan
+    /// through it to the end. `fuse` is the compile flag: on, the plan
     /// runs as a fused fan stage; off, on this file's guard chain — every
     /// test runs both.
     fn run(

@@ -16,7 +16,7 @@
 //! paper uses 4 and 40); the F3 experiment sweeps them.
 //!
 //! **How they run.** The paper assumes "each box creates a separate
-//! process/thread". By default the runtime's fusion pass does the
+//! process/thread". By default the runtime compiles fused and does the
 //! opposite with these three: each serial replicator — the parallel
 //! replicators inside it included — is one stage that walks a puzzle's
 //! levels depth by depth, and the boxes and filters around it share its

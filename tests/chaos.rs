@@ -153,8 +153,8 @@ fn failnet_policy_still_kills_the_net() {
 
 #[test]
 fn fused_and_unfused_contain_chaos_identically() {
-    // A linear two-box chain — the fusion pass collapses it into one
-    // scheduled component. The chaos decision stream is keyed by
+    // A linear two-box chain — compiled fused, it is one scheduled
+    // component. The chaos decision stream is keyed by
     // per-stage path and record index, both invariant under fusion,
     // so the fused and unfused runs drop the same records and emit
     // byte-identical output.

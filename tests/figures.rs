@@ -278,6 +278,36 @@ fn fig2_det_order_does_not_depend_on_fan_fusion() {
 }
 
 #[test]
+fn the_oracle_reads_fig2_and_fig3_the_same_in_both_compiles() {
+    // A plan's `fused` flags say how it runs, not what it means: the
+    // sequential reference gives one answer for either compile.
+    use snet_runtime::{compile_cfg, oracle, Bindings};
+    use sudoku::boxes::{
+        compute_opts_box, puzzle_record, solve_box, solve_one_level_box, LevelStyle,
+    };
+    use sudoku::networks::{fig3_text, BOX_DECLS, FIG2, FIG2_DET};
+    let env = snet_lang::parse_program(BOX_DECLS).unwrap().env().unwrap();
+    let b = Bindings::new()
+        .bind("computeOpts", compute_opts_box(3))
+        .bind("solveOneLevelK", solve_one_level_box(3, LevelStyle::WithK))
+        .bind(
+            "solveOneLevelL",
+            solve_one_level_box(3, LevelStyle::WithKLevel),
+        )
+        .bind("solve", solve_box(3));
+    let corpus = [puzzles::classic9(), puzzles::easy9()];
+    for expr in [FIG2.to_string(), FIG2_DET.to_string(), fig3_text(4, 40)] {
+        let ast = snet_lang::parse_net_expr(&expr).unwrap();
+        let [fused, unfused] = [true, false].map(|fuse| {
+            let plan = compile_cfg(&ast, &env, &b, fuse).unwrap();
+            oracle::run(&plan, corpus.iter().map(puzzle_record)).unwrap()
+        });
+        assert!(!unfused.records.is_empty(), "{expr}");
+        assert_eq!(fused, unfused, "{expr}");
+    }
+}
+
+#[test]
 fn boxes_spawn_threads_per_replica() {
     // "If we assume that each box creates a separate process/thread"
     // (Section 5) — the literal execution model. Fusion runs Fig. 1's

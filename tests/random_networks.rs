@@ -6,6 +6,8 @@
 //! unbounded} × {threads, pool(1), pool(2)}, and asserts that the
 //! output is what `snet_runtime::oracle` says the program means: the
 //! same sequence when every fan is det, the same multiset otherwise.
+//! The oracle itself must give one answer for the fused and the
+//! unfused compile of each program.
 //! A failing case prints the program, the configuration and the
 //! `PROPTEST_SEED` that replays it.
 //!
@@ -158,15 +160,16 @@ impl std::fmt::Debug for Case {
     }
 }
 
-/// The unfused plan of `main` in `src`, the oracle's input.
-fn reference_plan(src: &str) -> Plan {
+/// The plan of `main` in `src`, compiled fused or not: the oracle's
+/// input.
+fn reference_plan(src: &str, fuse: bool) -> Plan {
     let program = parse_program(src).unwrap();
     let env: Env = program.env().unwrap();
     let b = bindings()
         .into_iter()
         .fold(Bindings::new(), |b, (name, f)| b.bind(name, f));
     let ast = &program.net("main").unwrap().body;
-    snet_runtime::compile_cfg(ast, &env, &b, false).unwrap()
+    snet_runtime::compile_cfg(ast, &env, &b, fuse).unwrap()
 }
 
 /// Draws programs until one type-checks, admits its inputs and has
@@ -207,7 +210,7 @@ impl Strategy for Cases {
             if !matches!(env, Ok(Ok(_))) {
                 continue;
             }
-            let plan = reference_plan(&src);
+            let plan = reference_plan(&src, false);
             let admitted = inputs
                 .iter()
                 .all(|r| plan.sig.match_score(&r.record_type()).is_some());
@@ -269,9 +272,15 @@ fn run_case(case: &Case) -> Vec<Record> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Runtime ≡ oracle on drawn programs, one configuration each.
+    /// Runtime ≡ oracle on drawn programs, one configuration each; and
+    /// the oracle reads the fused compile as it reads the unfused one.
     #[test]
     fn runtime_matches_the_oracle_on_random_programs(case in Cases) {
+        prop_assert_eq!(
+            oracle::run(&reference_plan(&case.src, true), case.inputs.clone()),
+            Ok(case.want.clone()),
+            "the oracle on the fused compile"
+        );
         let case = Arc::new(case);
         let got = on_own_thread({
             let case = Arc::clone(&case);
