@@ -58,11 +58,17 @@
 //!
 //! Fault handling that is only exercised by real bugs is untested
 //! fault handling. [`ChaosConfig`] injects panics (and stalls) at the
-//! core boundary, *deterministically*: the decision for record `n` at
-//! stage `p` is a pure hash of `(seed, fnv(p), n)` — no global RNG,
-//! no time dependence — so a soak run is reproducible from its seed
-//! and a poison record panics again on every [`FaultPolicy::Restart`]
-//! retry (the per-stage record counter does not advance on retries).
+//! core boundary, *deterministically*: a record is decided once per
+//! box name and content. The decision is a pure hash of the seed, the
+//! stage's own path segment (`box:{name}` or `filter`) and the
+//! record's content — every label by name with its value, in any
+//! label order; an opaque value contributes its label only. There is
+//! no global RNG, no time dependence and no arrival index: fusion and
+//! scheduling change where a stage sits and in which order (and, behind
+//! an `id || id` tie, on which lane) its records arrive, never which
+//! records a box sees. So a soak run is reproducible from its seed,
+//! every topology and executor drops the same records, and a poison
+//! record panics again on every [`FaultPolicy::Restart`] retry.
 //! Enable per net with [`crate::NetBuilder::chaos`], and choose the
 //! policy with [`crate::NetBuilder::fault_policy`]; neither has a
 //! process-wide switch.
@@ -70,7 +76,7 @@
 use crate::metrics::{keys, Counter, Metrics};
 use crate::path::{name, CompPath};
 use parking_lot::Mutex;
-use snet_types::Record;
+use snet_types::{Label, Record, Value};
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,7 +116,8 @@ pub enum FaultPolicy {
 /// input inject identically.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosConfig {
-    /// Base seed; mixed with a stable hash of each stage's path.
+    /// Base seed; mixed with a stable hash of each stage's own path
+    /// segment and of each record's content.
     pub seed: u64,
     /// Probability that processing a record panics at the stage
     /// boundary.
@@ -234,13 +241,12 @@ enum Decision {
     Stall,
 }
 
-/// The deterministic per-stage injector: a counter-mode hash stream
-/// seeded by `(config seed) ⊕ fnv64(stage path)`. Stable across runs
-/// (the path *text* is hashed, not its interner id, which depends on
-/// process-global interning order).
+/// The deterministic per-stage injector: a hash of `(config seed) ⊕
+/// fnv64(own path segment)` and the record's content. Stable across
+/// runs (the segment *text* is hashed, not an interner id, which
+/// depends on process-global interning order).
 struct ChaosInjector {
     state: u64,
-    n: u64,
     panic_cut: u64,
     stall_cut: u64,
     stall: Duration,
@@ -265,23 +271,51 @@ fn rate_cut(rate: f64) -> u64 {
     (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64
 }
 
+/// A record's content as one word: each label's name, kind and value
+/// hashed on its own and the entries summed, so the order labels are
+/// stored in (interning order) does not matter. An opaque value has no
+/// content to hash and contributes its label only.
+fn content_hash(rec: &Record) -> u64 {
+    fn words(ws: impl Iterator<Item = u64>) -> u64 {
+        ws.fold(0, |h, w| splitmix64(h ^ w))
+    }
+    fn value(v: &Value) -> u64 {
+        match v {
+            Value::Int(i) => *i as u64,
+            Value::Double(d) => d.to_bits(),
+            Value::Bool(b) => u64::from(*b),
+            Value::Str(s) => fnv64(s),
+            Value::IntArray(a) => words(a.data().iter().map(|&x| x as u64)),
+            Value::BoolArray(a) => words(a.data().iter().map(|&x| u64::from(x))),
+            Value::DoubleArray(a) => words(a.data().iter().map(|x| x.to_bits())),
+            Value::Bytes(b) => words(b.iter().map(|&x| u64::from(x))),
+            Value::Opaque(_) => 0,
+        }
+    }
+    let entry = |label: Label, v: u64| {
+        splitmix64(fnv64(label.name()) ^ u64::from(label.is_field()) ^ splitmix64(v))
+    };
+    let fields = rec.fields().map(|(l, v)| entry(l, value(v)));
+    let tags = rec.tags().map(|(l, v)| entry(l, v as u64));
+    fields.chain(tags).fold(0, u64::wrapping_add)
+}
+
 impl ChaosInjector {
     fn new(cfg: &ChaosConfig, path: CompPath) -> ChaosInjector {
+        let own = path.as_str().rsplit('/').next().unwrap_or_default();
         ChaosInjector {
-            state: cfg.seed ^ fnv64(path.as_str()),
-            n: 0,
+            state: cfg.seed ^ fnv64(own),
             panic_cut: rate_cut(cfg.panic_rate),
             stall_cut: rate_cut(cfg.stall_rate),
             stall: cfg.stall,
         }
     }
 
-    /// The decision for the next record. Advances the per-record
-    /// counter — called once per record, *not* per retry, so a poison
-    /// record stays poisoned across [`FaultPolicy::Restart`] attempts.
-    fn decide(&mut self) -> Decision {
-        let x = splitmix64(self.state ^ self.n);
-        self.n += 1;
+    /// The decision for `rec`: a pure function of the seed, the
+    /// stage's own segment and the record's content, called once per
+    /// record (a retry reuses it).
+    fn decide(&self, rec: &Record) -> Decision {
+        let x = splitmix64(self.state ^ content_hash(rec));
         if x < self.panic_cut {
             Decision::Panic
         } else if splitmix64(x) < self.stall_cut {
@@ -354,8 +388,8 @@ impl FaultGuard {
         sink: &mut dyn FnMut(Record),
         body: &mut StageBody<'_>,
     ) -> u64 {
-        let decision = match &mut self.chaos {
-            Some(c) => c.decide(),
+        let decision = match &self.chaos {
+            Some(c) => c.decide(rec),
             None => Decision::Clean,
         };
         match decision {
@@ -446,29 +480,34 @@ impl FaultGuard {
 mod tests {
     use super::*;
 
+    /// The record of draw `i`.
+    fn draw(i: i64) -> Record {
+        Record::build().tag("n", i).finish()
+    }
+
     #[test]
     fn injector_is_deterministic_and_rate_shaped() {
         let cfg = ChaosConfig::new(1234, 0.1);
         let path = CompPath::root("net").child("box:f");
-        let mut a = ChaosInjector::new(&cfg, path);
-        let mut b = ChaosInjector::new(&cfg, path);
-        let da: Vec<Decision> = (0..10_000).map(|_| a.decide()).collect();
-        let db: Vec<Decision> = (0..10_000).map(|_| b.decide()).collect();
+        let a = ChaosInjector::new(&cfg, path);
+        let b = ChaosInjector::new(&cfg, path);
+        let da: Vec<Decision> = (0..10_000).map(|i| a.decide(&draw(i))).collect();
+        let db: Vec<Decision> = (0..10_000).map(|i| b.decide(&draw(i))).collect();
         assert_eq!(da, db, "same seed + path must replay identically");
         let panics = da.iter().filter(|d| **d == Decision::Panic).count();
         // 10% of 10k with generous slack.
         assert!((600..=1400).contains(&panics), "panics {panics}");
         // A different stage path decides differently.
-        let mut c = ChaosInjector::new(&cfg, CompPath::root("net").child("box:g"));
-        let dc: Vec<Decision> = (0..10_000).map(|_| c.decide()).collect();
+        let c = ChaosInjector::new(&cfg, CompPath::root("net").child("box:g"));
+        let dc: Vec<Decision> = (0..10_000).map(|i| c.decide(&draw(i))).collect();
         assert_ne!(da, dc);
     }
 
     #[test]
     fn zero_rate_never_injects() {
         let cfg = ChaosConfig::new(99, 0.0);
-        let mut inj = ChaosInjector::new(&cfg, CompPath::root("net"));
-        assert!((0..10_000).all(|_| inj.decide() == Decision::Clean));
+        let inj = ChaosInjector::new(&cfg, CompPath::root("net"));
+        assert!((0..10_000).all(|i| inj.decide(&draw(i)) == Decision::Clean));
     }
 
     #[test]

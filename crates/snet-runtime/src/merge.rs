@@ -366,12 +366,9 @@ async fn run_det(
 /// (first encounter wins — every branch carries them in identical
 /// positions).
 ///
-/// Queued messages are taken greedily through `try_recv` (no future
-/// per message), falling back to an await only when the branch runs
-/// dry mid-round; a cooperative yield every [`RECV_BATCH`] messages
-/// keeps a deep round from monopolising a pool worker. The message
-/// *order* consumed is identical to a plain `recv_async` loop, so the
-/// round protocol is unchanged.
+/// Each message is taken with [`chan::Receiver::recv_async`], which
+/// spends the task's poll budget: a deep round yields the worker when
+/// the measured time slice is spent, like every other consumer loop.
 async fn drain_branch_round(
     level: u32,
     round: u64,
@@ -382,19 +379,8 @@ async fn drain_branch_round(
     if b.done || b.exempt(level, round) {
         return;
     }
-    let mut since_yield = 0;
     loop {
-        let msg = match b.rx.try_recv() {
-            Ok(m) => Ok(m),
-            Err(TryRecvError::Empty) => b.rx.recv_async().await,
-            Err(TryRecvError::Disconnected) => Err(chan::RecvError),
-        };
-        since_yield += 1;
-        if since_yield >= RECV_BATCH {
-            yield_now().await;
-            since_yield = 0;
-        }
-        match msg {
+        match b.rx.recv_async().await {
             Ok(Msg::Rec(rec)) => {
                 // Safe to wait: branch inputs are exempt, so this
                 // merger parks no producer while it parks here.

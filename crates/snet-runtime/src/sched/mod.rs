@@ -108,7 +108,7 @@
 //! could produce. Two properties rule this out here:
 //!
 //! 1. **Waiting components hold no worker.** A component waits only by
-//!    awaiting a stream (`poll_recv`/`poll_ready`/`recv_each`, and —
+//!    awaiting a stream (`recv_each`/`recv_async`/`poll_ready`, and —
 //!    on bounded edges — the sender-side `feed`/`acquire` credit
 //!    futures); `Pending` returns the worker to the pool. There is no
 //!    in-component blocking primitive, so "all workers stuck waiting"

@@ -45,9 +45,10 @@
 //!
 //! *Spurious returns and the shared park token.* The thread's parker is
 //! also what a box on that worker blocks on (`Net::recv`, a `block_on`
-//! over another net), so its token can be stale in both directions: a
-//! claim whose worker withdrew leaves a token the box's next wait
-//! consumes, and a box's late wake leaves one the idle park consumes.
+//! over another net: each is one `wait_on`), so its token can be stale
+//! in both directions: a claim whose worker withdrew leaves a token the
+//! box's next wait consumes, and a box's late wake leaves one the idle
+//! park consumes.
 //! Neither loses a wake, because neither loop waits on the token: the
 //! idle loop parks *while its slot's `asleep` is set* (only a claim
 //! clears it, and every claim unparks after clearing it), and a box's

@@ -6,8 +6,7 @@
 //! panic messages and debugger output.
 
 use super::{Completion, Executor, Slice, TaskFuture};
-use crate::stream::chan::with_parker;
-use std::task::Context;
+use crate::stream::chan::wait_on;
 
 /// One OS thread per component: the paper's literal model, selected
 /// with `NetBuilder::executor`.
@@ -34,19 +33,15 @@ impl Executor for ThreadPerComponent {
     }
 }
 
-/// Drives a future to completion on the current thread, parking
-/// between polls. Each poll runs under the task's measured time slice
+/// Drives a future to completion on the current thread, through
+/// [`wait_on`]. Each poll runs under the task's measured time slice
 /// ([`Slice`]), exactly as on a pool worker: a poll that spends its
 /// budget returns `Pending` with its own wake already flagged, so the
-/// loop goes straight round without parking.
+/// wait goes straight round without parking.
 pub fn block_on(mut fut: TaskFuture) {
     let mut slice = Slice::START;
-    with_parker(|parker, waker| {
-        let mut cx = Context::from_waker(waker);
-        while slice.poll(|| fut.as_mut().poll(&mut cx)).is_pending() {
-            parker.park(None);
-        }
-    })
+    let mut sliced = std::future::poll_fn(|cx| slice.poll(|| fut.as_mut().poll(cx)));
+    wait_on(&mut sliced, None);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use crate::ctx::Ctx;
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
 use crate::path::CompPath;
-use crate::stream::chan::{poll_budget, set_poll_budget, with_parker};
+use crate::stream::chan::{poll_budget, set_poll_budget, wait_on};
 use crate::stream::{Dir, Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::{Label, Record};
 use std::fmt;
@@ -717,20 +717,10 @@ impl CallHandle {
         self.wait_until(Some(deadline))
     }
 
-    /// Polls the handle from this thread, parked in between.
+    /// Polls the handle from this thread through [`wait_on`]. Past the
+    /// deadline, dropping the handle abandons the request.
     fn wait_until(mut self, deadline: Option<Instant>) -> Result<Response, CallError> {
-        with_parker(|parker, waker| {
-            let mut cx = Context::from_waker(waker);
-            loop {
-                if let Poll::Ready(out) = Pin::new(&mut self).poll(&mut cx) {
-                    return out;
-                }
-                // Dropping the handle abandons the request.
-                if !parker.park(deadline) {
-                    return Err(CallError::Deadline);
-                }
-            }
-        })
+        wait_on(&mut self, deadline).unwrap_or(Err(CallError::Deadline))
     }
 
     /// Completion timestamp (egress-side, excludes caller wakeup

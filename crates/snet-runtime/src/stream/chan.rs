@@ -68,16 +68,15 @@
 //!
 //! # Cooperative poll budget
 //!
-//! The per-thread poll budget that used to live in the vendored shim
-//! moved here (the executor layer is its only customer, and real
-//! crossbeam has no pollable surface — ROADMAP already called for
-//! this). A work-stealing worker grants each task a budget of
-//! messages per poll ([`set_poll_budget`] — sized from the task's
-//! measured cost per message, read back with [`poll_budget`]; see
-//! [`crate::sched`]); `poll_*` consumption spends it, and at zero the
-//! channel reports `Pending` with an immediate self-wake so the task
-//! is rescheduled behind its siblings instead of monopolising the
-//! worker.
+//! A work-stealing worker grants each task a budget of messages per
+//! poll ([`set_poll_budget`] — sized from the task's measured cost per
+//! message, read back with [`poll_budget`]; see [`crate::sched`]).
+//! One receive loop spends it, [`Receiver::poll_recv_each`] (which
+//! `recv_each` and `recv_async` poll; `poll_ready` charges too), and
+//! at zero the channel reports `Pending` with an immediate self-wake
+//! so the task is rescheduled behind its siblings instead of
+//! monopolising the worker. The blocking [`Receiver::recv`] is
+//! uncharged.
 //!
 //! # Bounded edges (backpressure)
 //!
@@ -90,8 +89,11 @@
 //!   (and the batch pair [`Sender::acquire`] +
 //!   [`Sender::send_each_reserved`]) acquire one credit per message —
 //!   a CAS raising `depth` below `cap` — and park the producer when
-//!   the edge is full. Every pop returns a credit and wakes parked
-//!   producers. Data records travel this way on bounded edges.
+//!   the edge is full. There is one wait: a full edge is always waited
+//!   out on [`Sender::acquire`] (a task awaits it, a driver thread
+//!   polls it through [`wait_on`]). Every pop returns a credit and
+//!   wakes parked producers. Data records travel this way on bounded
+//!   edges.
 //! * The plain [`Sender::send`] path counts depth but **never
 //!   waits**. Sort records and control traffic go this way: a
 //!   deterministic dispatcher's sort broadcast, or a
@@ -101,9 +103,13 @@
 //!   therefore transiently exceed `cap` by the in-flight ungated
 //!   traffic; the bound holds exactly for gated traffic.
 //!
+//! Either way a send ends in one publish, `Sender::publish`: the
+//! producer role, the pushes, one fence and one park-state check.
+//!
 //! ## Why a parked producer cannot be lost
 //!
-//! The producer protocol mirrors the consumer's post-registration
+//! A producer parks in one place, `Acquire::poll`, and its protocol
+//! mirrors the consumer's post-registration
 //! re-check: the producer stores its waker, sets `prod_parked`
 //! (SeqCst), then **re-checks** credit and receiver liveness; only if
 //! both still block does it return `Pending`. The consumer decrements
@@ -520,13 +526,6 @@ impl<T> Chan<T> {
         }
     }
 
-    /// True when a gated send could currently proceed — the parked
-    /// producer's re-check.
-    fn has_credit(&self) -> bool {
-        let cap = self.cap.load(Ordering::SeqCst);
-        cap == 0 || self.depth.load(Ordering::SeqCst) < cap
-    }
-
     /// Returns one message's credit and, when that opens the edge,
     /// wakes parked producers. Called by every pop of a bounded
     /// channel.
@@ -538,20 +537,6 @@ impl<T> Chan<T> {
         if new < cap {
             self.wake_producers();
         }
-    }
-
-    /// Parks `w` as a producer awaiting credit. The caller must
-    /// re-check credit and receiver liveness *after* this returns —
-    /// the SeqCst store below pairs with the consumer's depth
-    /// decrement so a freed credit cannot be slept through.
-    fn park_producer(&self, w: &Waker) {
-        {
-            let mut q = self.prod_waiters.lock();
-            if !q.iter().any(|e| e.will_wake(w)) {
-                q.push(w.clone());
-            }
-        }
-        self.prod_parked.store(true, Ordering::SeqCst);
     }
 
     /// Wakes every parked producer (credit released, capacity lifted,
@@ -757,29 +742,15 @@ impl<T: Send> Sender<T> {
             return Err(SendError(value));
         }
         chan.count_ungated(1);
-        let guard = chan.lock_prod();
-        // SAFETY: the guard is the producer role.
-        unsafe { chan.push(value) };
-        drop(guard);
-        fence(Ordering::SeqCst);
-        chan.maybe_wake();
+        self.publish([value]);
         Ok(())
     }
 
     /// Delivers a run of messages **whose credits are already held**
     /// (one [`Sender::acquire`]d credit per message; an unbounded
-    /// channel grants any number) with **one** producer-role
-    /// acquisition, one fence and one park-state check for the whole
-    /// run — the batch analogue of [`Sender::send`], for producers that
-    /// already hold their output in order ([`crate::stream::feed_batch`]).
-    /// The no-lost-wake argument is unchanged: the run is a single
-    /// publish, fully ordered before the single check, so a consumer
-    /// that parked at any point during it is observed and woken. The
-    /// producer role is held across the iterator (a panic in it
-    /// releases the role cleanly via the guard, dropping the unsent
-    /// remainder), so other senders of a *cloned* sender stall until
-    /// the run completes; data edges are single-producer, and buffer
-    /// drains — the intended callers — never run user code.
+    /// channel grants any number) as one [`Sender::publish`], for
+    /// producers that hold their output in order
+    /// ([`crate::stream::feed_batch`]).
     ///
     /// Returns how many messages were delivered (0 with `Err` when
     /// the receiver is gone — the messages are dropped, matching the
@@ -788,34 +759,46 @@ impl<T: Send> Sender<T> {
         &self,
         values: impl IntoIterator<Item = T>,
     ) -> Result<usize, SendError<()>> {
-        let chan = &*self.chan;
-        if !chan.rx_alive.load(Ordering::Acquire) {
+        if !self.chan.rx_alive.load(Ordering::Acquire) {
             return Err(SendError(()));
         }
+        Ok(self.publish(values))
+    }
+
+    /// The one publish every send path ends in: `values` pushed under
+    /// **one** producer-role acquisition, then one fence and one
+    /// park-state check for the whole run — a single publish ordered
+    /// before the single check, so the no-lost-wake argument (module
+    /// docs) covers a run as it covers one message. The producer role
+    /// is held across the iterator (a panic in it releases the role via
+    /// the guard, dropping the unsent remainder); data edges are
+    /// single-producer, and no caller runs user code in it. Credits,
+    /// where the path takes them, are the caller's.
+    fn publish(&self, values: impl IntoIterator<Item = T>) -> usize {
+        let chan = &*self.chan;
         let guard = chan.lock_prod();
         let mut n = 0;
-        // SAFETY: the guard is the producer role.
         for v in values {
+            // SAFETY: the guard is the producer role.
             unsafe { chan.push(v) };
             n += 1;
         }
         drop(guard);
         fence(Ordering::SeqCst);
         chan.maybe_wake();
-        Ok(n)
+        n
     }
 
     /// Credit-gated send: on a bounded channel, awaits a capacity
-    /// credit (parking the task, not the thread); an unbounded channel
-    /// resolves immediately — the fast path is [`Sender::send`] plus
-    /// one capacity load. See module docs for the no-lost-wake
-    /// protocol.
-    pub fn feed(&self, value: T) -> Feed<'_, T> {
-        Feed {
-            tx: self,
-            value: Some(value),
-            stalled: false,
+    /// credit ([`Sender::acquire`], parking the task, not the thread);
+    /// an unbounded channel resolves immediately — the fast path is
+    /// [`Sender::send`] plus one capacity load.
+    pub async fn feed(&self, value: T) -> Result<(), SendError<T>> {
+        if self.acquire(1).await.is_err() {
+            return Err(SendError(value));
         }
+        self.publish([value]);
+        Ok(())
     }
 
     /// Non-blocking credit-gated send: `Err(Full)` instead of waiting.
@@ -827,12 +810,7 @@ impl<T: Send> Sender<T> {
         if chan.try_acquire(1) == 0 {
             return Err(TryFeedError::Full(value));
         }
-        let guard = chan.lock_prod();
-        // SAFETY: the guard is the producer role.
-        unsafe { chan.push(value) };
-        drop(guard);
-        fence(Ordering::SeqCst);
-        chan.maybe_wake();
+        self.publish([value]);
         Ok(())
     }
 
@@ -840,47 +818,24 @@ impl<T: Send> Sender<T> {
     /// ([`crate::net::Net::send`] under the `Block` and `Timeout`
     /// overload policies). `deadline` bounds the wait (`Err(Full)` on
     /// expiry, message returned); `None` blocks until credit or
-    /// disconnection. Parks the OS thread through the same
-    /// park/re-check protocol the async path uses.
+    /// disconnection. A full edge is waited out on [`Sender::acquire`]
+    /// through [`wait_on`].
     pub fn feed_blocking(
         &self,
         value: T,
         deadline: Option<std::time::Instant>,
     ) -> Result<(), TryFeedError<T>> {
-        let chan = &*self.chan;
-        let mut stalled = false;
-        loop {
-            if !chan.rx_alive.load(Ordering::Acquire) {
-                return Err(TryFeedError::Disconnected(value));
+        let value = match self.try_feed(value) {
+            Err(TryFeedError::Full(value)) => value,
+            done => return done,
+        };
+        match wait_on(&mut self.acquire(1), deadline) {
+            Some(Ok(_)) => {
+                self.publish([value]);
+                Ok(())
             }
-            if chan.try_acquire(1) > 0 {
-                let guard = chan.lock_prod();
-                // SAFETY: the guard is the producer role.
-                unsafe { chan.push(value) };
-                drop(guard);
-                fence(Ordering::SeqCst);
-                chan.maybe_wake();
-                return Ok(());
-            }
-            if !stalled {
-                stalled = true;
-                if let Some(s) = &chan.stats {
-                    s.note_stall();
-                }
-            }
-            let expired = with_parker(|parker, waker| {
-                chan.park_producer(waker);
-                fence(Ordering::SeqCst);
-                // Re-check before sleeping (no lost wake): if a credit
-                // appeared or the receiver died, loop around instead.
-                if chan.has_credit() || !chan.rx_alive.load(Ordering::SeqCst) {
-                    return false;
-                }
-                !parker.park(deadline)
-            });
-            if expired {
-                return Err(TryFeedError::Full(value));
-            }
+            Some(Err(_)) => Err(TryFeedError::Disconnected(value)),
+            None => Err(TryFeedError::Full(value)),
         }
     }
 
@@ -939,48 +894,10 @@ impl<T: Send> Receiver<T> {
         }
     }
 
-    /// Polls for a message without blocking the thread: `Ready` with
-    /// the message (or `Err(RecvError)` at end-of-stream), `Pending`
-    /// after registering the task's waker. Respects the thread's
-    /// cooperative budget: at zero it self-wakes and reports `Pending`
-    /// even if a message is queued, forcing a fair yield.
-    pub fn poll_recv(&self, cx: &mut Context<'_>) -> Poll<Result<T, RecvError>> {
-        let chan = &*self.chan;
-        loop {
-            {
-                let _g = chan.lock_cons();
-                // SAFETY: the guard is the consumer role.
-                unsafe {
-                    if chan.can_pop() {
-                        if !charge_budget() {
-                            cx.waker().wake_by_ref();
-                            return Poll::Pending;
-                        }
-                        return Poll::Ready(Ok(chan.pop().expect("slot ready")));
-                    }
-                    if chan.senders.load(Ordering::SeqCst) == 0 {
-                        if chan.can_pop() {
-                            continue; // raced with a final send
-                        }
-                        if !charge_budget() {
-                            cx.waker().wake_by_ref();
-                            return Poll::Pending;
-                        }
-                        return Poll::Ready(Err(RecvError));
-                    }
-                }
-            }
-            if !chan.register(cx) {
-                return Poll::Pending;
-            }
-            // Registration re-check saw traffic: retry the pop.
-        }
-    }
-
-    /// Like [`Receiver::poll_recv`] but does not consume: `Ready`
-    /// means the next `try_recv` returns without blocking (a message,
-    /// or disconnection). Used by readiness-select loops that must
-    /// decide *which* stream to consume from.
+    /// Readiness without consumption: `Ready` means the next
+    /// `try_recv` returns without blocking (a message, or
+    /// disconnection). Used by readiness-select loops that must decide
+    /// *which* stream to consume from.
     pub fn poll_ready(&self, cx: &mut Context<'_>) -> Poll<()> {
         let chan = &*self.chan;
         loop {
@@ -1076,27 +993,31 @@ impl<T: Send> Receiver<T> {
 
     /// Future form of blocking receive: resolves with the next message
     /// or `Err(RecvError)` at end-of-stream. Awaiting on an empty
-    /// stream parks the *task*, not the thread.
-    pub fn recv_async(&self) -> RecvAsync<'_, T> {
-        RecvAsync { rx: self }
+    /// stream parks the *task*, not the thread. A batch of one of
+    /// [`Receiver::recv_each`], so it spends the poll budget the same
+    /// way.
+    pub async fn recv_async(&self) -> Result<T, RecvError> {
+        let mut next = None;
+        self.recv_each(1, &mut |v| next = Some(v)).await;
+        next.ok_or(RecvError)
     }
 
     /// Blocking receive, for driver threads ([`crate::net::Net::recv`]
-    /// and tests). Parks the OS thread through the same registration
-    /// protocol the async paths use.
+    /// and tests), through [`wait_on`]. Its poll is uncharged
+    /// (`try_recv`, then `register`): a box that blocks on another net
+    /// runs inside its worker's poll, and at zero budget a charged poll
+    /// would report `Pending` forever.
     pub fn recv(&self) -> Result<T, RecvError> {
-        loop {
+        let mut next = std::future::poll_fn(|cx| loop {
             match self.try_recv() {
-                Ok(v) => return Ok(v),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => {}
+                Ok(v) => return Poll::Ready(Ok(v)),
+                Err(TryRecvError::Disconnected) => return Poll::Ready(Err(RecvError)),
+                // The registration re-check saw traffic: retry.
+                Err(TryRecvError::Empty) if self.chan.register(cx) => {}
+                Err(TryRecvError::Empty) => return Poll::Pending,
             }
-            with_parker(|parker, waker| {
-                if !self.chan.register(&mut Context::from_waker(waker)) {
-                    parker.park(None);
-                }
-            });
-        }
+        });
+        wait_on(&mut next, None).expect("no deadline")
     }
 
     /// Blocking iterator until disconnect.
@@ -1135,12 +1056,12 @@ impl<T> Drop for Receiver<T> {
 
 /// The crate's one thread-parking waker: `wake` flags the notification
 /// and unparks the thread. Everything that waits for a future from a
-/// plain OS thread goes through it — the blocking [`Receiver::recv`] and
-/// [`Sender::feed_blocking`], [`crate::sched::block_on`] and
-/// `CallHandle::wait` — via [`with_parker`], which caches one per
-/// thread so a blocking wait allocates nothing. An idle pool worker
-/// sleeps on its thread's one too (`sched/pool.rs`, *shared park
-/// token*).
+/// plain OS thread polls it through [`wait_on`] — the blocking
+/// [`Receiver::recv`] and [`Sender::feed_blocking`],
+/// [`crate::sched::block_on`] and `CallHandle::wait` — which takes the
+/// thread's one from [`with_parker`], so a blocking wait allocates
+/// nothing. An idle pool worker sleeps on its thread's one too
+/// (`sched/pool.rs`, *shared park token*).
 pub(crate) struct ThreadParker {
     thread: std::thread::Thread,
     notified: AtomicBool,
@@ -1179,71 +1100,43 @@ impl ThreadParker {
 }
 
 /// Runs `f` with the current thread's [`ThreadParker`] and a waker over
-/// it. Waits nest (a box function blocking on another net inside
-/// `block_on`), and the inner wait may consume a wake addressed to the
-/// outer future — but never one the outer wait depends on: those answer
-/// the registration the outer poll makes as it returns `Pending`, after
-/// the inner wait is over.
+/// it. Its callers are [`wait_on`] and the pool's idle loop.
 pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
     thread_local! {
-        static PARKER: Arc<ThreadParker> = Arc::new(ThreadParker {
-            thread: std::thread::current(),
-            notified: AtomicBool::new(false),
-        });
+        static PARKER: (Arc<ThreadParker>, Waker) = {
+            let p = Arc::new(ThreadParker {
+                thread: std::thread::current(),
+                notified: AtomicBool::new(false),
+            });
+            (Arc::clone(&p), Waker::from(p))
+        };
     }
-    PARKER.with(|p| f(p, &Waker::from(Arc::clone(p))))
+    PARKER.with(|(p, w)| f(p, w))
 }
 
-/// Future returned by [`Sender::feed`].
-pub struct Feed<'a, T> {
-    tx: &'a Sender<T>,
-    value: Option<T>,
-    stalled: bool,
-}
-
-// The fields are never pinned (no self-references); safe to move.
-impl<T> Unpin for Feed<'_, T> {}
-
-impl<T: Send> Future for Feed<'_, T> {
-    type Output = Result<(), SendError<T>>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let chan = &*this.tx.chan;
+/// The crate's one parked poll: polls `fut` on the thread's
+/// [`ThreadParker`], parking between polls, until it resolves
+/// (`Some`) or `deadline` passes (`None`; the future is polled at
+/// least once either way). Waits nest (a box function blocking on
+/// another net inside `block_on`), and the inner wait may consume a
+/// wake addressed to the outer future — but never one the outer wait
+/// depends on: those answer the registration the outer poll makes as
+/// it returns `Pending`, after the inner wait is over.
+pub(crate) fn wait_on<F: Future + Unpin>(
+    fut: &mut F,
+    deadline: Option<std::time::Instant>,
+) -> Option<F::Output> {
+    with_parker(|parker, waker| {
+        let mut cx = Context::from_waker(waker);
         loop {
-            if !chan.rx_alive.load(Ordering::Acquire) {
-                let v = this.value.take().expect("Feed polled after completion");
-                return Poll::Ready(Err(SendError(v)));
+            if let Poll::Ready(out) = Pin::new(&mut *fut).poll(&mut cx) {
+                return Some(out);
             }
-            if chan.try_acquire(1) == 0 {
-                // Full: park, then re-check, so a credit released (or
-                // a receiver dropped) in the window cannot be slept
-                // through (module docs: parked-producer protocol).
-                chan.park_producer(cx.waker());
-                fence(Ordering::SeqCst);
-                if chan.try_acquire(1) == 0 {
-                    if chan.rx_alive.load(Ordering::SeqCst) {
-                        if !this.stalled {
-                            this.stalled = true;
-                            if let Some(s) = &chan.stats {
-                                s.note_stall();
-                            }
-                        }
-                        return Poll::Pending;
-                    }
-                    continue; // receiver died: report the error
-                }
+            if !parker.park(deadline) {
+                return None;
             }
-            // One credit held: publish.
-            let v = this.value.take().expect("Feed polled after completion");
-            let guard = chan.lock_prod();
-            // SAFETY: the guard is the producer role.
-            unsafe { chan.push(v) };
-            drop(guard);
-            fence(Ordering::SeqCst);
-            chan.maybe_wake();
-            return Poll::Ready(Ok(()));
         }
-    }
+    })
 }
 
 /// Future returned by [`Sender::acquire`].
@@ -1257,46 +1150,41 @@ impl<T> Unpin for Acquire<'_, T> {}
 
 impl<T: Send> Future for Acquire<'_, T> {
     type Output = Result<usize, SendError<()>>;
+    /// The only place a producer parks (module docs, *Why a parked
+    /// producer cannot be lost*): a full edge parks, then checks
+    /// liveness and credit once more, so a credit released (or a
+    /// receiver dropped) in the window cannot be slept through.
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let chan = &*this.tx.chan;
+        let mut parked = false;
         loop {
-            if !chan.rx_alive.load(Ordering::Acquire) {
+            if !chan.rx_alive.load(Ordering::SeqCst) {
                 return Poll::Ready(Err(SendError(())));
             }
             let got = chan.try_acquire(this.want);
             if got > 0 {
                 return Poll::Ready(Ok(got));
             }
-            chan.park_producer(cx.waker());
-            fence(Ordering::SeqCst);
-            let got = chan.try_acquire(this.want);
-            if got > 0 {
-                return Poll::Ready(Ok(got));
-            }
-            if chan.rx_alive.load(Ordering::SeqCst) {
-                if !this.stalled {
-                    this.stalled = true;
-                    if let Some(s) = &chan.stats {
-                        s.note_stall();
-                    }
+            if parked {
+                if let (false, Some(s)) = (this.stalled, &chan.stats) {
+                    s.note_stall();
                 }
+                this.stalled = true;
                 return Poll::Pending;
             }
-            // Receiver died between checks: loop to report it.
+            let w = cx.waker();
+            let mut q = chan.prod_waiters.lock();
+            if !q.iter().any(|e| e.will_wake(w)) {
+                q.push(w.clone());
+            }
+            drop(q);
+            // Pairs with the consumer's depth decrement: the next turn
+            // of the loop is the re-check.
+            chan.prod_parked.store(true, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            parked = true;
         }
-    }
-}
-
-/// Future returned by [`Receiver::recv_async`].
-pub struct RecvAsync<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T: Send> Future for RecvAsync<'_, T> {
-    type Output = Result<T, RecvError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.rx.poll_recv(cx)
     }
 }
 
@@ -1446,14 +1334,21 @@ mod tests {
         (inner, waker)
     }
 
+    /// One poll of a one-message `poll_recv_each`, as a receive.
+    fn recv1(rx: &Receiver<i32>, cx: &mut Context<'_>) -> Poll<Result<i32, RecvError>> {
+        let mut next = None;
+        rx.poll_recv_each(cx, 1, &mut |v| next = Some(v))
+            .map(|_| next.ok_or(RecvError))
+    }
+
     #[test]
     fn poll_recv_ready_and_pending() {
         let (tx, rx) = channel::<i32>();
         tx.send(42).unwrap();
         let (_w, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(42)));
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Pending);
+        assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Ok(42)));
+        assert_eq!(recv1(&rx, &mut cx), Poll::Pending);
     }
 
     #[test]
@@ -1461,15 +1356,15 @@ mod tests {
         let (tx, rx) = channel::<i32>();
         let (counts, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Pending);
+        assert_eq!(recv1(&rx, &mut cx), Poll::Pending);
         tx.send(9).unwrap();
         assert_eq!(counts.0.load(Ordering::SeqCst), 1);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(9)));
+        assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Ok(9)));
         // Park again; disconnection must also wake.
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Pending);
+        assert_eq!(recv1(&rx, &mut cx), Poll::Pending);
         drop(tx);
         assert_eq!(counts.0.load(Ordering::SeqCst), 2);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Err(RecvError)));
+        assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Err(RecvError)));
     }
 
     #[test]
@@ -1486,7 +1381,7 @@ mod tests {
             assert_eq!(rx.try_recv(), Ok(i));
         }
         // A parked consumer is woken exactly once for a whole burst.
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Pending);
+        assert_eq!(recv1(&rx, &mut cx), Poll::Pending);
         for i in 0..5 {
             tx.send(100 + i).unwrap();
         }
@@ -1496,7 +1391,7 @@ mod tests {
             "burst into a parked consumer must coalesce to one wake"
         );
         for i in 0..5 {
-            assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(100 + i)));
+            assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Ok(100 + i)));
         }
     }
 
@@ -1522,13 +1417,13 @@ mod tests {
         let (counts, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
         set_poll_budget(1);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(1)));
+        assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Ok(1)));
         // Budget spent: a queued message still reports Pending, with
         // an immediate self-wake so the task is rescheduled.
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Pending);
+        assert_eq!(recv1(&rx, &mut cx), Poll::Pending);
         assert_eq!(counts.0.load(Ordering::SeqCst), 1);
         set_poll_budget(u32::MAX);
-        assert_eq!(rx.poll_recv(&mut cx), Poll::Ready(Ok(2)));
+        assert_eq!(recv1(&rx, &mut cx), Poll::Ready(Ok(2)));
     }
 
     /// One `poll_recv_each` of at most `max` messages, pushed onto `buf`.
@@ -1715,16 +1610,13 @@ mod tests {
         tx.try_feed(0).unwrap();
         let (counts, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = tx.feed(1);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        let mut fut = std::pin::pin!(tx.feed(1));
+        assert!(fut.as_mut().poll(&mut cx).is_pending());
         assert_eq!(counts.0.load(Ordering::SeqCst), 0);
         // The pop releases a credit and wakes the parked producer.
         assert_eq!(rx.try_recv(), Ok(0));
         assert_eq!(counts.0.load(Ordering::SeqCst), 1);
-        assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
-            Poll::Ready(Ok(()))
-        ));
+        assert!(matches!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(()))));
         assert_eq!(rx.try_recv(), Ok(1));
     }
 
@@ -1734,14 +1626,11 @@ mod tests {
         tx.try_feed(0).unwrap();
         let (counts, waker) = count_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = tx.feed(1);
-        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending());
+        let mut fut = std::pin::pin!(tx.feed(1));
+        assert!(fut.as_mut().poll(&mut cx).is_pending());
         rx.exempt();
         assert_eq!(counts.0.load(Ordering::SeqCst), 1);
-        assert!(matches!(
-            Pin::new(&mut fut).poll(&mut cx),
-            Poll::Ready(Ok(()))
-        ));
+        assert!(matches!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(()))));
         // Unbounded from here on: feeds no longer gate.
         for i in 2..100 {
             tx.try_feed(i).unwrap();

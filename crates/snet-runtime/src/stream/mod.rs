@@ -60,8 +60,11 @@
 //!
 //! Component bodies never call the blocking `recv()`; they await
 //! batches (the stage runs), one message at a time (the dispatchers,
-//! stampers and guards, whose every forward passes the credit gate)
-//! or, for multi-input components, [`SelectReady`].
+//! stampers, guards and the det merger, whose every forward passes the
+//! credit gate; a `recv_async` is a batch of one, so it spends the
+//! same poll budget) or, for the nondet merger, [`SelectReady`].
+//! The blocking calls (`recv`, `feed_blocking`, `block_on`) are the
+//! same futures polled by one parked poll, `chan::wait_on`.
 //! Under the default [`crate::sched::WorkStealingPool`] executor the
 //! await *yields the worker*: the component's state machine suspends,
 //! the stream registers the task's waker, and the send path
@@ -219,10 +222,10 @@ impl Future for SelectReady<'_> {
 }
 
 /// Cooperative yield: resolves on its second poll after an immediate
-/// self-wake. Components that consume outside the budgeted `poll_*`
-/// paths (the mergers' greedy `try_recv` bursts) await this every
-/// [`RECV_BATCH`] messages so a long drain cannot monopolise a pool
-/// worker.
+/// self-wake. The nondet merger consumes outside the budgeted
+/// `poll_*` paths (greedy `try_recv` bursts after a select) and awaits
+/// this every [`RECV_BATCH`] messages so a long drain cannot
+/// monopolise a pool worker.
 pub fn yield_now() -> YieldNow {
     YieldNow { yielded: false }
 }

@@ -428,3 +428,59 @@ fn a_slow_lone_box_publishes_before_it_works_off_its_backlog() {
         svc.shutdown();
     }
 }
+
+#[test]
+fn a_box_that_blocks_on_another_net_keeps_order() {
+    // `fwd` sends each record into an inner net on a pool of its own
+    // and waits for the answer: a blocking `Net::recv` inside a box,
+    // so on a pool worker the box's wait shares the thread's park token
+    // with the worker's idle loop. Under every executor and both
+    // topologies, at a bound small enough that the sending thread and the box
+    // both wait on credit, the outer net must answer in input order.
+    const N: i64 = 2_000;
+    let x = |rec: &Record| rec.field("x").unwrap().as_int().unwrap();
+    let pools: [fn() -> Arc<dyn Executor>; 3] = [
+        || Arc::new(ThreadPerComponent),
+        || Arc::new(WorkStealingPool::new(1)),
+        || Arc::new(WorkStealingPool::new(2)),
+    ];
+    for (mk, fuse) in pools.iter().flat_map(|mk| [(mk, true), (mk, false)]) {
+        let inner = NetBuilder::from_source("box inc (x) -> (x); net main = inc;")
+            .unwrap()
+            .bind("inc", move |rec, em| {
+                em.emit(Record::build().field("x", x(rec) + 1).finish())
+            })
+            .executor(Arc::new(WorkStealingPool::new(1)))
+            .build("main")
+            .unwrap();
+        let exec = mk();
+        let name = format!("{} {:?} fuse={fuse}", exec.kind(), exec.os_thread_bound());
+        let outer = NetBuilder::from_source(
+            "box fwd (x) -> (x); box dbl (x) -> (x); net main = fwd .. dbl;",
+        )
+        .unwrap()
+        .bind("fwd", move |rec, em| {
+            inner.send(rec.clone()).unwrap();
+            em.emit(inner.recv().expect("the inner net answers"));
+        })
+        .bind("dbl", move |rec, em| {
+            em.emit(Record::build().field("x", x(rec) * 2).finish())
+        })
+        .fuse(fuse)
+        .executor(exec)
+        .bound(4)
+        .build("main")
+        .unwrap();
+        let got: Vec<i64> = std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    outer.send(Record::build().field("x", i).finish()).unwrap();
+                }
+            });
+            (0..N).map(|_| x(&outer.recv().unwrap())).collect()
+        });
+        let want: Vec<i64> = (0..N).map(|i| (i + 1) * 2).collect();
+        assert_eq!(got, want, "{name}");
+        assert!(outer.finish().is_empty(), "{name}");
+    }
+}

@@ -472,9 +472,11 @@ proptest! {
     /// `SkipRecord` policy, across {thread-per-component, pool(2)} ×
     /// {fused, unfused}. The net must never hang, every record must
     /// either come out intact or be accounted for by exactly one
-    /// skip, and all four configurations must agree — the decision
-    /// stream is keyed by (stage path, record index), both of which
-    /// are invariant under executor choice and fusion. With chaos off
+    /// skip, and all four configurations must agree — a decision is
+    /// keyed by (seed, box name, record content), none of which
+    /// executor choice, fusion or a nondet merge's schedule can
+    /// change (an arrival index can: behind an `id || id` tie both the
+    /// index and the lane depend on the schedule). With chaos off
     /// the run is indistinguishable from an unguarded one.
     #[test]
     fn chaos_soak_contains_faults_identically_across_configs(
@@ -636,5 +638,174 @@ proptest! {
         }
         prop_assert_eq!(granted, consumed);
         prop_assert_eq!(rx.depth(), 0);
+    }
+}
+
+/// One operation of the enumerated credit protocol.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// `try_feed`: gated, never waits.
+    TryFeed,
+    /// Plain `send`: ungated, counted.
+    Send,
+    /// `try_recv`: returns a credit when something is queued.
+    Pop,
+    /// `exempt`: lifts the capacity, releasing every parked producer.
+    Exempt,
+    /// `feed_blocking` with a deadline that has already passed: one
+    /// poll of its credit wait, then `Full`.
+    FeedExpired,
+    /// One poll of the single outstanding `acquire(1)` (a new one if
+    /// none is outstanding) with a counting waker; a granted credit is
+    /// published with `send_each_reserved`.
+    PollAcquire,
+}
+
+const STEPS: [Step; 6] = [
+    Step::TryFeed,
+    Step::Send,
+    Step::Pop,
+    Step::Exempt,
+    Step::FeedExpired,
+    Step::PollAcquire,
+];
+
+/// A waker that counts its wakes.
+struct CountWake(std::sync::atomic::AtomicUsize);
+
+impl std::task::Wake for CountWake {
+    fn wake(self: Arc<Self>) {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+/// Runs `seq` on a fresh edge of capacity `cap` against the model,
+/// panicking with the sequence on the first disagreement.
+fn check_credit_sequence(cap: usize, seq: &[Step]) {
+    use snet_runtime::stream::chan::{channel_cfg, TryFeedError};
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::atomic::Ordering;
+    use std::task::{Context, Poll, Waker};
+    use std::time::Instant;
+
+    let (tx, rx) = channel_cfg::<u64>(cap, None);
+    let wakes = Arc::new(CountWake(Default::default()));
+    let waker = Waker::from(Arc::clone(&wakes));
+    let mut cx = Context::from_waker(&waker);
+    // The model: the capacity (0 once exempt), records admitted and
+    // popped, the depth word (frozen once exempt: an unbounded edge
+    // keeps no account), the outstanding acquire and whether its waker
+    // is registered, and the wakes it must have seen.
+    let mut bound = cap;
+    let (mut granted, mut consumed, mut depth) = (0u64, 0u64, 0u64);
+    let mut pending = None;
+    let mut registered = false;
+    let mut want_wakes = 0;
+    for (i, step) in seq.iter().enumerate() {
+        let at = || format!("cap {cap}, step {i} of {seq:?}");
+        let free = bound == 0 || granted - consumed < bound as u64;
+        // Whether the step took the credit gate, and whether it
+        // admitted a record.
+        let (gated, admitted) = match step {
+            Step::TryFeed => match tx.try_feed(granted) {
+                Ok(()) => (true, true),
+                Err(TryFeedError::Full(_)) => (true, false),
+                Err(TryFeedError::Disconnected(_)) => unreachable!(),
+            },
+            Step::FeedExpired => match tx.feed_blocking(granted, Some(Instant::now())) {
+                Ok(()) => (true, true),
+                Err(TryFeedError::Full(_)) => (true, false),
+                Err(TryFeedError::Disconnected(_)) => unreachable!(),
+            },
+            Step::PollAcquire => {
+                let fut = pending.get_or_insert_with(|| tx.acquire(1));
+                match Pin::new(fut).poll(&mut cx) {
+                    Poll::Ready(Ok(n)) => {
+                        assert_eq!(n, 1, "acquire(1) granted {n}: {}", at());
+                        pending = None;
+                        registered = false;
+                        assert_eq!(tx.send_each_reserved([granted]).unwrap(), 1);
+                        (true, true)
+                    }
+                    Poll::Ready(Err(_)) => unreachable!(),
+                    Poll::Pending => {
+                        registered = true;
+                        (true, false)
+                    }
+                }
+            }
+            Step::Send => {
+                tx.send(granted).unwrap();
+                (false, true)
+            }
+            Step::Pop => {
+                match rx.try_recv() {
+                    Ok(_) => {
+                        consumed += 1;
+                        if bound != 0 {
+                            depth -= 1;
+                        }
+                    }
+                    Err(_) => {
+                        assert_eq!(granted, consumed, "empty edge with records out: {}", at())
+                    }
+                }
+                (false, false)
+            }
+            Step::Exempt => {
+                rx.exempt();
+                bound = 0;
+                (false, false)
+            }
+        };
+        if gated {
+            assert_eq!(admitted, free, "gated admission vs free credit: {}", at());
+        }
+        if admitted {
+            granted += 1;
+            if bound != 0 {
+                depth += 1;
+            }
+        }
+        // A registered acquire is woken once, when a credit appears.
+        if registered && (bound == 0 || granted - consumed < bound as u64) {
+            registered = false;
+            want_wakes += 1;
+        }
+        assert_eq!(
+            wakes.0.load(Ordering::SeqCst),
+            want_wakes,
+            "acquire wakes: {}",
+            at()
+        );
+        assert_eq!(rx.depth() as u64, depth, "depth: {}", at());
+        if bound != 0 {
+            assert_eq!(depth, granted - consumed, "credit account: {}", at());
+        }
+    }
+}
+
+/// The credit protocol of one edge, enumerated rather than sampled:
+/// every sequence of up to six operations on capacities 1 and 2 (about
+/// 112 k sequences). Depth equals granted minus consumed, every gated
+/// path (`try_feed`, `feed_blocking`, `acquire`) admits exactly when a
+/// credit is free, and a registered `acquire` is woken once when a
+/// credit appears and never otherwise.
+#[test]
+fn credit_protocol_holds_on_every_short_sequence() {
+    let mut seq = Vec::with_capacity(6);
+    for cap in [1, 2] {
+        for len in 0..=6u32 {
+            for code in 0..STEPS.len().pow(len) {
+                seq.clear();
+                let mut c = code;
+                for _ in 0..len {
+                    seq.push(STEPS[c % STEPS.len()]);
+                    c /= STEPS.len();
+                }
+                check_credit_sequence(cap, &seq);
+            }
+        }
     }
 }
