@@ -22,9 +22,7 @@
 //! [`Ctx::join_all`] works identically under both backends — including
 //! for components spawned transitively at runtime by the replicators.
 
-use crate::fault::{
-    payload_msg, ChaosConfig, Fault, FaultGuard, FaultHub, FaultObserver, FaultPolicy,
-};
+use crate::fault::{payload_msg, Fault, FaultGuard, FaultHub, FaultObserver, FaultPolicy};
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::OverloadPolicy;
 use crate::path::{name, CompPath};
@@ -91,16 +89,12 @@ pub struct RunCfg {
     /// [`crate::fault`]): fail it (default), skip the poison record,
     /// or restart the stage with backoff.
     pub fault_policy: FaultPolicy,
-    /// Deterministic fault injection at the box/filter boundary;
-    /// `None` (the default) injects nothing.
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for RunCfg {
     /// Every data edge bounded at [`DEFAULT_STREAM_BOUND`], fusion
-    /// on, a core-sized pool, blocking ingress, `FailNet`, no
-    /// chaos: what [`RunCfg::try_from_env`] reads when `SNET_WORKERS`
-    /// is unset.
+    /// on, a core-sized pool, blocking ingress, `FailNet`: what
+    /// [`RunCfg::try_from_env`] reads when `SNET_WORKERS` is unset.
     fn default() -> RunCfg {
         RunCfg {
             bound: Some(DEFAULT_STREAM_BOUND),
@@ -111,7 +105,6 @@ impl Default for RunCfg {
             workers: None,
             overload: OverloadPolicy::Block,
             fault_policy: FaultPolicy::FailNet,
-            chaos: None,
         }
     }
 }
@@ -372,17 +365,10 @@ impl Ctx {
     }
 
     /// The fault guard for the execution core at `path`, per the
-    /// net's policy and chaos config; `None` in the default
-    /// (FailNet, no injection) configuration — the hot path then
-    /// bypasses fault handling entirely.
+    /// net's policy; `None` under the default `FailNet` — the hot path
+    /// then bypasses fault handling entirely.
     pub(crate) fn fault_guard(&self, path: CompPath) -> Option<FaultGuard> {
-        FaultGuard::for_stage(
-            self.cfg.fault_policy,
-            self.cfg.chaos.as_ref(),
-            &self.faults,
-            &self.metrics,
-            path,
-        )
+        FaultGuard::for_stage(self.cfg.fault_policy, &self.faults, &self.metrics, path)
     }
 
     /// The executor components of this network run on.

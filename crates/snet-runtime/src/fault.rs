@@ -1,5 +1,5 @@
-//! Fault containment: typed faults, per-net fault policies, and
-//! deterministic chaos injection at the box/filter execution boundary.
+//! Fault containment: typed faults and per-net fault policies at the
+//! box/filter execution boundary.
 //!
 //! The paper treats boxes as opaque user code, so the runtime must
 //! assume they can fail. Before this module, a panicking box unwound
@@ -24,8 +24,8 @@
 //!   [`crate::CallError::Faulted`] instead of letting the caller hang
 //!   to its deadline).
 //! * **What happens next** is the per-net [`FaultPolicy`]:
-//!   [`FaultPolicy::FailNet`] (the default — today's behaviour, the
-//!   panic resumes and `join_all` propagates it),
+//!   [`FaultPolicy::FailNet`] (the default: the stage has no guard,
+//!   the panic unwinds its component and `join_all` propagates it),
 //!   [`FaultPolicy::SkipRecord`] (drop the poison record, count it
 //!   under `records_skipped`, keep the component alive) and
 //!   [`FaultPolicy::Restart`] (re-run the stateless stage on the same
@@ -51,32 +51,18 @@
 //! zero records for it, which the det-merge protocol already handles:
 //! round boundaries still arrive on every branch, in order. Det
 //! output remains byte-identical across {fused, unfused} ×
-//! {threads, pool} with any policy; injection off means the guarded
-//! path is a single always-successful attempt.
+//! {threads, pool} with any policy; a guarded stage whose body never
+//! panics is a single always-successful attempt.
 //!
-//! # Deterministic chaos ([`ChaosConfig`])
+//! # Exercising the failure paths
 //!
-//! Fault handling that is only exercised by real bugs is untested
-//! fault handling. [`ChaosConfig`] injects panics (and stalls) at the
-//! core boundary, *deterministically*: a record is decided once per
-//! box name and content. The decision is a pure hash of the seed, the
-//! stage's own path segment (`box:{name}` or `filter`) and the
-//! record's content — every label by name with its value, in any
-//! label order; an opaque value contributes its label only. There is
-//! no global RNG, no time dependence and no arrival index: fusion and
-//! scheduling change where a stage sits and in which order (and, behind
-//! an `id || id` tie, on which lane) its records arrive, never which
-//! records a box sees. So a soak run is reproducible from its seed,
-//! every topology and executor drops the same records, and a poison
-//! record panics again on every [`FaultPolicy::Restart`] retry.
-//! Enable per net with [`crate::NetBuilder::chaos`], and choose the
-//! policy with [`crate::NetBuilder::fault_policy`]; neither has a
-//! process-wide switch.
+//! The runtime injects no faults of its own: seeded injection is a
+//! wrapper around box bodies in the tests (`tests/common/chaos.rs`).
 
 use crate::metrics::{keys, Counter, Metrics};
 use crate::path::{name, CompPath};
 use parking_lot::Mutex;
-use snet_types::{Label, Record, Value};
+use snet_types::Record;
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,37 +96,6 @@ pub enum FaultPolicy {
     Restart { max_retries: u32, backoff: Duration },
 }
 
-/// Deterministic fault injection at the core boundary (see module
-/// docs). Rates are probabilities in `[0, 1]` evaluated per record
-/// per stage by a seeded hash — two runs with the same seed, net and
-/// input inject identically.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosConfig {
-    /// Base seed; mixed with a stable hash of each stage's own path
-    /// segment and of each record's content.
-    pub seed: u64,
-    /// Probability that processing a record panics at the stage
-    /// boundary.
-    pub panic_rate: f64,
-    /// Probability that processing a record first stalls for
-    /// [`ChaosConfig::stall`].
-    pub stall_rate: f64,
-    /// Injected stall duration.
-    pub stall: Duration,
-}
-
-impl ChaosConfig {
-    /// Panic-only injection at `rate`, no stalls.
-    pub fn new(seed: u64, rate: f64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            panic_rate: rate,
-            stall_rate: 0.0,
-            stall: Duration::ZERO,
-        }
-    }
-}
-
 /// One contained component failure, as delivered to
 /// [`FaultObserver`]s and kept in the net's fault log.
 #[derive(Clone, Debug)]
@@ -162,7 +117,7 @@ pub struct Fault {
 /// net's own streams.
 pub type FaultObserver = Arc<dyn Fn(&Fault) + Send + Sync>;
 
-/// Cap on the per-net fault log (diagnostic ring; chaos soaks inject
+/// Cap on the per-net fault log (diagnostic ring; a soak contains
 /// thousands of faults and the log must not become the memory story).
 const FAULT_LOG_CAP: usize = 1024;
 
@@ -233,118 +188,22 @@ pub(crate) fn payload_msg(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Chaos decision for one record at one stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Decision {
-    Clean,
-    Panic,
-    Stall,
-}
-
-/// The deterministic per-stage injector: a hash of `(config seed) ⊕
-/// fnv64(own path segment)` and the record's content. Stable across
-/// runs (the segment *text* is hashed, not an interner id, which
-/// depends on process-global interning order).
-struct ChaosInjector {
-    state: u64,
-    panic_cut: u64,
-    stall_cut: u64,
-    stall: Duration,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn rate_cut(rate: f64) -> u64 {
-    (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64
-}
-
-/// A record's content as one word: each label's name, kind and value
-/// hashed on its own and the entries summed, so the order labels are
-/// stored in (interning order) does not matter. An opaque value has no
-/// content to hash and contributes its label only.
-fn content_hash(rec: &Record) -> u64 {
-    fn words(ws: impl Iterator<Item = u64>) -> u64 {
-        ws.fold(0, |h, w| splitmix64(h ^ w))
-    }
-    fn value(v: &Value) -> u64 {
-        match v {
-            Value::Int(i) => *i as u64,
-            Value::Double(d) => d.to_bits(),
-            Value::Bool(b) => u64::from(*b),
-            Value::Str(s) => fnv64(s),
-            Value::IntArray(a) => words(a.data().iter().map(|&x| x as u64)),
-            Value::BoolArray(a) => words(a.data().iter().map(|&x| u64::from(x))),
-            Value::DoubleArray(a) => words(a.data().iter().map(|x| x.to_bits())),
-            Value::Bytes(b) => words(b.iter().map(|&x| u64::from(x))),
-            Value::Opaque(_) => 0,
-        }
-    }
-    let entry = |label: Label, v: u64| {
-        splitmix64(fnv64(label.name()) ^ u64::from(label.is_field()) ^ splitmix64(v))
-    };
-    let fields = rec.fields().map(|(l, v)| entry(l, value(v)));
-    let tags = rec.tags().map(|(l, v)| entry(l, v as u64));
-    fields.chain(tags).fold(0, u64::wrapping_add)
-}
-
-impl ChaosInjector {
-    fn new(cfg: &ChaosConfig, path: CompPath) -> ChaosInjector {
-        let own = path.as_str().rsplit('/').next().unwrap_or_default();
-        ChaosInjector {
-            state: cfg.seed ^ fnv64(own),
-            panic_cut: rate_cut(cfg.panic_rate),
-            stall_cut: rate_cut(cfg.stall_rate),
-            stall: cfg.stall,
-        }
-    }
-
-    /// The decision for `rec`: a pure function of the seed, the
-    /// stage's own segment and the record's content, called once per
-    /// record (a retry reuses it).
-    fn decide(&self, rec: &Record) -> Decision {
-        let x = splitmix64(self.state ^ content_hash(rec));
-        if x < self.panic_cut {
-            Decision::Panic
-        } else if splitmix64(x) < self.stall_cut {
-            Decision::Stall
-        } else {
-            Decision::Clean
-        }
-    }
-}
-
 /// The shape of a guarded stage body: processes one record, emitting
 /// through the provided sink, and returns the emission count.
 pub(crate) type StageBody<'a> = dyn FnMut(&Record, &mut dyn FnMut(Record)) -> u64 + 'a;
 
 /// The per-stage fault boundary, resolved once at core construction
-/// ([`crate::Ctx::fault_guard`]): `None` when the policy is
-/// [`FaultPolicy::FailNet`] and injection is off — the hot path then
-/// pays a single predictable branch and runs the seed's raw code.
+/// ([`crate::Ctx::fault_guard`]): `None` under [`FaultPolicy::FailNet`]
+/// — the hot path then pays a single predictable branch, and a panic
+/// unwinds to the component boundary, where the tracker raises it.
 pub(crate) struct FaultGuard {
-    policy: FaultPolicy,
-    chaos: Option<ChaosInjector>,
     hub: Arc<FaultHub>,
     path: CompPath,
     skipped: Counter,
     restarts: Counter,
-    /// `runtime/chaos_injected`: injected panic decisions (one per
-    /// poisoned record; equals `runtime/component_panics` when chaos
-    /// is the only fault source and the policy contains faults).
-    injected: Counter,
+    /// Retries before a skip: 0 under [`FaultPolicy::SkipRecord`].
+    max_retries: u32,
+    backoff: Duration,
     /// Emission buffer: flushed to the real sink only after a
     /// successful attempt (see module docs).
     buf: Vec<Record>,
@@ -354,24 +213,27 @@ impl FaultGuard {
     /// The guard for one stage, or `None` for the zero-cost default.
     pub(crate) fn for_stage(
         policy: FaultPolicy,
-        chaos: Option<&ChaosConfig>,
         hub: &Arc<FaultHub>,
         metrics: &Arc<Metrics>,
         path: CompPath,
     ) -> Option<FaultGuard> {
-        if policy == FaultPolicy::FailNet && chaos.is_none() {
-            return None;
-        }
+        let (max_retries, backoff) = match policy {
+            FaultPolicy::FailNet => return None,
+            FaultPolicy::SkipRecord => (0, Duration::ZERO),
+            FaultPolicy::Restart {
+                max_retries,
+                backoff,
+            } => (max_retries, backoff),
+        };
         let [skipped, restarts] =
             metrics.counters_at(path, [name!(keys::RECORDS_SKIPPED), name!(keys::RESTARTS)]);
         Some(FaultGuard {
-            policy,
-            chaos: chaos.map(|c| ChaosInjector::new(c, path)),
             hub: Arc::clone(hub),
             path,
             skipped,
             restarts,
-            injected: metrics.handle(keys::CHAOS_INJECTED),
+            max_retries,
+            backoff,
             buf: Vec::new(),
         })
     }
@@ -379,39 +241,13 @@ impl FaultGuard {
     /// Runs one record through `body` under the fault policy.
     /// Emissions buffer in the guard and flush to `sink` only on
     /// success; the return value is the emission count (0 for a
-    /// skipped record). Panics are caught here — except under
-    /// [`FaultPolicy::FailNet`], where the payload resumes unwinding
-    /// and the component-level accounting (tracker → hub) takes over.
+    /// skipped record).
     pub(crate) fn run(
         &mut self,
         rec: &Record,
         sink: &mut dyn FnMut(Record),
         body: &mut StageBody<'_>,
     ) -> u64 {
-        let decision = match &self.chaos {
-            Some(c) => c.decide(rec),
-            None => Decision::Clean,
-        };
-        match decision {
-            Decision::Stall => {
-                // An injected stall models a slow box, not a failure:
-                // processing proceeds normally afterwards.
-                let d = self.chaos.as_ref().map(|c| c.stall).unwrap_or_default();
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
-            }
-            Decision::Panic => self.injected.inc(1),
-            Decision::Clean => {}
-        }
-        let inject = decision == Decision::Panic;
-        let (max_retries, backoff) = match self.policy {
-            FaultPolicy::Restart {
-                max_retries,
-                backoff,
-            } => (max_retries, backoff),
-            _ => (0, Duration::ZERO),
-        };
         let mut attempt: u32 = 0;
         let mut last_msg = String::new();
         loop {
@@ -421,9 +257,6 @@ impl FaultGuard {
             // reuse after an unwind; the emission buffer is cleared
             // per attempt, so a partial cascade never leaks.
             let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if inject {
-                    panic!("chaos: injected panic");
-                }
                 body(rec, &mut |r| buf.push(r))
             }));
             match res {
@@ -444,17 +277,10 @@ impl FaultGuard {
                     return n;
                 }
                 Err(payload) => {
-                    if self.policy == FaultPolicy::FailNet {
-                        // Injection under FailNet: today's semantics.
-                        // The tracker's completion path raises the
-                        // component-level fault — raising here too
-                        // would double-count the incident.
-                        std::panic::resume_unwind(payload);
-                    }
                     last_msg = payload_msg(payload.as_ref());
-                    if attempt < max_retries {
+                    if attempt < self.max_retries {
                         self.restarts.inc(1);
-                        let delay = backoff.saturating_mul(1u32 << attempt.min(16));
+                        let delay = self.backoff.saturating_mul(1u32 << attempt.min(16));
                         if !delay.is_zero() {
                             std::thread::sleep(delay);
                         }
@@ -480,42 +306,12 @@ impl FaultGuard {
 mod tests {
     use super::*;
 
-    /// The record of draw `i`.
-    fn draw(i: i64) -> Record {
-        Record::build().tag("n", i).finish()
-    }
-
-    #[test]
-    fn injector_is_deterministic_and_rate_shaped() {
-        let cfg = ChaosConfig::new(1234, 0.1);
-        let path = CompPath::root("net").child("box:f");
-        let a = ChaosInjector::new(&cfg, path);
-        let b = ChaosInjector::new(&cfg, path);
-        let da: Vec<Decision> = (0..10_000).map(|i| a.decide(&draw(i))).collect();
-        let db: Vec<Decision> = (0..10_000).map(|i| b.decide(&draw(i))).collect();
-        assert_eq!(da, db, "same seed + path must replay identically");
-        let panics = da.iter().filter(|d| **d == Decision::Panic).count();
-        // 10% of 10k with generous slack.
-        assert!((600..=1400).contains(&panics), "panics {panics}");
-        // A different stage path decides differently.
-        let c = ChaosInjector::new(&cfg, CompPath::root("net").child("box:g"));
-        let dc: Vec<Decision> = (0..10_000).map(|i| c.decide(&draw(i))).collect();
-        assert_ne!(da, dc);
-    }
-
-    #[test]
-    fn zero_rate_never_injects() {
-        let cfg = ChaosConfig::new(99, 0.0);
-        let inj = ChaosInjector::new(&cfg, CompPath::root("net"));
-        assert!((0..10_000).all(|i| inj.decide(&draw(i)) == Decision::Clean));
-    }
-
     #[test]
     fn guard_skips_and_raises_on_panic() {
         let metrics = Metrics::new();
         let hub = FaultHub::new(Arc::clone(&metrics));
         let path = CompPath::root("net").child("box:boom");
-        let mut g = FaultGuard::for_stage(FaultPolicy::SkipRecord, None, &hub, &metrics, path)
+        let mut g = FaultGuard::for_stage(FaultPolicy::SkipRecord, &hub, &metrics, path)
             .expect("skip policy guards");
         let rec = Record::build().field("x", 1i64).finish();
         let mut out = Vec::new();
@@ -546,7 +342,6 @@ mod tests {
                 max_retries: 2,
                 backoff: Duration::ZERO,
             },
-            None,
             &hub,
             &metrics,
             path,
@@ -582,7 +377,6 @@ mod tests {
                 max_retries: 3,
                 backoff: Duration::ZERO,
             },
-            None,
             &hub,
             &metrics,
             path,
@@ -606,36 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn failnet_guard_rethrows_without_raising() {
+    fn failnet_needs_no_guard() {
         let metrics = Metrics::new();
         let hub = FaultHub::new(Arc::clone(&metrics));
-        // FailNet alone needs no guard at all...
-        assert!(FaultGuard::for_stage(
-            FaultPolicy::FailNet,
-            None,
-            &hub,
-            &metrics,
-            CompPath::root("net")
-        )
-        .is_none());
-        // ...but FailNet + chaos does (to inject), and it re-raises.
-        let chaos = ChaosConfig::new(1, 0.0);
-        let mut g = FaultGuard::for_stage(
-            FaultPolicy::FailNet,
-            Some(&chaos),
-            &hub,
-            &metrics,
-            CompPath::root("net").child("box:b"),
-        )
-        .unwrap();
-        let rec = Record::new();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            g.run(&rec, &mut |_r| {}, &mut |_r, _s| panic!("boom"))
-        }));
-        assert!(r.is_err());
-        // Component-level accounting owns this incident (the tracker
-        // raises when the unwind reaches the task boundary).
-        assert_eq!(metrics.get(keys::COMPONENT_PANICS), 0);
+        let path = CompPath::root("net");
+        assert!(FaultGuard::for_stage(FaultPolicy::FailNet, &hub, &metrics, path).is_none());
     }
 
     #[test]

@@ -80,10 +80,9 @@
 //!
 //! **Faults.** The fault boundary lives *inside* the leaf core
 //! (`process_uncounted`; see [`crate::fault`]), so a stage contains
-//! panics — and receives chaos injections — the same way wherever the
-//! plan put it: a skipped record at stage *k* simply contributes
-//! nothing to stage *k+1*'s batch, and the decision stream is keyed by
-//! the stage's own path, which fusion preserves.
+//! panics the same way wherever the plan put it: a skipped record at
+//! stage *k* simply contributes nothing to stage *k+1*'s batch, and its
+//! counters sit at the stage's own path, which fusion preserves.
 
 use crate::boxfn::BoxCore;
 use crate::ctx::{Ctx, Edge};
@@ -216,10 +215,9 @@ pub(crate) struct LeafCore {
     /// context construction) — the record loop never chases the
     /// context for it.
     observing: bool,
-    /// The fault boundary, resolved once at construction; `None` in
-    /// the default (FailNet, no chaos) configuration so the hot path
-    /// pays one predictable branch (see [`crate::fault`]). `Option`
-    /// also lets [`LeafCore::process_uncounted`] move the guard out
+    /// The fault boundary, resolved once at construction; `None`
+    /// under the default `FailNet` so the hot path pays one
+    /// predictable branch (see [`crate::fault`]). `Option` also lets [`LeafCore::process_uncounted`] move the guard out
     /// while the body borrows `&mut self`; boxed, because a guard is
     /// larger than the rest of the core.
     guard: Option<Box<FaultGuard>>,
@@ -257,8 +255,8 @@ impl LeafCore {
     /// Runs one record through the leaf; every output record is handed
     /// to `sink` in emission order, and the count is returned for
     /// [`StageCore::add_counts`]. Runs under the net's fault boundary
-    /// when one is configured — a panic in the transfer function (or a
-    /// chaos injection) is contained per the [`crate::FaultPolicy`].
+    /// when one is configured — a panic in the transfer function is
+    /// contained per the [`crate::FaultPolicy`].
     fn process_uncounted(&mut self, ctx: &Ctx, rec: &Record, sink: &mut dyn FnMut(Record)) -> u64 {
         match self.guard.take() {
             None => self.process_raw(ctx, rec, sink),

@@ -36,8 +36,7 @@
 //!   executor because ordering lives in sort records, not scheduling;
 //! * box/filter panics are contained at the execution-core boundary
 //!   per a configurable [`FaultPolicy`], observable as typed
-//!   [`Fault`]s, with deterministic chaos injection ([`ChaosConfig`])
-//!   to exercise the failure paths ([`fault`]);
+//!   [`Fault`]s ([`fault`]);
 //! * what a net must output is computed sequentially from the paper's
 //!   record semantics, with no task or channel, by [`oracle`] — the
 //!   reference every configuration of the runtime is tested against.
@@ -67,7 +66,7 @@ pub mod trace;
 
 pub use boxfn::{BoxImpl, Emitter};
 pub use ctx::{Ctx, RunCfg};
-pub use fault::{ChaosConfig, Fault, FaultObserver, FaultPolicy};
+pub use fault::{Fault, FaultObserver, FaultPolicy};
 pub use memo::TypeMemo;
 pub use metrics::{Counter, Metrics};
 pub use net::{BuildError, Net, NetBuilder, OverloadPolicy, SendRejected};

@@ -341,9 +341,6 @@ pub mod keys {
     /// faulted record (skipped or recovered-by-restart) or dead
     /// component, not per retry attempt. See [`crate::fault`].
     pub const COMPONENT_PANICS: &str = "runtime/component_panics";
-    /// Counter (full key): panics injected by the chaos layer (one
-    /// per poisoned record; see [`crate::ChaosConfig`]).
-    pub const CHAOS_INJECTED: &str = "runtime/chaos_injected";
     /// Fault incidents at one component (suffix, keyed
     /// `{path}/panics`).
     pub const PANICS: &str = "panics";

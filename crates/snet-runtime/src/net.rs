@@ -22,7 +22,7 @@
 //! ```
 
 use crate::ctx::{ConfigError, Ctx, Edge, RunCfg};
-use crate::fault::{ChaosConfig, Fault, FaultObserver, FaultPolicy};
+use crate::fault::{Fault, FaultObserver, FaultPolicy};
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::metrics::{keys, Metrics};
@@ -290,15 +290,6 @@ impl NetBuilder {
     /// [`crate::sched`].
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.cfg.fault_policy = policy;
-        self
-    }
-
-    /// Enables deterministic fault injection at every box/filter
-    /// boundary of this network (see [`ChaosConfig`]): seeded
-    /// probabilistic panics and stalls, reproducible run-to-run from
-    /// the seed. Testing/soak knob.
-    pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.cfg.chaos = Some(chaos);
         self
     }
 
@@ -828,11 +819,8 @@ mod tests {
             (None, |b| b.fuse(false), |c| c.fuse = false),
             (
                 None,
-                |b| b.chaos(ChaosConfig::new(1, 0.0)).fault_policy(RESTART),
-                |c| {
-                    c.fault_policy = RESTART;
-                    c.chaos = Some(ChaosConfig::new(1, 0.0));
-                },
+                |b| b.fault_policy(RESTART),
+                |c| c.fault_policy = RESTART,
             ),
             (Some(" 3 "), |b| b, |c| c.workers = Some(3)),
             // Every other setter, the last call of one winning.

@@ -1,12 +1,16 @@
-//! Fault containment end-to-end: box panics contained per
+//! Fault containment end-to-end: box and filter panics contained per
 //! [`FaultPolicy`], typed faults surfacing through nets, traces and
 //! the serve front door, and the seeded chaos acceptance run.
 //!
 //! The randomised topology soak lives in `random_networks.rs`; this
 //! file pins the behavioural contracts on hand-written nets where the
-//! expected outcome is exact.
+//! expected outcome is exact, and the injector's own properties
+//! ([`Chaos`], shared with the other suites).
 
-use snet_runtime::{CallError, ChaosConfig, FaultPolicy, Net, NetBuilder, Service, TraceLog};
+mod common;
+
+use common::chaos::Chaos;
+use snet_runtime::{CallError, FaultPolicy, Net, NetBuilder, Service, TraceLog};
 use snet_types::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,31 +152,84 @@ fn failnet_policy_still_kills_the_net() {
     xs(&net, &[13]);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || net.finish()));
     assert!(r.is_err(), "FailNet must propagate the box panic");
-    assert!(metrics.get("runtime/component_panics") >= 1);
+    // Counted once: by the tracker, as the component dies.
+    assert_eq!(metrics.get("runtime/component_panics"), 1);
+}
+
+/// `f .. [{<a>, <b>} -> {<q>=<a>/<b>}]`, where `f` passes `<a>` and
+/// `<b>` on: the filter's tag expression divides by zero on every
+/// record with `<b> == 0`.
+fn dividing_net(policy: FaultPolicy, fuse: bool) -> Net {
+    NetBuilder::from_source(
+        "box f (<a>, <b>) -> (<a>, <b>);
+         net main = f .. [{<a>, <b>} -> {<q>=<a>/<b>}];",
+    )
+    .unwrap()
+    .bind("f", |r: &Record, e: &mut snet_runtime::Emitter| {
+        e.emit(r.clone())
+    })
+    .fault_policy(policy)
+    .fuse(fuse)
+    .build("main")
+    .unwrap()
+}
+
+/// Thirty records `{<a>=i, <b>=i % 3}`: ten of them divide by zero.
+/// A net that fails at its first fault closes its input, which ends
+/// the sending.
+fn send_divisions(net: &Net) {
+    for i in 0..30i64 {
+        if net
+            .send(Record::build().tag("a", i).tag("b", i % 3).finish())
+            .is_err()
+        {
+            break;
+        }
+    }
+}
+
+#[test]
+fn a_filter_that_faults_on_its_data_is_contained_like_a_box() {
+    // A filter is runtime code, but its tag expressions compute on
+    // record values, and a failing one panics at the filter's stage
+    // boundary: the same guard as a box's contains it.
+    let run = |fuse: bool| {
+        let net = dividing_net(FaultPolicy::SkipRecord, fuse);
+        let metrics = Arc::clone(net.metrics());
+        send_divisions(&net);
+        let q: Vec<i64> = net.finish().iter().map(|r| r.tag("q").unwrap()).collect();
+        assert_eq!(metrics.get("net/s1/filter/records_skipped"), 10);
+        assert_eq!(metrics.get("runtime/component_panics"), 10);
+        q
+    };
+    let fused = run(true);
+    assert_eq!(fused, run(false));
+    assert_eq!(fused.len(), 20);
+    // Under the default policy the same fault kills the net.
+    let net = dividing_net(FaultPolicy::FailNet, true);
+    send_divisions(&net);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || net.finish()));
+    assert!(r.is_err(), "FailNet must propagate the filter panic");
 }
 
 #[test]
 fn fused_and_unfused_contain_chaos_identically() {
     // A linear two-box chain — compiled fused, it is one scheduled
-    // component. The chaos decision stream is keyed by
-    // per-stage path and record index, both invariant under fusion,
-    // so the fused and unfused runs drop the same records and emit
-    // byte-identical output.
+    // component. A chaos decision is keyed by box name and record
+    // content, both invariant under fusion, so the fused and unfused
+    // runs drop the same records and emit byte-identical output.
     let run = |fuse: bool| {
+        let chaos = Chaos::new(0xBADC0DE, 0.2);
+        let echo = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
         let net = NetBuilder::from_source(
             "box a (x) -> (x);
              box b (x) -> (x);
              net main = a .. b;",
         )
         .unwrap()
-        .bind("a", |r: &Record, e: &mut snet_runtime::Emitter| {
-            e.emit(r.clone())
-        })
-        .bind("b", |r: &Record, e: &mut snet_runtime::Emitter| {
-            e.emit(r.clone())
-        })
+        .bind("a", chaos.wrap("a", echo))
+        .bind("b", chaos.wrap("b", echo))
         .fault_policy(FaultPolicy::SkipRecord)
-        .chaos(ChaosConfig::new(0xBADC0DE, 0.2))
         .fuse(fuse)
         .build("main")
         .unwrap();
@@ -181,11 +238,7 @@ fn fused_and_unfused_contain_chaos_identically() {
             net.send(Record::build().field("x", i).finish()).unwrap();
         }
         let got = outs(net.finish());
-        (
-            got,
-            metrics.get("runtime/chaos_injected"),
-            metrics.sum_matching("records_skipped"),
-        )
+        (got, chaos.panics(), metrics.sum_matching("records_skipped"))
     };
     let fused = run(true);
     let unfused = run(false);
@@ -200,7 +253,7 @@ fn fused_and_unfused_contain_chaos_identically() {
 
 #[test]
 fn chaos_off_guarded_run_is_byte_identical_to_unguarded() {
-    // SkipRecord with no injector engages the guard machinery (buffered
+    // SkipRecord on boxes that never panic engages the guard machinery (buffered
     // emissions, catch_unwind) — it must be a transparent wrapper.
     let run = |policy: FaultPolicy| {
         let net = NetBuilder::from_source(
@@ -452,25 +505,27 @@ fn drain_with_ample_grace_strands_nothing() {
 
 #[test]
 fn chaos_serve_acceptance_10k_requests_no_hangs() {
-    // ISSUE 8 acceptance: under a seeded 1% panic rate with the
-    // Restart policy, a 10k-request serve run completes with zero
-    // caller hangs; affected requests resolve as Faulted within the
-    // deadline; unaffected requests are neither lost nor misrouted;
-    // and `runtime/component_panics` matches the injected count.
+    // Under a seeded 1% panic rate with the Restart policy, a
+    // 10k-request serve run completes with zero caller hangs; affected
+    // requests resolve as Faulted within the deadline; unaffected
+    // requests are neither lost nor misrouted; and every contained
+    // fault is one poisoned record.
     //
     // (Chaos decisions are per record, so a poisoned record panics on
-    // every restart attempt and terminally skips: injected == panics
-    // == faulted, and restarts == 2 x injected.)
+    // every restart attempt and terminally skips: faults == faulted,
+    // injected panics == 3 x faults and restarts == 2 x faults.)
     let echo = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
+    let chaos = Chaos::from_env(0x5EED, 0.01);
     let one_box = NetBuilder::from_source("box f (x) -> (x); net main = f;")
         .unwrap()
-        .bind("f", echo);
-    serve_under_chaos(under_chaos(one_box), 1250);
+        .bind("f", chaos.wrap("f", echo));
+    serve_under_chaos(under_restart(one_box), &chaos, 1250);
 
     // Unfused, every split lane, parallel branch and star level below
     // runs on its own dispatcher, each box in a component of its own.
     // This case is the one check that injects panics into dispatcher
     // lanes behind the `Service` door.
+    let chaos = Chaos::from_env(0x5EED, 0.01);
     let fans = NetBuilder::from_source(
         "box f (x) -> (x);
          box step (x, <lvl>) -> (x, <lvl>);
@@ -479,30 +534,26 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
     )
     .unwrap()
     .fuse(false)
-    .bind("f", echo)
-    .bind("step", |r: &Record, e: &mut snet_runtime::Emitter| {
-        let mut out = r.clone();
-        out.set_tag("lvl", r.tag("lvl").unwrap() + 1);
-        e.emit(out);
-    });
-    let net = under_chaos(fans);
+    .bind("f", chaos.wrap("f", echo))
+    .bind(
+        "step",
+        chaos.wrap("step", |r: &Record, e: &mut snet_runtime::Emitter| {
+            let mut out = r.clone();
+            out.set_tag("lvl", r.tag("lvl").unwrap() + 1);
+            e.emit(out);
+        }),
+    );
+    let net = under_restart(fans);
     assert!(net.threads_spawned() > 4, "fused: one component");
-    serve_under_chaos(net, 250);
+    serve_under_chaos(net, &chaos, 250);
 }
 
-/// `b` under the acceptance run's faults: a seeded 1% panic rate and
-/// `Restart { 2, 1 ms }`. CI pins SNET_CHAOS_SEED; locally the default
-/// replays the same run.
-fn under_chaos(b: NetBuilder) -> Net {
-    let seed: u64 = std::env::var("SNET_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5EED);
+/// `b` under the acceptance run's policy, `Restart { 2, 1 ms }`.
+fn under_restart(b: NetBuilder) -> Net {
     b.fault_policy(FaultPolicy::Restart {
         max_retries: 2,
         backoff: Duration::from_millis(1),
     })
-    .chaos(ChaosConfig::new(seed, 0.01))
     .build("main")
     .unwrap()
 }
@@ -510,8 +561,8 @@ fn under_chaos(b: NetBuilder) -> Net {
 /// Eight callers issue `per_caller` requests each — `{x, <k>, <lvl>}`
 /// with `<k>` cycling through 4 values and `<lvl>` through 3 (1 to 3
 /// star levels) — and every outcome is accounted against the net's
-/// fault counters.
-fn serve_under_chaos(net: Net, per_caller: usize) {
+/// fault counters and the panics `chaos` injected into its boxes.
+fn serve_under_chaos(net: Net, chaos: &Chaos, per_caller: usize) {
     const CALLERS: usize = 8;
     let svc = Arc::new(Service::start(net));
     let ok = Arc::new(AtomicU64::new(0));
@@ -581,9 +632,9 @@ fn serve_under_chaos(net: Net, per_caller: usize) {
     let p99 = latencies[latencies.len() * 99 / 100];
     assert!(p99 < Duration::from_secs(2), "p99 {p99:?}");
     let m = Arc::clone(svc.metrics());
-    let injected = m.get("runtime/chaos_injected");
+    let injected = m.get("runtime/component_panics");
     assert!(injected > 0, "1% of {total} must inject");
-    assert_eq!(m.get("runtime/component_panics"), injected);
+    assert_eq!(chaos.panics(), 3 * injected, "three attempts per fault");
     assert_eq!(m.get("serve/faulted"), faulted);
     assert_eq!(
         faulted, injected,
@@ -597,4 +648,34 @@ fn serve_under_chaos(net: Net, per_caller: usize) {
     assert_eq!(report.stranded, 0);
     assert_eq!(report.completed, ok);
     assert_eq!(report.faulted, faulted);
+}
+
+// ---------------------------------------------------------------------------
+// The injector itself.
+// ---------------------------------------------------------------------------
+
+/// The record of draw `i`.
+fn draw(i: i64) -> Record {
+    Record::build().tag("n", i).finish()
+}
+
+#[test]
+fn injector_is_deterministic_and_rate_shaped() {
+    let a = Chaos::new(1234, 0.1);
+    let b = Chaos::new(1234, 0.1);
+    let da: Vec<bool> = (0..10_000).map(|i| a.poisons("f", &draw(i))).collect();
+    let db: Vec<bool> = (0..10_000).map(|i| b.poisons("f", &draw(i))).collect();
+    assert_eq!(da, db, "same seed + box must replay identically");
+    let panics = da.iter().filter(|p| **p).count();
+    // 10% of 10k with generous slack.
+    assert!((600..=1400).contains(&panics), "panics {panics}");
+    // A different box decides differently.
+    let dc: Vec<bool> = (0..10_000).map(|i| a.poisons("g", &draw(i))).collect();
+    assert_ne!(da, dc);
+}
+
+#[test]
+fn zero_rate_never_injects() {
+    let chaos = Chaos::new(99, 0.0);
+    assert!((0..10_000).all(|i| !chaos.poisons("f", &draw(i))));
 }

@@ -8,10 +8,13 @@
 //! `NetBuilder::fuse(bool)` drives both topologies in-process;
 //! `tests/random_networks.rs` draws programs across them.
 
+mod common;
+
+use common::chaos::Chaos;
 use snet_lang::{parse_net_expr, parse_program};
 use snet_runtime::{
-    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg,
-    ThreadPerComponent, WorkStealingPool,
+    oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg, ThreadPerComponent,
+    WorkStealingPool,
 };
 use snet_types::Record;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -538,8 +541,8 @@ fn fan_metrics_paths_survive_replica_fusion() {
             .snapshot()
             .into_iter()
             // Per-edge gauges vanish with the edges by design;
-            // runtime/* globals (interner gauge, chaos counters) are
-            // process-wide and depend on test interleaving.
+            // runtime/* globals (the interner gauge) are process-wide
+            // and depend on test interleaving.
             .filter(|(k, _)| !k.ends_with("/stream_depth") && !k.ends_with("/credit_stalls"))
             .filter(|(k, _)| !k.starts_with("runtime/"))
             .collect();
@@ -591,26 +594,29 @@ fn fan_metrics_paths_survive_replica_fusion() {
 
 #[test]
 fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
-    // The ISSUE's chaos leg: with a fixed seed, the per-stage chaos
-    // decision streams are keyed by stage path, so replica fusion
-    // must produce the exact same skips — same output, same per-path
-    // records_skipped, and skipped == injected (panic-only chaos).
+    // With a fixed seed, a chaos decision is keyed by box name and
+    // record content, neither of which replica fusion changes, so the
+    // fused and unfused nets make the exact same skips — same output,
+    // same per-path records_skipped, and skipped == injected.
     let run = |fuse: bool| {
-        let net = fan_builder("(inc .. inc .. rep) ! <k>")
+        let chaos = Chaos::from_env(0xFA57_F00D, 0.1);
+        let b = NetBuilder::from_source(&format!("{SRC}\nnet main = (inc .. inc .. rep) ! <k>;"))
+            .unwrap();
+        let net = (boxes().into_iter())
+            .fold(b, |b, (name, f)| b.bind(name, chaos.wrap(name, f)))
             .executor(Arc::new(ThreadPerComponent))
             .fault_policy(FaultPolicy::SkipRecord)
-            .chaos(ChaosConfig::new(0xFA57_F00D, 0.1))
             .fuse(fuse)
             .build("main")
             .unwrap();
         let metrics = Arc::clone(net.metrics());
         let out = drive(net, &xs(80, false));
-        let injected = metrics.get("runtime/chaos_injected");
+        let injected = chaos.panics();
         let skipped = metrics.sum_matching("records_skipped");
         assert!(injected > 0, "chaos at 10% over 80 records never fired");
         assert_eq!(
             skipped, injected,
-            "panic-only chaos: every injected fault must surface as a skip"
+            "every injected panic must surface as a skip"
         );
         let mut skips: Vec<(String, u64)> = metrics
             .snapshot()

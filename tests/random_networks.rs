@@ -15,11 +15,14 @@
 //! topologies, bounded and unbounded; the chaos soak over them; and the
 //! credit accounting of one bounded edge against a reference model.
 
+mod common;
+
+use common::chaos::Chaos;
 use proptest::prelude::*;
 use proptest::TestRng;
 use snet_lang::{parse_filter, parse_program, pretty_net, Env, ExitPattern, NetAst};
 use snet_runtime::{
-    oracle, Bindings, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder, Plan, RunCfg,
+    oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, Plan, RunCfg,
     ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::{BoxSig, Label, Record, RecordType, Value};
@@ -324,15 +327,23 @@ fn arb_net() -> impl Strategy<Value = NetAst> {
     })
 }
 
-/// `cfg.fuse` is whether the plan is compiled fused.
-fn build_full(ast: &NetAst, cfg: RunCfg, executor: Arc<dyn Executor>) -> Net {
+/// `cfg.fuse` is whether the plan is compiled fused; `chaos`, when
+/// given, wraps `id`.
+fn build_full(
+    ast: &NetAst,
+    cfg: RunCfg,
+    executor: Arc<dyn Executor>,
+    chaos: Option<&Chaos>,
+) -> Net {
     let mut env = Env::new();
     let xk = vec![Label::field("x"), Label::tag("k")];
     env.declare_box("id", BoxSig::new(xk.clone(), vec![xk]))
         .unwrap();
-    let bindings = Bindings::new().bind("id", |rec: &Record, em: &mut Emitter| {
-        em.emit(rec.clone());
-    });
+    let id = |rec: &Record, em: &mut Emitter| em.emit(rec.clone());
+    let bindings = match chaos {
+        Some(chaos) => Bindings::new().bind("id", chaos.wrap("id", id)),
+        None => Bindings::new().bind("id", id),
+    };
     let plan: Plan =
         snet_runtime::compile_cfg(ast, &env, &bindings, cfg.fuse).expect("random net compiles");
     Net::spawn(plan, Vec::new(), executor, cfg)
@@ -355,7 +366,7 @@ fn build_bound(ast: &NetAst, bound: Option<usize>) -> Net {
         bound,
         ..RunCfg::default()
     };
-    build_full(ast, cfg, Arc::new(ThreadPerComponent))
+    build_full(ast, cfg, Arc::new(ThreadPerComponent), None)
 }
 
 /// On unbounded edges: what the bounded runs are compared against.
@@ -440,7 +451,7 @@ struct SoakOutcome {
 
 fn soak_run(
     ast: &NetAst,
-    chaos: Option<ChaosConfig>,
+    chaos: Option<Chaos>,
     fuse: bool,
     executor: Arc<dyn Executor>,
     xs: &[(i64, i64)],
@@ -449,16 +460,15 @@ fn soak_run(
         bound: None,
         fuse,
         fault_policy: FaultPolicy::SkipRecord,
-        chaos,
         ..RunCfg::default()
     };
-    let net = build_full(ast, cfg, executor);
+    let net = build_full(ast, cfg, executor, chaos.as_ref());
     let metrics = Arc::clone(net.metrics());
     let mut out = drive(net, xs);
     out.sort();
     SoakOutcome {
         out,
-        injected: metrics.get("runtime/chaos_injected"),
+        injected: chaos.map_or(0, |c| c.panics()),
         skipped: metrics.sum_matching("records_skipped"),
         panics: metrics.get("runtime/component_panics"),
     }
@@ -467,7 +477,7 @@ fn soak_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The chaos soak (see `fault` module docs): a seeded injector
+    /// The chaos soak (see `tests/common/chaos.rs`): a seeded injector
     /// panics boxes at random inside arbitrary topologies under the
     /// `SkipRecord` policy, across {thread-per-component, pool(2)} ×
     /// {fused, unfused}. The net must never hang, every record must
@@ -484,12 +494,9 @@ proptest! {
         xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
     ) {
         // CI pins SNET_CHAOS_SEED for reproducible logs; default is a
-        // fixed constant so local runs are deterministic too.
-        let seed: u64 = std::env::var("SNET_CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0xC0FFEE);
-        let chaos = ChaosConfig::new(seed, 0.05);
+        // fixed constant so local runs are deterministic too. Each
+        // configuration gets an injector (and a panic count) of its own.
+        let chaos = || Chaos::from_env(0xC0FFEE, 0.05);
 
         let configs: Vec<(&str, bool, Arc<dyn Executor>)> = vec![
             ("threads/fused", true, Arc::new(ThreadPerComponent)),
@@ -501,7 +508,7 @@ proptest! {
         for (name, fuse, executor) in configs {
             let ast2 = ast.clone();
             let xs2 = xs.to_vec();
-            let chaos2 = chaos.clone();
+            let chaos2 = chaos();
             let outcome = on_own_thread(move || {
                 soak_run(&ast2, Some(chaos2), fuse, executor, &xs2)
             }).map_err(TestCaseError::Fail)?;

@@ -10,10 +10,13 @@
 //! the `Service::call` boundary, and deterministic combinators keep
 //! their byte-identity guarantee behind the front door.
 
+mod common;
+
+use common::chaos::Chaos;
 use snet_runtime::sched::{Completion, TaskFuture};
 use snet_runtime::{
-    CallError, CallOpts, ChaosConfig, Emitter, Executor, FaultPolicy, Net, NetBuilder,
-    OverloadPolicy, SendRejected, Service, ThreadPerComponent, WorkStealingPool,
+    CallError, CallOpts, Emitter, Executor, FaultPolicy, Net, NetBuilder, OverloadPolicy,
+    SendRejected, Service, ThreadPerComponent, WorkStealingPool,
 };
 use snet_types::{Label, Record};
 use std::future::Future;
@@ -764,11 +767,11 @@ fn splitmix(state: &mut u64) -> u64 {
 fn reissued_slots_never_receive_their_previous_requests_records() {
     const CALLERS: u64 = 8;
     const PER_CALLER: u64 = 150;
-    // CI pins SNET_CHAOS_SEED; locally the default replays the same run.
-    let seed: u64 = std::env::var("SNET_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x51075);
+    // CI pins SNET_CHAOS_SEED; locally the default replays the same
+    // run. The seed picks which records fault; the callers' mix of
+    // request shapes and patience is drawn from `seed`, fixed.
+    let chaos = Chaos::from_env(0x51075, 0.02);
+    let seed: u64 = 0x51075;
     let net = NetBuilder::from_source(
         "box slow (a, <n>) -> (r);
          box fast (b, <n>) -> (r);
@@ -776,13 +779,15 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
     )
     .unwrap()
     .fuse(false)
-    .bind("slow", |rec, em| {
-        std::thread::sleep(Duration::from_micros(400));
-        emit_n("a", rec, em)
-    })
-    .bind("fast", |rec, em| emit_n("b", rec, em))
+    .bind(
+        "slow",
+        chaos.wrap("slow", |rec, em| {
+            std::thread::sleep(Duration::from_micros(400));
+            emit_n("a", rec, em)
+        }),
+    )
+    .bind("fast", chaos.wrap("fast", |rec, em| emit_n("b", rec, em)))
     .fault_policy(FaultPolicy::SkipRecord)
-    .chaos(ChaosConfig::new(seed, 0.02))
     .build("main")
     .unwrap();
     let svc = Service::start(net);
@@ -869,6 +874,8 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
     // faulted) to the service and abandoned to the caller.
     assert!(m.get("serve/completed") >= ok);
     assert!(m.get("serve/faulted") >= faulted);
+    // Each injected panic is one contained fault, answered or not.
+    assert_eq!(m.get("runtime/component_panics"), chaos.panics());
     let stray = m.get("serve/stray");
     assert!(stray > 0, "no abandoned request was answered late");
     assert!(
