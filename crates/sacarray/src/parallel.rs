@@ -247,16 +247,24 @@ fn worker_loop(inner: &PoolInner) {
 }
 
 /// Thread count for the global pool: `SACARRAY_THREADS` env var when
-/// set, otherwise the machine's available parallelism.
+/// set, otherwise the machine's available parallelism. Panics on a
+/// value that is not a positive integer: a typo must not silently run
+/// on a pool it was meant to change.
 pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("SACARRAY_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    // Lossy: a value that is not Unicode then fails its parse.
+    let value = std::env::var_os("SACARRAY_THREADS").map(|v| v.to_string_lossy().into_owned());
+    threads_from(value).unwrap_or_else(|msg| panic!("{msg}"))
+}
+
+/// [`default_threads`] with `SACARRAY_THREADS` set to `value`, if set:
+/// the reader proper, which unit tests call directly (the process
+/// environment is shared state they must not set).
+fn threads_from(value: Option<String>) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    let n = value.trim().parse().ok().filter(|n| *n >= 1);
+    n.ok_or_else(|| format!("SACARRAY_THREADS={value:?}: expected a positive integer"))
 }
 
 #[cfg(test)]
@@ -275,6 +283,20 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn a_thread_count_is_a_positive_integer_or_unset() {
+        assert!(threads_from(None).unwrap() >= 1);
+        assert_eq!(threads_from(Some(" 3 ".into())), Ok(3));
+        for bad in ["0", "two", "", "-1", "1.5"] {
+            assert_eq!(
+                threads_from(Some(bad.into())),
+                Err(format!(
+                    "SACARRAY_THREADS={bad:?}: expected a positive integer"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::sched::{Executor, Tracker};
 use crate::stream::chan::EdgeStats;
 use crate::stream::{stream, stream_bounded, Dir, Observer, Receiver, Sender};
 use snet_types::Record;
-use std::collections::HashMap;
 use std::fmt;
 use std::future::Future;
 use std::sync::{Arc, OnceLock};
@@ -60,18 +59,12 @@ pub struct RunCfg {
     /// Capacity of every data edge; `None` = unbounded. See
     /// [`crate::stream`] for what a bound does and does not gate.
     pub bound: Option<usize>,
-    /// Per-edge capacity overrides (`NetBuilder::bound_for`). `0`
-    /// keeps that edge unbounded even when `bound` is set.
-    pub bound_overrides: HashMap<Edge, usize>,
     /// Opt-in bounded lane namespace for indexed-split routing paths:
     /// when set, parallel replicators hash tag values into this many
     /// lanes instead of one replica per distinct value, capping the
     /// path-interner growth on unbounded tag domains (see
     /// [`crate::split`] and the `NetBuilder::split_lanes` knob).
     pub split_lanes: Option<u32>,
-    /// Per-replicator lane bounds keyed by routing-tag name; a tag's
-    /// entry wins over the net-global `split_lanes`.
-    pub split_lanes_by_tag: HashMap<String, u32>,
     /// Whether the net is compiled fused (see [`crate::plan`]): the
     /// flag [`crate::compile_cfg`] sets on every spine and fan, and so
     /// whether the net is one stage run or the paper's component
@@ -98,9 +91,7 @@ impl Default for RunCfg {
     fn default() -> RunCfg {
         RunCfg {
             bound: Some(DEFAULT_STREAM_BOUND),
-            bound_overrides: HashMap::new(),
             split_lanes: None,
-            split_lanes_by_tag: HashMap::new(),
             fuse: true,
             workers: None,
             overload: OverloadPolicy::Block,
@@ -161,13 +152,7 @@ pub enum ConfigError {
         value: String,
         expected: &'static str,
     },
-    /// `NetBuilder::bound_for` named an edge no spawn site creates
-    /// (the names are [`Edge::name`]'s).
-    UnknownEdge(String),
-    /// `NetBuilder::split_lanes_for` named a tag no replicator
-    /// (`!` / `!!`) of the net routes on.
-    UnknownSplitTag(String),
-    /// `NetBuilder::split_lanes(0)` / `split_lanes_for(_, 0)`.
+    /// `NetBuilder::split_lanes(0)`.
     ZeroLanes,
     /// `NetBuilder::bound(0)`.
     ZeroBound,
@@ -181,17 +166,6 @@ impl fmt::Display for ConfigError {
                 value,
                 expected,
             } => write!(f, "{var}={value:?}: expected {expected}"),
-            ConfigError::UnknownEdge(name) => {
-                let known = Edge::ALL.map(|e| e.name());
-                write!(
-                    f,
-                    "bound_for({name:?}): no such data edge (expected one of {known:?})"
-                )
-            }
-            ConfigError::UnknownSplitTag(tag) => write!(
-                f,
-                "split_lanes_for({tag:?}): no replicator of this net routes on <{tag}>"
-            ),
             ConfigError::ZeroLanes => {
                 write!(f, "split_lanes: a replicator needs at least one lane")
             }
@@ -205,51 +179,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// The data edges the spawn sites create: what [`Ctx::data_stream`] is
-/// asked for, and — by [`Edge::name`] — every name a per-edge bound
-/// (`NetBuilder::bound_for`, [`RunCfg::bound_overrides`]) can mean.
-/// Which edges a net has depends on its plan: fused, the whole net is
-/// one stage run, with an ingress and an out edge and nothing between
-/// them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Edge {
-    /// `Net::send` into the root component.
-    Ingress,
-    /// A dispatcher (split, parallel, star stamper or guard) into one
-    /// of its lanes: a combinator running on its own dispatcher. A
-    /// fused fan has no lane edges.
-    Dispatch,
-    /// A standalone merger's output: a combinator running on its own
-    /// dispatcher. A fused fan has no merger; its output is its stage
-    /// run's [`Edge::Out`], whatever stage it is the tail of.
-    Merge,
-    /// A stage run's output: every box, filter, fused chain, fused fan
-    /// and fused net.
-    Out,
-}
-
-impl Edge {
-    pub const ALL: [Edge; 4] = [Edge::Ingress, Edge::Dispatch, Edge::Merge, Edge::Out];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Edge::Ingress => "ingress",
-            Edge::Dispatch => "dispatch",
-            Edge::Merge => "merge",
-            Edge::Out => "out",
-        }
-    }
-
-    /// The edge called `name` — the inverse of [`Edge::name`], and the
-    /// one place a name that is no data edge is rejected.
-    pub fn from_name(name: &str) -> Result<Edge, ConfigError> {
-        Edge::ALL
-            .into_iter()
-            .find(|e| e.name() == name)
-            .ok_or_else(|| ConfigError::UnknownEdge(name.to_string()))
-    }
-}
 
 /// Context threaded through instantiation and shared by all components
 /// of one network: metrics, observers, the executor, and the task
@@ -309,18 +238,13 @@ impl Ctx {
     /// Creates a data edge owned by the component at `path`: bounded
     /// (with [`EdgeStats`] registered at `{path}/stream_depth` and
     /// `{path}/credit_stalls`, mirrored into the `runtime/*` globals)
-    /// when the net's bound — or a per-edge override for `edge` —
-    /// says so; a plain unbounded stream otherwise. Spawn-time API:
-    /// the bounded arm takes the metrics registry lock.
-    pub fn data_stream(&self, path: CompPath, edge: Edge) -> (Sender, Receiver) {
-        // An override of 0 is "explicitly unbounded".
-        let cap = match self.cfg.bound_overrides.get(&edge) {
-            Some(&cap) => cap,
-            None => self.cfg.bound.unwrap_or(0),
-        };
-        if cap == 0 {
+    /// at [`RunCfg::bound`] when the net is bounded; a plain unbounded
+    /// stream otherwise. Spawn-time API: the bounded arm takes the
+    /// metrics registry lock.
+    pub fn data_stream(&self, path: CompPath) -> (Sender, Receiver) {
+        let Some(cap) = self.cfg.bound else {
             return stream();
-        }
+        };
         let [depth, stalls] = self.metrics.counters_at(
             path,
             [name!(keys::STREAM_DEPTH), name!(keys::CREDIT_STALLS)],
@@ -359,7 +283,8 @@ impl Ctx {
         self.faults.subscribe(obs);
     }
 
-    /// Snapshot of this net's fault log (oldest first, bounded).
+    /// Snapshot of this net's fault log: the newest `FAULT_LOG_CAP`
+    /// faults, oldest first.
     pub fn faults(&self) -> Vec<Fault> {
         self.faults.faults()
     }

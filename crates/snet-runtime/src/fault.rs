@@ -17,10 +17,10 @@
 //!   component path, the panic message and (when the policy dropped
 //!   it) the poison record — raised through the per-net [`FaultHub`]
 //!   to metrics (`runtime/component_panics`, per-stage `panics`),
-//!   fault observers ([`FaultObserver`], see
-//!   [`crate::NetBuilder::on_fault`] and
-//!   [`crate::TraceLog::fault_observer`]) and the serve layer (which
-//!   fails the owning request promptly with
+//!   the net's fault log (the newest [`FAULT_LOG_CAP`], read by
+//!   [`crate::Net::faults`]), fault observers ([`FaultObserver`],
+//!   subscribed by [`crate::NetBuilder::on_fault`]) and the serve
+//!   layer (which fails the owning request promptly with
 //!   [`crate::CallError::Faulted`] instead of letting the caller hang
 //!   to its deadline).
 //! * **What happens next** is the per-net [`FaultPolicy`]:
@@ -64,6 +64,7 @@ use crate::path::{name, CompPath};
 use parking_lot::Mutex;
 use snet_types::Record;
 use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -117,8 +118,10 @@ pub struct Fault {
 /// net's own streams.
 pub type FaultObserver = Arc<dyn Fn(&Fault) + Send + Sync>;
 
-/// Cap on the per-net fault log (diagnostic ring; a soak contains
-/// thousands of faults and the log must not become the memory story).
+/// Cap on the per-net fault log, a diagnostic ring that keeps the
+/// newest faults: a soak contains thousands of faults and the log must
+/// not become the memory story, but a long-lived net must still show
+/// its recent ones.
 const FAULT_LOG_CAP: usize = 1024;
 
 /// The per-net fault channel: every contained fault — guarded-core
@@ -131,7 +134,7 @@ pub(crate) struct FaultHub {
     /// record or dead component, not per retry attempt).
     component_panics: Counter,
     subscribers: Mutex<Vec<FaultObserver>>,
-    log: Mutex<Vec<Fault>>,
+    log: Mutex<VecDeque<Fault>>,
 }
 
 impl FaultHub {
@@ -140,7 +143,7 @@ impl FaultHub {
             component_panics: metrics.handle(keys::COMPONENT_PANICS),
             metrics,
             subscribers: Mutex::new(Vec::new()),
-            log: Mutex::new(Vec::new()),
+            log: Mutex::new(VecDeque::new()),
         })
     }
 
@@ -151,7 +154,7 @@ impl FaultHub {
 
     /// Records one fault incident: counts it, notifies subscribers
     /// (outside any hub lock — subscribers may take their own), and
-    /// appends to the bounded fault log.
+    /// appends to the fault log, dropping its oldest entry at the cap.
     pub(crate) fn raise(&self, fault: Fault) {
         self.component_panics.inc(1);
         // Cold path: faults are exceptional, a registry lookup per
@@ -164,15 +167,16 @@ impl FaultHub {
             s(&fault);
         }
         let mut log = self.log.lock();
-        if log.len() < FAULT_LOG_CAP {
-            log.push(fault);
+        if log.len() == FAULT_LOG_CAP {
+            log.pop_front();
         }
+        log.push_back(fault);
     }
 
-    /// Snapshot of the fault log (oldest first, capped at
-    /// [`FAULT_LOG_CAP`]).
+    /// Snapshot of the fault log: the newest [`FAULT_LOG_CAP`] faults,
+    /// oldest first.
     pub(crate) fn faults(&self) -> Vec<Fault> {
-        self.log.lock().clone()
+        self.log.lock().iter().cloned().collect()
     }
 }
 
@@ -327,6 +331,22 @@ mod tests {
         assert_eq!(faults[0].component, "net/box:boom");
         assert_eq!(faults[0].msg, "box bug");
         assert!(faults[0].dropped.is_some());
+    }
+
+    #[test]
+    fn the_fault_log_keeps_the_newest_faults() {
+        let hub = FaultHub::new(Metrics::new());
+        for i in 0..FAULT_LOG_CAP + 5 {
+            hub.raise(Fault {
+                component: "net/box:boom".into(),
+                msg: i.to_string(),
+                dropped: None,
+            });
+        }
+        let msgs: Vec<String> = hub.faults().into_iter().map(|f| f.msg).collect();
+        assert_eq!(msgs.len(), FAULT_LOG_CAP);
+        assert_eq!(msgs[0], "5");
+        assert_eq!(msgs[FAULT_LOG_CAP - 1], (FAULT_LOG_CAP + 4).to_string());
     }
 
     #[test]

@@ -85,7 +85,7 @@
 //! counters sit at the stage's own path, which fusion preserves.
 
 use crate::boxfn::BoxCore;
-use crate::ctx::{Ctx, Edge};
+use crate::ctx::Ctx;
 use crate::fault::FaultGuard;
 use crate::filter_exec::FilterCore;
 use crate::memo::PlanCache;
@@ -325,7 +325,7 @@ pub(crate) fn spawn_stage_run(
     mut cores: Vec<StageCore>,
     input: Receiver,
 ) -> Receiver {
-    let (tx, rx) = ctx.data_stream(owner, Edge::Out);
+    let (tx, rx) = ctx.data_stream(owner);
     let task_name = cores.first().map_or(owner, StageCore::path).as_str();
     let ctx2 = Arc::clone(ctx);
     ctx.spawn(task_name, async move {

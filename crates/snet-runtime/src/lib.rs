@@ -62,7 +62,6 @@ pub mod serve;
 pub mod split;
 pub mod star;
 pub mod stream;
-pub mod trace;
 
 pub use boxfn::{BoxImpl, Emitter};
 pub use ctx::{Ctx, RunCfg};
@@ -76,4 +75,3 @@ pub use plan::{compile, compile_cfg, Bindings, CompileError, Plan};
 pub use sched::{Executor, ThreadPerComponent, WorkStealingPool};
 pub use serve::{CallError, CallHandle, CallOpts, DrainReport, Response, Service};
 pub use stream::{Dir, Msg, Observer};
-pub use trace::{FaultEntry, TraceEntry, TraceLog};

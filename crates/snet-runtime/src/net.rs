@@ -21,7 +21,7 @@
 //! assert_eq!(outputs[0].field("x").unwrap().as_int(), Some(42));
 //! ```
 
-use crate::ctx::{ConfigError, Ctx, Edge, RunCfg};
+use crate::ctx::{ConfigError, Ctx, RunCfg};
 use crate::fault::{Fault, FaultObserver, FaultPolicy};
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
@@ -46,10 +46,8 @@ pub enum BuildError {
     Type(snet_types::TypeError),
     UnknownNet(String),
     /// A setting that can mean nothing: `SNET_WORKERS` set to a
-    /// value it cannot hold (see [`RunCfg::try_from_env`]), a zero
-    /// lane count or bound, a [`NetBuilder::bound_for`] name that is
-    /// no data edge, or a [`NetBuilder::split_lanes_for`] tag no
-    /// replicator routes on.
+    /// value it cannot hold (see [`RunCfg::try_from_env`]), or a zero
+    /// lane count or bound.
     Config(ConfigError),
 }
 
@@ -139,20 +137,12 @@ impl NetBuilder {
         }
     }
 
-    /// `Some` of what was accepted, or `None` with the error recorded:
-    /// the setters have no error channel, so `build*` reports the first
-    /// one.
-    fn checked<T>(&mut self, setting: Result<T, ConfigError>) -> Option<T> {
-        setting
-            .map_err(|err| {
-                self.invalid.get_or_insert(err);
-            })
-            .ok()
-    }
-
-    /// Records `err` unless `ok` (see [`NetBuilder::checked`]).
+    /// Records `err` unless `ok`: the setters have no error channel,
+    /// so `build*` reports the first one.
     fn require(&mut self, ok: bool, err: ConfigError) {
-        self.checked(if ok { Ok(()) } else { Err(err) });
+        if !ok {
+            self.invalid.get_or_insert(err);
+        }
     }
 
     /// Binds a box implementation by name.
@@ -198,19 +188,6 @@ impl NetBuilder {
         self
     }
 
-    /// Bounds only the replicators routing on the named tag to
-    /// `lanes` lanes, leaving other replicators on the net-global
-    /// [`NetBuilder::split_lanes`] setting (or unbounded unfolding).
-    /// Use it when one tag is drawn from an unbounded domain but
-    /// others are small and should keep the paper's value-indexed
-    /// replicas. A tag no replicator of the built net routes on fails
-    /// `build*` with [`BuildError::Config`].
-    pub fn split_lanes_for(mut self, tag: &str, lanes: u32) -> Self {
-        self.require(lanes > 0, ConfigError::ZeroLanes);
-        self.cfg.split_lanes_by_tag.insert(tag.to_string(), lanes);
-        self
-    }
-
     /// Bounds every data edge of this network to `cap` queued
     /// records, enabling credit-based backpressure: producers of data
     /// records park when an edge fills instead of growing the queue.
@@ -233,24 +210,6 @@ impl NetBuilder {
     /// from the bounded default.
     pub fn unbounded(mut self) -> Self {
         self.cfg.bound = None;
-        self
-    }
-
-    /// Overrides the capacity of every data edge of one kind. There
-    /// are four ([`Edge`]): `"ingress"` (`Net::send` into the net),
-    /// `"dispatch"` (a dispatcher into one lane), `"merge"` (a
-    /// standalone merger's output) and `"out"` (the output of a stage
-    /// run: a box, filter or fused fan, and a whole fused net, which is
-    /// one run); any other name fails `build*` with
-    /// [`BuildError::Config`]. A bound gates the edges the net has:
-    /// `"dispatch"` and `"merge"` edges exist only where a combinator
-    /// runs on its own dispatcher ([`NetBuilder::fuse`]`(false)`), so
-    /// in a fused net they gate nothing. `0` keeps those edges
-    /// unbounded even when [`NetBuilder::bound`] is set.
-    pub fn bound_for(mut self, edge: &str, cap: usize) -> Self {
-        if let Some(edge) = self.checked(Edge::from_name(edge)) {
-            self.cfg.bound_overrides.insert(edge, cap);
-        }
         self
     }
 
@@ -295,8 +254,7 @@ impl NetBuilder {
 
     /// Registers a fault observer: called synchronously with every
     /// contained [`Fault`] (skipped records, restarts that recovered,
-    /// component deaths). Pair with
-    /// [`crate::TraceLog::fault_observer`] for a recording sink.
+    /// component deaths) — the same faults [`Net::faults`] logs.
     pub fn on_fault(mut self, obs: FaultObserver) -> Self {
         self.fault_observers.push(obs);
         self
@@ -327,16 +285,6 @@ impl NetBuilder {
             return Err(err.into());
         }
         let plan = crate::plan::compile_cfg(ast, env, &self.bindings, self.cfg.fuse)?;
-        // A lane bound for a tag nothing routes on would silently
-        // bound nothing.
-        if let Some(tag) = self
-            .cfg
-            .split_lanes_by_tag
-            .keys()
-            .find(|tag| !plan.root.splits_on(tag))
-        {
-            return Err(ConfigError::UnknownSplitTag(tag.clone()).into());
-        }
         let executor = self
             .executor
             .unwrap_or_else(|| crate::sched::shared_pool(self.cfg.workers));
@@ -492,7 +440,7 @@ impl Net {
         // net is bounded, `Net::send` is where backpressure reaches
         // the caller (via the overload policy).
         let root = CompPath::root("net");
-        let (tx, rx) = ctx.data_stream(root, Edge::Ingress);
+        let (tx, rx) = ctx.data_stream(root);
         let output = instantiate(&ctx, &plan.root, root, rx);
         // The final output edge is exempt from bounding: its consumer
         // is the driver thread, whose drain rate the runtime cannot
@@ -587,14 +535,9 @@ impl Net {
         &self.ctx.metrics
     }
 
-    /// Subscribes a fault observer on the running network (see
-    /// [`NetBuilder::on_fault`]).
-    pub fn on_fault(&self, obs: FaultObserver) {
-        self.ctx.on_fault(obs);
-    }
-
-    /// Snapshot of the network's fault log: every contained fault so
-    /// far, oldest first (bounded; see [`crate::fault`]).
+    /// Snapshot of the network's fault log: the newest
+    /// `FAULT_LOG_CAP` (1024) contained faults, oldest first (see
+    /// [`crate::fault`]).
     pub fn faults(&self) -> Vec<Fault> {
         self.ctx.faults()
     }
@@ -768,33 +711,9 @@ mod tests {
     }
 
     #[test]
-    fn bound_for_rejects_a_name_that_is_no_data_edge() {
-        // A typo of "dispatch" must not silently decide the topology;
-        // neither may the three names that stopped existing when boxes
-        // and filters moved onto the stage-run driver.
-        for name in ["dipsatch", "filter", "fused", "box:inc", ""] {
-            let err = rejected(inc_builder().bound_for(name, 8));
-            assert_eq!(err, ConfigError::UnknownEdge(name.into()));
-            assert!(err.to_string().contains("\"dispatch\""), "{err}");
-        }
-        for edge in Edge::ALL {
-            let net = inc_builder().bound_for(edge.name(), 0).build("one");
-            let _ = net.unwrap().finish();
-        }
-    }
-
-    #[test]
     fn split_lanes_zero_is_a_build_error() {
         assert_eq!(
             rejected(inc_builder().split_lanes(0)),
-            ConfigError::ZeroLanes
-        );
-    }
-
-    #[test]
-    fn split_lanes_for_zero_is_a_build_error() {
-        assert_eq!(
-            rejected(inc_builder().split_lanes_for("k", 0)),
             ConfigError::ZeroLanes
         );
     }
@@ -829,16 +748,11 @@ mod tests {
                 |b| {
                     b.split_lanes(9)
                         .split_lanes(4)
-                        .split_lanes_for("k", 2)
-                        .bound_for("merge", 0)
-                        .bound_for("out", 16)
                         .overload(OverloadPolicy::Shed)
                 },
                 |c| {
                     c.workers = Some(3);
                     c.split_lanes = Some(4);
-                    c.split_lanes_by_tag = [("k".to_string(), 2)].into();
-                    c.bound_overrides = [(Edge::Merge, 0), (Edge::Out, 16)].into();
                     c.overload = OverloadPolicy::Shed;
                 },
             ),
@@ -870,26 +784,6 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn split_lanes_for_rejects_a_tag_no_replicator_routes_on() {
-        let split = || split_builder(Ok(RunCfg::default()));
-        // `x` is a field `id` reads, `kk` a typo, and `one` of
-        // `inc_builder` has no replicator at all.
-        for b in [
-            split().split_lanes_for("x", 4),
-            split().split_lanes_for("k", 4).split_lanes_for("kk", 4),
-            inc_builder().split_lanes_for("k", 4),
-        ] {
-            let err = rejected(b);
-            assert!(matches!(err, ConfigError::UnknownSplitTag(_)), "{err}");
-        }
-        let _ = split()
-            .split_lanes_for("k", 4)
-            .build("one")
-            .unwrap()
-            .finish();
     }
 
     #[test]

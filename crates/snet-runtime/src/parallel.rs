@@ -33,7 +33,7 @@
 //! one dispatcher loop, credit-gated; an unbounded edge grants at
 //! once.
 
-use crate::ctx::{Ctx, Edge};
+use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode};
@@ -230,7 +230,7 @@ pub fn spawn_parallel(
         (left, left_sig),
         (right, right_sig),
         |p, body| {
-            let (tx, rx) = ctx.data_stream(p, Edge::Dispatch);
+            let (tx, rx) = ctx.data_stream(p);
             outs.push(BranchSpec::new(instantiate(ctx, body, p, rx)));
             tx
         },
@@ -240,7 +240,7 @@ pub fn spawn_parallel(
     // immediately.
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
     drop(ctl_tx);
-    let (out_tx, out_rx) = ctx.data_stream(comb, Edge::Merge);
+    let (out_tx, out_rx) = ctx.data_stream(comb);
     let mode = if det {
         MergeMode::Det { level }
     } else {

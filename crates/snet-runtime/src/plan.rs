@@ -192,24 +192,6 @@ impl FanKind {
     }
 }
 
-impl PNode {
-    /// Whether some replicator (`!` / `!!`) of this plan routes on
-    /// the tag called `tag` — what a per-tag lane bound must name.
-    pub(crate) fn splits_on(&self, tag: &str) -> bool {
-        match self {
-            PNode::Box { .. } | PNode::Filter { .. } => false,
-            PNode::Run { stages, .. } => stages.iter().any(|s| s.node.splits_on(tag)),
-            PNode::Fan { kind, .. } => match kind {
-                FanKind::Split { body, tag: t } => t.name() == tag || body.splits_on(tag),
-                FanKind::Parallel { left, right, .. } => {
-                    left.splits_on(tag) || right.splits_on(tag)
-                }
-                FanKind::Star { body, .. } => body.splits_on(tag),
-            },
-        }
-    }
-}
-
 /// One stage of a [`PNode::Run`].
 pub struct Stage {
     /// The `s0`/`s1` child segments a binary instantiation of the

@@ -23,15 +23,11 @@
 //! `NetBuilder::split_lanes(n)` knob caps it: tag values are hashed
 //! into `n` lanes (`.../lane{i}`), so at most `n` replicas — and at
 //! most `n` interned branch paths — exist per replicator, no matter
-//! how many distinct values flow. The bound resolves **per
-//! replicator**: `NetBuilder::split_lanes_for(tag, n)` binds a lane
-//! count to one routing-tag name, winning over the net-global knob,
-//! so a net can cap its session-id splitter without collapsing a
-//! small fixed-domain splitter elsewhere
-//! ([`crate::RunCfg::split_lanes_by_tag`]). The paper's guarantee is
-//! preserved
-//! (equal tag values still always reach the same replica; hashing is
-//! deterministic); what is given up is isolation *between* distinct
+//! how many distinct values flow; one count holds for every
+//! replicator of the net ([`crate::RunCfg::split_lanes`]). The
+//! paper's guarantee is preserved (equal tag values still always
+//! reach the same replica; hashing is deterministic); what is given
+//! up is isolation *between* distinct
 //! values that collide into one lane, which is exactly the trade the
 //! Figure 3 modulo filter makes explicitly. Deterministic variants
 //! are unaffected in output order: sort records re-establish input
@@ -51,7 +47,7 @@
 //! cores. There is one dispatcher loop, credit-gated; an unbounded
 //! edge grants at once.
 
-use crate::ctx::{Ctx, Edge};
+use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
 use crate::metrics::{keys, Counter};
@@ -95,14 +91,12 @@ pub(crate) struct SplitRouter<L> {
 impl<L> SplitRouter<L> {
     /// Registers the combinator's counters at `comb`.
     pub(crate) fn new(ctx: &Ctx, comb: CompPath, tag: Label) -> SplitRouter<L> {
-        let cfg = ctx.cfg();
         let [records_in, branches] = ctx
             .metrics
             .counters_at(comb, [name!(keys::RECORDS_IN), name!(keys::BRANCHES)]);
         SplitRouter {
             tag,
-            // A per-tag binding wins over the net-global bound.
-            lane_bound: (cfg.split_lanes_by_tag.get(tag.name()).copied()).or(cfg.split_lanes),
+            lane_bound: ctx.cfg().split_lanes,
             tag_slot: None,
             lanes: HashMap::new(),
             records_in,
@@ -180,7 +174,7 @@ pub fn spawn_split(
     input: Receiver,
 ) -> Receiver {
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
-    let (out_tx, out_rx) = ctx.data_stream(comb, Edge::Merge);
+    let (out_tx, out_rx) = ctx.data_stream(comb);
     let mode = if det {
         MergeMode::Det { level }
     } else {
@@ -228,7 +222,7 @@ pub fn spawn_split(
                 Msg::Rec(rec) => {
                     let lane = router.lane(&ctx2, comb, &rec, |bpath| {
                         // Demand-driven unfolding of a fresh replica.
-                        let (btx, brx) = ctx2.data_stream(bpath, Edge::Dispatch);
+                        let (btx, brx) = ctx2.data_stream(bpath);
                         let replica_out = instantiate(&ctx2, &inner, bpath, brx);
                         // Register the tap before any subsequent sort
                         // broadcast so the merger can account for it.

@@ -33,7 +33,7 @@
 //! stamper and the guard have one loop each, credit-gated; an
 //! unbounded edge grants at once.
 
-use crate::ctx::{Ctx, Edge};
+use crate::ctx::Ctx;
 use crate::instantiate::instantiate;
 use crate::memo::TypeMemo;
 use crate::merge::{spawn_merge, BranchSpec, MergeMode, Watermark};
@@ -154,7 +154,7 @@ pub fn spawn_star(
     input: Receiver,
 ) -> Receiver {
     let (ctl_tx, ctl_rx) = chan::channel::<BranchSpec>();
-    let (out_tx, out_rx) = ctx.data_stream(comb, Edge::Merge);
+    let (out_tx, out_rx) = ctx.data_stream(comb);
     let mode = if det {
         MergeMode::Det { level }
     } else {
@@ -175,7 +175,7 @@ pub fn spawn_star(
 /// The deterministic entry stamper: broadcasts `Sort{level, n}` after
 /// the n-th input record, partitioning the chain into rounds.
 fn spawn_stamper(ctx: &Arc<Ctx>, comb: CompPath, level: u32, input: Receiver) -> Receiver {
-    let (tx, rx) = ctx.data_stream(comb.child_at(name!("stamper")), Edge::Dispatch);
+    let (tx, rx) = ctx.data_stream(comb.child_at(name!("stamper")));
     // Credit-gated data, ungated sorts: the sort stamped after a
     // record must follow it even when the edge is full, or the det
     // merger's round bookkeeping would run ahead of the data.
@@ -241,7 +241,7 @@ fn spawn_guard(
                             // Demand-driven unfolding: the replica and
                             // the next guard exist only because this
                             // record needs them.
-                            let (rtx, rrx) = ctx2.data_stream(at.replica, Edge::Dispatch);
+                            let (rtx, rrx) = ctx2.data_stream(at.replica);
                             let replica_out = instantiate(&ctx2, &chain.body, at.replica, rrx);
                             spawn_guard(
                                 &ctx2,

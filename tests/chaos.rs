@@ -1,6 +1,7 @@
 //! Fault containment end-to-end: box and filter panics contained per
-//! [`FaultPolicy`], typed faults surfacing through nets, traces and
-//! the serve front door, and the seeded chaos acceptance run.
+//! [`FaultPolicy`], typed faults surfacing through nets, fault
+//! observers and the serve front door, and the seeded chaos
+//! acceptance run.
 //!
 //! The randomised topology soak lives in `random_networks.rs`; this
 //! file pins the behavioural contracts on hand-written nets where the
@@ -10,10 +11,10 @@
 mod common;
 
 use common::chaos::Chaos;
-use snet_runtime::{CallError, FaultPolicy, Net, NetBuilder, Service, TraceLog};
+use snet_runtime::{CallError, Dir, Fault, FaultPolicy, Net, NetBuilder, Observer, Service};
 use snet_types::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A net with one box that panics whenever `x == poison`.
@@ -280,29 +281,57 @@ fn chaos_off_guarded_run_is_byte_identical_to_unguarded() {
 }
 
 #[test]
-fn trace_log_records_faults_alongside_stream_entries() {
-    let log = TraceLog::new();
-    let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
+fn fault_log_and_observers_see_a_skipped_record() {
+    // The box's stream observer sees the poison record go in and
+    // nothing come out for it; the fault observer and the net's fault
+    // log both hold the one fault, with the record attached.
+    let crossings: Arc<Mutex<(usize, usize)>> = Arc::default();
+    let seen: Arc<Mutex<Vec<Fault>>> = Arc::default();
+    let (crossings2, seen2) = (Arc::clone(&crossings), Arc::clone(&seen));
+    let observer: Observer = Arc::new(move |path, dir, _rec| {
+        if path.ends_with("box:f") {
+            let mut c = crossings2.lock().unwrap();
+            match dir {
+                Dir::In => c.0 += 1,
+                Dir::Out => c.1 += 1,
+            }
+        }
+    });
+    let mut net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
         .unwrap()
         .bind("f", |r: &Record, e: &mut snet_runtime::Emitter| {
             if r.field("x").unwrap().as_int() == Some(2) {
-                panic!("traced failure");
+                panic!("observed failure");
             }
             e.emit(r.clone());
         })
         .fault_policy(FaultPolicy::SkipRecord)
-        .observe(log.observer())
-        .on_fault(log.fault_observer())
+        .observe(observer)
+        .on_fault(Arc::new(move |f: &Fault| {
+            seen2.lock().unwrap().push(f.clone())
+        }))
         .build("main")
         .unwrap();
     xs(&net, &[1, 2, 3]);
-    let got = outs(net.finish());
+    net.close();
+    let got: Vec<i64> = std::iter::from_fn(|| net.recv())
+        .map(|r| r.field("x").unwrap().as_int().unwrap())
+        .collect();
     assert_eq!(got, vec![1, 3]);
-    let faults = log.faults();
-    assert_eq!(faults.len(), 1);
-    assert!(faults[0].dropped);
-    assert_eq!(faults[0].msg, "traced failure");
-    assert!(log.render().contains("[FAULT]"));
+    let logged = net.faults();
+    let _ = net.finish();
+    assert_eq!(*crossings.lock().unwrap(), (3, 2));
+    for faults in [logged, seen.lock().unwrap().clone()] {
+        assert_eq!(faults.len(), 1);
+        assert!(
+            faults[0].component.ends_with("box:f"),
+            "{}",
+            faults[0].component
+        );
+        assert_eq!(faults[0].msg, "observed failure");
+        let dropped = faults[0].dropped.as_ref().expect("the skipped record");
+        assert_eq!(dropped.field("x").unwrap().as_int(), Some(2));
+    }
 }
 
 // ---------------------------------------------------------------------------

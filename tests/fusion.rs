@@ -408,8 +408,6 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
         backoff: Duration::from_millis(1),
     };
     assert_eq!(built(fan_builder(expr).fault_policy(restart)), (1, 1));
-    // A lane-edge bound gates the lane edges a net has; fused, none.
-    assert_eq!(built(fan_builder(expr).bound_for("dispatch", 8)), (1, 1));
     // A fused plan is one component even under a configuration that
     // says `fuse: false`: that field is for whoever compiles.
     let env = parse_program(SRC).unwrap().env().unwrap();
@@ -429,15 +427,15 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
 }
 
 #[test]
-fn a_merge_bound_gates_standalone_mergers_only() {
-    // Fused, the sensor spine is one stage run, and its output is the
-    // run's `"out"` edge, owned at `net`, whatever the tail stage is: a
-    // `"merge"` or `"dispatch"` bound finds no edge to gate. Unfused,
-    // the split and the parallel run their own dispatchers and mergers,
-    // and each bound gates the edges of its kind. Unbounded otherwise,
-    // so only the named edges carry gauges.
+fn a_bound_gates_the_edges_a_net_has() {
+    // Fused, the sensor spine is one stage run: its ingress and its
+    // output are both owned at `net`, and there is no edge between
+    // them. Unfused, every box, filter, dispatcher lane and merger owns
+    // an edge of its own, and the bound gates each of them. At build
+    // only the parallel's two lanes exist: split lanes and star levels
+    // unfold on demand.
     let gauges = |b: NetBuilder| -> Vec<String> {
-        let net = b.unbounded().build("main").unwrap();
+        let net = b.bound(4).build("main").unwrap();
         let metrics = Arc::clone(net.metrics());
         let _ = net.finish();
         let keys = metrics.snapshot().into_keys();
@@ -445,18 +443,20 @@ fn a_merge_bound_gates_standalone_mergers_only() {
             .collect()
     };
     let spine = || fan_builder(SPINE_EXPRS[0]);
-    assert_eq!(gauges(spine().bound_for("out", 4)), ["net/stream_depth"]);
-    assert!(gauges(spine().bound_for("merge", 4)).is_empty());
-    assert!(gauges(spine().bound_for("dispatch", 4)).is_empty());
+    assert_eq!(gauges(spine()), ["net/stream_depth"]);
+    let unfused = [
+        "net/s0/s0/box:inc",
+        "net/s0/s1/split",
+        "net/s1/par/L/box:inc",
+        "net/s1/par/L",
+        "net/s1/par/R/filter",
+        "net/s1/par/R",
+        "net/s1/par",
+        "net",
+    ];
     assert_eq!(
-        gauges(spine().fuse(false).bound_for("merge", 4)),
-        ["net/s0/s1/split/stream_depth", "net/s1/par/stream_depth"]
-    );
-    // At build only the parallel's two lanes exist: split lanes and
-    // star levels unfold on demand.
-    assert_eq!(
-        gauges(spine().fuse(false).bound_for("dispatch", 4)),
-        ["net/s1/par/L/stream_depth", "net/s1/par/R/stream_depth"]
+        gauges(spine().fuse(false)),
+        unfused.map(|owner| format!("{owner}/stream_depth"))
     );
 }
 

@@ -215,7 +215,7 @@ fn shed_and_timeout_surface_at_call() {
         let x = rec.field("x").unwrap().as_int().unwrap();
         em.emit(Record::build().field("y", x).finish());
     })
-    .bound_for("ingress", 1)
+    .bound(1)
     .build("main")
     .unwrap();
     let svc = Service::start(net);

@@ -122,55 +122,3 @@ fn replica_fusion_adds_zero_interner_paths() {
     );
     assert_eq!(gauge, plateau as u64, "gauge disagrees with the interner");
 }
-
-/// Per-replicator lane bounds (`NetBuilder::split_lanes_for`): two
-/// replicators routing on different tags, the net-global lane count
-/// for one and a tighter per-tag override for the other. The
-/// `branches` gauge of each replicator must respect *its own* bound.
-#[test]
-fn per_tag_lane_bound_overrides_net_global() {
-    let _serial = serialize_interner();
-    const GLOBAL: u32 = 16;
-    const FOR_B: u32 = 4;
-    let net = NetBuilder::from_source(
-        "box ida (x, <a>) -> (x, <a>);
-         box idb (y, <b>) -> (y, <b>);
-         net main = (ida !! <a>) | (idb !! <b>);",
-    )
-    .unwrap()
-    .bind("ida", |r, e| e.emit(r.clone()))
-    .bind("idb", |r, e| e.emit(r.clone()))
-    .split_lanes(GLOBAL)
-    .split_lanes_for("b", FOR_B)
-    .build("main")
-    .unwrap();
-
-    // 100 distinct routing values per replicator: enough to hit every
-    // lane of both namespaces many times over.
-    for k in 0..100i64 {
-        net.send(Record::build().field("x", k).tag("a", k).finish())
-            .unwrap();
-        net.send(Record::build().field("y", k).tag("b", k).finish())
-            .unwrap();
-    }
-    let metrics = std::sync::Arc::clone(net.metrics());
-    let out = net.finish();
-    assert_eq!(out.len(), 200);
-
-    let snap = metrics.snapshot();
-    let lanes = |side: &str| -> u64 {
-        snap.iter()
-            .filter(|(k, _)| k.ends_with("/branches") && k.contains(side))
-            .map(|(_, v)| *v)
-            .sum()
-    };
-    let (a_lanes, b_lanes) = (lanes("/L/"), lanes("/R/"));
-    assert!(
-        a_lanes > u64::from(FOR_B) && a_lanes <= u64::from(GLOBAL),
-        "tag-a replicator used {a_lanes} lanes, expected ({FOR_B}, {GLOBAL}]"
-    );
-    assert!(
-        (1..=u64::from(FOR_B)).contains(&b_lanes),
-        "tag-b replicator used {b_lanes} lanes past its override {FOR_B}"
-    );
-}
