@@ -105,10 +105,15 @@ impl Counter {
     }
 
     /// Raises the counter to at least `v` (high-water marks such as
-    /// pipeline depth). Lock-free, allocation-free.
+    /// pipeline depth). Lock-free, allocation-free. A plain load when
+    /// `v` is no higher: a high-water mark stops moving early, and a
+    /// `fetch_max` is a locked operation even when it changes nothing.
     #[inline]
     pub fn max(&self, v: u64) {
-        self.cell().fetch_max(v, Ordering::Relaxed);
+        let cell = self.cell();
+        if v > cell.load(Ordering::Relaxed) {
+            cell.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
@@ -323,15 +328,16 @@ pub mod keys {
     /// bounded edges.
     pub const CREDIT_STALLS_GLOBAL: &str = "runtime/credit_stalls";
     /// Counter (full key): requests accepted by a [`crate::serve`]
-    /// front door (tagged and injected into the network).
+    /// front door (stamped with a request id and injected into the
+    /// network).
     pub const SERVE_REQUESTS: &str = "serve/requests";
     /// Counter (full key): requests completed with their full
     /// response (every expected record correlated back).
     pub const SERVE_COMPLETED: &str = "serve/completed";
     /// Counter (full key): egress records that could not be
-    /// correlated to a pending request — a record that lost its
-    /// request-id tag (misrouted) or arrived after its caller gave up
-    /// (late). A healthy service holds this at zero apart from
+    /// correlated to a pending request — a record that carries no
+    /// issued request id (sent into the net by other means) or arrived
+    /// after its caller gave up (late). A healthy service holds this at zero apart from
     /// deliberately abandoned calls.
     pub const SERVE_STRAY: &str = "serve/stray";
     /// Gauge (full key): high-water mark of concurrently in-flight

@@ -9,7 +9,7 @@
 //! ```text
 //!  callers ── call(rec) ──┐                             ┌── CallHandle ✓
 //!                         ▼                             │
-//!              [+#rid tag]─► ingress ─► net ─► egress ──┘
+//!              [+request id]─► ingress ─► net ─► egress ─┘
 //!                                                 ╰ drained by the publishing send
 //! ```
 //!
@@ -35,12 +35,12 @@
 //! # Correlation: one table, addressed by the request id
 //!
 //! The request id is the address of the request's completion slot:
-//! `#rid = generation ‖ index`, index in the low 24 bits. A slot's
+//! `rid = generation ‖ index`, index in the low 24 bits. A slot's
 //! generation is bumped when a request opens on it and again when that
 //! request closes — completed, faulted, abandoned (a passed deadline,
 //! a dropped handle), failed at shutdown — so it is odd while a
 //! request is open, and a record's id matches its slot's generation
-//! exactly while *its* request is. The egress goes from the tag to the
+//! exactly while *its* request is. The egress goes from the id to the
 //! slot by shift and mask: no hash, no lock shared with callers; the
 //! fault subscription and the shutdown sweep use the same table.
 //! **A generation mismatch is the stray case**, whatever the cause —
@@ -59,54 +59,51 @@
 //! 128 bytes each) and is reused from then on; it never shrinks.
 //! Past 2^24 live handles a call is refused as `Overloaded`.
 //!
-//! *Locks.* Two, both leaves, never held together nor across user
-//! code (observers, wakers): a slot's lock (one request's records and
-//! outcome; its caller and whoever delivers to or fails it) and the
-//! free-list lock (twice per request, callers only — the one lock
-//! callers can contend on). Whether and when a request resolved is
-//! readable without either ([`CallHandle::completed_at`]). The egress
-//! keeps the output edge under a third, held across a whole drain
-//! (observers included) but taken only by the thread holding the drain
-//! state: nobody waits on it but the next drain, for the previous
-//! one's return.
+//! *Locks.* Two kinds, both leaves, never held together nor across
+//! user code (observers, wakers). A slot's lock guards one request's
+//! records and outcome. Whoever delivers to or fails that request takes
+//! it, and so does its caller, to poll and to harvest: one lock at
+//! delivery and one at harvest when the answer is there by the first
+//! poll. The free-list lock is taken twice per request, by callers
+//! only: once by the call that pops a slot, once by the harvest that
+//! pushes it back. A call takes no slot lock. It stores the expected
+//! record count in the slot and opens the request by bumping the
+//! generation: until that bump the slot is the caller's alone, and its
+//! previous request left its state clean. Whether and when a request
+//! resolved is readable without any lock
+//! ([`CallHandle::completed_at`]). The egress keeps the output edge
+//! under a lock of its own, held across a whole drain (observers
+//! included) but taken only by the thread holding the drain state:
+//! nobody waits on it but the next drain, for the previous one's
+//! return.
 //!
-//! # The reserved-tag invariant
+//! # The correlation-word invariant
 //!
-//! Request correlation rides on the runtime's own flow-inheritance
-//! machinery — the S-Net subtyping rule that labels a component does
-//! not mention are split off before its code runs and re-attached to
-//! everything it emits. The request id is a tag named
-//! [`RESERVED_RID`] (`"#rid"`), and the invariant is:
+//! The request id rides on the record's hidden correlation word (see
+//! `snet_types::record`), which flow inheritance carries: the runtime
+//! copies the word of the record a box or filter consumed onto every
+//! record it emits. The invariant is:
 //!
-//! > **User programs can neither forge nor observe the request-id
-//! > tag.**
+//! > **User programs can neither forge nor observe a request id.**
 //!
-//! It holds by construction at every surface:
+//! It holds by construction at every surface the crates document (the
+//! word's accessors are `#[doc(hidden)]`, for this module and tests):
 //!
-//! - **`.snet` source cannot name it.** The lexer's identifier
-//!   alphabet is `[A-Za-z0-9_]+`; `#` is not in it, so no box
-//!   signature, filter expression, type annotation or sync pattern can
-//!   ever mention `#rid`. Flow inheritance therefore treats it as
-//!   excess on *every* component — box functions never see it, filters
-//!   pass it through, and it re-attaches to every emitted record.
-//! - **Routing cannot see it.** Best-match routing scores a record by
-//!   which *input-type* labels it covers (`match_score`), so an extra
-//!   tag no declaration mentions never changes where a record goes —
-//!   det/nondet merge order and byte-identity of outputs are
-//!   unaffected.
-//! - **The Rust surface rejects it.** [`Service::call`] refuses
-//!   records that already carry a `#rid` label
-//!   ([`CallError::ReservedTag`]), and the egress strips the tag before
-//!   a [`Response`] reaches the caller.
-//!
-//! Synchrocells merge two records into one; both carry a rid and the
-//! merge keeps one record's labels, so a net whose synchrocells join
-//! records from *different requests* would correlate the result to
-//! whichever request's record survives. That is inherent to
-//! cross-request joins (the net is declaring that two requests make
-//! one response); per-request pipelines — Fig. 1 and the sensor-fusion
-//! net, and anything built from boxes, filters, splits and stars — are
-//! unaffected.
+//! - **It is no label.** The word is in no record's shape or type, so
+//!   no `.snet` declaration, filter, routing decision or equality test
+//!   can see it. Best-match routing and det/nondet merge order are what
+//!   they would be without it, and a user tag of any name — `#rid`
+//!   included — is an ordinary label that flows like any other.
+//! - **Box code does not see it.** A box or filter whose input type is
+//!   not the record's whole type gets the matched half of the record,
+//!   built afresh with a zero word. (When the two are the same, the box
+//!   is handed the consumed record itself, word included; whatever it
+//!   emits takes the consumed record's word anyway.)
+//! - **Box code cannot set it.** Every emission takes the word of the
+//!   consumed record, over whatever the emitted record carried.
+//! - **The door owns both ends.** [`Service::call`] writes a fresh id
+//!   over whatever word the record carried, and the egress clears the
+//!   word of every record before a [`Response`] reaches the caller.
 //!
 //! # Failure model
 //!
@@ -117,8 +114,8 @@
 //! - **Box/filter panic, policy `SkipRecord`/`Restart`.** The fault
 //!   is contained at the execution core; if the retry budget (if any)
 //!   is exhausted, the poison record is dropped. The service
-//!   subscribes to the net's fault channel: a dropped record carrying
-//!   a request id **fails exactly that request** as
+//!   subscribes to the net's fault channel: a dropped record whose
+//!   word is a request id **fails exactly that request** as
 //!   [`CallError::Faulted`]`{component, msg}` — promptly, not at the
 //!   caller's deadline. Other requests are untouched: the component
 //!   stays alive and keeps serving them. Responses that would need
@@ -149,4 +146,4 @@
 
 mod service;
 
-pub use service::{CallError, CallHandle, CallOpts, DrainReport, Response, Service, RESERVED_RID};
+pub use service::{CallError, CallHandle, CallOpts, DrainReport, Response, Service};

@@ -7,22 +7,15 @@ use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
 use crate::path::CompPath;
 use crate::stream::chan::{poll_budget, set_poll_budget, wait_on};
 use crate::stream::{Dir, Msg, Receiver, Sender, RECV_BATCH};
-use snet_types::{Label, Record};
+use snet_types::Record;
 use std::fmt;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
-
-/// The reserved request-id tag. The leading `#` puts it outside the
-/// identifier alphabet of the `.snet` language, [`Service::call`]
-/// rejects records that already carry it and the egress strips it —
-/// user code can neither forge nor observe it (*The reserved-tag
-/// invariant* in [`crate::serve`]).
-pub const RESERVED_RID: &str = "#rid";
 
 /// Why a call failed — at the ingress edge (returned synchronously by
 /// [`Service::call`]) or on the completion side (resolved through the
@@ -33,10 +26,6 @@ pub enum CallError {
     /// [`OverloadPolicy::Shed`], deadline under
     /// [`OverloadPolicy::Timeout`], or closed input.
     Rejected(SendRejected),
-    /// The record already carries a [`RESERVED_RID`] label; accepting
-    /// it would let a caller forge (or collide with) another request's
-    /// correlation id.
-    ReservedTag,
     /// The service shut down (net output reached end-of-stream) before
     /// this request completed.
     ServiceStopped,
@@ -60,9 +49,6 @@ impl fmt::Display for CallError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CallError::Rejected(e) => write!(f, "ingress rejected request: {e}"),
-            CallError::ReservedTag => {
-                write!(f, "record carries the reserved {RESERVED_RID} label")
-            }
             CallError::ServiceStopped => write!(f, "service stopped before the request completed"),
             CallError::Deadline => write!(f, "deadline elapsed before the request completed"),
             CallError::Faulted { component, msg } => {
@@ -75,8 +61,8 @@ impl fmt::Display for CallError {
 
 impl std::error::Error for CallError {}
 
-/// A completed request: the response records (reserved tag already
-/// stripped, net emission order) plus the egress-side completion
+/// A completed request: the response records (request id already
+/// cleared, net emission order) plus the egress-side completion
 /// timestamp — latency measured against it excludes the caller's own
 /// wakeup delay, which matters when handles are harvested lazily.
 #[derive(Debug)]
@@ -115,8 +101,6 @@ static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 struct SlotState {
     /// Records collected so far (response order = net emission order).
     got: Vec<Record>,
-    /// How many records complete the request.
-    expect: usize,
     /// Why the request failed; `None` under a stamp: it completed.
     failed: Option<CallError>,
     /// Whoever polled the handle and found no outcome yet.
@@ -130,13 +114,17 @@ struct SlotState {
 struct Slot {
     /// Bumped when a request opens here and when it closes: odd while
     /// open, and equal to the generation in that request's id only
-    /// until it closes. Written under `state` only (`Release`); a read
-    /// outside it (`Acquire`) is a hint, confirmed under the lock.
+    /// until it closes. Opened by the caller that took the slot off
+    /// the free list, closed under `state` (`Release` both); a read
+    /// outside the lock (`Acquire`) is a hint, confirmed under it.
     gen: AtomicU64,
     /// When the outcome was set, ns since `EPOCH` plus one; 0 while
     /// there is none. Stored under `state` (`Release`), readable
     /// without it (`Acquire`).
     stamp: AtomicU64,
+    /// How many records complete the open request. Stored before the
+    /// opening bump, so whoever finds the request open reads it.
+    expect: AtomicUsize,
     state: Mutex<SlotState>,
 }
 
@@ -148,8 +136,10 @@ impl Slot {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Opens or closes the slot. A plain load and store: every writer
-    /// holds the slot lock.
+    /// Opens or closes the slot. A plain load and store: one writer at
+    /// a time, because a closed slot is written only by the caller that
+    /// took it off the free list, and an open one only under its lock
+    /// by whoever found the request open there.
     fn bump(&self) -> u64 {
         let gen = self.gen.load(Ordering::Relaxed) + 1;
         self.gen.store(gen, Ordering::Release);
@@ -185,8 +175,12 @@ impl Table {
     }
 
     /// The slot `rid` is open on, locked — `None` for a stray id:
-    /// completed, abandoned, faulted, stopped or never issued.
+    /// completed, abandoned, faulted, stopped or never issued (an even
+    /// generation, 0 included, was never an open one).
     fn open_slot(&self, rid: u64) -> Option<(&Slot, MutexGuard<'_, SlotState>)> {
+        if rid >> IDX_BITS & 1 == 0 {
+            return None;
+        }
         let slot = self.slot(rid)?;
         let open = || slot.gen.load(Ordering::Acquire) << IDX_BITS == rid & !IDX_MASK;
         if !open() {
@@ -199,6 +193,8 @@ impl Table {
     /// Opens a request for `expect` records on a free slot, growing
     /// the table when there is none: the request id and whether the
     /// slot was used before, `None` with `1 << IDX_BITS` handles alive.
+    /// Takes no slot lock: the slot is this caller's until the bump
+    /// opens it, and its previous request left its state clean.
     fn open(&self, expect: usize) -> Option<(u64, bool)> {
         let (idx, reused) = {
             let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
@@ -213,8 +209,7 @@ impl Table {
         };
         let (k, off) = Table::place(idx);
         let seg = self.segs[k].get_or_init(|| (0..SEG0 << k).map(|_| Slot::default()).collect());
-        let mut st = seg[off].state();
-        st.expect = expect;
+        seg[off].expect.store(expect, Ordering::Relaxed);
         self.inflight.fetch_add(1, Ordering::Relaxed);
         Some((seg[off].bump() << IDX_BITS | idx as u64, reused))
     }
@@ -235,15 +230,17 @@ impl Table {
         st.waiter.take()
     }
 
-    /// Adds a record to the request `rid` is open on, else hands the
-    /// stray back. `Ok(Some(w))`: it completed the request, wake `w`.
-    fn deliver(&self, rid: u64, rec: Record) -> Result<Option<Option<Waker>>, Record> {
-        let Some((slot, mut st)) = self.open_slot(rid) else {
-            return Err(rec);
-        };
+    /// Adds a record to the request open on `slot`, found open under
+    /// its lock. `Some(w)`: it completed the request, wake `w`.
+    fn deliver(
+        &self,
+        slot: &Slot,
+        mut st: MutexGuard<'_, SlotState>,
+        rec: Record,
+    ) -> Option<Option<Waker>> {
         st.got.push(rec);
-        let done = st.got.len() >= st.expect;
-        Ok(done.then(|| self.resolve(slot, &mut st, None)))
+        let done = st.got.len() >= slot.expect.load(Ordering::Relaxed);
+        done.then(|| self.resolve(slot, &mut st, None))
     }
 
     /// Fails the request open on `slot` and wakes its caller.
@@ -328,9 +325,6 @@ pub struct Service {
     /// too: the net winds down on its own, only `shutdown()` joins.
     input: Option<Sender>,
     boundary: Boundary,
-    /// The reserved label, both kinds, interned once.
-    rid_tag: Label,
-    rid_field: Label,
     requests: Counter,
     slot_reuse: Counter,
     inflight_max: Counter,
@@ -360,7 +354,6 @@ impl Service {
         let input = input.expect("cannot serve a network whose input is closed");
         let metrics = &ctx.metrics;
         let table = Arc::new(Table::default());
-        let rid_tag = Label::tag(RESERVED_RID);
         {
             // Held weakly: the net's context lives until its last
             // component finishes, which must not keep the table alive.
@@ -368,11 +361,11 @@ impl Service {
             let table = Arc::downgrade(&table);
             let faulted = metrics.handle(keys::SERVE_FAULTED);
             ctx.on_fault(Arc::new(move |fault: &crate::fault::Fault| {
-                let rid = fault.dropped.as_ref().and_then(|r| r.tag_label(rid_tag));
-                let (Some(rid), Some(table)) = (rid, table.upgrade()) else {
+                let rid = fault.dropped.as_ref().map_or(0, Record::corr);
+                let Some(table) = table.upgrade() else {
                     return;
                 };
-                let Some((slot, st)) = table.open_slot(rid as u64) else {
+                let Some((slot, st)) = table.open_slot(rid) else {
                     return;
                 };
                 let err = CallError::Faulted {
@@ -390,7 +383,6 @@ impl Service {
             output: Mutex::new(Some((output, Wakes(Vec::new())))),
             table: Arc::clone(&table),
             ctx: Arc::clone(&ctx),
-            rid_tag,
             completed: metrics.handle(keys::SERVE_COMPLETED),
             stray: metrics.handle(keys::SERVE_STRAY),
             stray_path: CompPath::root(keys::SERVE_STRAY),
@@ -400,8 +392,6 @@ impl Service {
             table,
             input: Some(input),
             boundary,
-            rid_tag,
-            rid_field: Label::field(RESERVED_RID),
             requests: metrics.handle(keys::SERVE_REQUESTS),
             slot_reuse: metrics.handle(keys::SERVE_SLOT_REUSE),
             inflight_max: metrics.handle(keys::SERVE_INFLIGHT),
@@ -415,15 +405,13 @@ impl Service {
         self.call_with(rec, CallOpts::default())
     }
 
-    /// Issues a request: boundary-checks the record, stamps it with a
-    /// fresh request id and publishes it to the ingress edge under the
-    /// overload policy. Ingress rejections (mismatch, shed, ingress
-    /// deadline, closed) surface synchronously; the returned handle
-    /// resolves when `opts.expect` response records have arrived.
+    /// Issues a request: boundary-checks the record, stamps a fresh
+    /// request id into its correlation word (over whatever it carried)
+    /// and publishes it to the ingress edge under the overload policy.
+    /// Ingress rejections (mismatch, shed, ingress deadline, closed)
+    /// surface synchronously; the returned handle resolves when
+    /// `opts.expect` response records have arrived.
     pub fn call_with(&self, mut rec: Record, opts: CallOpts) -> Result<CallHandle, CallError> {
-        if rec.has(self.rid_tag) || rec.has(self.rid_field) {
-            return Err(CallError::ReservedTag);
-        }
         if !self.boundary.accepts(&rec) {
             return Err(CallError::Rejected(self.boundary.mismatch(&rec)));
         }
@@ -438,19 +426,13 @@ impl Service {
         if reused {
             self.slot_reuse.inc(1);
         }
-        // A load on the usual path: `max` is a locked operation even
-        // when it changes nothing.
-        let inflight = self.inflight();
-        if inflight > self.inflight_max.get() {
-            self.inflight_max.max(inflight);
-        }
-        rec.set_tag_label(self.rid_tag, rid as i64);
+        self.inflight_max.max(self.inflight());
+        rec.set_corr(rid);
         // The handle owns the slot before the record leaves: the answer
         // can reach the egress before this returns, and a rejected (or
         // panicking) send drops the handle, which frees the slot.
         let handle = CallHandle {
             rid,
-            issued_at: Instant::now(),
             table: Arc::clone(&self.table),
             live: true,
         };
@@ -534,7 +516,7 @@ const AGAIN: u8 = 2; // woken mid-drain: the running drain goes round again
 /// The service's end of the net's output edge, and the waker it keeps
 /// registered there. A send that publishes to the parked edge wakes it
 /// (`chan.rs`' `maybe_wake`), and the wake drains the edge on the
-/// sending thread — strips the reserved tag, completes the owning
+/// sending thread — clears each record's request id, completes the owning
 /// requests' slots, wakes their callers — then registers again. The
 /// answer reaches its caller from the send that publishes it, with no
 /// task hand-off in between.
@@ -550,7 +532,6 @@ struct Egress {
     output: Mutex<Option<(Receiver, Wakes)>>,
     table: Arc<Table>,
     ctx: Arc<Ctx>,
-    rid_tag: Label,
     completed: Counter,
     stray: Counter,
     /// `serve/stray`, where stream observers see stray records.
@@ -626,26 +607,21 @@ impl Egress {
         }
     }
 
-    /// Strips the reserved tag and completes the owning request's slot.
-    /// Records with no (or a stale) request id — sent into the
-    /// service's net by other means, or arriving after their request
-    /// closed — are dropped, counted under `serve/stray` and shown to
-    /// stream observers at that path.
+    /// Takes the request id out of the record's correlation word and
+    /// completes the owning request's slot. Records with no (or a
+    /// stale) request id — sent into the service's net by other means,
+    /// or arriving after their request closed — are dropped, counted
+    /// under `serve/stray` and shown to stream observers at that path.
     fn route(&self, msg: Msg, wakes: &mut Wakes) {
         // Sort records are net-internal; a well-formed net never
         // leaks them, skip defensively (same as `Net::recv`).
         let Msg::Rec(mut rec) = msg else { return };
-        let Some(rid) = rec.tag_label(self.rid_tag) else {
+        let Some((slot, st)) = self.table.open_slot(rec.take_corr()) else {
             return self.drop_stray(&rec);
         };
-        rec.remove(self.rid_tag);
-        match self.table.deliver(rid as u64, rec) {
-            Err(rec) => self.drop_stray(&rec),
-            Ok(None) => {}
-            Ok(Some(waiter)) => {
-                self.completed.inc(1);
-                wakes.0.extend(waiter);
-            }
+        if let Some(waiter) = self.table.deliver(slot, st, rec) {
+            self.completed.inc(1);
+            wakes.0.extend(waiter);
         }
     }
 
@@ -683,7 +659,6 @@ impl Drop for Wakes {
 /// does: its late records count as stray.
 pub struct CallHandle {
     rid: u64,
-    issued_at: Instant,
     table: Arc<Table>,
     /// Still owns its slot: neither harvested nor abandoned yet.
     live: bool,
@@ -694,15 +669,10 @@ impl CallHandle {
         self.table.slot(self.rid).expect("a handle's slot exists")
     }
 
-    /// The request id assigned to this call (diagnostic only — the tag
-    /// itself never appears in responses).
+    /// The request id assigned to this call (diagnostic only — the
+    /// egress clears it from every response record).
     pub fn rid(&self) -> u64 {
         self.rid
-    }
-
-    /// When the request entered the ingress edge.
-    pub fn issued_at(&self) -> Instant {
-        self.issued_at
     }
 
     /// Blocks until the response is complete.
@@ -813,6 +783,20 @@ mod tests {
         }
     }
 
+    /// Only an odd generation was ever open: a word no call stamped
+    /// that names a slot never opened (generation 0) finds no request
+    /// there, though the slot exists.
+    #[test]
+    fn an_id_of_an_even_generation_names_no_open_request() {
+        let table = Table::default();
+        let (rid, _) = table.open(1).unwrap();
+        assert_eq!(rid & IDX_MASK, 0);
+        assert!(table.open_slot(rid).is_some());
+        assert!(table.slot(1).is_some());
+        assert!(table.open_slot(1).is_none());
+        assert!(table.open_slot(0).is_none());
+    }
+
     /// The state word: a wake that lands while a drain runs starts no
     /// second one and leaves its record to the running drain's next
     /// round; end-of-stream ends the drain and drops the edge.
@@ -824,7 +808,6 @@ mod tests {
             state: AtomicU8::new(IDLE),
             output: Mutex::new(Some((rx, Wakes(Vec::new())))),
             table: Arc::default(),
-            rid_tag: Label::tag(RESERVED_RID),
             completed: ctx.metrics.handle(keys::SERVE_COMPLETED),
             stray: ctx.metrics.handle(keys::SERVE_STRAY),
             stray_path: CompPath::root(keys::SERVE_STRAY),

@@ -46,6 +46,20 @@
 //! consumed record through the plan's excess index maps. Both
 //! inheritance entry points run the same merge, which moves the
 //! output's own values and copies only the inherited ones.
+//!
+//! # The correlation word
+//!
+//! A record also carries one hidden `u64`, the *correlation word*. It
+//! is no label: it is in neither the shape nor the record type, and
+//! neither `Debug` nor `==` look at it, so no program can tell two
+//! records apart by it. [`Record::inherit_from`] copies it from the
+//! consumed record to every output, which makes it flow like an excess
+//! label that nothing can name or shadow: every box emission and every
+//! filter output is built there. The matched half a box sees
+//! ([`Record::matched_with`]) and every record built from scratch
+//! carry 0. The serve front door stamps a request's id into it and
+//! reads it back at the egress; its accessors are hidden from the docs
+//! because nothing else has a use for them.
 
 use crate::label::{Label, LabelKind};
 use crate::rtype::RecordType;
@@ -59,9 +73,11 @@ use std::fmt;
 pub const INLINE_SLOTS: usize = 4;
 
 /// A record: an interned shape plus shape-aligned value storage.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Record {
     shape: Shape,
+    /// The correlation word (module docs); 0 unless someone set it.
+    corr: u64,
     /// Field values, aligned with `shape.fields()`.
     fields: SVec<Value, INLINE_SLOTS>,
     /// Tag values, aligned with `shape.tags()`.
@@ -72,6 +88,7 @@ impl Default for Record {
     fn default() -> Record {
         Record {
             shape: Shape::empty(),
+            corr: 0,
             fields: SVec::new(),
             tags: SVec::new(),
         }
@@ -94,6 +111,24 @@ impl Record {
     /// exactly the same labels.
     pub fn shape(&self) -> Shape {
         self.shape
+    }
+
+    /// The correlation word (module docs).
+    #[doc(hidden)]
+    pub fn corr(&self) -> u64 {
+        self.corr
+    }
+
+    /// Sets the correlation word, replacing whatever it was.
+    #[doc(hidden)]
+    pub fn set_corr(&mut self, word: u64) {
+        self.corr = word;
+    }
+
+    /// Reads the correlation word and leaves 0 behind.
+    #[doc(hidden)]
+    pub fn take_corr(&mut self) -> u64 {
+        std::mem::take(&mut self.corr)
     }
 
     /// Number of fields plus tags.
@@ -271,6 +306,7 @@ impl Record {
         let own_tags = self.tags.as_slice();
         Record {
             shape,
+            corr: 0,
             fields: fields
                 .iter()
                 .map(|&i| own_fields[i as usize].clone())
@@ -293,12 +329,14 @@ impl Record {
     /// type), reading those values in place — no excess record is
     /// built. Same result as `self.inherit(&source.split_with(split).1)`;
     /// `source` is not touched, so it can be re-read for every output
-    /// record (and for a retried application).
-    pub fn inherit_from(self, source: &Record, split: &SplitPlan) -> Record {
+    /// record (and for a retried application). The output takes the
+    /// correlation word of `source`, whatever it carried before.
+    pub fn inherit_from(mut self, source: &Record, split: &SplitPlan) -> Record {
         debug_assert_eq!(
             split.source, source.shape,
             "split plan for a different shape"
         );
+        self.corr = source.corr;
         let (fields, tags) = (source.fields.as_slice(), source.tags.as_slice());
         self.merge(
             split.excess,
@@ -359,6 +397,14 @@ impl Record {
             }
         }
         out
+    }
+}
+
+/// Structural: the same labels with the same values. The correlation
+/// word is not compared.
+impl PartialEq for Record {
+    fn eq(&self, other: &Record) -> bool {
+        self.shape == other.shape && self.fields == other.fields && self.tags == other.tags
     }
 }
 
@@ -589,6 +635,46 @@ mod tests {
         let ib = shape.tag_index(Label::tag("b")).unwrap();
         assert_eq!(r.tag_value_at(ia), 1);
         assert_eq!(r.tag_value_at(ib), 2);
+    }
+
+    #[test]
+    fn the_correlation_word_follows_inherit_from_only() {
+        let mut r = rec_abd();
+        r.set_corr(7);
+        let ty = RecordType::of(&["a"], &["b"]);
+        let plan = r.shape().split_plan(Shape::of_type(&ty)).unwrap();
+        // The matched half, a split and a fresh record carry none.
+        assert_eq!(r.matched_with(plan).corr(), 0);
+        let (matched, excess) = r.split_with(plan);
+        assert_eq!((matched.corr(), excess.corr()), (0, 0));
+        assert_eq!(Record::new().corr(), 0);
+        // Every output takes the source's word, over whatever it had.
+        let mut out = Record::build().field("c", 9i64).finish();
+        out.set_corr(99);
+        assert_eq!(out.clone().inherit_from(&r, plan).corr(), 7);
+        let identity = r.shape().split_plan(r.shape()).unwrap();
+        assert_eq!(out.inherit_from(&r, identity).corr(), 7);
+        // It is no label: equality, the shape and `Debug` ignore it.
+        let mut twin = r.clone();
+        assert_eq!(twin.take_corr(), 7);
+        assert_eq!((twin.corr(), r.corr()), (0, 7));
+        assert_eq!(twin, r);
+        assert_eq!(twin.shape(), r.shape());
+        assert_eq!(format!("{twin:?}"), format!("{r:?}"));
+    }
+
+    /// Records are moved through every stream and cloned at every
+    /// fan-out; fat messages cost the det split half its throughput
+    /// once already. The budget is two cache lines' worth of words:
+    /// the shape, the correlation word and four inline values of each
+    /// kind.
+    #[test]
+    fn a_record_fits_in_128_bytes() {
+        assert!(
+            std::mem::size_of::<Record>() <= 128,
+            "Record is {} bytes",
+            std::mem::size_of::<Record>()
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! net, every response routed back to the caller whose request
 //! produced it.
 //!
-//! The box never sees the correlation machinery — the reserved `#rid`
-//! tag rides flow inheritance around it (see `snet_runtime::serve`
-//! module docs).
+//! The box never sees the correlation machinery — the request id
+//! rides in a hidden word of the record, which flow inheritance copies
+//! onto everything the box emits (see `snet_runtime::serve` module
+//! docs).
 //!
 //! Run with: `cargo run --release --example request_response`
 

@@ -7,7 +7,10 @@
 //! output is what `snet_runtime::oracle` says the program means: the
 //! same sequence when every fan is det, the same multiset otherwise.
 //! The oracle itself must give one answer for the fused and the
-//! unfused compile of each program.
+//! unfused compile of each program. Each input also carries a distinct
+//! correlation word (the hidden word the serve door keys requests on),
+//! and every output must carry the word of the input it came from, on
+//! the oracle and on the runtime.
 //! A failing case prints the program, the configuration and the
 //! `PROPTEST_SEED` that replays it.
 //!
@@ -185,7 +188,7 @@ impl Strategy for Cases {
         loop {
             let src = format!("{BOXES}\nnet main = {};", pretty_net(&draw_net(rng, 3)));
             let inputs: Vec<Record> = (0..rng.usize_below(24))
-                .map(|_| {
+                .map(|i| {
                     let mut r = Record::build()
                         .field("x", rng.usize_below(30) as i64)
                         .tag("k", rng.usize_below(3) as i64)
@@ -197,7 +200,9 @@ impl Strategy for Cases {
                         let w = format!("w{}", rng.usize_below(1000));
                         r = r.field("w", Value::Str(Arc::new(w)));
                     }
-                    r.finish()
+                    let mut r = r.finish();
+                    r.set_corr(word(i));
+                    r
                 })
                 .collect();
             let cfg = Config {
@@ -227,6 +232,12 @@ impl Strategy for Cases {
             }
         }
     }
+}
+
+/// The correlation word of the `i`-th input of a case: distinct for
+/// every `i` (an odd multiplier is invertible) and never 0.
+fn word(i: usize) -> u64 {
+    0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)
 }
 
 /// The shared pools of one and two workers.
@@ -294,6 +305,23 @@ proptest! {
             want.admits(&got),
             "ordered: {}\n  want: {:?}\n   got: {:?}", want.ordered, want.records, got
         );
+        // The records carrying an input's word are what that input
+        // alone makes. The groups add up to every output, so no output
+        // carries a foreign word either.
+        let plan = reference_plan(&case.src, false);
+        for (i, input) in case.inputs.iter().enumerate() {
+            let own = oracle::run(&plan, [input.clone()]).unwrap();
+            prop_assert!(
+                own.records.iter().all(|r| r.corr() == word(i)),
+                "the oracle lost the word of input {}", i
+            );
+            let carried: Vec<Record> =
+                got.iter().filter(|r| r.corr() == word(i)).cloned().collect();
+            prop_assert!(
+                own.admits(&carried),
+                "input {}'s word\n  want: {:?}\n   got: {:?}", i, own.records, carried
+            );
+        }
     }
 }
 

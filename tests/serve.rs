@@ -4,8 +4,9 @@
 //! What PR 7's front door promises: every response reaches exactly
 //! the caller whose request produced it — out of order across a
 //! nondet merge, several records per request, a hundred-plus
-//! concurrent callers on one net — and the reserved `#rid` tag that
-//! makes it work is neither forgeable nor observable from outside.
+//! concurrent callers on one net — and the request id that makes it
+//! work, carried in the record's hidden correlation word, is neither
+//! forgeable nor observable from outside.
 //! Ingress overload (`Shed`/`Timeout`) surfaces as typed errors at
 //! the `Service::call` boundary, and deterministic combinators keep
 //! their byte-identity guarantee behind the front door.
@@ -18,7 +19,7 @@ use snet_runtime::{
     CallError, CallOpts, Emitter, Executor, FaultPolicy, Net, NetBuilder, OverloadPolicy,
     SendRejected, Service, ThreadPerComponent, WorkStealingPool,
 };
-use snet_types::{Label, Record};
+use snet_types::Record;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -465,44 +466,82 @@ fn sequential_calls_reuse_completion_slots() {
     assert_eq!(m.get("serve/completed"), N as u64);
 }
 
+/// The request id rides on the record's hidden correlation word, and
+/// the door owns both of its ends: a user tag named `#rid` is an
+/// ordinary label, a word preset by the caller is overwritten, no box
+/// taking a record on a non-identity plan and no response sees a word,
+/// and a record skipped by a fault fails its own request through it.
 #[test]
-fn reserved_tag_cannot_be_forged_or_observed() {
-    let net = NetBuilder::from_source(
-        "box echo (x) -> (x);
-         net main = echo;",
-    )
-    .unwrap()
-    .bind("echo", |rec, em| {
-        // The box sees no reserved label: flow inheritance split it
-        // off before this closure ran.
-        assert!(
-            !rec.labels().any(|l| l.name().starts_with('#')),
-            "box must never observe a reserved label"
-        );
-        em.emit(rec.clone())
-    })
-    .build("main")
-    .unwrap();
-    let svc = Service::start(net);
-    // Forging: a record already carrying #rid (as tag or field) is
-    // rejected before it reaches the net.
-    let mut forged = Record::build().field("x", 1i64).finish();
-    forged.set_tag("#rid", 7);
-    assert!(matches!(svc.call(forged), Err(CallError::ReservedTag)));
-    // Type mismatches still surface as the boundary error, not a hang.
-    assert!(matches!(
-        svc.call(Record::build().field("nope", 1i64).finish()),
-        Err(CallError::Rejected(SendRejected::TypeMismatch { .. }))
-    ));
-    // Observing: the response carries no reserved label.
-    let resp = svc
-        .call(Record::build().field("x", 42i64).finish())
+fn the_correlation_word_is_neither_forgeable_nor_observable() {
+    for (leg, exec, fuse) in matrix() {
+        // Box inputs that carried a nonzero word.
+        let seen = Arc::new(AtomicUsize::new(0));
+        let echo = |seen: &Arc<AtomicUsize>, poison: Option<i64>| {
+            let seen = Arc::clone(seen);
+            move |rec: &Record, em: &mut Emitter| {
+                if rec.corr() != 0 {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
+                let x = rec.field("x").unwrap().as_int().unwrap();
+                assert_ne!(Some(x), poison, "poison record");
+                em.emit(rec.clone())
+            }
+        };
+        let net = NetBuilder::from_source(
+            "box echo (x) -> (x);
+             box poison (x) -> (x);
+             net main = echo .. poison;",
+        )
         .unwrap()
-        .wait()
+        .fuse(fuse)
+        .fault_policy(FaultPolicy::SkipRecord)
+        .bind("echo", echo(&seen, None))
+        .bind("poison", echo(&seen, Some(13)))
+        .executor(exec)
+        .build("main")
         .unwrap();
-    assert!(!resp.records[0].has(Label::tag("#rid")));
-    assert!(!resp.records[0].labels().any(|l| l.name().starts_with('#')));
-    svc.shutdown();
+        let svc = Service::start(net);
+        // The tag makes every box input a proper subtype of the record,
+        // so both boxes see only the matched half.
+        let req = |x: i64| Record::build().field("x", x).tag("#rid", 1000 + x).finish();
+        // A word preset to another open request's id, and to junk, is
+        // overwritten: each request is still answered to its caller.
+        let first = svc.call(req(1)).unwrap();
+        let mut forged = req(2);
+        forged.set_corr(first.rid());
+        let forged = svc.call(forged).unwrap();
+        let mut junk = req(3);
+        junk.set_corr(u64::MAX);
+        let junk = svc.call(junk).unwrap();
+        let mut handles = vec![(1, first), (2, forged), (3, junk)];
+        handles.extend((4..32).map(|x| (x, svc.call(req(x)).unwrap())));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (x, h) in handles {
+            match h.wait_deadline(deadline) {
+                Ok(resp) => {
+                    assert_ne!(x, 13, "{leg}: the skipped request was answered");
+                    // Untouched, `#rid` tag included, and no word.
+                    assert_eq!(resp.records, vec![req(x)], "{leg}: request {x}");
+                    assert_eq!(resp.records[0].corr(), 0, "{leg}: request {x}");
+                }
+                Err(CallError::Faulted { component, .. }) => {
+                    assert_eq!(x, 13, "{leg}: request {x} faulted");
+                    assert!(component.contains("poison"), "{leg}: {component}");
+                }
+                Err(e) => panic!("{leg}: request {x}: {e}"),
+            }
+        }
+        // Type mismatches still surface as the boundary error.
+        assert!(matches!(
+            svc.call(Record::build().field("nope", 1i64).finish()),
+            Err(CallError::Rejected(SendRejected::TypeMismatch { .. }))
+        ));
+        let m = Arc::clone(svc.metrics());
+        svc.shutdown();
+        assert_eq!(seen.load(Ordering::SeqCst), 0, "{leg}: a box saw a word");
+        assert_eq!(m.get("serve/faulted"), 1, "{leg}");
+        assert_eq!(m.get("serve/stray"), 0, "{leg}");
+    }
 }
 
 /// Requests the net never answers: a deadline abandons them with the
