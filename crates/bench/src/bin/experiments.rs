@@ -1,7 +1,7 @@
-//! Single-shot behavioural harness: runs every experiment of
-//! DESIGN.md once with metrics enabled, prints the table recorded in
-//! EXPERIMENTS.md, asserts every bound the paper states, and writes
-//! `experiments.json`.
+//! Single-shot behavioural harness: runs every experiment (F1–F3 for
+//! Figures 1–3, S2, S3 and S5 for the paper's Sections 2, 3 and 5) once
+//! with metrics enabled, prints their table, asserts every bound the
+//! paper states, and writes `experiments.json`.
 //!
 //! Run with: `cargo run --release -p snet-bench --bin experiments`
 

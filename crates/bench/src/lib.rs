@@ -9,12 +9,13 @@
 //!
 //! Accordingly the harness produces two kinds of output:
 //!
-//! * `cargo bench` — Criterion timings for every experiment
-//!   (`benches/`, one target per experiment id in DESIGN.md);
+//! * `cargo bench` — Criterion timings (`benches/`: one target per
+//!   figure, plus the solver, the with-loops, the hybrid comparison
+//!   and the runtime primitives);
 //! * `cargo run --release --bin experiments` — a single-shot run of
 //!   every figure with metrics enabled, printing the behavioural
-//!   table recorded in EXPERIMENTS.md and asserting the paper's
-//!   bounds; machine-readable rows go to `experiments.json`.
+//!   table and asserting the paper's bounds; machine-readable rows go
+//!   to `experiments.json`.
 //!
 //! Load through the `Service` door is measured by `src/bin/perf`, the
 //! repo's benchmark (`BENCHMARK.json`).
@@ -23,10 +24,11 @@ pub mod door;
 
 use std::time::{Duration, Instant};
 
-/// One behavioural measurement row (EXPERIMENTS.md table).
+/// One behavioural measurement row of the `experiments` table.
 #[derive(Clone, Debug)]
 pub struct ExperimentRow {
-    /// Experiment id from DESIGN.md (F1, F2, F3, S2, S3, S5, RT).
+    /// Experiment id: F1–F3 for Figures 1–3, S2, S3 and S5 for the
+    /// paper's Sections 2, 3 and 5.
     pub experiment: String,
     /// Workload description.
     pub workload: String,

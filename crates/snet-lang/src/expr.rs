@@ -5,7 +5,8 @@
 //! serial replicator may carry a predicate over tags, as in
 //! `{<level>} if <level> > 40` (the paper writes the guard after a `|`;
 //! this reproduction uses the `if` keyword to keep `|` unambiguous with
-//! the deterministic parallel combinator — see DESIGN.md).
+//! the deterministic parallel combinator — see the parser's module
+//! documentation).
 //!
 //! Expressions are evaluated against a record's tags only: "a new tag
 //! value is calculated according to the expression" — fields stay

@@ -26,10 +26,11 @@
 //! tfactor  := INT | TAG | '-' tfactor | '(' texpr ')'
 //! ```
 //!
-//! Deviation from the paper (documented in DESIGN.md): exit guards are
-//! written `{<level>} if <level> > 40` rather than the paper's
-//! `{<level>} | <level> > 40`, keeping `|` unambiguous with the
-//! deterministic parallel combinator.
+//! Deviation from the paper: exit guards are written
+//! `{<level>} if <level> > 40` rather than the paper's
+//! `{<level>} | <level> > 40`. `|` is also the deterministic parallel
+//! combinator, so after a star's exit pattern it would begin either a
+//! guard or a parallel branch; the `if` keyword keeps the two apart.
 
 use crate::ast::{BoxDecl, ExitPattern, NetAst, NetDecl, Program};
 use crate::expr::{ArithOp, CmpOp, Guard, TagExpr};

@@ -182,8 +182,8 @@ impl NetSig {
     }
 }
 
-/// Result of finding the downstream mapping that accepts a record of
-/// (at least) the given concrete labels.
+/// The downstream mapping that best accepts a record of (at least) the
+/// given concrete labels.
 fn best_accepting<'a>(
     concrete: &RecordType,
     downstream: &'a NetSig,
@@ -195,17 +195,69 @@ fn best_accepting<'a>(
         .max_by_key(|(_, s)| *s)
 }
 
-/// Downstream mapping needing the fewest extra labels; used for
-/// requirement propagation when nothing accepts outright.
-fn least_missing<'a>(
-    concrete: &RecordType,
+/// Where a record of output variant `ov` can enter `downstream`, each
+/// entry with the labels it adds to the composite's input. When a
+/// downstream input accepts the concrete labels outright, the best such
+/// match is the one entry. Otherwise, when the variant still inherits
+/// its row, there is one entry for every downstream mapping whose
+/// missing labels are not in `consumed` (the upstream input: labels it
+/// consumes never reach its output, so flow inheritance cannot resupply
+/// them). Each entry's mapping is the best match for the variant with
+/// its missing labels added, as routing picks it. Fails when no entry
+/// qualifies; `what` names the downstream network in the message.
+fn entries<'a>(
+    ov: &OutVariant,
+    consumed: &RecordType,
     downstream: &'a NetSig,
-) -> Option<(&'a Mapping, RecordType)> {
-    downstream
-        .maps
-        .iter()
-        .map(|m| (m, m.input.difference(concrete)))
-        .min_by_key(|(_, need)| need.len())
+    what: &str,
+) -> Result<Vec<(RecordType, &'a Mapping)>, TypeError> {
+    if let Some((mb, _)) = best_accepting(&ov.labels, downstream) {
+        return Ok(vec![(RecordType::empty(), mb)]);
+    }
+    let mut found: Vec<(RecordType, &Mapping)> = Vec::new();
+    if ov.inherits {
+        for m in &downstream.maps {
+            let need = m.input.difference(&ov.labels);
+            if !need.intersection(consumed).is_empty() {
+                continue;
+            }
+            let (mb, _) = best_accepting(&ov.labels.union(&need), downstream)
+                .expect("the variant with its missing labels enters `m`");
+            if !found.iter().any(|(n, f)| *n == need && *f == mb) {
+                found.push((need, mb));
+            }
+        }
+    }
+    if found.is_empty() {
+        let why = if ov.inherits {
+            ": the labels it lacks are consumed upstream and cannot flow-inherit"
+        } else {
+            ""
+        };
+        return Err(TypeError(format!(
+            "output variant {} cannot enter {what} expecting {}{why}",
+            ov.labels,
+            downstream.input_type()
+        )));
+    }
+    Ok(found)
+}
+
+/// Adds `m` to `maps`, merging its outputs into a mapping of the same
+/// input if there is one.
+fn merge_mapping(maps: &mut Vec<Mapping>, m: Mapping) {
+    match maps.iter_mut().find(|old| old.input == m.input) {
+        Some(old) => extend_outputs(&mut old.outputs, m.outputs),
+        None => maps.push(m),
+    }
+}
+
+fn extend_outputs(outs: &mut Vec<OutVariant>, new: impl IntoIterator<Item = OutVariant>) {
+    for ov in new {
+        if !outs.contains(&ov) {
+            outs.push(ov);
+        }
+    }
 }
 
 /// Applies one downstream mapping to a concrete upstream output
@@ -233,57 +285,45 @@ fn apply_mapping(concrete: &RecordType, inherits: bool, mb: &Mapping) -> Vec<Out
 /// Serial composition `A .. B`.
 ///
 /// For every mapping of `A` and every output variant it may produce,
-/// find the best-matching input of `B`; when none matches and the
-/// variant still inherits its row, the missing labels become additional
-/// requirements on the composite's input (they will reach `B` via flow
-/// inheritance). Fails when an output variant can never be accepted.
+/// find where it enters `B` ([`entries`]). Labels an entry lacks become
+/// requirements on the composite's input (they reach `B` via flow
+/// inheritance); a variant with several such entries splits the mapping
+/// into one input variant per entry, merged where inputs coincide.
+/// Fails when an output variant can never be accepted.
 pub fn serial(a: &NetSig, b: &NetSig) -> Result<NetSig, TypeError> {
     if b.maps.is_empty() {
         return Err(TypeError("serial composition with an empty network".into()));
     }
     let mut result = NetSig::default();
     for ma in &a.maps {
-        let mut input = ma.input.clone();
-        let mut outs: Vec<OutVariant> = Vec::new();
+        let mut maps = vec![Mapping {
+            input: ma.input.clone(),
+            outputs: Vec::new(),
+        }];
         for oa in &ma.outputs {
-            let mut concrete = oa.labels.clone();
-            let accepted = best_accepting(&concrete, b).map(|(m, _)| m.clone());
-            let mb = match accepted {
-                Some(mb) => mb,
-                None => {
-                    if !oa.inherits {
-                        return Err(TypeError(format!(
-                            "output variant {} cannot enter downstream network expecting {}",
-                            oa.labels,
-                            b.input_type()
-                        )));
-                    }
-                    let (mb, need) = least_missing(&concrete, b).expect("b has mappings");
-                    // Labels consumed by A's input cannot be resupplied
-                    // by flow inheritance — they never reach A's output.
-                    let blocked = need.intersection(&ma.input);
-                    if !blocked.is_empty() {
-                        return Err(TypeError(format!(
-                            "labels {blocked} are consumed upstream and cannot flow-inherit to \
-                             satisfy downstream input {}",
-                            mb.input
-                        )));
-                    }
-                    input = input.union(&need);
-                    concrete = concrete.union(&need);
-                    mb.clone()
-                }
-            };
-            for ov in apply_mapping(&concrete, oa.inherits, &mb) {
-                if !outs.contains(&ov) {
-                    outs.push(ov);
+            let entries = entries(oa, &ma.input, b, "the downstream network")?;
+            let mut next = Vec::new();
+            for m in &maps {
+                for (need, mb) in &entries {
+                    let mut outputs = m.outputs.clone();
+                    extend_outputs(
+                        &mut outputs,
+                        apply_mapping(&oa.labels.union(need), oa.inherits, mb),
+                    );
+                    merge_mapping(
+                        &mut next,
+                        Mapping {
+                            input: m.input.union(need),
+                            outputs,
+                        },
+                    );
                 }
             }
+            maps = next;
         }
-        result.push_mapping(Mapping {
-            input,
-            outputs: outs,
-        });
+        for m in maps {
+            result.push_mapping(m);
+        }
     }
     Ok(result)
 }
@@ -337,85 +377,95 @@ pub fn split(a: &NetSig, tag: Label) -> NetSig {
 /// any number of replicas) and keep the variants that can match the
 /// exit pattern, plus the immediate pass-through.
 ///
-/// `MAX_UNFOLD` bounds the fixpoint iteration; the variant set almost
-/// always stabilises after one or two rounds because label sets only
-/// grow under flow inheritance.
+/// A circulating variant that re-enters A in more than one way
+/// ([`entries`]) forks the closure, one per entry; each fork that
+/// reaches the exit is an input variant of the result. `MAX_UNFOLD`
+/// bounds the rounds of re-entry; the variant set almost always
+/// stabilises after one or two rounds because label sets only grow
+/// under flow inheritance.
 pub fn star(a: &NetSig, exit: &RecordType) -> Result<NetSig, TypeError> {
     const MAX_UNFOLD: usize = 16;
+    /// One closure: the input so far, every variant reached, and the
+    /// variants still to unfold with their round.
+    #[derive(Clone)]
+    struct Closure {
+        input: RecordType,
+        seen: Vec<OutVariant>,
+        todo: std::collections::VecDeque<(OutVariant, usize)>,
+    }
     // Pass-through mapping: records that already match the exit leave
     // untouched.
     let mut result = NetSig::identity(exit.clone());
 
-    // Reachable output variants of repeated traversal, per entry mapping.
     for ma in &a.maps {
-        let mut input = ma.input.clone();
-        let mut frontier: Vec<OutVariant> = ma.outputs.clone();
-        let mut seen: Vec<OutVariant> = frontier.clone();
-        for _round in 0..MAX_UNFOLD {
-            let mut next: Vec<OutVariant> = Vec::new();
-            for ov in &frontier {
-                // A variant matching the exit pattern leaves the star;
-                // one that doesn't re-enters a replica of A.
-                if ov.labels.match_score(exit).is_some() {
-                    continue;
+        let mut open = vec![Closure {
+            input: ma.input.clone(),
+            seen: ma.outputs.clone(),
+            todo: ma.outputs.iter().map(|ov| (ov.clone(), 0)).collect(),
+        }];
+        let (mut maps, mut failure) = (Vec::new(), None);
+        while let Some(mut c) = open.pop() {
+            let Some((ov, round)) = c.todo.pop_front() else {
+                // Exit variants: anything reachable that can match the
+                // pattern. Variants with an open row *may* match at
+                // runtime once inherited labels arrive; conservatively
+                // keep concrete matches only — the paper's examples all
+                // exit on concretely produced tags (<done>, <level>).
+                let outputs: Vec<OutVariant> = c
+                    .seen
+                    .into_iter()
+                    .filter(|ov| ov.labels.match_score(exit).is_some())
+                    .collect();
+                if outputs.is_empty() {
+                    failure.get_or_insert_with(|| {
+                        TypeError(format!(
+                            "serial replication never produces a record matching exit \
+                             pattern {exit}"
+                        ))
+                    });
+                } else {
+                    merge_mapping(
+                        &mut maps,
+                        Mapping {
+                            input: c.input,
+                            outputs,
+                        },
+                    );
                 }
-                let mut concrete = ov.labels.clone();
-                let mb = match best_accepting(&concrete, a) {
-                    Some((m, _)) => m.clone(),
-                    None => {
-                        if !ov.inherits {
-                            return Err(TypeError(format!(
-                                "variant {} circulating in serial replication cannot re-enter \
-                                 the replicated network (input {})",
-                                ov.labels,
-                                a.input_type()
-                            )));
+                continue;
+            };
+            // A variant matching the exit pattern leaves the star; one
+            // that doesn't re-enters a replica of A.
+            if round == MAX_UNFOLD || ov.labels.match_score(exit).is_some() {
+                open.push(c);
+                continue;
+            }
+            match entries(&ov, &ma.input, a, "the replicated network") {
+                Ok(entries) => {
+                    // Pushed in reverse, so the first entry unfolds first.
+                    for (need, mb) in entries.into_iter().rev() {
+                        let mut fork = c.clone();
+                        fork.input = fork.input.union(&need);
+                        for nv in apply_mapping(&ov.labels.union(&need), ov.inherits, mb) {
+                            if !fork.seen.contains(&nv) {
+                                fork.seen.push(nv.clone());
+                                fork.todo.push_back((nv, round + 1));
+                            }
                         }
-                        let (mb, need) = least_missing(&concrete, a)
-                            .ok_or_else(|| TypeError("empty replicated network".into()))?;
-                        let blocked = need.intersection(&ma.input);
-                        if !blocked.is_empty() {
-                            return Err(TypeError(format!(
-                                "labels {blocked} consumed by the replicated network cannot \
-                                 flow-inherit on re-entry"
-                            )));
-                        }
-                        input = input.union(&need);
-                        concrete = concrete.union(&need);
-                        mb.clone()
+                        open.push(fork);
                     }
-                };
-                for nv in apply_mapping(&concrete, ov.inherits, &mb) {
-                    if !seen.contains(&nv) {
-                        seen.push(nv.clone());
-                        next.push(nv);
-                    }
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
                 }
             }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
         }
-        // Exit variants: anything reachable that can match the pattern.
-        // Variants with an open row *may* match at runtime once
-        // inherited labels arrive; conservatively keep concrete matches
-        // only — the paper's examples all exit on concretely produced
-        // tags (<done>, <level>).
-        let outs: Vec<OutVariant> = seen
-            .iter()
-            .filter(|ov| ov.labels.match_score(exit).is_some())
-            .cloned()
-            .collect();
-        if outs.is_empty() {
-            return Err(TypeError(format!(
-                "serial replication never produces a record matching exit pattern {exit}"
-            )));
+        if maps.is_empty() {
+            return Err(failure.expect("a closure that fails records why"));
         }
-        result.push_mapping(Mapping {
-            input,
-            outputs: outs,
-        });
+        for m in maps {
+            result.push_mapping(m);
+        }
     }
     Ok(result)
 }
@@ -494,6 +544,35 @@ mod tests {
         let b = NetSig::simple(rt(&["a", "extra"], &[]), vec![rt(&["z"], &[])]);
         let s = serial(&a, &b).unwrap();
         assert_eq!(s.maps[0].input, rt(&["a", "extra"], &[]));
+    }
+
+    #[test]
+    fn serial_keeps_an_input_variant_per_reachable_downstream_mapping() {
+        // `id .. (fork .. step) * {<z>}`: `{x}` enters neither the exit
+        // pass-through `{<z>}` nor the loop `{x,<k>,<n>}` outright, and
+        // both are one flow-inherited requirement away. Both stay; the
+        // first (fewest labels missing) used to be the only one.
+        let id = NetSig::simple(rt(&["x"], &[]), vec![rt(&["x"], &[])]);
+        let mut star = NetSig::identity(rt(&[], &["z"]));
+        star.push_mapping(Mapping {
+            input: rt(&["x"], &["k", "n"]),
+            outputs: vec![OutVariant::new(rt(&["x"], &["k", "n", "z"]))],
+        });
+        let s = serial(&id, &star).unwrap();
+        let inputs: Vec<_> = s.maps.iter().map(|m| m.input.clone()).collect();
+        assert_eq!(inputs, [rt(&["x"], &["z"]), rt(&["x"], &["k", "n"])]);
+        assert_eq!(s.maps[1].outputs[0].labels, rt(&["x"], &["k", "n", "z"]));
+        // A mapping whose missing labels are consumed upstream is no
+        // entry: `{a,<q>} -> {a}` consumes `<q>`.
+        let eat_q = NetSig::simple(rt(&["a"], &["q"]), vec![rt(&["a"], &[])]);
+        let mut down = NetSig::simple(rt(&[], &["q"]), vec![rt(&[], &["q"])]);
+        down.push_mapping(Mapping {
+            input: rt(&["a"], &["n"]),
+            outputs: vec![OutVariant::new(rt(&["b"], &[]))],
+        });
+        let s = serial(&eat_q, &down).unwrap();
+        assert_eq!(s.maps.len(), 1);
+        assert_eq!(s.maps[0].input, rt(&["a"], &["n", "q"]));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! ("outputs a record containing either the new board and its options
 //! or the final board and a tag `<done>`"); we follow the prose —
 //! completed boards carry `<done>`, continuing boards carry the new
-//! board and options. See DESIGN.md.
+//! board and options, which is also what the declared signature
+//! `(board, opts) -> (board, opts) | (board, <done>)` says.
 
 use crate::board::Board;
 use crate::opts::{add_number, compute_opts, Opts};

@@ -16,8 +16,10 @@
 //! | [`snet_runtime`] | coordination | threaded stream execution, all four combinators, det variants |
 //! | [`sudoku`] | application | the paper's solver and the Figure 1–3 hybrid networks |
 //!
-//! See `examples/` for runnable entry points and `EXPERIMENTS.md` for
-//! the per-figure reproduction record.
+//! See `examples/` for runnable entry points, and the `experiments`
+//! binary (`cargo run --release -p snet-bench --bin experiments`) for
+//! the per-figure reproduction record: a table of every claim the paper
+//! makes about Figures 1–3, also written to `experiments.json`.
 
 pub use sacarray;
 pub use snet_lang;

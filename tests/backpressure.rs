@@ -19,13 +19,21 @@
 //! credit acquisition. The scenarios use **sort-free** nets: sort
 //! records are deliberately never gated (see `snet_runtime::merge`),
 //! so deterministic-combinator traffic may transiently exceed the
-//! bound by design. Determinism under bounding is instead checked by
-//! the byte-identity matrix below and against the sequential reference
-//! (`snet_runtime::oracle`) in `tests/random_networks.rs`, and liveness
-//! by a randomized stall/resume schedule run under a watchdog.
+//! bound by design. Determinism under bounding is instead checked
+//! against the sequential reference (`snet_runtime::oracle`), below on
+//! a det net at three bounds and in `tests/random_networks.rs` on drawn
+//! programs, and liveness by a randomized stall/resume schedule run
+//! under a watchdog. A scenario whose box blocks runs on a pool of its
+//! own, so the box holds none of the workers other tests run on.
 
+mod common {
+    pub mod pools;
+}
+
+use common::pools::pools;
 use snet_runtime::{
-    Executor, Net, NetBuilder, OverloadPolicy, SendRejected, ThreadPerComponent, WorkStealingPool,
+    oracle, Bindings, Emitter, Executor, Net, NetBuilder, OverloadPolicy, SendRejected,
+    WorkStealingPool,
 };
 use snet_types::Record;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,17 +64,6 @@ impl Latch {
     }
 }
 
-/// The executors a stage-run scenario runs on: a thread per component
-/// and shared workers (one, where every component of the net takes
-/// turns on it, and two).
-fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
-    vec![
-        ("threads", Arc::new(ThreadPerComponent)),
-        ("pool(1)", Arc::new(WorkStealingPool::new(1))),
-        ("pool(2)", Arc::new(WorkStealingPool::new(2))),
-    ]
-}
-
 fn ints(records: &[Record], field: &str) -> Vec<i64> {
     records
         .iter()
@@ -75,7 +72,9 @@ fn ints(records: &[Record], field: &str) -> Vec<i64> {
 }
 
 /// A four-stage relay chain whose last stage blocks on `latch` after
-/// counting its arrival. Unfused so every inter-stage edge is real.
+/// counting its arrival. Unfused so every inter-stage edge is real; the
+/// gate holds one worker of two while the relays take turns on the
+/// other.
 fn gated_chain(bound: usize, latch: Arc<Latch>, arrived: Arc<AtomicUsize>) -> Net {
     NetBuilder::from_source(
         "box relay (x) -> (x);
@@ -89,7 +88,7 @@ fn gated_chain(bound: usize, latch: Arc<Latch>, arrived: Arc<AtomicUsize>) -> Ne
         latch.wait();
         e.emit(r.clone());
     })
-    .executor(Arc::new(ThreadPerComponent))
+    .executor(Arc::new(WorkStealingPool::new(2)))
     .fuse(false)
     .bound(bound)
     .build("main")
@@ -147,7 +146,7 @@ fn stalled_consumer_caps_every_queue_at_the_bound() {
 fn slow_stage_holds_depth_at_bound_for_whole_run() {
     const BOUND: usize = 16;
     const N: i64 = 600;
-    for (name, exec) in executors() {
+    for (name, exec) in pools() {
         let net = NetBuilder::from_source(
             "box fast (x) -> (x);
              box slow (x) -> (x);
@@ -200,7 +199,7 @@ fn slow_stage_holds_depth_at_bound_for_whole_run() {
 fn amplifying_chain_fan_729_stays_bounded() {
     const BOUND: usize = 32;
     const N: i64 = 24; // 24 × 3^6 = 17,496 output records.
-    for (name, exec) in executors() {
+    for (name, exec) in pools() {
         let net = NetBuilder::from_source(
             "box amp (x) -> (x);
              net main = amp .. amp .. amp .. amp .. amp .. amp;",
@@ -238,69 +237,59 @@ fn amplifying_chain_fan_729_stays_bounded() {
 }
 
 /// The determinism contract: bounding is invisible in the output.
-/// One det-parallel/det-split net, driven identically bounded and
-/// unbounded across {thread-per-component, pool(1), pool(2)} ×
-/// {fused, unfused}; every leg must produce the byte-identical
-/// record sequence.
+/// One det-parallel/det-split net, driven unbounded and at bounds 4
+/// and 64 on {pool(1), pool(2)} × {fused, unfused}; every leg must
+/// produce the sequential reference's record sequence.
 #[test]
 fn det_output_identical_bounded_vs_unbounded_across_executors() {
-    let build = |bound: Option<usize>, fuse: bool, exec: Arc<dyn Executor>| -> Net {
-        let mut b = NetBuilder::from_source(
-            "box rep (x, <c>) -> (y);
-             box sink (y) -> (y);
-             net main = ((rep | rep) ! <k>) .. sink .. sink;",
-        )
-        .unwrap()
-        .bind("rep", |rec, em| {
-            let x = rec.field("x").unwrap().as_int().unwrap();
-            let c = rec.tag("c").unwrap();
-            for i in 0..c {
-                em.emit(Record::build().field("y", x * 10 + i).finish());
-            }
-        })
-        .bind("sink", |r, e| e.emit(r.clone()))
-        .executor(exec)
-        .fuse(fuse);
-        // `None` must be an explicit opt-out: since PR 7 the process
-        // default is bounded (DEFAULT_STREAM_BOUND), so omitting
-        // `.bound()` would no longer give this leg unbounded edges.
-        b = match bound {
-            Some(n) => b.bound(n),
-            None => b.unbounded(),
-        };
-        b.build("main").unwrap()
-    };
-    let drive = |net: Net| -> Vec<i64> {
-        for i in 0..400i64 {
-            net.send(
-                Record::build()
-                    .field("x", i)
-                    .tag("c", 1 + i % 3)
-                    .tag("k", i % 5)
-                    .finish(),
-            )
-            .unwrap();
+    const SRC: &str = "box rep (x, <c>) -> (y);
+                       box sink (y) -> (y);
+                       net main = ((rep | rep) ! <k>) .. sink .. sink;";
+    fn rep(rec: &Record, em: &mut Emitter) {
+        let x = rec.field("x").unwrap().as_int().unwrap();
+        for i in 0..rec.tag("c").unwrap() {
+            em.emit(Record::build().field("y", x * 10 + i).finish());
         }
-        ints(&net.finish(), "y")
-    };
+    }
+    fn sink(rec: &Record, em: &mut Emitter) {
+        em.emit(rec.clone())
+    }
+    let inputs: Vec<Record> = (0..400i64)
+        .map(|i| {
+            let rec = Record::build().field("x", i).tag("c", 1 + i % 3);
+            rec.tag("k", i % 5).finish()
+        })
+        .collect();
+    let program = snet_lang::parse_program(SRC).unwrap();
+    let (env, ast) = (program.env().unwrap(), &program.net("main").unwrap().body);
+    let b = Bindings::new().bind("rep", rep).bind("sink", sink);
+    let plan = snet_runtime::compile_cfg(ast, &env, &b, false).unwrap();
+    let want = oracle::run(&plan, inputs.clone()).unwrap();
+    assert!(want.ordered);
+    let emitted: i64 = (0..400i64).map(|i| 1 + i % 3).sum();
+    assert_eq!(want.records.len() as i64, emitted);
 
-    let reference = drive(build(None, true, Arc::new(ThreadPerComponent)));
-    let want: i64 = (0..400i64).map(|i| 1 + i % 3).sum();
-    assert_eq!(reference.len() as i64, want);
-
-    type MkExec = Box<dyn Fn() -> Arc<dyn Executor>>;
-    let executors: Vec<(&str, MkExec)> = vec![
-        ("threads", Box::new(|| Arc::new(ThreadPerComponent))),
-        ("pool(1)", Box::new(|| Arc::new(WorkStealingPool::new(1)))),
-        ("pool(2)", Box::new(|| Arc::new(WorkStealingPool::new(2)))),
-    ];
-    for (name, mk) in &executors {
-        for fuse in [true, false] {
-            for bound in [None, Some(4), Some(64)] {
-                let got = drive(build(bound, fuse, mk()));
+    for fuse in [true, false] {
+        for bound in [None, Some(4), Some(64)] {
+            for (name, exec) in pools() {
+                let b = NetBuilder::from_source(SRC).unwrap();
+                let b = b.bind("rep", rep).bind("sink", sink);
+                let b = b.executor(exec).fuse(fuse);
+                // `None` must be an explicit opt-out: the default is
+                // bounded (DEFAULT_STREAM_BOUND), so omitting `.bound()`
+                // would not give this leg unbounded edges.
+                let net = match bound {
+                    Some(n) => b.bound(n),
+                    None => b.unbounded(),
+                };
+                let net = net.build("main").unwrap();
+                for rec in &inputs {
+                    net.send(rec.clone()).unwrap();
+                }
                 assert_eq!(
-                    got, reference,
-                    "{name} fuse={fuse} bound={bound:?} diverged from reference"
+                    net.finish(),
+                    want.records,
+                    "{name} fuse={fuse} bound={bound:?}"
                 );
             }
         }
@@ -309,8 +298,8 @@ fn det_output_identical_bounded_vs_unbounded_across_executors() {
 
 /// Liveness under a randomized stall/resume schedule: a middle stage
 /// sleeps pseudo-randomly (LCG, fixed seed) while the driver sends in
-/// randomized bursts with pauses in between, against tiny bounds and
-/// every executor. A deadlock in the credit machinery would hang the
+/// randomized bursts with pauses in between, against tiny bounds on one
+/// worker and on two. A deadlock in the credit machinery would hang the
 /// run; the watchdog converts that into a failure.
 #[test]
 fn randomized_stall_resume_schedule_never_deadlocks() {
@@ -372,16 +361,11 @@ fn randomized_stall_resume_schedule_never_deadlocks() {
             for bound in [2usize, 7, 64] {
                 seed = seed.wrapping_add(0x9e3779b97f4a7c15);
                 let want: Vec<i64> = (0..500).collect();
-                assert_eq!(
-                    run_leg(Arc::new(ThreadPerComponent), fuse, bound, seed),
-                    want,
-                    "threads fuse={fuse} bound={bound}"
-                );
-                for workers in [1, 2] {
+                for (name, exec) in pools() {
                     assert_eq!(
-                        run_leg(Arc::new(WorkStealingPool::new(workers)), fuse, bound, seed),
+                        run_leg(exec, fuse, bound, seed),
                         want,
-                        "pool({workers}) fuse={fuse} bound={bound}"
+                        "{name} fuse={fuse} bound={bound}"
                     );
                 }
             }
@@ -412,7 +396,7 @@ fn shed_policy_rejects_overflow_and_delivers_the_rest() {
             e.emit(r.clone());
         }
     })
-    .executor(Arc::new(ThreadPerComponent))
+    .executor(Arc::new(WorkStealingPool::new(1)))
     .bound(BOUND)
     .overload(OverloadPolicy::Shed)
     .build("main")
@@ -459,7 +443,7 @@ fn timeout_policy_gives_up_after_deadline_then_recovers() {
             e.emit(r.clone());
         }
     })
-    .executor(Arc::new(ThreadPerComponent))
+    .executor(Arc::new(WorkStealingPool::new(1)))
     .bound(BOUND)
     .overload(OverloadPolicy::Timeout(Duration::from_millis(40)))
     .build("main")

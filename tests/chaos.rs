@@ -3,15 +3,20 @@
 //! observers and the serve front door, and the seeded chaos
 //! acceptance run.
 //!
-//! The randomised topology soak lives in `random_networks.rs`; this
-//! file pins the behavioural contracts on hand-written nets where the
-//! expected outcome is exact, and the injector's own properties
-//! ([`Chaos`], shared with the other suites).
+//! Chaos over random programs is part of `random_networks.rs`'
+//! differential check; this file pins the behavioural contracts on
+//! hand-written nets where the expected outcome is exact, and the
+//! injector's own properties ([`Chaos`], shared with the other suites).
 
-mod common;
+mod common {
+    pub mod chaos;
+}
 
 use common::chaos::Chaos;
-use snet_runtime::{CallError, Dir, Fault, FaultPolicy, Net, NetBuilder, Observer, Service};
+use snet_runtime::{
+    oracle, Bindings, CallError, Dir, Emitter, Fault, FaultPolicy, Net, NetBuilder, Observer,
+    Service,
+};
 use snet_types::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -203,9 +208,12 @@ fn a_filter_that_faults_on_its_data_is_contained_like_a_box() {
         assert_eq!(metrics.get("runtime/component_panics"), 10);
         q
     };
-    let fused = run(true);
-    assert_eq!(fused, run(false));
-    assert_eq!(fused.len(), 20);
+    let want: Vec<i64> = (0..30)
+        .filter(|i| i % 3 != 0)
+        .map(|i| i / (i % 3))
+        .collect();
+    assert_eq!(run(true), want, "fused");
+    assert_eq!(run(false), want, "unfused");
     // Under the default policy the same fault kills the net.
     let net = dividing_net(FaultPolicy::FailNet, true);
     send_divisions(&net);
@@ -213,71 +221,86 @@ fn a_filter_that_faults_on_its_data_is_contained_like_a_box() {
     assert!(r.is_err(), "FailNet must propagate the filter panic");
 }
 
+/// `a .. b`, two boxes that pass their record on.
+const ECHO_CHAIN: &str = "box a (x) -> (x); box b (x) -> (x); net main = a .. b;";
+
+fn echo(r: &Record, e: &mut Emitter) {
+    e.emit(r.clone())
+}
+
+/// `{x}` records, `0..n`.
+fn inputs(n: i64) -> Vec<Record> {
+    (0..n)
+        .map(|i| Record::build().field("x", i).finish())
+        .collect()
+}
+
+/// What [`ECHO_CHAIN`] outputs on `inputs` with its boxes bound as
+/// `b`: the sequential reference.
+fn expected(b: Bindings, inputs: Vec<Record>) -> Vec<i64> {
+    let program = snet_lang::parse_program(ECHO_CHAIN).unwrap();
+    let (env, ast) = (program.env().unwrap(), &program.net("main").unwrap().body);
+    let plan = snet_runtime::compile_cfg(ast, &env, &b, false).unwrap();
+    outs(oracle::run(&plan, inputs).unwrap().records)
+}
+
 #[test]
 fn fused_and_unfused_contain_chaos_identically() {
     // A linear two-box chain — compiled fused, it is one scheduled
     // component. A chaos decision is keyed by box name and record
     // content, both invariant under fusion, so the fused and unfused
-    // runs drop the same records and emit byte-identical output.
-    let run = |fuse: bool| {
-        let chaos = Chaos::new(0xBADC0DE, 0.2);
-        let echo = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
-        let net = NetBuilder::from_source(
-            "box a (x) -> (x);
-             box b (x) -> (x);
-             net main = a .. b;",
-        )
-        .unwrap()
-        .bind("a", chaos.wrap("a", echo))
-        .bind("b", chaos.wrap("b", echo))
-        .fault_policy(FaultPolicy::SkipRecord)
-        .fuse(fuse)
-        .build("main")
-        .unwrap();
-        let metrics = Arc::clone(net.metrics());
-        for i in 0..200i64 {
-            net.send(Record::build().field("x", i).finish()).unwrap();
-        }
-        let got = outs(net.finish());
-        (got, chaos.panics(), metrics.sum_matching("records_skipped"))
-    };
-    let fused = run(true);
-    let unfused = run(false);
+    // runs drop the records the oracle drops over `Chaos::skip` bodies,
+    // and each injected panic is one skipped record.
+    let skip = Chaos::new(0xBADC0DE, 0.2);
+    let b = Bindings::new().bind("a", skip.skip("a", echo));
+    let want = expected(b.bind("b", skip.skip("b", echo)), inputs(200));
     assert!(
-        fused.1 > 0,
+        want.len() < 200,
         "rate 0.2 over 2 stages x 200 records must inject"
     );
-    assert_eq!(fused, unfused);
-    // Conservation: out + skipped == in.
-    assert_eq!(fused.0.len() as u64 + fused.2, 200);
+    for fuse in [true, false] {
+        let chaos = Chaos::new(0xBADC0DE, 0.2);
+        let net = NetBuilder::from_source(ECHO_CHAIN)
+            .unwrap()
+            .bind("a", chaos.wrap("a", echo))
+            .bind("b", chaos.wrap("b", echo))
+            .fault_policy(FaultPolicy::SkipRecord)
+            .fuse(fuse)
+            .build("main")
+            .unwrap();
+        let metrics = Arc::clone(net.metrics());
+        inputs(200).into_iter().for_each(|r| net.send(r).unwrap());
+        assert_eq!(outs(net.finish()), want, "fuse={fuse}");
+        let dropped = 200 - want.len() as u64;
+        assert_eq!(
+            chaos.panics(),
+            dropped,
+            "fuse={fuse}: one panic per dropped record"
+        );
+        assert_eq!(
+            metrics.sum_matching("records_skipped"),
+            dropped,
+            "fuse={fuse}"
+        );
+    }
 }
 
 #[test]
 fn chaos_off_guarded_run_is_byte_identical_to_unguarded() {
     // SkipRecord on boxes that never panic engages the guard machinery (buffered
     // emissions, catch_unwind) — it must be a transparent wrapper.
-    let run = |policy: FaultPolicy| {
-        let net = NetBuilder::from_source(
-            "box a (x) -> (x);
-             box b (x) -> (x);
-             net main = a .. b;",
-        )
-        .unwrap()
-        .bind("a", |r: &Record, e: &mut snet_runtime::Emitter| {
-            e.emit(r.clone())
-        })
-        .bind("b", |r: &Record, e: &mut snet_runtime::Emitter| {
-            e.emit(r.clone())
-        })
-        .fault_policy(policy)
-        .build("main")
-        .unwrap();
-        for i in 0..100i64 {
-            net.send(Record::build().field("x", i).finish()).unwrap();
-        }
-        outs(net.finish())
-    };
-    assert_eq!(run(FaultPolicy::SkipRecord), run(FaultPolicy::FailNet));
+    let want = expected(Bindings::new().bind("a", echo).bind("b", echo), inputs(100));
+    for policy in [FaultPolicy::SkipRecord, FaultPolicy::FailNet] {
+        let net = NetBuilder::from_source(ECHO_CHAIN)
+            .unwrap()
+            .bind("a", echo)
+            .bind("b", echo)
+            .fault_policy(policy)
+            .build("main")
+            .unwrap();
+        inputs(100).into_iter().for_each(|r| net.send(r).unwrap());
+        assert_eq!(outs(net.finish()), want, "{policy:?}");
+    }
 }
 
 #[test]

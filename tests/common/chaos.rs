@@ -1,5 +1,7 @@
 //! Seeded fault injection for tests: [`Chaos::wrap`] binds a box body
-//! that panics on a deterministic subset of the records it is given.
+//! that panics on a deterministic subset of the records it is given,
+//! and [`Chaos::skip`] is that box as the oracle reads it under
+//! `FaultPolicy::SkipRecord`.
 //!
 //! The runtime injects no faults of its own — it contains what box
 //! code does — so the failure paths are exercised by making the box
@@ -71,6 +73,22 @@ impl Chaos {
                 panic!("chaos: injected panic");
             }
             body(rec, em)
+        }
+    }
+
+    /// `body` as the oracle must read box `name` under [`Chaos::wrap`]
+    /// and `FaultPolicy::SkipRecord`: a poisoned record emits nothing,
+    /// which is what the policy makes of its panic. Counts nothing.
+    pub fn skip(
+        &self,
+        name: &str,
+        body: impl Fn(&Record, &mut Emitter) + Send + Sync + 'static,
+    ) -> impl Fn(&Record, &mut Emitter) + Send + Sync + 'static {
+        let (chaos, name) = (self.clone(), name.to_string());
+        move |rec: &Record, em: &mut Emitter| {
+            if !chaos.poisons(&name, rec) {
+                body(rec, em)
+            }
         }
     }
 

@@ -1,15 +1,20 @@
 //! The executor matrix: every determinism guarantee of the runtime,
-//! verified under both component schedulers.
+//! verified under both component schedulers. This is the one file that
+//! runs nets on [`ThreadPerComponent`] to check what they output; every
+//! other equivalence test runs on pools of one and two workers
+//! (`tests/common/pools.rs`).
 //!
 //! The sort-record protocol encodes ordering in the *data*, so the
 //! deterministic combinators must produce the sequential reference's
 //! output (`snet_runtime::oracle`), byte for byte, whether components
 //! run one-per-OS-thread ([`ThreadPerComponent`]) or as cooperative
-//! tasks on a [`WorkStealingPool`]. The pool runs with **two workers** here — the
-//! most adversarial interleaving short of fully sequential: every
-//! component contends for a worker, parked components must resume
-//! correctly, and the deterministic mergers' fixed drain order has to
-//! hold while hundreds of tasks time-slice two threads.
+//! tasks on a [`WorkStealingPool`]. Each run is checked against the
+//! reference, never against the other executor's run. The pool runs
+//! with **two workers** here — the most adversarial interleaving short
+//! of fully sequential: every component contends for a worker, parked
+//! components must resume correctly, and the deterministic mergers'
+//! fixed drain order has to hold while hundreds of tasks time-slice two
+//! threads.
 //!
 //! Also here: the scaling stress the executor subsystem exists for —
 //! a ~1000-replica indexed split completing on a bounded worker set,
@@ -86,8 +91,8 @@ fn expected(expr: &str, inputs: Vec<Record>) -> oracle::Expected {
 
 #[test]
 fn det_combinators_match_oracle_under_both_executors() {
-    // Not just each backend against the reference: byte-identical
-    // sequences, so the two backends agree with each other too.
+    // Each backend against the reference, byte for byte: so the two
+    // agree with each other too.
     let exprs = [
         "rep | rep",
         "rep ! <k>",
@@ -102,25 +107,6 @@ fn det_combinators_match_oracle_under_both_executors() {
                 drive(build(expr, exec), inputs()),
                 want.records,
                 "{expr} under {name}"
-            );
-        }
-    }
-}
-
-#[test]
-fn pool_output_is_byte_identical_to_thread_output() {
-    // The two backends must agree with each other on the full output
-    // sequence of every det topology.
-    for expr in ["rep | rep", "rep ! <k>", "(rep | rep) ! <k>"] {
-        let mut per_exec = Vec::new();
-        for (name, exec) in executors() {
-            per_exec.push((name, drive(build(expr, exec), inputs())));
-        }
-        let (ref_name, reference) = &per_exec[0];
-        for (name, out) in &per_exec[1..] {
-            assert_eq!(
-                out, reference,
-                "{expr}: {name} output diverged from {ref_name}"
             );
         }
     }

@@ -1,6 +1,7 @@
 //! End-to-end reproduction of the paper's behavioural claims about
 //! Figures 1–3 (the paper has no numeric tables; these structural
-//! bounds are its evaluation — see EXPERIMENTS.md).
+//! bounds are its evaluation, which the `experiments` binary also
+//! prints as a table).
 
 use sudoku::networks::{solve_fig1, solve_fig2, solve_fig3};
 use sudoku::puzzles;

@@ -2,33 +2,27 @@
 //! same plan must be observationally identical — the sequential
 //! reference's output (`snet_runtime::oracle`; byte-identical where
 //! the order is defined), identical per-stage metrics paths and
-//! counts — under every executor. Only the component count may
+//! counts — on one worker and on two. Only the component count may
 //! differ: an n-stage fused chain runs as **one** component.
 //!
 //! `NetBuilder::fuse(bool)` drives both topologies in-process;
 //! `tests/random_networks.rs` draws programs across them.
 
-mod common;
+mod common {
+    pub mod chaos;
+    pub mod pools;
+}
 
 use common::chaos::Chaos;
+use common::pools::pools;
 use snet_lang::{parse_net_expr, parse_program};
 use snet_runtime::{
-    oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg, ThreadPerComponent,
-    WorkStealingPool,
+    oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg, WorkStealingPool,
 };
 use snet_types::Record;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The executor matrix of the ISSUE: threads, pool, pool+1.
-fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
-    vec![
-        ("threads", Arc::new(ThreadPerComponent) as Arc<dyn Executor>),
-        ("pool", Arc::new(WorkStealingPool::new(2)) as _),
-        ("pool+1", Arc::new(WorkStealingPool::new(1)) as _),
-    ]
-}
 
 /// Boxes for every topology under test:
 /// * `inc` — 1:1, type-preserving;
@@ -98,10 +92,15 @@ fn fan_builder(expr: &str) -> NetBuilder {
 
 /// What `expr` must output on `inputs`: the sequential reference.
 fn expected(expr: &str, inputs: &[Record]) -> oracle::Expected {
-    let env = parse_program(SRC).unwrap().env().unwrap();
     let b = boxes()
         .into_iter()
         .fold(Bindings::new(), |b, (n, f)| b.bind(n, f));
+    expected_with(expr, b, inputs)
+}
+
+/// [`expected`] with the boxes bound as `b`.
+fn expected_with(expr: &str, b: Bindings, inputs: &[Record]) -> oracle::Expected {
+    let env = parse_program(SRC).unwrap().env().unwrap();
     let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
     oracle::run(&plan.unwrap(), inputs.to_vec()).unwrap()
 }
@@ -115,8 +114,8 @@ fn build(expr: &str, exec: Arc<dyn Executor>, fuse: bool) -> Net {
 }
 
 /// Deterministically ordered topologies (pure chains and det
-/// combinators) whose output must be **byte-identical** fused and
-/// unfused, per executor.
+/// combinators) whose output must be the reference's, byte for byte,
+/// fused and unfused, per executor.
 const DET_EXPRS: &[&str] = &[
     // Pure chains, 1:1 and multi-emission.
     "inc .. inc .. inc .. inc",
@@ -255,16 +254,16 @@ fn spine_cases() -> impl Iterator<Item = (&'static str, Vec<Record>, bool)> {
 #[test]
 fn fused_fan_matrix_is_byte_identical() {
     // Every DET_EXPRS chain and fan, every nest of NESTED_EXPRS and
-    // every spine of SPINE_EXPRS, each driven across {threads, pool(1),
-    // pool(2)} × {fused, unfused}. Output must be the sequential
-    // reference's, byte for byte; a nondet net's order is the
-    // scheduler's, so its twin compares multisets.
+    // every spine of SPINE_EXPRS, each driven across {pool(1), pool(2)}
+    // × {fused, unfused}. Output must be the sequential reference's,
+    // byte for byte; a nondet net's order is the scheduler's, so its
+    // twin compares multisets.
     let flat = DET_EXPRS.iter().map(|expr| (*expr, xs(60, false), true));
     for (expr, inputs, ordered) in flat.chain(nested_cases()).chain(spine_cases()) {
         let want = expected(expr, &inputs);
         assert_eq!(want.ordered, ordered, "{expr}");
         assert!(want.records.len() >= inputs.len() / 2, "{expr}");
-        for (name, exec) in executors() {
+        for (name, exec) in pools() {
             for fuse in [true, false] {
                 let got = drive(build(expr, Arc::clone(&exec), fuse), &inputs);
                 assert!(
@@ -277,29 +276,13 @@ fn fused_fan_matrix_is_byte_identical() {
 }
 
 #[test]
-fn fused_output_is_byte_identical_to_unfused_across_executors() {
-    for expr in DET_EXPRS {
-        let reference = drive(
-            build(expr, Arc::new(ThreadPerComponent), false),
-            &xs(60, false),
-        );
-        for (name, exec) in executors() {
-            for fuse in [true, false] {
-                let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
-                assert_eq!(got, reference, "{expr} diverged under {name} (fuse={fuse})");
-            }
-        }
-    }
-}
-
-#[test]
 fn nondet_barrier_conserves_records_fused_and_unfused() {
     // The non-det replicator barrier: global output order is
     // scheduler-dependent, so compare the multiset (and rely on the
     // det exprs above for ordering).
     let expr = "inc .. inc .. (rep !! <k>) .. inc .. inc";
     let want = expected(expr, &xs(60, false));
-    for (name, exec) in executors() {
+    for (name, exec) in pools() {
         for fuse in [true, false] {
             let got = drive(build(expr, Arc::clone(&exec), fuse), &xs(60, false));
             assert!(
@@ -328,7 +311,7 @@ fn det_star_with_fused_inner_keeps_input_order() {
     let want = expected(expr, &inputs).records;
     let ids: Vec<i64> = want.iter().map(|r| r.tag("id").unwrap()).collect();
     assert_eq!(ids, (0..20).collect::<Vec<_>>());
-    for (name, exec) in executors() {
+    for (name, exec) in pools() {
         for fuse in [true, false] {
             let got = drive(build(expr, Arc::clone(&exec), fuse), &inputs);
             assert_eq!(got, want, "det star diverged under {name} (fuse={fuse})");
@@ -339,16 +322,11 @@ fn det_star_with_fused_inner_keeps_input_order() {
 #[test]
 fn fused_chain_runs_as_one_component() {
     // The point of fusion: n stages, one scheduled component.
-    let fused = build(
-        "inc .. inc .. inc .. inc",
-        Arc::new(ThreadPerComponent),
-        true,
-    );
-    let unfused = build(
-        "inc .. inc .. inc .. inc",
-        Arc::new(ThreadPerComponent),
-        false,
-    );
+    let build = |fuse: bool| {
+        let b = fan_builder("inc .. inc .. inc .. inc");
+        b.fuse(fuse).build("main").unwrap()
+    };
+    let (fused, unfused) = (build(true), build(false));
     assert_eq!(fused.threads_spawned(), 1);
     assert_eq!(unfused.threads_spawned(), 4);
     let _ = fused.finish();
@@ -363,11 +341,8 @@ fn barrier_chains_fuse_only_the_runs() {
     // is a component and the replicator is a barrier: its dispatcher
     // and merger between them.
     let components = |fuse: bool| {
-        let net = build(
-            "inc .. inc .. (rep !! <k>) .. inc .. inc",
-            Arc::new(ThreadPerComponent),
-            fuse,
-        );
+        let b = fan_builder("inc .. inc .. (rep !! <k>) .. inc .. inc");
+        let net = b.fuse(fuse).build("main").unwrap();
         let n = net.threads_spawned();
         let _ = net.finish();
         n
@@ -419,7 +394,7 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
         fuse: false,
         ..RunCfg::default()
     };
-    let exec = Arc::new(ThreadPerComponent);
+    let exec = Arc::new(WorkStealingPool::new(1));
     assert_eq!(
         spawn_counts(Net::spawn(plan, Vec::new(), exec, cfg)),
         (1, 1)
@@ -465,11 +440,8 @@ fn per_stage_metrics_paths_survive_fusion() {
     // The string query API cannot tell the topologies apart: every
     // per-stage counter lives at the same path with the same value.
     let run = |fuse: bool| {
-        let net = build(
-            "inc .. [{x} -> {y=x}] .. [{y} -> {x=y}] .. inc",
-            Arc::new(ThreadPerComponent),
-            fuse,
-        );
+        let b = fan_builder("inc .. [{x} -> {y=x}] .. [{y} -> {x=y}] .. inc");
+        let net = b.fuse(fuse).build("main").unwrap();
         for i in 0..10i64 {
             net.send(Record::build().field("x", i).finish()).unwrap();
         }
@@ -521,7 +493,6 @@ fn fan_metrics_paths_survive_replica_fusion() {
         let events: Arc<Mutex<Events>> = Arc::default();
         let sink = Arc::clone(&events);
         let net = fan_builder(expr)
-            .executor(Arc::new(ThreadPerComponent))
             .observe(Arc::new(move |path, dir, rec| {
                 let routing = ["split", "splitnd", "par", "parnd", "guard"];
                 if routing.contains(&path.rsplit('/').next().unwrap()) {
@@ -596,15 +567,20 @@ fn fan_metrics_paths_survive_replica_fusion() {
 fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
     // With a fixed seed, a chaos decision is keyed by box name and
     // record content, neither of which replica fusion changes, so the
-    // fused and unfused nets make the exact same skips — same output,
-    // same per-path records_skipped, and skipped == injected.
+    // fused and unfused nets make the exact same skips: the output the
+    // oracle gives over `Chaos::skip` bodies, and skipped == injected.
+    // Where the skips are counted is outside the oracle, so the fused
+    // and unfused per-path records_skipped are compared with each other.
+    let expr = "(inc .. inc .. rep) ! <k>";
+    let chaos = || Chaos::from_env(0xFA57_F00D, 0.1);
+    let skip = chaos();
+    let b = (boxes().into_iter()).fold(Bindings::new(), |b, (n, f)| b.bind(n, skip.skip(n, f)));
+    let want = expected_with(expr, b, &xs(80, false));
     let run = |fuse: bool| {
-        let chaos = Chaos::from_env(0xFA57_F00D, 0.1);
-        let b = NetBuilder::from_source(&format!("{SRC}\nnet main = (inc .. inc .. rep) ! <k>;"))
-            .unwrap();
+        let chaos = chaos();
+        let b = NetBuilder::from_source(&format!("{SRC}\nnet main = {expr};")).unwrap();
         let net = (boxes().into_iter())
             .fold(b, |b, (name, f)| b.bind(name, chaos.wrap(name, f)))
-            .executor(Arc::new(ThreadPerComponent))
             .fault_policy(FaultPolicy::SkipRecord)
             .fuse(fuse)
             .build("main")
@@ -628,7 +604,8 @@ fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
     };
     let (out_fused, skips_fused) = run(true);
     let (out_unfused, skips_unfused) = run(false);
-    assert_eq!(out_fused, out_unfused);
+    assert_eq!(out_fused, want.records, "fused");
+    assert_eq!(out_unfused, want.records, "unfused");
     assert_eq!(skips_fused, skips_unfused);
     assert!(
         skips_fused.iter().any(|(k, _)| k.contains("branch")),
@@ -655,11 +632,7 @@ fn a_restart_recovers_inside_a_fused_walk() {
     let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
     let want = oracle::run(&plan.unwrap(), inputs.clone()).unwrap();
     assert!(want.ordered);
-    let execs: [(&str, Arc<dyn Executor>); 2] = [
-        ("threads", Arc::new(ThreadPerComponent)),
-        ("pool(2)", Arc::new(WorkStealingPool::new(2))),
-    ];
-    for (name, exec) in execs {
+    for (name, exec) in pools() {
         // Input 7 reaches `flaky` as x = 8, on lane <k> = 0.
         let tripped = Arc::new(AtomicBool::new(false));
         let b = NetBuilder::from_source(&format!("{decls}\nnet main = {expr};")).unwrap();

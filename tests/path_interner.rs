@@ -8,8 +8,13 @@
 //! count stands still, so they serialise on [`INTERNER`]; other
 //! integration-test files are separate processes.
 
+mod common {
+    pub mod pools;
+}
+
+use common::pools::pools;
 use snet_runtime::path::interned_paths;
-use snet_runtime::{Executor, NetBuilder, ThreadPerComponent, WorkStealingPool};
+use snet_runtime::{Executor, NetBuilder};
 use snet_types::Record;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -40,11 +45,7 @@ fn fig2_det_cycle(executor: &Arc<dyn Executor>) -> BTreeSet<String> {
 #[test]
 fn repeated_builds_intern_no_new_paths() {
     let _serial = serialize_interner();
-    let executors: [(&str, Arc<dyn Executor>); 2] = [
-        ("pool(1)", Arc::new(WorkStealingPool::new(1))),
-        ("threads", Arc::new(ThreadPerComponent)),
-    ];
-    for (name, executor) in &executors {
+    for (name, executor) in &pools() {
         let mut runs = Vec::new();
         for _ in 0..3 {
             let keys = fig2_det_cycle(executor);

@@ -1,36 +1,45 @@
 //! Randomised networks against the sequential reference.
 //!
 //! The differential check draws well-typed `.snet` programs over every
-//! combinator, runs each through the parser and the runtime under one
+//! combinator ([`draw_net`], the one program generator here) and up to
+//! 24 inputs, runs each through the parser and the runtime under one
 //! configuration drawn from {fused, unfused} × {bound 128, 1–8,
-//! unbounded} × {threads, pool(1), pool(2)}, and asserts that the
+//! unbounded} × {pool(1), pool(2)} × {`FailNet`, `SkipRecord`,
+//! `SkipRecord` with seeded chaos in every box}, and asserts that the
 //! output is what `snet_runtime::oracle` says the program means: the
 //! same sequence when every fan is det, the same multiset otherwise.
-//! The oracle itself must give one answer for the fused and the
-//! unfused compile of each program. Each input also carries a distinct
-//! correlation word (the hidden word the serve door keys requests on),
-//! and every output must carry the word of the input it came from, on
-//! the oracle and on the runtime.
-//! A failing case prints the program, the configuration and the
-//! `PROPTEST_SEED` that replays it.
+//! Under chaos the oracle reads each box as `Chaos::skip`, which emits
+//! nothing on the records the runtime's box panics on, and every
+//! injected panic must be one skipped record and one contained fault
+//! (`records_skipped == Chaos::panics() == runtime/component_panics`,
+//! all 0 without chaos). The oracle itself must give one answer for
+//! the fused and the unfused compile of each program. Each input also
+//! carries a distinct correlation word (the hidden word the serve door
+//! keys requests on), and every output must carry the word of the
+//! input it came from, on the oracle and on the runtime.
+//! A failing case prints the program, the configuration, the chaos
+//! seed and the `PROPTEST_SEED` that replays it. Smaller properties
+//! run the same check on narrowed draws ([`Cases`]): det fans only,
+//! a bound of 1–8, or chaos, the last in all four {fused, unfused} ×
+//! {pool(1), pool(2)} configurations per program.
 //!
-//! Also here: conservation and order properties of random identity
-//! topologies, bounded and unbounded; the chaos soak over them; and the
-//! credit accounting of one bounded edge against a reference model.
+//! Also here: the credit accounting of one bounded edge against a
+//! reference model.
 
-mod common;
+mod common {
+    pub mod chaos;
+    pub mod pools;
+}
 
 use common::chaos::Chaos;
+use common::pools::pools;
 use proptest::prelude::*;
 use proptest::TestRng;
 use snet_lang::{parse_filter, parse_program, pretty_net, Env, ExitPattern, NetAst};
-use snet_runtime::{
-    oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, Plan, RunCfg,
-    ThreadPerComponent, WorkStealingPool,
-};
-use snet_types::{BoxSig, Label, Record, RecordType, Value};
+use snet_runtime::{oracle, Bindings, Emitter, FaultPolicy, NetBuilder, Plan};
+use snet_types::{Record, RecordType, Value};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The box vocabulary of drawn programs. Every record carries `x`,
 /// `<k>` and `<n>`; some carry `<p>`, and `<z>` marks a finished
@@ -95,12 +104,13 @@ fn bindings() -> [(&'static str, BoxFn); 5] {
     ]
 }
 
-/// A random net of at most `depth` nested combinators. A star's body
-/// ends in `step`, so every record leaves within `<n> + 1` replicas.
+/// A random net of at most `depth` nested combinators, with every fan
+/// det if `det_only`. A star's body ends in `step`, so every record
+/// leaves within `<n> + 1` replicas.
 /// A parallel's right branch starts with a box; its left branch
 /// starts with [`ROUTE`], so that no record matches both equally well,
 /// or is the same operand, so that a tie does not change the output.
-fn draw_net(rng: &mut TestRng, depth: u32) -> NetAst {
+fn draw_net(rng: &mut TestRng, depth: u32, det_only: bool) -> NetAst {
     let leaf = |rng: &mut TestRng| {
         NetAst::boxref(["id", "inc", "drop", "fork", "step"][rng.usize_below(5)])
     };
@@ -108,8 +118,8 @@ fn draw_net(rng: &mut TestRng, depth: u32) -> NetAst {
         return leaf(rng);
     }
     // Mostly det: one nondet fan anywhere leaves only the multiset.
-    let det = rng.usize_below(4) > 0;
-    let sub = |rng: &mut TestRng| draw_net(rng, depth - 1);
+    let det = det_only || rng.usize_below(4) > 0;
+    let sub = |rng: &mut TestRng| draw_net(rng, depth - 1, det_only);
     match rng.usize_below(4) {
         0 => NetAst::serial(sub(rng), sub(rng)),
         1 => {
@@ -143,16 +153,20 @@ fn draw_net(rng: &mut TestRng, depth: u32) -> NetAst {
 struct Config {
     fuse: bool,
     bound: Option<usize>,
-    /// 0 = threads, else a pool of that many workers.
-    workers: usize,
+    /// An index into [`pools`].
+    pool: usize,
+    /// `FaultPolicy::SkipRecord` rather than the default `FailNet`.
+    skip: bool,
 }
 
-/// One drawn case: the program text, its inputs, a configuration,
-/// and what the oracle says it outputs.
+/// One drawn case: the program text, its inputs, a configuration, the
+/// injector its boxes run under (only ever with `skip`), and what the
+/// oracle says it outputs.
 struct Case {
     src: String,
     inputs: Vec<Record>,
     cfg: Config,
+    chaos: Option<Chaos>,
     want: oracle::Expected,
 }
 
@@ -160,33 +174,54 @@ impl std::fmt::Debug for Case {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "\n{}\nunder {:?}\non {:?}\n",
-            self.src, self.cfg, self.inputs
+            "\n{}\nunder {:?} with {:?}\non {:?}\n",
+            self.src, self.cfg, self.chaos, self.inputs
         )
     }
 }
 
-/// The plan of `main` in `src`, compiled fused or not: the oracle's
-/// input.
-fn reference_plan(src: &str, fuse: bool) -> Plan {
+/// The plan of `main` in `src`, compiled fused or not, with the boxes
+/// as the oracle reads them under `chaos`: the oracle's input.
+fn reference_plan(src: &str, fuse: bool, chaos: Option<&Chaos>) -> Plan {
     let program = parse_program(src).unwrap();
     let env: Env = program.env().unwrap();
     let b = bindings()
         .into_iter()
-        .fold(Bindings::new(), |b, (name, f)| b.bind(name, f));
+        .fold(Bindings::new(), |b, (name, f)| match chaos {
+            Some(chaos) => b.bind(name, chaos.skip(name, f)),
+            None => b.bind(name, f),
+        });
     let ast = &program.net("main").unwrap().body;
     snet_runtime::compile_cfg(ast, &env, &b, fuse).unwrap()
 }
 
+/// The seeded injector of a chaos case: `SNET_CHAOS_SEED`, else a
+/// fixed seed.
+fn chaos() -> Chaos {
+    Chaos::from_env(0xC0FFEE, 0.05)
+}
+
 /// Draws programs until one type-checks, admits its inputs and has
-/// a defined output on them.
-struct Cases;
+/// a defined output on them. The default draws from the whole space;
+/// each flag narrows it.
+#[derive(Clone, Copy, Default)]
+struct Cases {
+    /// Every fan det, so the oracle fixes the output sequence.
+    det: bool,
+    /// A bound of 1–8 on every edge (maximum pressure).
+    bounded: bool,
+    /// `SkipRecord` with chaos in every box.
+    chaos: bool,
+}
 
 impl Strategy for Cases {
     type Value = Case;
     fn generate(&self, rng: &mut TestRng) -> Case {
         loop {
-            let src = format!("{BOXES}\nnet main = {};", pretty_net(&draw_net(rng, 3)));
+            let src = format!(
+                "{BOXES}\nnet main = {};",
+                pretty_net(&draw_net(rng, 3, self.det))
+            );
             let inputs: Vec<Record> = (0..rng.usize_below(24))
                 .map(|i| {
                     let mut r = Record::build()
@@ -207,18 +242,20 @@ impl Strategy for Cases {
                 .collect();
             let cfg = Config {
                 fuse: rng.gen_bool_half(),
-                bound: match rng.usize_below(3) {
+                bound: match if self.bounded { 1 } else { rng.usize_below(3) } {
                     0 => Some(128),
                     1 => Some(1 + rng.usize_below(8)),
                     _ => None,
                 },
-                workers: rng.usize_below(3),
+                pool: rng.usize_below(2),
+                skip: self.chaos || rng.gen_bool_half(),
             };
+            let chaos = (cfg.skip && (self.chaos || rng.gen_bool_half())).then(chaos);
             let env = parse_program(&src).map(|p| p.env());
             if !matches!(env, Ok(Ok(_))) {
                 continue;
             }
-            let plan = reference_plan(&src, false);
+            let plan = reference_plan(&src, false, chaos.as_ref());
             let admitted = inputs
                 .iter()
                 .all(|r| plan.sig.match_score(&r.record_type()).is_some());
@@ -227,6 +264,7 @@ impl Strategy for Cases {
                     src,
                     inputs,
                     cfg,
+                    chaos,
                     want,
                 };
             }
@@ -238,13 +276,6 @@ impl Strategy for Cases {
 /// every `i` (an odd multiplier is invertible) and never 0.
 fn word(i: usize) -> u64 {
     0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)
-}
-
-/// The shared pools of one and two workers.
-fn pool(workers: usize) -> Arc<dyn Executor> {
-    static POOLS: OnceLock<[Arc<WorkStealingPool>; 2]> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| [1, 2].map(|n| Arc::new(WorkStealingPool::new(n))));
-    Arc::clone(&pools[workers - 1]) as _
 }
 
 /// Runs `f` on a thread of its own, so that a hang or a panic is a
@@ -262,325 +293,187 @@ fn on_own_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> R
         })
 }
 
-/// What `case`'s program outputs on the runtime.
-fn run_case(case: &Case) -> Vec<Record> {
+/// What `case`'s program outputs on the runtime, with the net's
+/// `records_skipped` total and its `runtime/component_panics`.
+fn run_case(case: &Case) -> (Vec<Record>, u64, u64) {
     let b = NetBuilder::from_source(&case.src).unwrap();
     let b = bindings()
         .into_iter()
-        .fold(b, |b, (name, f)| b.bind(name, f));
+        .fold(b, |b, (name, f)| match &case.chaos {
+            Some(chaos) => b.bind(name, chaos.wrap(name, f)),
+            None => b.bind(name, f),
+        });
     let b = match case.cfg.bound {
         Some(n) => b.bound(n),
         None => b.unbounded(),
     };
-    let net = match case.cfg.workers {
-        0 => b.executor(Arc::new(ThreadPerComponent)),
-        n => b.executor(pool(n)),
+    let b = match case.cfg.skip {
+        true => b.fault_policy(FaultPolicy::SkipRecord),
+        false => b,
     };
-    let net = net.fuse(case.cfg.fuse).build("main").unwrap();
+    let exec = Arc::clone(&pools()[case.cfg.pool].1);
+    let net = b.executor(exec).fuse(case.cfg.fuse).build("main").unwrap();
     for rec in &case.inputs {
         net.send(rec.clone()).unwrap();
     }
-    net.finish()
+    let metrics = Arc::clone(net.metrics());
+    let out = net.finish();
+    let skipped = metrics.sum_matching("records_skipped");
+    (out, skipped, metrics.get("runtime/component_panics"))
+}
+
+/// Runtime ≡ oracle on one drawn case, with the containment and
+/// correlation-word checks; and the oracle reads the fused compile as
+/// it reads the unfused one.
+fn check(case: Case) -> Result<(), TestCaseError> {
+    let chaos = case.chaos.as_ref();
+    prop_assert_eq!(
+        oracle::run(&reference_plan(&case.src, true, chaos), case.inputs.clone()),
+        Ok(case.want.clone()),
+        "the oracle on the fused compile"
+    );
+    let case = Arc::new(case);
+    let got = on_own_thread({
+        let case = Arc::clone(&case);
+        move || run_case(&case)
+    });
+    let (got, skipped, contained) = got.map_err(TestCaseError::Fail)?;
+    let want = &case.want;
+    prop_assert!(
+        want.admits(&got),
+        "ordered: {}\n  want: {:?}\n   got: {:?}",
+        want.ordered,
+        want.records,
+        got
+    );
+    // Containment: every injected panic is one skipped record and
+    // one contained fault, and nothing else is skipped.
+    let injected = case.chaos.as_ref().map_or(0, Chaos::panics);
+    prop_assert_eq!(
+        (skipped, contained),
+        (injected, injected),
+        "skipped, contained"
+    );
+    // The records carrying an input's word are what that input
+    // alone makes. The groups add up to every output, so no output
+    // carries a foreign word either.
+    let plan = reference_plan(&case.src, false, case.chaos.as_ref());
+    for (i, input) in case.inputs.iter().enumerate() {
+        let own = oracle::run(&plan, [input.clone()]).unwrap();
+        prop_assert!(
+            own.records.iter().all(|r| r.corr() == word(i)),
+            "the oracle lost the word of input {}",
+            i
+        );
+        let carried: Vec<Record> = got
+            .iter()
+            .filter(|r| r.corr() == word(i))
+            .cloned()
+            .collect();
+        prop_assert!(
+            own.admits(&carried),
+            "input {}'s word\n  want: {:?}\n   got: {:?}",
+            i,
+            own.records,
+            carried
+        );
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Runtime ≡ oracle on drawn programs, one configuration each; and
-    /// the oracle reads the fused compile as it reads the unfused one.
+    /// Runtime ≡ oracle on drawn programs, one configuration each.
     #[test]
-    fn runtime_matches_the_oracle_on_random_programs(case in Cases) {
-        prop_assert_eq!(
-            oracle::run(&reference_plan(&case.src, true), case.inputs.clone()),
-            Ok(case.want.clone()),
-            "the oracle on the fused compile"
-        );
-        let case = Arc::new(case);
-        let got = on_own_thread({
-            let case = Arc::clone(&case);
-            move || run_case(&case)
-        });
-        let (want, got) = (&case.want, got.map_err(TestCaseError::Fail)?);
-        prop_assert!(
-            want.admits(&got),
-            "ordered: {}\n  want: {:?}\n   got: {:?}", want.ordered, want.records, got
-        );
-        // The records carrying an input's word are what that input
-        // alone makes. The groups add up to every output, so no output
-        // carries a foreign word either.
-        let plan = reference_plan(&case.src, false);
-        for (i, input) in case.inputs.iter().enumerate() {
-            let own = oracle::run(&plan, [input.clone()]).unwrap();
-            prop_assert!(
-                own.records.iter().all(|r| r.corr() == word(i)),
-                "the oracle lost the word of input {}", i
-            );
-            let carried: Vec<Record> =
-                got.iter().filter(|r| r.corr() == word(i)).cloned().collect();
-            prop_assert!(
-                own.admits(&carried),
-                "input {}'s word\n  want: {:?}\n   got: {:?}", i, own.records, carried
-            );
-        }
+    fn runtime_matches_the_oracle_on_random_programs(case in Cases::default()) {
+        check(case)?;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos soak: seeded fault injection over random topologies.
-// ---------------------------------------------------------------------------
-
-/// A random combinator tree over the identity box
-/// `id (x, <k>) -> (x, <k>)`; no star, which an identity box would
-/// never leave.
-fn arb_net() -> impl Strategy<Value = NetAst> {
-    let leaf = Just(NetAst::boxref("id"));
-    leaf.prop_recursive(4, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| NetAst::serial(a, b)),
-            (inner.clone(), inner.clone(), any::<bool>()).prop_map(|(a, b, det)| {
-                if det {
-                    NetAst::parallel_det(a, b)
-                } else {
-                    NetAst::parallel(a, b)
-                }
-            }),
-            (inner, any::<bool>()).prop_map(|(a, det)| {
-                if det {
-                    NetAst::split_det(a, "k")
-                } else {
-                    NetAst::split(a, "k")
-                }
-            }),
-        ]
-    })
-}
-
-/// `cfg.fuse` is whether the plan is compiled fused; `chaos`, when
-/// given, wraps `id`.
-fn build_full(
-    ast: &NetAst,
-    cfg: RunCfg,
-    executor: Arc<dyn Executor>,
-    chaos: Option<&Chaos>,
-) -> Net {
-    let mut env = Env::new();
-    let xk = vec![Label::field("x"), Label::tag("k")];
-    env.declare_box("id", BoxSig::new(xk.clone(), vec![xk]))
-        .unwrap();
-    let id = |rec: &Record, em: &mut Emitter| em.emit(rec.clone());
-    let bindings = match chaos {
-        Some(chaos) => Bindings::new().bind("id", chaos.wrap("id", id)),
-        None => Bindings::new().bind("id", id),
-    };
-    let plan: Plan =
-        snet_runtime::compile_cfg(ast, &env, &bindings, cfg.fuse).expect("random net compiles");
-    Net::spawn(plan, Vec::new(), executor, cfg)
-}
-
-fn drive(net: Net, xs: &[(i64, i64)]) -> Vec<(i64, i64)> {
-    for (x, k) in xs {
-        net.send(Record::build().field("x", *x).tag("k", *k).finish())
-            .unwrap();
-    }
-    net.finish()
-        .iter()
-        .map(|r| (r.field("x").unwrap().as_int().unwrap(), r.tag("k").unwrap()))
-        .collect()
-}
-
-/// On threads with `bound`, otherwise the default configuration.
-fn build_bound(ast: &NetAst, bound: Option<usize>) -> Net {
-    let cfg = RunCfg {
-        bound,
-        ..RunCfg::default()
-    };
-    build_full(ast, cfg, Arc::new(ThreadPerComponent), None)
-}
-
-/// On unbounded edges: what the bounded runs are compared against.
-fn build(ast: &NetAst) -> Net {
-    build_bound(ast, None)
-}
-
-/// A nested det-only tree: `((id ! <k>) | (id ! <k>)) | ...`, `depth`
-/// parallels deep.
-fn det_tree(depth: usize) -> NetAst {
-    let mut ast = NetAst::split_det(NetAst::boxref("id"), "k");
-    for _ in 0..depth {
-        ast = NetAst::parallel_det(ast.clone(), NetAst::split_det(NetAst::boxref("id"), "k"));
-    }
-    ast
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every record comes out exactly once, payloads intact.
+    /// Every record the program makes comes out exactly once, payloads
+    /// and tags intact; under chaos, less only what the poisoned boxes
+    /// skip.
     #[test]
-    fn records_are_conserved_through_any_topology(
-        ast in arb_net(),
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
-    ) {
-        let mut got = drive(build(&ast), &xs);
-        prop_assert_eq!(got.len(), xs.len(), "record count changed in {:?}", ast);
-        let mut want = xs.clone();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
+    fn records_are_conserved_through_any_topology(case in Cases::default()) {
+        check(case)?;
     }
 
-    /// Fully deterministic topologies additionally preserve ORDER.
+    /// Programs whose fans are all det output the oracle's sequence.
     #[test]
-    fn det_only_topologies_preserve_order(
-        depth in 1usize..4,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
-    ) {
-        prop_assert_eq!(drive(build(&det_tree(depth)), &xs), xs);
+    fn det_only_topologies_preserve_order(case in Cases { det: true, ..Cases::default() }) {
+        prop_assert!(case.want.ordered);
+        check(case)?;
     }
 
-    /// Bounding an arbitrary topology changes *when* producers run,
-    /// never *what* comes out: the delivered multiset equals the
-    /// unbounded run's, even at bound 1 (maximum pressure).
+    /// A bound of 1–8 changes when producers run, never what comes out.
     #[test]
     fn bounded_topologies_deliver_the_same_records(
-        ast in arb_net(),
-        bound in 1usize..9,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..40),
+        case in Cases { bounded: true, ..Cases::default() },
     ) {
-        let mut unbounded = drive(build(&ast), &xs);
-        let mut bounded = drive(build_bound(&ast, Some(bound)), &xs);
-        unbounded.sort();
-        bounded.sort();
-        prop_assert_eq!(bounded, unbounded, "bound {} changed output of {:?}", bound, ast);
+        check(case)?;
     }
 
-    /// Under a fully deterministic topology the comparison tightens to
-    /// exact sequence equality: credit waits must not perturb sort
-    /// record interleaving.
+    /// Under a bound of 1–8 and det fans, credit waits do not perturb
+    /// the output sequence.
     #[test]
     fn bounded_det_topologies_preserve_order(
-        depth in 1usize..4,
-        bound in 1usize..6,
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
+        case in Cases { det: true, bounded: true, chaos: false },
     ) {
-        prop_assert_eq!(drive(build_bound(&det_tree(depth), Some(bound)), &xs), xs);
-    }
-}
-
-/// Output multiset plus the fault counters of one chaos run.
-#[derive(Debug, PartialEq, Eq)]
-struct SoakOutcome {
-    /// Sorted (x, k) payloads that made it through.
-    out: Vec<(i64, i64)>,
-    injected: u64,
-    skipped: u64,
-    panics: u64,
-}
-
-fn soak_run(
-    ast: &NetAst,
-    chaos: Option<Chaos>,
-    fuse: bool,
-    executor: Arc<dyn Executor>,
-    xs: &[(i64, i64)],
-) -> SoakOutcome {
-    let cfg = RunCfg {
-        bound: None,
-        fuse,
-        fault_policy: FaultPolicy::SkipRecord,
-        ..RunCfg::default()
-    };
-    let net = build_full(ast, cfg, executor, chaos.as_ref());
-    let metrics = Arc::clone(net.metrics());
-    let mut out = drive(net, xs);
-    out.sort();
-    SoakOutcome {
-        out,
-        injected: chaos.map_or(0, |c| c.panics()),
-        skipped: metrics.sum_matching("records_skipped"),
-        panics: metrics.get("runtime/component_panics"),
+        prop_assert!(case.want.ordered);
+        check(case)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The chaos soak (see `tests/common/chaos.rs`): a seeded injector
-    /// panics boxes at random inside arbitrary topologies under the
-    /// `SkipRecord` policy, across {thread-per-component, pool(2)} ×
-    /// {fused, unfused}. The net must never hang, every record must
-    /// either come out intact or be accounted for by exactly one
-    /// skip, and all four configurations must agree — a decision is
-    /// keyed by (seed, box name, record content), none of which
-    /// executor choice, fusion or a nondet merge's schedule can
-    /// change (an arrival index can: behind an `id || id` tie both the
-    /// index and the lane depend on the schedule). With chaos off
-    /// the run is indistinguishable from an unguarded one.
+    /// One chaos program in every {fused, unfused} × {pool(1), pool(2)}
+    /// configuration, each with an injector of its own: every one
+    /// outputs what the oracle over `Chaos::skip` says, and counts one
+    /// skipped record and one contained fault per injected panic.
     #[test]
     fn chaos_soak_contains_faults_identically_across_configs(
-        ast in arb_net(),
-        xs in proptest::collection::vec((0i64..1_000_000, 0i64..5), 0..30),
+        case in Cases { chaos: true, ..Cases::default() },
     ) {
-        // CI pins SNET_CHAOS_SEED for reproducible logs; default is a
-        // fixed constant so local runs are deterministic too. Each
-        // configuration gets an injector (and a panic count) of its own.
-        let chaos = || Chaos::from_env(0xC0FFEE, 0.05);
-
-        let configs: Vec<(&str, bool, Arc<dyn Executor>)> = vec![
-            ("threads/fused", true, Arc::new(ThreadPerComponent)),
-            ("threads/unfused", false, Arc::new(ThreadPerComponent)),
-            ("pool2/fused", true, Arc::new(WorkStealingPool::new(2))),
-            ("pool2/unfused", false, Arc::new(WorkStealingPool::new(2))),
-        ];
-        let mut outcomes = Vec::new();
-        for (name, fuse, executor) in configs {
-            let ast2 = ast.clone();
-            let xs2 = xs.to_vec();
-            let chaos2 = chaos();
-            let outcome = on_own_thread(move || {
-                soak_run(&ast2, Some(chaos2), fuse, executor, &xs2)
-            }).map_err(TestCaseError::Fail)?;
-            // Containment accounting: every injected panic is exactly
-            // one skipped record and one contained fault, and nothing
-            // else goes missing.
-            prop_assert_eq!(outcome.skipped, outcome.injected, "{}: {:?}", name, ast);
-            prop_assert_eq!(outcome.panics, outcome.injected, "{}: {:?}", name, ast);
-            prop_assert_eq!(
-                outcome.out.len() as u64,
-                xs.len() as u64 - outcome.skipped,
-                "{}: lost records beyond the skipped ones in {:?}", name, ast
-            );
-            // Survivors are a sub-multiset of the inputs.
-            let mut want = xs.to_vec();
-            want.sort();
-            let mut w = want.iter().peekable();
-            for got in &outcome.out {
-                while w.peek().is_some_and(|x| *x < got) { w.next(); }
-                prop_assert_eq!(w.next(), Some(got), "{}: fabricated record", name);
-            }
-            outcomes.push((name, outcome));
+        for (fuse, pool) in [(true, 0), (false, 0), (true, 1), (false, 1)] {
+            check(Case {
+                src: case.src.clone(),
+                inputs: case.inputs.clone(),
+                cfg: Config { fuse, pool, ..case.cfg },
+                chaos: Some(chaos()),
+                want: case.want.clone(),
+            })?;
         }
-        // All four configurations saw the same poison records.
-        for pair in outcomes.windows(2) {
-            prop_assert_eq!(
-                &pair[0].1, &pair[1].1,
-                "configs {} and {} diverged on {:?}", pair[0].0, pair[1].0, ast
-            );
-        }
+    }
+}
 
-        // Chaos off: the guarded pipeline is a transparent wrapper —
-        // nothing skipped, nothing lost, full multiset out.
-        let ast2 = ast.clone();
-        let xs2 = xs.to_vec();
-        let clean = on_own_thread(move || {
-            soak_run(&ast2, None, true, Arc::new(ThreadPerComponent), &xs2)
-        }).map_err(TestCaseError::Fail)?;
-        prop_assert_eq!(clean.injected, 0);
-        prop_assert_eq!(clean.skipped, 0);
-        prop_assert_eq!(clean.panics, 0);
-        let mut want = xs.clone();
-        want.sort();
-        prop_assert_eq!(clean.out, want);
+/// A star behind a box: `inc`'s `{x}` output enters neither the star's
+/// exit pass-through `{<z>}` nor its loop `{x, <k>, <n>}` outright, so
+/// the net's input type must offer both. `Net::send` admits the records
+/// that enter the loop, and the net outputs what the oracle says.
+#[test]
+fn a_star_behind_a_box_admits_the_records_that_enter_its_loop() {
+    let src = format!("{BOXES}\nnet main = inc .. (fork .. step) * {{<z>}};");
+    let inputs: Vec<Record> = (0..12i64)
+        .map(|i| {
+            let r = Record::build().field("x", i).tag("k", i % 3);
+            r.tag("n", i % 3).finish()
+        })
+        .collect();
+    let want = oracle::run(&reference_plan(&src, false, None), inputs.clone()).unwrap();
+    assert!(want.ordered && want.records.len() > inputs.len());
+    for (name, exec) in pools() {
+        let b = NetBuilder::from_source(&src).unwrap();
+        let b = bindings().into_iter().fold(b, |b, (n, f)| b.bind(n, f));
+        let net = b.executor(exec).build("main").unwrap();
+        for rec in &inputs {
+            net.send(rec.clone()).unwrap();
+        }
+        assert_eq!(net.finish(), want.records, "{name}");
     }
 }
 

@@ -8,16 +8,21 @@
 //! work, carried in the record's hidden correlation word, is neither
 //! forgeable nor observable from outside.
 //! Ingress overload (`Shed`/`Timeout`) surfaces as typed errors at
-//! the `Service::call` boundary, and deterministic combinators keep
-//! their byte-identity guarantee behind the front door.
+//! the `Service::call` boundary, and deterministic combinators answer
+//! each request with the sequential reference's records behind the
+//! front door.
 
-mod common;
+mod common {
+    pub mod chaos;
+    pub mod pools;
+}
 
 use common::chaos::Chaos;
+use common::pools::pools;
 use snet_runtime::sched::{Completion, TaskFuture};
 use snet_runtime::{
-    CallError, CallOpts, Emitter, Executor, FaultPolicy, Net, NetBuilder, OverloadPolicy,
-    SendRejected, Service, ThreadPerComponent, WorkStealingPool,
+    oracle, Bindings, CallError, CallOpts, Emitter, Executor, FaultPolicy, Net, NetBuilder,
+    OverloadPolicy, SendRejected, Service,
 };
 use snet_types::Record;
 use std::future::Future;
@@ -27,24 +32,12 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-/// The {threads, pool(2)} × {fused, unfused} matrix every correlation
+/// The {pool(1), pool(2)} × {fused, unfused} matrix every correlation
 /// scenario runs under. Executors are built fresh per leg (a pool is
 /// tied to the nets spawned on it).
 fn matrix() -> Vec<(String, Arc<dyn Executor>, bool)> {
-    let mut legs: Vec<(String, Arc<dyn Executor>, bool)> = Vec::new();
-    for fuse in [true, false] {
-        legs.push((
-            format!("threads/fuse={fuse}"),
-            Arc::new(ThreadPerComponent) as Arc<dyn Executor>,
-            fuse,
-        ));
-        legs.push((
-            format!("pool(2)/fuse={fuse}"),
-            Arc::new(WorkStealingPool::new(2)) as Arc<dyn Executor>,
-            fuse,
-        ));
-    }
-    legs
+    let legs = |fuse: bool| pools().map(|(name, exec)| (format!("{name}/fuse={fuse}"), exec, fuse));
+    legs(true).into_iter().chain(legs(false)).collect()
 }
 
 /// `slow (a) -> (r)` sleeps; `fast (b) -> (r)` doesn't. Type-routed
@@ -76,7 +69,10 @@ fn slow_fast_net(exec: Arc<dyn Executor>) -> Net {
 
 #[test]
 fn out_of_order_completions_across_nondet_merge() {
-    for (leg, exec, _) in matrix().into_iter().filter(|(_, _, fuse)| !fuse) {
+    // `slow` holds its worker while it sleeps, so `fast` can overtake it
+    // only on a second one.
+    let legs = matrix().into_iter();
+    for (leg, exec, _) in legs.filter(|(leg, _, fuse)| !fuse && leg.starts_with("pool(2)")) {
         let svc = Service::start(slow_fast_net(exec));
         let slow = svc
             .call(Record::build().field("a", 111i64).finish())
@@ -270,72 +266,71 @@ fn shed_and_timeout_surface_at_call() {
     svc.shutdown();
 }
 
-/// Deterministic combinators behind the front door: per-request
-/// response sequences are byte-identical across every executor ×
-/// fusion leg, and at a tight and no stream bound, even with 8
-/// callers racing.
+/// Deterministic combinators behind the front door: each request's
+/// response is the sequential reference's records for that request, on
+/// every executor × fusion leg and at a tight and no stream bound, even
+/// with 8 callers racing.
 #[test]
 fn det_byte_identity_per_request_across_matrix() {
+    const SRC: &str = "box rep (x, <c>) -> (r);
+                       box sink (r) -> (r);
+                       net main = ((rep | rep) ! <k>) .. sink;";
+    const N: usize = 200;
+    fn rep(rec: &Record, em: &mut Emitter) {
+        let x = rec.field("x").unwrap().as_int().unwrap();
+        for i in 0..rec.tag("c").unwrap() {
+            em.emit(Record::build().field("r", x * 10 + i).finish());
+        }
+    }
+    fn sink(rec: &Record, em: &mut Emitter) {
+        em.emit(rec.clone())
+    }
+    fn request(i: usize) -> Record {
+        let rec = Record::build()
+            .field("x", i as i64)
+            .tag("c", 1 + (i as i64) % 3);
+        rec.tag("k", (i as i64) % 5).finish()
+    }
+    let program = snet_lang::parse_program(SRC).unwrap();
+    let (env, ast) = (program.env().unwrap(), &program.net("main").unwrap().body);
+    let b = Bindings::new().bind("rep", rep).bind("sink", sink);
+    let plan = snet_runtime::compile_cfg(ast, &env, &b, false).unwrap();
+    let want: Vec<Vec<i64>> = (0..N)
+        .map(|i| rs(&oracle::run(&plan, [request(i)]).unwrap().records))
+        .collect();
+
     let run_leg = |exec: Arc<dyn Executor>, fuse: bool, bound: Option<usize>| -> Vec<Vec<i64>> {
-        let net = NetBuilder::from_source(
-            "box rep (x, <c>) -> (y);
-             box sink (y) -> (y);
-             net main = ((rep | rep) ! <k>) .. sink;",
-        )
-        .unwrap()
-        .bind("rep", |rec, em| {
-            let x = rec.field("x").unwrap().as_int().unwrap();
-            let c = rec.tag("c").unwrap();
-            for i in 0..c {
-                em.emit(Record::build().field("y", x * 10 + i).finish());
-            }
-        })
-        .bind("sink", |r, e| e.emit(r.clone()))
-        .executor(exec)
-        .fuse(fuse);
+        let net = NetBuilder::from_source(SRC)
+            .unwrap()
+            .bind("rep", rep)
+            .bind("sink", sink)
+            .executor(exec)
+            .fuse(fuse);
         let net = match bound {
             Some(n) => net.bound(n),
             None => net.unbounded(),
         };
         let svc = Service::start(net.build("main").unwrap());
-        const N: usize = 200;
         let mut out: Vec<Vec<i64>> = vec![Vec::new(); N];
         std::thread::scope(|s| {
             let svc = &svc;
             let threads: Vec<_> = (0..8usize)
                 .map(|t| {
                     s.spawn(move || {
-                        let mut mine = Vec::new();
-                        let mut i = t;
-                        while i < N {
-                            let c = 1 + (i as i64) % 3;
-                            let h = svc
-                                .call_with(
-                                    Record::build()
-                                        .field("x", i as i64)
-                                        .tag("c", c)
-                                        .tag("k", (i as i64) % 5)
-                                        .finish(),
-                                    CallOpts {
-                                        expect: c as usize,
-                                        policy: None,
-                                    },
-                                )
-                                .unwrap();
-                            mine.push((i, h));
-                            i += 8;
-                        }
-                        mine.into_iter()
-                            .map(|(i, h)| {
-                                let ys = h
-                                    .wait()
-                                    .unwrap()
-                                    .records
-                                    .iter()
-                                    .map(|r| r.field("y").unwrap().as_int().unwrap())
-                                    .collect::<Vec<_>>();
-                                (i, ys)
+                        let calls: Vec<_> = (t..N)
+                            .step_by(8)
+                            .map(|i| {
+                                let expect = 1 + i % 3;
+                                let opts = CallOpts {
+                                    expect,
+                                    policy: None,
+                                };
+                                (i, svc.call_with(request(i), opts).unwrap())
                             })
+                            .collect();
+                        calls
+                            .into_iter()
+                            .map(|(i, h)| (i, rs(&h.wait().unwrap().records)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -350,37 +345,21 @@ fn det_byte_identity_per_request_across_matrix() {
         out
     };
 
-    let reference = run_leg(Arc::new(ThreadPerComponent), true, Some(128));
-    for (i, ys) in reference.iter().enumerate() {
-        let want: Vec<i64> = (0..1 + (i as i64) % 3)
-            .map(|j| (i as i64) * 10 + j)
-            .collect();
-        assert_eq!(ys, &want, "request {i}: det emission order");
-    }
-    let pool = || Arc::new(WorkStealingPool::new(2)) as Arc<dyn Executor>;
-    let bounds = [
-        (
-            "pool(2)/fuse=false/bound=64".to_string(),
-            pool(),
-            false,
-            Some(64),
-        ),
-        (
-            "pool(2)/fuse=true/unbounded".to_string(),
-            pool(),
-            true,
-            None,
-        ),
-    ];
     let legs = matrix()
         .into_iter()
         .map(|(leg, exec, fuse)| (leg, exec, fuse, Some(128)));
+    let bounds = [(false, Some(64)), (true, None)].map(|(fuse, bound)| {
+        let [_, (name, exec)] = pools();
+        (
+            format!("{name}/fuse={fuse}/bound={bound:?}"),
+            exec,
+            fuse,
+            bound,
+        )
+    });
     for (leg, exec, fuse, bound) in legs.chain(bounds) {
         let got = run_leg(exec, fuse, bound);
-        assert_eq!(
-            got, reference,
-            "{leg}: det byte-identity behind the front door"
-        );
+        assert_eq!(got, want, "{leg}: the reference behind the front door");
     }
 }
 
@@ -666,12 +645,7 @@ fn records_sent_before_start_go_stray_once_while_calls_race_the_first_drain() {
     const EARLY: i64 = 2_000;
     const CALLERS: usize = 4;
     const PER_CALLER: i64 = 100;
-    let legs: [(&str, Arc<dyn Executor>); 3] = [
-        ("threads", Arc::new(ThreadPerComponent)),
-        ("pool(1)", Arc::new(WorkStealingPool::new(1))),
-        ("pool(4)", Arc::new(WorkStealingPool::new(4))),
-    ];
-    for (leg, exec) in legs {
+    for (leg, exec) in pools() {
         let calling = Arc::new(AtomicUsize::new(0));
         let gate = Arc::clone(&calling);
         let net = NetBuilder::from_source("box echo (x) -> (x); net main = echo;")
@@ -800,8 +774,10 @@ fn splitmix(state: &mut u64) -> u64 {
 /// and three-record requests over the slow‖fast net, give up on some
 /// after a deadline shorter than `slow`, drop some handles unwaited,
 /// and lose some records to seeded `SkipRecord` chaos. Every answer
-/// that arrives must be exactly its own request's, every late one must
-/// count as stray, and nothing may stay in flight.
+/// that arrives must be exactly its own request's, as the oracle over
+/// `Chaos::skip` bodies gives it, a request faults only where the
+/// oracle answers nothing, every late answer must count as stray, and
+/// nothing may stay in flight.
 #[test]
 fn reissued_slots_never_receive_their_previous_requests_records() {
     const CALLERS: u64 = 8;
@@ -811,30 +787,35 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
     // request shapes and patience is drawn from `seed`, fixed.
     let chaos = Chaos::from_env(0x51075, 0.02);
     let seed: u64 = 0x51075;
-    let net = NetBuilder::from_source(
-        "box slow (a, <n>) -> (r);
-         box fast (b, <n>) -> (r);
-         net main = slow || fast;",
-    )
-    .unwrap()
-    .fuse(false)
-    .bind(
-        "slow",
-        chaos.wrap("slow", |rec, em| {
-            std::thread::sleep(Duration::from_micros(400));
-            emit_n("a", rec, em)
-        }),
-    )
-    .bind("fast", chaos.wrap("fast", |rec, em| emit_n("b", rec, em)))
-    .fault_policy(FaultPolicy::SkipRecord)
-    .build("main")
-    .unwrap();
+    const SRC: &str = "box slow (a, <n>) -> (r);
+                       box fast (b, <n>) -> (r);
+                       net main = slow || fast;";
+    let program = snet_lang::parse_program(SRC).unwrap();
+    let (env, ast) = (program.env().unwrap(), &program.net("main").unwrap().body);
+    let b = Bindings::new()
+        .bind("slow", chaos.skip("slow", |rec, em| emit_n("a", rec, em)))
+        .bind("fast", chaos.skip("fast", |rec, em| emit_n("b", rec, em)));
+    let plan = snet_runtime::compile_cfg(ast, &env, &b, false).unwrap();
+    let net = NetBuilder::from_source(SRC)
+        .unwrap()
+        .fuse(false)
+        .bind(
+            "slow",
+            chaos.wrap("slow", |rec, em| {
+                std::thread::sleep(Duration::from_micros(400));
+                emit_n("a", rec, em)
+            }),
+        )
+        .bind("fast", chaos.wrap("fast", |rec, em| emit_n("b", rec, em)))
+        .fault_policy(FaultPolicy::SkipRecord)
+        .build("main")
+        .unwrap();
     let svc = Service::start(net);
 
     // What the callers saw: [completed, abandoned, faulted], and every
     // request id issued.
     let (seen, mut rids): ([u64; 3], Vec<u64>) = std::thread::scope(|s| {
-        let svc = &svc;
+        let (svc, plan) = (&svc, &plan);
         let callers: Vec<_> = (0..CALLERS)
             .map(|t| {
                 s.spawn(move || {
@@ -847,6 +828,7 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
                         let expect = if r & 1 == 0 { 1 } else { 3 };
                         let field = if r & 2 == 0 { "a" } else { "b" };
                         let req = Record::build().field(field, id).tag("n", expect).finish();
+                        let want = rs(&oracle::run(plan, [req.clone()]).unwrap().records);
                         let opts = CallOpts {
                             expect: expect as usize,
                             policy: None,
@@ -865,7 +847,6 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
                         };
                         match h.wait_deadline(Instant::now() + patience) {
                             Ok(resp) => {
-                                let want: Vec<i64> = (0..expect).map(|j| id * 10 + j).collect();
                                 assert_eq!(rs(&resp.records), want, "request {id} misrouted");
                                 ok += 1;
                             }
@@ -873,7 +854,10 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
                                 assert!(patience < Duration::from_secs(1), "request {id} hung");
                                 abandoned += 1;
                             }
-                            Err(CallError::Faulted { .. }) => faulted += 1,
+                            Err(CallError::Faulted { .. }) => {
+                                assert!(want.is_empty(), "request {id} faulted: {want:?}");
+                                faulted += 1;
+                            }
                             Err(e) => panic!("request {id}: {e}"),
                         }
                     }
