@@ -7,20 +7,16 @@
 //! replicas, ≤ 9 replicas per stage / ≤ 729 boxes, throttling to 4
 //! parallel instances, 9×9 solved "in far less than a second").
 //!
-//! Accordingly the harness produces two kinds of output:
+//! Accordingly the crate has two binaries:
 //!
-//! * `cargo bench` — Criterion timings (`benches/`: one target per
-//!   figure, plus the solver, the with-loops, the hybrid comparison
-//!   and the runtime primitives);
 //! * `cargo run --release --bin experiments` — a single-shot run of
 //!   every figure with metrics enabled, printing the behavioural
 //!   table and asserting the paper's bounds; machine-readable rows go
-//!   to `experiments.json`.
-//!
-//! Load through the `Service` door is measured by `src/bin/perf`, the
-//! repo's benchmark (`BENCHMARK.json`).
-
-pub mod door;
+//!   to `experiments.json`. This library holds its helpers.
+//! * `src/bin/perf` — the repo's one benchmark (`BENCHMARK.json`):
+//!   end-to-end load through the `Service` and FIFO doors, the layer
+//!   table and the primitive ledger. It is a package of its own and
+//!   does not use this library.
 
 use std::time::{Duration, Instant};
 
@@ -38,8 +34,9 @@ pub struct ExperimentRow {
     pub paper: String,
     /// Measured value.
     pub measured: f64,
-    /// Whether the paper's claim held.
-    pub holds: bool,
+    /// Whether the paper's claim held; `None` when this host cannot
+    /// judge it (the row counts neither as held nor as failed).
+    pub holds: Option<bool>,
 }
 
 impl ExperimentRow {
@@ -49,7 +46,7 @@ impl ExperimentRow {
         metric: &str,
         paper: &str,
         measured: f64,
-        holds: bool,
+        holds: impl Into<Option<bool>>,
     ) -> ExperimentRow {
         ExperimentRow {
             experiment: experiment.to_string(),
@@ -57,7 +54,7 @@ impl ExperimentRow {
             metric: metric.to_string(),
             paper: paper.to_string(),
             measured,
-            holds,
+            holds: holds.into(),
         }
     }
 }
@@ -77,7 +74,11 @@ pub fn print_table(rows: &[ExperimentRow]) {
             truncate(&r.metric, 34),
             truncate(&r.paper, 26),
             r.measured,
-            if r.holds { "yes" } else { "NO" }
+            match r.holds {
+                Some(true) => "yes",
+                Some(false) => "NO",
+                None => "-",
+            }
         );
     }
 }
@@ -125,7 +126,7 @@ pub fn rows_to_json(rows: &[ExperimentRow]) -> String {
             } else {
                 "null".to_string()
             },
-            r.holds,
+            r.holds.map_or("null".to_string(), |h| h.to_string()),
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -145,8 +146,7 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (v, t0.elapsed())
 }
 
-/// Median wall time of `n` runs (keeps the harness independent of
-/// Criterion for the single-shot experiments binary).
+/// Median wall time of `n` runs.
 pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
     assert!(n >= 1);
     let mut times: Vec<Duration> = (0..n)
@@ -176,6 +176,46 @@ pub fn thread_sweep() -> Vec<usize> {
     v
 }
 
+/// Two cores' worth: a parallel-speedup row is judged only when the
+/// two-thread control reaches this multiple of one thread's rate.
+pub const TWO_CORES: f64 = 1.8;
+
+/// How many threads' worth of work this host runs on two threads: a
+/// fixed ALU loop on one thread, then the same loop on each of two
+/// threads at once, median of three each. 2.0 is two free cores; a
+/// second vCPU that is not a second core, or is busy elsewhere, gives
+/// less.
+pub fn two_thread_control() -> f64 {
+    fn alu_loop() -> u64 {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut acc = 0u64;
+        for i in 0..std::hint::black_box(20_000_000u64) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            acc = acc.wrapping_add(x ^ i);
+        }
+        acc
+    }
+    let on = |threads: usize| {
+        median_time(3, || {
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| std::hint::black_box(alu_loop()));
+                }
+            })
+        })
+    };
+    2.0 * on(1).as_secs_f64() / on(2).as_secs_f64()
+}
+
+/// The rule for a parallel-speedup row ("> 1"): not judged (`None`)
+/// when the host's two-thread `control` is short of [`TWO_CORES`],
+/// else whether `speedup` exceeds 1.
+pub fn judge_speedup(control: f64, speedup: f64) -> Option<bool> {
+    (control >= TWO_CORES).then_some(speedup > 1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +235,16 @@ mod tests {
     }
 
     #[test]
+    fn speedup_rows_are_judged_only_on_two_cores_worth() {
+        assert_eq!(judge_speedup(1.95, 1.4), Some(true));
+        assert_eq!(judge_speedup(TWO_CORES, 1.01), Some(true));
+        assert_eq!(judge_speedup(1.95, 0.9), Some(false));
+        assert_eq!(judge_speedup(1.95, 1.0), Some(false));
+        assert_eq!(judge_speedup(1.33, 0.9), None);
+        assert_eq!(judge_speedup(1.33, 1.4), None);
+    }
+
+    #[test]
     fn rows_serialise_to_json() {
         let rows = vec![ExperimentRow::new(
             "F1",
@@ -208,6 +258,8 @@ mod tests {
         assert!(json.contains("\"experiment\": \"F1\""));
         assert!(json.contains("\"holds\": true"));
         assert!(json.contains("\"measured\": 52"));
+        let unjudged = ExperimentRow::new("S2", "w", "m", "p", 0.9, None);
+        assert!(rows_to_json(&[unjudged]).contains("\"holds\": null"));
     }
 
     #[test]

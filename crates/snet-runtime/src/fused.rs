@@ -12,9 +12,10 @@
 //! component's own stack** — no intermediate [`Msg`]s, channels or
 //! wakeups, which is the whole point: the per-stage tax of an unfused
 //! chain is a channel send, a consumer wakeup and a scheduler
-//! round-trip per record per stage (`RT_record_hop` is
-//! context-switch-bound on small machines), and fusion pays it once
-//! per chain instead of once per stage.
+//! round-trip per record per stage (the benchmark ledger's
+//! `stream.pingpong_ns`, a hop with its wake, is context-switch-bound
+//! on small machines), and fusion pays it once per chain instead of
+//! once per stage.
 //!
 //! **Execution order.** A drain runs **stage-major**, through the one
 //! walk every fan lane uses too (`run_stages`): the drained records go

@@ -99,13 +99,6 @@ pub fn fig2_net(n: usize) -> Result<Net, BuildError> {
     builder(n, Vec::new())?.build_expr(FIG2)
 }
 
-/// Builds the Fig. 2 network on an explicit executor (the
-/// construction-cost benches compare thread-per-component against the
-/// work-stealing pool on this network).
-pub fn fig2_net_on(n: usize, executor: Arc<dyn snet_runtime::Executor>) -> Result<Net, BuildError> {
-    builder(n, Vec::new())?.executor(executor).build_expr(FIG2)
-}
-
 /// Builds the deterministic Fig. 1 network for box size `n`.
 pub fn fig1_det_net(n: usize) -> Result<Net, BuildError> {
     builder(n, Vec::new())?.build_expr(FIG1_DET)

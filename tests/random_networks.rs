@@ -104,22 +104,28 @@ fn bindings() -> [(&'static str, BoxFn); 5] {
     ]
 }
 
-/// A random net of at most `depth` nested combinators, with every fan
-/// det if `det_only`. A star's body ends in `step`, so every record
-/// leaves within `<n> + 1` replicas.
+fn leaf(rng: &mut TestRng) -> NetAst {
+    NetAst::boxref(["id", "inc", "drop", "fork", "step"][rng.usize_below(5)])
+}
+
+/// A random net of one to `depth` (≥ 1) nested combinators, with every
+/// fan det if `det_only`. The top is always a combinator: a lone box
+/// would spend a case on one of five one-box programs. A star's body
+/// ends in `step`, so every record leaves within `<n> + 1` replicas.
 /// A parallel's right branch starts with a box; its left branch
 /// starts with [`ROUTE`], so that no record matches both equally well,
 /// or is the same operand, so that a tie does not change the output.
 fn draw_net(rng: &mut TestRng, depth: u32, det_only: bool) -> NetAst {
-    let leaf = |rng: &mut TestRng| {
-        NetAst::boxref(["id", "inc", "drop", "fork", "step"][rng.usize_below(5)])
-    };
-    if depth == 0 || rng.usize_below(3) == 0 {
-        return leaf(rng);
-    }
     // Mostly det: one nondet fan anywhere leaves only the multiset.
     let det = det_only || rng.usize_below(4) > 0;
-    let sub = |rng: &mut TestRng| draw_net(rng, depth - 1, det_only);
+    // Below the top, a box one time in three.
+    let sub = |rng: &mut TestRng| {
+        if depth == 1 || rng.usize_below(3) == 0 {
+            leaf(rng)
+        } else {
+            draw_net(rng, depth - 1, det_only)
+        }
+    };
     match rng.usize_below(4) {
         0 => NetAst::serial(sub(rng), sub(rng)),
         1 => {
