@@ -25,9 +25,8 @@
 //! The [`Emitter`] keeps the incoming record and the plan, and each
 //! emitted record inherits straight from the incoming record's excess
 //! slots ([`Record::inherit_from`]), moving its own values and copying
-//! only the inherited ones. The incoming record is never mutated, so a
-//! retried application (the `Restart` fault policy) re-reads it
-//! unchanged. When the record's shape *is* the input type (the
+//! only the inherited ones. The incoming record is never mutated, so
+//! the record a fault guard drops is the one the box was given. When the record's shape *is* the input type (the
 //! overwhelmingly common monomorphic-stream case) the plan is the
 //! identity: the box is handed the incoming record itself and
 //! inheritance returns each output untouched, so the hop copies

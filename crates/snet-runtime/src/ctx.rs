@@ -79,8 +79,7 @@ pub struct RunCfg {
     /// What `Net::send` does when the bounded ingress edge is full.
     pub overload: OverloadPolicy,
     /// What a box/filter panic does to the net (see
-    /// [`crate::fault`]): fail it (default), skip the poison record,
-    /// or restart the stage with backoff.
+    /// [`crate::fault`]): fail it (default) or skip the poison record.
     pub fault_policy: FaultPolicy,
 }
 
@@ -277,7 +276,7 @@ impl Ctx {
     }
 
     /// Subscribes a fault observer: called synchronously for every
-    /// contained fault in this net (guarded-core skips/restarts and
+    /// contained fault in this net (guarded-core skips and
     /// component-level deaths). See [`crate::fault`].
     pub fn on_fault(&self, obs: FaultObserver) {
         self.faults.subscribe(obs);

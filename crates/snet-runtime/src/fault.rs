@@ -25,22 +25,21 @@
 //!   to its deadline).
 //! * **What happens next** is the per-net [`FaultPolicy`]:
 //!   [`FaultPolicy::FailNet`] (the default: the stage has no guard,
-//!   the panic unwinds its component and `join_all` propagates it),
+//!   the panic unwinds its component and `join_all` propagates it) or
 //!   [`FaultPolicy::SkipRecord`] (drop the poison record, count it
-//!   under `records_skipped`, keep the component alive) and
-//!   [`FaultPolicy::Restart`] (re-run the stateless stage on the same
-//!   record with bounded exponential backoff, giving up to a skip
-//!   once the retry budget is spent).
+//!   under `records_skipped`, keep the component alive). There is no
+//!   retry: boxes are stateless functions of their record, so a
+//!   second run on the record that made one panic panics again.
 //!
-//! # Emission buffering (why retries cannot duplicate output)
+//! # Emission buffering (why a skip publishes nothing)
 //!
 //! A guarded stage buffers its emissions in a scratch vector and
-//! flushes to the real sink only after the record's attempt
-//! *succeeded*. A panic mid-emission therefore publishes nothing: a
-//! retried record starts from a clean buffer, and a skipped record
+//! flushes to the real sink only after the record's run *succeeded*.
+//! A panic mid-emission therefore publishes nothing: a skipped record
 //! contributes no output at all — exactly like a box that chose to
-//! emit nothing. Downstream components, merge barriers and the serve
-//! egress never see a partial cascade.
+//! emit nothing — and the next record starts from a clean buffer.
+//! Downstream components, merge barriers and the serve egress never
+//! see a partial cascade.
 //!
 //! # Why `SkipRecord` cannot break deterministic merging
 //!
@@ -51,8 +50,8 @@
 //! zero records for it, which the det-merge protocol already handles:
 //! round boundaries still arrive on every branch, in order. Det
 //! output remains byte-identical across {fused, unfused} ×
-//! {threads, pool} with any policy; a guarded stage whose body never
-//! panics is a single always-successful attempt.
+//! {threads, pool} with either policy; a guarded stage whose body
+//! never panics is a transparent wrapper.
 //!
 //! # Exercising the failure paths
 //!
@@ -66,7 +65,6 @@ use snet_types::Record;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What the runtime does when a box or filter stage panics while
 /// processing a record. Per net ([`crate::NetBuilder::fault_policy`]
@@ -83,18 +81,10 @@ pub enum FaultPolicy {
     /// Drop the poison record (counted under `{path}/records_skipped`
     /// and raised as a [`Fault`] with the record attached), keep the
     /// component alive. The net's output simply misses that record's
-    /// contribution, like a box that emitted nothing.
+    /// contribution, like a box that emitted nothing. The guard lives
+    /// inside the stage core, so a stage of a fused run skips exactly
+    /// as a standalone one does.
     SkipRecord,
-    /// Re-run the stage on the same record up to `max_retries` times
-    /// with exponential backoff (`backoff`, `2·backoff`,
-    /// `4·backoff`, …), then give up to [`FaultPolicy::SkipRecord`]
-    /// semantics. Sound for S-Net stages because the paper requires
-    /// boxes to be stateless. The guard lives inside the stage core,
-    /// so a stage of a fused run retries exactly as a standalone one
-    /// does; in either topology the backoff sleep blocks the worker
-    /// running the stage — in a fused net, the whole net — so keep it
-    /// small.
-    Restart { max_retries: u32, backoff: Duration },
 }
 
 /// One contained component failure, as delivered to
@@ -108,8 +98,8 @@ pub struct Fault {
     /// The panic message (payload downcast to a string when
     /// possible).
     pub msg: String,
-    /// The poison record, when the policy dropped it (terminal skip).
-    /// `None` for component-level deaths and recovered restarts.
+    /// The poison record, when the policy dropped it. `None` for
+    /// component-level deaths.
     pub dropped: Option<Record>,
 }
 
@@ -125,13 +115,13 @@ pub type FaultObserver = Arc<dyn Fn(&Fault) + Send + Sync>;
 const FAULT_LOG_CAP: usize = 1024;
 
 /// The per-net fault channel: every contained fault — guarded-core
-/// skips/restarts *and* component-level deaths reported by the
-/// tracker ([`crate::sched::Tracker`]) — funnels through here to
-/// metrics, subscribers and the fault log. One per [`crate::Ctx`].
+/// skips *and* component-level deaths reported by the tracker
+/// ([`crate::sched::Tracker`]) — funnels through here to metrics,
+/// subscribers and the fault log. One per [`crate::Ctx`].
 pub(crate) struct FaultHub {
     metrics: Arc<Metrics>,
-    /// `runtime/component_panics`: fault incidents (one per faulted
-    /// record or dead component, not per retry attempt).
+    /// `runtime/component_panics`: fault incidents (one per skipped
+    /// record or dead component).
     component_panics: Counter,
     subscribers: Mutex<Vec<FaultObserver>>,
     log: Mutex<VecDeque<Fault>>,
@@ -204,12 +194,8 @@ pub(crate) struct FaultGuard {
     hub: Arc<FaultHub>,
     path: CompPath,
     skipped: Counter,
-    restarts: Counter,
-    /// Retries before a skip: 0 under [`FaultPolicy::SkipRecord`].
-    max_retries: u32,
-    backoff: Duration,
     /// Emission buffer: flushed to the real sink only after a
-    /// successful attempt (see module docs).
+    /// successful run (see module docs).
     buf: Vec<Record>,
 }
 
@@ -221,86 +207,51 @@ impl FaultGuard {
         metrics: &Arc<Metrics>,
         path: CompPath,
     ) -> Option<FaultGuard> {
-        let (max_retries, backoff) = match policy {
-            FaultPolicy::FailNet => return None,
-            FaultPolicy::SkipRecord => (0, Duration::ZERO),
-            FaultPolicy::Restart {
-                max_retries,
-                backoff,
-            } => (max_retries, backoff),
-        };
-        let [skipped, restarts] =
-            metrics.counters_at(path, [name!(keys::RECORDS_SKIPPED), name!(keys::RESTARTS)]);
+        if policy == FaultPolicy::FailNet {
+            return None;
+        }
+        let [skipped] = metrics.counters_at(path, [name!(keys::RECORDS_SKIPPED)]);
         Some(FaultGuard {
             hub: Arc::clone(hub),
             path,
             skipped,
-            restarts,
-            max_retries,
-            backoff,
             buf: Vec::new(),
         })
     }
 
-    /// Runs one record through `body` under the fault policy.
-    /// Emissions buffer in the guard and flush to `sink` only on
-    /// success; the return value is the emission count (0 for a
-    /// skipped record).
+    /// Runs one record through `body`: catches a panic, buffers the
+    /// emissions, then flushes them to `sink` on success or drops them
+    /// with the record on a panic. The return value is the emission
+    /// count (0 for a skipped record).
     pub(crate) fn run(
         &mut self,
         rec: &Record,
         sink: &mut dyn FnMut(Record),
         body: &mut StageBody<'_>,
     ) -> u64 {
-        let mut attempt: u32 = 0;
-        let mut last_msg = String::new();
-        loop {
-            self.buf.clear();
-            let buf = &mut self.buf;
-            // The cores' state is append-only memo caches, safe to
-            // reuse after an unwind; the emission buffer is cleared
-            // per attempt, so a partial cascade never leaks.
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                body(rec, &mut |r| buf.push(r))
-            }));
-            match res {
-                Ok(n) => {
-                    if attempt > 0 {
-                        // Recovered after restart: still a fault
-                        // incident (a real transient bug), but nothing
-                        // was dropped.
-                        self.hub.raise(Fault {
-                            component: self.path.as_str().to_string(),
-                            msg: format!("recovered after {attempt} restart(s): {last_msg}"),
-                            dropped: None,
-                        });
-                    }
-                    for r in self.buf.drain(..) {
-                        sink(r);
-                    }
-                    return n;
+        // The cores' state is append-only memo caches, safe to reuse
+        // after an unwind; the buffer is cleared per record, so a
+        // partial cascade never leaks.
+        self.buf.clear();
+        let buf = &mut self.buf;
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(rec, &mut |r| buf.push(r))
+        }));
+        match res {
+            Ok(n) => {
+                for r in self.buf.drain(..) {
+                    sink(r);
                 }
-                Err(payload) => {
-                    last_msg = payload_msg(payload.as_ref());
-                    if attempt < self.max_retries {
-                        self.restarts.inc(1);
-                        let delay = self.backoff.saturating_mul(1u32 << attempt.min(16));
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        attempt += 1;
-                        continue;
-                    }
-                    // Retry budget spent (or SkipRecord): drop the
-                    // poison record, keep the component alive.
-                    self.skipped.inc(1);
-                    self.hub.raise(Fault {
-                        component: self.path.as_str().to_string(),
-                        msg: last_msg,
-                        dropped: Some(rec.clone()),
-                    });
-                    return 0;
-                }
+                n
+            }
+            Err(payload) => {
+                self.skipped.inc(1);
+                self.hub.raise(Fault {
+                    component: self.path.as_str().to_string(),
+                    msg: payload_msg(payload.as_ref()),
+                    dropped: Some(rec.clone()),
+                });
+                0
             }
         }
     }
@@ -350,73 +301,32 @@ mod tests {
     }
 
     #[test]
-    fn guard_buffers_emissions_across_retries() {
-        // First attempt emits one record then panics; the retry
-        // succeeds with two emissions. The sink must see exactly the
-        // successful attempt's records — no duplicate from attempt 0.
+    fn a_skipped_record_publishes_nothing_it_emitted() {
+        // The first record emits one output, then panics: nothing
+        // reaches the sink. The next record through the same guard
+        // flushes its own two outputs and nothing of the first's.
         let metrics = Metrics::new();
         let hub = FaultHub::new(Arc::clone(&metrics));
-        let path = CompPath::root("net").child("box:flaky");
-        let mut g = FaultGuard::for_stage(
-            FaultPolicy::Restart {
-                max_retries: 2,
-                backoff: Duration::ZERO,
-            },
-            &hub,
-            &metrics,
-            path,
-        )
-        .unwrap();
-        let rec = Record::build().field("x", 7i64).finish();
+        let path = CompPath::root("net").child("box:half");
+        let mut g = FaultGuard::for_stage(FaultPolicy::SkipRecord, &hub, &metrics, path).unwrap();
         let mut out = Vec::new();
-        let mut calls = 0u32;
-        let n = g.run(&rec, &mut |r| out.push(r), &mut |r, sink| {
-            calls += 1;
+        let mut body = |r: &Record, sink: &mut dyn FnMut(Record)| {
             sink(r.clone());
-            if calls == 1 {
-                panic!("transient");
+            if r.field("x").unwrap().as_int() == Some(1) {
+                panic!("after one emission");
             }
             sink(r.clone());
             2
-        });
-        assert_eq!(n, 2);
-        assert_eq!(out.len(), 2, "attempt 0's partial emission must not leak");
-        assert_eq!(metrics.get("net/box:flaky/restarts"), 1);
-        // Recovered: one incident raised, nothing dropped.
-        assert_eq!(metrics.get(keys::COMPONENT_PANICS), 1);
-        assert!(hub.faults()[0].dropped.is_none());
-    }
-
-    #[test]
-    fn restart_budget_exhausts_to_skip() {
-        let metrics = Metrics::new();
-        let hub = FaultHub::new(Arc::clone(&metrics));
-        let path = CompPath::root("net").child("box:dead");
-        let mut g = FaultGuard::for_stage(
-            FaultPolicy::Restart {
-                max_retries: 3,
-                backoff: Duration::ZERO,
-            },
-            &hub,
-            &metrics,
-            path,
-        )
-        .unwrap();
-        let rec = Record::build().field("x", 1i64).finish();
-        let mut attempts = 0u32;
-        let n = g.run(&rec, &mut |_r| {}, &mut |_r, _sink| {
-            attempts += 1;
-            panic!("always")
-        });
-        assert_eq!(n, 0);
-        assert_eq!(attempts, 4, "initial attempt + 3 retries");
-        assert_eq!(metrics.get("net/box:dead/restarts"), 3);
-        assert_eq!(metrics.get("net/box:dead/records_skipped"), 1);
-        assert_eq!(
-            metrics.get(keys::COMPONENT_PANICS),
-            1,
-            "one incident, not four"
+        };
+        let (poison, next) = (
+            Record::build().field("x", 1i64).finish(),
+            Record::build().field("x", 2i64).finish(),
         );
+        assert_eq!(g.run(&poison, &mut |r| out.push(r), &mut body), 0);
+        assert!(out.is_empty(), "a skipped record leaked {out:?}");
+        assert_eq!(g.run(&next, &mut |r| out.push(r), &mut body), 2);
+        assert_eq!(out, vec![next.clone(), next]);
+        assert_eq!(metrics.get("net/box:half/records_skipped"), 1);
     }
 
     #[test]

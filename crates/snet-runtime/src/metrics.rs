@@ -344,20 +344,14 @@ pub mod keys {
     /// requests at the serve front door.
     pub const SERVE_INFLIGHT: &str = "serve/inflight";
     /// Counter (full key): fault incidents across the net — one per
-    /// faulted record (skipped or recovered-by-restart) or dead
-    /// component, not per retry attempt. See [`crate::fault`].
+    /// skipped record or dead component. See [`crate::fault`].
     pub const COMPONENT_PANICS: &str = "runtime/component_panics";
     /// Fault incidents at one component (suffix, keyed
     /// `{path}/panics`).
     pub const PANICS: &str = "panics";
     /// Poison records dropped at one guarded stage (suffix, keyed
-    /// `{path}/records_skipped`; terminal skips only — a record
-    /// recovered by restart is not skipped).
+    /// `{path}/records_skipped`; one per panic the guard caught).
     pub const RECORDS_SKIPPED: &str = "records_skipped";
-    /// Restart attempts at one guarded stage (suffix, keyed
-    /// `{path}/restarts`; one per retry, so a record that needed two
-    /// attempts counts one restart).
-    pub const RESTARTS: &str = "restarts";
     /// Counter (full key): serve requests resolved as
     /// [`crate::CallError::Faulted`] because a component fault
     /// dropped one of their records.

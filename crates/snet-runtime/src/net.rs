@@ -240,11 +240,9 @@ impl NetBuilder {
 
     /// Selects what a box/filter panic does to this network (see
     /// [`crate::fault`]): fail the whole net
-    /// ([`FaultPolicy::FailNet`], the default), drop the poison
+    /// ([`FaultPolicy::FailNet`], the default), or drop the poison
     /// record and keep the component alive
-    /// ([`FaultPolicy::SkipRecord`]), or retry the stage with bounded
-    /// exponential backoff before giving up to a skip
-    /// ([`FaultPolicy::Restart`]). Deterministic merge output is
+    /// ([`FaultPolicy::SkipRecord`]). Deterministic merge output is
     /// unaffected by containment — see the failure-model notes in
     /// [`crate::sched`].
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
@@ -253,8 +251,8 @@ impl NetBuilder {
     }
 
     /// Registers a fault observer: called synchronously with every
-    /// contained [`Fault`] (skipped records, restarts that recovered,
-    /// component deaths) — the same faults [`Net::faults`] logs.
+    /// contained [`Fault`] (skipped records and component deaths) —
+    /// the same faults [`Net::faults`] logs.
     pub fn on_fault(mut self, obs: FaultObserver) -> Self {
         self.fault_observers.push(obs);
         self
@@ -727,10 +725,6 @@ mod tests {
             fn(NetBuilder) -> NetBuilder,
             fn(&mut RunCfg),
         );
-        const RESTART: FaultPolicy = FaultPolicy::Restart {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-        };
         let cases: [Case; 7] = [
             (None, |b| b, |_| ()),
             (None, |b| b.bound(8), |c| c.bound = Some(8)),
@@ -738,8 +732,8 @@ mod tests {
             (None, |b| b.fuse(false), |c| c.fuse = false),
             (
                 None,
-                |b| b.fault_policy(RESTART),
-                |c| c.fault_policy = RESTART,
+                |b| b.fault_policy(FaultPolicy::SkipRecord),
+                |c| c.fault_policy = FaultPolicy::SkipRecord,
             ),
             (Some(" 3 "), |b| b, |c| c.workers = Some(3)),
             // Every other setter, the last call of one winning.

@@ -77,8 +77,8 @@
 //! `"dispatch"` bound gates the lane edges a net has, and a fused net
 //! has none — the default bound still applies to the run's input and
 //! output edges. Fault containment lives inside the stage cores, keyed
-//! by stage paths fusion preserves, so `SkipRecord` and `Restart` act
-//! on a stage the same way in either topology. One
+//! by stage paths fusion preserves, so `SkipRecord` acts on a stage
+//! the same way in either topology. One
 //! structural assumption rides along: every stream a fan's merge
 //! consumes originates in one of its own lanes, which holds by
 //! construction for all three combinators.

@@ -216,8 +216,7 @@
 //!    resolve affected requests instead of letting callers hang.
 //!
 //! Task-boundary death is the *backstop*. Under
-//! [`crate::FaultPolicy::SkipRecord`] / [`crate::FaultPolicy::Restart`]
-//! the per-record fault guard inside the box/filter execution cores
+//! [`crate::FaultPolicy::SkipRecord`] the per-record fault guard inside the box/filter execution cores
 //! ([`crate::fault`]) contains user-code panics *before* they reach
 //! the task boundary, so the component stays alive and only the poison
 //! record is affected. Coordination-layer components — dispatchers,

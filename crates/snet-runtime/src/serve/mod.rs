@@ -111,9 +111,9 @@
 //! net's [`crate::FaultPolicy`] (see [`crate::fault`] and the
 //! failure-model notes in [`crate::sched`]):
 //!
-//! - **Box/filter panic, policy `SkipRecord`/`Restart`.** The fault
-//!   is contained at the execution core; if the retry budget (if any)
-//!   is exhausted, the poison record is dropped. The service
+//! - **Box/filter panic, policy `SkipRecord`.** The fault is
+//!   contained at the execution core and the poison record is
+//!   dropped. The service
 //!   subscribes to the net's fault channel: a dropped record whose
 //!   word is a request id **fails exactly that request** as
 //!   [`CallError::Faulted`]`{component, msg}` — promptly, not at the
@@ -140,9 +140,11 @@
 //! served det net under `SkipRecord` still answers every non-faulted
 //! request byte-identically to a fault-free run.
 //!
-//! [`Service::drain`] is the graceful exit: stop intake immediately,
-//! let in-flight requests flush within a grace window, then tear
-//! down — the [`DrainReport`] tallies completed / faulted / stranded.
+//! [`Service::shutdown`] is the one exit: it stops intake, lets the
+//! net answer everything it still can, joins every component and
+//! returns a [`DrainReport`] that counts each request the service
+//! resolved in the outcome its handle resolved to — completed,
+//! faulted or stranded ([`CallError::ServiceStopped`]).
 
 mod service;
 

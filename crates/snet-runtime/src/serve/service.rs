@@ -35,9 +35,9 @@ pub enum CallError {
     Deadline,
     /// A component fault consumed one of this request's records: the
     /// stage at `component` panicked and the net's
-    /// [`crate::FaultPolicy`] dropped the record (terminal skip after
-    /// any restart budget). The request can never complete, so it
-    /// resolves promptly instead of hanging to its deadline.
+    /// [`crate::FaultPolicy::SkipRecord`] dropped the record. The
+    /// request can never complete, so it resolves promptly instead of
+    /// hanging to its deadline.
     Faulted { component: String, msg: String },
     /// The [`CallHandle`] was polled again after it resolved: its
     /// outcome went to the first poll that saw it, and its slot may
@@ -71,17 +71,18 @@ pub struct Response {
     pub completed_at: Instant,
 }
 
-/// Outcome tally of a graceful [`Service::drain`].
+/// Outcome tally of a service, returned by [`Service::shutdown`]:
+/// every request counts once, in the outcome its handle resolved to.
+/// Requests the caller abandoned (a passed deadline, a dropped handle)
+/// count in none, so the three sum to at most the requests issued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Requests completed over the service's lifetime (including the
-    /// drain window).
+    /// Requests answered with their full response.
     pub completed: u64,
-    /// Requests resolved as [`CallError::Faulted`] over the
-    /// service's lifetime.
+    /// Requests resolved as [`CallError::Faulted`].
     pub faulted: u64,
-    /// Requests still open when the grace window closed; each fails
-    /// with [`CallError::ServiceStopped`] as the net winds down.
+    /// Requests the net never answered, resolved as
+    /// [`CallError::ServiceStopped`] when its output edge ended.
     pub stranded: u64,
 }
 
@@ -159,6 +160,8 @@ struct Table {
     /// the next index never used. The one lock callers share.
     free: Mutex<(Vec<usize>, usize)>,
     inflight: AtomicU64,
+    /// Requests [`Table::fail_all`] resolved as stopped.
+    stranded: AtomicU64,
 }
 
 impl Table {
@@ -252,13 +255,15 @@ impl Table {
         }
     }
 
-    /// Fails every open request with [`CallError::ServiceStopped`]:
-    /// the egress's last act, on end-of-stream *or* after its panic.
+    /// Fails every open request with [`CallError::ServiceStopped`],
+    /// counting each as stranded: the egress's last act, on
+    /// end-of-stream *or* after its panic.
     fn fail_all(&self) {
         for seg in self.segs.iter().filter_map(OnceLock::get) {
             for slot in seg.iter() {
                 let st = slot.state();
                 if slot.gen.load(Ordering::Relaxed) & 1 == 1 {
+                    self.stranded.fetch_add(1, Ordering::Relaxed);
                     self.fail(slot, st, CallError::ServiceStopped);
                 }
             }
@@ -328,6 +333,10 @@ pub struct Service {
     requests: Counter,
     slot_reuse: Counter,
     inflight_max: Counter,
+    /// `serve/completed` and `serve/faulted`, which the egress and the
+    /// fault subscription count, read by [`Service::shutdown`].
+    completed: Counter,
+    faulted: Counter,
     /// The net's context.
     ctx: Arc<Ctx>,
 }
@@ -354,12 +363,14 @@ impl Service {
         let input = input.expect("cannot serve a network whose input is closed");
         let metrics = &ctx.metrics;
         let table = Arc::new(Table::default());
+        let completed = metrics.handle(keys::SERVE_COMPLETED);
+        let faulted = metrics.handle(keys::SERVE_FAULTED);
         {
             // Held weakly: the net's context lives until its last
             // component finishes, which must not keep the table alive.
             // Called from the faulting component's thread.
             let table = Arc::downgrade(&table);
-            let faulted = metrics.handle(keys::SERVE_FAULTED);
+            let faulted = faulted.clone();
             ctx.on_fault(Arc::new(move |fault: &crate::fault::Fault| {
                 let rid = fault.dropped.as_ref().map_or(0, Record::corr);
                 let Some(table) = table.upgrade() else {
@@ -383,7 +394,7 @@ impl Service {
             output: Mutex::new(Some((output, Wakes(Vec::new())))),
             table: Arc::clone(&table),
             ctx: Arc::clone(&ctx),
-            completed: metrics.handle(keys::SERVE_COMPLETED),
+            completed: completed.clone(),
             stray: metrics.handle(keys::SERVE_STRAY),
             stray_path: CompPath::root(keys::SERVE_STRAY),
         })
@@ -395,6 +406,8 @@ impl Service {
             requests: metrics.handle(keys::SERVE_REQUESTS),
             slot_reuse: metrics.handle(keys::SERVE_SLOT_REUSE),
             inflight_max: metrics.handle(keys::SERVE_INFLIGHT),
+            completed,
+            faulted,
             ctx,
         }
     }
@@ -459,38 +472,22 @@ impl Service {
         self.ctx.executor()
     }
 
-    /// Stops accepting requests, drains the network and joins every
-    /// component (propagating component panics). Requests still in
-    /// flight complete normally if the net answers them during the
-    /// drain; any left unanswered fail with
-    /// [`CallError::ServiceStopped`].
-    pub fn shutdown(mut self) {
+    /// Stops accepting requests, lets the network answer everything
+    /// it still can and joins every component (propagating component
+    /// panics). Requests still in flight complete normally if the net
+    /// answers them; any it leaves unanswered fail with
+    /// [`CallError::ServiceStopped`]. Returns the outcome tally.
+    pub fn shutdown(mut self) -> DrainReport {
         // Closing ingress ends the net's input. The net's last
         // component ends its output edge before it completes, and the
         // drain that end-of-stream runs fails the stragglers, so the
         // join covers them.
         self.input.take();
         self.ctx.join_all();
-    }
-
-    /// Graceful drain: stop intake immediately, give in-flight
-    /// requests up to `grace` to flush through the net, then shut
-    /// down. Requests the net answers within the grace window
-    /// complete normally; whatever is still open afterwards fails
-    /// with [`CallError::ServiceStopped`] when the net's output edge
-    /// ends. Returns the outcome tally.
-    pub fn drain(mut self, grace: Duration) -> DrainReport {
-        self.input.take();
-        let deadline = Instant::now() + grace;
-        while self.inflight() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let stranded = self.inflight();
-        self.ctx.join_all();
         DrainReport {
-            completed: self.ctx.metrics.get(keys::SERVE_COMPLETED),
-            faulted: self.ctx.metrics.get(keys::SERVE_FAULTED),
-            stranded,
+            completed: self.completed.get(),
+            faulted: self.faulted.get(),
+            stranded: self.table.stranded.load(Ordering::Relaxed),
         }
     }
 }

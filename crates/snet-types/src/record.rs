@@ -329,7 +329,7 @@ impl Record {
     /// type), reading those values in place — no excess record is
     /// built. Same result as `self.inherit(&source.split_with(split).1)`;
     /// `source` is not touched, so it can be re-read for every output
-    /// record (and for a retried application). The output takes the
+    /// record. The output takes the
     /// correlation word of `source`, whatever it carried before.
     pub fn inherit_from(mut self, source: &Record, split: &SplitPlan) -> Record {
         debug_assert_eq!(

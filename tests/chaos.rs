@@ -14,8 +14,8 @@ mod common {
 
 use common::chaos::Chaos;
 use snet_runtime::{
-    oracle, Bindings, CallError, Dir, Emitter, Fault, FaultPolicy, Net, NetBuilder, Observer,
-    Service,
+    oracle, Bindings, CallError, Dir, DrainReport, Emitter, Fault, FaultPolicy, Net, NetBuilder,
+    Observer, Service,
 };
 use snet_types::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,65 +87,6 @@ fn fault_log_carries_the_dropped_record() {
     let dropped = faults[0].dropped.as_ref().expect("terminal skip drops");
     assert_eq!(dropped.field("x").unwrap().as_int(), Some(7));
     assert!(outs(net.finish()).is_empty());
-}
-
-#[test]
-fn restart_recovers_transient_failures() {
-    // Fails the first two attempts on every record, then succeeds:
-    // a transient bug the restart budget rides out with no loss.
-    let attempts = Arc::new(AtomicU64::new(0));
-    let a = Arc::clone(&attempts);
-    let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
-        .unwrap()
-        .bind("f", move |r: &Record, e: &mut snet_runtime::Emitter| {
-            if a.fetch_add(1, Ordering::Relaxed) % 3 != 2 {
-                panic!("transient");
-            }
-            e.emit(r.clone());
-        })
-        .fault_policy(FaultPolicy::Restart {
-            max_retries: 3,
-            backoff: Duration::ZERO,
-        })
-        .build("main")
-        .unwrap();
-    let metrics = Arc::clone(net.metrics());
-    xs(&net, &[1, 2, 3]);
-    let got = outs(net.finish());
-    assert_eq!(got, vec![1, 2, 3], "every record recovered");
-    assert_eq!(metrics.sum_matching("records_skipped"), 0);
-    assert_eq!(
-        metrics.sum_matching("restarts"),
-        6,
-        "two retries per record"
-    );
-    // Each recovery is one fault incident (dropped: None).
-    assert_eq!(metrics.get("runtime/component_panics"), 3);
-}
-
-#[test]
-fn restart_budget_exhausts_to_skip_in_a_net() {
-    let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
-        .unwrap()
-        .bind("f", move |r: &Record, e: &mut snet_runtime::Emitter| {
-            if r.field("x").unwrap().as_int() == Some(13) {
-                panic!("hard poison");
-            }
-            e.emit(r.clone());
-        })
-        .fault_policy(FaultPolicy::Restart {
-            max_retries: 2,
-            backoff: Duration::ZERO,
-        })
-        .build("main")
-        .unwrap();
-    let metrics = Arc::clone(net.metrics());
-    xs(&net, &[13, 5]);
-    let got = outs(net.finish());
-    assert_eq!(got, vec![5]);
-    assert_eq!(metrics.sum_matching("restarts"), 2);
-    assert_eq!(metrics.sum_matching("records_skipped"), 1);
-    assert_eq!(metrics.get("runtime/component_panics"), 1, "one incident");
 }
 
 #[test]
@@ -359,7 +300,7 @@ fn fault_log_and_observers_see_a_skipped_record() {
 
 // ---------------------------------------------------------------------------
 // Serve: faults resolve requests promptly, strays are attributable,
-// a demux death strands nobody.
+// an egress drain death strands nobody.
 // ---------------------------------------------------------------------------
 
 fn poison_service(policy: FaultPolicy) -> Service {
@@ -463,8 +404,8 @@ mod observed {
 
 #[test]
 fn demux_panic_fails_open_requests_instead_of_stranding_them() {
-    // Force a demux death through the one hook external code has on
-    // that thread: a stream observer that panics when the stray-drop
+    // Force an egress drain death through the one hook external code
+    // has on it: a stream observer that panics when the stray-drop
     // event fires. The contract: the panic is counted and every open
     // request resolves with ServiceStopped — nobody hangs.
     let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
@@ -487,7 +428,7 @@ fn demux_panic_fails_open_requests_instead_of_stranding_them() {
     let h1 = svc
         .call(Record::build().field("x", 100i64).finish())
         .unwrap();
-    // Request 2 is still open when the stray record kills the demux.
+    // Request 2 is still open when the stray record kills the drain.
     let h2 = svc
         .call(Record::build().field("x", 400i64).finish())
         .unwrap();
@@ -496,40 +437,62 @@ fn demux_panic_fails_open_requests_instead_of_stranding_them() {
     let r2 = h2.wait_deadline(Instant::now() + Duration::from_secs(10));
     assert!(matches!(r2, Err(CallError::ServiceStopped)), "{r2:?}");
     assert_eq!(metrics.get("serve/demux_panics"), 1);
-    assert_eq!(svc.inflight(), 0, "fail_pending cleared every slot");
-    // Do not join the net: the demux is gone, but the components wind
+    assert_eq!(svc.inflight(), 0, "fail_all closed every slot");
+    // Do not join the net: the drain has ended, but the components wind
     // down via EOS when the service drops its ingress sender.
 }
 
 #[test]
-fn drain_reports_completed_and_stranded_requests() {
-    // A box that *swallows* negative records (after a sleep that
-    // outlasts the grace window): the owning request can never
-    // complete, so it is genuinely stranded — unlike a merely slow
-    // echo, which the net would still answer during wind-down.
+fn shutdown_waits_for_a_slow_answer_and_counts_it_completed() {
+    // Shutdown closes intake, not the net: a request the net is still
+    // working on is answered, and the tally counts it completed.
+    let svc = sleepy_service();
+    let h = svc
+        .call(Record::build().field("x", 200i64).finish())
+        .unwrap();
+    let report = svc.shutdown();
+    assert!(h
+        .wait_deadline(Instant::now() + Duration::from_secs(1))
+        .is_ok());
+    assert_eq!(
+        report,
+        DrainReport {
+            completed: 1,
+            faulted: 0,
+            stranded: 0
+        }
+    );
+}
+
+#[test]
+fn shutdown_counts_an_unanswered_request_stranded() {
+    // A box that *swallows* negative records: the owning request can
+    // never complete, so the end of the net's output strands it, and
+    // the tally says so in the outcome its handle resolved to.
     let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
         .unwrap()
         .bind("f", |r: &Record, e: &mut snet_runtime::Emitter| {
-            if r.field("x").unwrap().as_int().unwrap() < 0 {
-                std::thread::sleep(Duration::from_millis(500));
-                return; // swallowed: no response record
+            if r.field("x").unwrap().as_int().unwrap() >= 0 {
+                e.emit(r.clone());
             }
-            e.emit(r.clone());
         })
         .build("main")
         .unwrap();
     let svc = Service::start(net);
-    // Two requests complete before the drain...
     assert_eq!(call_x(&svc, 0).unwrap(), 0);
     assert_eq!(call_x(&svc, 1).unwrap(), 1);
-    // ...one swallowed one is still open when the grace window closes.
     let h = svc
         .call(Record::build().field("x", -1i64).finish())
         .unwrap();
-    let report = svc.drain(Duration::from_millis(20));
-    assert_eq!(report.completed, 2);
-    assert_eq!(report.faulted, 0);
-    assert_eq!(report.stranded, 1);
+    let report = svc.shutdown();
+    assert_eq!(
+        report,
+        DrainReport {
+            completed: 2,
+            faulted: 0,
+            stranded: 1
+        }
+    );
     let r = h.wait_deadline(Instant::now() + Duration::from_secs(10));
     assert!(
         matches!(r, Err(CallError::ServiceStopped)),
@@ -537,41 +500,23 @@ fn drain_reports_completed_and_stranded_requests() {
     );
 }
 
-#[test]
-fn drain_with_ample_grace_strands_nothing() {
-    let svc = sleepy_service();
-    let h = svc
-        .call(Record::build().field("x", 50i64).finish())
-        .unwrap();
-    let report = svc.drain(Duration::from_secs(10));
-    assert_eq!(report.stranded, 0);
-    assert_eq!(report.completed, 1);
-    assert!(h
-        .wait_deadline(Instant::now() + Duration::from_secs(1))
-        .is_ok());
-}
-
 // ---------------------------------------------------------------------------
-// The acceptance run: 1% seeded chaos, Restart policy, 10k requests.
+// The acceptance run: 1% seeded chaos, SkipRecord policy, 10k requests.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn chaos_serve_acceptance_10k_requests_no_hangs() {
-    // Under a seeded 1% panic rate with the Restart policy, a
+    // Under a seeded 1% panic rate with the SkipRecord policy, a
     // 10k-request serve run completes with zero caller hangs; affected
     // requests resolve as Faulted within the deadline; unaffected
-    // requests are neither lost nor misrouted; and every contained
-    // fault is one poisoned record.
-    //
-    // (Chaos decisions are per record, so a poisoned record panics on
-    // every restart attempt and terminally skips: faults == faulted,
-    // injected panics == 3 x faults and restarts == 2 x faults.)
+    // requests are neither lost nor misrouted; and every injected
+    // panic is one skipped record and one faulted request.
     let echo = |r: &Record, e: &mut snet_runtime::Emitter| e.emit(r.clone());
     let chaos = Chaos::from_env(0x5EED, 0.01);
     let one_box = NetBuilder::from_source("box f (x) -> (x); net main = f;")
         .unwrap()
         .bind("f", chaos.wrap("f", echo));
-    serve_under_chaos(under_restart(one_box), &chaos, 1250);
+    serve_under_chaos(under_skip(one_box), &chaos, 1250);
 
     // Unfused, every split lane, parallel branch and star level below
     // runs on its own dispatcher, each box in a component of its own.
@@ -595,19 +540,16 @@ fn chaos_serve_acceptance_10k_requests_no_hangs() {
             e.emit(out);
         }),
     );
-    let net = under_restart(fans);
+    let net = under_skip(fans);
     assert!(net.threads_spawned() > 4, "fused: one component");
     serve_under_chaos(net, &chaos, 250);
 }
 
-/// `b` under the acceptance run's policy, `Restart { 2, 1 ms }`.
-fn under_restart(b: NetBuilder) -> Net {
-    b.fault_policy(FaultPolicy::Restart {
-        max_retries: 2,
-        backoff: Duration::from_millis(1),
-    })
-    .build("main")
-    .unwrap()
+/// `b` under the acceptance run's policy, `SkipRecord`.
+fn under_skip(b: NetBuilder) -> Net {
+    b.fault_policy(FaultPolicy::SkipRecord)
+        .build("main")
+        .unwrap()
 }
 
 /// Eight callers issue `per_caller` requests each — `{x, <k>, <lvl>}`
@@ -679,27 +621,33 @@ fn serve_under_chaos(net: Net, chaos: &Chaos, per_caller: usize) {
     );
     assert_eq!(ok + faulted, total, "every caller resolved");
     // A generous ceiling on unaffected requests: it catches a wedged
-    // demux or a pathological queue, not a slow runner.
+    // egress drain or a pathological queue, not a slow runner.
     latencies.sort();
     let p99 = latencies[latencies.len() * 99 / 100];
     assert!(p99 < Duration::from_secs(2), "p99 {p99:?}");
     let m = Arc::clone(svc.metrics());
-    let injected = m.get("runtime/component_panics");
+    let injected = chaos.panics();
     assert!(injected > 0, "1% of {total} must inject");
-    assert_eq!(chaos.panics(), 3 * injected, "three attempts per fault");
-    assert_eq!(m.get("serve/faulted"), faulted);
+    assert_eq!(m.get("runtime/component_panics"), injected);
+    assert_eq!(m.get("serve/faulted"), injected);
+    assert_eq!(m.sum_matching("records_skipped"), injected);
     assert_eq!(
         faulted, injected,
         "every injected panic resolved one caller"
     );
-    assert_eq!(m.sum_matching("restarts"), 2 * injected);
     assert_eq!(m.get("serve/stray"), 0);
     let report = Arc::try_unwrap(svc)
         .unwrap_or_else(|_| panic!("all callers done"))
-        .drain(Duration::from_secs(10));
-    assert_eq!(report.stranded, 0);
-    assert_eq!(report.completed, ok);
-    assert_eq!(report.faulted, faulted);
+        .shutdown();
+    assert_eq!(
+        report,
+        DrainReport {
+            completed: ok,
+            faulted,
+            stranded: 0
+        }
+    );
+    assert_eq!(report.completed + report.faulted, total);
 }
 
 // ---------------------------------------------------------------------------

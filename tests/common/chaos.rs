@@ -12,8 +12,7 @@
 //! scheduling change where a box sits and in which order (and, behind
 //! an `id || id` tie, on which lane) its records arrive, never which
 //! records it sees. So a run is reproducible from its seed, every
-//! topology and executor drops the same records, and a poisoned record
-//! panics again on every `FaultPolicy::Restart` retry.
+//! topology and executor drops the same records.
 
 use snet_runtime::Emitter;
 use snet_types::{Label, Record, Value};
@@ -92,9 +91,9 @@ impl Chaos {
         }
     }
 
-    /// Panics injected so far, one per attempt: under
-    /// `Restart { max_retries: n, .. }` a poisoned record counts
-    /// `n + 1`.
+    /// Panics injected so far: one per poisoned record a box was
+    /// given, which under `FaultPolicy::SkipRecord` is one skipped
+    /// record.
     pub fn panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
     }

@@ -20,9 +20,7 @@ use snet_runtime::{
     oracle, Bindings, Emitter, Executor, FaultPolicy, Net, NetBuilder, RunCfg, WorkStealingPool,
 };
 use snet_types::Record;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Boxes for every topology under test:
 /// * `inc` — 1:1, type-preserving;
@@ -377,12 +375,10 @@ fn fan_fusion_escape_hatches_restore_the_unfused_topology() {
     let built = |b: NetBuilder| spawn_counts(b.build("main").unwrap());
     assert_eq!(built(fan_builder(expr)), (1, 1));
     assert_eq!(built(fan_builder(expr).fuse(false)), (2, 12));
-    // A `Restart` stage retries inside the stage core, fused or not.
-    let restart = FaultPolicy::Restart {
-        max_retries: 1,
-        backoff: Duration::from_millis(1),
-    };
-    assert_eq!(built(fan_builder(expr).fault_policy(restart)), (1, 1));
+    // A guard lives inside the stage core: a guarded fused net is
+    // still one component.
+    let skip = FaultPolicy::SkipRecord;
+    assert_eq!(built(fan_builder(expr).fault_policy(skip)), (1, 1));
     // A fused plan is one component even under a configuration that
     // says `fuse: false`: that field is for whoever compiles.
     let env = parse_program(SRC).unwrap().env().unwrap();
@@ -486,8 +482,8 @@ fn fan_metrics_paths_survive_replica_fusion() {
     // and its nondet twin. (Inside an unfused nondet nest a path is fed
     // by a first-come merge, so there the sequence is the scheduler's
     // and the multiset is what must match.)
-    use parking_lot::Mutex;
     use std::collections::BTreeMap;
+    use std::sync::Mutex;
     type Events = BTreeMap<String, Vec<String>>;
     let run = |expr: &str, inputs: &[Record], fuse: bool| {
         let events: Arc<Mutex<Events>> = Arc::default();
@@ -497,7 +493,11 @@ fn fan_metrics_paths_survive_replica_fusion() {
                 let routing = ["split", "splitnd", "par", "parnd", "guard"];
                 if routing.contains(&path.rsplit('/').next().unwrap()) {
                     let event = format!("{dir:?} {rec:?}");
-                    sink.lock().entry(path.to_string()).or_default().push(event);
+                    sink.lock()
+                        .unwrap()
+                        .entry(path.to_string())
+                        .or_default()
+                        .push(event);
                 }
             }))
             .fuse(fuse)
@@ -517,7 +517,7 @@ fn fan_metrics_paths_survive_replica_fusion() {
             .filter(|(k, _)| !k.ends_with("/stream_depth") && !k.ends_with("/credit_stalls"))
             .filter(|(k, _)| !k.starts_with("runtime/"))
             .collect();
-        let events = std::mem::take(&mut *events.lock());
+        let events = std::mem::take(&mut *events.lock().unwrap());
         (counters, events)
     };
     let xs = xs(30, true);
@@ -614,41 +614,44 @@ fn chaos_skips_are_identical_fused_and_unfused_inside_lanes() {
 }
 
 #[test]
-fn a_restart_recovers_inside_a_fused_walk() {
-    // A `Restart` stage retries inside its stage core, so a fused net
+fn a_skip_stays_inside_a_fused_walk() {
+    // A `SkipRecord` guard lives inside its stage core, so a fused net
     // stays one component through a panic in a split lane: the output
-    // is the reference's, the retry counts at the box's own path, and
-    // the fault log holds one recovered incident, nothing dropped.
+    // is the reference's with the poisoned record's contribution gone,
+    // the skip counts at the box's own path, and the fault log holds
+    // the one dropped record.
     let expr = "inc .. (flaky ! <k>) .. inc";
     let decls = format!("{SRC}\nbox flaky (x) -> (x);");
     let double =
         |r: &Record, e: &mut Emitter| e.emit(Record::build().field("x", int(r, "x") * 2).finish());
+    // Input 7 reaches `flaky` as x = 8, on lane <k> = 0.
+    let poisoned = |r: &Record| int(r, "x") == 8;
     let inputs = xs(30, false);
     let env = parse_program(&decls).unwrap().env().unwrap();
     let b = boxes()
         .into_iter()
         .fold(Bindings::new(), |b, (n, f)| b.bind(n, f))
-        .bind("flaky", double);
+        .bind("flaky", move |r, e| {
+            if !poisoned(r) {
+                double(r, e)
+            }
+        });
     let plan = snet_runtime::compile_cfg(&parse_net_expr(expr).unwrap(), &env, &b, false);
     let want = oracle::run(&plan.unwrap(), inputs.clone()).unwrap();
     assert!(want.ordered);
+    assert_eq!(want.records.len(), inputs.len() - 1);
     for (name, exec) in pools() {
-        // Input 7 reaches `flaky` as x = 8, on lane <k> = 0.
-        let tripped = Arc::new(AtomicBool::new(false));
         let b = NetBuilder::from_source(&format!("{decls}\nnet main = {expr};")).unwrap();
         let mut net = boxes()
             .into_iter()
             .fold(b, |b, (n, f)| b.bind(n, f))
             .bind("flaky", move |r, e| {
-                if int(r, "x") == 8 && !tripped.swap(true, Ordering::SeqCst) {
-                    panic!("transient");
+                if poisoned(r) {
+                    panic!("poisoned");
                 }
                 double(r, e)
             })
-            .fault_policy(FaultPolicy::Restart {
-                max_retries: 1,
-                backoff: Duration::ZERO,
-            })
+            .fault_policy(FaultPolicy::SkipRecord)
             .executor(exec)
             .build("main")
             .unwrap();
@@ -660,20 +663,21 @@ fn a_restart_recovers_inside_a_fused_walk() {
         let got: Vec<Record> = std::iter::from_fn(|| net.recv()).collect();
         assert_eq!(got, want.records, "{name}");
         assert_eq!(net.threads_spawned(), 1, "{name}: at end");
-        let restarts = net
+        let skipped = net
             .metrics()
-            .get("net/s0/s1/split/branch0/box:flaky/restarts");
-        assert_eq!(restarts, 1, "{name}");
+            .get("net/s0/s1/split/branch0/box:flaky/records_skipped");
+        assert_eq!(skipped, 1, "{name}");
         let faults = net.faults();
         assert_eq!(faults.len(), 1, "{name}: {faults:?}");
-        assert!(faults[0].dropped.is_none(), "{name}: {faults:?}");
+        let dropped = faults[0].dropped.as_ref().map(|r| int(r, "x"));
+        assert_eq!(dropped, Some(8), "{name}: {faults:?}");
         let _ = net.finish();
     }
 }
 
 #[test]
 fn observers_see_per_stage_events_in_fused_chains() {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
     let net = NetBuilder::from_source(&format!("{SRC}\nnet main = inc .. inc;"))
@@ -685,7 +689,7 @@ fn observers_see_per_stage_events_in_fused_chains() {
         .bind("rep", |r, e| e.emit(r.clone()))
         .bind("dec", |r, e| e.emit(r.clone()))
         .observe(Arc::new(move |path, dir, _rec| {
-            log2.lock().push(format!("{path}:{dir:?}"));
+            log2.lock().unwrap().push(format!("{path}:{dir:?}"));
         }))
         .fuse(true)
         .build("main")
@@ -693,7 +697,7 @@ fn observers_see_per_stage_events_in_fused_chains() {
     assert_eq!(net.threads_spawned(), 1);
     net.send(Record::build().field("x", 0i64).finish()).unwrap();
     let _ = net.finish();
-    let log = log.lock();
+    let log = log.lock().unwrap();
     // Both stages observed, distinct paths, both directions.
     for stage in ["s0", "s1"] {
         for dir in ["In", "Out"] {

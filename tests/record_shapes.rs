@@ -238,8 +238,8 @@ proptest! {
         prop_assert_eq!(model_of(&rec.matched_with(plan)), matched);
         let real = out.to_record().inherit_from(&rec, plan);
         prop_assert_eq!(model_of(&real), out.clone().inherit(&excess));
-        // The source is read, never consumed: a second output (a
-        // retried application) inherits the same values.
+        // The source is read, never consumed: a second output of the
+        // same application inherits the same values.
         let again = out.to_record().inherit_from(&rec, plan);
         prop_assert_eq!(again, real);
     }

@@ -2,11 +2,10 @@
 //! deterministic and non-deterministic combinator variants, nesting,
 //! observers, and load-adaptivity — the Section 4 execution model.
 
-use parking_lot::Mutex;
 use snet_runtime::{Dir, NetBuilder, Observer};
 use snet_types::{Record, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A network of two "workers" with identical types but very different
 /// speeds, merged (non)deterministically. `slow_ms` injects real skew.
@@ -167,7 +166,7 @@ fn observers_see_every_stream_individually() {
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
     let obs: Observer = Arc::new(move |path, dir, rec| {
-        log2.lock().push(format!(
+        log2.lock().unwrap().push(format!(
             "{path} {} {}",
             if dir == Dir::In { "<-" } else { "->" },
             rec.record_type()
@@ -187,7 +186,7 @@ fn observers_see_every_stream_individually() {
         .unwrap();
     net.send(Record::build().field("x", 1i64).finish()).unwrap();
     let _ = net.finish();
-    let log = log.lock();
+    let log = log.lock().unwrap();
     // Each component boundary observed, with distinct paths.
     assert!(log.iter().any(|l| l.contains("box:a") && l.contains("<-")));
     assert!(log.iter().any(|l| l.contains("box:a") && l.contains("->")));
@@ -294,7 +293,7 @@ fn one_stream_of_fig1_is_observable_on_its_own() {
     let crossings: Arc<Mutex<BTreeMap<String, (usize, usize)>>> = Arc::default();
     let log = Arc::clone(&crossings);
     let observer: Observer = Arc::new(move |path, dir, _rec| {
-        let mut log = log.lock();
+        let mut log = log.lock().unwrap();
         let slot = log.entry(path.to_string()).or_default();
         match dir {
             Dir::In => slot.0 += 1,
@@ -306,7 +305,7 @@ fn one_stream_of_fig1_is_observable_on_its_own() {
     net.send(sudoku::boxes::puzzle_record(&sudoku::puzzles::mini4()))
         .unwrap();
     let _ = net.finish();
-    let crossings = crossings.lock();
+    let crossings = crossings.lock().unwrap();
     assert!(
         crossings
             .keys()

@@ -412,7 +412,7 @@ fn ten_thousand_requests_fully_correlated() {
 }
 
 /// Sequential callers recycle completion slots: after the first call
-/// resolves and its handle drops, the demux-parked slot serves the
+/// resolves and its handle drops, the slot it freed serves the
 /// next request instead of a fresh allocation.
 #[test]
 fn sequential_calls_reuse_completion_slots() {
@@ -875,7 +875,8 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
     });
     assert_eq!(svc.inflight(), 0, "every request was closed by someone");
     let m = Arc::clone(svc.metrics());
-    // Shutdown drains the net: every late record has met the demux.
+    // Shutdown winds the net down: every late record has met the
+    // egress drain.
     svc.shutdown();
 
     let [ok, abandoned, faulted] = seen;
@@ -908,7 +909,7 @@ fn reissued_slots_never_receive_their_previous_requests_records() {
 }
 
 /// A hand-cranked executor: tasks run only inside [`Crank::turn`], on
-/// the calling thread, so a test decides when the net and the demux
+/// the calling thread, so a test decides when the net and the egress
 /// make progress.
 #[derive(Default)]
 struct Crank {
