@@ -10,9 +10,11 @@
 //!
 //! Expressions are evaluated against a record's tags only: "a new tag
 //! value is calculated according to the expression" — fields stay
-//! opaque to the coordination layer by design.
+//! opaque to the coordination layer by design. A tag is named by its
+//! interned [`Label`], resolved once at parse time, so evaluating an
+//! expression looks no name up.
 
-use snet_types::Record;
+use snet_types::{Label, Record};
 use std::fmt;
 
 /// Integer expression over tag values.
@@ -20,8 +22,8 @@ use std::fmt;
 pub enum TagExpr {
     /// Integer literal.
     Lit(i64),
-    /// Value of a tag, `<name>`.
-    Tag(String),
+    /// Value of a tag, `<name>` (a tag label).
+    Tag(Label),
     /// Unary negation.
     Neg(Box<TagExpr>),
     /// Binary arithmetic.
@@ -60,7 +62,7 @@ pub enum CmpOp {
 /// undefined.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExprError {
-    MissingTag(String),
+    MissingTag(Label),
     DivisionByZero,
     Overflow,
 }
@@ -68,7 +70,7 @@ pub enum ExprError {
 impl fmt::Display for ExprError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExprError::MissingTag(t) => write!(f, "record has no tag <{t}>"),
+            ExprError::MissingTag(t) => write!(f, "record has no tag {t}"),
             ExprError::DivisionByZero => write!(f, "division by zero in tag expression"),
             ExprError::Overflow => write!(f, "tag arithmetic overflow"),
         }
@@ -82,9 +84,7 @@ impl TagExpr {
     pub fn eval(&self, rec: &Record) -> Result<i64, ExprError> {
         match self {
             TagExpr::Lit(v) => Ok(*v),
-            TagExpr::Tag(name) => rec
-                .tag(name)
-                .ok_or_else(|| ExprError::MissingTag(name.clone())),
+            TagExpr::Tag(label) => rec.tag_label(*label).ok_or(ExprError::MissingTag(*label)),
             TagExpr::Neg(e) => e.eval(rec)?.checked_neg().ok_or(ExprError::Overflow),
             TagExpr::Bin(op, l, r) => {
                 let a = l.eval(rec)?;
@@ -112,13 +112,13 @@ impl TagExpr {
         }
     }
 
-    /// Names of all tags the expression references.
-    pub fn referenced_tags(&self, out: &mut Vec<String>) {
+    /// Labels of all tags the expression references.
+    pub fn referenced_tags(&self, out: &mut Vec<Label>) {
         match self {
             TagExpr::Lit(_) => {}
             TagExpr::Tag(t) => {
                 if !out.contains(t) {
-                    out.push(t.clone());
+                    out.push(*t);
                 }
             }
             TagExpr::Neg(e) => e.referenced_tags(out),
@@ -135,7 +135,7 @@ impl TagExpr {
     }
 
     pub fn tag(name: &str) -> TagExpr {
-        TagExpr::Tag(name.to_string())
+        TagExpr::Tag(Label::tag(name))
     }
 
     pub fn modulo(self, rhs: TagExpr) -> TagExpr {
@@ -170,8 +170,8 @@ impl Guard {
         }
     }
 
-    /// Names of all tags the guard references.
-    pub fn referenced_tags(&self, out: &mut Vec<String>) {
+    /// Labels of all tags the guard references.
+    pub fn referenced_tags(&self, out: &mut Vec<Label>) {
         match self {
             Guard::Cmp(_, l, r) => {
                 l.referenced_tags(out);
@@ -195,7 +195,7 @@ impl fmt::Display for TagExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TagExpr::Lit(v) => write!(f, "{v}"),
-            TagExpr::Tag(t) => write!(f, "<{t}>"),
+            TagExpr::Tag(t) => write!(f, "{t}"),
             TagExpr::Neg(e) => write!(f, "-({e})"),
             TagExpr::Bin(op, l, r) => {
                 let sym = match op {
@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(TagExpr::tag("k").eval(&r), Ok(7));
         assert_eq!(
             TagExpr::tag("missing").eval(&r),
-            Err(ExprError::MissingTag("missing".into()))
+            Err(ExprError::MissingTag(Label::tag("missing")))
         );
     }
 
@@ -310,7 +310,7 @@ mod tests {
         assert_eq!(g.eval(&rec(&[("level", 40)])), Ok(false));
         assert_eq!(
             g.eval(&rec(&[])),
-            Err(ExprError::MissingTag("level".into()))
+            Err(ExprError::MissingTag(Label::tag("level")))
         );
     }
 
@@ -351,11 +351,11 @@ mod tests {
         let e = TagExpr::tag("a").add(TagExpr::tag("b").modulo(TagExpr::tag("a")));
         let mut tags = Vec::new();
         e.referenced_tags(&mut tags);
-        assert_eq!(tags, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(tags, vec![Label::tag("a"), Label::tag("b")]);
         let g = Guard::Cmp(CmpOp::Lt, TagExpr::tag("x"), TagExpr::tag("y"));
         let mut tags = Vec::new();
         g.referenced_tags(&mut tags);
-        assert_eq!(tags, vec!["x".to_string(), "y".to_string()]);
+        assert_eq!(tags, vec![Label::tag("x"), Label::tag("y")]);
     }
 
     #[test]

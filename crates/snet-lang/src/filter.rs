@@ -112,7 +112,7 @@ impl FilterDef {
                 } else {
                     SpecItem::Tag {
                         name: l,
-                        init: Some(TagExpr::tag(l.name())),
+                        init: Some(TagExpr::Tag(l)),
                     }
                 }
             })
@@ -165,9 +165,9 @@ impl FilterDef {
                             let mut refs = Vec::new();
                             e.referenced_tags(&mut refs);
                             for t in refs {
-                                if !self.pattern.contains(Label::tag(&t)) {
+                                if !self.pattern.contains(t) {
                                     return Err(FilterError(format!(
-                                        "tag <{t}> referenced by expression does not occur in \
+                                        "tag {t} referenced by expression does not occur in \
                                          pattern {}",
                                         self.pattern
                                     )));

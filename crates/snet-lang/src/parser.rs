@@ -404,7 +404,7 @@ impl Parser {
             }
             Some(Tok::TagRef(t)) => {
                 self.pos += 1;
-                Ok(TagExpr::Tag(t))
+                Ok(TagExpr::Tag(Label::tag(&t)))
             }
             Some(Tok::Minus) => {
                 self.pos += 1;
@@ -684,7 +684,7 @@ mod tests {
                 "c",
                 Some(TagExpr::Bin(
                     ArithOp::Add,
-                    Box::new(TagExpr::Tag("c".into())),
+                    Box::new(TagExpr::tag("c")),
                     Box::new(TagExpr::Lit(1)),
                 ))
             )

@@ -260,7 +260,7 @@ net fig1 = computeOpts .. solveOneLevel ** {<done>};
     fn arb_tag_expr() -> impl Strategy<Value = TagExpr> {
         let leaf = prop_oneof![
             (0i64..100).prop_map(TagExpr::Lit),
-            arb_name().prop_map(TagExpr::Tag),
+            arb_name().prop_map(|t| TagExpr::tag(&t)),
         ];
         leaf.prop_recursive(3, 16, 2, |inner| {
             prop_oneof![
@@ -342,7 +342,7 @@ net fig1 = computeOpts .. solveOneLevel ** {<done>};
                 }
                 if let Some(t) = tags.first() {
                     if *t != fresh {
-                        items.push(SpecItem::tag(t, Some(TagExpr::Tag(t.clone()))));
+                        items.push(SpecItem::tag(t, Some(TagExpr::tag(t))));
                     }
                 }
                 FilterDef::new(pattern, vec![RecSpec { items }]).unwrap()

@@ -160,10 +160,10 @@ impl StageCore {
     ///
     /// The caller owns `rec` and lends it: a leaf only reads it, a fan
     /// — whose router forwards the record itself — takes it and leaves
-    /// an empty one behind. Not `rec: Record`: moving the 128 bytes
-    /// into every stage call cost the box and filter arms 6 ns a record
-    /// (`fused.record_ns` 55.0 → 61.6 in the benchmark's ledger,
-    /// `star.level_ns` 232 → 247).
+    /// an empty one behind. Not `rec: Record`: moving the record (128
+    /// bytes then) into every stage call cost the box and filter arms
+    /// 6 ns a record (`fused.record_ns` 55.0 → 61.6 in the benchmark's
+    /// ledger, `star.level_ns` 232 → 247).
     fn process_uncounted(
         &mut self,
         ctx: &Ctx,

@@ -262,6 +262,14 @@ mod tests {
     use super::*;
     use snet_types::Record;
 
+    /// A sort record costs a data message nothing: the variant rides
+    /// in the niche of the record's shape pointer, and `Sort`'s two
+    /// words fit beside it.
+    #[test]
+    fn a_message_is_the_size_of_a_record() {
+        assert_eq!(std::mem::size_of::<Msg>(), std::mem::size_of::<Record>());
+    }
+
     #[test]
     fn stream_carries_records_and_sorts() {
         let (tx, rx) = stream();

@@ -7,8 +7,10 @@
 //!
 //! * [`Label`] — interned field/tag labels (`board`, `<k>`);
 //! * [`Value`] — opaque field payloads from the SaC domain;
-//! * [`Record`] — label/value messages, including the record-level
-//!   halves of subtype acceptance and **flow inheritance**;
+//! * [`Record`] — label/value messages: a shape plus its values,
+//!   inline up to [`INLINE_SLOTS`] per half and on the heap beyond;
+//!   including the record-level halves of subtype acceptance and
+//!   **flow inheritance**;
 //! * [`Shape`] — interned record shapes (label sets) with compiled
 //!   split/inherit plans, making every per-record type operation an
 //!   id-keyed lookup plus straight array copies;
@@ -22,6 +24,10 @@
 //! The execution engine lives in `snet-runtime`; the surface syntax in
 //! `snet-lang`. This crate is pure data — no threads, no channels —
 //! which is what makes the type-level properties property-testable.
+//! Its one `unsafe` type is the record's value storage, whose every
+//! block names the invariant it relies on (the lint below).
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod fxmap;
 pub mod intern;
@@ -30,7 +36,6 @@ pub mod record;
 pub mod rtype;
 pub mod shape;
 pub mod sig;
-pub mod svec;
 pub mod value;
 
 pub use fxmap::{FxHasher, FxMap};

@@ -8,12 +8,13 @@
 //!
 //! A record is an interned [`Shape`] (its sorted field+tag label set —
 //! see [`crate::shape`]) plus two value arrays aligned with the
-//! shape's label halves. The labels themselves live in the interner,
-//! `&'static` and shared by every record of the shape; the values live
-//! inline in the record for up to four fields and four tags
-//! ([`crate::svec::SVec`]), so records of that size — every workload
-//! in this tree — are **allocation-free to construct, clone, split
-//! and inherit**.
+//! shape's label halves. The labels live in the interner, `&'static`
+//! and shared by every record of the shape, and the shape is the only
+//! length the arrays have: a half's values are inline while its arity
+//! is at most [`INLINE_SLOTS`] (four), and on the heap exactly when it
+//! exceeds four. Records of up to four fields and four tags — every
+//! workload in this tree — are **allocation-free to construct, clone,
+//! split and inherit**.
 //!
 //! The shape id makes every type-level question about a record O(1):
 //! type-keyed memos key on `shape().id()` with no element-wise
@@ -63,25 +64,247 @@
 
 use crate::label::{Label, LabelKind};
 use crate::rtype::RecordType;
-use crate::shape::{Shape, SplitPlan};
-use crate::svec::SVec;
+use crate::shape::{InheritSrc, Shape, SplitPlan};
 use crate::value::Value;
 use std::fmt;
+use std::mem::{self, ManuallyDrop, MaybeUninit};
+use std::ptr;
 
-/// Inline value slots per kind half: records with at most this many
-/// fields and this many tags never touch the heap.
+/// Inline value slots per kind half: a half of at most this many
+/// values lives in the record itself, a larger one on the heap, so
+/// records with at most this many fields and this many tags never
+/// touch the heap.
 pub const INLINE_SLOTS: usize = 4;
 
+/// One half of a record's values, aligned with that half of its
+/// shape. It stores no length and no discriminant: the *arity* `n`
+/// is the shape's (`shape.fields().len()` or `shape.tags().len()`),
+/// and every method takes it from its caller.
+///
+/// **The arity invariant**, which every `unsafe` block below relies
+/// on: slots of arity `n ≤ INLINE_SLOTS` are `inline`, with exactly
+/// their first `n` slots initialised; slots of arity `n >
+/// INLINE_SLOTS` are `heap`, a `Vec` of exactly `n` values. `Record`
+/// keeps it by changing a half's slots and its shape together.
+union Slots<T> {
+    inline: ManuallyDrop<[MaybeUninit<T>; INLINE_SLOTS]>,
+    heap: ManuallyDrop<Vec<T>>,
+}
+
+impl<T> Slots<T> {
+    /// Slots of arity 0.
+    fn empty() -> Slots<T> {
+        Slots {
+            inline: ManuallyDrop::new([const { MaybeUninit::uninit() }; INLINE_SLOTS]),
+        }
+    }
+
+    /// Slots of arity `n` holding the values `values` yields, which
+    /// must be exactly `n`.
+    fn collect(n: usize, values: impl Iterator<Item = T>) -> Slots<T> {
+        if n > INLINE_SLOTS {
+            let heap: Vec<T> = values.collect();
+            assert_eq!(heap.len(), n, "slots of arity {n} given other values");
+            return Slots {
+                heap: ManuallyDrop::new(heap),
+            };
+        }
+        let mut inline = [const { MaybeUninit::uninit() }; INLINE_SLOTS];
+        let mut len = 0;
+        for value in values {
+            inline[len].write(value);
+            len += 1;
+        }
+        assert_eq!(len, n, "slots of arity {n} given other values");
+        Slots {
+            inline: ManuallyDrop::new(inline),
+        }
+    }
+
+    /// A copy of slots of arity `n`, at the same arity. Not
+    /// `collect`: zipping the slots with the values needs no count
+    /// and no check, and cloned a one-field record in about half the
+    /// time (x86-64, release build).
+    fn cloned(&self, n: usize) -> Slots<T>
+    where
+        T: Clone,
+    {
+        if n > INLINE_SLOTS {
+            return Slots {
+                heap: ManuallyDrop::new(self.as_slice(n).to_vec()),
+            };
+        }
+        let mut inline = [const { MaybeUninit::uninit() }; INLINE_SLOTS];
+        for (slot, value) in inline.iter_mut().zip(self.as_slice(n)) {
+            slot.write(value.clone());
+        }
+        Slots {
+            inline: ManuallyDrop::new(inline),
+        }
+    }
+
+    fn as_slice(&self, n: usize) -> &[T] {
+        if n > INLINE_SLOTS {
+            // SAFETY: arity invariant: at n > INLINE_SLOTS `heap` is
+            // the live field, a Vec of the n values.
+            let heap: &Vec<T> = unsafe { &self.heap };
+            debug_assert_eq!(heap.len(), n, "heap slots of another arity");
+            heap
+        } else {
+            // SAFETY: arity invariant: at n <= INLINE_SLOTS `inline`
+            // is the live field and its first n slots are initialised.
+            unsafe { std::slice::from_raw_parts(self.inline.as_ptr().cast::<T>(), n) }
+        }
+    }
+
+    fn as_mut_slice(&mut self, n: usize) -> &mut [T] {
+        if n > INLINE_SLOTS {
+            // SAFETY: arity invariant, as in `as_slice`.
+            unsafe { &mut self.heap }
+        } else {
+            // SAFETY: arity invariant, as in `as_slice`.
+            unsafe { std::slice::from_raw_parts_mut(self.inline.as_mut_ptr().cast::<T>(), n) }
+        }
+    }
+
+    /// Inserts `value` at position `i` of slots of arity `n`, which
+    /// then have arity `n + 1`: spills to the heap at 4 → 5.
+    fn insert(&mut self, n: usize, i: usize, value: T) {
+        assert!(i <= n, "insert at {i} into arity {n}");
+        if n < INLINE_SLOTS {
+            // SAFETY: arity invariant at n < INLINE_SLOTS: `inline` is
+            // live with slots 0..n initialised and slot n free.
+            // Shifting i..n one right leaves slot i to the write, and
+            // 0..=n initialised is the invariant at arity n + 1.
+            unsafe {
+                let p = self.inline.as_mut_ptr().cast::<T>();
+                ptr::copy(p.add(i), p.add(i + 1), n - i);
+                p.add(i).write(value);
+            }
+        } else if n == INLINE_SLOTS {
+            let mut heap = Vec::with_capacity(n + 1);
+            // SAFETY: arity invariant at n == INLINE_SLOTS: `inline` is
+            // live and full. Its values move bitwise into `heap`,
+            // which then replaces them as the live field (arity
+            // n + 1 > INLINE_SLOTS), so each value has one owner.
+            unsafe {
+                ptr::copy_nonoverlapping(self.inline.as_ptr().cast::<T>(), heap.as_mut_ptr(), n);
+                heap.set_len(n);
+            }
+            heap.insert(i, value);
+            self.heap = ManuallyDrop::new(heap);
+        } else {
+            // SAFETY: arity invariant at n > INLINE_SLOTS: `heap` is
+            // live, and stays so at arity n + 1.
+            unsafe { (*self.heap).insert(i, value) }
+        }
+    }
+
+    /// Removes and returns the value at position `i` of slots of
+    /// arity `n`, which then have arity `n - 1`: moves back inline at
+    /// 5 → 4 and frees the heap `Vec`.
+    fn remove(&mut self, n: usize, i: usize) -> T {
+        assert!(i < n, "remove at {i} from arity {n}");
+        if n <= INLINE_SLOTS {
+            // SAFETY: arity invariant at n <= INLINE_SLOTS: `inline`
+            // is live with slots 0..n initialised. Slot i is read out
+            // and i+1..n shift left over it, leaving 0..n-1
+            // initialised: the invariant at arity n - 1.
+            return unsafe {
+                let p = self.inline.as_mut_ptr().cast::<T>();
+                let value = p.add(i).read();
+                ptr::copy(p.add(i + 1), p.add(i), n - i - 1);
+                value
+            };
+        }
+        // SAFETY: arity invariant at n > INLINE_SLOTS: `heap` is live.
+        let heap = unsafe { &mut *self.heap };
+        let value = heap.remove(i);
+        if n - 1 == INLINE_SLOTS {
+            let mut inline = [const { MaybeUninit::uninit() }; INLINE_SLOTS];
+            // SAFETY: arity invariant at n - 1 == INLINE_SLOTS: the
+            // values must go inline. `heap` holds exactly those; they
+            // move bitwise into `inline`, the Vec is told it holds
+            // none and is freed, and `inline` becomes the live field,
+            // each value with one owner.
+            unsafe {
+                ptr::copy_nonoverlapping(heap.as_ptr(), inline.as_mut_ptr().cast::<T>(), n - 1);
+                heap.set_len(0);
+                ManuallyDrop::drop(&mut self.heap);
+            }
+            self.inline = ManuallyDrop::new(inline);
+        }
+        value
+    }
+
+    /// The merged half of a flow inheritance: slots of arity
+    /// `srcs.len()` whose slot `k` takes `inherited(srcs[k].idx)` where
+    /// `from_excess` is set, and otherwise the next own value of these
+    /// slots (arity `n`). Own values move; only inherited ones are
+    /// made. The compiled plan keeps every own value, in order
+    /// (present labels win), so all `n` move; the walk checks it. A
+    /// half that inherits nothing is these slots as they are.
+    fn merged(mut self, n: usize, srcs: &[InheritSrc], inherited: impl Fn(usize) -> T) -> Slots<T> {
+        if srcs.len() == n {
+            return self;
+        }
+        let own = self.as_slice(n);
+        let mut next = 0;
+        let out = Slots::collect(
+            srcs.len(),
+            srcs.iter().map(|src| {
+                if src.from_excess {
+                    return inherited(src.idx as usize);
+                }
+                assert_eq!(src.idx as usize, next, "own values merge in order");
+                // SAFETY: arity invariant: `own` is the n values of these
+                // slots (the index is bounds-checked). `next` walks them
+                // in order, so each is read out once, and the storage is
+                // freed below without them.
+                let value = unsafe { ptr::read(&own[next]) };
+                next += 1;
+                value
+            }),
+        );
+        debug_assert_eq!(next, n, "a merge left own values behind");
+        if n > INLINE_SLOTS {
+            // SAFETY: arity invariant at n > INLINE_SLOTS: `heap` is
+            // live. Its values moved out above, so it is emptied
+            // before it is freed.
+            unsafe {
+                (*self.heap).set_len(0);
+                ManuallyDrop::drop(&mut self.heap);
+            }
+        }
+        out
+    }
+
+    /// Drops the values of slots of arity `n` and frees their storage.
+    /// The slots are dead afterwards: `Record`'s drop is the caller.
+    fn drop_values(&mut self, n: usize) {
+        if n > INLINE_SLOTS {
+            // SAFETY: arity invariant at n > INLINE_SLOTS: `heap` is
+            // live, and dropping it drops its n values, once: the
+            // slots are not touched again.
+            unsafe { ManuallyDrop::drop(&mut self.heap) }
+        } else {
+            // SAFETY: arity invariant at n <= INLINE_SLOTS: the first
+            // n slots of `inline` are initialised, and they drop once:
+            // the slots are not touched again.
+            unsafe { ptr::drop_in_place(self.as_mut_slice(n)) }
+        }
+    }
+}
+
 /// A record: an interned shape plus shape-aligned value storage.
-#[derive(Clone)]
 pub struct Record {
     shape: Shape,
     /// The correlation word (module docs); 0 unless someone set it.
     corr: u64,
     /// Field values, aligned with `shape.fields()`.
-    fields: SVec<Value, INLINE_SLOTS>,
+    fields: Slots<Value>,
     /// Tag values, aligned with `shape.tags()`.
-    tags: SVec<i64, INLINE_SLOTS>,
+    tags: Slots<i64>,
 }
 
 impl Default for Record {
@@ -89,9 +312,29 @@ impl Default for Record {
         Record {
             shape: Shape::empty(),
             corr: 0,
-            fields: SVec::new(),
-            tags: SVec::new(),
+            fields: Slots::empty(),
+            tags: Slots::empty(),
         }
+    }
+}
+
+impl Clone for Record {
+    fn clone(&self) -> Record {
+        let (nf, nt) = self.arity();
+        Record {
+            shape: self.shape,
+            corr: self.corr,
+            fields: self.fields.cloned(nf),
+            tags: self.tags.cloned(nt),
+        }
+    }
+}
+
+impl Drop for Record {
+    fn drop(&mut self) {
+        let (nf, nt) = self.arity();
+        self.fields.drop_values(nf);
+        self.tags.drop_values(nt);
     }
 }
 
@@ -104,6 +347,18 @@ impl Record {
     /// Fluent builder: `Record::build().field("board", v).tag("k", 1)`.
     pub fn build() -> RecordBuilder {
         RecordBuilder(Record::new())
+    }
+
+    /// The arity of each half, `(fields, tags)`: the lengths of the
+    /// value slots.
+    fn arity(&self) -> (usize, usize) {
+        (self.shape.fields().len(), self.shape.tags().len())
+    }
+
+    /// The values of each half, aligned with the shape's labels.
+    fn values(&self) -> (&[Value], &[i64]) {
+        let (nf, nt) = self.arity();
+        (self.fields.as_slice(nf), self.tags.as_slice(nt))
     }
 
     /// The record's interned shape: its label set as a copyable
@@ -128,16 +383,16 @@ impl Record {
     /// Reads the correlation word and leaves 0 behind.
     #[doc(hidden)]
     pub fn take_corr(&mut self) -> u64 {
-        std::mem::take(&mut self.corr)
+        mem::take(&mut self.corr)
     }
 
     /// Number of fields plus tags.
     pub fn len(&self) -> usize {
-        self.fields.len() + self.tags.len()
+        self.shape.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty() && self.tags.is_empty()
+        self.shape.is_empty()
     }
 
     /// Sets (or replaces) a field by name.
@@ -152,12 +407,13 @@ impl Record {
             label.kind() == LabelKind::Field,
             "set_field_label requires a field label, got {label}"
         );
+        let (nf, _) = self.arity();
         match self.shape.field_index(label) {
-            Some(i) => self.fields.as_mut_slice()[i] = value,
+            Some(i) => self.fields.as_mut_slice(nf)[i] = value,
             None => {
                 let (shape, slot) = self.shape.with(label);
+                self.fields.insert(nf, slot, value);
                 self.shape = shape;
-                self.fields.insert(slot, value);
             }
         }
     }
@@ -173,12 +429,13 @@ impl Record {
             label.kind() == LabelKind::Tag,
             "set_tag_label requires a tag label, got {label}"
         );
+        let (_, nt) = self.arity();
         match self.shape.tag_index(label) {
-            Some(i) => self.tags.as_mut_slice()[i] = value,
+            Some(i) => self.tags.as_mut_slice(nt)[i] = value,
             None => {
                 let (shape, slot) = self.shape.with(label);
+                self.tags.insert(nt, slot, value);
                 self.shape = shape;
-                self.tags.insert(slot, value);
             }
         }
     }
@@ -189,9 +446,8 @@ impl Record {
     }
 
     pub fn field_label(&self, label: Label) -> Option<&Value> {
-        self.shape
-            .field_index(label)
-            .and_then(|i| self.fields.get(i))
+        let i = self.shape.field_index(label)?;
+        Some(&self.values().0[i])
     }
 
     /// Looks up a tag by name.
@@ -200,14 +456,14 @@ impl Record {
     }
 
     pub fn tag_label(&self, label: Label) -> Option<i64> {
-        self.shape.tag_index(label).map(|i| self.tags.as_slice()[i])
+        self.shape.tag_index(label).map(|i| self.tag_value_at(i))
     }
 
     /// The tag value in slot `i` of the shape's tag half — for callers
     /// that resolved the slot once per shape (e.g. the indexed-split
     /// dispatcher) instead of re-searching per record.
     pub fn tag_value_at(&self, i: usize) -> i64 {
-        self.tags.as_slice()[i]
+        self.values().1[i]
     }
 
     /// True when the record carries the label (field or tag).
@@ -217,11 +473,12 @@ impl Record {
 
     /// Removes a label if present; returns whether it was there.
     pub fn remove(&mut self, label: Label) -> bool {
+        let (nf, nt) = self.arity();
         match label.kind() {
             LabelKind::Field => match self.shape.field_index(label) {
                 Some(i) => {
                     self.shape = self.shape.without(label);
-                    self.fields.remove(i);
+                    self.fields.remove(nf, i);
                     true
                 }
                 None => false,
@@ -229,7 +486,7 @@ impl Record {
             LabelKind::Tag => match self.shape.tag_index(label) {
                 Some(i) => {
                     self.shape = self.shape.without(label);
-                    self.tags.remove(i);
+                    self.tags.remove(nt, i);
                     true
                 }
                 None => false,
@@ -239,16 +496,13 @@ impl Record {
 
     /// Iterates field entries in label order.
     pub fn fields(&self) -> impl Iterator<Item = (Label, &Value)> {
-        self.shape.fields().iter().copied().zip(self.fields.iter())
+        self.shape.fields().iter().copied().zip(self.values().0)
     }
 
     /// Iterates tag entries in label order.
     pub fn tags(&self) -> impl Iterator<Item = (Label, i64)> + '_ {
-        self.shape
-            .tags()
-            .iter()
-            .copied()
-            .zip(self.tags.iter().copied())
+        let values = self.values().1.iter().copied();
+        self.shape.tags().iter().copied().zip(values)
     }
 
     /// The record's type: its set of labels (allocates — hot paths key
@@ -302,16 +556,18 @@ impl Record {
     /// given field and tag indices.
     fn gather(&self, plan: &SplitPlan, shape: Shape, fields: &[u32], tags: &[u32]) -> Record {
         debug_assert_eq!(plan.source, self.shape, "split plan for a different shape");
-        let own_fields = self.fields.as_slice();
-        let own_tags = self.tags.as_slice();
+        let (own_fields, own_tags) = self.values();
         Record {
             shape,
             corr: 0,
-            fields: fields
-                .iter()
-                .map(|&i| own_fields[i as usize].clone())
-                .collect(),
-            tags: tags.iter().map(|&i| own_tags[i as usize]).collect(),
+            fields: Slots::collect(
+                shape.fields().len(),
+                fields.iter().map(|&i| own_fields[i as usize].clone()),
+            ),
+            tags: Slots::collect(
+                shape.tags().len(),
+                tags.iter().map(|&i| own_tags[i as usize]),
+            ),
         }
     }
 
@@ -319,7 +575,7 @@ impl Record {
     /// whose label is not already present (paper, Section 4: present
     /// labels win, the inherited entry "is discarded").
     pub fn inherit(self, excess: &Record) -> Record {
-        let (fields, tags) = (excess.fields.as_slice(), excess.tags.as_slice());
+        let (fields, tags) = excess.values();
         self.merge(excess.shape, |i| &fields[i], |i| tags[i])
     }
 
@@ -337,7 +593,7 @@ impl Record {
             "split plan for a different shape"
         );
         self.corr = source.corr;
-        let (fields, tags) = (source.fields.as_slice(), source.tags.as_slice());
+        let (fields, tags) = source.values();
         self.merge(
             split.excess,
             |i| &fields[split.excess_fields[i] as usize],
@@ -349,9 +605,9 @@ impl Record {
     /// shape, `field(i)` / `tag(i)` the value of its `i`-th field /
     /// tag slot. Applies the compiled [`crate::shape::InheritPlan`]
     /// for the shape pair: the identity case (nothing to inherit)
-    /// returns `self` untouched; otherwise each inherited value is
-    /// inserted at its result slot and the output's own values move,
-    /// never clone.
+    /// returns `self` untouched; otherwise each result half is built
+    /// once, at its arity, from the plan: the output's own values
+    /// move, never clone, and only the inherited ones are copied.
     fn merge<'e>(
         mut self,
         excess: Shape,
@@ -365,38 +621,17 @@ impl Record {
         if plan.identity {
             return self;
         }
-        // The plan keeps every own value, in order, so inserting the
-        // inherited ones at their result slots front to back leaves
-        // each value where the merged shape expects it.
-        for (slot, src) in plan.fields.iter().enumerate() {
-            if src.from_excess {
-                self.fields.insert(slot, field(src.idx as usize).clone());
-            }
-        }
-        for (slot, src) in plan.tags.iter().enumerate() {
-            if src.from_excess {
-                self.tags.insert(slot, tag(src.idx as usize));
-            }
-        }
+        // The record's values leave it for the merge: with the empty
+        // shape and empty slots behind them, dropping it on a panic
+        // drops nothing twice.
+        let (nf, nt) = self.arity();
+        self.shape = Shape::empty();
+        let own_fields = mem::replace(&mut self.fields, Slots::empty());
+        let own_tags = mem::replace(&mut self.tags, Slots::empty());
+        self.fields = own_fields.merged(nf, &plan.fields, |i| field(i).clone());
+        self.tags = own_tags.merged(nt, &plan.tags, tag);
         self.shape = plan.result;
         self
-    }
-
-    /// Projects the record onto a set of labels (used by filters: "a
-    /// field name occurring in the pattern: it is copied").
-    pub fn project(&self, ty: &RecordType) -> Record {
-        let mut out = Record::new();
-        for (l, v) in self.fields() {
-            if ty.contains(l) {
-                out.set_field_label(l, v.clone());
-            }
-        }
-        for (l, v) in self.tags() {
-            if ty.contains(l) {
-                out.set_tag_label(l, v);
-            }
-        }
-        out
     }
 }
 
@@ -404,7 +639,7 @@ impl Record {
 /// word is not compared.
 impl PartialEq for Record {
     fn eq(&self, other: &Record) -> bool {
-        self.shape == other.shape && self.fields == other.fields && self.tags == other.tags
+        self.shape == other.shape && self.values() == other.values()
     }
 }
 
@@ -585,14 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn project_copies_only_pattern_labels() {
-        let r = rec_abd();
-        let p = r.project(&RecordType::of(&["a"], &[]));
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.field("a").unwrap().as_int(), Some(1));
-    }
-
-    #[test]
     fn equality_is_structural() {
         let a = Record::build().field("x", 1i64).tag("t", 2).finish();
         let b = Record::build().tag("t", 2).field("x", 1i64).finish();
@@ -665,13 +892,13 @@ mod tests {
 
     /// Records are moved through every stream and cloned at every
     /// fan-out; fat messages cost the det split half its throughput
-    /// once already. The budget is two cache lines' worth of words:
-    /// the shape, the correlation word and four inline values of each
-    /// kind.
+    /// once already. The budget is the shape, the correlation word
+    /// and four inline values of each kind (16-byte values, 8-byte
+    /// tags): the shape holds both lengths, so the slots hold none.
     #[test]
-    fn a_record_fits_in_128_bytes() {
+    fn a_record_fits_in_112_bytes() {
         assert!(
-            std::mem::size_of::<Record>() <= 128,
+            std::mem::size_of::<Record>() <= 112,
             "Record is {} bytes",
             std::mem::size_of::<Record>()
         );

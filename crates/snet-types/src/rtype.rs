@@ -204,12 +204,6 @@ impl MultiType {
         }
         MultiType(v)
     }
-
-    /// The best match score a record of type `rt` achieves against any
-    /// variant (used when a branch's input is itself multivariant).
-    pub fn best_match(&self, rt: &RecordType) -> Option<usize> {
-        self.0.iter().filter_map(|v| rt.match_score(v)).max()
-    }
 }
 
 impl fmt::Display for MultiType {
@@ -313,14 +307,6 @@ mod tests {
         let y = MultiType::new(vec![rt(&["a"], &[]), rt(&["b"], &[])]);
         let u = x.union(&y);
         assert_eq!(u.variants().len(), 2);
-    }
-
-    #[test]
-    fn multitype_best_match() {
-        let branch = MultiType::new(vec![rt(&["a"], &[]), rt(&["a", "b"], &[])]);
-        assert_eq!(branch.best_match(&rt(&["a", "b", "c"], &[])), Some(2));
-        assert_eq!(branch.best_match(&rt(&["a"], &[])), Some(1));
-        assert_eq!(branch.best_match(&rt(&["z"], &[])), None);
     }
 
     #[test]

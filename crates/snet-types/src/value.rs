@@ -119,22 +119,6 @@ impl Value {
     pub fn opaque<T: Any + Send + Sync>(v: T) -> Value {
         Value::Opaque(Arc::new(Box::new(v)))
     }
-
-    /// A short human-readable description of the value's kind (used by
-    /// stream observers; payload contents stay opaque).
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Double(_) => "double",
-            Value::Bool(_) => "bool",
-            Value::Str(_) => "str",
-            Value::IntArray(_) => "int[*]",
-            Value::BoolArray(_) => "bool[*]",
-            Value::DoubleArray(_) => "double[*]",
-            Value::Bytes(_) => "bytes",
-            Value::Opaque(_) => "opaque",
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -284,14 +268,5 @@ mod tests {
     fn cross_variant_equality_is_false() {
         assert_ne!(Value::Int(1), Value::Double(1.0));
         assert_ne!(Value::Bool(true), Value::Int(1));
-    }
-
-    #[test]
-    fn kind_str_names() {
-        assert_eq!(Value::Int(0).kind_str(), "int");
-        assert_eq!(
-            Value::from(Array::from_vec(vec![true])).kind_str(),
-            "bool[*]"
-        );
     }
 }

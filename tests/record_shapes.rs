@@ -12,10 +12,13 @@
 //! the field-vs-tag namespace split for same-named labels. What boxes
 //! and filters run — the matched half alone, then inheritance read
 //! straight from the consumed record (`Record::inherit_from`) — is
-//! checked against the model's split followed by inherit.
+//! checked against the model's split followed by inherit. Record
+//! construction itself — random `set_field` / `set_tag` / `remove`
+//! sequences whose halves cross the inline boundary (4 <-> 5 values)
+//! both ways — is checked against the model step by step.
 
 use proptest::prelude::*;
-use snet_types::{Record, RecordType, Shape, Value};
+use snet_types::{Label, Record, RecordType, Shape, Value};
 
 // ---------------------------------------------------------------------------
 // The naive reference model: sorted (kind, name) -> i64 association
@@ -95,6 +98,21 @@ impl ModelRec {
         self.fields.sort_by(|a, b| a.0.cmp(&b.0));
         self.tags.sort_by(|a, b| a.0.cmp(&b.0));
         self
+    }
+
+    /// Sets (or replaces) one entry of a half, keeping it sorted.
+    fn set(half: &mut Vec<(String, i64)>, name: &str, value: i64) {
+        match half.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+            Ok(i) => half[i].1 = value,
+            Err(i) => half.insert(i, (name.to_string(), value)),
+        }
+    }
+
+    /// Removes one entry of a half; returns whether it was there.
+    fn remove(half: &mut Vec<(String, i64)>, name: &str) -> bool {
+        let before = half.len();
+        half.retain(|(n, _)| n != name);
+        half.len() < before
     }
 
     /// The record's own type: splitting against it leaves no excess.
@@ -178,8 +196,61 @@ fn arb_model_type() -> impl Strategy<Value = ModelType> {
     (names(), names()).prop_map(|(fields, tags)| ModelType { fields, tags })
 }
 
+/// One step of a record's construction: `(is_tag, is_remove, name
+/// index, value)`.
+type Step = (bool, bool, usize, i64);
+
+/// Construction sequences long enough that a half crosses the inline
+/// boundary (4 -> 5 and back) several times: sets outnumber removes
+/// two to one, so a half's arity walks up to all six names and down.
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        (any::<bool>(), 0u8..3, 0usize..NAMES.len(), -100i64..100)
+            .prop_map(|(tag, op, i, v)| (tag, op == 0, i, v)),
+        0..48,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `set_field` / `set_tag` / `remove` in any order, over up to six
+    /// labels a half: after every step the record, a clone of it and
+    /// a record built afresh from the model agree with the model and
+    /// with each other, whichever side of the inline boundary each
+    /// half is on and however it got there.
+    #[test]
+    fn construction_matches_reference_across_the_inline_boundary(steps in arb_steps()) {
+        let mut rec = Record::new();
+        let mut model = ModelRec::new(vec![], vec![]);
+        for (tag, remove, i, v) in steps {
+            let name = NAMES[i];
+            match (tag, remove) {
+                (false, false) => {
+                    rec.set_field(name, Value::Int(v));
+                    ModelRec::set(&mut model.fields, name, v);
+                }
+                (true, false) => {
+                    rec.set_tag(name, v);
+                    ModelRec::set(&mut model.tags, name, v);
+                }
+                (false, true) => prop_assert_eq!(
+                    rec.remove(Label::field(name)),
+                    ModelRec::remove(&mut model.fields, name)
+                ),
+                (true, true) => prop_assert_eq!(
+                    rec.remove(Label::tag(name)),
+                    ModelRec::remove(&mut model.tags, name)
+                ),
+            }
+            prop_assert_eq!(model_of(&rec), model.clone());
+            prop_assert_eq!(rec.len(), model.fields.len() + model.tags.len());
+            let copy = rec.clone();
+            prop_assert_eq!(model_of(&copy), model.clone());
+            prop_assert_eq!(&copy, &rec);
+            prop_assert_eq!(&model.to_record(), &rec);
+        }
+    }
 
     /// `split_for` agrees with the reference on both halves (or both
     /// reject), for every random record/type pair.
