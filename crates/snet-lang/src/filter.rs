@@ -16,6 +16,15 @@
 //! parallel replicator. The outputs inherit straight from the input
 //! record through its split plan against the pattern
 //! ([`Record::inherit_from`]), like a box's.
+//!
+//! A bare tag item `<t>` keeps the value of the pattern's `<t>`, as a
+//! bare field item `a` copies the pattern's `a`: `[{<k>} -> {<k>,
+//! <j>=<k>%4}]` keeps `<k>` as it came. Only a *new* tag, one the
+//! pattern does not hold, defaults to zero ("the initialisation of new
+//! tags is optional, tag values are set to zero by default").
+//! [`FilterDef::new`] tells the two apart once, when the filter is
+//! built: it writes a bare pattern tag as `<t>=<t>`, so applying the
+//! filter reads `init` and nothing else.
 
 use crate::expr::{ExprError, TagExpr};
 use snet_types::{Label, Mapping, NetSig, OutVariant, Record, RecordType, Shape, SplitPlan};
@@ -30,9 +39,11 @@ pub enum SpecItem {
     /// `new = old` — the old field's value under a new label; `old`
     /// must occur in the pattern.
     RenameField { new: Label, old: Label },
-    /// `<t>` or `<t> = expr` — a tag, computed from the expression or
-    /// defaulting to zero ("the initialisation of new tags is optional,
-    /// tag values are set to zero by default").
+    /// `<t>` or `<t> = expr` — a tag, computed from the expression.
+    /// A bare `<t>` keeps the pattern's `<t>` when the pattern holds it
+    /// ([`FilterDef::new`] makes it `<t>=<t>`); otherwise it is a new
+    /// tag and `init` stays `None`: zero ("the initialisation of new
+    /// tags is optional, tag values are set to zero by default").
     Tag { name: Label, init: Option<TagExpr> },
 }
 
@@ -50,7 +61,8 @@ impl SpecItem {
         }
     }
 
-    /// `<name>` (zero) or `<name> = init`.
+    /// `<name>` (the pattern's value, or zero for a new tag; see
+    /// [`SpecItem::Tag`]) or `<name> = init`.
     pub fn tag(name: &str, init: Option<TagExpr>) -> SpecItem {
         SpecItem::Tag {
             name: Label::tag(name),
@@ -95,9 +107,18 @@ impl fmt::Display for FilterError {
 impl std::error::Error for FilterError {}
 
 impl FilterDef {
+    /// A validated filter whose bare pattern tags read `<t>=<t>` (see
+    /// the module docs): the one place a bare tag item is classified.
     pub fn new(pattern: RecordType, outputs: Vec<RecSpec>) -> Result<FilterDef, FilterError> {
-        let f = FilterDef { pattern, outputs };
+        let mut f = FilterDef { pattern, outputs };
         f.validate()?;
+        for item in f.outputs.iter_mut().flat_map(|spec| &mut spec.items) {
+            if let SpecItem::Tag { name, init } = item {
+                if init.is_none() && f.pattern.contains(*name) {
+                    *init = Some(TagExpr::Tag(*name));
+                }
+            }
+        }
         Ok(f)
     }
 
@@ -248,6 +269,7 @@ impl FilterDef {
                         r.set_field_label(item.label(), v);
                     }
                     SpecItem::Tag { name, init } => {
+                        // `None` is a new tag: `new` resolved the rest.
                         let v = match init {
                             Some(e) => e.eval(rec)?,
                             None => 0,
@@ -383,6 +405,27 @@ mod tests {
         let out = f.apply(&input).unwrap();
         assert_eq!(out[0].tag("k"), Some(3));
         assert!(out[0].field("p").is_some());
+    }
+
+    #[test]
+    fn a_bare_pattern_tag_keeps_its_value() {
+        // [{<k>} -> {<k>, <lane>=<k>%8}]: the bare <k> is the
+        // pattern's, not a new tag, so it is not reset to zero.
+        let f = FilterDef::new(
+            RecordType::of(&[], &["k"]),
+            vec![RecSpec {
+                items: vec![
+                    SpecItem::tag("k", None),
+                    SpecItem::tag("lane", Some(TagExpr::tag("k").modulo(TagExpr::lit(8)))),
+                ],
+            }],
+        )
+        .unwrap();
+        let input = Record::build().field("x", 5i64).tag("k", 5).finish();
+        let out = f.apply(&input).unwrap();
+        assert_eq!(out[0].tag("k"), Some(5));
+        assert_eq!(out[0].tag("lane"), Some(5));
+        assert_eq!(out[0].field("x").unwrap().as_int(), Some(5));
     }
 
     #[test]

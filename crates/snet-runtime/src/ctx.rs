@@ -53,18 +53,14 @@ pub const DEFAULT_STREAM_BOUND: usize = 128;
 /// [`RunCfg::try_from_env`] is the default with the pool size the
 /// environment gives, a `NetBuilder` starts from the latter and its
 /// setters assign fields; [`Ctx`] carries the result to every
-/// component spawn site.
+/// component spawn site. How far a replicator unfolds is not a
+/// setting: the program bounds it, with a throttle filter in front of
+/// the `!!`/`!` (see [`crate::split`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunCfg {
     /// Capacity of every data edge; `None` = unbounded. See
     /// [`crate::stream`] for what a bound does and does not gate.
     pub bound: Option<usize>,
-    /// Opt-in bounded lane namespace for indexed-split routing paths:
-    /// when set, parallel replicators hash tag values into this many
-    /// lanes instead of one replica per distinct value, capping the
-    /// path-interner growth on unbounded tag domains (see
-    /// [`crate::split`] and the `NetBuilder::split_lanes` knob).
-    pub split_lanes: Option<u32>,
     /// Whether the net is compiled fused (see [`crate::plan`]): the
     /// flag [`crate::compile_cfg`] sets on every spine and fan, and so
     /// whether the net is one stage run or the paper's component
@@ -90,7 +86,6 @@ impl Default for RunCfg {
     fn default() -> RunCfg {
         RunCfg {
             bound: Some(DEFAULT_STREAM_BOUND),
-            split_lanes: None,
             fuse: true,
             workers: None,
             overload: OverloadPolicy::Block,
@@ -151,8 +146,6 @@ pub enum ConfigError {
         value: String,
         expected: &'static str,
     },
-    /// `NetBuilder::split_lanes(0)`.
-    ZeroLanes,
     /// `NetBuilder::bound(0)`.
     ZeroBound,
 }
@@ -165,9 +158,6 @@ impl fmt::Display for ConfigError {
                 value,
                 expected,
             } => write!(f, "{var}={value:?}: expected {expected}"),
-            ConfigError::ZeroLanes => {
-                write!(f, "split_lanes: a replicator needs at least one lane")
-            }
             ConfigError::ZeroBound => write!(
                 f,
                 "bound(0): a bounded edge holds at least one record \

@@ -47,7 +47,7 @@ pub enum BuildError {
     UnknownNet(String),
     /// A setting that can mean nothing: `SNET_WORKERS` set to a
     /// value it cannot hold (see [`RunCfg::try_from_env`]), or a zero
-    /// lane count or bound.
+    /// bound.
     Config(ConfigError),
 }
 
@@ -168,23 +168,6 @@ impl NetBuilder {
     /// (see [`crate::sched`]).
     pub fn executor(mut self, executor: Arc<dyn Executor>) -> Self {
         self.executor = Some(executor);
-        self
-    }
-
-    /// Bounds every indexed parallel replicator (`!!`/`!`) of this
-    /// network to `lanes` replicas: routing-tag values are hashed into
-    /// a fixed lane namespace instead of unfolding one replica (and
-    /// interning one branch path) per distinct value. Opt-in — the
-    /// default is the paper's value-indexed unfolding. Use it when a
-    /// split tag is drawn from an unbounded domain (session ids,
-    /// request ids): the `runtime/interner_paths` gauge then plateaus
-    /// instead of growing with the domain. Equal tag values still
-    /// always reach the same replica; see [`crate::split`] for the
-    /// trade-off discussion. Zero lanes fail `build*` with
-    /// [`BuildError::Config`].
-    pub fn split_lanes(mut self, lanes: u32) -> Self {
-        self.require(lanes > 0, ConfigError::ZeroLanes);
-        self.cfg.split_lanes = Some(lanes);
         self
     }
 
@@ -423,10 +406,10 @@ pub struct Net {
 
 impl Net {
     /// Spawns a compiled plan on `executor` under `cfg` — stream
-    /// bounds, split-lane namespaces, fault policy, the ingress
-    /// overload policy; see [`RunCfg`]. (The plan alone decides the
-    /// topology: `cfg.fuse` and `cfg.workers` were for whoever compiled
-    /// the plan and made the executor.)
+    /// bounds, fault policy, the ingress overload policy; see
+    /// [`RunCfg`]. (The plan alone decides the topology: `cfg.fuse`
+    /// and `cfg.workers` were for whoever compiled the plan and made
+    /// the executor.)
     pub fn spawn(
         plan: Plan,
         observers: Vec<Observer>,
@@ -709,14 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn split_lanes_zero_is_a_build_error() {
-        assert_eq!(
-            rejected(inc_builder().split_lanes(0)),
-            ConfigError::ZeroLanes
-        );
-    }
-
-    #[test]
     fn a_net_runs_under_the_environment_as_its_builder_amends_it() {
         /// `SNET_WORKERS`, the setters called, and what that makes of
         /// the default configuration.
@@ -740,13 +715,11 @@ mod tests {
             (
                 Some("3"),
                 |b| {
-                    b.split_lanes(9)
-                        .split_lanes(4)
+                    b.overload(OverloadPolicy::Timeout(Duration::from_millis(5)))
                         .overload(OverloadPolicy::Shed)
                 },
                 |c| {
                     c.workers = Some(3);
-                    c.split_lanes = Some(4);
                     c.overload = OverloadPolicy::Shed;
                 },
             ),

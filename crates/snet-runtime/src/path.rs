@@ -21,11 +21,13 @@
 //!
 //! One caveat: indexed-replicator branch paths embed the routing tag
 //! *value* (`.../branch{v}`), so their count is bounded by the tag
-//! domain, not the program text. Every workload in this repo throttles
-//! that domain (the Figure 3 modulo filter exists precisely to bound
-//! unfolding), but a long-running service splitting on an unbounded
-//! tag (e.g. a session id) would grow the interner without reclaim —
-//! see ROADMAP "Open items" for the reclaimable-interner follow-on.
+//! domain, not the program text. The bound is the program's own: a
+//! throttle filter in front of the replicator (Figure 3's
+//! `[{<k>} -> {<k>=<k>%4}]`, see [`crate::split`]) folds the domain
+//! into a few values, and every workload in this repo writes one. A
+//! long-running service splitting on an unthrottled tag (e.g. a
+//! session id) grows the interner without reclaim — see ROADMAP "Open
+//! items" for the reclaimable-interner follow-on.
 //!
 //! # The child cache
 //!
@@ -35,9 +37,9 @@
 //! of every one of those, though after the first build of a net every
 //! path it derives already exists. So a child is looked up by
 //! `(parent id, segment)` first: a segment is a [`Name`] (an interned
-//! id, `guard`, `box:solve`) or an index (`stage{d}`, `branch{k}`,
-//! `lane{k}`), and the key is ids and integers only. The text is
-//! rendered, and interned, only on a cache miss. The cache holds one
+//! id, `guard`, `box:solve`) or an index (`stage{d}`, `branch{k}`),
+//! and the key is ids and integers only. The text is rendered, and
+//! interned, only on a cache miss. The cache holds one
 //! entry per spelling of an interned child — its last segment as a
 //! name, and as an index when it is one — so it is bounded by the same
 //! path universe as the interner, and leaks with it.
@@ -72,7 +74,9 @@ fn intern(text: &str) -> CompPath {
 /// This is the observable for the known unbounded-tag-domain growth
 /// mode (see module docs): every network records it as the
 /// `runtime/interner_paths` gauge, so a service splitting on an
-/// unbounded tag sees the leak in its metrics long before it matters.
+/// unthrottled tag sees the leak in its metrics long before it
+/// matters, and one whose split is behind a throttle filter sees it
+/// plateau.
 pub fn interned_paths() -> usize {
     interner().len()
 }
@@ -110,8 +114,8 @@ macro_rules! name {
 pub(crate) use name;
 
 /// One child segment, as the child cache keys it. An indexed segment
-/// renders exactly as `format!("stage{d}")` (`branch{k}`, `lane{k}`)
-/// does, and only on a cache miss.
+/// renders exactly as `format!("stage{d}")` (`branch{k}`) does, and
+/// only on a cache miss.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Seg {
     /// A name with no `/` in it.
@@ -120,8 +124,6 @@ pub(crate) enum Seg {
     Stage(usize),
     /// `branch{k}`: an indexed split's replica for tag value `k`.
     Branch(i64),
-    /// `lane{k}`: an indexed split's lane under a lane bound.
-    Lane(i64),
 }
 
 impl Seg {
@@ -130,7 +132,6 @@ impl Seg {
             Seg::Name(n) => format!("{parent}/{}", n.text),
             Seg::Stage(d) => format!("{parent}/stage{d}"),
             Seg::Branch(k) => format!("{parent}/branch{k}"),
-            Seg::Lane(k) => format!("{parent}/lane{k}"),
         }
     }
 }
@@ -283,7 +284,6 @@ mod tests {
         let p = CompPath::root("idx");
         for k in [0, 7, -3, i64::MAX, i64::MIN] {
             assert_eq!(p.child_at(Seg::Branch(k)), p.child(&format!("branch{k}")));
-            assert_eq!(p.child_at(Seg::Lane(k)).as_str(), format!("idx/lane{k}"));
         }
         assert_eq!(p.child_at(Seg::Stage(12)).as_str(), "idx/stage12");
         // A cache hit is the same interned path.

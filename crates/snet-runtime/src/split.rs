@@ -14,24 +14,15 @@
 //! `[{<k>} -> {<k>=<k>%4}]` only four distinct values reach the
 //! replicator, so at most four replicas unfold per stage.
 //!
-//! # Bounded lane namespace (opt-in)
+//! # Bounding the unfolding
 //!
-//! Branch paths embed the routing tag *value* (`.../branch{v}`), so a
-//! service splitting on an unbounded tag domain (e.g. a session id)
-//! grows the process-wide path interner without reclaim — the known
-//! growth mode the `runtime/interner_paths` gauge observes. The
-//! `NetBuilder::split_lanes(n)` knob caps it: tag values are hashed
-//! into `n` lanes (`.../lane{i}`), so at most `n` replicas — and at
-//! most `n` interned branch paths — exist per replicator, no matter
-//! how many distinct values flow; one count holds for every
-//! replicator of the net ([`crate::RunCfg::split_lanes`]). The
-//! paper's guarantee is preserved (equal tag values still always
-//! reach the same replica; hashing is deterministic); what is given
-//! up is isolation *between* distinct
-//! values that collide into one lane, which is exactly the trade the
-//! Figure 3 modulo filter makes explicitly. Deterministic variants
-//! are unaffected in output order: sort records re-establish input
-//! order regardless of lane assignment.
+//! Branch paths embed the routing tag *value* (`.../branch{v}`), so
+//! the replicas, interned paths and counters of a replicator grow with
+//! the tag domain. The bound is written in the program, as Figure 3
+//! writes it: a filter in front of the replicator folds the tag into
+//! `n` values. To keep the original tag on the record, route on a tag
+//! of its own: `[{<k>} -> {<k>, <lane>=<k>%n}] .. (A !! <lane>)`
+//! unfolds at most `2n - 1` replicas (`%` keeps the sign of `<k>`).
 //!
 //! The per-record tag lookup itself is shape-keyed (PR 4): the tag's
 //! value slot is resolved once per record shape and then read by
@@ -41,10 +32,9 @@
 //!
 //! [`SplitRouter`] is the single owner of what the combinator counts
 //! (`records_in`, `branches`), observes and calls its lanes
-//! (`branch{v}` / `lane{i}`), generic over what a lane *is*: the
-//! dispatcher below instantiates it with a replica's input `Sender`,
-//! a fused fan stage ([`crate::fused`]) with the lane's stage
-//! cores. There is one dispatcher loop, credit-gated; an unbounded
+//! (`branch{v}`), generic over what a lane *is*: the dispatcher below
+//! instantiates it with a replica's input `Sender`, a fused fan stage
+//! ([`crate::fused`]) with the lane's stage cores. There is one dispatcher loop, credit-gated; an unbounded
 //! edge grants at once.
 
 use crate::ctx::Ctx;
@@ -58,26 +48,13 @@ use snet_types::{Label, Record};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Hashes a routing-tag value into one of `n` lanes (deterministic
-/// across runs and processes: a fixed splitmix64 finalizer, so lane
-/// assignment — and therefore replica reuse — is reproducible).
-pub fn lane_of(v: i64, n: u32) -> i64 {
-    let mut z = (v as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z % u64::from(n.max(1))) as i64
-}
-
 /// The indexed replicator's router (see module docs): a shape-cached
-/// routing-tag slot read plus the optional lane hash, the lane map
-/// that unfolds on demand, and the combinator's counters. Equal tag
-/// values always map to equal keys, so replica affinity — and the
-/// branch path namespace — is identical however the replicator
-/// executes.
+/// routing-tag slot read, the lane map that unfolds on demand, and
+/// the combinator's counters. Equal tag values always map to equal
+/// keys, so replica affinity — and the branch path namespace — is
+/// identical however the replicator executes.
 pub(crate) struct SplitRouter<L> {
     tag: Label,
-    lane_bound: Option<u32>,
     /// Routing-tag slot per record shape: resolved once per shape,
     /// then a direct value-array read (streams are overwhelmingly
     /// shape-monomorphic, so a one-entry cache suffices; a shape
@@ -96,7 +73,6 @@ impl<L> SplitRouter<L> {
             .counters_at(comb, [name!(keys::RECORDS_IN), name!(keys::BRANCHES)]);
         SplitRouter {
             tag,
-            lane_bound: ctx.cfg().split_lanes,
             tag_slot: None,
             lanes: HashMap::new(),
             records_in,
@@ -104,9 +80,8 @@ impl<L> SplitRouter<L> {
         }
     }
 
-    /// The branch key for a record: the raw tag value, or its lane
-    /// hash under a bounded lane namespace. Panics (a routing error)
-    /// on a record without the tag.
+    /// The branch key for a record: its routing tag's value. Panics
+    /// (a routing error) on a record without the tag.
     fn key(&mut self, rec: &Record, comb: CompPath) -> i64 {
         let sid = rec.shape().id();
         let slot = match self.tag_slot {
@@ -118,16 +93,12 @@ impl<L> SplitRouter<L> {
             }
         };
         let tag = self.tag;
-        let v = slot.map(|i| rec.tag_value_at(i)).unwrap_or_else(|| {
+        slot.map(|i| rec.tag_value_at(i)).unwrap_or_else(|| {
             panic!(
                 "record {rec:?} reached parallel replicator at '{comb}' without \
                  routing tag {tag}"
             )
-        });
-        match self.lane_bound {
-            Some(n) => lane_of(v, n),
-            None => v,
-        }
+        })
     }
 
     /// One record's dispatch: observe, count, classify — and, on the
@@ -149,10 +120,7 @@ impl<L> SplitRouter<L> {
         let key = self.key(rec, comb);
         self.lanes.entry(key).or_insert_with(|| {
             self.branches.inc(1);
-            open(comb.child_at(match self.lane_bound {
-                Some(_) => Seg::Lane(key),
-                None => Seg::Branch(key),
-            }))
+            open(comb.child_at(Seg::Branch(key)))
         })
     }
 
@@ -198,7 +166,7 @@ pub fn spawn_split(
     // the record loop's only per-record work is a shape-keyed tag-slot
     // read and a lane-map hit. Path/metric strings are only built on
     // the demand-driven replica unfolding path (once per distinct tag
-    // value, or per lane when the lane namespace is bounded).
+    // value).
     let ctx2 = Arc::clone(ctx);
     let inner = Arc::clone(inner);
     let mut router: SplitRouter<Sender> = SplitRouter::new(ctx, comb, tag);

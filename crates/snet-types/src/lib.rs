@@ -43,6 +43,6 @@ pub use intern::StringInterner;
 pub use label::{Label, LabelKind};
 pub use record::{Record, RecordBuilder, INLINE_SLOTS};
 pub use rtype::{MultiType, RecordType};
-pub use shape::{interned_shapes, InheritPlan, Shape, SplitPlan};
+pub use shape::{InheritPlan, Shape, SplitPlan};
 pub use sig::{parallel, serial, split, star, BoxSig, Mapping, NetSig, OutVariant, TypeError};
 pub use value::Value;

@@ -571,13 +571,6 @@ impl Shape {
     }
 }
 
-/// Number of distinct shapes interned so far, process-wide (the
-/// observability hook mirroring `interned_paths`; bounded by the
-/// label universe — see module docs).
-pub fn interned_shapes() -> usize {
-    tables().read().shapes.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

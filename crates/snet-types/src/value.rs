@@ -100,13 +100,6 @@ impl Value {
         }
     }
 
-    pub fn as_bytes(&self) -> Option<&Bytes> {
-        match self {
-            Value::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// Downcasts an opaque payload.
     pub fn downcast<T: Any + Send + Sync>(&self) -> Option<&T> {
         match self {
