@@ -148,6 +148,22 @@
 //! which the determinism tests exploit to force adversarial
 //! interleavings.
 //!
+//! ## …including when callers help
+//!
+//! A thread waiting for a service call runs runnable tasks of the
+//! service's pool before it parks (`pool.rs`, *Helping*). That adds no
+//! wait edge. The helper runs tasks only while it waits for its own
+//! request, one poll at a time, as a worker would. It is never a
+//! worker, so every worker stays free for what it leaves queued, and
+//! it wakes one before it parks if anything is. It never helps inside
+//! `feed_blocking`, `Net::recv` or `block_on`. A caller parked there
+//! waits for the net to move, and a task it ran in place could block
+//! under the caller's own frame on what only that caller would do
+//! next. Helping inside `feed_blocking` deadlocked
+//! `backpressure.rs::timeout_policy_gives_up_after_deadline_then_recovers`
+//! in a prototype: the test thread ran the gated box that only it
+//! could release.
+//!
 //! ## …including under coalesced wakeups
 //!
 //! Since PR 3 the send path wakes a consumer only when it actually
@@ -235,6 +251,7 @@ mod deque;
 mod pool;
 mod thread_per;
 
+pub(crate) use pool::as_waiter;
 pub use pool::WorkStealingPool;
 pub use thread_per::{block_on, ThreadPerComponent};
 
@@ -269,6 +286,17 @@ pub trait Executor: Send + Sync {
     /// `tests/executor_{env,matrix}.rs` assert pool sizes through it;
     /// nothing in the runtime reads it.
     fn os_thread_bound(&self) -> Option<usize>;
+
+    /// Runs runnable tasks of this executor on the calling thread, which
+    /// is waiting for something they may produce: until `resolved`
+    /// (asked after each task) says the wait is over, or nothing is
+    /// runnable. Under a `deadline`, only a task whose next poll fits
+    /// one [`SLICE`] before it. `CallHandle::wait` calls it before it
+    /// parks, and nothing else does (see [`pool`], *Helping*).
+    /// The default helps nothing: the caller parks at once.
+    fn help(&self, deadline: Option<Instant>, resolved: &mut dyn FnMut() -> bool) {
+        let _ = (deadline, resolved);
+    }
 }
 
 /// Cap on the messages a task may consume per poll before it is forced

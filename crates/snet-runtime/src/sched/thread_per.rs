@@ -41,7 +41,7 @@ impl Executor for ThreadPerComponent {
 pub fn block_on(mut fut: TaskFuture) {
     let mut slice = Slice::START;
     let mut sliced = std::future::poll_fn(|cx| slice.poll(|| fut.as_mut().poll(cx)));
-    wait_on(&mut sliced, None);
+    wait_on(&mut sliced, None, None);
 }
 
 #[cfg(test)]

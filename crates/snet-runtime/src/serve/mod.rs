@@ -27,7 +27,14 @@
 //! [`CallHandle`] is a [`std::future::Future`] resolving to the
 //! [`Response`]; [`CallHandle::wait`] / [`CallHandle::wait_deadline`]
 //! poll it from a thread that parks in between, so threads and tasks
-//! are woken the same way, and only if they registered. Ingress
+//! are woken the same way, and only if they registered. Before it
+//! parks, a waiting thread that is no pool worker runs runnable tasks
+//! of the service's executor, polling its handle after each
+//! ([`crate::Executor::help`]). On the default pool that is usually
+//! its own request: the worker its call woke yields once first, so on
+//! one CPU a lone call runs on the caller's thread, with no hand-off
+//! into the pool and none back (`sched/pool.rs`, *Helping*). Under a
+//! deadline the caller helps only with what fits before it. Ingress
 //! overload (PR 6's bounded edges) surfaces per call through
 //! [`crate::OverloadPolicy`] — park, shed, or give up after a
 //! deadline.

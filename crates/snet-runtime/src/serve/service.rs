@@ -5,6 +5,7 @@ use crate::ctx::Ctx;
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
 use crate::path::CompPath;
+use crate::sched::{as_waiter, Executor};
 use crate::stream::chan::{poll_budget, set_poll_budget, wait_on};
 use crate::stream::{Dir, Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::Record;
@@ -151,7 +152,6 @@ impl Slot {
 /// The one correlation structure, shared by the service, its egress,
 /// its fault subscription and every call handle. A slot lock and the
 /// free-list lock are both leaves, never held together.
-#[derive(Default)]
 struct Table {
     /// Segment `k` holds `SEG0 << k` slots and never moves once
     /// allocated, so a slot is reached from its index without a lock.
@@ -162,9 +162,22 @@ struct Table {
     inflight: AtomicU64,
     /// Requests [`Table::fail_all`] resolved as stopped.
     stranded: AtomicU64,
+    /// The net's executor, which a waiting caller helps
+    /// ([`CallHandle::wait`]).
+    exec: Arc<dyn Executor>,
 }
 
 impl Table {
+    fn new(exec: Arc<dyn Executor>) -> Table {
+        Table {
+            segs: Default::default(),
+            free: Mutex::default(),
+            inflight: AtomicU64::new(0),
+            stranded: AtomicU64::new(0),
+            exec,
+        }
+    }
+
     fn place(idx: usize) -> (usize, usize) {
         let n = idx + SEG0;
         let k = (n.ilog2() - SEG0.ilog2()) as usize;
@@ -270,6 +283,26 @@ impl Table {
         }
     }
 
+    /// Polls the handle of request `rid`; `live` is whether the handle
+    /// still owns its slot.
+    fn poll_handle(&self, rid: u64, live: &mut bool, cx: &mut Context<'_>) -> Poll<CallResult> {
+        // The slot may be another request's by now.
+        if !*live {
+            return Poll::Ready(Err(CallError::PolledAfterResolved));
+        }
+        let slot = self.slot(rid).expect("a handle's slot exists");
+        let mut st = slot.state();
+        if slot.stamp.load(Ordering::Acquire) == 0 {
+            // Registered under the lock the egress resolves under: it
+            // either sees the waiter or has already set the stamp.
+            st.waiter = Some(cx.waker().clone());
+            return Poll::Pending;
+        }
+        let out = self.release(rid, slot, st);
+        *live = false;
+        Poll::Ready(out)
+    }
+
     /// A handle's end, under its slot's lock: takes the outcome, or
     /// abandons the request if it has none yet (late records then go
     /// stray), and frees the slot for reissue.
@@ -362,7 +395,7 @@ impl Service {
         } = net;
         let input = input.expect("cannot serve a network whose input is closed");
         let metrics = &ctx.metrics;
-        let table = Arc::new(Table::default());
+        let table = Arc::new(Table::new(Arc::clone(ctx.executor())));
         let completed = metrics.handle(keys::SERVE_COMPLETED);
         let faulted = metrics.handle(keys::SERVE_FAULTED);
         {
@@ -449,8 +482,10 @@ impl Service {
             table: Arc::clone(&self.table),
             live: true,
         };
-        send_policy(tx, rec, opts.policy.unwrap_or(self.ctx.cfg().overload))
-            .map_err(CallError::Rejected)?;
+        let policy = opts.policy.unwrap_or(self.ctx.cfg().overload);
+        // This caller will likely wait, and helps while it waits: the
+        // worker the send wakes lets it run the request first.
+        as_waiter(|| send_policy(tx, rec, policy)).map_err(CallError::Rejected)?;
         self.requests.inc(1);
         Ok(handle)
     }
@@ -672,22 +707,31 @@ impl CallHandle {
         self.rid
     }
 
-    /// Blocks until the response is complete.
+    /// Blocks until the response is complete. Before it parks, the
+    /// calling thread runs runnable tasks of the service's executor —
+    /// on a pool, usually the request's own — unless it is a pool
+    /// worker ([`crate::Executor::help`]).
     pub fn wait(self) -> Result<Response, CallError> {
         self.wait_until(None)
     }
 
     /// Like [`CallHandle::wait`] with a deadline: past it the request
     /// is abandoned ([`CallError::Deadline`]) and any late response
-    /// records count as stray.
+    /// records count as stray. While it waits it helps only with tasks
+    /// whose next poll fits one slice (200 µs) before the deadline, so
+    /// it returns within about one slice of it.
     pub fn wait_deadline(self, deadline: Instant) -> Result<Response, CallError> {
         self.wait_until(Some(deadline))
     }
 
-    /// Polls the handle from this thread through [`wait_on`]. Past the
-    /// deadline, dropping the handle abandons the request.
+    /// Polls the handle from this thread through [`wait_on`], helping
+    /// the table's executor. Past the deadline, dropping the handle
+    /// abandons the request.
     fn wait_until(mut self, deadline: Option<Instant>) -> Result<Response, CallError> {
-        wait_on(&mut self, deadline).unwrap_or(Err(CallError::Deadline))
+        let CallHandle { rid, table, live } = &mut self;
+        let table = &**table;
+        let mut handle = std::future::poll_fn(|cx| table.poll_handle(*rid, live, cx));
+        wait_on(&mut handle, deadline, Some(&*table.exec)).unwrap_or(Err(CallError::Deadline))
     }
 
     /// Completion timestamp (egress-side, excludes caller wakeup
@@ -703,21 +747,7 @@ impl Future for CallHandle {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        // The slot may be another request's by now.
-        if !this.live {
-            return Poll::Ready(Err(CallError::PolledAfterResolved));
-        }
-        let slot = this.slot();
-        let mut st = slot.state();
-        if slot.stamp.load(Ordering::Acquire) == 0 {
-            // Registered under the lock the egress resolves under: it
-            // either sees the waiter or has already set the stamp.
-            st.waiter = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let out = this.table.release(this.rid, slot, st);
-        this.live = false;
-        Poll::Ready(out)
+        this.table.poll_handle(this.rid, &mut this.live, cx)
     }
 }
 
@@ -785,7 +815,7 @@ mod tests {
     /// there, though the slot exists.
     #[test]
     fn an_id_of_an_even_generation_names_no_open_request() {
-        let table = Table::default();
+        let table = Table::new(crate::sched::default_executor());
         let (rid, _) = table.open(1).unwrap();
         assert_eq!(rid & IDX_MASK, 0);
         assert!(table.open_slot(rid).is_some());
@@ -804,7 +834,7 @@ mod tests {
         let egress = Arc::new(Egress {
             state: AtomicU8::new(IDLE),
             output: Mutex::new(Some((rx, Wakes(Vec::new())))),
-            table: Arc::default(),
+            table: Arc::new(Table::new(Arc::clone(ctx.executor()))),
             completed: ctx.metrics.handle(keys::SERVE_COMPLETED),
             stray: ctx.metrics.handle(keys::SERVE_STRAY),
             stray_path: CompPath::root(keys::SERVE_STRAY),

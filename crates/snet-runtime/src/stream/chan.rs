@@ -125,6 +125,7 @@
 //! inputs at registration so the drain order never gates upstream.
 
 use crate::metrics::Counter;
+use crate::sched::Executor;
 use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
@@ -829,7 +830,7 @@ impl<T: Send> Sender<T> {
             Err(TryFeedError::Full(value)) => value,
             done => return done,
         };
-        match wait_on(&mut self.acquire(1), deadline) {
+        match wait_on(&mut self.acquire(1), deadline, None) {
             Some(Ok(_)) => {
                 self.publish([value]);
                 Ok(())
@@ -1017,7 +1018,7 @@ impl<T: Send> Receiver<T> {
                 Err(TryRecvError::Empty) => return Poll::Pending,
             }
         });
-        wait_on(&mut next, None).expect("no deadline")
+        wait_on(&mut next, None, None).expect("no deadline")
     }
 
     /// Blocking iterator until disconnect.
@@ -1122,20 +1123,45 @@ pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
 /// wake addressed to the outer future — but never one the outer wait
 /// depends on: those answer the registration the outer poll makes as
 /// it returns `Pending`, after the inner wait is over.
+///
+/// With a `helper`, the wait first runs the helper's runnable tasks
+/// ([`Executor::help`]), polling `fut` after each, and parks only once
+/// nothing it may run is left. Only `CallHandle::wait` passes one: a
+/// thread that parks in [`Sender::feed_blocking`], [`Receiver::recv`]
+/// or `block_on` has promised to run nothing else meanwhile. Under a
+/// deadline a helper runs only a task whose poll fits one slice before
+/// it, so a helping wait still returns within about one slice (200 µs)
+/// of its deadline.
 pub(crate) fn wait_on<F: Future + Unpin>(
     fut: &mut F,
     deadline: Option<std::time::Instant>,
+    helper: Option<&dyn Executor>,
 ) -> Option<F::Output> {
     with_parker(|parker, waker| {
         let mut cx = Context::from_waker(waker);
-        loop {
-            if let Poll::Ready(out) = Pin::new(&mut *fut).poll(&mut cx) {
-                return Some(out);
+        let mut out = None;
+        let over = Cell::new(false);
+        let mut resolved = || {
+            if !over.get() {
+                if let Poll::Ready(o) = Pin::new(&mut *fut).poll(&mut cx) {
+                    out = Some(o);
+                    over.set(true);
+                }
+            }
+            over.get()
+        };
+        while !resolved() {
+            if let Some(helper) = helper {
+                helper.help(deadline, &mut resolved);
+                if over.get() {
+                    break;
+                }
             }
             if !parker.park(deadline) {
-                return None;
+                break;
             }
         }
+        out
     })
 }
 

@@ -28,15 +28,17 @@
 
 mod common {
     pub mod chaos;
+    pub mod held;
     pub mod pools;
 }
 
 use common::chaos::Chaos;
+use common::held::held_pool;
 use common::pools::pools;
 use proptest::prelude::*;
 use proptest::TestRng;
 use snet_lang::{parse_filter, parse_program, pretty_net, Env, ExitPattern, NetAst};
-use snet_runtime::{oracle, Bindings, Emitter, FaultPolicy, NetBuilder, Plan};
+use snet_runtime::{oracle, Bindings, CallOpts, Emitter, FaultPolicy, NetBuilder, Plan, Service};
 use snet_types::{Record, RecordType, Value};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
@@ -454,6 +456,87 @@ proptest! {
                 want: case.want.clone(),
             })?;
         }
+    }
+}
+
+/// Each input of `case`, served as one call on a pool whose callers
+/// always help ([`held_pool`]): its response must be what the oracle
+/// says that input alone makes. Calls go one at a time, each expecting
+/// the oracle's output count; an input with no output is not sent, as
+/// its call could never complete. The case's fault policy and chaos
+/// are not used: every box runs as written, under `FailNet`.
+fn check_served(case: &Case) -> Result<(), TestCaseError> {
+    let plan = reference_plan(&case.src, false, None);
+    let mut want = Vec::new();
+    for input in &case.inputs {
+        match oracle::run(&plan, [input.clone()]) {
+            Ok(own) if own.records.is_empty() => {}
+            Ok(own) => want.push((input.clone(), own)),
+            // Without chaos the oracle may read another program.
+            Err(_) => return Ok(()),
+        }
+    }
+    let got = on_own_thread({
+        let (src, cfg) = (case.src.clone(), case.cfg);
+        let calls: Vec<(Record, usize)> = want
+            .iter()
+            .map(|(input, own)| (input.clone(), own.records.len()))
+            .collect();
+        move || {
+            let (exec, held) = held_pool();
+            let b = bindings()
+                .into_iter()
+                .fold(NetBuilder::from_source(&src).unwrap(), |b, (name, f)| {
+                    b.bind(name, f)
+                });
+            let b = match cfg.bound {
+                Some(n) => b.bound(n),
+                None => b.unbounded(),
+            };
+            let svc = Service::start(b.executor(exec).fuse(cfg.fuse).build("main").unwrap());
+            let got: Vec<_> = calls
+                .into_iter()
+                .map(|(input, expect)| {
+                    let opts = CallOpts {
+                        expect,
+                        policy: None,
+                    };
+                    svc.call_with(input, opts)
+                        .unwrap()
+                        .wait()
+                        .map(|r| r.records)
+                })
+                .collect();
+            let stray = svc.metrics().get("serve/stray");
+            drop(held);
+            svc.shutdown();
+            (got, stray)
+        }
+    });
+    let (got, stray) = got.map_err(TestCaseError::Fail)?;
+    for ((input, own), got) in want.iter().zip(got) {
+        let got = got.map_err(|e| TestCaseError::Fail(format!("{input:?}: {e}")))?;
+        prop_assert!(
+            own.admits(&got),
+            "{:?}\n  want: {:?}\n   got: {:?}",
+            input,
+            own.records,
+            got
+        );
+    }
+    prop_assert_eq!(stray, 0, "records beyond the oracle's count");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Runtime ≡ oracle per request through the serve door, on a pool
+    /// whose only worker is held: every task runs on the caller that
+    /// waits for it.
+    #[test]
+    fn served_calls_match_the_oracle_when_callers_always_help(case in Cases::default()) {
+        check_served(&case)?;
     }
 }
 

@@ -14,10 +14,12 @@
 
 mod common {
     pub mod chaos;
+    pub mod held;
     pub mod pools;
 }
 
 use common::chaos::Chaos;
+use common::held::held_pool;
 use common::pools::pools;
 use snet_runtime::sched::{Completion, TaskFuture};
 use snet_runtime::{
@@ -1072,4 +1074,143 @@ fn one_slot_through_every_sequence_of_generations_matches_the_model() {
             );
         }
     }
+}
+
+/// Runs `f` on a thread of its own and fails if it has not returned
+/// within a minute: a caller that parks instead of helping a pool whose
+/// only worker is held hangs rather than fails.
+fn within_a_minute(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let h = std::thread::spawn(move || {
+        f();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => h.join().unwrap(),
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(h.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+    }
+}
+
+fn xs(records: &[Record]) -> Vec<i64> {
+    let x = |rec: &Record| rec.field("x").unwrap().as_int().unwrap();
+    records.iter().map(x).collect()
+}
+
+/// `inc .. dbl` on `exec`, each box noting the thread it ran on.
+fn ran_on_net(
+    exec: Arc<dyn Executor>,
+    fuse: bool,
+    ran_on: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+) -> Net {
+    let note = |ran_on: &Arc<Mutex<Vec<_>>>| {
+        let ran_on = Arc::clone(ran_on);
+        move || ran_on.lock().unwrap().push(std::thread::current().id())
+    };
+    let (inc, dbl) = (note(ran_on), note(ran_on));
+    NetBuilder::from_source("box inc (x) -> (x); box dbl (x) -> (x); net main = inc .. dbl;")
+        .unwrap()
+        .bind("inc", move |rec, em| {
+            inc();
+            let x = rec.field("x").unwrap().as_int().unwrap();
+            em.emit(Record::build().field("x", x + 1).finish());
+        })
+        .bind("dbl", move |rec, em| {
+            dbl();
+            let x = rec.field("x").unwrap().as_int().unwrap();
+            em.emit(Record::build().field("x", x * 2).finish());
+        })
+        .executor(exec)
+        .fuse(fuse)
+        .build("main")
+        .unwrap()
+}
+
+/// A caller that finds no worker free runs its own request: on a pool
+/// of one worker held by a box of another net, a service on that pool
+/// answers every call on the caller's thread, before the worker is let
+/// go, fused (one task) or not (a task per box).
+#[test]
+fn a_caller_runs_its_own_request_while_the_only_worker_is_held() {
+    within_a_minute("a call on a held pool", || {
+        for fuse in [true, false] {
+            let (exec, held) = held_pool();
+            let ran_on = Arc::default();
+            let svc = Service::start(ran_on_net(exec, fuse, &ran_on));
+            for x in 0..20i64 {
+                let resp = svc.call(Record::build().field("x", x).finish()).unwrap();
+                let resp = resp.wait().unwrap();
+                assert_eq!(xs(&resp.records), [(x + 1) * 2], "fuse={fuse}");
+            }
+            let me = std::thread::current().id();
+            let ran_on = ran_on.lock().unwrap().clone();
+            assert_eq!(ran_on.len(), 40, "fuse={fuse}");
+            assert!(ran_on.iter().all(|&t| t == me), "fuse={fuse}");
+            drop(held);
+            let report = svc.shutdown();
+            assert_eq!((report.completed, report.stranded), (20, 0), "fuse={fuse}");
+        }
+    });
+}
+
+/// A box that panics while a caller helps behaves as it does on a
+/// worker. Under `SkipRecord` its call resolves `Faulted`, the caller
+/// survives and the next call is answered; under `FailNet` the call
+/// resolves `ServiceStopped` and `shutdown` re-raises the panic. The
+/// same script runs on a plain pool of one, where a worker runs it.
+#[test]
+fn a_box_that_panics_while_a_caller_helps_faults_as_on_a_worker() {
+    within_a_minute("a fault on a held pool", || {
+        for (held, skip) in [(true, true), (false, true), (true, false), (false, false)] {
+            let leg = format!("held={held} skip={skip}");
+            let (exec, latch) = match held {
+                true => {
+                    let (exec, latch) = held_pool();
+                    (exec, Some(latch))
+                }
+                false => (Arc::clone(&pools()[0].1), None),
+            };
+            let b = NetBuilder::from_source("box f (x) -> (x); net main = f;")
+                .unwrap()
+                .bind("f", |rec, em| {
+                    let x = rec.field("x").unwrap().as_int().unwrap();
+                    assert_ne!(x, 3, "poisoned");
+                    em.emit(rec.clone());
+                })
+                .executor(exec);
+            let b = match skip {
+                true => b.fault_policy(FaultPolicy::SkipRecord),
+                false => b,
+            };
+            let svc = Service::start(b.build("main").unwrap());
+            let call = |x: i64| {
+                svc.call(Record::build().field("x", x).finish())
+                    .unwrap()
+                    .wait()
+            };
+            assert_eq!(xs(&call(2).unwrap().records), [2], "{leg}");
+            match (call(3), skip) {
+                (Err(CallError::Faulted { msg, .. }), true) => {
+                    assert!(msg.contains("poisoned"), "{leg}")
+                }
+                (Err(CallError::ServiceStopped), false) => {}
+                (other, _) => panic!("{leg}: {other:?}"),
+            }
+            if skip {
+                assert_eq!(xs(&call(4).unwrap().records), [4], "{leg}");
+            }
+            drop(latch);
+            let shutdown =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
+            match shutdown {
+                Ok(report) => {
+                    assert!(skip, "{leg}: shutdown swallowed the panic");
+                    assert_eq!((report.completed, report.faulted), (2, 1), "{leg}");
+                }
+                Err(_) => assert!(!skip, "{leg}: a contained fault failed the net"),
+            }
+        }
+    });
 }
