@@ -290,6 +290,12 @@ impl Ctx {
         &self.executor
     }
 
+    /// The tracker that counts this network's tasks, and names the
+    /// network to its executor ([`Executor::park_helper`]).
+    pub(crate) fn tracker(&self) -> &Arc<Tracker> {
+        &self.tracker
+    }
+
     /// Notifies observers of a record passing a component boundary.
     /// Observers receive the pre-rendered path string by reference —
     /// no allocation happens on this edge.

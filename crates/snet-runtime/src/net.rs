@@ -483,9 +483,18 @@ impl Net {
     /// Receives the next output record, blocking; `None` on
     /// end-of-stream. (Sort records are internal and never escape a
     /// well-formed network; any that do are skipped defensively.)
+    ///
+    /// While the output is empty, a thread that is no pool worker runs
+    /// runnable tasks of the net's executor before it parks, and parked,
+    /// it is the first sleeper a send from outside the pool wakes
+    /// ([`Executor::help`]; `sched/pool.rs`, *Helping*): on a pool, the
+    /// receiver usually runs the net itself. A box that blocks until the
+    /// receiving thread acts — a latch it releases after this call —
+    /// can therefore hang it; such a box needs a pool of its own.
     pub fn recv(&self) -> Option<Record> {
         loop {
-            match self.output.recv() {
+            let helper = (&**self.ctx.executor(), &**self.ctx.tracker());
+            match self.output.recv_helping(Some(helper)) {
                 Ok(Msg::Rec(r)) => return Some(r),
                 Ok(Msg::Sort { .. }) => continue,
                 Err(_) => return None,

@@ -141,28 +141,35 @@
 //! from a parked task to a *runnable* chain, and runnable tasks always
 //! find a worker: a worker parks only after advertising itself in its
 //! own slot and re-checking every run queue, and every push either is
-//! seen by that re-check or claims an advertised worker and unparks it
-//! (see `pool.rs`, *No lost wake*).
+//! seen by that re-check or claims an advertised sleeper and unparks
+//! it: a worker, or a waiting thread that runs the task or forwards the
+//! wake (see `pool.rs`, *No lost wake* and *Helper slots*).
 //! Progress is guaranteed for any worker count ≥ 1 —
-//! `WorkStealingPool::new(1)` is a valid, fully sequential scheduler,
-//! which the determinism tests exploit to force adversarial
-//! interleavings.
+//! `WorkStealingPool::new(1)` is a valid scheduler that runs one task
+//! at a time, which the determinism tests exploit to force adversarial
+//! interleavings; a thread waiting on its nets helps beside the worker
+//! only while the worker is asleep or inside a poll.
 //!
-//! ## …including when callers help
+//! ## …including when waiters help
 //!
-//! A thread waiting for a service call runs runnable tasks of the
-//! service's pool before it parks (`pool.rs`, *Helping*). That adds no
-//! wait edge. The helper runs tasks only while it waits for its own
-//! request, one poll at a time, as a worker would. It is never a
-//! worker, so every worker stays free for what it leaves queued, and
-//! it wakes one before it parks if anything is. It never helps inside
-//! `feed_blocking`, `Net::recv` or `block_on`. A caller parked there
-//! waits for the net to move, and a task it ran in place could block
-//! under the caller's own frame on what only that caller would do
-//! next. Helping inside `feed_blocking` deadlocked
+//! A thread waiting for a net's output — in `Net::recv` or
+//! `CallHandle::wait` — runs runnable tasks of the net's pool before it
+//! parks, and parked, is the first sleeper a push of that net's tasks
+//! from outside the pool claims (`pool.rs`, *Helping* and *Helper
+//! slots*). That adds no wait edge. The helper runs tasks only while it
+//! waits, one poll at a time, as a worker would. It is never a worker,
+//! so every worker stays free for what it leaves queued; it wakes one
+//! before it parks if anything is, and forwards a claim it will not
+//! use. A push that claims it instead of a worker obeys the same *No
+//! lost wake* argument, extended to helper slots. It never helps inside
+//! `feed_blocking` or `block_on`, whose callers promised to park:
+//! helping inside `feed_blocking` deadlocked
 //! `backpressure.rs::timeout_policy_gives_up_after_deadline_then_recovers`
-//! in a prototype: the test thread ran the gated box that only it
-//! could release.
+//! in a prototype, where the test thread ran the gated box that only
+//! it could release. A box that blocks until the receiving or calling
+//! thread acts can hang it the same way, so such a box needs a pool of
+//! its own; a stateless box, the paper's only kind, blocks on nothing
+//! the net's own threads do (`pool.rs`, *Bounds*).
 //!
 //! ## …including under coalesced wakeups
 //!
@@ -291,11 +298,24 @@ pub trait Executor: Send + Sync {
     /// is waiting for something they may produce: until `resolved`
     /// (asked after each task) says the wait is over, or nothing is
     /// runnable. Under a `deadline`, only a task whose next poll fits
-    /// one [`SLICE`] before it. `CallHandle::wait` calls it before it
-    /// parks, and nothing else does (see [`pool`], *Helping*).
+    /// one [`SLICE`] before it. A thread waiting in `Net::recv` or
+    /// `CallHandle::wait` calls it before it parks; `feed_blocking` and
+    /// [`block_on`] never do (see [`pool`], *Helping*).
     /// The default helps nothing: the caller parks at once.
     fn help(&self, deadline: Option<Instant>, resolved: &mut dyn FnMut() -> bool) {
         let _ = (deadline, resolved);
+    }
+
+    /// Parks the calling thread, a helper that [`Executor::help`] left
+    /// with nothing to run and no deadline, where a push of a task of
+    /// `net` (the network whose output it waits for) wakes it before a
+    /// worker; returns once a wake — that push's or its own future's —
+    /// has arrived, and the caller helps again. Returns `false` at once
+    /// if it cannot, and the caller parks on its own (see [`pool`],
+    /// *Helper slots*). The default cannot.
+    fn park_helper(&self, net: &Tracker, resolved: &mut dyn FnMut() -> bool) -> bool {
+        let _ = (net, resolved);
+        false
     }
 }
 
@@ -430,6 +450,14 @@ impl Tracker {
         }
     }
 
+    /// This tracker's identity — its address, only compared — which
+    /// names its network to an executor: a task's [`Completion`]
+    /// carries it, and a thread waiting for the network's output passes
+    /// the tracker to [`Executor::park_helper`].
+    pub(crate) fn key(&self) -> usize {
+        self as *const Tracker as usize
+    }
+
     /// Total tasks ever registered (the component count of the
     /// network, executor-independent).
     pub fn tasks_spawned(&self) -> usize {
@@ -461,6 +489,11 @@ pub struct Completion {
 }
 
 impl Completion {
+    /// The [`Tracker::key`] of the network this task belongs to.
+    pub(crate) fn net(&self) -> usize {
+        self.tracker.key()
+    }
+
     /// Marks the task complete, recording a panic payload if any.
     pub fn complete(mut self, result: Result<(), Box<dyn Any + Send>>) {
         self.fired = true;

@@ -9,8 +9,9 @@
 //! (locality: a freshly unfolded replica usually receives the record
 //! that caused it next). Idle workers steal from the *top* of their
 //! siblings' deques (the lock-free end), then fall back to the
-//! injector, then sleep; every push wakes one sleeper, except a
-//! helper's own re-queue (*Helping*, below).
+//! injector, then sleep; every push wakes one sleeper — a parked
+//! helper first, for a push from outside (*Helper slots*, below) —
+//! except a helper's own re-queue (*Helping*).
 //!
 //! # Sleeping: one parker per worker
 //!
@@ -53,8 +54,10 @@
 //! Neither loses a wake, because neither loop waits on the token: the
 //! idle loop parks *while its slot's `asleep` is set* (only a claim
 //! clears it, and every claim unparks after clearing it), and a box's
-//! wait re-polls its future after every return. A stale token costs one
-//! extra turn of a loop.
+//! wait re-polls its future after every return. A parked helper
+//! (*Helper slots*, below) shares its token the same way between its
+//! own future's wake and a claim, and withdraws and re-polls after
+//! every return. A stale token costs one extra turn of a loop.
 //!
 //! Shutdown is `shutdown = true` (SeqCst), then a claim of every slot.
 //! The re-check reads `shutdown` after the fence, so a worker that
@@ -87,21 +90,38 @@
 //! would) and records the payload in the network's
 //! [`super::Tracker`]. The worker thread itself survives.
 //!
-//! # Helping: a waiting caller runs the pool's tasks
+//! # Helping: a waiting thread runs the pool's tasks
 //!
-//! A thread that waits for a service call (`CallHandle::wait`) and is
-//! no pool worker first runs runnable tasks of the service's pool
-//! ([`Executor::help`]). It claims each from the injector, where every
-//! push from outside the pool lands, its own call's included, and runs
-//! it as a worker does: the pop is the claim of a `SCHEDULED` task,
-//! then `run_task` polls it once, `RUNNING`, under its [`Slice`] and
-//! `catch_unwind`. After each task the caller polls its handle again.
-//! It stops when the handle resolves or the injector is empty, and
-//! only then parks. This is the helping join of Cilk and of Java's
-//! `ForkJoinPool`. On one CPU a lone call used to cost two
-//! cross-thread hand-offs: the call's push woke the worker, and the
-//! answer woke the caller. Now the caller, which was about to wait
-//! anyway, runs its own request in their place.
+//! A thread that waits for a net's output — a receiver in `Net::recv`,
+//! a caller in `CallHandle::wait` — and is no pool worker first runs
+//! runnable tasks of the net's pool ([`Executor::help`]). It claims each
+//! from the injector, where every push from outside the pool lands,
+//! the push of its own record included, and runs it as a worker does:
+//! the pop is the claim of a `SCHEDULED` task, then `run_task` polls it
+//! once, `RUNNING`, under its [`Slice`] and `catch_unwind`. After each
+//! task the waiter polls its own future again. It stops when that
+//! resolves or it finds nothing to run, and only then parks, in a
+//! helper slot (*Helper slots*, below). This is the help-first join of
+//! Cilk (Frigo, Leiserson & Randall, PLDI 1998) and of Java's
+//! `ForkJoinPool`. On one CPU a lone call used to cost two cross-thread
+//! hand-offs, and a lone FIFO request three: the push woke the worker,
+//! the worker's output woke the waiter (and the FIFO receiver's report
+//! woke the sender). Now the waiter, which was about to park anyway,
+//! runs the request in the worker's place.
+//!
+//! *A helper stands in for a worker, and never competes with one.* It
+//! takes from the injector only while every worker is asleep, inside
+//! a poll (`IdleSlot::busy`) or yielding to it (*the one-yield hint*,
+//! below): a worker that is claimed, or between tasks, is on its way to
+//! the injector and takes the task itself. Nor does it take a task a
+//! worker yielded ([`YIELDED`]): the yielding worker comes back for
+//! it. Otherwise the waiter and the worker run one pipeline side by
+//! side, OS-scheduled rather than sliced, and its cheap first stage
+//! runs ahead of the rest:
+//! `executor_matrix.rs::expensive_stages_interleave_on_one_worker` saw
+//! 7–15 intermediate payloads alive at once, against ≤ 4, in most runs
+//! on one CPU. A worker held in a box for good is inside a poll, so a
+//! held pool's waiters run everything.
 //!
 //! *The wakes a helper skips.* A task the helper ran that must run
 //! again (woken during its poll, or out of budget) goes back on the
@@ -128,23 +148,108 @@
 //! `fifo-sensor-det` 39 % of p50 and `array-frames` 109 % of
 //! `setup_s`.
 //!
-//! *Bounds.* Only a wait for a call helps. Pool workers never help:
-//! their wait parks, and their pool's other workers run the rest.
-//! `feed_blocking`, `Net::recv` and `block_on` never help: their
-//! callers promised to park. A wait with a deadline runs only a task
-//! its slice has priced above one message, so that one poll is about
-//! one [`SLICE`], and only while one `SLICE` still fits before the
-//! deadline. Any other task goes back to the injector's front, and a
-//! sleeper is woken to take it. The helper saves the thread's poll
-//! budget and restores it after each task, so a helper inside a helped
-//! task (a box waiting on another service) leaves that task's budget
-//! as it was. What helping cannot bound is a task that blocks: a
-//! caller without a deadline may run any runnable task of its pool,
-//! and a box that waits until that same caller acts would then wait
-//! forever. Such a box needs a pool of its own.
+//! # Helper slots: a push from outside claims a parked waiter first
+//!
+//! A FIFO receiver is parked when the sender's push arrives, so helping
+//! alone does not reach it: the push wakes the worker. So a waiter that
+//! found nothing to run, has no deadline and is no worker advertises
+//! itself before it parks ([`Executor::park_helper`]), in one of
+//! [`HELPER_SLOTS`] (a constant) [`HelperSlot`]s, as a worker does in
+//! its [`IdleSlot`], naming the net whose output it waits for. A push
+//! from outside the pool of a task of that net claims it before any
+//! worker, and it runs the task itself: on `fifo-sensor-det`, the
+//! sender's push wakes the receiver, which runs the fused net and finds
+//! the record in its own output stream — two hand-offs instead of
+//! three. The slot's waker is the thread's own parker (the one its
+//! future's wake unparks), so one park serves both wakes. If every slot
+//! is taken, the waiter parks unadvertised, as before. Measured on
+//! `fifo-sensor-det` (the repo's benchmark, one CPU, 10 pairs of 20 s
+//! runs): p50 12.94 → 11.73 µs (10 of 10 pairs), throughput +8.1 %,
+//! peak RSS +4.9 % (the receiver thread's allocations), traced
+//! `sched.vcsw_per_op` 0.11 → 0.04.
+//! - *Only its net's tasks.* A push claims a helper only for a task of
+//!   the net it waits for (`Task::net`, the address of the task's
+//!   [`Tracker`]). A claim for another net's task woke a waiter that
+//!   had nothing to gain from it: with a FIFO receiver parked, the cold
+//!   cycles of other nets on the same pool took 46 µs instead of 35
+//!   (an `inc .. dbl` probe on one CPU of a 2-vCPU VM).
+//!   A wake for work that any thread may take — a helper's leftover,
+//!   or a forwarded claim — claims any helper ([`ANY_NET`]).
+//! - *Only short tasks first.* A push claims a helper before a worker
+//!   only for a task whose slice has priced its message below one
+//!   [`SLICE`] ([`priced`]); a new task, or one whose message may fill
+//!   a slice, claims a worker first and a helper only when no worker
+//!   sleeps. A saved hand-off (~2 µs) is worth little to a 200 µs
+//!   message, and running it on the waiter's thread moves its memory
+//!   to that thread's allocator arena: with the `array-frames`
+//!   receiver running every frame, that workload's peak RSS rose 6 %,
+//!   and its cold cycles, which still ran on the worker, took 38 %
+//!   longer as measured.
+//! - *Only pushes from outside.* A worker's push to its own deque and
+//!   its forced yield claim workers only: a helper never takes from a
+//!   deque, and the yielding worker takes its own re-queue.
+//! - *No deadline.* A wait with a deadline does not advertise: `fits`
+//!   could refuse the very task a claim woke it for.
+//! - *No lost wake.* Going to sleep is a worker's, in the same order:
+//!   waker and net, `asleep = true` → `sleepers` RMW → SeqCst fence →
+//!   re-check of the injector and of its own future. A push is the
+//!   same queue write → fence → `sleepers` load → claim, of a helper
+//!   of its net before or after the workers ([`Claim`]). The fences
+//!   are in one total order, so either the re-check sees the push (and
+//!   the helper does not park) or the push sees the advertisement and
+//!   claims a sleeper — this helper, another of its net, or a worker —
+//!   that runs the task or forwards the claim. A push that finds only
+//!   helpers of other nets asleep claims none: then no worker sleeps,
+//!   and the worker argument above holds for it. The helper's own
+//!   future wakes its parker directly; the re-check only saves a park.
+//! - *Forwarding.* On waking, the helper withdraws with its own
+//!   `asleep.swap(false)`. Losing it means a push claimed it. Its wait
+//!   not over, it helps again and finds that push's task; over, it
+//!   forwards the wake to another sleeper (`notify_one`) before it
+//!   returns, if the task is still queued — the rule a worker follows.
+//!
+//! # Bounds: what a waiter may run
+//!
+//! Pool workers never help: their wait parks, and their pool's other
+//! workers run the rest. `feed_blocking` and `block_on` never help:
+//! their callers promised to park, and a sender blocked on credit
+//! helping inside `feed_blocking` deadlocked
+//! `backpressure.rs::timeout_policy_gives_up_after_deadline_then_recovers`
+//! in a prototype (it ran the gated box only that thread could
+//! release). A wait with a deadline runs only a task its slice has
+//! priced above one message, so that one poll is about one [`SLICE`],
+//! and only while one `SLICE` still fits before the deadline. Any other
+//! task goes back to the injector's front, and a sleeper is woken to
+//! take it. The helper saves the thread's poll budget and restores it
+//! after each task, so a helper inside a helped task (a box waiting on
+//! another net) leaves that task's budget as it was.
+//!
+//! What helping cannot bound is a task that blocks. A waiter without a
+//! deadline may run any runnable task of its pool, and a box that waits
+//! until that same thread acts would then wait forever. That is why a
+//! receiver in `Net::recv` may help, though it used to promise to park:
+//! - An S-Net box is a stateless function of its input record (the
+//!   paper's definition). A task a receiver runs in place can block
+//!   only on something outside the net: a latch, a lock, another net.
+//! - A box that waits until the receiving thread acts needs a pool of
+//!   its own — the contract `Service` already states for callers.
+//! - The tests that gate a box on a test thread keep it: each
+//!   releases its latch before that thread receives.
+//!   `backpressure.rs`' `stalled_consumer_caps_every_queue_at_the_bound`,
+//!   `shed_policy_rejects_overflow_and_delivers_the_rest` and
+//!   `timeout_policy_gives_up_after_deadline_then_recovers` call
+//!   `latch.release()` before `net.finish()`, their only receive; the
+//!   gated sends wait in `feed_blocking`, which does not help.
+//!   `tests/common/held.rs`' `Held` lets its latch go before it
+//!   finishes the holding net, and the tests on a held pool receive
+//!   only from other nets while it holds, whose tasks block on
+//!   nothing.
+//! - A box that receives from another net (`executor_matrix.rs`'
+//!   `a_box_that_blocks_on_another_net_keeps_order`) helps that net's
+//!   pool from a waiter's thread, and parks from a worker's.
 
 use super::deque::{Deque, Steal};
-use super::{Completion, Executor, Slice, TaskFuture, SLICE};
+use super::{Completion, Executor, Slice, TaskFuture, Tracker, SLICE};
 use crate::stream::chan::{poll_budget, set_poll_budget, with_parker, ThreadParker};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -160,6 +265,7 @@ const SCHEDULED: u8 = 1; // sitting in some run queue
 const RUNNING: u8 = 2; // being polled right now
 const NOTIFIED: u8 = 3; // woken during its own poll; reschedule after
 const DONE: u8 = 4; // completed (or panicked); wakes are no-ops
+const YIELDED: u8 = 5; // queued by a worker's forced yield; helpers leave it
 
 struct TaskSlot {
     fut: Option<TaskFuture>,
@@ -171,6 +277,13 @@ struct Task {
     state: AtomicU8,
     slot: Mutex<TaskSlot>,
     shared: Arc<Shared>,
+    /// The net the task belongs to: the address of the [`Tracker`] its
+    /// completion reports to, or [`ANY_NET`]. Only compared: a push of
+    /// the task claims a helper that waits for this net (module docs,
+    /// *Helper slots*).
+    ///
+    /// [`Tracker`]: super::Tracker
+    net: usize,
 }
 
 impl Wake for Task {
@@ -188,7 +301,7 @@ impl Wake for Task {
                         .compare_exchange(IDLE, SCHEDULED, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                     {
-                        self.shared.push(Arc::clone(self));
+                        self.shared.push(self);
                         return;
                     }
                 }
@@ -214,15 +327,67 @@ struct IdleSlot {
     /// Set by the worker before its final re-check; cleared by exactly
     /// one `swap(false)` — a claim's or the worker's own withdrawal.
     asleep: AtomicBool,
+    /// Set by the worker while it polls a task. A worker neither busy
+    /// nor asleep is on its way to the injector, claimed or between
+    /// tasks, and helpers leave the injector to it (module docs,
+    /// *Helping*).
+    busy: AtomicBool,
     /// The worker thread's parker, registered as the worker starts
     /// (before its first advertisement, so every claim finds it).
     waker: OnceLock<Waker>,
     /// Set by a claim made for a caller about to wait ([`as_waiter`]),
-    /// before the claiming swap publishes it; cleared by the worker as
-    /// it wakes and by each advertisement, so a hint never outlives the
-    /// sleep it was set in. The woken worker yields once before it looks
-    /// for work (module docs, *Helping*).
+    /// before the claiming swap publishes it; cleared by the worker once
+    /// it has yielded, and by each advertisement, so a hint never
+    /// outlives the sleep it was set in. The woken worker yields once
+    /// before it looks for work, and until then a helping caller takes
+    /// the injector's tasks (module docs, *Helping*).
     yield_first: AtomicBool,
+}
+
+/// How many helping waiters can be advertised at once (module docs,
+/// *Helper slots*). A fixed count, not a setting: one is the FIFO
+/// door's receiver, the others cover callers waiting side by side, and
+/// a waiter that finds every slot taken parks unadvertised, which costs
+/// a hand-off, never a wake.
+const HELPER_SLOTS: usize = 4;
+
+/// A [`Task::net`] that names no net: a wake for it may claim any
+/// helper. Tracker addresses are never 0.
+const ANY_NET: usize = 0;
+
+/// Which advertised sleepers a wake may claim, in order (module docs,
+/// *Helper slots*).
+enum Claim {
+    /// Workers only: a worker's push to its own deque, its forced yield
+    /// and its forwarded wake. A helper never takes from a deque, and a
+    /// yielding worker takes its own re-queue.
+    Workers,
+    /// A helper waiting for this net (any, for [`ANY_NET`]), else a
+    /// worker: an outside push of a [`priced`] task, and work any
+    /// thread may take.
+    HelperFirst(usize),
+    /// A worker, else a helper waiting for this net: an outside push of
+    /// a task whose message may fill a slice, which gains little from a
+    /// saved hand-off and would move its memory to the waiter's thread.
+    WorkerFirst(usize),
+}
+
+/// A helping waiter's sleep advertisement: an [`IdleSlot`] for a thread
+/// that is no worker, and so is not always the same thread.
+struct HelperSlot {
+    /// Held by the one waiter that advertises here, from taking the
+    /// slot until it has withdrawn.
+    taken: AtomicBool,
+    /// The [`Task::net`] of the tasks whose push may claim this waiter,
+    /// written before it advertises.
+    waits_for: AtomicUsize,
+    /// As [`IdleSlot::asleep`].
+    asleep: AtomicBool,
+    /// The holder's parker waker, written before it advertises. Behind a
+    /// lock: a claim that won the swap may read it after the holder has
+    /// withdrawn and a new holder writes its own, and then wakes that
+    /// one once for nothing.
+    waker: Mutex<Option<Waker>>,
 }
 
 struct Shared {
@@ -240,6 +405,8 @@ struct Shared {
     locals: Vec<Deque<Task>>,
     /// One per worker, indexed like `locals`.
     idle: Vec<IdleSlot>,
+    /// Scanned before `idle` by a push from outside the pool.
+    helpers: [HelperSlot; HELPER_SLOTS],
     /// Advertised slots not yet claimed or withdrawn: incremented
     /// *after* the `asleep` store and *before* the final re-check (see
     /// [`worker_loop`]), decremented by whoever clears the flag. The
@@ -293,10 +460,17 @@ impl Shared {
             idle: (0..workers)
                 .map(|_| IdleSlot {
                     asleep: AtomicBool::new(false),
+                    busy: AtomicBool::new(false),
                     waker: OnceLock::new(),
                     yield_first: AtomicBool::new(false),
                 })
                 .collect(),
+            helpers: std::array::from_fn(|_| HelperSlot {
+                taken: AtomicBool::new(false),
+                waits_for: AtomicUsize::new(ANY_NET),
+                asleep: AtomicBool::new(false),
+                waker: Mutex::new(None),
+            }),
             sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         }
@@ -304,16 +478,29 @@ impl Shared {
 
     /// Queues a runnable task: on the current worker's deque when the
     /// caller is a worker of this pool, on the injector otherwise.
-    /// Wakes one sleeping worker either way (local pushes must wake
-    /// siblings too — that is what makes them stealable).
-    fn push(&self, task: Arc<Task>) {
+    /// Wakes one sleeper either way (local pushes must wake siblings
+    /// too — that is what makes them stealable): a push from outside
+    /// the pool may claim a helper of the task's net, a worker's only a
+    /// worker (module docs, *Helper slots*).
+    fn push(&self, task: &Arc<Task>) {
         match CURRENT_WORKER.get() {
-            // SAFETY: this thread is worker `idx` of this pool — the
-            // deque's owner.
-            Some((pool, idx)) if std::ptr::eq(pool, self) => unsafe { self.locals[idx].push(task) },
-            _ => self.inject(task),
+            Some((pool, idx)) if std::ptr::eq(pool, self) => {
+                // SAFETY: this thread is worker `idx` of this pool —
+                // the deque's owner.
+                unsafe { self.locals[idx].push(Arc::clone(task)) };
+                self.notify(Claim::Workers);
+            }
+            _ => {
+                // Read before the task is queued, while no claimer can
+                // hold its slot.
+                let claim = match priced(task) {
+                    true => Claim::HelperFirst(task.net),
+                    false => Claim::WorkerFirst(task.net),
+                };
+                self.inject(Arc::clone(task));
+                self.notify(claim);
+            }
         }
-        self.notify_one();
     }
 
     fn inject(&self, task: Arc<Task>) {
@@ -340,25 +527,88 @@ impl Shared {
         task
     }
 
+    /// A helper's [`Shared::take_injected`]: only a task
+    /// [`Shared::helpable`] finds.
+    fn take_for_helper(&self) -> Option<Arc<Task>> {
+        self.helpable().then(|| self.take_injected()).flatten()
+    }
+
+    /// Whether the injector's next task is one a helper may take. A
+    /// helper stands in for workers that are asleep or inside a poll,
+    /// and never competes with one (module docs, *Helping*): not while
+    /// a worker is on its way to the injector — claimed, or between
+    /// tasks — unless it was asked to yield to a caller first, nor when
+    /// a worker's yield is next in line.
+    fn helpable(&self) -> bool {
+        let coming = |slot: &IdleSlot| {
+            !slot.asleep.load(Ordering::SeqCst)
+                && !slot.busy.load(Ordering::Relaxed)
+                && !slot.yield_first.load(Ordering::Relaxed)
+        };
+        self.injected.load(Ordering::Acquire) > 0
+            && !self.idle.iter().any(coming)
+            && self
+                .injector
+                .lock()
+                .front()
+                .is_some_and(|task| task.state.load(Ordering::Acquire) != YIELDED)
+    }
+
     /// Queues a forced-yield reschedule on the global injector — never
     /// the local deque, whose LIFO owner end would hand the same task
-    /// straight back (see module docs on queue discipline).
+    /// straight back (see module docs on queue discipline). The
+    /// yielding worker looks for work next and finds it, so only a
+    /// sibling is worth waking; the task is marked [`YIELDED`], which
+    /// keeps it from helpers.
     fn push_yield(&self, task: Arc<Task>) {
+        task.state.store(YIELDED, Ordering::Release);
         self.inject(task);
-        self.notify_one();
+        self.notify(Claim::Workers);
+    }
+
+    /// Wakes one sleeper for work on the injector that any thread may
+    /// take: an advertised helper first, else a worker.
+    fn notify_one(&self) {
+        self.notify(Claim::HelperFirst(ANY_NET));
     }
 
     /// Orders the preceding queue push before the sleeper read (the
     /// deque's release store alone does not forbid the load moving
-    /// up), then claims one advertised worker — lowest index first —
-    /// only when someone is asleep. No lock on either path. Either this
-    /// load sees a sleeper's advertisement or that sleeper's fenced
-    /// re-check sees the push (module docs, *No lost wake*).
-    fn notify_one(&self) {
+    /// up), then claims one advertised slot — lowest index first — only
+    /// when someone is asleep. No lock on either path. Either this load
+    /// sees a sleeper's advertisement or that sleeper's fenced re-check
+    /// sees the push (module docs, *No lost wake*); [`Claim`] says
+    /// which slots, in which order.
+    fn notify(&self, claim: Claim) {
         fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            (0..self.idle.len()).any(|idx| self.claim(idx));
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
         }
+        let helper = |net| self.helpers.iter().any(|slot| self.claim_helper(slot, net));
+        let worker = || (0..self.idle.len()).any(|idx| self.claim(idx));
+        let _ = match claim {
+            Claim::Workers => worker(),
+            Claim::HelperFirst(net) => helper(net) || worker(),
+            Claim::WorkerFirst(net) => worker() || helper(net),
+        };
+    }
+
+    /// Wakes the waiter advertised in `slot` if it waits for `net`, as
+    /// [`Shared::claim`] wakes a worker.
+    fn claim_helper(&self, slot: &HelperSlot, net: usize) -> bool {
+        if !slot.asleep.load(Ordering::SeqCst)
+            || (net != ANY_NET && slot.waits_for.load(Ordering::Relaxed) != net)
+            || !slot.asleep.swap(false, Ordering::SeqCst)
+        {
+            return false;
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        slot.waker
+            .lock()
+            .as_ref()
+            .expect("a helper writes its waker before it advertises")
+            .wake_by_ref();
+        true
     }
 
     /// Wakes worker `idx` if it is advertised asleep, clearing its flag
@@ -403,7 +653,7 @@ impl Shared {
         if self.idle[idx].asleep.swap(false, Ordering::SeqCst) {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
         } else {
-            self.notify_one();
+            self.notify(Claim::Workers);
         }
     }
 
@@ -455,7 +705,7 @@ impl Shared {
         // helper inside a task's poll (a box waiting on another
         // service) gives that task back what it had left.
         let budget = poll_budget();
-        while let Some(task) = self.take_injected() {
+        while let Some(task) = self.take_for_helper() {
             if !fits(&task, deadline) {
                 self.inject_front(task);
                 break;
@@ -473,14 +723,67 @@ impl Shared {
             self.notify_one();
         }
     }
+
+    /// Parks a helper that found nothing to run in a free helper slot,
+    /// where a push of a task of `net` claims it before a worker, on its
+    /// thread's parker — the one its own future's wake unparks — until
+    /// either wake arrives, then withdraws (module docs, *Helper
+    /// slots*). Going to sleep is a worker's: waker and net, `asleep`,
+    /// `sleepers` RMW, fence, then a re-check of the injector and of
+    /// `resolved`. A claimed helper returns to help, and finds the task
+    /// on the injector; if its wait is over instead, it forwards the
+    /// wake it was claimed for. `false`, without parking, if every slot
+    /// is taken.
+    fn park_helper(&self, net: usize, resolved: &mut dyn FnMut() -> bool) -> bool {
+        let Some(slot) = self
+            .helpers
+            .iter()
+            .find(|slot| !slot.taken.swap(true, Ordering::Acquire))
+        else {
+            return false;
+        };
+        with_parker(|parker, waker| {
+            {
+                let mut mine = slot.waker.lock();
+                if !mine.as_ref().is_some_and(|w| w.will_wake(waker)) {
+                    *mine = Some(waker.clone());
+                }
+            }
+            slot.waits_for.store(net, Ordering::Relaxed);
+            slot.asleep.store(true, Ordering::SeqCst);
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            if !self.helpable() && !resolved() {
+                parker.park(None);
+            }
+        });
+        // A lost swap is a claim, whose claimer already counted it.
+        let claimed = !slot.asleep.swap(false, Ordering::SeqCst);
+        if !claimed {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+        slot.taken.store(false, Ordering::Release);
+        // *Forwarding*: the push this helper was claimed for is still
+        // queued, and the helper will not run it.
+        if claimed && resolved() && self.injected.load(Ordering::Acquire) > 0 {
+            self.notify_one();
+        }
+        true
+    }
 }
 
 /// Whether a helper waiting until `deadline` may run `task`: one poll
-/// is about one [`SLICE`] only once the task's slice has priced it
-/// above one message (a new task's first message may take any time),
-/// and one `SLICE` must still fit before the deadline.
+/// is about one [`SLICE`] only once the task is [`priced`], and one
+/// `SLICE` must still fit before the deadline.
 fn fits(task: &Task, deadline: Option<Instant>) -> bool {
-    deadline.is_none_or(|d| task.slot.lock().slice.budget > 1 && Instant::now() + SLICE <= d)
+    deadline.is_none_or(|d| priced(task) && Instant::now() + SLICE <= d)
+}
+
+/// Whether `task`'s slice has priced it above one message a poll: a
+/// message costs less than a [`SLICE`]. A new task's first message may
+/// take any time.
+fn priced(task: &Task) -> bool {
+    task.slot.lock().slice.budget > 1
 }
 
 fn worker_loop(shared: Arc<Shared>, idx: usize) {
@@ -496,7 +799,10 @@ fn run_worker(shared: &Shared, idx: usize, parker: &ThreadParker) {
     let slot = &shared.idle[idx];
     loop {
         if let Some(task) = shared.find_task(idx) {
-            if let Some(task) = run_task(task) {
+            slot.busy.store(true, Ordering::Relaxed);
+            let again = run_task(task);
+            slot.busy.store(false, Ordering::Relaxed);
+            if let Some(task) = again {
                 shared.push_yield(task);
             }
             continue;
@@ -522,8 +828,8 @@ fn run_worker(shared: &Shared, idx: usize, parker: &ThreadParker) {
         // Woken for a caller about to wait: let it run first, since it
         // helps while it waits (module docs, *Helping*).
         if slot.yield_first.load(Ordering::Relaxed) {
-            slot.yield_first.store(false, Ordering::Relaxed);
             std::thread::yield_now();
+            slot.yield_first.store(false, Ordering::Relaxed);
         }
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -639,6 +945,18 @@ impl WorkStealingPool {
             std::thread::yield_now();
         }
     }
+
+    /// How many helping waiters are advertised in helper slots (racy,
+    /// as `sleepers` is; tests count with it).
+    #[cfg(test)]
+    fn helpers_parked(&self) -> usize {
+        let asleep = |slot: &HelperSlot| slot.asleep.load(Ordering::SeqCst);
+        self.shared
+            .helpers
+            .iter()
+            .filter(|slot| asleep(slot))
+            .count()
+    }
 }
 
 impl Executor for WorkStealingPool {
@@ -647,6 +965,7 @@ impl Executor for WorkStealingPool {
         // the pool itself has no per-task use for it.
         let task = Arc::new(Task {
             state: AtomicU8::new(SCHEDULED),
+            net: done.net(),
             slot: Mutex::new(TaskSlot {
                 fut: Some(fut),
                 done: Some(done),
@@ -654,7 +973,7 @@ impl Executor for WorkStealingPool {
             }),
             shared: Arc::clone(&self.shared),
         });
-        self.shared.push(task);
+        self.shared.push(&task);
     }
 
     fn kind(&self) -> &'static str {
@@ -672,6 +991,13 @@ impl Executor for WorkStealingPool {
         if CURRENT_WORKER.get().is_none() {
             self.shared.help(deadline, resolved);
         }
+    }
+
+    /// Parks a thread that is no pool worker in a helper slot (module
+    /// docs, *Helper slots*); a worker parks unadvertised, as its wait
+    /// helps nothing.
+    fn park_helper(&self, net: &Tracker, resolved: &mut dyn FnMut() -> bool) -> bool {
+        CURRENT_WORKER.get().is_none() && self.shared.park_helper(net.key(), resolved)
     }
 }
 
@@ -704,7 +1030,7 @@ impl Drop for WorkStealingPool {
 mod tests {
     use super::*;
     use crate::sched::{Tracker, TASK_POLL_BUDGET};
-    use crate::stream::chan::{channel, Receiver};
+    use crate::stream::chan::{channel, wait_on, Helper, Receiver};
     use std::future::Future;
     use std::pin::Pin;
     use std::time::{Duration, Instant};
@@ -882,6 +1208,7 @@ mod tests {
                 },
             }),
             shared: Arc::clone(shared),
+            net: ANY_NET,
         })
     }
 
@@ -930,6 +1257,146 @@ mod tests {
             "the one left queued wakes the sleeper"
         );
         shared.injector.lock().clear();
+    }
+
+    /// Spawns a task of `net` that passes the thread each message of
+    /// its input ran on to `report`, and has the worker run a first
+    /// message, which prices it: an outside push of it then claims a
+    /// helper of `net` before a worker. Returns its input.
+    fn priced_task(
+        pool: &WorkStealingPool,
+        net: &Arc<Tracker>,
+        mut report: impl FnMut(std::thread::ThreadId) + Send + 'static,
+    ) -> crate::stream::chan::Sender<()> {
+        let (input, rx) = channel::<()>();
+        let (warm, warmed) = std::sync::mpsc::channel();
+        let mut first = Some(warm);
+        pool.spawn(
+            "report".into(),
+            Box::pin(async move {
+                while rx.recv_async().await.is_ok() {
+                    match first.take() {
+                        Some(warm) => warm.send(()).unwrap(),
+                        None => report(std::thread::current().id()),
+                    }
+                }
+            }),
+            net.register("report"),
+        );
+        input.send(()).unwrap();
+        warmed.recv().unwrap();
+        pool.until_all_parked();
+        input
+    }
+
+    #[test]
+    fn an_outside_push_claims_a_parked_helper_of_its_net_before_a_worker() {
+        with_watchdog("a push to a parked helper", || {
+            let pool = Arc::new(WorkStealingPool::new(1));
+            let (mine, other) = (Tracker::new(), Tracker::new());
+            let (to_helper, ran_on) = channel();
+            let mine_in = priced_task(&pool, &mine, move |id| to_helper.send(id).unwrap());
+            let (worker_ran_tx, worker_ran) = std::sync::mpsc::channel();
+            let to_test = worker_ran_tx.clone();
+            let other_in = priced_task(&pool, &other, move |id| to_test.send(id).unwrap());
+            // A thread waits for `mine`'s output and finds nothing to
+            // run, so it parks advertised.
+            let helper = std::thread::spawn({
+                let (pool, mine) = (Arc::clone(&pool), Arc::clone(&mine));
+                move || {
+                    let got = ran_on.recv_helping(Some((&*pool, &*mine))).unwrap();
+                    (got, std::thread::current().id())
+                }
+            });
+            while pool.helpers_parked() < 1 {
+                std::thread::yield_now();
+            }
+            // A task of another net claims the worker and leaves the
+            // helper parked.
+            other_in.send(()).unwrap();
+            let worker = worker_ran.recv().unwrap();
+            assert_ne!(worker, helper.thread().id());
+            // The worker and the helper, counted as `until_all_parked`
+            // counts workers.
+            let sleepers = &pool.shared.sleepers;
+            while sleepers.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.helpers_parked(), 1);
+            // So does a new task of the helper's net: its first message
+            // may fill a slice, and it is left to a worker.
+            let to_test = worker_ran_tx.clone();
+            pool.spawn(
+                "fresh".into(),
+                Box::pin(async move { to_test.send(std::thread::current().id()).unwrap() }),
+                mine.register("fresh"),
+            );
+            assert_eq!(worker_ran.recv().unwrap(), worker);
+            while sleepers.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.helpers_parked(), 1);
+            // A priced task of the helper's net claims the helper, and
+            // the worker stays asleep.
+            mine_in.send(()).unwrap();
+            let (ran_on, helper_id) = helper.join().unwrap();
+            assert_eq!(ran_on, helper_id, "the helper ran its net's task");
+            assert!(pool.shared.idle[0].asleep.load(Ordering::SeqCst));
+            assert_eq!(sleepers.load(Ordering::SeqCst), 1);
+            drop((mine_in, other_in));
+            mine.wait_quiescent();
+            other.wait_quiescent();
+        });
+    }
+
+    #[test]
+    fn a_claimed_helper_whose_wait_is_over_forwards_the_wake() {
+        with_watchdog("a forwarded claim", || {
+            let pool = WorkStealingPool::new(1);
+            let net = Tracker::new();
+            let (to_test, ran_on) = std::sync::mpsc::channel();
+            let input = priced_task(&pool, &net, move |id| to_test.send(id).unwrap());
+            // The poll that finds this thread advertised — the re-check
+            // before it parks — wakes a task of the net it waits for,
+            // which claims this very helper, and the wait is over.
+            let mut sent = false;
+            let mut wait = std::future::poll_fn(|_| {
+                if pool.helpers_parked() == 0 {
+                    return Poll::Pending;
+                }
+                if !std::mem::replace(&mut sent, true) {
+                    input.send(()).unwrap();
+                }
+                Poll::Ready(())
+            });
+            let helper: Helper<'_> = (&pool, &net);
+            assert_eq!(wait_on(&mut wait, None, Some(helper)), Some(()));
+            assert!(sent, "the helper advertised");
+            // The helper left the task to a worker.
+            let worker = ran_on.recv_timeout(Duration::from_secs(10));
+            let worker = worker.expect("the claimed helper forwards the wake");
+            assert_ne!(worker, std::thread::current().id());
+            drop(input);
+            net.wait_quiescent();
+        });
+    }
+
+    #[test]
+    fn a_wait_with_a_deadline_parks_unadvertised() {
+        with_watchdog("a deadline wait", || {
+            let pool = WorkStealingPool::new(1);
+            let net = Tracker::new();
+            pool.until_all_parked();
+            let mut advertised = false;
+            let mut never = std::future::poll_fn(|_| {
+                advertised |= pool.helpers_parked() > 0;
+                Poll::<()>::Pending
+            });
+            let soon = Instant::now() + Duration::from_millis(20);
+            assert_eq!(wait_on(&mut never, Some(soon), Some((&pool, &net))), None);
+            assert!(!advertised);
+            assert_eq!(pool.helpers_parked(), 0);
+        });
     }
 
     #[test]

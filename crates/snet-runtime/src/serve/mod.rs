@@ -33,8 +33,11 @@
 //! ([`crate::Executor::help`]). On the default pool that is usually
 //! its own request: the worker its call woke yields once first, so on
 //! one CPU a lone call runs on the caller's thread, with no hand-off
-//! into the pool and none back (`sched/pool.rs`, *Helping*). Under a
-//! deadline the caller helps only with what fits before it. Ingress
+//! into the pool and none back (`sched/pool.rs`, *Helping*). A caller
+//! with nothing left to run parks where a push of its net's tasks
+//! from another thread wakes it before a worker (*Helper slots*).
+//! Under a deadline the caller helps only with what fits before it,
+//! and parks unadvertised. Ingress
 //! overload (PR 6's bounded edges) surfaces per call through
 //! [`crate::OverloadPolicy`] — park, shed, or give up after a
 //! deadline.

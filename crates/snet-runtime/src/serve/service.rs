@@ -5,7 +5,7 @@ use crate::ctx::Ctx;
 use crate::metrics::{keys, Counter, Metrics};
 use crate::net::{send_policy, Boundary, Net, OverloadPolicy, SendRejected};
 use crate::path::CompPath;
-use crate::sched::{as_waiter, Executor};
+use crate::sched::{as_waiter, Executor, Tracker};
 use crate::stream::chan::{poll_budget, set_poll_budget, wait_on};
 use crate::stream::{Dir, Msg, Receiver, Sender, RECV_BATCH};
 use snet_types::Record;
@@ -165,6 +165,10 @@ struct Table {
     /// The net's executor, which a waiting caller helps
     /// ([`CallHandle::wait`]).
     exec: Arc<dyn Executor>,
+    /// The net's tracker, naming the net whose tasks a waiting caller
+    /// is parked for; `None` on a table that serves no net, whose
+    /// callers park without helping.
+    net: Option<Arc<Tracker>>,
 }
 
 impl Table {
@@ -175,6 +179,7 @@ impl Table {
             inflight: AtomicU64::new(0),
             stranded: AtomicU64::new(0),
             exec,
+            net: None,
         }
     }
 
@@ -395,7 +400,9 @@ impl Service {
         } = net;
         let input = input.expect("cannot serve a network whose input is closed");
         let metrics = &ctx.metrics;
-        let table = Arc::new(Table::new(Arc::clone(ctx.executor())));
+        let mut table = Table::new(Arc::clone(ctx.executor()));
+        table.net = Some(Arc::clone(ctx.tracker()));
+        let table = Arc::new(table);
         let completed = metrics.handle(keys::SERVE_COMPLETED);
         let faulted = metrics.handle(keys::SERVE_FAULTED);
         {
@@ -731,7 +738,8 @@ impl CallHandle {
         let CallHandle { rid, table, live } = &mut self;
         let table = &**table;
         let mut handle = std::future::poll_fn(|cx| table.poll_handle(*rid, live, cx));
-        wait_on(&mut handle, deadline, Some(&*table.exec)).unwrap_or(Err(CallError::Deadline))
+        let helper = table.net.as_deref().map(|net| (&*table.exec, net));
+        wait_on(&mut handle, deadline, helper).unwrap_or(Err(CallError::Deadline))
     }
 
     /// Completion timestamp (egress-side, excludes caller wakeup

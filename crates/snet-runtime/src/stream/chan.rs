@@ -125,7 +125,7 @@
 //! inputs at registration so the drain order never gates upstream.
 
 use crate::metrics::Counter;
-use crate::sched::Executor;
+use crate::sched::{Executor, Tracker};
 use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
 use std::fmt;
@@ -1003,12 +1003,20 @@ impl<T: Send> Receiver<T> {
         next.ok_or(RecvError)
     }
 
-    /// Blocking receive, for driver threads ([`crate::net::Net::recv`]
-    /// and tests), through [`wait_on`]. Its poll is uncharged
-    /// (`try_recv`, then `register`): a box that blocks on another net
-    /// runs inside its worker's poll, and at zero budget a charged poll
-    /// would report `Pending` forever.
+    /// Blocking receive, for tests and the runtime's own edges, through
+    /// [`wait_on`]. It runs nothing else while it waits: the thread
+    /// parks. Its poll is uncharged (`try_recv`, then `register`): a box
+    /// that blocks on another net runs inside its worker's poll, and at
+    /// zero budget a charged poll would report `Pending` forever.
     pub fn recv(&self) -> Result<T, RecvError> {
+        self.recv_helping(None)
+    }
+
+    /// [`Receiver::recv`] that helps while it waits ([`wait_on`]):
+    /// [`crate::net::Net::recv`] passes its net's executor and tracker,
+    /// so a receiver that finds its output empty runs the net itself,
+    /// and parked, is what the sender's push wakes.
+    pub(crate) fn recv_helping(&self, helper: Option<Helper<'_>>) -> Result<T, RecvError> {
         let mut next = std::future::poll_fn(|cx| loop {
             match self.try_recv() {
                 Ok(v) => return Poll::Ready(Ok(v)),
@@ -1018,7 +1026,7 @@ impl<T: Send> Receiver<T> {
                 Err(TryRecvError::Empty) => return Poll::Pending,
             }
         });
-        wait_on(&mut next, None, None).expect("no deadline")
+        wait_on(&mut next, None, helper).expect("no deadline")
     }
 
     /// Blocking iterator until disconnect.
@@ -1058,11 +1066,11 @@ impl<T> Drop for Receiver<T> {
 /// The crate's one thread-parking waker: `wake` flags the notification
 /// and unparks the thread. Everything that waits for a future from a
 /// plain OS thread polls it through [`wait_on`] — the blocking
-/// [`Receiver::recv`] and [`Sender::feed_blocking`],
+/// [`Receiver::recv`] and [`Sender::feed_blocking`], `Net::recv`,
 /// [`crate::sched::block_on`] and `CallHandle::wait` — which takes the
 /// thread's one from [`with_parker`], so a blocking wait allocates
-/// nothing. An idle pool worker sleeps on its thread's one too
-/// (`sched/pool.rs`, *shared park token*).
+/// nothing. An idle pool worker sleeps on its thread's one too, and a
+/// parked helper advertises it (`sched/pool.rs`, *shared park token*).
 pub(crate) struct ThreadParker {
     thread: std::thread::Thread,
     notified: AtomicBool,
@@ -1101,7 +1109,8 @@ impl ThreadParker {
 }
 
 /// Runs `f` with the current thread's [`ThreadParker`] and a waker over
-/// it. Its callers are [`wait_on`] and the pool's idle loop.
+/// it. Its callers are [`wait_on`], the pool's idle loop and its helper
+/// slots.
 pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
     thread_local! {
         static PARKER: (Arc<ThreadParker>, Waker) = {
@@ -1126,16 +1135,21 @@ pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
 ///
 /// With a `helper`, the wait first runs the helper's runnable tasks
 /// ([`Executor::help`]), polling `fut` after each, and parks only once
-/// nothing it may run is left. Only `CallHandle::wait` passes one: a
-/// thread that parks in [`Sender::feed_blocking`], [`Receiver::recv`]
-/// or `block_on` has promised to run nothing else meanwhile. Under a
-/// deadline a helper runs only a task whose poll fits one slice before
-/// it, so a helping wait still returns within about one slice (200 µs)
-/// of its deadline.
+/// nothing it may run is left. Without a deadline it parks where a
+/// push of a task of the helper's net wakes it first
+/// ([`Executor::park_helper`]), and helps again when it wakes: one park
+/// serves that claim and `fut`'s own wake, since both unpark this
+/// thread's parker. `Net::recv` ([`Receiver::recv_helping`]) and
+/// `CallHandle::wait` pass one; a thread that parks in
+/// [`Sender::feed_blocking`], [`Receiver::recv`] or `block_on` has
+/// promised to run nothing else meanwhile. Under a deadline a helper
+/// runs only a task whose poll fits one slice before it, and parks
+/// unadvertised, so a helping wait still returns within about one
+/// slice (200 µs) of its deadline.
 pub(crate) fn wait_on<F: Future + Unpin>(
     fut: &mut F,
     deadline: Option<std::time::Instant>,
-    helper: Option<&dyn Executor>,
+    helper: Option<Helper<'_>>,
 ) -> Option<F::Output> {
     with_parker(|parker, waker| {
         let mut cx = Context::from_waker(waker);
@@ -1151,10 +1165,13 @@ pub(crate) fn wait_on<F: Future + Unpin>(
             over.get()
         };
         while !resolved() {
-            if let Some(helper) = helper {
-                helper.help(deadline, &mut resolved);
+            if let Some((exec, net)) = helper {
+                exec.help(deadline, &mut resolved);
                 if over.get() {
                     break;
+                }
+                if deadline.is_none() && exec.park_helper(net, &mut resolved) {
+                    continue;
                 }
             }
             if !parker.park(deadline) {
@@ -1164,6 +1181,10 @@ pub(crate) fn wait_on<F: Future + Unpin>(
         out
     })
 }
+
+/// What a helping [`wait_on`] helps: an executor, and the [`Tracker`] of
+/// the network whose output the wait is for.
+pub(crate) type Helper<'a> = (&'a dyn Executor, &'a Tracker);
 
 /// Future returned by [`Sender::acquire`].
 pub struct Acquire<'a, T> {

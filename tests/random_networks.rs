@@ -23,6 +23,11 @@
 //! a bound of 1–8, or chaos, the last in all four {fused, unfused} ×
 //! {pool(1), pool(2)} configurations per program.
 //!
+//! Two legs run drawn programs on a pool whose only worker is held
+//! (`common/held.rs`), so that every task runs on the thread that
+//! waits for it: per request through the serve door, and whole through
+//! the FIFO door with a receiving thread of its own.
+//!
 //! Also here: the credit accounting of one bounded edge against a
 //! reference model.
 
@@ -538,6 +543,68 @@ proptest! {
     fn served_calls_match_the_oracle_when_callers_always_help(case in Cases::default()) {
         check_served(&case)?;
     }
+
+    /// Runtime ≡ oracle through the FIFO door, on a pool whose only
+    /// worker is held: every task runs on the thread that receives.
+    #[test]
+    fn fifo_matches_the_oracle_when_receivers_always_help(case in Cases::default()) {
+        check_fifo(&case)?;
+    }
+}
+
+/// `case`'s inputs through the FIFO door on a pool whose receivers
+/// always help ([`held_pool`]): a thread of its own sends them all,
+/// while this one receives as many records as the oracle says the
+/// program makes, and only then lets the worker go; `finish` must find
+/// nothing more. The output must be what the oracle says, in its order
+/// when every fan is det. As in [`check_served`], the case's fault
+/// policy and chaos are not used.
+fn check_fifo(case: &Case) -> Result<(), TestCaseError> {
+    let plan = reference_plan(&case.src, false, None);
+    // Without chaos the oracle may read another program.
+    let Ok(want) = oracle::run(&plan, case.inputs.clone()) else {
+        return Ok(());
+    };
+    let got = on_own_thread({
+        let (src, cfg, inputs) = (case.src.clone(), case.cfg, case.inputs.clone());
+        let n = want.records.len();
+        move || {
+            let (exec, held) = held_pool();
+            let b = bindings()
+                .into_iter()
+                .fold(NetBuilder::from_source(&src).unwrap(), |b, (name, f)| {
+                    b.bind(name, f)
+                });
+            let b = match cfg.bound {
+                Some(n) => b.bound(n),
+                None => b.unbounded(),
+            };
+            let net = b.executor(exec).fuse(cfg.fuse).build("main").unwrap();
+            let got: Vec<Record> = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for rec in inputs {
+                        net.send(rec).unwrap();
+                    }
+                });
+                let got = (0..n).map_while(|_| net.recv()).collect();
+                // Inputs that make no output may still be queued
+                // behind a bounded ingress, with nobody receiving.
+                drop(held);
+                got
+            });
+            (got, net.finish())
+        }
+    });
+    let (got, left) = got.map_err(TestCaseError::Fail)?;
+    prop_assert!(
+        want.admits(&got),
+        "ordered: {}\n  want: {:?}\n   got: {:?}",
+        want.ordered,
+        want.records,
+        got
+    );
+    prop_assert!(left.is_empty(), "records beyond the oracle's: {:?}", left);
+    Ok(())
 }
 
 /// A star behind a box: `inc`'s `{x}` output enters neither the star's

@@ -10,7 +10,8 @@
 //! Ingress overload (`Shed`/`Timeout`) surfaces as typed errors at
 //! the `Service::call` boundary, and deterministic combinators answer
 //! each request with the sequential reference's records behind the
-//! front door.
+//! front door. On a pool whose only worker is held, a waiting caller
+//! runs its own request, and so does the FIFO door's receiver.
 
 mod common {
     pub mod chaos;
@@ -1151,6 +1152,70 @@ fn a_caller_runs_its_own_request_while_the_only_worker_is_held() {
             drop(held);
             let report = svc.shutdown();
             assert_eq!((report.completed, report.stranded), (20, 0), "fuse={fuse}");
+        }
+    });
+}
+
+/// `inc .. dbl`'s answers to 0..20, in input order.
+fn doubled_successors() -> Vec<i64> {
+    (0..20).map(|x| (x + 1) * 2).collect()
+}
+
+/// The FIFO door's receiver runs the net it waits for: on a pool of
+/// one worker held by a box of another net, `Net::recv` on a thread of
+/// its own returns all 20 outputs of `inc .. dbl`, fused or not, every
+/// box having run on that thread, before the worker is let go. The
+/// sending thread never helps.
+#[test]
+fn a_receiver_runs_the_net_while_the_only_worker_is_held() {
+    within_a_minute("a FIFO receiver on a held pool", || {
+        for fuse in [true, false] {
+            let (exec, held) = held_pool();
+            let ran_on = Arc::default();
+            let net = ran_on_net(exec, fuse, &ran_on);
+            let (got, receiver) = std::thread::scope(|s| {
+                let receiver = s.spawn(|| {
+                    let got: Vec<Record> = (0..20).map(|_| net.recv().unwrap()).collect();
+                    (xs(&got), std::thread::current().id())
+                });
+                for x in 0..20i64 {
+                    net.send(Record::build().field("x", x).finish()).unwrap();
+                }
+                receiver.join().unwrap()
+            });
+            assert_eq!(got, doubled_successors(), "fuse={fuse}");
+            let ran_on = ran_on.lock().unwrap().clone();
+            assert_eq!(ran_on.len(), 40, "fuse={fuse}");
+            assert!(ran_on.iter().all(|&t| t == receiver), "fuse={fuse}");
+            drop(held);
+            assert!(net.finish().is_empty(), "fuse={fuse}");
+        }
+    });
+}
+
+/// The cold-cycle shape of the FIFO door: one thread sends a record,
+/// then receives its answer, 20 times, on a pool whose only worker is
+/// held — and runs every box itself.
+#[test]
+fn a_thread_that_sends_then_receives_runs_the_net_while_the_only_worker_is_held() {
+    within_a_minute("a FIFO send-then-receive on a held pool", || {
+        for fuse in [true, false] {
+            let (exec, held) = held_pool();
+            let ran_on = Arc::default();
+            let net = ran_on_net(exec, fuse, &ran_on);
+            let got: Vec<i64> = (0..20i64)
+                .flat_map(|x| {
+                    net.send(Record::build().field("x", x).finish()).unwrap();
+                    xs(&[net.recv().unwrap()])
+                })
+                .collect();
+            assert_eq!(got, doubled_successors(), "fuse={fuse}");
+            let me = std::thread::current().id();
+            let ran_on = ran_on.lock().unwrap().clone();
+            assert_eq!(ran_on.len(), 40, "fuse={fuse}");
+            assert!(ran_on.iter().all(|&t| t == me), "fuse={fuse}");
+            drop(held);
+            assert!(net.finish().is_empty(), "fuse={fuse}");
         }
     });
 }
