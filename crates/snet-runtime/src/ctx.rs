@@ -314,8 +314,12 @@ impl Ctx {
     /// Waits until every component spawned so far — including ones
     /// spawned transitively at runtime — has completed. Panics if any
     /// component panicked, propagating the first panic payload.
+    ///
+    /// The joining thread helps the net's executor while it waits, as a
+    /// receiver in `Net::recv` does ([`Tracker::wait_quiescent`]): on a
+    /// pool, a thread that is no worker runs what is left of the net.
     pub fn join_all(&self) {
-        self.tracker.wait_quiescent();
+        self.tracker.wait_quiescent(Some(&*self.executor));
     }
 
     /// Number of components spawned so far (tasks, not OS threads —

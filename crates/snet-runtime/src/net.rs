@@ -504,6 +504,10 @@ impl Net {
 
     /// Closes the input, drains every remaining output record and
     /// joins all component threads (propagating component panics).
+    ///
+    /// The closing thread runs what is left of the net: it receives as
+    /// [`Net::recv`] does and joins through [`Ctx::join_all`], helping
+    /// the net's executor in both unless it is a pool worker.
     pub fn finish(mut self) -> Vec<Record> {
         self.close();
         let mut out = Vec::new();

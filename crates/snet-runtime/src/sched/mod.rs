@@ -152,12 +152,14 @@
 //!
 //! ## …including when waiters help
 //!
-//! A thread waiting for a net's output — in `Net::recv` or
-//! `CallHandle::wait` — runs runnable tasks of the net's pool before it
-//! parks, and parked, is the first sleeper a push of that net's tasks
-//! from outside the pool claims (`pool.rs`, *Helping* and *Helper
-//! slots*). That adds no wait edge. The helper runs tasks only while it
-//! waits, one poll at a time, as a worker would. It is never a worker,
+//! A thread waiting for a net — for its output in `Net::recv` or
+//! `CallHandle::wait`, or for its quiescence in `Ctx::join_all`, where
+//! `Service::shutdown` and `Net::finish` end — runs runnable tasks of
+//! the net's pool before it parks, and parked, is the first sleeper a
+//! push of that net's tasks from outside the pool claims (`pool.rs`,
+//! *Helping* and *Helper slots*). That adds no wait edge. The helper
+//! runs tasks only while it waits, one poll at a time, as a worker
+//! would. It is never a worker,
 //! so every worker stays free for what it leaves queued; it wakes one
 //! before it parks if anything is, and forwards a claim it will not
 //! use. A push that claims it instead of a worker obeys the same *No
@@ -166,10 +168,15 @@
 //! helping inside `feed_blocking` deadlocked
 //! `backpressure.rs::timeout_policy_gives_up_after_deadline_then_recovers`
 //! in a prototype, where the test thread ran the gated box that only
-//! it could release. A box that blocks until the receiving or calling
-//! thread acts can hang it the same way, so such a box needs a pool of
-//! its own; a stateless box, the paper's only kind, blocks on nothing
-//! the net's own threads do (`pool.rs`, *Bounds*).
+//! it could release. A box that blocks until the receiving, calling or
+//! joining thread acts can hang it the same way, so such a box needs a
+//! pool of its own; a stateless box, the paper's only kind, blocks on
+//! nothing the net's own threads do (`pool.rs`, *Bounds*). A joiner is
+//! that argument's third case: it may run any task of its pool because
+//! a receiver may, and a test that gates a box releases the gate before
+//! it joins — `tests/common/held.rs`' `Held` lets its latch go before
+//! it finishes the holding net. A pool worker that joins a net (a box
+//! that finishes one) parks, as its receive does.
 //!
 //! ## …including under coalesced wakeups
 //!
@@ -262,12 +269,14 @@ pub(crate) use pool::as_waiter;
 pub use pool::WorkStealingPool;
 pub use thread_per::{block_on, ThreadPerComponent};
 
-use parking_lot::{Condvar, Mutex};
+use crate::stream::chan::wait_on;
+use parking_lot::Mutex;
 use std::any::Any;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// A component body: a boxed, type-erased state machine. `async`
@@ -298,9 +307,10 @@ pub trait Executor: Send + Sync {
     /// is waiting for something they may produce: until `resolved`
     /// (asked after each task) says the wait is over, or nothing is
     /// runnable. Under a `deadline`, only a task whose next poll fits
-    /// one [`SLICE`] before it. A thread waiting in `Net::recv` or
-    /// `CallHandle::wait` calls it before it parks; `feed_blocking` and
-    /// [`block_on`] never do (see [`pool`], *Helping*).
+    /// one [`SLICE`] before it. A thread waiting in `Net::recv`,
+    /// `CallHandle::wait` or `Ctx::join_all` calls it before it parks;
+    /// `feed_blocking` and [`block_on`] never do (see [`pool`],
+    /// *Helping*).
     /// The default helps nothing: the caller parks at once.
     fn help(&self, deadline: Option<Instant>, resolved: &mut dyn FnMut() -> bool) {
         let _ = (deadline, resolved);
@@ -308,7 +318,7 @@ pub trait Executor: Send + Sync {
 
     /// Parks the calling thread, a helper that [`Executor::help`] left
     /// with nothing to run and no deadline, where a push of a task of
-    /// `net` (the network whose output it waits for) wakes it before a
+    /// `net` (the network it waits for) wakes it before a
     /// worker; returns once a wake — that push's or its own future's —
     /// has arrived, and the caller helps again. Returns `false` at once
     /// if it cannot, and the caller parks on its own (see [`pool`],
@@ -397,6 +407,10 @@ impl Slice {
 struct TrackerState {
     live: usize,
     panic: Option<Box<dyn Any + Send>>,
+    /// The threads waiting for `live == 0` ([`Tracker::wait_quiescent`]),
+    /// one waker each: a list, because more than one thread may join a
+    /// net. Taken and woken by whoever brings `live` to 0.
+    joiners: Vec<Waker>,
 }
 
 /// Tracker panic hook: `(task name, panic payload)`, called once per
@@ -407,9 +421,17 @@ type PanicHook = Box<dyn Fn(&str, &(dyn Any + Send)) + Send + Sync>;
 /// panic. This replaces the seed's `Vec<JoinHandle>`: join handles are
 /// an OS-thread concept, but components on a pool have no handle —
 /// completion accounting must live above the executor.
+///
+/// Waiting for quiescence ([`Tracker::wait_quiescent`]) is a wait like
+/// every other blocking wait in the runtime: one [`wait_on`] over a
+/// future that registers the joiner's waker while tasks are live. A
+/// joiner that is given the net's executor helps it as a receiver
+/// does, and may run any task of its pool for the same reason (module
+/// docs, *…including when waiters help*): a stateless box blocks on
+/// nothing the joining thread does, and a test that gates a box on a
+/// latch (`tests/common/held.rs`' `Held`) releases it before it joins.
 pub struct Tracker {
     state: Mutex<TrackerState>,
-    cv: Condvar,
     total: AtomicUsize,
     on_panic: OnceLock<PanicHook>,
 }
@@ -420,8 +442,8 @@ impl Tracker {
             state: Mutex::new(TrackerState {
                 live: 0,
                 panic: None,
+                joiners: Vec::new(),
             }),
-            cv: Condvar::new(),
             total: AtomicUsize::new(0),
             on_panic: OnceLock::new(),
         })
@@ -467,16 +489,48 @@ impl Tracker {
     /// Blocks until every registered task completed; propagates the
     /// first recorded panic. Transitively spawned tasks are covered
     /// (see [`Tracker::register`]).
-    pub fn wait_quiescent(&self) {
-        let payload = {
+    ///
+    /// The wait is one [`wait_on`] over the tracker's quiescence. Given
+    /// the net's executor (`Ctx::join_all` passes it), the joining
+    /// thread helps as a receiver does: it runs the executor's runnable
+    /// tasks, and parked, is what a push of this net's tasks wakes
+    /// first ([`Executor::help`], [`Executor::park_helper`]). Without
+    /// one, under [`ThreadPerComponent`], or on a pool worker, it just
+    /// parks.
+    pub fn wait_quiescent(&self, exec: Option<&dyn Executor>) {
+        let mut quiet = std::future::poll_fn(|cx| {
             let mut st = self.state.lock();
-            while st.live > 0 {
-                self.cv.wait(&mut st);
+            if st.live == 0 {
+                return Poll::Ready(st.panic.take());
             }
-            st.panic.take()
-        };
-        if let Some(p) = payload {
+            if !st.joiners.iter().any(|w| w.will_wake(cx.waker())) {
+                st.joiners.push(cx.waker().clone());
+            }
+            Poll::Pending
+        });
+        let helper = exec.map(|exec| (exec, self));
+        if let Some(p) = wait_on(&mut quiet, None, helper).expect("no deadline") {
             std::panic::resume_unwind(p);
+        }
+    }
+
+    /// Retires one task, recording its panic payload if it is the
+    /// first, and wakes the joiners once the net is quiescent — after
+    /// the lock is released, so a woken joiner does not block on it.
+    fn retire(&self, panic: Option<Box<dyn Any + Send>>) {
+        let joiners = {
+            let mut st = self.state.lock();
+            if st.panic.is_none() {
+                st.panic = panic;
+            }
+            st.live -= 1;
+            if st.live > 0 {
+                return;
+            }
+            std::mem::take(&mut st.joiners)
+        };
+        for joiner in joiners {
+            joiner.wake();
         }
     }
 }
@@ -505,16 +559,7 @@ impl Completion {
                 hook(&self.name, p.as_ref());
             }
         }
-        let mut st = self.tracker.state.lock();
-        if let Err(p) = result {
-            if st.panic.is_none() {
-                st.panic = Some(p);
-            }
-        }
-        st.live -= 1;
-        if st.live == 0 {
-            self.tracker.cv.notify_all();
-        }
+        self.tracker.retire(result.err());
     }
 }
 
@@ -525,11 +570,7 @@ impl Drop for Completion {
             // completion (shutdown with work queued). Still counts as
             // done — the component's channels drop with its future,
             // cascading end-of-stream.
-            let mut st = self.tracker.state.lock();
-            st.live -= 1;
-            if st.live == 0 {
-                self.tracker.cv.notify_all();
-            }
+            self.tracker.retire(None);
         }
     }
 }
@@ -568,6 +609,48 @@ pub(crate) fn shared_pool(workers: Option<usize>) -> Arc<dyn Executor> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::thread::ThreadId;
+
+    /// Runs `f` on its own thread and fails if it has not returned
+    /// within a minute — a lost wake hangs instead of failing.
+    pub(super) fn with_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let h = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => h.join().unwrap(),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(h.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
+        }
+    }
+
+    /// Holds `pool`'s only worker in a task of a tracker of its own
+    /// until the returned latch is dropped; returns once the worker is
+    /// in that task, with the worker's thread.
+    fn hold(pool: &dyn Executor) -> (mpsc::Sender<()>, ThreadId) {
+        let (started, running) = mpsc::channel();
+        let (open, latch) = mpsc::channel::<()>();
+        pool.spawn(
+            "hold".into(),
+            Box::pin(async move {
+                started.send(std::thread::current().id()).unwrap();
+                let _ = latch.recv();
+            }),
+            Tracker::new().register("hold"),
+        );
+        (open, running.recv().unwrap())
+    }
+
+    /// How many threads wait for `tracker`'s quiescence (racy; tests
+    /// count with it).
+    fn joiners(tracker: &Tracker) -> usize {
+        tracker.state.lock().joiners.len()
+    }
 
     fn executors() -> Vec<(&'static str, Arc<dyn Executor>)> {
         vec![
@@ -623,7 +706,7 @@ mod tests {
                     tracker.register("t"),
                 );
             }
-            tracker.wait_quiescent();
+            tracker.wait_quiescent(None);
             assert_eq!(n.load(Ordering::Relaxed), 16, "executor {name}");
             assert_eq!(tracker.tasks_spawned(), 16);
         }
@@ -639,8 +722,9 @@ mod tests {
                 Box::pin(async { panic!("component failure") }),
                 tracker.register("t"),
             );
-            let r =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tracker.wait_quiescent()));
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                tracker.wait_quiescent(None)
+            }));
             assert!(r.is_err(), "executor {name} swallowed the panic");
         }
     }
@@ -678,7 +762,7 @@ mod tests {
             }
             drop(tx0);
             let got: Vec<u64> = rx2.iter().collect();
-            tracker.wait_quiescent();
+            tracker.wait_quiescent(None);
             assert_eq!(
                 got,
                 (0..100).map(|i| (i + 1) * 2).collect::<Vec<_>>(),
@@ -707,8 +791,9 @@ mod tests {
                 Box::pin(async { panic!("component failure") }),
                 tracker.register("boom"),
             );
-            let r =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tracker.wait_quiescent()));
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                tracker.wait_quiescent(None)
+            }));
             assert!(r.is_err(), "executor {name}");
             let seen = seen.lock();
             assert_eq!(
@@ -745,7 +830,116 @@ mod tests {
             // Let the worker park the task, then end the stream.
             pool.until_all_parked();
             drop(tx);
-            tracker.wait_quiescent();
+            tracker.wait_quiescent(None);
         }
+    }
+
+    /// Every thread that joins a net returns once it is quiescent: the
+    /// last completion wakes them all, not one.
+    #[test]
+    fn two_threads_that_join_one_net_both_return() {
+        with_watchdog("two joiners", || {
+            let pool: Arc<dyn Executor> = Arc::new(WorkStealingPool::new(1));
+            let tracker = Tracker::new();
+            let (tx, rx) = crate::stream::chan::channel::<()>();
+            pool.spawn(
+                "gate".into(),
+                Box::pin(async move { while rx.recv_async().await.is_ok() {} }),
+                tracker.register("gate"),
+            );
+            let joiner = || {
+                let (pool, tracker) = (Arc::clone(&pool), Arc::clone(&tracker));
+                std::thread::spawn(move || tracker.wait_quiescent(Some(&*pool)))
+            };
+            let (a, b) = (joiner(), joiner());
+            while joiners(&tracker) < 2 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            a.join().unwrap();
+            b.join().unwrap();
+            assert_eq!(joiners(&tracker), 0);
+        });
+    }
+
+    /// A pool worker that joins a net — a box that finishes a net on
+    /// another pool — parks, and leaves that net's tasks to their own
+    /// pool's worker, even while that worker is held.
+    #[test]
+    fn a_worker_that_joins_another_net_parks_and_does_not_help() {
+        with_watchdog("a worker joining a net", || {
+            let pool: Arc<dyn Executor> = Arc::new(WorkStealingPool::new(1));
+            let (latch, pool_worker) = hold(&*pool);
+            let outer_pool = WorkStealingPool::new(1);
+            let (outer, inner) = (Tracker::new(), Tracker::new());
+            let ran_on: Arc<Mutex<Option<ThreadId>>> = Arc::default();
+            let (joining, joiner) = mpsc::channel();
+            outer_pool.spawn(
+                "finish".into(),
+                Box::pin({
+                    let (pool, inner, ran_on) =
+                        (Arc::clone(&pool), Arc::clone(&inner), Arc::clone(&ran_on));
+                    async move {
+                        joining.send(std::thread::current().id()).unwrap();
+                        pool.spawn(
+                            "inner".into(),
+                            Box::pin(async move {
+                                *ran_on.lock() = Some(std::thread::current().id());
+                            }),
+                            inner.register("inner"),
+                        );
+                        inner.wait_quiescent(Some(&*pool));
+                    }
+                }),
+                outer.register("finish"),
+            );
+            let joiner = joiner.recv().unwrap();
+            while joiners(&inner) == 0 && ran_on.lock().is_none() {
+                std::thread::yield_now();
+            }
+            drop(latch);
+            outer.wait_quiescent(None);
+            assert_ne!(joiner, pool_worker);
+            assert_eq!(
+                *ran_on.lock(),
+                Some(pool_worker),
+                "the joining worker helped"
+            );
+        });
+    }
+
+    /// A joiner that runs the net's panicking tasks itself re-raises
+    /// the first panic, as it would had a worker run them.
+    #[test]
+    fn the_first_panic_reaches_a_joiner_that_ran_the_panicking_task() {
+        with_watchdog("a joiner running panics", || {
+            let pool = WorkStealingPool::new(1);
+            let (latch, worker) = hold(&pool);
+            let tracker = Tracker::new();
+            let ran_on = Arc::new(Mutex::new(Vec::new()));
+            for msg in ["first", "second"] {
+                let ran_on = Arc::clone(&ran_on);
+                pool.spawn(
+                    msg.into(),
+                    Box::pin(async move {
+                        ran_on.lock().push(std::thread::current().id());
+                        panic!("{msg}");
+                    }),
+                    tracker.register(msg),
+                );
+            }
+            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                tracker.wait_quiescent(Some(&pool))
+            }));
+            let payload = joined.expect_err("the joiner swallowed the panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("first")
+            );
+            let me = std::thread::current().id();
+            assert_eq!(*ran_on.lock(), [me, me]);
+            assert_ne!(worker, me);
+            drop(latch);
+        });
     }
 }

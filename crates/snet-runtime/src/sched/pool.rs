@@ -92,22 +92,25 @@
 //!
 //! # Helping: a waiting thread runs the pool's tasks
 //!
-//! A thread that waits for a net's output — a receiver in `Net::recv`,
-//! a caller in `CallHandle::wait` — and is no pool worker first runs
-//! runnable tasks of the net's pool ([`Executor::help`]). It claims each
-//! from the injector, where every push from outside the pool lands,
-//! the push of its own record included, and runs it as a worker does:
-//! the pop is the claim of a `SCHEDULED` task, then `run_task` polls it
-//! once, `RUNNING`, under its [`Slice`] and `catch_unwind`. After each
-//! task the waiter polls its own future again. It stops when that
-//! resolves or it finds nothing to run, and only then parks, in a
-//! helper slot (*Helper slots*, below). This is the help-first join of
+//! A thread that waits for a net — a receiver in `Net::recv`, a caller
+//! in `CallHandle::wait`, or a joiner in `Ctx::join_all`, which
+//! `Service::shutdown` and `Net::finish` end in — and is no pool worker
+//! first runs runnable tasks of the net's pool ([`Executor::help`]).
+//! It claims each from the injector, where every push from outside the
+//! pool lands, the push of its own record included, and runs it as a
+//! worker does: the pop is the claim of a `SCHEDULED` task, then
+//! `run_task` polls it once, `RUNNING`, under its [`Slice`] and
+//! `catch_unwind`. After each task the waiter polls its own future
+//! again. It stops when that resolves or it finds nothing to run, and
+//! only then parks, in a helper slot (*Helper slots*, below). This is the help-first join of
 //! Cilk (Frigo, Leiserson & Randall, PLDI 1998) and of Java's
 //! `ForkJoinPool`. On one CPU a lone call used to cost two cross-thread
 //! hand-offs, and a lone FIFO request three: the push woke the worker,
 //! the worker's output woke the waiter (and the FIFO receiver's report
 //! woke the sender). Now the waiter, which was about to park anyway,
-//! runs the request in the worker's place.
+//! runs the request in the worker's place. A shutdown likewise handed
+//! the net's last poll to a worker and parked until it was done; now
+//! the closing thread runs the net's teardown itself.
 //!
 //! *A helper stands in for a worker, and never competes with one.* It
 //! takes from the injector only while every worker is asleep, inside
@@ -210,10 +213,12 @@
 //!
 //! # Bounds: what a waiter may run
 //!
-//! Pool workers never help: their wait parks, and their pool's other
-//! workers run the rest. `feed_blocking` and `block_on` never help:
-//! their callers promised to park, and a sender blocked on credit
-//! helping inside `feed_blocking` deadlocked
+//! Three waiters help: a receiver, a caller and a joiner. Pool workers
+//! never help: their wait parks, and their pool's other workers run
+//! the rest — a box that finishes a net on a worker parks in its join.
+//! `feed_blocking` and `block_on` never help: their callers promised
+//! to park, and a sender blocked on credit helping inside
+//! `feed_blocking` deadlocked
 //! `backpressure.rs::timeout_policy_gives_up_after_deadline_then_recovers`
 //! in a prototype (it ran the gated box only that thread could
 //! release). A wait with a deadline runs only a task its slice has
@@ -227,23 +232,25 @@
 //! What helping cannot bound is a task that blocks. A waiter without a
 //! deadline may run any runnable task of its pool, and a box that waits
 //! until that same thread acts would then wait forever. That is why a
-//! receiver in `Net::recv` may help, though it used to promise to park:
+//! receiver in `Net::recv` may help, though it used to promise to park,
+//! and why a joiner may too — its wait has no deadline either, and the
+//! same argument holds for it word for word:
 //! - An S-Net box is a stateless function of its input record (the
 //!   paper's definition). A task a receiver runs in place can block
 //!   only on something outside the net: a latch, a lock, another net.
 //! - A box that waits until the receiving thread acts needs a pool of
 //!   its own — the contract `Service` already states for callers.
 //! - The tests that gate a box on a test thread keep it: each
-//!   releases its latch before that thread receives.
+//!   releases its latch before that thread receives or joins.
 //!   `backpressure.rs`' `stalled_consumer_caps_every_queue_at_the_bound`,
 //!   `shed_policy_rejects_overflow_and_delivers_the_rest` and
 //!   `timeout_policy_gives_up_after_deadline_then_recovers` call
-//!   `latch.release()` before `net.finish()`, their only receive; the
-//!   gated sends wait in `feed_blocking`, which does not help.
+//!   `latch.release()` before `net.finish()`, their only receive and
+//!   join; the gated sends wait in `feed_blocking`, which does not help.
 //!   `tests/common/held.rs`' `Held` lets its latch go before it
 //!   finishes the holding net, and the tests on a held pool receive
-//!   only from other nets while it holds, whose tasks block on
-//!   nothing.
+//!   from, call and shut down only other nets while it holds, whose
+//!   tasks block on nothing.
 //! - A box that receives from another net (`executor_matrix.rs`'
 //!   `a_box_that_blocks_on_another_net_keeps_order`) helps that net's
 //!   pool from a waiter's thread, and parks from a worker's.
@@ -1029,6 +1036,7 @@ impl Drop for WorkStealingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::tests::with_watchdog;
     use crate::sched::{Tracker, TASK_POLL_BUDGET};
     use crate::stream::chan::{channel, wait_on, Helper, Receiver};
     use std::future::Future;
@@ -1084,7 +1092,7 @@ mod tests {
             }),
             tracker.register("drain"),
         );
-        tracker.wait_quiescent();
+        tracker.wait_quiescent(None);
         let grants = grants.lock();
         // Millisecond messages: one per poll, from the first poll on
         // (the poll after the last of them was still granted one).
@@ -1092,23 +1100,6 @@ mod tests {
         // No-op messages: the budget climbs back to the cap.
         assert_eq!(grants.iter().max(), Some(&TASK_POLL_BUDGET), "{grants:?}");
         assert!(grants.iter().all(|&g| g >= 1), "{grants:?}");
-    }
-
-    /// Runs `f` on its own thread and fails if it has not returned
-    /// within a minute — a lost wake hangs instead of failing.
-    fn with_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
-        let (done, finished) = std::sync::mpsc::channel();
-        let h = std::thread::spawn(move || {
-            f();
-            let _ = done.send(());
-        });
-        match finished.recv_timeout(Duration::from_secs(60)) {
-            Ok(()) => h.join().unwrap(),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(h.join().unwrap_err())
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what} hung"),
-        }
     }
 
     #[test]
@@ -1137,7 +1128,7 @@ mod tests {
                     assert_eq!(ponged.recv().unwrap(), i + 1);
                 }
                 drop(ping);
-                tracker.wait_quiescent();
+                tracker.wait_quiescent(None);
             });
         }
     }
@@ -1344,8 +1335,8 @@ mod tests {
             assert!(pool.shared.idle[0].asleep.load(Ordering::SeqCst));
             assert_eq!(sleepers.load(Ordering::SeqCst), 1);
             drop((mine_in, other_in));
-            mine.wait_quiescent();
-            other.wait_quiescent();
+            mine.wait_quiescent(None);
+            other.wait_quiescent(None);
         });
     }
 
@@ -1377,7 +1368,7 @@ mod tests {
             let worker = worker.expect("the claimed helper forwards the wake");
             assert_ne!(worker, std::thread::current().id());
             drop(input);
-            net.wait_quiescent();
+            net.wait_quiescent(None);
         });
     }
 
@@ -1455,7 +1446,7 @@ mod tests {
             // A new task's first poll is granted one message.
             assert_eq!(*budgets.lock(), Some((1, 1)));
             drop(open);
-            tracker.wait_quiescent();
+            tracker.wait_quiescent(None);
         });
     }
 }

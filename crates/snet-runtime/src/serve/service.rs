@@ -519,6 +519,12 @@ impl Service {
     /// panics). Requests still in flight complete normally if the net
     /// answers them; any it leaves unanswered fail with
     /// [`CallError::ServiceStopped`]. Returns the outcome tally.
+    ///
+    /// The closing thread runs what is left of the net: a thread that
+    /// is no pool worker helps the net's executor while it joins
+    /// ([`Ctx::join_all`]), as a caller does in [`CallHandle::wait`],
+    /// so a pool whose workers are all busy elsewhere does not hold the
+    /// shutdown up.
     pub fn shutdown(mut self) -> DrainReport {
         // Closing ingress ends the net's input. The net's last
         // component ends its output edge before it completes, and the

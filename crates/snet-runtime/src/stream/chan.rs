@@ -1067,7 +1067,8 @@ impl<T> Drop for Receiver<T> {
 /// and unparks the thread. Everything that waits for a future from a
 /// plain OS thread polls it through [`wait_on`] — the blocking
 /// [`Receiver::recv`] and [`Sender::feed_blocking`], `Net::recv`,
-/// [`crate::sched::block_on`] and `CallHandle::wait` — which takes the
+/// [`crate::sched::block_on`], `CallHandle::wait` and
+/// [`crate::sched::Tracker::wait_quiescent`] — which takes the
 /// thread's one from [`with_parker`], so a blocking wait allocates
 /// nothing. An idle pool worker sleeps on its thread's one too, and a
 /// parked helper advertises it (`sched/pool.rs`, *shared park token*).
@@ -1139,8 +1140,8 @@ pub(crate) fn with_parker<R>(f: impl FnOnce(&ThreadParker, &Waker) -> R) -> R {
 /// push of a task of the helper's net wakes it first
 /// ([`Executor::park_helper`]), and helps again when it wakes: one park
 /// serves that claim and `fut`'s own wake, since both unpark this
-/// thread's parker. `Net::recv` ([`Receiver::recv_helping`]) and
-/// `CallHandle::wait` pass one; a thread that parks in
+/// thread's parker. `Net::recv` ([`Receiver::recv_helping`]),
+/// `CallHandle::wait` and `Ctx::join_all` pass one; a thread that parks in
 /// [`Sender::feed_blocking`], [`Receiver::recv`] or `block_on` has
 /// promised to run nothing else meanwhile. Under a deadline a helper
 /// runs only a task whose poll fits one slice before it, and parks

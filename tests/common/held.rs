@@ -1,9 +1,10 @@
 //! A pool whose waiters always help: one worker, held by a box of a
 //! net of its own until the test lets it go. Every task of any other
 //! net on that pool runs on the thread that waits for it — a caller in
-//! `CallHandle::wait` or a receiver in `Net::recv`, which run runnable
-//! tasks of the net's pool before they park, and parked, are what a
-//! push of that net's tasks wakes — or not until the worker is let go.
+//! `CallHandle::wait`, a receiver in `Net::recv` or a closing thread
+//! in `Service::shutdown` / `Net::finish`, which run runnable tasks of
+//! the net's pool before they park, and parked, are what a push of
+//! that net's tasks wakes — or not until the worker is let go.
 
 use snet_runtime::{Executor, Net, NetBuilder, WorkStealingPool};
 use std::sync::mpsc::{channel, Sender};

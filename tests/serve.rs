@@ -1279,3 +1279,88 @@ fn a_box_that_panics_while_a_caller_helps_faults_as_on_a_worker() {
         }
     });
 }
+
+/// The closing thread runs what is left of the net: on a pool whose
+/// only worker is held, `Service::shutdown` runs the 20 requests still
+/// queued on its own thread and returns before the worker is let go,
+/// fused or not, every call counted `completed`.
+#[test]
+fn shutdown_runs_the_rest_of_the_net_while_the_only_worker_is_held() {
+    within_a_minute("a shutdown on a held pool", || {
+        for fuse in [true, false] {
+            let (exec, held) = held_pool();
+            let ran_on = Arc::default();
+            let svc = Service::start(ran_on_net(exec, fuse, &ran_on));
+            let calls: Vec<_> = (0..20i64)
+                .map(|x| svc.call(Record::build().field("x", x).finish()).unwrap())
+                .collect();
+            let report = svc.shutdown();
+            assert_eq!((report.completed, report.stranded), (20, 0), "fuse={fuse}");
+            let got: Vec<i64> = calls
+                .into_iter()
+                .flat_map(|call| xs(&call.wait().unwrap().records))
+                .collect();
+            assert_eq!(got, doubled_successors(), "fuse={fuse}");
+            let me = std::thread::current().id();
+            let ran_on = ran_on.lock().unwrap().clone();
+            assert_eq!(ran_on.len(), 40, "fuse={fuse}");
+            assert!(ran_on.iter().all(|&t| t == me), "fuse={fuse}");
+            drop(held);
+        }
+    });
+}
+
+/// Under `FailNet`, a box that panics on the closing thread fails the
+/// net from `shutdown`, as it would on a worker: the panic is
+/// re-raised while the pool's only worker is still held, the call
+/// before it is answered and the poisoned one resolves
+/// `ServiceStopped`.
+#[test]
+fn shutdown_reraises_a_panic_it_ran_while_the_only_worker_is_held() {
+    within_a_minute("a failing shutdown on a held pool", || {
+        let (exec, held) = held_pool();
+        let net = NetBuilder::from_source("box f (x) -> (x); net main = f;")
+            .unwrap()
+            .bind("f", |rec, em| {
+                let x = rec.field("x").unwrap().as_int().unwrap();
+                assert_ne!(x, 3, "poisoned");
+                em.emit(rec.clone());
+            })
+            .executor(exec)
+            .build("main")
+            .unwrap();
+        let svc = Service::start(net);
+        let call = |x: i64| svc.call(Record::build().field("x", x).finish()).unwrap();
+        let (two, three) = (call(2), call(3));
+        let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
+        let payload = shutdown.expect_err("shutdown swallowed the panic");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("poisoned"), "{msg}");
+        assert_eq!(xs(&two.wait().unwrap().records), [2]);
+        assert!(matches!(three.wait(), Err(CallError::ServiceStopped)));
+        drop(held);
+    });
+}
+
+/// `Net::finish` on a pool whose only worker is held returns every
+/// output, the closing thread having run the net, before the worker is
+/// let go.
+#[test]
+fn finish_runs_the_rest_of_the_net_while_the_only_worker_is_held() {
+    within_a_minute("a finish on a held pool", || {
+        for fuse in [true, false] {
+            let (exec, held) = held_pool();
+            let ran_on = Arc::default();
+            let net = ran_on_net(exec, fuse, &ran_on);
+            for x in 0..20i64 {
+                net.send(Record::build().field("x", x).finish()).unwrap();
+            }
+            assert_eq!(xs(&net.finish()), doubled_successors(), "fuse={fuse}");
+            let me = std::thread::current().id();
+            let ran_on = ran_on.lock().unwrap().clone();
+            assert_eq!(ran_on.len(), 40, "fuse={fuse}");
+            assert!(ran_on.iter().all(|&t| t == me), "fuse={fuse}");
+            drop(held);
+        }
+    });
+}
