@@ -13,8 +13,8 @@
 
 use crate::expr::Guard;
 use crate::filter::FilterDef;
-use snet_types::{BoxSig, NetSig, RecordType, TypeError};
-use std::collections::HashMap;
+use snet_types::{BoxSig, FxMap, NetSig, RecordType, TypeError};
+use std::borrow::Cow;
 use std::fmt;
 
 /// An exit pattern for serial replication: a label-set pattern plus an
@@ -217,7 +217,7 @@ pub struct Program {
 }
 
 impl Program {
-    pub fn env(&self) -> Result<Env, TypeError> {
+    pub fn env(&self) -> Result<Env<'static>, TypeError> {
         Env::from_program(self)
     }
 
@@ -228,26 +228,97 @@ impl Program {
     pub fn box_decl(&self, name: &str) -> Option<&BoxDecl> {
         self.boxes.iter().find(|b| b.name == name)
     }
+
+    /// Type-checks the program as [`Program::env`] does — every
+    /// declaration in order, the first error winning — except that the
+    /// first net named `target` is typed by `typed`, against the
+    /// declarations before it, instead of by [`NetAst::infer`]: for a
+    /// caller whose own walk of that net computes its signature (a
+    /// compiler), so that the net is inferred once. `typed` returns
+    /// its product and the net's signature. The environment borrows
+    /// the program: no declaration is copied. `None` if no net is
+    /// named `target`.
+    pub fn check_with<'p, T>(
+        &'p self,
+        target: &str,
+        typed: impl FnOnce(&Env<'p>, &'p NetAst) -> Result<(T, NetSig), TypeError>,
+    ) -> Result<Option<(T, NetSig)>, TypeError> {
+        let mut env = Env::new();
+        for b in &self.boxes {
+            env.declare_box_as(Cow::Borrowed(&b.name), Cow::Borrowed(&b.sig))?;
+        }
+        let mut typed = Some(typed);
+        let mut out = None;
+        for (i, n) in self.nets.iter().enumerate() {
+            let name = Cow::Borrowed(n.name.as_str());
+            let body = Cow::Borrowed(&n.body);
+            match typed.take_if(|_| n.name == target) {
+                Some(typed) => {
+                    env.fresh(&n.name)?;
+                    let (product, sig) = typed(&env, &n.body)?;
+                    // Only a later declaration reads the net's entry.
+                    if i + 1 < self.nets.len() {
+                        env.nets.insert(name, (body, sig.clone()));
+                    }
+                    out = Some((product, sig));
+                }
+                None => {
+                    env.declare_net_as(name, body)?;
+                }
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Resolution environment: declared boxes and (already inferred) nets.
+/// Built by [`Program::env`] it owns its declarations; built by
+/// [`Program::check_with`] it borrows them from the program (`'p`).
 #[derive(Clone, Debug, Default)]
-pub struct Env {
-    boxes: HashMap<String, BoxSig>,
-    nets: HashMap<String, (NetAst, NetSig)>,
+pub struct Env<'p> {
+    boxes: FxMap<Cow<'p, str>, Cow<'p, BoxSig>>,
+    nets: FxMap<Cow<'p, str>, (Cow<'p, NetAst>, NetSig)>,
 }
 
-impl Env {
-    pub fn new() -> Env {
+impl Env<'static> {
+    /// Builds an environment from a program, inferring all nets.
+    pub fn from_program(p: &Program) -> Result<Env<'static>, TypeError> {
+        let mut env = Env::new();
+        for b in &p.boxes {
+            env.declare_box(&b.name, b.sig.clone())?;
+        }
+        for n in &p.nets {
+            env.declare_net_as(Cow::Owned(n.name.clone()), Cow::Owned(n.body.clone()))?;
+        }
+        Ok(env)
+    }
+}
+
+impl<'p> Env<'p> {
+    pub fn new() -> Env<'p> {
         Env::default()
+    }
+
+    /// Fails if `name` is declared already.
+    fn fresh(&self, name: &str) -> Result<(), TypeError> {
+        if self.boxes.contains_key(name) || self.nets.contains_key(name) {
+            return Err(TypeError(format!("duplicate declaration of '{name}'")));
+        }
+        Ok(())
     }
 
     /// Declares a box signature.
     pub fn declare_box(&mut self, name: &str, sig: BoxSig) -> Result<(), TypeError> {
-        if self.boxes.contains_key(name) || self.nets.contains_key(name) {
-            return Err(TypeError(format!("duplicate declaration of '{name}'")));
-        }
-        self.boxes.insert(name.to_string(), sig);
+        self.declare_box_as(Cow::Owned(name.to_string()), Cow::Owned(sig))
+    }
+
+    fn declare_box_as(
+        &mut self,
+        name: Cow<'p, str>,
+        sig: Cow<'p, BoxSig>,
+    ) -> Result<(), TypeError> {
+        self.fresh(&name)?;
+        self.boxes.insert(name, sig);
         Ok(())
     }
 
@@ -255,24 +326,18 @@ impl Env {
     /// reference previously declared boxes and nets only (no forward
     /// references — matching the paper's compositional style).
     pub fn declare_net(&mut self, name: &str, body: NetAst) -> Result<NetSig, TypeError> {
-        if self.boxes.contains_key(name) || self.nets.contains_key(name) {
-            return Err(TypeError(format!("duplicate declaration of '{name}'")));
-        }
-        let sig = body.infer(self)?;
-        self.nets.insert(name.to_string(), (body, sig.clone()));
-        Ok(sig)
+        let sig = self.declare_net_as(Cow::Owned(name.to_string()), Cow::Owned(body))?;
+        Ok(sig.clone())
     }
 
-    /// Builds an environment from a program, inferring all nets.
-    pub fn from_program(p: &Program) -> Result<Env, TypeError> {
-        let mut env = Env::new();
-        for b in &p.boxes {
-            env.declare_box(&b.name, b.sig.clone())?;
-        }
-        for n in &p.nets {
-            env.declare_net(&n.name, n.body.clone())?;
-        }
-        Ok(env)
+    fn declare_net_as(
+        &mut self,
+        name: Cow<'p, str>,
+        body: Cow<'p, NetAst>,
+    ) -> Result<&NetSig, TypeError> {
+        self.fresh(&name)?;
+        let sig = body.infer(self)?;
+        Ok(&self.nets.entry(name).or_insert((body, sig)).1)
     }
 
     pub fn lookup_sig(&self, name: &str) -> Option<NetSig> {
@@ -283,11 +348,11 @@ impl Env {
     }
 
     pub fn lookup_box(&self, name: &str) -> Option<&BoxSig> {
-        self.boxes.get(name)
+        self.boxes.get(name).map(|sig| &**sig)
     }
 
     pub fn lookup_net(&self, name: &str) -> Option<&NetAst> {
-        self.nets.get(name).map(|(a, _)| a)
+        self.nets.get(name).map(|(body, _)| &**body)
     }
 
     /// All box names reachable from an expression, resolving net
@@ -302,11 +367,11 @@ impl Env {
                 continue;
             }
             seen.push(name.clone());
-            if self.boxes.contains_key(&name) {
+            if self.boxes.contains_key(name.as_str()) {
                 if !boxes.contains(&name) {
                     boxes.push(name);
                 }
-            } else if let Some((body, _)) = self.nets.get(&name) {
+            } else if let Some((body, _)) = self.nets.get(name.as_str()) {
                 body.direct_refs(&mut frontier);
             }
         }
@@ -380,6 +445,34 @@ mod tests {
             .declare_box("f", simple_box("f", &["a"], &[&["b"]]).sig)
             .is_err());
         assert!(env.declare_net("f", NetAst::boxref("f")).is_err());
+    }
+
+    #[test]
+    fn check_with_types_the_target_in_place_of_inference() {
+        let p = crate::parse_program(
+            "box f (a) -> (a);\n\
+             net before = f;\n\
+             net main = before .. f;\n\
+             net after = main .. f;",
+        )
+        .unwrap();
+        let mut calls = 0;
+        let (product, sig) = p
+            .check_with("main", |env, body| {
+                calls += 1;
+                // The declarations before the target, and no later one.
+                assert!(env.lookup_sig("before").is_some());
+                assert!(env.lookup_sig("after").is_none());
+                Ok(("typed", body.infer(env)?))
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!((calls, product), (1, "typed"));
+        assert_eq!(Some(sig), p.env().unwrap().lookup_sig("main"));
+        let none = p.check_with("nope", |_, _| -> Result<((), NetSig), TypeError> {
+            unreachable!("no net is named nope")
+        });
+        assert!(none.unwrap().is_none());
     }
 
     #[test]

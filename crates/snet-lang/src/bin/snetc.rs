@@ -20,6 +20,8 @@
 //! Exit code 0 = well-typed; 1 = parse or type error (message on
 //! stderr); 2 = usage error.
 
+#![forbid(unsafe_code)]
+
 use snet_lang::{parse_net_expr, parse_program, pretty_net, pretty_program, Env};
 use std::io::Read;
 use std::process::ExitCode;

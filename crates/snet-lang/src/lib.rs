@@ -21,6 +21,8 @@
 //! `{<level>} if <level> > 40` instead of `{<level>} | <level> > 40`,
 //! keeping `|` unambiguous with the deterministic parallel combinator.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod expr;
 pub mod filter;
@@ -31,5 +33,7 @@ pub mod token;
 pub use ast::{BoxDecl, Env, ExitPattern, NetAst, NetDecl, Program};
 pub use expr::{ArithOp, CmpOp, ExprError, Guard, TagExpr};
 pub use filter::{FilterDef, FilterError, RecSpec, SpecItem};
-pub use parser::{parse_filter, parse_guard, parse_net_expr, parse_program, ParseError};
+pub use parser::{
+    parse_filter, parse_guard, parse_net_expr, parse_program, ParseError, MAX_NESTING,
+};
 pub use pretty::{pretty_filter, pretty_guard, pretty_net, pretty_program};

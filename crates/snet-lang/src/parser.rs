@@ -36,8 +36,19 @@ use crate::ast::{BoxDecl, ExitPattern, NetAst, NetDecl, Program};
 use crate::expr::{ArithOp, CmpOp, Guard, TagExpr};
 use crate::filter::{FilterDef, RecSpec, SpecItem};
 use crate::token::{lex, Spanned, Tok};
-use snet_types::{BoxSig, Label, RecordType};
+use snet_types::{BoxSig, FxMap, Label, RecordType};
 use std::fmt;
+
+/// The deepest nesting the parser accepts, in two senses: the syntax
+/// tree of a declaration or expression is at most this deep (every
+/// combinator, operator and comparison is one level), and at most
+/// this many parentheses are open at once. Deeper input is a
+/// [`ParseError`], not a stack overflow in the parser or in any pass
+/// that walks the tree (inference, compilation, printing); the
+/// printer adds at most one pair of parentheses per level, so what it
+/// prints of a tree within the limit parses again. Fixed, not a
+/// setting: no program in the paper nests past a handful of levels.
+pub const MAX_NESTING: u32 = 128;
 
 /// A parse error with the line it occurred on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,16 +65,43 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
+    /// Every label this parse has made, by name and kind (`true`: a
+    /// tag): each distinct label is interned once per parse.
+    labels: FxMap<(&'src str, bool), Label>,
+    /// Parentheses open around the current token.
+    parens: u32,
+    /// Negations and `!(` groups open around the current token: levels
+    /// of the tree whose depth is known only once their operand is.
+    /// With `parens`, bounds the parser's own recursion by
+    /// [`MAX_NESTING`] before it recurses.
+    prefixes: u32,
+    /// Set once the input nests past [`MAX_NESTING`]: the guard
+    /// reading of a `(` does not backtrack over that error.
+    too_deep: bool,
 }
 
 type PResult<T> = Result<T, ParseError>;
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+/// A parsed node and its nesting (0 for a leaf).
+type Nested<T> = PResult<(T, u32)>;
+
+impl<'src> Parser<'src> {
+    fn new(toks: Vec<Spanned<'src>>) -> Parser<'src> {
+        Parser {
+            toks,
+            pos: 0,
+            labels: FxMap::default(),
+            parens: 0,
+            prefixes: 0,
+            too_deep: false,
+        }
+    }
+
+    fn peek(&self) -> Option<Tok<'src>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
     fn line(&self) -> u32 {
@@ -80,7 +118,15 @@ impl Parser {
         })
     }
 
-    fn accept(&mut self, tok: &Tok) -> bool {
+    /// "expected {what}, found '{the current token}'".
+    fn expected<T>(&self, what: &str) -> PResult<T> {
+        match self.peek() {
+            Some(t) => self.err(format!("expected {what}, found '{t}'")),
+            None => self.err(format!("expected {what}, found 'end of input'")),
+        }
+    }
+
+    fn accept(&mut self, tok: Tok<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -89,65 +135,106 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: &Tok) -> PResult<()> {
+    fn expect(&mut self, tok: Tok<'_>) -> PResult<()> {
         if self.accept(tok) {
             Ok(())
         } else {
-            let found = self
-                .peek()
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| "end of input".into());
-            self.err(format!("expected '{tok}', found '{found}'"))
+            self.expected(&format!("'{tok}'"))
         }
     }
 
-    fn ident(&mut self) -> PResult<String> {
+    fn ident(&mut self) -> PResult<&'src str> {
         match self.peek() {
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!("expected identifier, found '{found}'"))
-            }
+            _ => self.expected("identifier"),
         }
+    }
+
+    /// The label `name` of kind `tag`, interned once per parse.
+    fn intern(&mut self, name: &'src str, tag: bool) -> Label {
+        *self.labels.entry((name, tag)).or_insert_with(|| {
+            if tag {
+                Label::tag(name)
+            } else {
+                Label::field(name)
+            }
+        })
+    }
+
+    // --- nesting ----------------------------------------------------------
+
+    /// Opens a parenthesis before parsing inside it;
+    /// [`Parser::close_paren`] ends it.
+    fn open_paren(&mut self) -> PResult<()> {
+        self.parens += 1;
+        self.within(self.parens)
+    }
+
+    fn close_paren(&mut self) {
+        self.parens -= 1;
+    }
+
+    /// Opens a negation or a `!(` group before parsing its operand;
+    /// [`Parser::close_prefix`] ends it.
+    fn open_prefix(&mut self) -> PResult<()> {
+        self.prefixes += 1;
+        self.within(self.prefixes)
+    }
+
+    fn close_prefix(&mut self) {
+        self.prefixes -= 1;
+    }
+
+    fn within(&mut self, open: u32) -> PResult<()> {
+        if open > MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(())
+    }
+
+    /// The nesting of a node one level above children of nesting
+    /// `child`, if within [`MAX_NESTING`].
+    fn level(&mut self, child: u32) -> PResult<u32> {
+        if child >= MAX_NESTING {
+            return self.too_deep();
+        }
+        Ok(child + 1)
+    }
+
+    fn too_deep<T>(&mut self) -> PResult<T> {
+        self.too_deep = true;
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
     }
 
     // --- labels, patterns -------------------------------------------------
 
     /// One label: `ident` (field) or `<ident>` (tag).
     fn label(&mut self) -> PResult<Label> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Tok::Ident(s)) => {
                 self.pos += 1;
-                Ok(Label::field(&s))
+                Ok(self.intern(s, false))
             }
             Some(Tok::TagRef(s)) => {
                 self.pos += 1;
-                Ok(Label::tag(&s))
+                Ok(self.intern(s, true))
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!("expected label, found '{found}'"))
-            }
+            _ => self.expected("label"),
         }
     }
 
     /// Comma-separated labels until the closing token (not consumed).
-    fn labels_until(&mut self, close: &Tok) -> PResult<Vec<Label>> {
+    fn labels_until(&mut self, close: Tok<'_>) -> PResult<Vec<Label>> {
         let mut out = Vec::new();
         if self.peek() == Some(close) {
             return Ok(out);
         }
         loop {
             out.push(self.label()?);
-            if !self.accept(&Tok::Comma) {
+            if !self.accept(Tok::Comma) {
                 break;
             }
         }
@@ -156,39 +243,38 @@ impl Parser {
 
     /// `{ labels }` as a record type.
     fn brace_pattern(&mut self) -> PResult<RecordType> {
-        self.expect(&Tok::LBrace)?;
-        let labels = self.labels_until(&Tok::RBrace)?;
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::LBrace)?;
+        let labels = self.labels_until(Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(RecordType::new(labels))
     }
 
     /// A box signature variant: `( labels )` or `{ labels }`, keeping
     /// declaration order.
     fn sig_variant(&mut self) -> PResult<Vec<Label>> {
-        if self.accept(&Tok::LParen) {
-            let labels = self.labels_until(&Tok::RParen)?;
-            self.expect(&Tok::RParen)?;
-            Ok(labels)
+        let close = if self.accept(Tok::LParen) {
+            Tok::RParen
         } else {
-            self.expect(&Tok::LBrace)?;
-            let labels = self.labels_until(&Tok::RBrace)?;
-            self.expect(&Tok::RBrace)?;
-            Ok(labels)
-        }
+            self.expect(Tok::LBrace)?;
+            Tok::RBrace
+        };
+        let labels = self.labels_until(close)?;
+        self.expect(close)?;
+        Ok(labels)
     }
 
     // --- declarations -----------------------------------------------------
 
     fn box_decl(&mut self) -> PResult<BoxDecl> {
-        self.expect(&Tok::KwBox)?;
-        let name = self.ident()?;
+        self.expect(Tok::KwBox)?;
+        let name = self.ident()?.to_string();
         let params = self.sig_variant()?;
-        self.expect(&Tok::Arrow)?;
+        self.expect(Tok::Arrow)?;
         let mut outputs = vec![self.sig_variant()?];
-        while self.accept(&Tok::Bar) {
+        while self.accept(Tok::Bar) {
             outputs.push(self.sig_variant()?);
         }
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Semi)?;
         Ok(BoxDecl {
             name,
             sig: BoxSig::new(params, outputs),
@@ -196,274 +282,298 @@ impl Parser {
     }
 
     fn net_decl(&mut self) -> PResult<NetDecl> {
-        self.expect(&Tok::KwNet)?;
-        let name = self.ident()?;
-        self.expect(&Tok::Assign)?;
-        let body = self.net_expr()?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::KwNet)?;
+        let name = self.ident()?.to_string();
+        self.expect(Tok::Assign)?;
+        let (body, _) = self.net_expr()?;
+        self.expect(Tok::Semi)?;
         Ok(NetDecl { name, body })
     }
 
     // --- network expressions ----------------------------------------------
 
-    fn net_expr(&mut self) -> PResult<NetAst> {
-        let mut lhs = self.par_expr()?;
-        while self.accept(&Tok::DotDot) {
-            let rhs = self.par_expr()?;
+    fn net_expr(&mut self) -> Nested<NetAst> {
+        let (mut lhs, mut depth) = self.par_expr()?;
+        while self.accept(Tok::DotDot) {
+            let (rhs, d) = self.par_expr()?;
+            depth = self.level(depth.max(d))?;
             lhs = NetAst::serial(lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn par_expr(&mut self) -> PResult<NetAst> {
-        let mut lhs = self.postfix_expr()?;
+    fn par_expr(&mut self) -> Nested<NetAst> {
+        let (mut lhs, mut depth) = self.postfix_expr()?;
         loop {
-            if self.accept(&Tok::ParBar) {
-                let rhs = self.postfix_expr()?;
-                lhs = NetAst::parallel(lhs, rhs);
-            } else if self.accept(&Tok::Bar) {
-                let rhs = self.postfix_expr()?;
-                lhs = NetAst::parallel_det(lhs, rhs);
+            let det = if self.accept(Tok::ParBar) {
+                false
+            } else if self.accept(Tok::Bar) {
+                true
             } else {
-                return Ok(lhs);
-            }
+                return Ok((lhs, depth));
+            };
+            let (rhs, d) = self.postfix_expr()?;
+            depth = self.level(depth.max(d))?;
+            lhs = if det {
+                NetAst::parallel_det(lhs, rhs)
+            } else {
+                NetAst::parallel(lhs, rhs)
+            };
         }
     }
 
-    fn postfix_expr(&mut self) -> PResult<NetAst> {
-        let mut inner = self.atom()?;
+    fn postfix_expr(&mut self) -> Nested<NetAst> {
+        let (mut inner, mut depth) = self.atom()?;
         loop {
-            if self.accept(&Tok::StarStar) {
-                let exit = self.exit_pattern()?;
-                inner = NetAst::star(inner, exit);
-            } else if self.accept(&Tok::Star) {
-                let exit = self.exit_pattern()?;
-                inner = NetAst::star_det(inner, exit);
-            } else if self.accept(&Tok::BangBang) {
+            inner = if self.accept(Tok::StarStar) {
+                let (exit, d) = self.exit_pattern()?;
+                depth = self.level(depth.max(d))?;
+                NetAst::star(inner, exit)
+            } else if self.accept(Tok::Star) {
+                let (exit, d) = self.exit_pattern()?;
+                depth = self.level(depth.max(d))?;
+                NetAst::star_det(inner, exit)
+            } else if self.accept(Tok::BangBang) {
                 let tag = self.tag_ref()?;
-                inner = NetAst::split(inner, &tag);
-            } else if self.accept(&Tok::Bang) {
+                depth = self.level(depth)?;
+                NetAst::split(inner, tag)
+            } else if self.accept(Tok::Bang) {
                 let tag = self.tag_ref()?;
-                inner = NetAst::split_det(inner, &tag);
+                depth = self.level(depth)?;
+                NetAst::split_det(inner, tag)
             } else {
-                return Ok(inner);
-            }
+                return Ok((inner, depth));
+            };
         }
     }
 
-    fn tag_ref(&mut self) -> PResult<String> {
-        match self.peek().cloned() {
+    fn tag_ref(&mut self) -> PResult<&'src str> {
+        match self.peek() {
             Some(Tok::TagRef(s)) => {
                 self.pos += 1;
                 Ok(s)
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!("expected '<tag>', found '{found}'"))
-            }
+            _ => self.expected("'<tag>'"),
         }
     }
 
-    fn exit_pattern(&mut self) -> PResult<ExitPattern> {
+    fn exit_pattern(&mut self) -> Nested<ExitPattern> {
         let pattern = self.brace_pattern()?;
-        if self.accept(&Tok::KwIf) {
-            let guard = self.guard()?;
-            Ok(ExitPattern::with_guard(pattern, guard))
+        if self.accept(Tok::KwIf) {
+            let (guard, depth) = self.guard()?;
+            Ok((ExitPattern::with_guard(pattern, guard), depth))
         } else {
-            Ok(ExitPattern::new(pattern))
+            Ok((ExitPattern::new(pattern), 0))
         }
     }
 
-    fn atom(&mut self) -> PResult<NetAst> {
-        match self.peek().cloned() {
+    fn atom(&mut self) -> Nested<NetAst> {
+        match self.peek() {
             Some(Tok::Ident(name)) => {
                 self.pos += 1;
-                Ok(NetAst::Ref(name))
+                Ok((NetAst::boxref(name), 0))
             }
             Some(Tok::LBracket) => {
-                let f = self.filter()?;
-                Ok(NetAst::Filter(f))
+                let (f, depth) = self.filter()?;
+                Ok((NetAst::Filter(f), depth))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.net_expr()?;
-                self.expect(&Tok::RParen)?;
-                Ok(e)
+                self.open_paren()?;
+                let nested = self.net_expr()?;
+                self.expect(Tok::RParen)?;
+                self.close_paren();
+                Ok(nested)
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!(
-                    "expected box name, filter or parenthesised network, found '{found}'"
-                ))
-            }
+            _ => self.expected("box name, filter or parenthesised network"),
         }
     }
 
     // --- filters ------------------------------------------------------
 
-    fn filter(&mut self) -> PResult<FilterDef> {
-        self.expect(&Tok::LBracket)?;
+    /// A filter, with the deepest nesting among its tag expressions.
+    fn filter(&mut self) -> Nested<FilterDef> {
+        self.expect(Tok::LBracket)?;
         let pattern = self.brace_pattern()?;
-        self.expect(&Tok::Arrow)?;
-        let mut outputs = vec![self.rec_spec()?];
-        while self.accept(&Tok::Semi) {
-            outputs.push(self.rec_spec()?);
+        self.expect(Tok::Arrow)?;
+        let mut depth = 0;
+        let mut outputs = Vec::new();
+        loop {
+            let (spec, d) = self.rec_spec()?;
+            outputs.push(spec);
+            depth = depth.max(d);
+            if !self.accept(Tok::Semi) {
+                break;
+            }
         }
-        self.expect(&Tok::RBracket)?;
+        self.expect(Tok::RBracket)?;
         let line = self.line();
-        FilterDef::new(pattern, outputs).map_err(|e| ParseError {
+        let f = FilterDef::new(pattern, outputs).map_err(|e| ParseError {
             message: e.to_string(),
             line,
-        })
+        })?;
+        Ok((f, depth))
     }
 
-    fn rec_spec(&mut self) -> PResult<RecSpec> {
-        self.expect(&Tok::LBrace)?;
+    fn rec_spec(&mut self) -> Nested<RecSpec> {
+        self.expect(Tok::LBrace)?;
         let mut items = Vec::new();
-        if self.peek() != Some(&Tok::RBrace) {
+        let mut depth = 0;
+        if self.peek() != Some(Tok::RBrace) {
             loop {
-                items.push(self.spec_item()?);
-                if !self.accept(&Tok::Comma) {
+                let (item, d) = self.spec_item()?;
+                items.push(item);
+                depth = depth.max(d);
+                if !self.accept(Tok::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RBrace)?;
-        Ok(RecSpec { items })
+        self.expect(Tok::RBrace)?;
+        Ok((RecSpec { items }, depth))
     }
 
-    fn spec_item(&mut self) -> PResult<SpecItem> {
-        match self.peek().cloned() {
+    fn spec_item(&mut self) -> Nested<SpecItem> {
+        match self.peek() {
             Some(Tok::Ident(name)) => {
                 self.pos += 1;
-                if self.accept(&Tok::Assign) {
+                let new = self.intern(name, false);
+                if self.accept(Tok::Assign) {
                     let old = self.ident()?;
-                    Ok(SpecItem::rename(&name, &old))
+                    let old = self.intern(old, false);
+                    Ok((SpecItem::RenameField { new, old }, 0))
                 } else {
-                    Ok(SpecItem::copy(&name))
+                    Ok((SpecItem::CopyField(new), 0))
                 }
             }
             Some(Tok::TagRef(name)) => {
                 self.pos += 1;
-                if self.accept(&Tok::Assign) {
-                    let e = self.tag_expr()?;
-                    Ok(SpecItem::tag(&name, Some(e)))
+                let name = self.intern(name, true);
+                if self.accept(Tok::Assign) {
+                    let (e, depth) = self.tag_expr()?;
+                    Ok((
+                        SpecItem::Tag {
+                            name,
+                            init: Some(e),
+                        },
+                        depth,
+                    ))
                 } else {
-                    Ok(SpecItem::tag(&name, None))
+                    Ok((SpecItem::Tag { name, init: None }, 0))
                 }
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!("expected record specifier item, found '{found}'"))
-            }
+            _ => self.expected("record specifier item"),
         }
     }
 
     // --- tag expressions and guards -------------------------------------
 
-    fn tag_expr(&mut self) -> PResult<TagExpr> {
-        let mut lhs = self.tag_term()?;
+    fn tag_expr(&mut self) -> Nested<TagExpr> {
+        let (mut lhs, mut depth) = self.tag_term()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => ArithOp::Add,
                 Some(Tok::Minus) => ArithOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, depth)),
             };
             self.pos += 1;
-            let rhs = self.tag_term()?;
+            let (rhs, d) = self.tag_term()?;
+            depth = self.level(depth.max(d))?;
             lhs = TagExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn tag_term(&mut self) -> PResult<TagExpr> {
-        let mut lhs = self.tag_factor()?;
+    fn tag_term(&mut self) -> Nested<TagExpr> {
+        let (mut lhs, mut depth) = self.tag_factor()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Star) => ArithOp::Mul,
                 Some(Tok::Slash) => ArithOp::Div,
                 Some(Tok::Percent) => ArithOp::Mod,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, depth)),
             };
             self.pos += 1;
-            let rhs = self.tag_factor()?;
+            let (rhs, d) = self.tag_factor()?;
+            depth = self.level(depth.max(d))?;
             lhs = TagExpr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn tag_factor(&mut self) -> PResult<TagExpr> {
-        match self.peek().cloned() {
+    fn tag_factor(&mut self) -> Nested<TagExpr> {
+        match self.peek() {
             Some(Tok::Int(v)) => {
                 self.pos += 1;
-                Ok(TagExpr::Lit(v))
+                Ok((TagExpr::Lit(v), 0))
             }
             Some(Tok::TagRef(t)) => {
                 self.pos += 1;
-                Ok(TagExpr::Tag(Label::tag(&t)))
+                Ok((TagExpr::Tag(self.intern(t, true)), 0))
             }
             Some(Tok::Minus) => {
                 self.pos += 1;
-                let e = self.tag_factor()?;
-                Ok(TagExpr::Neg(Box::new(e)))
+                self.open_prefix()?;
+                let (e, d) = self.tag_factor()?;
+                self.close_prefix();
+                Ok((TagExpr::Neg(Box::new(e)), self.level(d)?))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
-                let e = self.tag_expr()?;
-                self.expect(&Tok::RParen)?;
-                Ok(e)
+                self.open_paren()?;
+                let nested = self.tag_expr()?;
+                self.expect(Tok::RParen)?;
+                self.close_paren();
+                Ok(nested)
             }
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                self.err(format!("expected tag expression, found '{found}'"))
-            }
+            _ => self.expected("tag expression"),
         }
     }
 
-    fn guard(&mut self) -> PResult<Guard> {
-        let mut lhs = self.guard_and()?;
-        while self.accept(&Tok::ParBar) {
-            let rhs = self.guard_and()?;
+    fn guard(&mut self) -> Nested<Guard> {
+        let (mut lhs, mut depth) = self.guard_and()?;
+        while self.accept(Tok::ParBar) {
+            let (rhs, d) = self.guard_and()?;
+            depth = self.level(depth.max(d))?;
             lhs = Guard::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn guard_and(&mut self) -> PResult<Guard> {
-        let mut lhs = self.guard_not()?;
-        while self.accept(&Tok::AndAnd) {
-            let rhs = self.guard_not()?;
+    fn guard_and(&mut self) -> Nested<Guard> {
+        let (mut lhs, mut depth) = self.guard_not()?;
+        while self.accept(Tok::AndAnd) {
+            let (rhs, d) = self.guard_not()?;
+            depth = self.level(depth.max(d))?;
             lhs = Guard::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn guard_not(&mut self) -> PResult<Guard> {
-        if self.accept(&Tok::Bang) {
-            self.expect(&Tok::LParen)?;
-            let g = self.guard()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(Guard::Not(Box::new(g)));
+    fn guard_not(&mut self) -> Nested<Guard> {
+        if self.accept(Tok::Bang) {
+            self.expect(Tok::LParen)?;
+            self.open_prefix()?;
+            let (g, d) = self.guard()?;
+            self.expect(Tok::RParen)?;
+            self.close_prefix();
+            return Ok((Guard::Not(Box::new(g)), self.level(d)?));
         }
         // A '(' may open a parenthesised guard group or a parenthesised
-        // tag expression; try the guard reading first and backtrack.
-        if self.peek() == Some(&Tok::LParen) {
-            let save = self.pos;
+        // tag expression; try the guard reading first and backtrack —
+        // unless the input nests too deep to read either way.
+        if self.peek() == Some(Tok::LParen) {
+            let saved = (self.pos, self.parens, self.prefixes);
             self.pos += 1;
-            if let Ok(g) = self.guard() {
-                if self.accept(&Tok::RParen) {
-                    return Ok(g);
+            self.open_paren()?;
+            match self.guard() {
+                Ok(nested) if self.accept(Tok::RParen) => {
+                    self.close_paren();
+                    return Ok(nested);
                 }
+                Err(e) if self.too_deep => return Err(e),
+                _ => (self.pos, self.parens, self.prefixes) = saved,
             }
-            self.pos = save;
         }
-        let lhs = self.tag_expr()?;
+        let (lhs, dl) = self.tag_expr()?;
         let op = match self.peek() {
             Some(Tok::EqEq) => CmpOp::Eq,
             Some(Tok::NotEq) => CmpOp::Ne,
@@ -471,16 +581,11 @@ impl Parser {
             Some(Tok::Le) => CmpOp::Le,
             Some(Tok::Gt) => CmpOp::Gt,
             Some(Tok::Ge) => CmpOp::Ge,
-            other => {
-                let found = other
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "end of input".into());
-                return self.err(format!("expected comparison operator, found '{found}'"));
-            }
+            _ => return self.expected("comparison operator"),
         };
         self.pos += 1;
-        let rhs = self.tag_expr()?;
-        Ok(Guard::Cmp(op, lhs, rhs))
+        let (rhs, dr) = self.tag_expr()?;
+        Ok((Guard::Cmp(op, lhs, rhs), self.level(dl.max(dr))?))
     }
 
     // --- program ----------------------------------------------------------
@@ -491,60 +596,56 @@ impl Parser {
             match t {
                 Tok::KwBox => p.boxes.push(self.box_decl()?),
                 Tok::KwNet => p.nets.push(self.net_decl()?),
-                other => {
-                    let other = other.to_string();
-                    return self.err(format!(
-                        "expected 'box' or 'net' declaration, found '{other}'"
-                    ));
-                }
+                _ => return self.expected("'box' or 'net' declaration"),
             }
         }
         Ok(p)
     }
+
+    /// Fails unless every token has been read.
+    fn end(&self, what: &str) -> PResult<()> {
+        if self.peek().is_some() {
+            return self.err(format!("trailing input after {what}"));
+        }
+        Ok(())
+    }
 }
 
-fn make_parser(src: &str) -> PResult<Parser> {
+fn make_parser(src: &str) -> PResult<Parser<'_>> {
     let toks = lex(src).map_err(|e| ParseError {
         message: e.message,
         line: e.line,
     })?;
-    Ok(Parser { toks, pos: 0 })
+    Ok(Parser::new(toks))
 }
 
 /// Parses a complete program (box and net declarations).
 pub fn parse_program(src: &str) -> PResult<Program> {
-    let mut p = make_parser(src)?;
-    p.program()
+    make_parser(src)?.program()
 }
 
 /// Parses a single network expression, e.g.
 /// `computeOpts .. (solveOneLevel !! <k>) ** {<done>}`.
 pub fn parse_net_expr(src: &str) -> PResult<NetAst> {
     let mut p = make_parser(src)?;
-    let e = p.net_expr()?;
-    if p.peek().is_some() {
-        return p.err("trailing input after network expression");
-    }
+    let (e, _) = p.net_expr()?;
+    p.end("network expression")?;
     Ok(e)
 }
 
 /// Parses a single filter, e.g. `[{<k>} -> {<k>=<k>%4}]`.
 pub fn parse_filter(src: &str) -> PResult<FilterDef> {
     let mut p = make_parser(src)?;
-    let f = p.filter()?;
-    if p.peek().is_some() {
-        return p.err("trailing input after filter");
-    }
+    let (f, _) = p.filter()?;
+    p.end("filter")?;
     Ok(f)
 }
 
 /// Parses a guard expression, e.g. `<level> > 40`.
 pub fn parse_guard(src: &str) -> PResult<Guard> {
     let mut p = make_parser(src)?;
-    let g = p.guard()?;
-    if p.peek().is_some() {
-        return p.err("trailing input after guard");
-    }
+    let (g, _) = p.guard()?;
+    p.end("guard")?;
     Ok(g)
 }
 

@@ -7,6 +7,11 @@
 //! net fig2 = computeOpts .. [{} -> {<k>=1}] .. (solveOneLevel !! <k>) ** {<done>};
 //! ```
 //!
+//! Tokens borrow the source: an identifier or a tag name is a slice of
+//! the text it was lexed from ([`Tok<'src>`](Tok)), so lexing
+//! allocates the token vector and nothing else, however many names the
+//! program holds.
+//!
 //! The only lexical subtlety is `<`: it opens a tag reference
 //! (`<done>`), appears in comparison operators (`<`, `<=`), and both
 //! uses occur inside exit guards (`{<level>} if <level> > 40`). The
@@ -15,13 +20,13 @@
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
-    Ident(String),
+/// A lexical token, borrowing its name (if any) from the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tok<'src> {
+    Ident(&'src str),
     Int(i64),
-    /// `<name>` — a tag reference.
-    TagRef(String),
+    /// `<name>` — a tag reference (the bare name).
+    TagRef(&'src str),
     // Punctuation and combinators.
     LBrace,
     RBrace,
@@ -59,7 +64,7 @@ pub enum Tok {
     KwIf,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
@@ -101,9 +106,9 @@ impl fmt::Display for Tok {
 }
 
 /// A token plus its source position (byte offset and 1-based line).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Spanned {
-    pub tok: Tok,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Spanned<'src> {
+    pub tok: Tok<'src>,
     pub offset: usize,
     pub line: u32,
 }
@@ -124,19 +129,19 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'a> {
-    src: &'a [u8],
+struct Lexer<'src> {
+    text: &'src str,
     pos: usize,
     line: u32,
 }
 
-impl<'a> Lexer<'a> {
+impl<'src> Lexer<'src> {
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.text.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -178,7 +183,10 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> String {
+    /// The run of ASCII letters, digits and `_` at the current
+    /// position, as a slice of the source: the run is ASCII, so both
+    /// its ends are character boundaries.
+    fn ident(&mut self) -> &'src str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
@@ -187,12 +195,12 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        &self.text[start..self.pos]
     }
 
     /// Attempts to lex `<ident>` starting at the current `<`; restores
     /// position and returns `None` if the shape doesn't match.
-    fn try_tagref(&mut self) -> Option<String> {
+    fn try_tagref(&mut self) -> Option<&'src str> {
         let save = (self.pos, self.line);
         debug_assert_eq!(self.peek(), Some(b'<'));
         self.bump();
@@ -213,7 +221,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Option<Spanned>, LexError> {
+    fn next_token(&mut self) -> Result<Option<Spanned<'src>>, LexError> {
         self.skip_trivia()?;
         let offset = self.pos;
         let line = self.line;
@@ -364,7 +372,7 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+                let text = &self.text[start..self.pos];
                 let v: i64 = text
                     .parse()
                     .map_err(|_| self.err(format!("integer literal out of range: {text}")))?;
@@ -372,25 +380,29 @@ impl<'a> Lexer<'a> {
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let name = self.ident();
-                match name.as_str() {
+                match name {
                     "box" => Tok::KwBox,
                     "net" => Tok::KwNet,
                     "if" => Tok::KwIf,
                     _ => Tok::Ident(name),
                 }
             }
-            other => {
-                return Err(self.err(format!("unexpected character '{}'", other as char)));
+            _ => {
+                // Every token so far is ASCII, so the current position
+                // starts a character: name it, not its first byte.
+                let other = self.text.get(self.pos..).and_then(|t| t.chars().next());
+                let other = other.unwrap_or(char::REPLACEMENT_CHARACTER);
+                return Err(self.err(format!("unexpected character '{other}'")));
             }
         };
         Ok(Some(Spanned { tok, offset, line }))
     }
 }
 
-/// Tokenises a complete source string.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+/// Tokenises a complete source string. The tokens borrow `src`.
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let mut lx = Lexer {
-        src: src.as_bytes(),
+        text: src,
         pos: 0,
         line: 1,
     };
@@ -405,7 +417,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -414,21 +426,21 @@ mod tests {
         assert_eq!(
             toks("a .. b || c | d ** e * f !! g ! h"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::DotDot,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::ParBar,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Bar,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::StarStar,
-                Tok::Ident("e".into()),
+                Tok::Ident("e"),
                 Tok::Star,
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::BangBang,
-                Tok::Ident("g".into()),
+                Tok::Ident("g"),
                 Tok::Bang,
-                Tok::Ident("h".into()),
+                Tok::Ident("h"),
             ]
         );
     }
@@ -437,18 +449,15 @@ mod tests {
     fn tagrefs_vs_comparisons() {
         assert_eq!(
             toks("<level> > 40"),
-            vec![Tok::TagRef("level".into()), Tok::Gt, Tok::Int(40)]
+            vec![Tok::TagRef("level"), Tok::Gt, Tok::Int(40)]
         );
         assert_eq!(
             toks("<a> < <b>"),
-            vec![Tok::TagRef("a".into()), Tok::Lt, Tok::TagRef("b".into()),]
+            vec![Tok::TagRef("a"), Tok::Lt, Tok::TagRef("b"),]
         );
         assert_eq!(toks("1 <= 2"), vec![Tok::Int(1), Tok::Le, Tok::Int(2)]);
         // '<' followed by a digit is a comparison, not a tag.
-        assert_eq!(
-            toks("x <3"),
-            vec![Tok::Ident("x".into()), Tok::Lt, Tok::Int(3)]
-        );
+        assert_eq!(toks("x <3"), vec![Tok::Ident("x"), Tok::Lt, Tok::Int(3)]);
     }
 
     #[test]
@@ -456,7 +465,7 @@ mod tests {
         // [{a,b,<c>} -> {a, z=a, <t>}; {b, a=b, <c>=<c>+1}]
         let ts = toks("[{a,b,<c>} -> {a, z=a, <t>}; {b, a=b, <c>=<c>+1}]");
         assert!(ts.contains(&Tok::LBracket));
-        assert!(ts.contains(&Tok::TagRef("c".into())));
+        assert!(ts.contains(&Tok::TagRef("c")));
         assert!(ts.contains(&Tok::Plus));
         assert!(ts.contains(&Tok::Semi));
         assert_eq!(*ts.last().unwrap(), Tok::RBracket);
@@ -470,9 +479,9 @@ mod tests {
                 Tok::KwBox,
                 Tok::KwNet,
                 Tok::KwIf,
-                Tok::Ident("boxer".into()),
-                Tok::Ident("nets".into()),
-                Tok::Ident("iffy".into()),
+                Tok::Ident("boxer"),
+                Tok::Ident("nets"),
+                Tok::Ident("iffy"),
             ]
         );
     }
@@ -481,7 +490,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("a // comment .. ** !!\nb"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into())]
+            vec![Tok::Ident("a"), Tok::Ident("b")]
         );
     }
 
@@ -498,13 +507,13 @@ mod tests {
         assert_eq!(
             toks("<k> % 4 == 0 && <j> != 1"),
             vec![
-                Tok::TagRef("k".into()),
+                Tok::TagRef("k"),
                 Tok::Percent,
                 Tok::Int(4),
                 Tok::EqEq,
                 Tok::Int(0),
                 Tok::AndAnd,
-                Tok::TagRef("j".into()),
+                Tok::TagRef("j"),
                 Tok::NotEq,
                 Tok::Int(1),
             ]
@@ -516,6 +525,28 @@ mod tests {
         assert!(lex("a ^ b").is_err());
         assert!(lex("a & b").is_err());
         assert!(lex("a . b").is_err());
+    }
+
+    #[test]
+    fn a_stray_non_ascii_character_is_named_as_decoded() {
+        let err = lex("f .. é").unwrap_err();
+        assert_eq!(err.message, "unexpected character 'é'");
+        assert_eq!((err.offset, err.line), (5, 1));
+        // Past a comment holding non-ASCII text too.
+        let err = lex("// naïve\n→").unwrap_err();
+        assert_eq!(err.message, "unexpected character '→'");
+        assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn names_borrow_the_source() {
+        let src = String::from("box <tag>");
+        let ts = lex(&src).unwrap();
+        let Tok::TagRef(name) = ts[1].tok else {
+            panic!("{:?}", ts[1])
+        };
+        assert_eq!(name, "tag");
+        assert!(src.as_bytes().as_ptr_range().contains(&name.as_ptr()));
     }
 
     #[test]

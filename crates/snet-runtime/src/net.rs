@@ -32,7 +32,7 @@ use crate::sched::Executor;
 use crate::stream::chan::TryFeedError;
 use crate::stream::{Msg, Observer, Receiver, Sender};
 use parking_lot::RwLock;
-use snet_lang::{parse_net_expr, parse_program, Env, NetAst, ParseError, Program};
+use snet_lang::{parse_net_expr, parse_program, ParseError, Program};
 use snet_types::{MultiType, NetSig, Record};
 use std::fmt;
 use std::sync::Arc;
@@ -241,16 +241,23 @@ impl NetBuilder {
         self
     }
 
-    /// Compiles and spawns the named net.
+    /// Compiles and spawns the named net. Compiling is the net's only
+    /// type inference: the program's other nets are inferred as they
+    /// are declared, the built one by the compiler's own walk
+    /// ([`Program::check_with`]). Whatever else is wrong, a type error
+    /// anywhere in the program is reported first, then an unknown
+    /// `net_name`, then a setting, then a missing binding.
     pub fn build(self, net_name: &str) -> Result<Net, BuildError> {
-        let env = self.program.env()?;
-        let body = self
-            .program
-            .net(net_name)
-            .ok_or_else(|| BuildError::UnknownNet(net_name.to_string()))?
-            .body
-            .clone();
-        self.build_ast(&env, &body)
+        let fuse = self.cfg.fuse;
+        let checked = self.program.check_with(net_name, |env, body| {
+            crate::plan::compile_checked(body, env, &self.bindings, fuse)
+        })?;
+        let (root, sig) = checked.ok_or_else(|| BuildError::UnknownNet(net_name.to_string()))?;
+        if let Some(err) = self.invalid {
+            return Err(err.into());
+        }
+        let root = root?;
+        Ok(self.spawn(Plan { root, sig }))
     }
 
     /// Compiles and spawns a network expression given as text, resolved
@@ -258,14 +265,14 @@ impl NetBuilder {
     pub fn build_expr(self, expr: &str) -> Result<Net, BuildError> {
         let env = self.program.env()?;
         let ast = parse_net_expr(expr)?;
-        self.build_ast(&env, &ast)
-    }
-
-    fn build_ast(self, env: &Env, ast: &NetAst) -> Result<Net, BuildError> {
         if let Some(err) = self.invalid {
             return Err(err.into());
         }
-        let plan = crate::plan::compile_cfg(ast, env, &self.bindings, self.cfg.fuse)?;
+        let plan = crate::plan::compile_cfg(&ast, &env, &self.bindings, self.cfg.fuse)?;
+        Ok(self.spawn(plan))
+    }
+
+    fn spawn(self, plan: Plan) -> Net {
         let executor = self
             .executor
             .unwrap_or_else(|| crate::sched::shared_pool(self.cfg.workers));
@@ -275,7 +282,7 @@ impl NetBuilder {
         for obs in self.fault_observers {
             net.ctx.on_fault(obs);
         }
-        Ok(net)
+        net
     }
 }
 

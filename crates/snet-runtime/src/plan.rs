@@ -1,11 +1,14 @@
 //! Compilation: from `snet-lang` ASTs to executable plans.
 //!
 //! Compilation resolves names (inlining net references), binds box
-//! implementations, performs the full static type inference of
-//! `snet-types` at every node, and assigns sort levels to the
-//! deterministic combinators (a det combinator nested inside `d` other
-//! det combinators stamps sort records at level `d`; see
-//! [`crate::merge`]).
+//! implementations, infers each node's signature with the composition
+//! rules of `snet-types` as it builds the node, and assigns sort levels
+//! to the deterministic combinators (a det combinator nested inside `d`
+//! other det combinators stamps sort records at level `d`; see
+//! [`crate::merge`]). For [`crate::NetBuilder::build`] that walk is the
+//! built net's only type inference: the program's other nets are
+//! inferred as they are declared, and the built one is typed by its
+//! compilation, in their place ([`snet_lang::Program::check_with`]).
 //!
 //! The resulting [`Plan`] is an immutable `Arc` tree: the replicators
 //! clone subtree handles to instantiate replicas on demand without
@@ -325,9 +328,38 @@ pub fn compile_cfg(
     Ok(Plan { root, sig })
 }
 
+/// Compiles `body`, a net of a program being type-checked
+/// ([`snet_lang::Program::check_with`]), as [`compile_cfg`] does: its
+/// walk is the net's only type inference, and yields its signature. A
+/// type error is the net's type error, as [`NetAst::infer`] reports
+/// it; so is a name neither declared box nor net. A missing binding
+/// counts only once the net type-checks: the product is that error,
+/// beside the signature.
+pub(crate) fn compile_checked(
+    body: &NetAst,
+    env: &Env,
+    bindings: &Bindings,
+    fuse: bool,
+) -> Result<(Result<Arc<PNode>, CompileError>, NetSig), TypeError> {
+    match (Compiler {
+        env,
+        bindings,
+        fuse,
+    })
+    .node(body, 0)
+    {
+        Ok((root, sig)) => Ok((Ok(root), sig)),
+        Err(CompileError::Type(e)) => Err(e),
+        // The walk stopped at a name: an unknown one is a type error
+        // and the inference names it; past a missing binding the rest
+        // of the net still has to type-check. Error paths only.
+        Err(e) => Ok((Err(e), body.infer(env)?)),
+    }
+}
+
 /// What every node of one compilation reads.
 struct Compiler<'a> {
-    env: &'a Env,
+    env: &'a Env<'a>,
     bindings: &'a Bindings,
     fuse: bool,
 }
@@ -459,7 +491,7 @@ mod tests {
             .bind("g", |rec, em| em.emit(rec.clone()))
     }
 
-    fn env_fg() -> Env {
+    fn env_fg() -> Env<'static> {
         parse_program(
             "box f (a) -> (b);\n\
              box g (b) -> (c);\n\
@@ -471,7 +503,7 @@ mod tests {
     }
 
     /// Two boxes of one type, and a net of both.
-    fn env_aa() -> Env {
+    fn env_aa() -> Env<'static> {
         parse_program(
             "box f (a) -> (a);\n\
              box g (a) -> (a);\n\

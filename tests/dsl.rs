@@ -121,3 +121,102 @@ fn deterministic_variants_parse_distinctly() {
         other => panic!("unexpected: {other:?}"),
     }
 }
+
+/// Runs `f` on a spawned thread with the default stack, as a library
+/// user's thread would parse: a stack overflow aborts the test binary.
+fn on_a_default_stack<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    std::thread::spawn(f).join().expect("the thread returns")
+}
+
+/// `(open)^n inner (close)^n`.
+fn wrapped(open: &str, inner: &str, close: &str, n: usize) -> String {
+    format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+}
+
+/// Programs nested exactly `depth` deep, each a different way:
+/// parentheses, a `..` chain, a postfix chain, negations inside a
+/// filter and parentheses inside an exit guard.
+fn nested(depth: usize) -> Vec<String> {
+    const BOXES: &str = "box f (a, <k>) -> (a, <k>) | (a, <k>, <z>);\n";
+    let body = [
+        wrapped("(", "f", ")", depth),
+        vec!["f"; depth + 1].join(" .. "),
+        format!("f{}", " ! <k>".repeat(depth)),
+        format!("[{{a, <k>}} -> {{a, <k>={}<k>}}]", "-".repeat(depth)),
+        format!("f * {{<z>}} if {} > 0", wrapped("(", "<k>", ")", depth)),
+    ];
+    body.iter()
+        .map(|b| format!("{BOXES}net main = {b};"))
+        .collect()
+}
+
+#[test]
+fn a_program_nested_to_the_limit_is_parsed_typed_compiled_and_printed() {
+    let limit = snet_lang::MAX_NESTING as usize;
+    on_a_default_stack(move || {
+        for src in nested(limit) {
+            let head = &src[..src.len().min(120)];
+            let program = parse_program(&src).unwrap_or_else(|e| panic!("{head}: {e}"));
+            let env = program.env().unwrap_or_else(|e| panic!("{head}: {e}"));
+            let body = &program.net("main").unwrap().body;
+            let bindings = snet_runtime::Bindings::new().bind("f", |r, e| e.emit(r.clone()));
+            snet_runtime::compile(body, &env, &bindings).unwrap_or_else(|e| panic!("{head}: {e}"));
+            let printed = pretty_program(&program);
+            assert_eq!(parse_program(&printed).unwrap(), program, "{head}");
+            // The builder's own path: one inference, in the compiler.
+            let net = NetBuilder::from_program(program)
+                .bind("f", |r, e| e.emit(r.clone()))
+                .build("main")
+                .unwrap_or_else(|e| panic!("{head}: {e}"));
+            net.finish();
+        }
+    });
+}
+
+#[test]
+fn one_level_past_the_limit_is_a_parse_error() {
+    let limit = snet_lang::MAX_NESTING as usize;
+    on_a_default_stack(move || {
+        for src in nested(limit + 1) {
+            let head = &src[..src.len().min(120)];
+            match NetBuilder::from_source(&src) {
+                Err(snet_runtime::BuildError::Parse(e)) => assert!(
+                    e.message
+                        .contains(&format!("nesting deeper than {limit} levels")),
+                    "{head}: {e}"
+                ),
+                Err(e) => panic!("{head}: not a parse error: {e}"),
+                Ok(_) => panic!("{head}: parsed"),
+            }
+        }
+    });
+}
+
+#[test]
+fn pathological_nesting_fails_fast() {
+    on_a_default_stack(|| {
+        let t = std::time::Instant::now();
+        for src in [
+            format!("net main = {};", wrapped("(", "f", ")", 100_000)),
+            format!(
+                "net main = [{{<k>}} -> {{<k>={}1}}];",
+                "-".repeat(1_000_000)
+            ),
+            format!(
+                "net main = f ** {{<k>}} if {} > 0;",
+                wrapped("(", "1", ")", 10_000)
+            ),
+            format!("net main = f{};", " ! <k>".repeat(100_000)),
+        ] {
+            let e = parse_program(&src).unwrap_err();
+            assert!(e.message.starts_with("nesting deeper than"), "{e}");
+        }
+        // Unbounded, the guard's backtracking is quadratic in its
+        // depth, and the parentheses and negations overflow the stack.
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(5),
+            "{:?}",
+            t.elapsed()
+        );
+    });
+}
